@@ -36,6 +36,7 @@ from .features import (
     FeatureFrame,
     build_feature_frame,
     feature_frame_to_csv,
+    frame_columns,
     inference_windows,
     parse_feature_csv,
     prepare_dataset,
@@ -346,13 +347,13 @@ def cmd_predict(cfg: RunConfig) -> int:
     checkpoint = load_checkpoint(text)
     frame, _ = _resolve_frame(cfg)
 
-    expected = checkpoint.columns or {}
-    if expected.get("fundamental") and tuple(expected["fundamental"]) != frame.fundamental_names:
-        raise DataError(
-            f"frame columns {frame.fundamental_names} do not match checkpoint "
-            f"{tuple(expected['fundamental'])}"
-        )
     use_sentiment = checkpoint.params.fusion.has_sentiment
+    actual = frame_columns(frame if use_sentiment else frame.without_sentiment())
+    for stream, names in (checkpoint.columns or {}).items():
+        if names != actual.get(stream):
+            raise DataError(
+                f"frame {stream} columns {actual.get(stream)} do not match checkpoint {names}"
+            )
     window = checkpoint.config.window
     streams = inference_windows(frame, window, checkpoint.column_scales, use_sentiment)
     cache = forward_batch(streams, checkpoint.params)

@@ -18,7 +18,7 @@ class CheckpointError(DataError):
 
 
 class DivergenceError(TrendlabError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite prediction, loss, or gradient."""
 
     def __init__(self, message: str, epoch: int | None = None):
         super().__init__(message)

@@ -231,11 +231,16 @@ class DatasetBundle:
 
     @property
     def columns(self) -> dict:
-        return {
-            "fundamental": list(self.frame.fundamental_names),
-            "technical": list(self.frame.technical_names),
-            "sentiment": None if self.frame.sentiment is None else [SENTIMENT_COLUMN],
-        }
+        return frame_columns(self.frame)
+
+
+def frame_columns(frame: FeatureFrame) -> dict:
+    """Column names per stream, as recorded in a checkpoint."""
+    return {
+        "fundamental": list(frame.fundamental_names),
+        "technical": list(frame.technical_names),
+        "sentiment": None if frame.sentiment is None else [SENTIMENT_COLUMN],
+    }
 
 
 def _column_scale(values: np.ndarray) -> NormalizationScale | None:

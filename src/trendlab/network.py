@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 from .errors import DivergenceError
 from .fusion import FusionParameters, default_width
@@ -247,6 +246,19 @@ class GateTrace:
     candidate: np.ndarray
 
 
+def _sigmoid_(z: np.ndarray) -> np.ndarray:
+    """Logistic function 1 / (1 + exp(-z)), in place on `z`, which it
+    returns. exp(-z) overflows to inf for z below about -745; the result is
+    then exactly 0, the correct limit, so the overflow is not reported.
+    """
+    with np.errstate(over="ignore"):
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        np.reciprocal(z, out=z)
+    return z
+
+
 def rnn_step(x_t: np.ndarray, s_prev: np.ndarray, U: np.ndarray, W: np.ndarray) -> np.ndarray:
     """One tanh recurrence step: s_t = tanh(U x_t + W s_{t-1})."""
     x_t = np.asarray(x_t, dtype=np.float64)
@@ -267,9 +279,9 @@ def lstm_step(
         raise ValueError(f"input dim {x_t.shape[-1]} != layer input size {params.input_size}")
     if state.h.shape[-1] != params.hidden_size:
         raise ValueError(f"state size {state.h.shape[-1]} != hidden size {params.hidden_size}")
-    f = sigmoid(x_t @ params.W_f.T + state.h @ params.U_f.T + params.b_f)
-    i = sigmoid(x_t @ params.W_i.T + state.h @ params.U_i.T + params.b_i)
-    o = sigmoid(x_t @ params.W_o.T + state.h @ params.U_o.T + params.b_o)
+    f = _sigmoid_(x_t @ params.W_f.T + state.h @ params.U_f.T + params.b_f)
+    i = _sigmoid_(x_t @ params.W_i.T + state.h @ params.U_i.T + params.b_i)
+    o = _sigmoid_(x_t @ params.W_o.T + state.h @ params.U_o.T + params.b_o)
     g = np.tanh(x_t @ params.W_c.T + state.h @ params.U_c.T + params.b_c)
     c = f * state.c + i * g
     h = o * np.tanh(c)
@@ -316,19 +328,25 @@ def init_parameters(shape: ModelShape, seed: int, forget_bias: float = 1.0) -> N
 
 # ---------------------------------------------------------------------------
 # Batched sequence evaluation with cached activations for BPTT.
-# Windows are evaluated together: stream arrays are (batch, steps, dim) and
-# internal buffers are time-major (steps, batch, dim). State starts at zero
-# for every window; windows are independent samples.
+# Windows are evaluated together: stream arrays are (batch, steps, dim), and
+# every layer tensor is batch-last, (steps, features, batch). With the batch
+# on the last axis, a gate pre-activation is W x_t + U h_{t-1}, shape
+# (4h, batch), and each gate owns one contiguous block of rows: [0:h] forget,
+# [h:2h] input, [2h:3h] output, [3h:4h] candidate. Elementwise work on a
+# contiguous block is several times faster than on the strided column slices
+# of a batch-first (batch, 4h) array, and the per-step GEMMs write straight
+# into those blocks. State starts at zero for every window; windows are
+# independent samples.
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class _LstmLayerCache:
-    x: np.ndarray        # (T, n, D) layer inputs
-    h: np.ndarray        # (T, n, H) hidden states
-    c: np.ndarray        # (T, n, H) cell states
-    f: np.ndarray
-    i: np.ndarray
+    x: np.ndarray        # (T, D, n) layer inputs
+    h: np.ndarray        # (T, H, n) hidden states
+    c: np.ndarray        # (T, H, n) cell states
+    f: np.ndarray        # gate activations: (T, H, n) row blocks of one
+    i: np.ndarray        # (T, 4H, n) buffer, in f, i, o, c order
     o: np.ndarray
     g: np.ndarray        # candidate activations tanh(.)
     tanh_c: np.ndarray
@@ -337,7 +355,7 @@ class _LstmLayerCache:
 @dataclass
 class _RnnLayerCache:
     x: np.ndarray
-    s: np.ndarray        # (T, n, H)
+    s: np.ndarray        # (T, H, n)
 
 
 @dataclass
@@ -370,11 +388,55 @@ def _as_batch(stream: np.ndarray, name: str, expected_dim: int) -> np.ndarray:
 def _fuse_batch(
     streams: tuple[np.ndarray, np.ndarray, np.ndarray | None], fusion: FusionParameters
 ) -> np.ndarray:
+    """Fused layer input, batch-last (T, D, n)."""
     a, f, s = streams
-    parts = [a @ fusion.W_A.T + fusion.b_A, f @ fusion.W_F.T + fusion.b_F]
+    pairs = [(a, fusion.W_A, fusion.b_A), (f, fusion.W_F, fusion.b_F)]
     if fusion.has_sentiment:
-        parts.append(s @ fusion.W_S.T + fusion.b_S)
-    return np.concatenate(parts, axis=2)
+        pairs.append((s, fusion.W_S, fusion.b_S))
+    parts = [np.matmul(W, stream.transpose(1, 2, 0)) + b[:, None] for stream, W, b in pairs]
+    return np.concatenate(parts, axis=1)
+
+
+def _lstm_forward(x: np.ndarray, layer: LstmLayerParameters) -> _LstmLayerCache:
+    steps, _, n = x.shape
+    hid = layer.hidden_size
+    Wall, Uall, ball = layer.stacked()
+    A = np.matmul(Wall, x)                               # (T, 4H, n)
+    A += ball[:, None]
+    H = np.empty((steps, hid, n))
+    C = np.empty((steps, hid, n))
+    TC = np.empty((steps, hid, n))
+    rec = np.empty((4 * hid, n))
+    for t in range(steps):
+        act = A[t]
+        if t > 0:
+            np.matmul(Uall, H[t - 1], out=rec)
+            act += rec
+        _sigmoid_(act[: 3 * hid])
+        np.tanh(act[3 * hid :], out=act[3 * hid :])
+        f, i, o, g = act[:hid], act[hid : 2 * hid], act[2 * hid : 3 * hid], act[3 * hid :]
+        if t > 0:
+            np.multiply(f, C[t - 1], out=C[t])
+            C[t] += i * g
+        else:
+            np.multiply(i, g, out=C[t])
+        np.tanh(C[t], out=TC[t])
+        np.multiply(o, TC[t], out=H[t])
+    return _LstmLayerCache(
+        x=x, h=H, c=C, f=A[:, :hid], i=A[:, hid : 2 * hid], o=A[:, 2 * hid : 3 * hid],
+        g=A[:, 3 * hid :], tanh_c=TC,
+    )
+
+
+def _rnn_forward(x: np.ndarray, layer: RnnLayerParameters) -> _RnnLayerCache:
+    S = np.matmul(layer.U, x)                            # (T, H, n)
+    rec = np.empty(S.shape[1:])
+    for t in range(S.shape[0]):
+        if t > 0:
+            np.matmul(layer.W, S[t - 1], out=rec)
+            S[t] += rec
+        np.tanh(S[t], out=S[t])
+    return _RnnLayerCache(x=x, s=S)
 
 
 def forward_batch(
@@ -396,54 +458,93 @@ def forward_batch(
         s = None
     if f.shape[:2] != a.shape[:2]:
         raise ValueError("stream batch/step shapes differ")
-    n, steps = a.shape[:2]
-    if steps < 1:
+    if a.shape[1] < 1:
         raise ValueError("window must contain at least one step")
 
-    fused = _fuse_batch((a, f, s), params.fusion)        # (n, T, D)
-    x = np.ascontiguousarray(fused.transpose(1, 0, 2))   # (T, n, D)
-
+    x = _fuse_batch((a, f, s), params.fusion)            # (T, D, n)
     caches: list[_LstmLayerCache | _RnnLayerCache] = []
     for layer in params.layers:
-        hid = layer.hidden_size
         if isinstance(layer, LstmLayerParameters):
-            Wall, Uall, ball = layer.stacked()
-            H = np.empty((steps, n, hid))
-            C = np.empty((steps, n, hid))
-            F = np.empty((steps, n, hid))
-            I = np.empty((steps, n, hid))
-            O = np.empty((steps, n, hid))
-            G = np.empty((steps, n, hid))
-            TC = np.empty((steps, n, hid))
-            h_prev = np.zeros((n, hid))
-            c_prev = np.zeros((n, hid))
-            for t in range(steps):
-                pre = x[t] @ Wall.T + h_prev @ Uall.T + ball
-                gates = sigmoid(pre[:, : 3 * hid])
-                F[t] = gates[:, :hid]
-                I[t] = gates[:, hid : 2 * hid]
-                O[t] = gates[:, 2 * hid :]
-                G[t] = np.tanh(pre[:, 3 * hid :])
-                C[t] = F[t] * c_prev + I[t] * G[t]
-                TC[t] = np.tanh(C[t])
-                H[t] = O[t] * TC[t]
-                h_prev, c_prev = H[t], C[t]
-            caches.append(_LstmLayerCache(x=x, h=H, c=C, f=F, i=I, o=O, g=G, tanh_c=TC))
-            x = H
+            lc = _lstm_forward(x, layer)
+            x = lc.h
         else:
-            S = np.empty((steps, n, hid))
-            s_prev = np.zeros((n, hid))
-            for t in range(steps):
-                S[t] = np.tanh(x[t] @ layer.U.T + s_prev @ layer.W.T)
-                s_prev = S[t]
-            caches.append(_RnnLayerCache(x=x, s=S))
-            x = S
+            lc = _rnn_forward(x, layer)
+            x = lc.s
+        caches.append(lc)
 
-    final_h = x[-1]                                      # (n, H)
-    predictions = final_h @ params.head.w + float(params.head.b)
+    predictions = params.head.w @ x[-1] + float(params.head.b)
     if not np.all(np.isfinite(predictions)):
         raise DivergenceError("non-finite prediction in forward pass")
     return ForwardCache(params=params, streams=(a, f, s), layers=caches, predictions=predictions)
+
+
+def _lstm_backward(
+    lc: _LstmLayerCache, layer: LstmLayerParameters, d_h_extra: np.ndarray, k: int,
+    grads: dict[str, np.ndarray],
+) -> np.ndarray:
+    steps, hid, n = lc.h.shape
+    Wall, Uall, _ = layer.stacked()
+    dWall = np.zeros_like(Wall)
+    dUall = np.zeros_like(Uall)
+    dball = np.zeros(4 * hid)
+    dx = np.empty_like(lc.x)
+    dA = np.empty((4 * hid, n))
+    dF, dI, dO, dG = dA[:hid], dA[hid : 2 * hid], dA[2 * hid : 3 * hid], dA[3 * hid :]
+    dh_rec = np.zeros((hid, n))
+    dc_rec = np.zeros((hid, n))
+    for t in range(steps - 1, -1, -1):
+        f, i, o, g, tc = lc.f[t], lc.i[t], lc.o[t], lc.g[t], lc.tanh_c[t]
+        dh = d_h_extra[t] + dh_rec
+        dc = dc_rec + dh * o * (1.0 - tc**2)
+        if t > 0:
+            np.multiply(dc, lc.c[t - 1], out=dF)
+            dF *= f
+            dF *= 1.0 - f
+        else:
+            dF[...] = 0.0
+        np.multiply(dc, g, out=dI)
+        dI *= i
+        dI *= 1.0 - i
+        np.multiply(dh, tc, out=dO)
+        dO *= o
+        dO *= 1.0 - o
+        np.multiply(dc, i, out=dG)
+        dG *= 1.0 - g**2
+        dWall += dA @ lc.x[t].T
+        if t > 0:
+            dUall += dA @ lc.h[t - 1].T
+        dball += dA.sum(axis=1)
+        np.matmul(Wall.T, dA, out=dx[t])
+        dh_rec = Uall.T @ dA
+        dc_rec = dc * f
+    for j, gate in enumerate(GATES):
+        rows = slice(j * hid, (j + 1) * hid)
+        grads[f"layers.{k}.W_{gate}"] = dWall[rows]
+        grads[f"layers.{k}.U_{gate}"] = dUall[rows]
+        grads[f"layers.{k}.b_{gate}"] = dball[rows]
+    return dx
+
+
+def _rnn_backward(
+    lc: _RnnLayerCache, layer: RnnLayerParameters, d_h_extra: np.ndarray, k: int,
+    grads: dict[str, np.ndarray],
+) -> np.ndarray:
+    steps, hid, n = lc.s.shape
+    dU = np.zeros_like(layer.U)
+    dW = np.zeros_like(layer.W)
+    dx = np.empty_like(lc.x)
+    ds_rec = np.zeros((hid, n))
+    for t in range(steps - 1, -1, -1):
+        da = d_h_extra[t] + ds_rec
+        da *= 1.0 - lc.s[t] ** 2
+        dU += da @ lc.x[t].T
+        if t > 0:
+            dW += da @ lc.s[t - 1].T
+        np.matmul(layer.U.T, da, out=dx[t])
+        ds_rec = layer.W.T @ da
+    grads[f"layers.{k}.U"] = dU
+    grads[f"layers.{k}.W"] = dW
+    return dx
 
 
 def backward_batch(cache: ForwardCache, d_predictions: np.ndarray) -> dict[str, np.ndarray]:
@@ -460,86 +561,29 @@ def backward_batch(cache: ForwardCache, d_predictions: np.ndarray) -> dict[str, 
 
     top = cache.layers[-1]
     final_h = (top.h if isinstance(top, _LstmLayerCache) else top.s)[-1]
-    grads["head.w"] = d_pred @ final_h
+    grads["head.w"] = final_h @ d_pred
     grads["head.b"] = np.asarray(d_pred.sum())
 
     # d_h_extra[t]: gradient flowing into h_t of the current layer from
     # outside the recurrence (head at the last step, or the layer above).
-    d_h_extra = np.zeros((steps, n, params.hidden_size))
-    d_h_extra[-1] = np.outer(d_pred, params.head.w)
+    d_h_extra = np.zeros((steps, params.hidden_size, n))
+    d_h_extra[-1] = np.outer(params.head.w, d_pred)
 
     for k in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[k]
-        lc = cache.layers[k]
-        dx = np.empty_like(lc.x)
-        if isinstance(layer, LstmLayerParameters):
-            hid = layer.hidden_size
-            Wall, Uall, _ = layer.stacked()
-            dWall = np.zeros_like(Wall)
-            dUall = np.zeros_like(Uall)
-            dball = np.zeros(4 * hid)
-            dh_rec = np.zeros((n, hid))
-            dc_rec = np.zeros((n, hid))
-            for t in range(steps - 1, -1, -1):
-                dh = d_h_extra[t] + dh_rec
-                do = dh * lc.tanh_c[t]
-                dc = dc_rec + dh * lc.o[t] * (1.0 - lc.tanh_c[t] ** 2)
-                c_prev = lc.c[t - 1] if t > 0 else 0.0
-                h_prev = lc.h[t - 1] if t > 0 else np.zeros((n, hid))
-                da = np.concatenate(
-                    [
-                        dc * c_prev * lc.f[t] * (1.0 - lc.f[t]),
-                        dc * lc.g[t] * lc.i[t] * (1.0 - lc.i[t]),
-                        do * lc.o[t] * (1.0 - lc.o[t]),
-                        dc * lc.i[t] * (1.0 - lc.g[t] ** 2),
-                    ],
-                    axis=1,
-                )
-                dWall += da.T @ lc.x[t]
-                dUall += da.T @ h_prev
-                dball += da.sum(axis=0)
-                dx[t] = da @ Wall
-                dh_rec = da @ Uall
-                dc_rec = dc * lc.f[t]
-            for j, g in enumerate(GATES):
-                grads[f"layers.{k}.W_{g}"] = dWall[j * hid : (j + 1) * hid]
-                grads[f"layers.{k}.U_{g}"] = dUall[j * hid : (j + 1) * hid]
-                grads[f"layers.{k}.b_{g}"] = dball[j * hid : (j + 1) * hid]
-        else:
-            hid = layer.hidden_size
-            dU = np.zeros_like(layer.U)
-            dW = np.zeros_like(layer.W)
-            ds_rec = np.zeros((n, hid))
-            for t in range(steps - 1, -1, -1):
-                ds = d_h_extra[t] + ds_rec
-                da = ds * (1.0 - lc.s[t] ** 2)
-                s_prev = lc.s[t - 1] if t > 0 else np.zeros((n, hid))
-                dU += da.T @ lc.x[t]
-                dW += da.T @ s_prev
-                dx[t] = da @ layer.U
-                ds_rec = da @ layer.W
-            grads[f"layers.{k}.U"] = dU
-            grads[f"layers.{k}.W"] = dW
-        d_h_extra = dx
+        backward = _lstm_backward if isinstance(layer, LstmLayerParameters) else _rnn_backward
+        d_h_extra = backward(cache.layers[k], layer, d_h_extra, k, grads)
 
-    # d_h_extra now holds the gradient wrt the fused input (T, n, D).
+    # d_h_extra now holds the gradient wrt the fused input (T, D, n).
     fusion = params.fusion
     width = fusion.d_i
-    a, f, s = cache.streams
-    d_fused = d_h_extra
-    dX = d_fused[:, :, :width]
-    dY = d_fused[:, :, width : 2 * width]
-    a_tm = a.transpose(1, 0, 2)
-    f_tm = f.transpose(1, 0, 2)
-    grads["fusion.W_A"] = np.einsum("tni,tnj->ij", dX, a_tm)
-    grads["fusion.b_A"] = dX.sum(axis=(0, 1))
-    grads["fusion.W_F"] = np.einsum("tni,tnj->ij", dY, f_tm)
-    grads["fusion.b_F"] = dY.sum(axis=(0, 1))
+    blocks = [("A", cache.streams[0]), ("F", cache.streams[1])]
     if fusion.has_sentiment:
-        dZ = d_fused[:, :, 2 * width :]
-        s_tm = s.transpose(1, 0, 2)
-        grads["fusion.W_S"] = np.einsum("tni,tnj->ij", dZ, s_tm)
-        grads["fusion.b_S"] = dZ.sum(axis=(0, 1))
+        blocks.append(("S", cache.streams[2]))
+    for j, (name, stream) in enumerate(blocks):
+        d_proj = d_h_extra[:, j * width : (j + 1) * width]
+        grads[f"fusion.W_{name}"] = np.einsum("tin,ntj->ij", d_proj, stream)
+        grads[f"fusion.b_{name}"] = d_proj.sum(axis=(0, 2))
 
     return {name: grads[name] for name, _ in params.param_items()}
 
@@ -577,10 +621,10 @@ def gate_traces(cache: ForwardCache, window_index: int) -> list[GateTrace]:
         if isinstance(lc, _LstmLayerCache):
             traces.append(
                 GateTrace(
-                    forget=lc.f[:, window_index].copy(),
-                    input=lc.i[:, window_index].copy(),
-                    output=lc.o[:, window_index].copy(),
-                    candidate=lc.g[:, window_index].copy(),
+                    forget=lc.f[:, :, window_index].copy(),
+                    input=lc.i[:, :, window_index].copy(),
+                    output=lc.o[:, :, window_index].copy(),
+                    candidate=lc.g[:, :, window_index].copy(),
                 )
             )
     return traces

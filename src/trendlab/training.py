@@ -208,14 +208,14 @@ def train(
     for epoch in range(config.epochs):
         try:
             cache = forward_batch(streams, params)
+            cost = rmse(cache.predictions, labels)
+            if not math.isfinite(cost):
+                raise DivergenceError("non-finite loss")
+            epoch_rmse.append(cost)
+            grads = backward_batch(cache, rmse_gradient(cache.predictions, labels))
+            optimizer.step(grads)
         except DivergenceError as exc:
             raise DivergenceError(f"diverged at epoch {epoch}: {exc}", epoch=epoch) from None
-        cost = rmse(cache.predictions, labels)
-        if not math.isfinite(cost):
-            raise DivergenceError(f"non-finite loss at epoch {epoch}", epoch=epoch)
-        epoch_rmse.append(cost)
-        grads = backward_batch(cache, rmse_gradient(cache.predictions, labels))
-        optimizer.step(grads)
 
     _, train_cost = evaluate(train_split, params)
     _, test_cost = evaluate(dataset.test, params)

@@ -1,10 +1,10 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from trendlab.errors import DivergenceError
 from trendlab.fusion import FusionParameters
@@ -28,7 +28,7 @@ from trendlab.network import (
     rnn_step,
 )
 
-from oracles import scalar_lstm_step
+from oracles import reference_backward, reference_forward, scalar_lstm_step, scalar_sigmoid
 
 SCALAR_SHAPE = ModelShape(cell="lstm", d_a=1, d_f=1, d_s=1, d_i=1, layers=1, hidden=1)
 
@@ -292,6 +292,84 @@ def test_backward_upstream_shape_mismatch():
         backward_batch(cache, np.zeros(3))
 
 
+# --- reference kernel --------------------------------------------------------
+
+KERNEL_TOLERANCE = 1e-12
+REFERENCE_CASES = {
+    "lstm": (ModelShape(cell="lstm", layers=3, hidden=6), 5, 4),
+    "lstm_no_sentiment": (ModelShape(cell="lstm", layers=2, hidden=7, d_s=None), 5, 4),
+    "rnn": (ModelShape(cell="rnn", layers=3, hidden=6), 5, 4),
+    "rnn_no_sentiment": (ModelShape(cell="rnn", layers=2, hidden=7, d_s=None), 5, 4),
+    "one_step": (ModelShape(cell="lstm", layers=2, hidden=6), 1, 4),
+    "one_window": (ModelShape(cell="lstm", layers=2, hidden=6), 5, 1),
+    "hidden_below_fused": (ModelShape(cell="lstm", layers=2, hidden=5, d_i=2), 4, 3),
+}
+
+
+def _reference_case(name: str):
+    shape, steps, n = REFERENCE_CASES[name]
+    rng = np.random.default_rng(len(name))
+    params = init_parameters(shape, seed=len(name))
+    streams = (
+        rng.normal(size=(n, steps, shape.d_a)),
+        rng.normal(size=(n, steps, shape.d_f)),
+        rng.uniform(size=(n, steps, shape.d_s)) if shape.d_s else None,
+    )
+    return params, streams, rng.normal(size=n)
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_kernel_matches_reference(case):
+    params, streams, d_pred = _reference_case(case)
+    assert params.hidden_size != params.fusion.fused_dim
+    want_pred, want_caches = reference_forward(streams, params)
+    want_grads = reference_backward(streams, params, want_caches, d_pred)
+
+    cache = forward_batch(streams, params)
+    np.testing.assert_allclose(cache.predictions, want_pred, rtol=0, atol=KERNEL_TOLERANCE)
+    for lc, want in zip(cache.layers, want_caches):
+        for key, array in want.items():
+            got = getattr(lc, key).transpose(0, 2, 1)
+            np.testing.assert_allclose(got, array, rtol=0, atol=KERNEL_TOLERANCE, err_msg=key)
+    grads = backward_batch(cache, d_pred)
+    assert list(grads) == [name for name, _ in params.param_items()]
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, want_grads[name], rtol=0, atol=KERNEL_TOLERANCE, err_msg=name)
+
+
+@pytest.mark.parametrize("case", ["lstm", "one_window"])
+def test_gate_traces_match_reference(case):
+    params, streams, _ = _reference_case(case)
+    _, want_caches = reference_forward(streams, params)
+    cache = forward_batch(streams, params)
+    for w in range(cache.n_windows):
+        traces = gate_traces(cache, w)
+        assert len(traces) == len(want_caches)
+        for trace, want in zip(traces, want_caches):
+            for field_name, key in (("forget", "f"), ("input", "i"), ("output", "o"), ("candidate", "g")):
+                np.testing.assert_allclose(
+                    getattr(trace, field_name), want[key][:, w], rtol=0, atol=KERNEL_TOLERANCE
+                )
+
+
+def test_saturated_gates_raise_no_overflow_warning():
+    # Gate pre-activations near -1000 overflow exp(-z) in 1 / (1 + exp(-z));
+    # the limits 0 and 1 are exact and no warning may surface.
+    params = init_parameters(ModelShape(layers=2, hidden=4), seed=6)
+    for layer in params.layers:
+        layer.b_f[...] = -1000.0
+        layer.b_i[...] = 1000.0
+        layer.b_o[...] = -1000.0
+    rng = np.random.default_rng(6)
+    streams = (rng.normal(size=(3, 5, 3)), rng.normal(size=(3, 5, 3)), rng.uniform(size=(3, 5, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cache = forward_batch(streams, params)
+    for lc in cache.layers:
+        assert np.all(lc.f == 0.0) and np.all(lc.i == 1.0) and np.all(lc.o == 0.0)
+    assert np.all(np.isfinite(cache.predictions))
+
+
 # --- initialization ----------------------------------------------------------
 
 
@@ -345,7 +423,7 @@ def test_mean_forget_zero_weight_net_with_unit_bias():
         layer.b_f[...] = 1.0
     window = (np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 1)))
     _, traces, _ = forward_sequence(window, params)
-    assert mean_forget_activation(traces) == float(expit(1.0))
+    assert mean_forget_activation(traces) == scalar_sigmoid(1.0)
 
 
 def test_mean_forget_simple_average():

@@ -11,6 +11,7 @@ from trendlab.errors import CheckpointError, ConfigError, DataError, DivergenceE
 from trendlab.features import build_feature_frame, prepare_dataset
 from trendlab.market_data import FeatureRow, NormalizationScale, WindowedDataset, make_windows
 from trendlab.network import ModelShape, backward_batch, forward_batch, init_parameters
+from trendlab import training
 from trendlab.synthetic import sine_series
 from trendlab.training import (
     Adam,
@@ -217,6 +218,24 @@ def test_divergence_reports_epoch():
     with pytest.raises(DivergenceError) as err:
         train(ds, TrainConfig(epochs=3, window=2, layers=1, hidden_size=2))
     assert err.value.epoch == 0
+
+
+def test_divergence_in_optimizer_step_reports_epoch(sine_bundle, monkeypatch):
+    # Finite predictions, but a non-finite gradient at epoch 2: Adam rejects
+    # it, and the error must still carry the epoch.
+    calls = []
+
+    def poisoned(cache, d_predictions):
+        grads = backward_batch(cache, d_predictions)
+        calls.append(None)
+        if len(calls) == 3:
+            grads["head.b"] = np.asarray(np.nan)
+        return grads
+
+    monkeypatch.setattr(training, "backward_batch", poisoned)
+    with pytest.raises(DivergenceError, match="head.b") as err:
+        train(sine_bundle.dataset, TrainConfig(epochs=5, layers=1, hidden_size=2))
+    assert err.value.epoch == 2
 
 
 # --- gradient check -----------------------------------------------------------
