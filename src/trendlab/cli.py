@@ -55,7 +55,6 @@ from .reports import (
 )
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 
-THREADS_ENV = "TRENDLAB_THREADS"
 CLOCK_ENV = "TRENDLAB_CLOCK"
 
 EXPERIMENT_NAMES = ("interval", "regime", "sentiment", "forget-gate", "all")
@@ -201,17 +200,6 @@ def _timer() -> Callable[[], float]:
     if os.environ.get(CLOCK_ENV, "").lower() == "fixed":
         return lambda: 0.0
     return time.perf_counter
-
-
-def _workers() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    return max(value, 0)
 
 
 def _load_sentiment(path: Path) -> dict[date, float]:
@@ -379,7 +367,6 @@ def _experiment_config(cfg: RunConfig) -> ExperimentConfig:
         seeds=cfg.seeds,
         scale_fit=cfg.scale_fit,
         regime_threshold=cfg.regime_threshold,
-        workers=_workers(),
     )
 
 

@@ -3,23 +3,28 @@ comparison, regime comparison, sentiment ablation, and forget-gate
 analysis.
 
 Every runner is a pure function of (data, config, seed set): identical
-inputs produce identical reports, cell failures become explicit error rows,
-and independent cells may run in parallel without changing the result.
+inputs produce identical reports, and cell failures become explicit error
+rows. A grid prepares each data variant (interval, segment, or feature set)
+once and shares that read-only bundle across the variant's (model, seed)
+cells. The cells run serially: each one issues thousands of
+microsecond-scale numpy calls that drop and retake the GIL, so threads
+would spend their time handing it back and forth and run the grid slower
+than one thread does.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import date
 from enum import Enum
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError, TrendlabError
-from .features import FeatureFrame, build_feature_frame, prepare_dataset
+from .features import DatasetBundle, FeatureFrame, build_feature_frame, prepare_dataset
 from .indicators import IndicatorConfig
 from .market_data import DAILY, WEEKLY, PriceSeries, fit_scale, normalize, resample_weekly
 from .network import LSTM, RNN, all_gate_traces, forward_batch, mean_forget_activation
@@ -56,7 +61,6 @@ class ExperimentConfig:
     ratio: tuple[int, int] = (15, 1)
     scale_fit: str = "train"
     regime_threshold: float = 0.15
-    workers: int = 0
 
 
 def classify_regime(segment: PriceSeries, threshold: float = 0.15) -> RegimeLabel:
@@ -81,50 +85,66 @@ def classify_regime(segment: PriceSeries, threshold: float = 0.15) -> RegimeLabe
     return RegimeLabel.FLAT
 
 
-def _run_cells(tasks: Sequence[Callable[[], ReportRow]], workers: int) -> list[ReportRow]:
-    if workers and workers > 0:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda task: task(), tasks))
+# A grid variant: its report labels (interval, regime, features) and a
+# builder for its feature frame.
+_Variant = tuple[str, str, str, Callable[[], FeatureFrame]]
+
+
+def _run_cells(tasks: Sequence[Callable[[], ReportRow]]) -> list[ReportRow]:
     return [task() for task in tasks]
 
 
+def _error_text(exc: Exception) -> str:
+    """A failed cell's error: a TrendlabError's own message, or the
+    exception type and message for a ValueError raised below the package's
+    checks. Any other exception is a bug and propagates."""
+    return str(exc) if isinstance(exc, TrendlabError) else f"{type(exc).__name__}: {exc}"
+
+
 def _cell(
-    make_row: Callable[[], ReportRow],
-    fallback: ReportRow,
-) -> Callable[[], ReportRow]:
-    def run() -> ReportRow:
-        try:
-            return make_row()
-        except TrendlabError as exc:
-            return replace(fallback, error=str(exc))
-
-    return run
-
-
-def _train_row(
-    frame: FeatureFrame,
-    model: str,
-    seed: int,
+    prepared: DatasetBundle | str,
+    row: ReportRow,
     config: ExperimentConfig,
     timer: Callable[[], float],
-    *,
-    interval: str,
-    regime: str,
-    features: str,
-    window: int | None = None,
 ) -> ReportRow:
-    window = window if window is not None else config.train.window
-    bundle = prepare_dataset(frame, window, config.ratio, config.scale_fit)
-    train_config = replace(config.train, cell=model, seed=seed, window=window)
+    """Train one (model, seed) cell on its variant's shared bundle.
+    `prepared` is the error text when the variant could not be prepared."""
+    if isinstance(prepared, str):
+        return replace(row, error=prepared)
+    train_config = replace(config.train, cell=row.model, seed=row.seed)
     started = timer()
-    run = train(bundle.dataset, train_config, timer=timer)
+    try:
+        run = train(prepared.dataset, train_config, timer=timer)
+    except (TrendlabError, ValueError) as exc:
+        return replace(row, error=_error_text(exc))
     wall_ms = (timer() - started) * 1000.0
     if run.test_rmse is None:
-        raise DataError("experiment dataset produced an empty test split")
-    return ReportRow(
-        model=model, interval=interval, regime=regime, features=features, seed=seed,
-        train_rmse=run.train_rmse, test_rmse=run.test_rmse, wall_ms=wall_ms,
-    )
+        return replace(row, error="experiment dataset produced an empty test split")
+    return replace(row, train_rmse=run.train_rmse, test_rmse=run.test_rmse, wall_ms=wall_ms)
+
+
+def _run_grid(
+    variants: Sequence[_Variant],
+    config: ExperimentConfig,
+    timer: Callable[[], float],
+) -> ExperimentReport:
+    """One row per (variant, model, seed), in that order. Each variant is
+    prepared once, before the cells; `train` only reads the bundle, so its
+    cells share it."""
+    tasks = []
+    for interval, regime, features, make_frame in variants:
+        try:
+            prepared = prepare_dataset(make_frame(), config.train.window, config.ratio, config.scale_fit)
+        except (TrendlabError, ValueError) as exc:
+            prepared = _error_text(exc)
+        for model in MODELS:
+            for seed in config.seeds:
+                row = ReportRow(
+                    model=model, interval=interval, regime=regime, features=features, seed=seed,
+                    train_rmse=float("nan"), test_rmse=float("nan"), wall_ms=float("nan"),
+                )
+                tasks.append(partial(_cell, prepared, row, config, timer))
+    return ExperimentReport(rows=tuple(_run_cells(tasks)))
 
 
 def run_interval_experiment(
@@ -138,27 +158,11 @@ def run_interval_experiment(
     """
     if daily.interval != DAILY:
         raise DataError("interval experiment needs a daily input series")
-    series_by_interval = {DAILY: daily, WEEKLY: resample_weekly(daily)}
-
-    tasks = []
-    for interval in (DAILY, WEEKLY):
-        for model in MODELS:
-            for seed in config.seeds:
-                fallback = ReportRow(
-                    model=model, interval=interval, regime=ALL_REGIMES,
-                    features=FULL_FEATURES, seed=seed,
-                    train_rmse=float("nan"), test_rmse=float("nan"), wall_ms=float("nan"),
-                )
-
-                def make_row(interval=interval, model=model, seed=seed) -> ReportRow:
-                    frame = build_feature_frame(series_by_interval[interval], config.indicators, sentiment)
-                    return _train_row(
-                        frame, model, seed, config, timer,
-                        interval=interval, regime=ALL_REGIMES, features=FULL_FEATURES,
-                    )
-
-                tasks.append(_cell(make_row, fallback))
-    return ExperimentReport(rows=tuple(_run_cells(tasks, config.workers)))
+    variants = [
+        (interval, ALL_REGIMES, FULL_FEATURES, partial(build_feature_frame, series, config.indicators, sentiment))
+        for interval, series in ((DAILY, daily), (WEEKLY, resample_weekly(daily)))
+    ]
+    return _run_grid(variants, config, timer)
 
 
 def run_regime_experiment(
@@ -182,27 +186,13 @@ def run_regime_experiment(
             f"got spans of {sorted(set(durations))} days"
         )
 
-    tasks = []
+    variants = []
     for start, end in segments:
         segment = series.between(start, end)
         label = classify_regime(segment, config.regime_threshold)
-        for model in MODELS:
-            for seed in config.seeds:
-                fallback = ReportRow(
-                    model=model, interval=series.interval, regime=label.value,
-                    features=FULL_FEATURES, seed=seed,
-                    train_rmse=float("nan"), test_rmse=float("nan"), wall_ms=float("nan"),
-                )
-
-                def make_row(segment=segment, label=label, model=model, seed=seed) -> ReportRow:
-                    frame = build_feature_frame(segment, config.indicators, sentiment)
-                    return _train_row(
-                        frame, model, seed, config, timer,
-                        interval=series.interval, regime=label.value, features=FULL_FEATURES,
-                    )
-
-                tasks.append(_cell(make_row, fallback))
-    return ExperimentReport(rows=tuple(_run_cells(tasks, config.workers)))
+        frame = partial(build_feature_frame, segment, config.indicators, sentiment)
+        variants.append((series.interval, label.value, FULL_FEATURES, frame))
+    return _run_grid(variants, config, timer)
 
 
 def run_sentiment_ablation(
@@ -216,26 +206,12 @@ def run_sentiment_ablation(
     """
     if frame.sentiment is None:
         raise DataError("missing sentiment column in the full variant")
-    variants = ((FULL_FEATURES, frame), (NO_SENTIMENT, frame.without_sentiment()))
-
-    tasks = []
-    for features, variant in variants:
-        for model in MODELS:
-            for seed in config.seeds:
-                fallback = ReportRow(
-                    model=model, interval=interval, regime=ALL_REGIMES,
-                    features=features, seed=seed,
-                    train_rmse=float("nan"), test_rmse=float("nan"), wall_ms=float("nan"),
-                )
-
-                def make_row(variant=variant, features=features, model=model, seed=seed) -> ReportRow:
-                    return _train_row(
-                        variant, model, seed, config, timer,
-                        interval=interval, regime=ALL_REGIMES, features=features,
-                    )
-
-                tasks.append(_cell(make_row, fallback))
-    return ExperimentReport(rows=tuple(_run_cells(tasks, config.workers)))
+    ablated = frame.without_sentiment()
+    variants = [
+        (interval, ALL_REGIMES, FULL_FEATURES, lambda: frame),
+        (interval, ALL_REGIMES, NO_SENTIMENT, lambda: ablated),
+    ]
+    return _run_grid(variants, config, timer)
 
 
 def run_forget_gate_experiment(

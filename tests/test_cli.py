@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from trendlab.cli import main
-from trendlab.synthetic import sine_series
+from trendlab.synthetic import regime_fixture, sine_series
 
 
 def _write_prices(path: Path, bars) -> None:
@@ -68,3 +68,35 @@ def test_predict_rejects_column_mismatch_before_writing(trained, tmp_path, strea
     assert _predict(config, checkpoint, out) == 2
     assert f"{stream} columns" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_regime_reports_are_byte_identical_with_or_without_threads_variable(tmp_path, monkeypatch):
+    """Grid cells run serially and no environment variable selects threads:
+    setting TRENDLAB_THREADS changes no output byte."""
+    series, segments = regime_fixture(bars_per_segment=60)
+    prices = tmp_path / "prices.csv"
+    _write_prices(prices, series.bars)
+    monkeypatch.setenv("TRENDLAB_CLOCK", "fixed")
+    outputs = []
+    for threads in (None, "2"):
+        if threads is None:
+            monkeypatch.delenv("TRENDLAB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("TRENDLAB_THREADS", threads)
+        out = tmp_path / f"out-{threads}"
+        config = tmp_path / f"run-{threads}.json"
+        config.write_text(json.dumps({
+            "price_csv": str(prices),
+            "price_interval": "weekly",
+            "interval": "weekly",
+            "output_dir": str(out),
+            "train": {"epochs": 2, "layers": 1, "hidden_size": 3, "window": 4},
+            "experiments": {
+                "seeds": [0, 1],
+                "segments": [[start.isoformat(), end.isoformat()] for start, end in segments],
+            },
+        }))
+        assert main(["experiment", "regime", "--config", str(config)]) == 0
+        names = ("regime_report.csv", "regime_report.json", "regime_aggregate.csv")
+        outputs.append({name: (out / name).read_bytes() for name in names})
+    assert outputs[0] == outputs[1]

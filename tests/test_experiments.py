@@ -1,0 +1,161 @@
+"""Tests for the experiment grids: every cell against a direct `train` on a
+bundle prepared independently for it, one preparation per data variant, and
+the error rows that a failing variant or cell leaves behind."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+
+import pytest
+
+from trendlab import experiments
+from trendlab.errors import DataError
+from trendlab.experiments import (
+    FULL_FEATURES,
+    MODELS,
+    NO_SENTIMENT,
+    ExperimentConfig,
+    classify_regime,
+    run_interval_experiment,
+    run_regime_experiment,
+    run_sentiment_ablation,
+)
+from trendlab.features import build_feature_frame, prepare_dataset
+from trendlab.market_data import DAILY, WEEKLY, resample_weekly
+from trendlab.network import LSTM, RNN
+from trendlab.synthetic import planted_sentiment, regime_fixture, trend_seasonal_daily
+from trendlab.training import TrainConfig, train
+
+CONFIG = ExperimentConfig(train=TrainConfig(epochs=2, layers=1, hidden_size=3, window=4), seeds=(0, 1))
+PER_VARIANT = len(MODELS) * len(CONFIG.seeds)
+
+
+@pytest.fixture(scope="module")
+def regime_data():
+    series, segments = regime_fixture(bars_per_segment=60)
+    return series, segments, planted_sentiment(series)
+
+
+@pytest.fixture(scope="module")
+def daily_data():
+    daily = trend_seasonal_daily(bars=400)
+    return daily, planted_sentiment(daily)
+
+
+def _prepare(frame):
+    return prepare_dataset(frame, CONFIG.train.window, CONFIG.ratio, CONFIG.scale_fit)
+
+
+def _assert_cells_match_direct_training(report, frames):
+    """`frames` holds each variant's frame in row order. Every cell must be
+    bit-equal to `train` on a fresh bundle, so a cell that mutated the bundle
+    it shares with later cells fails here."""
+    assert len(report.rows) == PER_VARIANT * len(frames)
+    cells = [(model, seed) for model in MODELS for seed in CONFIG.seeds]
+    for k, row in enumerate(report.rows):
+        assert (row.model, row.seed) == cells[k % PER_VARIANT]
+        assert row.error == ""
+        bundle = _prepare(frames[k // PER_VARIANT])
+        run = train(bundle.dataset, replace(CONFIG.train, cell=row.model, seed=row.seed))
+        assert (row.train_rmse, row.test_rmse) == (run.train_rmse, run.test_rmse)
+
+
+def test_regime_cells_match_direct_training(regime_data):
+    series, segments, sentiment = regime_data
+    report = run_regime_experiment(series, segments, CONFIG, sentiment)
+    pieces = [series.between(*segment) for segment in segments]
+    frames = [build_feature_frame(piece, CONFIG.indicators, sentiment) for piece in pieces]
+    _assert_cells_match_direct_training(report, frames)
+    labels = [classify_regime(piece, CONFIG.regime_threshold).value for piece in pieces]
+    assert [row.regime for row in report.rows] == [label for label in labels for _ in range(PER_VARIANT)]
+
+
+def test_interval_cells_match_direct_training(daily_data):
+    daily, sentiment = daily_data
+    report = run_interval_experiment(daily, CONFIG, sentiment)
+    frames = [build_feature_frame(s, CONFIG.indicators, sentiment) for s in (daily, resample_weekly(daily))]
+    _assert_cells_match_direct_training(report, frames)
+    assert [row.interval for row in report.rows] == [DAILY] * PER_VARIANT + [WEEKLY] * PER_VARIANT
+
+
+def test_sentiment_ablation_cells_match_direct_training(regime_data):
+    series, _, sentiment = regime_data
+    frame = build_feature_frame(series, CONFIG.indicators, sentiment)
+    report = run_sentiment_ablation(frame, CONFIG)
+    _assert_cells_match_direct_training(report, [frame, frame.without_sentiment()])
+    features = [FULL_FEATURES] * PER_VARIANT + [NO_SENTIMENT] * PER_VARIANT
+    assert [row.features for row in report.rows] == features
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    calls = []
+    real = getattr(experiments, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("grid", ["regime", "interval", "sentiment"])
+def test_each_variant_is_prepared_once(monkeypatch, regime_data, daily_data, grid):
+    series, segments, sentiment = regime_data
+    ablation_frame = build_feature_frame(series, CONFIG.indicators, sentiment)
+    frames = _count_calls(monkeypatch, "build_feature_frame")
+    bundles = _count_calls(monkeypatch, "prepare_dataset")
+    if grid == "regime":
+        report, variants = run_regime_experiment(series, segments, CONFIG, sentiment), len(segments)
+    elif grid == "interval":
+        report, variants = run_interval_experiment(daily_data[0], CONFIG, daily_data[1]), 2
+    else:
+        report, variants = run_sentiment_ablation(ablation_frame, CONFIG), 2
+    assert len(report.rows) == PER_VARIANT * variants
+    assert len(bundles) == variants
+    assert len(frames) == (0 if grid == "sentiment" else variants)
+
+
+def test_unpreparable_segment_fails_only_its_cells(regime_data):
+    series, segments, sentiment = regime_data
+    late = series.bars[-20].date
+    short = (late, late + (segments[0][1] - segments[0][0]))  # equal span, 20 bars left
+    report = run_regime_experiment(series, [segments[0], short, segments[2]], CONFIG, sentiment)
+
+    with pytest.raises(DataError) as expected:
+        _prepare(build_feature_frame(series.between(*short), CONFIG.indicators, sentiment))
+    failed = report.rows[PER_VARIANT:2 * PER_VARIANT]
+    assert [row.error for row in failed] == [str(expected.value)] * PER_VARIANT
+    assert all(math.isnan(row.train_rmse) and math.isnan(row.test_rmse) for row in failed)
+    others = report.rows[:PER_VARIANT] + report.rows[2 * PER_VARIANT:]
+    assert [row.error for row in others] == [""] * (2 * PER_VARIANT)
+    assert all(math.isfinite(row.test_rmse) for row in others)
+
+
+def _train_raising(monkeypatch, exc_type, cell: str, seed: int) -> None:
+    real = experiments.train
+
+    def flaky(dataset, config, **kwargs):
+        if (config.cell, config.seed) == (cell, seed):
+            raise exc_type("planted failure")
+        return real(dataset, config, **kwargs)
+
+    monkeypatch.setattr(experiments, "train", flaky)
+
+
+def test_value_error_in_one_cell_becomes_a_typed_error_row(monkeypatch, regime_data):
+    series, segments, sentiment = regime_data
+    _train_raising(monkeypatch, ValueError, RNN, 1)
+    report = run_regime_experiment(series, segments[1:2], CONFIG, sentiment)
+    errors = {(row.model, row.seed): row.error for row in report.rows}
+    assert errors == {
+        (LSTM, 0): "", (LSTM, 1): "", (RNN, 0): "", (RNN, 1): "ValueError: planted failure",
+    }
+
+
+def test_other_exceptions_in_a_cell_propagate(monkeypatch, regime_data):
+    series, segments, sentiment = regime_data
+    _train_raising(monkeypatch, TypeError, RNN, 1)
+    with pytest.raises(TypeError, match="planted failure"):
+        run_regime_experiment(series, segments[1:2], CONFIG, sentiment)
