@@ -29,7 +29,7 @@ from .features import (
     parse_feature_csv,
     prepare_dataset,
 )
-from .fusion import FusionParameters, StreamVectors, fuse, fuse_streams, project_stream
+from .fusion import FusionParameters
 from .indicators import IndicatorConfig, cci, ema, macd, rsi
 from .market_data import (
     DAILY,
@@ -48,21 +48,14 @@ from .market_data import (
     resample_weekly,
 )
 from .network import (
-    GateStep,
-    GateTrace,
     LstmLayerParameters,
-    LstmState,
     ModelShape,
     NetworkParameters,
     RnnLayerParameters,
     backward_batch,
-    backward_sequence,
     forward_batch,
-    forward_sequence,
     init_parameters,
-    lstm_step,
     mean_forget_activation,
-    rnn_step,
 )
 from .reports import (
     AggregateRow,

@@ -27,7 +27,7 @@ from .errors import DataError, TrendlabError
 from .features import DatasetBundle, FeatureFrame, build_feature_frame, prepare_dataset
 from .indicators import IndicatorConfig
 from .market_data import DAILY, WEEKLY, PriceSeries, fit_scale, normalize, resample_weekly
-from .network import LSTM, RNN, all_gate_traces, forward_batch, mean_forget_activation
+from .network import LSTM, RNN, forward_batch, mean_forget_activation
 from .reports import ExperimentReport, ForgetGateReport, ForgetGateRow, ReportRow
 from .training import TrainConfig, train
 
@@ -240,7 +240,6 @@ def run_forget_gate_experiment(
             test = bundle.dataset.test
             if test.n_windows == 0:
                 raise DataError(f"window size {window}: empty test split")
-            cache = forward_batch(test.streams, run.parameters)
-            mean = mean_forget_activation(all_gate_traces(cache))
+            mean = mean_forget_activation(forward_batch(test.streams, run.parameters))
             rows.append(ForgetGateRow(window=window, seed=seed, mean_forget=mean))
     return ForgetGateReport(rows=tuple(rows))

@@ -1,5 +1,7 @@
-"""Stream fusion: per-stream affine projections to a shared width, then
-concatenation into the network input.
+"""Stream fusion parameters: per-stream affine projections to a shared
+width. `network.forward_batch` applies them and concatenates the projected
+streams, fundamental, technical, then sentiment, into the first layer's
+input.
 """
 
 from __future__ import annotations
@@ -7,26 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import DataError
-
-
-@dataclass(frozen=True)
-class StreamVectors:
-    """One time step's fundamental, technical, and sentiment vectors."""
-
-    fundamental: np.ndarray
-    technical: np.ndarray
-    sentiment: np.ndarray | None
-
-    def __post_init__(self):
-        object.__setattr__(self, "fundamental", np.asarray(self.fundamental, dtype=np.float64))
-        object.__setattr__(self, "technical", np.asarray(self.technical, dtype=np.float64))
-        if self.sentiment is not None:
-            s = np.asarray(self.sentiment, dtype=np.float64)
-            if s.size and (s.min() < 0.0 or s.max() > 1.0):
-                raise DataError(f"sentiment outside [0, 1]: {s}")
-            object.__setattr__(self, "sentiment", s)
 
 
 @dataclass
@@ -71,38 +53,3 @@ class FusionParameters:
 def default_width(d_a: int, d_f: int, d_s: int | None) -> int:
     """Default shared stream width: the widest stream is never compressed."""
     return max(d_a, d_f, d_s or 0)
-
-
-def project_stream(v: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Affine map W @ v + b. Accepts a single vector or a batch (..., d)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape[-1] != W.shape[1]:
-        raise ValueError(f"vector dim {v.shape[-1]} != matrix input dim {W.shape[1]}")
-    if b.shape != (W.shape[0],):
-        raise ValueError(f"bias shape {b.shape} != ({W.shape[0]},)")
-    return v @ W.T + b
-
-
-def fuse(x: np.ndarray, y: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
-    """Concatenate the projected streams in order fundamental, technical,
-    sentiment. With z omitted (sentiment ablation) the result has width
-    2 * d_I instead of 3 * d_I.
-    """
-    parts = [np.asarray(x), np.asarray(y)] + ([] if z is None else [np.asarray(z)])
-    width = parts[0].shape[-1]
-    for p in parts[1:]:
-        if p.shape[-1] != width:
-            raise ValueError(f"stream widths differ: {[q.shape[-1] for q in parts]}")
-    return np.concatenate(parts, axis=-1)
-
-
-def fuse_streams(streams: StreamVectors, params: FusionParameters) -> np.ndarray:
-    """Project all present streams and concatenate them."""
-    x = project_stream(streams.fundamental, params.W_A, params.b_A)
-    y = project_stream(streams.technical, params.W_F, params.b_F)
-    if params.has_sentiment:
-        if streams.sentiment is None:
-            raise ValueError("fusion expects a sentiment stream but none was given")
-        z = project_stream(streams.sentiment, params.W_S, params.b_S)
-        return fuse(x, y, z)
-    return fuse(x, y)

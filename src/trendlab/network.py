@@ -1,4 +1,4 @@
-"""Recurrent cells, stacked sequence evaluation, and exact backpropagation
+"""Recurrent layers, stacked sequence evaluation, and exact backpropagation
 through time.
 
 Two cell types share the sequence-evaluation contract: the gated memory cell
@@ -13,14 +13,21 @@ layer's final hidden state to the scalar next-step prediction. The backward
 pass is exact reverse-mode differentiation through the whole unrolled
 window, including the stream projections, with no truncation.
 
+A memory-cell layer stores its four gates stacked, in f, i, o, c order: one
+W (4h x d), one U (4h x h) and one b (4h), so each step's four gate
+pre-activations are one GEMM (Appleyard, Kocisky & Blunsom 2016,
+arXiv:1604.01946). `NetworkParameters.param_items` names the per-gate row
+blocks `layers.k.W_f`, `layers.k.U_i`, ... and hands them out as views: an
+in-place write to a named block (the optimizer step, a finite-difference
+probe, a checkpoint load) writes the stacked array the kernel reads.
+
 Everything is float64 and deterministic: identical inputs and parameters
 give bit-identical outputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,47 +43,42 @@ GATES = ("f", "i", "o", "c")
 
 @dataclass
 class LstmLayerParameters:
-    """Per-gate input weights W_g (hidden x input), recurrent weights U_g
-    (hidden x hidden), and biases b_g (hidden), for g in f, i, o, c.
+    """Gate-stacked input weights W (4h x input), recurrent weights U
+    (4h x h) and biases b (4h). Gate g in f, i, o, c (index j) owns rows
+    [j*h, (j+1)*h) of all three; `gate_blocks` names those row blocks and
+    returns them as views, so writing a block writes the stacked array.
     """
 
-    W_f: np.ndarray
-    U_f: np.ndarray
-    b_f: np.ndarray
-    W_i: np.ndarray
-    U_i: np.ndarray
-    b_i: np.ndarray
-    W_o: np.ndarray
-    U_o: np.ndarray
-    b_o: np.ndarray
-    W_c: np.ndarray
-    U_c: np.ndarray
-    b_c: np.ndarray
+    W: np.ndarray
+    U: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
-        h, d = self.W_f.shape
-        for g in GATES:
-            if getattr(self, f"W_{g}").shape != (h, d):
-                raise ValueError(f"W_{g} shape mismatch")
-            if getattr(self, f"U_{g}").shape != (h, h):
-                raise ValueError(f"U_{g} shape mismatch")
-            if getattr(self, f"b_{g}").shape != (h,):
-                raise ValueError(f"b_{g} shape mismatch")
+        if self.W.ndim != 2 or self.W.shape[0] == 0 or self.W.shape[0] % len(GATES):
+            raise ValueError(f"W shape {self.W.shape} is not (4 * hidden, input)")
+        rows = self.W.shape[0]
+        if self.U.shape != (rows, rows // len(GATES)):
+            raise ValueError(f"U shape {self.U.shape} != ({rows}, {rows // len(GATES)})")
+        if self.b.shape != (rows,):
+            raise ValueError(f"b shape {self.b.shape} != ({rows},)")
 
     @property
     def hidden_size(self) -> int:
-        return self.W_f.shape[0]
+        return self.W.shape[0] // len(GATES)
 
     @property
     def input_size(self) -> int:
-        return self.W_f.shape[1]
+        return self.W.shape[1]
 
-    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Gate-stacked views (4h x d, 4h x h, 4h) in f, i, o, c order."""
-        W = np.concatenate([self.W_f, self.W_i, self.W_o, self.W_c])
-        U = np.concatenate([self.U_f, self.U_i, self.U_o, self.U_c])
-        b = np.concatenate([self.b_f, self.b_i, self.b_o, self.b_c])
-        return W, U, b
+    def gate_blocks(self, prefix: str) -> list[tuple[str, np.ndarray]]:
+        """(name, view) per gate row block, W_g, U_g, b_g for g in f, i, o, c."""
+        hid = self.hidden_size
+        items = []
+        for j, g in enumerate(GATES):
+            rows = slice(j * hid, (j + 1) * hid)
+            items += [(f"{prefix}W_{g}", self.W[rows]), (f"{prefix}U_{g}", self.U[rows]),
+                      (f"{prefix}b_{g}", self.b[rows])]
+        return items
 
 
 @dataclass
@@ -158,8 +160,11 @@ class NetworkParameters:
     def __post_init__(self):
         if self.cell not in CELLS:
             raise ValueError(f"unknown cell {self.cell!r}")
+        layer_type = LstmLayerParameters if self.cell == LSTM else RnnLayerParameters
         size = self.fusion.fused_dim
         for k, layer in enumerate(self.layers):
+            if not isinstance(layer, layer_type):
+                raise ValueError(f"layer {k} is {type(layer).__name__}, not a {self.cell!r} layer")
             if layer.input_size != size:
                 raise ValueError(f"layer {k} input size {layer.input_size} != expected {size}")
             size = layer.hidden_size
@@ -170,20 +175,25 @@ class NetworkParameters:
     def hidden_size(self) -> int:
         return self.layers[-1].hidden_size
 
+    @property
+    def shape(self) -> ModelShape:
+        fusion = self.fusion
+        return ModelShape(
+            cell=self.cell, d_a=fusion.W_A.shape[1], d_f=fusion.W_F.shape[1],
+            d_s=fusion.W_S.shape[1] if fusion.has_sentiment else None, d_i=fusion.d_i,
+            layers=len(self.layers), hidden=self.hidden_size,
+        )
+
     def param_items(self) -> list[tuple[str, np.ndarray]]:
-        """Canonical (name, array) pairs; the arrays are live references."""
+        """Canonical (name, array) pairs. The arrays are live references:
+        the memory-cell gate blocks are views of the stacked layer arrays."""
         items = [("fusion.W_A", self.fusion.W_A), ("fusion.b_A", self.fusion.b_A),
                  ("fusion.W_F", self.fusion.W_F), ("fusion.b_F", self.fusion.b_F)]
         if self.fusion.has_sentiment:
             items += [("fusion.W_S", self.fusion.W_S), ("fusion.b_S", self.fusion.b_S)]
         for k, layer in enumerate(self.layers):
             if isinstance(layer, LstmLayerParameters):
-                for g in GATES:
-                    items += [
-                        (f"layers.{k}.W_{g}", getattr(layer, f"W_{g}")),
-                        (f"layers.{k}.U_{g}", getattr(layer, f"U_{g}")),
-                        (f"layers.{k}.b_{g}", getattr(layer, f"b_{g}")),
-                    ]
+                items += layer.gate_blocks(f"layers.{k}.")
             else:
                 items += [(f"layers.{k}.U", layer.U), (f"layers.{k}.W", layer.W)]
         items += [("head.w", self.head.w), ("head.b", self.head.b)]
@@ -191,59 +201,6 @@ class NetworkParameters:
 
     def param_dict(self) -> dict[str, np.ndarray]:
         return dict(self.param_items())
-
-    def copy(self) -> "NetworkParameters":
-        fusion = FusionParameters(
-            W_A=self.fusion.W_A.copy(), b_A=self.fusion.b_A.copy(),
-            W_F=self.fusion.W_F.copy(), b_F=self.fusion.b_F.copy(),
-            W_S=None if self.fusion.W_S is None else self.fusion.W_S.copy(),
-            b_S=None if self.fusion.b_S is None else self.fusion.b_S.copy(),
-        )
-        layers: list[LstmLayerParameters | RnnLayerParameters] = []
-        for layer in self.layers:
-            if isinstance(layer, LstmLayerParameters):
-                layers.append(LstmLayerParameters(*[
-                    getattr(layer, f"{kind}_{g}").copy() for g in GATES for kind in ("W", "U", "b")
-                ]))
-            else:
-                layers.append(RnnLayerParameters(layer.U.copy(), layer.W.copy()))
-        return NetworkParameters(self.cell, fusion, layers, HeadParameters(self.head.w.copy(), self.head.b.copy()))
-
-
-@dataclass(frozen=True)
-class LstmState:
-    """Hidden/output state h and memory cell state c of one layer."""
-
-    h: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        if self.h.shape != self.c.shape:
-            raise ValueError(f"state shapes differ: {self.h.shape} vs {self.c.shape}")
-
-    @classmethod
-    def zeros(cls, hidden: int) -> "LstmState":
-        return cls(np.zeros(hidden), np.zeros(hidden))
-
-
-@dataclass(frozen=True)
-class GateStep:
-    """Gate activations of a single step."""
-
-    f: np.ndarray
-    i: np.ndarray
-    o: np.ndarray
-    candidate: np.ndarray
-
-
-@dataclass(frozen=True)
-class GateTrace:
-    """Gate activations of one layer over one window, arrays (steps, hidden)."""
-
-    forget: np.ndarray
-    input: np.ndarray
-    output: np.ndarray
-    candidate: np.ndarray
 
 
 def _sigmoid_(z: np.ndarray) -> np.ndarray:
@@ -257,37 +214,6 @@ def _sigmoid_(z: np.ndarray) -> np.ndarray:
         z += 1.0
         np.reciprocal(z, out=z)
     return z
-
-
-def rnn_step(x_t: np.ndarray, s_prev: np.ndarray, U: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """One tanh recurrence step: s_t = tanh(U x_t + W s_{t-1})."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    s_prev = np.asarray(s_prev, dtype=np.float64)
-    if U.shape[1] != x_t.shape[-1]:
-        raise ValueError(f"input dim {x_t.shape[-1]} != U columns {U.shape[1]}")
-    if W.shape != (U.shape[0], U.shape[0]) or s_prev.shape[-1] != U.shape[0]:
-        raise ValueError("recurrent shapes inconsistent")
-    return np.tanh(x_t @ U.T + s_prev @ W.T)
-
-
-def lstm_step(
-    x_t: np.ndarray, state: LstmState, params: LstmLayerParameters
-) -> tuple[LstmState, GateStep]:
-    """One memory-cell step; returns the new state and the gate activations."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    if x_t.shape[-1] != params.input_size:
-        raise ValueError(f"input dim {x_t.shape[-1]} != layer input size {params.input_size}")
-    if state.h.shape[-1] != params.hidden_size:
-        raise ValueError(f"state size {state.h.shape[-1]} != hidden size {params.hidden_size}")
-    f = _sigmoid_(x_t @ params.W_f.T + state.h @ params.U_f.T + params.b_f)
-    i = _sigmoid_(x_t @ params.W_i.T + state.h @ params.U_i.T + params.b_i)
-    o = _sigmoid_(x_t @ params.W_o.T + state.h @ params.U_o.T + params.b_o)
-    g = np.tanh(x_t @ params.W_c.T + state.h @ params.U_c.T + params.b_c)
-    c = f * state.c + i * g
-    h = o * np.tanh(c)
-    if not np.all(np.isfinite(h)):
-        raise DivergenceError("non-finite state in memory-cell step")
-    return LstmState(h, c), GateStep(f, i, o, g)
 
 
 def init_parameters(shape: ModelShape, seed: int, forget_bias: float = 1.0) -> NetworkParameters:
@@ -310,14 +236,15 @@ def init_parameters(shape: ModelShape, seed: int, forget_bias: float = 1.0) -> N
 
     layers: list[LstmLayerParameters | RnnLayerParameters] = []
     size = shape.fused_dim
+    hid = shape.hidden
     for _ in range(shape.layers):
         if shape.cell == LSTM:
-            kwargs = {}
-            for g in GATES:
-                kwargs[f"W_{g}"] = glorot(shape.hidden, size)
-                kwargs[f"U_{g}"] = glorot(shape.hidden, shape.hidden)
-                kwargs[f"b_{g}"] = np.full(shape.hidden, forget_bias) if g == "f" else np.zeros(shape.hidden)
-            layers.append(LstmLayerParameters(**kwargs))
+            # Draws W_f, U_f, W_i, U_i, W_o, U_o, W_c, U_c in turn; a seed's
+            # values depend on that order.
+            W, U = map(np.concatenate, zip(*[(glorot(hid, size), glorot(hid, hid)) for _ in GATES]))
+            b = np.zeros(4 * hid)
+            b[:hid] = forget_bias
+            layers.append(LstmLayerParameters(W, U, b))
         else:
             layers.append(RnnLayerParameters(U=glorot(shape.hidden, size), W=glorot(shape.hidden, shape.hidden)))
         size = shape.hidden
@@ -400,9 +327,8 @@ def _fuse_batch(
 def _lstm_forward(x: np.ndarray, layer: LstmLayerParameters) -> _LstmLayerCache:
     steps, _, n = x.shape
     hid = layer.hidden_size
-    Wall, Uall, ball = layer.stacked()
-    A = np.matmul(Wall, x)                               # (T, 4H, n)
-    A += ball[:, None]
+    A = np.matmul(layer.W, x)                            # (T, 4H, n)
+    A += layer.b[:, None]
     H = np.empty((steps, hid, n))
     C = np.empty((steps, hid, n))
     TC = np.empty((steps, hid, n))
@@ -410,7 +336,7 @@ def _lstm_forward(x: np.ndarray, layer: LstmLayerParameters) -> _LstmLayerCache:
     for t in range(steps):
         act = A[t]
         if t > 0:
-            np.matmul(Uall, H[t - 1], out=rec)
+            np.matmul(layer.U, H[t - 1], out=rec)
             act += rec
         _sigmoid_(act[: 3 * hid])
         np.tanh(act[3 * hid :], out=act[3 * hid :])
@@ -483,10 +409,9 @@ def _lstm_backward(
     grads: dict[str, np.ndarray],
 ) -> np.ndarray:
     steps, hid, n = lc.h.shape
-    Wall, Uall, _ = layer.stacked()
-    dWall = np.zeros_like(Wall)
-    dUall = np.zeros_like(Uall)
-    dball = np.zeros(4 * hid)
+    dW = np.zeros_like(layer.W)
+    dU = np.zeros_like(layer.U)
+    db = np.zeros(4 * hid)
     dx = np.empty_like(lc.x)
     dA = np.empty((4 * hid, n))
     dF, dI, dO, dG = dA[:hid], dA[hid : 2 * hid], dA[2 * hid : 3 * hid], dA[3 * hid :]
@@ -510,18 +435,14 @@ def _lstm_backward(
         dO *= 1.0 - o
         np.multiply(dc, i, out=dG)
         dG *= 1.0 - g**2
-        dWall += dA @ lc.x[t].T
+        dW += dA @ lc.x[t].T
         if t > 0:
-            dUall += dA @ lc.h[t - 1].T
-        dball += dA.sum(axis=1)
-        np.matmul(Wall.T, dA, out=dx[t])
-        dh_rec = Uall.T @ dA
+            dU += dA @ lc.h[t - 1].T
+        db += dA.sum(axis=1)
+        np.matmul(layer.W.T, dA, out=dx[t])
+        dh_rec = layer.U.T @ dA
         dc_rec = dc * f
-    for j, gate in enumerate(GATES):
-        rows = slice(j * hid, (j + 1) * hid)
-        grads[f"layers.{k}.W_{gate}"] = dWall[rows]
-        grads[f"layers.{k}.U_{gate}"] = dUall[rows]
-        grads[f"layers.{k}.b_{gate}"] = dball[rows]
+    grads.update(LstmLayerParameters(dW, dU, db).gate_blocks(f"layers.{k}."))
     return dx
 
 
@@ -588,58 +509,12 @@ def backward_batch(cache: ForwardCache, d_predictions: np.ndarray) -> dict[str, 
     return {name: grads[name] for name, _ in params.param_items()}
 
 
-def forward_sequence(
-    window: tuple[np.ndarray, np.ndarray, np.ndarray | None],
-    params: NetworkParameters,
-) -> tuple[float, list[GateTrace], ForwardCache]:
-    """Evaluate one window (stream arrays shaped (steps, dim)).
-
-    Returns the scalar prediction, one GateTrace per layer (empty list for
-    the tanh recurrence, which has no gates), and the cache for the
-    backward pass.
-    """
-    a, f, s = window
-    batch = (
-        np.asarray(a, dtype=np.float64)[None],
-        np.asarray(f, dtype=np.float64)[None],
-        None if s is None else np.asarray(s, dtype=np.float64)[None],
-    )
-    cache = forward_batch(batch, params)
-    return float(cache.predictions[0]), gate_traces(cache, 0), cache
-
-
-def backward_sequence(cache: ForwardCache, d_prediction: float | np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients for a cache produced by `forward_sequence`."""
-    d = np.atleast_1d(np.asarray(d_prediction, dtype=np.float64))
-    return backward_batch(cache, d)
-
-
-def gate_traces(cache: ForwardCache, window_index: int) -> list[GateTrace]:
-    """Per-layer gate traces of one window in a batch cache."""
-    traces = []
-    for lc in cache.layers:
-        if isinstance(lc, _LstmLayerCache):
-            traces.append(
-                GateTrace(
-                    forget=lc.f[:, :, window_index].copy(),
-                    input=lc.i[:, :, window_index].copy(),
-                    output=lc.o[:, :, window_index].copy(),
-                    candidate=lc.g[:, :, window_index].copy(),
-                )
-            )
-    return traces
-
-
-def all_gate_traces(cache: ForwardCache) -> list[GateTrace]:
-    """Gate traces of every (layer, window) pair in a batch cache."""
-    return [t for w in range(cache.n_windows) for t in gate_traces(cache, w)]
-
-
-def mean_forget_activation(traces: Iterable[GateTrace]) -> float:
-    """Arithmetic mean of every forget-gate coordinate across the given
-    traces (all steps, layers, and windows weighted equally per coordinate).
-    """
-    values = [np.asarray(t.forget, dtype=np.float64).ravel() for t in traces]
-    if not values:
-        raise ValueError("no gate traces given")
-    return float(np.concatenate(values).mean())
+def mean_forget_activation(cache: ForwardCache) -> float:
+    """Arithmetic mean of every forget-gate activation in the cache, all
+    windows, layers, steps and units weighted equally. The values are
+    summed in window, layer, step, unit order, which fixes the last bits
+    of the result."""
+    forget = [lc.f for lc in cache.layers if isinstance(lc, _LstmLayerCache)]
+    if not forget:
+        raise ValueError("the cache holds no forget gates")
+    return float(np.stack(forget).transpose(3, 0, 1, 2).ravel().mean())

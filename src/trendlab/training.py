@@ -14,22 +14,17 @@ import numpy as np
 
 from . import network
 from .errors import CheckpointError, ConfigError, DataError, DivergenceError
-from .fusion import FusionParameters
 from .market_data import NormalizationScale, WindowedDataset
 from .network import (
     CELLS,
-    GATES,
-    HeadParameters,
-    LstmLayerParameters,
     ModelShape,
     NetworkParameters,
-    RnnLayerParameters,
     backward_batch,
     forward_batch,
     init_parameters,
 )
 
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -314,7 +309,10 @@ def gradient_check(
 # ---------------------------------------------------------------------------
 # Checkpoint persistence: versioned JSON, bit-exact float round-trips.
 # Python's shortest-repr float serialization guarantees float(repr(x)) == x,
-# so plain JSON numbers round-trip losslessly.
+# so plain JSON numbers round-trip losslessly. The model is its ModelShape
+# plus every `param_items()` array by name; the loader rebuilds the shape's
+# parameters and accepts the stored arrays only if they fill it exactly and
+# the shape agrees with the stored training config.
 # ---------------------------------------------------------------------------
 
 
@@ -339,7 +337,6 @@ def save_checkpoint(
     columns: Mapping | None = None,
 ) -> str:
     """Serialize model, config, and normalization state to versioned JSON."""
-    fusion = params.fusion
     doc = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "config": asdict(config),
@@ -348,32 +345,39 @@ def save_checkpoint(
         if column_scales is None
         else {name: _scale_doc(s) for name, s in column_scales.items()},
         "columns": None if columns is None else dict(columns),
-        "model": {
-            "cell": params.cell,
-            "fusion": {
-                "W_A": fusion.W_A.tolist(),
-                "b_A": fusion.b_A.tolist(),
-                "W_F": fusion.W_F.tolist(),
-                "b_F": fusion.b_F.tolist(),
-                "W_S": None if fusion.W_S is None else fusion.W_S.tolist(),
-                "b_S": None if fusion.b_S is None else fusion.b_S.tolist(),
-            },
-            "layers": [_layer_doc(layer) for layer in params.layers],
-            "head": {"w": params.head.w.tolist(), "b": float(params.head.b)},
-        },
+        "shape": asdict(params.shape),
+        "params": {name: array.tolist() for name, array in params.param_items()},
     }
     return json.dumps(doc, indent=1) + "\n"
 
 
-def _layer_doc(layer) -> dict:
-    if isinstance(layer, LstmLayerParameters):
-        doc = {}
-        for g in GATES:
-            doc[f"W_{g}"] = getattr(layer, f"W_{g}").tolist()
-            doc[f"U_{g}"] = getattr(layer, f"U_{g}").tolist()
-            doc[f"b_{g}"] = getattr(layer, f"b_{g}").tolist()
-        return doc
-    return {"U": layer.U.tolist(), "W": layer.W.tolist()}
+def _check_shape_matches_config(shape: ModelShape, config: TrainConfig) -> None:
+    """The stored shape must be the one `config` builds on the stored stream widths."""
+    built = replace(shape, cell=config.cell, d_i=config.d_i, layers=config.layers, hidden=config.hidden_size)
+    stored = (shape.cell, shape.layers, shape.hidden, shape.width)
+    wanted = (built.cell, built.layers, built.hidden, built.width)
+    if stored != wanted:
+        raise CheckpointError(
+            f"stored model (cell, layers, hidden, d_i) {stored} disagrees with its config {wanted}"
+        )
+
+
+def _load_params(shape: ModelShape, raw) -> NetworkParameters:
+    """The parameters of `shape`, filled from the stored name -> array map."""
+    params = init_parameters(shape, seed=0)
+    items = params.param_items()
+    names = {name for name, _ in items}
+    if set(raw) != names:
+        raise CheckpointError(
+            f"stored parameters do not fit the model: missing {sorted(names - set(raw))}, "
+            f"unexpected {sorted(set(raw) - names)}"
+        )
+    for name, array in items:
+        value = np.array(raw[name], dtype=np.float64)
+        if value.shape != array.shape:
+            raise CheckpointError(f"parameter {name} has shape {value.shape}, the model needs {array.shape}")
+        array[...] = value
+    return params
 
 
 def load_checkpoint(text: str) -> Checkpoint:
@@ -387,47 +391,22 @@ def load_checkpoint(text: str) -> Checkpoint:
     version = doc.get("schema_version")
     if version != CHECKPOINT_SCHEMA_VERSION:
         raise CheckpointError(
-            f"unsupported schema_version {version!r}; this build reads version {CHECKPOINT_SCHEMA_VERSION}"
+            f"unsupported schema_version {version!r}; this build reads version "
+            f"{CHECKPOINT_SCHEMA_VERSION} only: retrain the model to write a new checkpoint"
         )
     try:
         config = TrainConfig(**doc["config"])
         scale = NormalizationScale(**doc["scale"])
-        raw_model = doc["model"]
-        cell = raw_model["cell"]
-        rf = raw_model["fusion"]
-        fusion = FusionParameters(
-            W_A=np.array(rf["W_A"], dtype=np.float64),
-            b_A=np.array(rf["b_A"], dtype=np.float64),
-            W_F=np.array(rf["W_F"], dtype=np.float64),
-            b_F=np.array(rf["b_F"], dtype=np.float64),
-            W_S=None if rf["W_S"] is None else np.array(rf["W_S"], dtype=np.float64),
-            b_S=None if rf["b_S"] is None else np.array(rf["b_S"], dtype=np.float64),
-        )
-        layers = []
-        for raw in raw_model["layers"]:
-            if "U_f" in raw:
-                layers.append(
-                    LstmLayerParameters(
-                        **{k: np.array(v, dtype=np.float64) for k, v in raw.items()}
-                    )
-                )
-            else:
-                layers.append(
-                    RnnLayerParameters(
-                        U=np.array(raw["U"], dtype=np.float64),
-                        W=np.array(raw["W"], dtype=np.float64),
-                    )
-                )
-        head = HeadParameters(
-            w=np.array(raw_model["head"]["w"], dtype=np.float64),
-            b=np.array(raw_model["head"]["b"], dtype=np.float64),
-        )
-        params = NetworkParameters(cell, fusion, layers, head)
+        shape = ModelShape(**doc["shape"])
+        _check_shape_matches_config(shape, config)
+        params = _load_params(shape, doc["params"])
         column_scales = {}
         if doc.get("column_scales") is not None:
             for name, s in doc["column_scales"].items():
                 column_scales[name] = None if s is None else NormalizationScale(**s)
         columns = doc.get("columns") or {}
+    except CheckpointError:
+        raise
     except (KeyError, TypeError, ValueError, ConfigError, DataError) as exc:
         raise CheckpointError(f"invalid checkpoint contents: {exc!r}") from None
     return Checkpoint(

@@ -103,12 +103,82 @@ def scalar_lstm_step(
     return h_new, c_new, {"f": f, "i": i, "o": o, "g": g}
 
 
+def pairwise_mean(values: list[float]) -> float:
+    """Arithmetic mean with the sum taken in numpy's pairwise order, so that
+    it equals `np.mean` of the same values in the same order bit for bit:
+    a run of up to 128 values is summed in 8 interleaved accumulators
+    combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftovers in
+    turn; fewer than 8 values are summed in turn; a longer run is split at
+    half its length, rounded down to a multiple of 8.
+    """
+
+    def total(lo: int, n: int) -> float:
+        if n < 8:
+            acc = 0.0
+            for k in range(lo, lo + n):
+                acc += values[k]
+            return acc
+        if n <= 128:
+            r = values[lo : lo + 8]
+            k = 8
+            while k < n - n % 8:
+                for j in range(8):
+                    r[j] += values[lo + k + j]
+                k += 8
+            acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            for k in range(k, n):
+                acc += values[lo + k]
+            return acc
+        half = n // 2
+        half -= half % 8
+        return total(lo, half) + total(lo + half, n - half)
+
+    if not values:
+        raise ValueError("mean of no values")
+    return total(0, len(values)) / len(values)
+
+
+def python_lstm_forward(window, weights: dict[str, np.ndarray], layers: int) -> float:
+    """One window through the stream projections, `layers` memory-cell
+    layers and the head, with plain Python loops over named parameters.
+    `window` is (fundamental, technical, sentiment), each a list of
+    per-step vectors; sentiment may be None.
+    """
+
+    def dot(name: str, row: int, v: list[float]) -> float:
+        return sum(float(weights[name][row, j]) * v[j] for j in range(len(v)))
+
+    streams = [("A", window[0]), ("F", window[1])] + ([("S", window[2])] if window[2] is not None else [])
+    width = weights["fusion.W_A"].shape[0]
+    xs = [
+        [dot(f"fusion.W_{name}", r, list(stream[t])) + float(weights[f"fusion.b_{name}"][r])
+         for name, stream in streams for r in range(width)]
+        for t in range(len(window[0]))
+    ]
+    for k in range(layers):
+        hid = weights[f"layers.{k}.W_f"].shape[0]
+        h, c = [0.0] * hid, [0.0] * hid
+        hs = []
+        for x in xs:
+            pre = {
+                g: [dot(f"layers.{k}.W_{g}", u, x) + dot(f"layers.{k}.U_{g}", u, h)
+                    + float(weights[f"layers.{k}.b_{g}"][u]) for u in range(hid)]
+                for g in "fioc"
+            }
+            c = [scalar_sigmoid(pre["f"][u]) * c[u] + scalar_sigmoid(pre["i"][u]) * math.tanh(pre["c"][u])
+                 for u in range(hid)]
+            h = [scalar_sigmoid(pre["o"][u]) * math.tanh(c[u]) for u in range(hid)]
+            hs.append(h)
+        xs = hs
+    return sum(float(weights["head.w"][u]) * xs[-1][u] for u in range(len(xs[-1]))) + float(weights["head.b"])
+
+
 # --- reference recurrent kernel ----------------------------------------------
 #
 # Time-major, batch-first buffers (steps, windows, features); one GEMM pair
 # per step; gates sliced as columns of a (windows, 4 * hidden) block in
-# f, i, o, c order. Reads parameters by attribute and shares no code with
-# trendlab.network.
+# f, i, o, c order. Reads parameters by their `param_dict()` names, stacks
+# the gate blocks itself, and shares no code with trendlab.network.
 
 
 def _reference_sigmoid(z: np.ndarray) -> np.ndarray:
@@ -116,35 +186,35 @@ def _reference_sigmoid(z: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-z))
 
 
-def _is_memory_cell(layer) -> bool:
-    return hasattr(layer, "W_f")
-
-
-def _stacked(layer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    W = np.concatenate([layer.W_f, layer.W_i, layer.W_o, layer.W_c])
-    U = np.concatenate([layer.U_f, layer.U_i, layer.U_o, layer.U_c])
-    b = np.concatenate([layer.b_f, layer.b_i, layer.b_o, layer.b_c])
-    return W, U, b
+def _stacked(weights: dict[str, np.ndarray], k: int):
+    """Layer k's gate-stacked (W, U, b), or None for a tanh layer."""
+    if f"layers.{k}.W_f" not in weights:
+        return None
+    return tuple(
+        np.concatenate([weights[f"layers.{k}.{kind}_{g}"] for g in "fioc"]) for kind in ("W", "U", "b")
+    )
 
 
 def reference_forward(streams, params) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
     """Predictions (n,) and, per layer, the cached (T, n, .) arrays: x, h,
     c, f, i, o, g, tanh_c for a memory-cell layer; x, s for a tanh layer.
     """
+    weights = params.param_dict()
     a, f, s = streams
-    fusion = params.fusion
-    parts = [a @ fusion.W_A.T + fusion.b_A, f @ fusion.W_F.T + fusion.b_F]
-    if fusion.W_S is not None:
-        parts.append(s @ fusion.W_S.T + fusion.b_S)
+    parts = [a @ weights["fusion.W_A"].T + weights["fusion.b_A"],
+             f @ weights["fusion.W_F"].T + weights["fusion.b_F"]]
+    if "fusion.W_S" in weights:
+        parts.append(s @ weights["fusion.W_S"].T + weights["fusion.b_S"])
     x = np.ascontiguousarray(np.concatenate(parts, axis=2).transpose(1, 0, 2))
     steps, n = x.shape[:2]
 
     caches = []
-    for layer in params.layers:
-        hid = layer.W_f.shape[0] if _is_memory_cell(layer) else layer.U.shape[0]
-        if _is_memory_cell(layer):
-            Wall, Uall, ball = _stacked(layer)
-            cache = {k: np.empty((steps, n, hid)) for k in ("h", "c", "f", "i", "o", "g", "tanh_c")}
+    for k in range(len(params.layers)):
+        stacked = _stacked(weights, k)
+        if stacked is not None:
+            Wall, Uall, ball = stacked
+            hid = ball.shape[0] // 4
+            cache = {key: np.empty((steps, n, hid)) for key in ("h", "c", "f", "i", "o", "g", "tanh_c")}
             h_prev = np.zeros((n, hid))
             c_prev = np.zeros((n, hid))
             for t in range(steps):
@@ -161,16 +231,18 @@ def reference_forward(streams, params) -> tuple[np.ndarray, list[dict[str, np.nd
             cache["x"] = x
             x = cache["h"]
         else:
+            U, W = weights[f"layers.{k}.U"], weights[f"layers.{k}.W"]
+            hid = U.shape[0]
             S = np.empty((steps, n, hid))
             s_prev = np.zeros((n, hid))
             for t in range(steps):
-                S[t] = np.tanh(x[t] @ layer.U.T + s_prev @ layer.W.T)
+                S[t] = np.tanh(x[t] @ U.T + s_prev @ W.T)
                 s_prev = S[t]
             cache = {"x": x, "s": S}
             x = S
         caches.append(cache)
 
-    predictions = x[-1] @ params.head.w + float(params.head.b)
+    predictions = x[-1] @ weights["head.w"] + float(weights["head.b"])
     return predictions, caches
 
 
@@ -178,6 +250,7 @@ def reference_backward(streams, params, caches, d_pred: np.ndarray) -> dict[str,
     """Exact BPTT gradients of sum(d_pred * predictions), keyed like
     `param_items()`, from the caches of `reference_forward`.
     """
+    weights = params.param_dict()
     steps, n = caches[0]["x"].shape[:2]
     grads: dict[str, np.ndarray] = {}
     top = caches[-1]
@@ -185,14 +258,16 @@ def reference_backward(streams, params, caches, d_pred: np.ndarray) -> dict[str,
     grads["head.w"] = d_pred @ final_h
     grads["head.b"] = np.asarray(d_pred.sum())
 
-    d_h_extra = np.zeros((steps, n, params.head.w.shape[0]))
-    d_h_extra[-1] = np.outer(d_pred, params.head.w)
-    for k in range(len(params.layers) - 1, -1, -1):
-        layer, lc = params.layers[k], caches[k]
+    head_w = weights["head.w"]
+    d_h_extra = np.zeros((steps, n, head_w.shape[0]))
+    d_h_extra[-1] = np.outer(d_pred, head_w)
+    for k in range(len(caches) - 1, -1, -1):
+        lc = caches[k]
+        stacked = _stacked(weights, k)
         dx = np.empty_like(lc["x"])
-        if _is_memory_cell(layer):
-            hid = layer.W_f.shape[0]
-            Wall, Uall, _ = _stacked(layer)
+        if stacked is not None:
+            Wall, Uall, ball = stacked
+            hid = ball.shape[0] // 4
             dWall = np.zeros_like(Wall)
             dUall = np.zeros_like(Uall)
             dball = np.zeros(4 * hid)
@@ -225,25 +300,25 @@ def reference_backward(streams, params, caches, d_pred: np.ndarray) -> dict[str,
                 grads[f"layers.{k}.U_{gate}"] = dUall[j * hid : (j + 1) * hid]
                 grads[f"layers.{k}.b_{gate}"] = dball[j * hid : (j + 1) * hid]
         else:
-            hid = layer.U.shape[0]
-            dU = np.zeros_like(layer.U)
-            dW = np.zeros_like(layer.W)
+            U, W = weights[f"layers.{k}.U"], weights[f"layers.{k}.W"]
+            hid = U.shape[0]
+            dU = np.zeros_like(U)
+            dW = np.zeros_like(W)
             ds_rec = np.zeros((n, hid))
             for t in range(steps - 1, -1, -1):
                 da = (d_h_extra[t] + ds_rec) * (1.0 - lc["s"][t] ** 2)
                 s_prev = lc["s"][t - 1] if t > 0 else np.zeros((n, hid))
                 dU += da.T @ lc["x"][t]
                 dW += da.T @ s_prev
-                dx[t] = da @ layer.U
-                ds_rec = da @ layer.W
+                dx[t] = da @ U
+                ds_rec = da @ W
             grads[f"layers.{k}.U"] = dU
             grads[f"layers.{k}.W"] = dW
         d_h_extra = dx
 
-    fusion = params.fusion
-    width = fusion.W_A.shape[0]
+    width = weights["fusion.W_A"].shape[0]
     named = [("A", streams[0]), ("F", streams[1])]
-    if fusion.W_S is not None:
+    if "fusion.W_S" in weights:
         named.append(("S", streams[2]))
     for j, (name, stream) in enumerate(named):
         d_proj = d_h_extra[:, :, j * width : (j + 1) * width]

@@ -3,10 +3,14 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import csv
+
 import pytest
 
 from trendlab.cli import main
+from trendlab.features import build_feature_frame, prepare_dataset
 from trendlab.synthetic import regime_fixture, sine_series
+from trendlab.training import rmse
 
 
 def _write_prices(path: Path, bars) -> None:
@@ -68,6 +72,46 @@ def test_predict_rejects_column_mismatch_before_writing(trained, tmp_path, strea
     assert _predict(config, checkpoint, out) == 2
     assert f"{stream} columns" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [("cell", "rnn"), ("layers", 2), ("hidden_size", 3), ("d_i", 1)])
+def test_predict_rejects_checkpoint_whose_config_disagrees_with_the_model(trained, tmp_path, field, value, capsys):
+    config, checkpoint = trained
+    doc = json.loads(checkpoint.read_text())
+    doc["config"][field] = value
+    checkpoint.write_text(json.dumps(doc))
+    out = tmp_path / "predict"
+    assert _predict(config, checkpoint, out) == 2
+    assert "disagrees with its config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_then_predict_reproduces_the_test_rmse(tmp_path):
+    series = sine_series(bars=120)
+    prices = tmp_path / "prices.csv"
+    _write_prices(prices, series.bars)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "price_csv": str(prices),
+        "price_interval": "weekly",
+        "interval": "weekly",
+        "output_dir": str(tmp_path / "train"),
+        "train": {"epochs": 5, "layers": 2, "hidden_size": 4, "window": 6},
+    }))
+    assert main(["train", "--config", str(config)]) == 0
+    checkpoint = tmp_path / "train" / "checkpoint.json"
+    assert _predict(config, checkpoint, tmp_path / "predict") == 0
+
+    metrics = json.loads((tmp_path / "train" / "metrics.json").read_text())
+    with open(tmp_path / "predict" / "predictions.csv", newline="") as handle:
+        predictions = [float(row["prediction_normalized"]) for row in csv.DictReader(handle)]
+    # Window k of the dataset is prediction row k; the last prediction row
+    # is the window whose next price is not yet known.
+    dataset = prepare_dataset(build_feature_frame(series), window=6).dataset
+    assert len(predictions) == dataset.n_windows + 1
+    test = predictions[dataset.split_index : dataset.n_windows]
+    assert len(test) == metrics["n_test_windows"] > 1
+    assert rmse(test, dataset.test.labels) == metrics["test_rmse"]
 
 
 def test_regime_reports_are_byte_identical_with_or_without_threads_variable(tmp_path, monkeypatch):

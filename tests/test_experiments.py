@@ -17,15 +17,18 @@ from trendlab.experiments import (
     NO_SENTIMENT,
     ExperimentConfig,
     classify_regime,
+    run_forget_gate_experiment,
     run_interval_experiment,
     run_regime_experiment,
     run_sentiment_ablation,
 )
 from trendlab.features import build_feature_frame, prepare_dataset
 from trendlab.market_data import DAILY, WEEKLY, resample_weekly
-from trendlab.network import LSTM, RNN
+from trendlab.network import LSTM, RNN, forward_batch
 from trendlab.synthetic import planted_sentiment, regime_fixture, trend_seasonal_daily
 from trendlab.training import TrainConfig, train
+
+from oracles import pairwise_mean
 
 CONFIG = ExperimentConfig(train=TrainConfig(epochs=2, layers=1, hidden_size=3, window=4), seeds=(0, 1))
 PER_VARIANT = len(MODELS) * len(CONFIG.seeds)
@@ -159,3 +162,25 @@ def test_other_exceptions_in_a_cell_propagate(monkeypatch, regime_data):
     _train_raising(monkeypatch, TypeError, RNN, 1)
     with pytest.raises(TypeError, match="planted failure"):
         run_regime_experiment(series, segments[1:2], CONFIG, sentiment)
+
+
+def test_forget_gate_rows_match_direct_evaluation(regime_data):
+    """Each row is the mean over the test windows, layers, steps and units
+    of the forget gates of a model trained directly for its (window, seed)."""
+    series, _, sentiment = regime_data
+    config = replace(CONFIG, train=replace(CONFIG.train, layers=2))
+    windows = (3, 5)
+    report = run_forget_gate_experiment(series, windows, config, sentiment)
+    assert [(row.window, row.seed) for row in report.rows] == [(w, s) for w in windows for s in config.seeds]
+    frame = build_feature_frame(series, config.indicators, sentiment)
+    for row in report.rows:
+        dataset = prepare_dataset(frame, row.window, config.ratio, config.scale_fit).dataset
+        run = train(dataset, replace(config.train, cell=LSTM, seed=row.seed, window=row.window))
+        cache = forward_batch(dataset.test.streams, run.parameters)
+        n, steps, hidden = dataset.test.n_windows, row.window, config.train.hidden_size
+        values = [
+            float(layer.f[t, u, w])
+            for w in range(n) for layer in cache.layers for t in range(steps) for u in range(hidden)
+        ]
+        assert len(values) == n * 2 * steps * hidden
+        assert row.mean_forget == pairwise_mean(values)

@@ -7,30 +7,29 @@ import numpy as np
 import pytest
 
 from trendlab.errors import DivergenceError
-from trendlab.fusion import FusionParameters
 from trendlab.network import (
-    GateTrace,
     HeadParameters,
     LstmLayerParameters,
-    LstmState,
     ModelShape,
     NetworkParameters,
     RnnLayerParameters,
-    all_gate_traces,
     backward_batch,
-    backward_sequence,
     forward_batch,
-    forward_sequence,
-    gate_traces,
     init_parameters,
-    lstm_step,
     mean_forget_activation,
-    rnn_step,
 )
 
-from oracles import reference_backward, reference_forward, scalar_lstm_step, scalar_sigmoid
+from oracles import (
+    pairwise_mean,
+    python_lstm_forward,
+    reference_backward,
+    reference_forward,
+    scalar_lstm_step,
+    scalar_sigmoid,
+)
 
 SCALAR_SHAPE = ModelShape(cell="lstm", d_a=1, d_f=1, d_s=1, d_i=1, layers=1, hidden=1)
+SCALAR_RNN_SHAPE = ModelShape(cell="rnn", d_a=1, d_f=1, d_s=None, d_i=1, layers=1, hidden=1)
 
 
 def zeroed(params: NetworkParameters) -> NetworkParameters:
@@ -39,90 +38,148 @@ def zeroed(params: NetworkParameters) -> NetworkParameters:
     return params
 
 
-def scalar_window(steps: int, fill: float = 0.3):
-    base = np.full((steps, 1), fill)
-    return (base, base * 0.5, np.abs(base))
+def one_window(*streams):
+    """A batch of one window from per-step (steps, dim) stream arrays."""
+    return tuple(None if s is None else np.asarray(s, dtype=np.float64)[None] for s in streams)
 
 
-# --- rnn_step ----------------------------------------------------------------
+def scalar_net(shape: ModelShape, **values: float) -> NetworkParameters:
+    """Zero parameters of a one-unit network whose fused input is
+    (fundamental, 0, ...), whose head reads the state unchanged, and whose
+    named scalars are set from `values` (`layers.0.W_i` is the weight on
+    the fundamental input)."""
+    params = zeroed(init_parameters(shape, seed=0))
+    weights = params.param_dict()
+    weights["fusion.W_A"][...] = 1.0
+    weights["head.w"][...] = 1.0
+    for name, value in values.items():
+        weights[name].flat[0] = value
+    return params
+
+
+def fundamental_only(values) -> tuple:
+    steps = len(values)
+    return one_window(np.array(values, dtype=np.float64)[:, None], np.zeros((steps, 1)), np.zeros((steps, 1)))
+
+
+# --- one tanh step -------------------------------------------------------------
 
 
 def test_rnn_step_zero_maps_to_zero():
-    out = rnn_step(np.array([1.0, 2.0]), np.array([0.5]), np.zeros((1, 2)), np.zeros((1, 1)))
-    np.testing.assert_array_equal(out, np.zeros(1))
+    params = zeroed(init_parameters(ModelShape(cell="rnn", layers=2, hidden=3), seed=0))
+    rng = np.random.default_rng(0)
+    streams = (rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 4, 3)), rng.uniform(size=(2, 4, 1)))
+    cache = forward_batch(streams, params)
+    for lc in cache.layers:
+        np.testing.assert_array_equal(lc.s, np.zeros_like(lc.s))
 
 
 def test_rnn_step_saturates():
-    out = rnn_step(np.array([50.0]), np.array([0.0]), np.array([[1.0]]), np.array([[0.0]]))
-    assert out[0] == pytest.approx(1.0, abs=1e-12)
+    params = scalar_net(SCALAR_RNN_SHAPE, **{"layers.0.U": 1.0})
+    cache = forward_batch(one_window([[50.0]], [[0.0]], None), params)
+    assert cache.predictions[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rnn_step_scalar_oracle():
-    x, s, u, w = 0.37, -0.81, 1.3, -0.6
-    got = rnn_step(np.array([x]), np.array([s]), np.array([[u]]), np.array([[w]]))
-    assert abs(got[0] - math.tanh(u * x + w * s)) < 1e-12
+    x0, x1, u, w = -0.52, 0.37, 1.3, -0.6
+    params = scalar_net(SCALAR_RNN_SHAPE, **{"layers.0.U": u, "layers.0.W": w})
+    cache = forward_batch(one_window([[x0], [x1]], [[0.0], [0.0]], None), params)
+    s0 = math.tanh(u * x0)
+    assert abs(cache.layers[0].s[0, 0, 0] - s0) < 1e-12
+    assert abs(cache.predictions[0] - math.tanh(u * x1 + w * s0)) < 1e-12
 
 
 def test_rnn_step_shape_errors():
-    with pytest.raises(ValueError):
-        rnn_step(np.zeros(3), np.zeros(1), np.zeros((1, 2)), np.zeros((1, 1)))
-    with pytest.raises(ValueError):
-        rnn_step(np.zeros(2), np.zeros(2), np.zeros((1, 2)), np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="recurrent weights"):
+        RnnLayerParameters(U=np.zeros((1, 2)), W=np.zeros((2, 2)))
+    fusion = init_parameters(SCALAR_RNN_SHAPE, seed=0).fusion
+    with pytest.raises(ValueError, match="input size"):
+        NetworkParameters("rnn", fusion, [RnnLayerParameters(np.zeros((1, 3)), np.zeros((1, 1)))],
+                          HeadParameters(np.zeros(1), np.zeros(())))
 
 
-# --- lstm_step ---------------------------------------------------------------
-
-
-def zero_layer(hidden: int = 1, inputs: int = 1) -> LstmLayerParameters:
-    z = lambda *shape: np.zeros(shape)
-    return LstmLayerParameters(
-        W_f=z(hidden, inputs), U_f=z(hidden, hidden), b_f=z(hidden),
-        W_i=z(hidden, inputs), U_i=z(hidden, hidden), b_i=z(hidden),
-        W_o=z(hidden, inputs), U_o=z(hidden, hidden), b_o=z(hidden),
-        W_c=z(hidden, inputs), U_c=z(hidden, hidden), b_c=z(hidden),
-    )
+# --- one memory-cell step ------------------------------------------------------
 
 
 def test_lstm_step_all_zero():
-    state, gates = lstm_step(np.zeros(1), LstmState.zeros(1), zero_layer())
-    assert gates.f[0] == 0.5 and gates.i[0] == 0.5 and gates.o[0] == 0.5
-    assert state.c[0] == 0.0 and state.h[0] == 0.0
+    params = zeroed(init_parameters(SCALAR_SHAPE, seed=0))
+    lc = forward_batch(fundamental_only([0.0]), params).layers[0]
+    assert lc.f[0, 0, 0] == 0.5 and lc.i[0, 0, 0] == 0.5 and lc.o[0, 0, 0] == 0.5
+    assert lc.c[0, 0, 0] == 0.0 and lc.h[0, 0, 0] == 0.0
+
+
+# Step 0 writes the memory (input gate open on the fundamental input 1,
+# candidate tanh(10)); step 1 sees input 0, so the input gate is nearly shut
+# and the forget bias alone decides whether the memory survives.
+MEMORY_WRITE = {"layers.0.W_i": 20.0, "layers.0.b_i": -10.0, "layers.0.b_c": 10.0, "layers.0.b_o": 10.0}
+
+
+def _two_step_memory(b_f: float):
+    params = scalar_net(SCALAR_SHAPE, **MEMORY_WRITE, **{"layers.0.b_f": b_f})
+    lc = forward_batch(fundamental_only([1.0, 0.0]), params).layers[0]
+    h, c = 0.0, 0.0
+    for x in (1.0, 0.0):
+        h, c, gates = scalar_lstm_step(x, h, c, 0, 0, b_f, 20.0, 0, -10.0, 0, 0, 10.0, 0, 0, 10.0)
+    assert abs(lc.c[1, 0, 0] - c) < 1e-12
+    assert abs(lc.h[1, 0, 0] - h) < 1e-12
+    assert abs(lc.f[1, 0, 0] - gates["f"]) < 1e-12
+    return lc
 
 
 def test_lstm_step_memory_retention():
-    layer = zero_layer()
-    layer.b_f[...] = 10.0
-    layer.b_i[...] = -10.0
-    layer.b_o[...] = 10.0
-    state, gates = lstm_step(np.zeros(1), LstmState(np.zeros(1), np.ones(1)), layer)
-    _, expected_c, oracle_gates = scalar_lstm_step(
-        0.0, 0.0, 1.0, 0, 0, 10.0, 0, 0, -10.0, 0, 0, 10.0, 0, 0, 0.0
-    )
-    assert abs(state.c[0] - expected_c) < 1e-9
-    assert abs(gates.f[0] - oracle_gates["f"]) < 1e-9
-    assert state.c[0] == pytest.approx(0.99995, abs=5e-5)
-    assert state.h[0] == pytest.approx(0.7615, abs=5e-4)
+    lc = _two_step_memory(b_f=10.0)
+    assert lc.c[0, 0, 0] == pytest.approx(0.99995, abs=5e-5)
+    assert lc.c[1, 0, 0] == pytest.approx(0.99995, abs=5e-5)
+    assert lc.h[1, 0, 0] == pytest.approx(0.7615, abs=5e-4)
 
 
 def test_lstm_step_memory_erasure():
-    layer = zero_layer()
-    layer.b_f[...] = -10.0
-    state, _ = lstm_step(np.zeros(1), LstmState(np.zeros(1), np.ones(1)), layer)
-    assert abs(state.c[0]) < 1e-4
+    lc = _two_step_memory(b_f=-10.0)
+    assert lc.c[0, 0, 0] == pytest.approx(0.99995, abs=5e-5)
+    assert abs(lc.c[1, 0, 0]) < 1e-4
 
 
 def test_lstm_step_shape_errors():
-    with pytest.raises(ValueError, match="input dim"):
-        lstm_step(np.zeros(2), LstmState.zeros(1), zero_layer())
-    with pytest.raises(ValueError, match="state size"):
-        lstm_step(np.zeros(1), LstmState.zeros(2), zero_layer())
+    with pytest.raises(ValueError, match="W shape"):
+        LstmLayerParameters(W=np.zeros((6, 1)), U=np.zeros((6, 1)), b=np.zeros(6))
+    with pytest.raises(ValueError, match="U shape"):
+        LstmLayerParameters(W=np.zeros((4, 1)), U=np.zeros((4, 2)), b=np.zeros(4))
+    with pytest.raises(ValueError, match="b shape"):
+        LstmLayerParameters(W=np.zeros((4, 1)), U=np.zeros((4, 1)), b=np.zeros(1))
+    fusion = init_parameters(SCALAR_SHAPE, seed=0).fusion
+    layer = LstmLayerParameters(W=np.zeros((4, 2)), U=np.zeros((4, 1)), b=np.zeros(4))
+    with pytest.raises(ValueError, match="input size"):
+        NetworkParameters("lstm", fusion, [layer], HeadParameters(np.zeros(1), np.zeros(())))
 
 
 def test_lstm_step_flags_divergence():
-    layer = zero_layer()
-    layer.W_c[...] = np.nan
+    params = init_parameters(SCALAR_SHAPE, seed=0)
+    params.param_dict()["layers.0.W_c"][...] = np.nan
     with pytest.raises(DivergenceError):
-        lstm_step(np.ones(1), LstmState.zeros(1), layer)
+        forward_batch(fundamental_only([1.0]), params)
+
+
+@pytest.mark.parametrize("cell, layers", [("rnn", "lstm"), ("lstm", "rnn")])
+def test_network_rejects_layers_of_the_other_cell(cell, layers):
+    built = init_parameters(ModelShape(cell=layers, layers=2, hidden=3), seed=0)
+    with pytest.raises(ValueError, match="layer 0 is"):
+        NetworkParameters(cell, built.fusion, built.layers, built.head)
+
+
+def test_param_items_are_views_of_the_stacked_layers():
+    params = init_parameters(ModelShape(layers=2, hidden=3), seed=1)
+    names = [name for name, _ in params.param_items()]
+    gates = [f"layers.0.{kind}_{g}" for g in "fioc" for kind in "WUb"]
+    assert names[6:18] == gates
+    layer = params.layers[0]
+    for j, g in enumerate("fioc"):
+        rows = slice(3 * j, 3 * (j + 1))
+        for kind, stacked in (("W", layer.W), ("U", layer.U), ("b", layer.b)):
+            block = params.param_dict()[f"layers.0.{kind}_{g}"]
+            assert np.shares_memory(block, stacked)
+            np.testing.assert_array_equal(block, stacked[rows])
+    params.param_dict()["layers.0.U_o"][1, 2] = 7.5
+    assert layer.U[7, 2] == 7.5
 
 
 # --- forward -----------------------------------------------------------------
@@ -131,27 +188,20 @@ def test_lstm_step_flags_divergence():
 def test_forward_zero_parameters_returns_head_bias():
     params = zeroed(init_parameters(ModelShape(layers=3, hidden=4, d_a=2, d_f=2, d_s=1), seed=0))
     params.head.b[...] = 0.625
-    window = (np.zeros((5, 2)), np.zeros((5, 2)), np.zeros((5, 1)))
-    prediction, _, _ = forward_sequence(window, params)
-    assert prediction == 0.625
+    cache = forward_batch(one_window(np.zeros((5, 2)), np.zeros((5, 2)), np.zeros((5, 1))), params)
+    assert cache.predictions.tolist() == [0.625]
 
 
 def test_forward_single_step_equals_step_stack():
     params = init_parameters(ModelShape(layers=2, hidden=3, d_a=2, d_f=2, d_s=1, d_i=2), seed=4)
-    a, f, s = np.array([[0.3, -0.2]]), np.array([[0.1, 0.9]]), np.array([[0.7]])
-    prediction, _, _ = forward_sequence((a, f, s), params)
-
-    fused = np.concatenate([
-        params.fusion.W_A @ a[0] + params.fusion.b_A,
-        params.fusion.W_F @ f[0] + params.fusion.b_F,
-        params.fusion.W_S @ s[0] + params.fusion.b_S,
-    ])
-    x = fused
-    for layer in params.layers:
-        state, _ = lstm_step(x, LstmState.zeros(layer.hidden_size), layer)
-        x = state.h
-    expected = float(x @ params.head.w + params.head.b)
-    assert abs(prediction - expected) < 1e-12
+    windows = [
+        ([[0.3, -0.2]], [[0.1, 0.9]], [[0.7]]),
+        ([[-1.1, 0.4]], [[0.6, -0.3]], [[0.2]]),
+    ]
+    streams = tuple(np.array([w[j] for w in windows]) for j in range(3))
+    predictions = forward_batch(streams, params).predictions
+    for prediction, window in zip(predictions, windows):
+        assert abs(prediction - python_lstm_forward(window, params.param_dict(), layers=2)) < 1e-12
 
 
 def test_forward_two_step_scalar_manual_unroll():
@@ -159,9 +209,9 @@ def test_forward_two_step_scalar_manual_unroll():
     a = np.array([[0.4], [-0.3]])
     f = np.array([[0.2], [0.1]])
     s = np.array([[0.9], [0.1]])
-    prediction, traces, _ = forward_sequence((a, f, s), params)
+    cache = forward_batch(one_window(a, f, s), params)
 
-    layer = params.layers[0]
+    weights = params.param_dict()
     sig = lambda v: 1.0 / (1.0 + math.exp(-v))
     h = c = 0.0
     for t in range(2):
@@ -172,16 +222,16 @@ def test_forward_two_step_scalar_manual_unroll():
         ]
         # the cell sees the 3-wide fused vector through the gate input weights
         pre = {
-            g: sum(float(getattr(layer, f"W_{g}")[0, j]) * fused[j] for j in range(3))
-            + float(getattr(layer, f"U_{g}")[0, 0]) * h
-            + float(getattr(layer, f"b_{g}")[0])
+            g: sum(float(weights[f"layers.0.W_{g}"][0, j]) * fused[j] for j in range(3))
+            + float(weights[f"layers.0.U_{g}"][0, 0]) * h
+            + float(weights[f"layers.0.b_{g}"][0])
             for g in "fioc"
         }
         c = sig(pre["f"]) * c + sig(pre["i"]) * math.tanh(pre["c"])
         h = sig(pre["o"]) * math.tanh(c)
     expected = h * float(params.head.w[0]) + float(params.head.b)
-    assert abs(prediction - expected) < 1e-12
-    assert len(traces) == 1 and traces[0].forget.shape == (2, 1)
+    assert abs(cache.predictions[0] - expected) < 1e-12
+    assert len(cache.layers) == 1 and cache.layers[0].f.shape == (2, 1, 1)
 
 
 def test_forward_is_bit_reproducible():
@@ -229,18 +279,16 @@ def test_gate_bounds_and_memory_decomposition():
 
 def test_backward_zero_upstream_gives_zero_gradients():
     params = init_parameters(ModelShape(layers=2, hidden=4), seed=1)
-    window = (np.ones((3, 3)) * 0.2, np.ones((3, 3)) * 0.1, np.ones((3, 1)) * 0.6)
-    _, _, cache = forward_sequence(window, params)
-    grads = backward_sequence(cache, 0.0)
+    cache = forward_batch(one_window(np.ones((3, 3)) * 0.2, np.ones((3, 3)) * 0.1, np.ones((3, 1)) * 0.6), params)
+    grads = backward_batch(cache, np.zeros(1))
     for name, g in grads.items():
         assert not np.any(g), name
 
 
 def test_backward_head_bias_gradient_is_upstream():
     params = init_parameters(ModelShape(layers=2, hidden=4), seed=2)
-    window = (np.ones((3, 3)) * 0.2, np.ones((3, 3)) * 0.1, np.ones((3, 1)) * 0.6)
-    _, _, cache = forward_sequence(window, params)
-    grads = backward_sequence(cache, -2.5)
+    cache = forward_batch(one_window(np.ones((3, 3)) * 0.2, np.ones((3, 3)) * 0.1, np.ones((3, 1)) * 0.6), params)
+    grads = backward_batch(cache, np.array([-2.5]))
     assert float(grads["head.b"]) == -2.5
 
 
@@ -286,8 +334,7 @@ def _finite_difference_check(shape: ModelShape, seed: int) -> None:
 
 def test_backward_upstream_shape_mismatch():
     params = init_parameters(ModelShape(layers=1, hidden=2), seed=0)
-    window = (np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 1)))
-    _, _, cache = forward_sequence(window, params)
+    cache = forward_batch(one_window(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 1))), params)
     with pytest.raises(ValueError, match="upstream gradient"):
         backward_batch(cache, np.zeros(3))
 
@@ -337,29 +384,15 @@ def test_kernel_matches_reference(case):
         np.testing.assert_allclose(g, want_grads[name], rtol=0, atol=KERNEL_TOLERANCE, err_msg=name)
 
 
-@pytest.mark.parametrize("case", ["lstm", "one_window"])
-def test_gate_traces_match_reference(case):
-    params, streams, _ = _reference_case(case)
-    _, want_caches = reference_forward(streams, params)
-    cache = forward_batch(streams, params)
-    for w in range(cache.n_windows):
-        traces = gate_traces(cache, w)
-        assert len(traces) == len(want_caches)
-        for trace, want in zip(traces, want_caches):
-            for field_name, key in (("forget", "f"), ("input", "i"), ("output", "o"), ("candidate", "g")):
-                np.testing.assert_allclose(
-                    getattr(trace, field_name), want[key][:, w], rtol=0, atol=KERNEL_TOLERANCE
-                )
-
-
 def test_saturated_gates_raise_no_overflow_warning():
     # Gate pre-activations near -1000 overflow exp(-z) in 1 / (1 + exp(-z));
     # the limits 0 and 1 are exact and no warning may surface.
     params = init_parameters(ModelShape(layers=2, hidden=4), seed=6)
-    for layer in params.layers:
-        layer.b_f[...] = -1000.0
-        layer.b_i[...] = 1000.0
-        layer.b_o[...] = -1000.0
+    weights = params.param_dict()
+    for k in range(2):
+        weights[f"layers.{k}.b_f"][...] = -1000.0
+        weights[f"layers.{k}.b_i"][...] = 1000.0
+        weights[f"layers.{k}.b_o"][...] = -1000.0
     rng = np.random.default_rng(6)
     streams = (rng.normal(size=(3, 5, 3)), rng.normal(size=(3, 5, 3)), rng.uniform(size=(3, 5, 1)))
     with warnings.catch_warnings():
@@ -381,13 +414,33 @@ def test_init_is_deterministic_per_seed():
         assert np.array_equal(a, b), name_a
 
 
+def test_init_draws_gate_by_gate():
+    """A seed keeps its values: the projections W_A, W_F, W_S, then per
+    layer W_g and U_g for g in f, i, o, c, then the head, in that order."""
+    rng = np.random.default_rng(7)
+
+    def draw(fan_out: int, fan_in: int) -> np.ndarray:
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=(fan_out, fan_in))
+
+    expected = {"fusion.W_A": draw(2, 2), "fusion.W_F": draw(2, 3), "fusion.W_S": draw(2, 1)}
+    for k, size in enumerate((6, 3)):
+        for g in "fioc":
+            expected[f"layers.{k}.W_{g}"] = draw(3, size)
+            expected[f"layers.{k}.U_{g}"] = draw(3, 3)
+    expected["head.w"] = draw(1, 3)[0]
+    weights = init_parameters(ModelShape(layers=2, hidden=3, d_a=2, d_f=3, d_s=1, d_i=2), seed=7).param_dict()
+    for name, want in expected.items():
+        np.testing.assert_array_equal(weights[name], want, err_msg=name)
+
+
 def test_init_forget_bias_is_one():
-    params = init_parameters(ModelShape(layers=3, hidden=8), seed=0)
-    for layer in params.layers:
-        assert np.all(layer.b_f == 1.0)
-        assert not np.any(layer.b_i) and not np.any(layer.b_o) and not np.any(layer.b_c)
+    weights = init_parameters(ModelShape(layers=3, hidden=8), seed=0).param_dict()
+    for k in range(3):
+        assert np.all(weights[f"layers.{k}.b_f"] == 1.0)
+        assert not any(np.any(weights[f"layers.{k}.b_{g}"]) for g in "ioc")
     toggled = init_parameters(ModelShape(layers=1, hidden=4), seed=0, forget_bias=0.0)
-    assert not np.any(toggled.layers[0].b_f)
+    assert not np.any(toggled.layers[0].b)
 
 
 def test_init_respects_glorot_bound():
@@ -414,47 +467,49 @@ def test_rnn_parameters_have_no_bias():
     assert not any(name.startswith("layers.0.b") for name in names)
 
 
-# --- traces ------------------------------------------------------------------
+# --- forget-gate mean -----------------------------------------------------------
 
 
 def test_mean_forget_zero_weight_net_with_unit_bias():
     params = zeroed(init_parameters(ModelShape(layers=2, hidden=4), seed=0))
-    for layer in params.layers:
-        layer.b_f[...] = 1.0
-    window = (np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 1)))
-    _, traces, _ = forward_sequence(window, params)
-    assert mean_forget_activation(traces) == scalar_sigmoid(1.0)
+    for k in range(2):
+        params.param_dict()[f"layers.{k}.b_f"][...] = 1.0
+    cache = forward_batch(one_window(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 1))), params)
+    assert mean_forget_activation(cache) == scalar_sigmoid(1.0)
 
 
 def test_mean_forget_simple_average():
-    trace = GateTrace(
-        forget=np.array([[0.2], [0.8]]),
-        input=np.zeros((2, 1)),
-        output=np.zeros((2, 1)),
-        candidate=np.zeros((2, 1)),
-    )
-    assert mean_forget_activation([trace]) == 0.5
+    # Zero weights: layer 0's forget gates are sigmoid(0) = 0.5 exactly,
+    # layer 1's sigmoid(-1000) = 0 exactly, in equal numbers.
+    params = zeroed(init_parameters(ModelShape(layers=2, hidden=4), seed=0))
+    params.param_dict()["layers.1.b_f"][...] = -1000.0
+    cache = forward_batch(one_window(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 1))), params)
+    assert mean_forget_activation(cache) == 0.25
 
 
 def test_mean_forget_empty_is_error():
-    with pytest.raises(ValueError, match="no gate traces"):
-        mean_forget_activation([])
+    params = init_parameters(ModelShape(cell="rnn", layers=1, hidden=2), seed=0)
+    cache = forward_batch(one_window(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 1))), params)
+    with pytest.raises(ValueError, match="no forget gates"):
+        mean_forget_activation(cache)
 
 
 def test_all_gate_traces_cover_layers_and_windows():
+    """The mean runs over every window, layer, step and unit, in that order."""
     params = init_parameters(ModelShape(layers=3, hidden=2), seed=0)
-    streams = (np.zeros((4, 5, 3)), np.zeros((4, 5, 3)), np.zeros((4, 5, 1)))
+    rng = np.random.default_rng(3)
+    streams = (rng.normal(size=(4, 5, 3)), rng.normal(size=(4, 5, 3)), rng.uniform(size=(4, 5, 1)))
     cache = forward_batch(streams, params)
-    traces = all_gate_traces(cache)
-    assert len(traces) == 4 * 3
-    assert all(t.forget.shape == (5, 2) for t in traces)
+    values = [
+        float(lc.f[t, u, w])
+        for w in range(4) for lc in cache.layers for t in range(5) for u in range(2)
+    ]
+    assert len(values) == 4 * 3 * 5 * 2
+    assert mean_forget_activation(cache) == pairwise_mean(values)
 
 
 def test_rnn_has_no_gate_traces():
     params = init_parameters(ModelShape(cell="rnn", layers=2, hidden=3), seed=0)
-    prediction, traces, cache = forward_sequence(
-        (np.zeros((4, 3)), np.zeros((4, 3)), np.zeros((4, 1))), params
-    )
-    assert traces == []
-    assert isinstance(prediction, float)
-    assert gate_traces(cache, 0) == []
+    cache = forward_batch(one_window(np.zeros((4, 3)), np.zeros((4, 3)), np.zeros((4, 1))), params)
+    assert [sorted(vars(lc)) for lc in cache.layers] == [["s", "x"], ["s", "x"]]
+    assert cache.predictions.shape == (1,)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -268,7 +269,7 @@ def test_gradient_check_unknown_block():
 
 def test_checkpoint_round_trip_bitwise():
     params = init_parameters(SMALL_SHAPE, seed=123)
-    config = TrainConfig(epochs=7, seed=123)
+    config = TrainConfig(epochs=7, seed=123, layers=3, hidden_size=8, d_i=2)
     scale = NormalizationScale(1728.339966, 1902.880005)
     column_scales = {"Adj. Price": scale, "TDD": None}
     text = save_checkpoint(params, config, scale, column_scales=column_scales,
@@ -283,19 +284,81 @@ def test_checkpoint_round_trip_bitwise():
                            column_scales=loaded.column_scales, columns=loaded.columns) == text
 
 
-def test_checkpoint_version_mismatch():
+def _tiny_checkpoint() -> str:
     params = init_parameters(ModelShape(layers=1, hidden=2), seed=0)
-    text = save_checkpoint(params, TrainConfig(), NormalizationScale(0.0, 1.0))
-    bumped = text.replace('"schema_version": 1', '"schema_version": 2', 1)
+    return save_checkpoint(params, TrainConfig(layers=1, hidden_size=2), NormalizationScale(0.0, 1.0))
+
+
+def test_checkpoint_version_mismatch():
+    bumped = _tiny_checkpoint().replace('"schema_version": 2', '"schema_version": 3', 1)
     with pytest.raises(CheckpointError, match="schema_version"):
         load_checkpoint(bumped)
 
 
+def test_checkpoint_version_1_is_rejected():
+    doc = json.loads(_tiny_checkpoint())
+    del doc["shape"], doc["params"]
+    doc.update(schema_version=1, model={"cell": "lstm", "fusion": {}, "layers": [], "head": {}})
+    with pytest.raises(CheckpointError, match="schema_version 1.*retrain"):
+        load_checkpoint(json.dumps(doc))
+
+
 def test_checkpoint_truncated():
-    params = init_parameters(ModelShape(layers=1, hidden=2), seed=0)
-    text = save_checkpoint(params, TrainConfig(), NormalizationScale(0.0, 1.0))
+    text = _tiny_checkpoint()
     with pytest.raises(CheckpointError, match="unreadable"):
         load_checkpoint(text[: len(text) // 2])
+
+
+def _small_checkpoint_doc() -> dict:
+    params = init_parameters(SMALL_SHAPE, seed=4)
+    config = TrainConfig(layers=3, hidden_size=8, d_i=2)
+    return json.loads(save_checkpoint(params, config, NormalizationScale(0.0, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "field, value", [("cell", "rnn"), ("layers", 2), ("hidden_size", 9), ("d_i", None)]
+)
+def test_checkpoint_rejects_config_that_disagrees_with_the_model(field, value):
+    doc = _small_checkpoint_doc()
+    load_checkpoint(json.dumps(doc))
+    doc["config"][field] = value
+    with pytest.raises(CheckpointError, match="disagrees with its config"):
+        load_checkpoint(json.dumps(doc))
+
+
+def _rnn_shape_over_memory_cells(doc):
+    doc["shape"]["cell"] = doc["config"]["cell"] = "rnn"
+
+
+def _missing_block(doc):
+    del doc["params"]["layers.2.b_c"]
+
+
+def _extra_block(doc):
+    doc["params"]["layers.3.W_f"] = doc["params"]["layers.2.W_f"]
+
+
+def _one_row_block(doc):  # (8,) would broadcast into the (8, 8) block
+    doc["params"]["layers.1.U_o"] = doc["params"]["layers.1.U_o"][0]
+
+
+def _text_block(doc):
+    doc["params"]["head.b"] = "zero"
+
+
+def _fractional_hidden(doc):
+    doc["shape"]["hidden"] = 8.0
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_rnn_shape_over_memory_cells, _missing_block, _extra_block, _one_row_block, _text_block, _fractional_hidden],
+)
+def test_checkpoint_rejects_a_malformed_model(edit):
+    doc = _small_checkpoint_doc()
+    edit(doc)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(json.dumps(doc))
 
 
 def test_checkpoint_reproduces_test_rmse(sine_bundle):
