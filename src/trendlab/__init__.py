@@ -34,7 +34,6 @@ from .indicators import IndicatorConfig, cci, ema, macd, rsi
 from .market_data import (
     DAILY,
     WEEKLY,
-    FeatureRow,
     NormalizationScale,
     PriceBar,
     PriceSeries,

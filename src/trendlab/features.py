@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, replace
 from datetime import date
 from typing import Mapping
@@ -16,10 +17,10 @@ import numpy as np
 from .errors import DataError
 from .indicators import IndicatorConfig, cci, macd, rsi
 from .market_data import (
-    FeatureRow,
     NormalizationScale,
     PriceSeries,
     WindowedDataset,
+    _sliding_windows,
     compute_tdd,
     make_windows,
     normalize,
@@ -62,8 +63,11 @@ class FeatureFrame:
             raise DataError("fundamental block misaligned")
         if self.technical.shape != (n, len(self.technical_names)):
             raise DataError("technical block misaligned")
-        if self.sentiment is not None and self.sentiment.shape[0] != n:
-            raise DataError("sentiment block misaligned")
+        if self.sentiment is not None:
+            if self.sentiment.shape[0] != n:
+                raise DataError("sentiment block misaligned")
+            if not ((self.sentiment >= 0.0) & (self.sentiment <= 1.0)).all():
+                raise DataError("sentiment values must lie in [0, 1]")
         if self.answers.shape != (n,):
             raise DataError("answers misaligned")
         if self.dates is not None and len(self.dates) != n:
@@ -123,8 +127,6 @@ def build_feature_frame(
                 f"unjoinable sentiment dates: {len(missing)} rows lack sentiment, first {missing[0]}"
             )
         sentiment = np.array([[float(sentiment_by_date[dates[t]])] for t in rows])
-        if sentiment.min() < 0.0 or sentiment.max() > 1.0:
-            raise DataError("sentiment values must lie in [0, 1]")
 
     return FeatureFrame(
         fundamental=fundamental,
@@ -184,9 +186,13 @@ def parse_feature_csv(text: str) -> FeatureFrame:
         if len(row) != len(header):
             raise DataError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
         try:
-            values.append([float(v) for v in row])
+            parsed = [float(v) for v in row]
         except ValueError as exc:
             raise DataError(f"line {lineno}: malformed row: {exc}") from None
+        bad = next((name for name, v in zip(header, parsed) if not math.isfinite(v)), None)
+        if bad is not None:
+            raise DataError(f"line {lineno}: non-finite value in column {bad!r}")
+        values.append(parsed)
     if not values:
         raise DataError("empty feature frame")
     mat = np.array(values, dtype=np.float64)
@@ -290,16 +296,7 @@ def prepare_dataset(
     technical = _apply_scales(frame.technical, tech_scales)
     labels = normalize(frame.prices, price_scale)
 
-    rows = [
-        FeatureRow(
-            fundamental=fundamental[k],
-            technical=technical[k],
-            sentiment=None if frame.sentiment is None else frame.sentiment[k],
-            answer=float(frame.answers[k]),
-        )
-        for k in range(n)
-    ]
-    dataset = make_windows(rows, labels, window, ratio)
+    dataset = make_windows(fundamental, technical, frame.sentiment, labels, window, ratio)
 
     column_scales: dict[str, NormalizationScale | None] = {}
     for name, scale in zip(frame.fundamental_names, fund_scales):
@@ -329,14 +326,10 @@ def inference_windows(
         raise DataError(f"checkpoint lacks a scale for column {exc}") from None
     fundamental = _apply_scales(frame.fundamental, fund_scales)
     technical = _apply_scales(frame.technical, tech_scales)
-
-    count = n - window + 1
-    a = np.stack([fundamental[k : k + window] for k in range(count)])
-    f = np.stack([technical[k : k + window] for k in range(count)])
-    if use_sentiment:
-        if frame.sentiment is None:
-            raise DataError("checkpoint expects a sentiment stream but the frame has none")
-        s = np.stack([frame.sentiment[k : k + window] for k in range(count)])
-    else:
-        s = None
-    return a, f, s
+    if use_sentiment and frame.sentiment is None:
+        raise DataError("checkpoint expects a sentiment stream but the frame has none")
+    return (
+        _sliding_windows(fundamental, window),
+        _sliding_windows(technical, window),
+        _sliding_windows(frame.sentiment, window) if use_sentiment else None,
+    )

@@ -11,7 +11,6 @@ import io
 import math
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -222,29 +221,6 @@ def denormalize(value, scale: NormalizationScale):
 
 
 @dataclass(frozen=True)
-class FeatureRow:
-    """One model input row: the three feature streams plus the next-step price.
-
-    `answer` is the raw (unnormalized) adjusted price of the following time
-    step, mirroring the feature CSV's Answer column.
-    """
-
-    fundamental: np.ndarray
-    technical: np.ndarray
-    sentiment: np.ndarray | None
-    answer: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "fundamental", np.asarray(self.fundamental, dtype=np.float64))
-        object.__setattr__(self, "technical", np.asarray(self.technical, dtype=np.float64))
-        if self.sentiment is not None:
-            s = np.asarray(self.sentiment, dtype=np.float64)
-            if s.size and (s.min() < 0.0 or s.max() > 1.0):
-                raise DataError(f"sentiment outside [0, 1]: {s}")
-            object.__setattr__(self, "sentiment", s)
-
-
-@dataclass(frozen=True)
 class WindowedDataset:
     """Sliding windows of feature rows with next-step labels, split train/test.
 
@@ -312,13 +288,23 @@ def train_window_count(count: int, ratio: tuple[int, int]) -> int:
     return (count * a + (a + b) - 1) // (a + b)
 
 
+def _sliding_windows(block: np.ndarray, window: int) -> np.ndarray:
+    """Every length-`window` step-1 window of the rows of an (n, dim) block,
+    as a C-contiguous float64 (n - window + 1, window, dim) array."""
+    view = np.lib.stride_tricks.sliding_window_view(block, window, axis=0)
+    return np.ascontiguousarray(view.transpose(0, 2, 1), dtype=np.float64)
+
+
 def make_windows(
-    rows: Sequence[FeatureRow],
-    labels: Sequence[float] | np.ndarray,
+    fundamental: np.ndarray,
+    technical: np.ndarray,
+    sentiment: np.ndarray | None,
+    labels: np.ndarray,
     window: int,
     ratio: tuple[int, int] = (15, 1),
 ) -> WindowedDataset:
-    """Slide a length-`window` step-1 window over `rows`.
+    """Slide a length-`window` step-1 window over the rows of the normalized
+    (n, dim) stream blocks.
 
     `labels[t]` must be the normalized adjusted price at row t; window k
     covers rows [k, k+window) and takes labels[k+window]. The first
@@ -326,7 +312,7 @@ def make_windows(
     label falls strictly after every training label.
     """
     labels = np.asarray(labels, dtype=np.float64)
-    n = len(rows)
+    n = fundamental.shape[0]
     if labels.shape != (n,):
         raise DataError(f"labels length {labels.shape[0]} != rows length {n}")
     if window < 1:
@@ -335,17 +321,11 @@ def make_windows(
     if count < 1:
         raise DataError(f"insufficient rows: {n} rows cannot form a window of {window} plus a label")
 
-    fundamental = np.stack([np.stack([r.fundamental for r in rows[k : k + window]]) for k in range(count)])
-    technical = np.stack([np.stack([r.technical for r in rows[k : k + window]]) for k in range(count)])
-    if rows[0].sentiment is not None:
-        sentiment = np.stack([np.stack([r.sentiment for r in rows[k : k + window]]) for k in range(count)])
-    else:
-        sentiment = None
-
+    # The last row only ever serves as a label.
     return WindowedDataset(
-        fundamental=fundamental,
-        technical=technical,
-        sentiment=sentiment,
+        fundamental=_sliding_windows(fundamental[:-1], window),
+        technical=_sliding_windows(technical[:-1], window),
+        sentiment=None if sentiment is None else _sliding_windows(sentiment[:-1], window),
         labels=labels[window:],
         label_indices=np.arange(window, n),
         split_index=train_window_count(count, ratio),

@@ -46,6 +46,12 @@ class TrainConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
+        for name in ("epochs", "layers", "hidden_size", "window", "seed", "d_i"):
+            value = getattr(self, name)
+            if name == "d_i" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
         if not self.learning_rate > 0:

@@ -29,6 +29,15 @@ def table_csv() -> str:
     return "\n".join(lines) + "\n"
 
 
+def edit_csv_field(text: str, line: int, column: str, value: str) -> str:
+    """`text` with the field of `column` on 1-based CSV line `line` replaced."""
+    lines = text.splitlines()
+    fields = lines[line - 1].split(",")
+    fields[lines[0].split(",").index(column)] = value
+    lines[line - 1] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture
 def table_series() -> PriceSeries:
     bars = tuple(

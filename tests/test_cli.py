@@ -8,9 +8,11 @@ import csv
 import pytest
 
 from trendlab.cli import main
-from trendlab.features import build_feature_frame, prepare_dataset
+from trendlab.features import build_feature_frame, feature_frame_to_csv, prepare_dataset
 from trendlab.synthetic import regime_fixture, sine_series
 from trendlab.training import rmse
+
+from conftest import edit_csv_field
 
 
 def _write_prices(path: Path, bars) -> None:
@@ -144,3 +146,40 @@ def test_regime_reports_are_byte_identical_with_or_without_threads_variable(tmp_
         names = ("regime_report.csv", "regime_report.json", "regime_aggregate.csv")
         outputs.append({name: (out / name).read_bytes() for name in names})
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("hidden_size", 2.5), ("window", 3.0), ("layers", True), ("epochs", 1.0), ("seed", 0.5), ("d_i", 2.0)],
+)
+def test_train_rejects_non_integer_config_fields_before_writing(tmp_path, field, value, capsys):
+    prices = tmp_path / "prices.csv"
+    _write_prices(prices, sine_series(bars=80).bars)
+    train = {"epochs": 1, "layers": 1, "hidden_size": 2, "window": 4, field: value}
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "price_csv": str(prices),
+        "price_interval": "weekly",
+        "interval": "weekly",
+        "output_dir": str(tmp_path / "train"),
+        "train": train,
+    }))
+    assert main(["train", "--config", str(config)]) == 1
+    assert f"{field} must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "train").exists()
+
+
+@pytest.mark.parametrize("column, value", [("Sentiment", "nan"), ("Adj. Price", "inf")])
+def test_train_rejects_non_finite_feature_csv_as_data_error(tmp_path, column, value, capsys):
+    text = feature_frame_to_csv(build_feature_frame(sine_series(bars=80)))
+    features = tmp_path / "features.csv"
+    features.write_text(edit_csv_field(text, 5, column, value))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "feature_csv": str(features),
+        "output_dir": str(tmp_path / "train"),
+        "train": {"epochs": 1, "layers": 1, "hidden_size": 2, "window": 4},
+    }))
+    assert main(["train", "--config", str(config)]) == 2
+    assert "line 5: non-finite value" in capsys.readouterr().err
+    assert not (tmp_path / "train").exists()

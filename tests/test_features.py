@@ -1,10 +1,29 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from trendlab.errors import DataError
-from trendlab.features import build_feature_frame, feature_frame_to_csv, parse_feature_csv
-from trendlab.synthetic import planted_sentiment, sine_series
+from trendlab.features import (
+    FeatureFrame,
+    build_feature_frame,
+    feature_frame_to_csv,
+    inference_windows,
+    parse_feature_csv,
+    prepare_dataset,
+)
+from trendlab.market_data import normalize
+from trendlab.synthetic import planted_sentiment, random_walk_series, sine_series
+
+from conftest import edit_csv_field
+
+
+@pytest.fixture(scope="module")
+def walk_frame() -> FeatureFrame:
+    series = random_walk_series(bars=160)
+    return build_feature_frame(series, sentiment_by_date=planted_sentiment(series))
 
 
 def test_build_feature_frame_rejects_sentiment_above_one():
@@ -18,9 +37,108 @@ def test_build_feature_frame_rejects_sentiment_above_one():
 
 def test_parse_feature_csv_rejects_sentiment_above_one():
     text = feature_frame_to_csv(build_feature_frame(sine_series(bars=80)))
-    header, first, *rest = text.splitlines()
-    fields = first.split(",")
-    fields[header.split(",").index("Sentiment")] = "1.5"
     parse_feature_csv(text)
+    for value, message in (("1.5", r"sentiment values must lie in \[0, 1\]"), ("nan", "line 2: non-finite value")):
+        with pytest.raises(DataError, match=message):
+            parse_feature_csv(edit_csv_field(text, 2, "Sentiment", value))
+
+
+@pytest.mark.parametrize("value", [-0.1, 1.5, np.nan])
+def test_feature_frame_rejects_sentiment_outside_unit_interval(walk_frame, value):
+    sentiment = walk_frame.sentiment.copy()
+    sentiment[7, 0] = value
     with pytest.raises(DataError, match=r"sentiment values must lie in \[0, 1\]"):
-        parse_feature_csv("\n".join([header, ",".join(fields), *rest]) + "\n")
+        replace(walk_frame, sentiment=sentiment)
+
+
+@pytest.mark.parametrize(
+    "column, value", [("Adj. Price", "inf"), ("RSI", "-inf"), ("Sentiment", "nan"), ("Answer", "nan")]
+)
+def test_parse_feature_csv_rejects_non_finite_values(walk_frame, column, value):
+    text = edit_csv_field(feature_frame_to_csv(walk_frame), 3, column, value)
+    with pytest.raises(DataError, match=f"line 3: non-finite value in column '{column}'"):
+        parse_feature_csv(text)
+
+
+def test_feature_csv_round_trip_index_style(walk_frame):
+    back = parse_feature_csv(feature_frame_to_csv(walk_frame))
+    for name in ("fundamental", "technical", "sentiment", "prices", "answers"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(walk_frame, name), err_msg=name)
+    assert back.fundamental_names == walk_frame.fundamental_names
+    assert back.technical_names == walk_frame.technical_names
+    assert back.dates is None
+
+
+def test_company_style_csv_recovers_prices_from_shifted_answers(walk_frame):
+    text = feature_frame_to_csv(walk_frame).replace("Adj. Price,Trading Vol.,TDD", "PBR,PER,PSR", 1)
+    back = parse_feature_csv(text)
+    # Row 0 has no at-row price: it is dropped, and row k's price is row
+    # k-1's Answer.
+    assert back.fundamental_names == ("PBR", "PER", "PSR")
+    assert back.n == walk_frame.n - 1
+    np.testing.assert_array_equal(back.prices, walk_frame.answers[:-1])
+    for name in ("fundamental", "technical", "sentiment", "answers"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(walk_frame, name)[1:], err_msg=name)
+    # The dropped row is still validated.
+    with pytest.raises(DataError, match=r"sentiment values must lie in \[0, 1\]"):
+        parse_feature_csv(edit_csv_field(text, 2, "Sentiment", "1.5"))
+    with pytest.raises(DataError, match="line 2: non-finite value"):
+        parse_feature_csv(edit_csv_field(text, 2, "PBR", "nan"))
+
+
+def _scaled(block: np.ndarray, names, column_scales) -> np.ndarray:
+    """Column-by-column oracle for the normalization prepare_dataset applies."""
+    columns = [
+        np.zeros(block.shape[0]) if column_scales[name] is None else normalize(block[:, j], column_scales[name])
+        for j, name in enumerate(names)
+    ]
+    return np.column_stack(columns)
+
+
+@pytest.mark.parametrize("with_sentiment", [True, False])
+@pytest.mark.parametrize("window", [1, 5, 12])
+def test_inference_windows_match_training_windows(walk_frame, with_sentiment, window):
+    frame = walk_frame if with_sentiment else walk_frame.without_sentiment()
+    bundle = prepare_dataset(frame, window)
+    streams = inference_windows(frame, window, bundle.column_scales, use_sentiment=with_sentiment)
+    rows = (
+        _scaled(frame.fundamental, frame.fundamental_names, bundle.column_scales),
+        _scaled(frame.technical, frame.technical_names, bundle.column_scales),
+        frame.sentiment,
+    )
+    shared = frame.n - window
+    for got, trained, scaled in zip(streams, bundle.dataset.streams, rows):
+        if scaled is None:
+            assert got is None and trained is None
+            continue
+        assert got.shape == (shared + 1, window, scaled.shape[1])
+        assert got.dtype == trained.dtype == np.float64
+        assert got.flags.c_contiguous and trained.flags.c_contiguous
+        assert got[:shared].tobytes() == trained.tobytes()
+        # The extra window ends on the last row, whose next step is unknown.
+        np.testing.assert_array_equal(got[-1], scaled[-window:])
+
+
+def test_train_scale_fit_does_not_leak_rows_after_the_last_training_label(walk_frame):
+    window = 6
+    before = prepare_dataset(walk_frame, window, scale_fit="train").dataset
+    last_label = int(before.label_indices[before.split_index - 1])
+    assert last_label < walk_frame.n - 1
+    for row in range(last_label + 1, walk_frame.n):
+        perturbed = {
+            name: getattr(walk_frame, name).copy()
+            for name in ("fundamental", "technical", "sentiment", "prices", "answers")
+        }
+        perturbed["fundamental"][row] *= 10.0
+        perturbed["technical"][row] = 100.0 - 10.0 * perturbed["technical"][row]
+        perturbed["sentiment"][row] = 1.0 - perturbed["sentiment"][row]
+        perturbed["prices"][row] *= 10.0
+        perturbed["answers"][row] *= 10.0
+        frame = replace(walk_frame, **perturbed)
+        after = prepare_dataset(frame, window, scale_fit="train").dataset
+        assert after.split_index == before.split_index
+        for got, want in zip(after.train.streams + (after.train.labels,), before.train.streams + (before.train.labels,)):
+            assert got.tobytes() == want.tobytes(), row
+        # The perturbation is large enough to show through a full-period fit.
+        full = prepare_dataset(frame, window, scale_fit="full").dataset
+        assert full.train.labels.tobytes() != before.train.labels.tobytes()

@@ -11,7 +11,6 @@ from trendlab.errors import DataError
 from trendlab.market_data import (
     DAILY,
     WEEKLY,
-    FeatureRow,
     NormalizationScale,
     PriceBar,
     PriceSeries,
@@ -258,33 +257,28 @@ def test_normalize_order_preserving(p1, gap_factor, lo, width):
 # --- windowing ---------------------------------------------------------------
 
 
-def rows_of(n: int) -> list[FeatureRow]:
-    return [
-        FeatureRow(
-            fundamental=np.array([float(k), 0.0]),
-            technical=np.array([1.0]),
-            sentiment=np.array([0.5]),
-            answer=float(k + 1),
-        )
-        for k in range(n)
-    ]
+def rows_of(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(fundamental, technical, sentiment) blocks of n rows; fundamental
+    column 0 marks the row index."""
+    fundamental = np.column_stack([np.arange(n, dtype=np.float64), np.zeros(n)])
+    return fundamental, np.ones((n, 1)), np.full((n, 1), 0.5)
 
 
 def test_make_windows_exact_ratio():
-    windows = make_windows(rows_of(18), np.zeros(18), window=2)  # 16 windows
+    windows = make_windows(*rows_of(18), np.zeros(18), window=2)  # 16 windows
     assert windows.n_windows == 16
     assert windows.split_index == 15
 
 
 def test_make_windows_150_10():
-    windows = make_windows(rows_of(162), np.zeros(162), window=2)  # 160 windows
+    windows = make_windows(*rows_of(162), np.zeros(162), window=2)  # 160 windows
     assert windows.n_windows == 160
     assert windows.split_index == 150
 
 
 def test_make_windows_enumeration():
     labels = np.arange(10, dtype=np.float64) / 10.0
-    ds = make_windows(rows_of(10), labels, window=3)
+    ds = make_windows(*rows_of(10), labels, window=3)
     assert ds.n_windows == 7
     assert ds.label_indices.tolist() == [3, 4, 5, 6, 7, 8, 9]
     assert ds.labels.tolist() == [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
@@ -295,12 +289,12 @@ def test_make_windows_enumeration():
 
 def test_make_windows_insufficient_rows():
     with pytest.raises(DataError, match="insufficient rows"):
-        make_windows(rows_of(3), np.zeros(3), window=3)
+        make_windows(*rows_of(3), np.zeros(3), window=3)
 
 
 def test_make_windows_label_alignment_error():
     with pytest.raises(DataError, match="labels length"):
-        make_windows(rows_of(5), np.zeros(4), window=2)
+        make_windows(*rows_of(5), np.zeros(4), window=2)
 
 
 def test_train_test_never_overlap_random():
@@ -308,7 +302,7 @@ def test_train_test_never_overlap_random():
     for _ in range(100):
         n = int(rng.integers(5, 120))
         window = int(rng.integers(1, min(n - 1, 14)))
-        ds = make_windows(rows_of(n), np.zeros(n), window=window)
+        ds = make_windows(*rows_of(n), np.zeros(n), window=window)
         train, test = ds.train, ds.test
         if test.n_windows:
             assert train.label_indices.max() < test.label_indices.min()

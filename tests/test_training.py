@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from trendlab.errors import CheckpointError, ConfigError, DataError, DivergenceError
 from trendlab.features import build_feature_frame, prepare_dataset
-from trendlab.market_data import FeatureRow, NormalizationScale, WindowedDataset, make_windows
+from trendlab.market_data import NormalizationScale, WindowedDataset, make_windows
 from trendlab.network import ModelShape, backward_batch, forward_batch, init_parameters
 from trendlab import training
 from trendlab.synthetic import sine_series
@@ -206,16 +206,8 @@ def test_window_mismatch_rejected(sine_bundle):
 
 
 def test_divergence_reports_epoch():
-    rows = [
-        FeatureRow(
-            fundamental=np.array([np.nan, 0.0]),
-            technical=np.array([0.0]),
-            sentiment=np.array([0.5]),
-            answer=1.0,
-        )
-        for _ in range(6)
-    ]
-    ds = make_windows(rows, np.zeros(6), window=2)
+    fundamental = np.column_stack([np.full(6, np.nan), np.zeros(6)])
+    ds = make_windows(fundamental, np.zeros((6, 1)), np.full((6, 1), 0.5), np.zeros(6), window=2)
     with pytest.raises(DivergenceError) as err:
         train(ds, TrainConfig(epochs=3, window=2, layers=1, hidden_size=2))
     assert err.value.epoch == 0
