@@ -16,14 +16,12 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, is_dataclass, replace
 from datetime import date
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable
 
-import numpy as np
-
-from .errors import ConfigError, DataError, DivergenceError, TrendlabError
+from .errors import ConfigError, DataError, DivergenceError, TrendlabError, enforce_field_types, field_types
 from .experiments import (
     PAPER_SEGMENTS,
     ExperimentConfig,
@@ -59,58 +57,60 @@ CLOCK_ENV = "TRENDLAB_CLOCK"
 
 EXPERIMENT_NAMES = ("interval", "regime", "sentiment", "forget-gate", "all")
 
-_CONFIG_KEYS = {
-    "price_csv", "sentiment_csv", "feature_csv", "checkpoint", "symbol",
-    "interval", "price_interval", "use_sentiment", "scale_fit", "output_dir",
-    "indicators", "train", "experiments",
-}
-_EXPERIMENT_KEYS = {"seeds", "segments", "window_sizes", "regime_threshold"}
+
+@dataclass(frozen=True)
+class ExperimentsSection:
+    """The `experiments` section of a run config."""
+
+    seeds: tuple[int, ...] = (0, 1, 2)
+    segments: tuple[tuple[date, date], ...] = PAPER_SEGMENTS
+    window_sizes: tuple[int, ...] = (4, 8, 16)
+    regime_threshold: float = 0.15
+
+    def __post_init__(self):
+        enforce_field_types(self)
+        if not self.seeds:
+            raise ConfigError("experiments.seeds must be non-empty")
+        if any(w < 1 for w in self.window_sizes):
+            raise ConfigError("experiments.window_sizes must be positive")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    price_csv: Path | None
-    sentiment_csv: Path | None
-    feature_csv: Path | None
-    checkpoint: Path | None
-    symbol: str
-    interval: str
-    price_interval: str
-    use_sentiment: bool
-    scale_fit: str
-    output_dir: Path
-    indicators: IndicatorConfig
-    train: TrainConfig
-    seeds: tuple[int, ...]
-    segments: tuple[tuple[date, date], ...]
-    window_sizes: tuple[int, ...]
-    regime_threshold: float
+    """A run config file: one field per key, in the order `config.json`
+    echoes them, each with the value a missing key takes."""
+
+    price_csv: Path | None = None
+    sentiment_csv: Path | None = None
+    feature_csv: Path | None = None
+    checkpoint: Path | None = None
+    symbol: str = "series"
+    interval: str = WEEKLY
+    price_interval: str = DAILY
+    use_sentiment: bool = True
+    scale_fit: str = "train"
+    output_dir: Path = Path("out")
+    indicators: IndicatorConfig = IndicatorConfig()
+    train: TrainConfig = TrainConfig()
+    experiments: ExperimentsSection = ExperimentsSection()
+
+    def __post_init__(self):
+        enforce_field_types(self)
+        for name in ("interval", "price_interval"):
+            value = getattr(self, name)
+            if value not in (DAILY, WEEKLY):
+                raise ConfigError(f"{name} must be 'daily' or 'weekly', got {value!r}")
+        if self.scale_fit not in ("train", "full"):
+            raise ConfigError(f"scale_fit must be 'train' or 'full', got {self.scale_fit!r}")
 
     def echo(self) -> str:
-        doc = {
-            "price_csv": None if self.price_csv is None else str(self.price_csv),
-            "sentiment_csv": None if self.sentiment_csv is None else str(self.sentiment_csv),
-            "feature_csv": None if self.feature_csv is None else str(self.feature_csv),
-            "checkpoint": None if self.checkpoint is None else str(self.checkpoint),
-            "symbol": self.symbol,
-            "interval": self.interval,
-            "price_interval": self.price_interval,
-            "use_sentiment": self.use_sentiment,
-            "scale_fit": self.scale_fit,
-            "output_dir": str(self.output_dir),
-            "indicators": self.indicators.__dict__,
-            "train": self.train.__dict__,
-            "experiments": {
-                "seeds": list(self.seeds),
-                "segments": [[s.isoformat(), e.isoformat()] for s, e in self.segments],
-                "window_sizes": list(self.window_sizes),
-                "regime_threshold": self.regime_threshold,
-            },
-        }
-        return json.dumps(doc, indent=1) + "\n"
+        return json.dumps(asdict(self), indent=1, default=str) + "\n"
 
 
 def _parse_segments(raw) -> tuple[tuple[date, date], ...]:
+    """Segments given as [start, end] pairs or {"start", "end"} objects of ISO dates."""
+    if not isinstance(raw, list):
+        raise ConfigError(f"segments must be a list, got {raw!r}")
     segments = []
     for item in raw:
         try:
@@ -124,6 +124,23 @@ def _parse_segments(raw) -> tuple[tuple[date, date], ...]:
     return tuple(segments)
 
 
+def _section(cls, raw, name: str):
+    """`cls` built from the JSON object `raw`, one field per key."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    types = field_types(cls)
+    unknown = set(raw) - set(types)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    values = dict(raw)
+    for key, value in raw.items():
+        if key == "segments":
+            values[key] = _parse_segments(value)
+        elif is_dataclass(types[key]):  # a null section takes every default
+            values[key] = _section(types[key], {} if value is None else value, key)
+    return cls(**values)
+
+
 def load_run_config(path: Path) -> RunConfig:
     try:
         raw = json.loads(path.read_text())
@@ -131,61 +148,7 @@ def load_run_config(path: Path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    exp = raw.get("experiments", {}) or {}
-    unknown = set(exp) - _EXPERIMENT_KEYS
-    if unknown:
-        raise ConfigError(f"unknown experiments keys: {sorted(unknown)}")
-
-    def path_or_none(key: str) -> Path | None:
-        value = raw.get(key)
-        return None if value is None else Path(value)
-
-    try:
-        indicators = IndicatorConfig(**(raw.get("indicators", {}) or {}))
-        train_config = TrainConfig(**(raw.get("train", {}) or {}))
-    except TypeError as exc:
-        raise ConfigError(f"bad config section: {exc}") from None
-
-    interval = raw.get("interval", WEEKLY)
-    price_interval = raw.get("price_interval", DAILY)
-    for name, value in (("interval", interval), ("price_interval", price_interval)):
-        if value not in (DAILY, WEEKLY):
-            raise ConfigError(f"{name} must be 'daily' or 'weekly', got {value!r}")
-    scale_fit = raw.get("scale_fit", "train")
-    if scale_fit not in ("train", "full"):
-        raise ConfigError(f"scale_fit must be 'train' or 'full', got {scale_fit!r}")
-
-    seeds = tuple(int(s) for s in exp.get("seeds", (0, 1, 2)))
-    if not seeds:
-        raise ConfigError("experiments.seeds must be non-empty")
-    window_sizes = tuple(int(w) for w in exp.get("window_sizes", (4, 8, 16)))
-    if any(w < 1 for w in window_sizes):
-        raise ConfigError("experiments.window_sizes must be positive")
-    segments = _parse_segments(exp["segments"]) if "segments" in exp else PAPER_SEGMENTS
-
-    return RunConfig(
-        price_csv=path_or_none("price_csv"),
-        sentiment_csv=path_or_none("sentiment_csv"),
-        feature_csv=path_or_none("feature_csv"),
-        checkpoint=path_or_none("checkpoint"),
-        symbol=str(raw.get("symbol", "series")),
-        interval=interval,
-        price_interval=price_interval,
-        use_sentiment=bool(raw.get("use_sentiment", True)),
-        scale_fit=scale_fit,
-        output_dir=Path(raw.get("output_dir", "out")),
-        indicators=indicators,
-        train=train_config,
-        seeds=seeds,
-        segments=segments,
-        window_sizes=window_sizes,
-        regime_threshold=float(exp.get("regime_threshold", 0.15)),
-    )
+    return _section(RunConfig, raw, "config")
 
 
 def _require_file(path: Path | None, what: str) -> Path:
@@ -260,13 +223,9 @@ def _resolve_frame(cfg: RunConfig) -> tuple[FeatureFrame, bool]:
     return frame, used_neutral
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text)
-
-
 def _prepare_out(cfg: RunConfig) -> Path:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    _write(cfg.output_dir / "config.json", cfg.echo())
+    (cfg.output_dir / "config.json").write_text(cfg.echo())
     return cfg.output_dir
 
 
@@ -276,7 +235,7 @@ def cmd_features(cfg: RunConfig) -> int:
         raise ConfigError("cannot write a feature CSV with --no-sentiment")
     text = feature_frame_to_csv(frame)
     out = _prepare_out(cfg)
-    _write(out / "features.csv", text)
+    (out / "features.csv").write_text(text)
     if used_neutral:
         print(
             "warning: no sentiment source configured; filled the Sentiment "
@@ -302,14 +261,14 @@ def cmd_train(cfg: RunConfig) -> int:
         run.parameters, run.config, bundle.price_scale,
         column_scales=bundle.column_scales, columns=bundle.columns,
     )
-    _write(out / "checkpoint.json", checkpoint)
+    (out / "checkpoint.json").write_text(checkpoint)
 
     loss = io.StringIO()
     writer = csv.writer(loss, lineterminator="\n")
     writer.writerow(("epoch", "train_rmse"))
     for epoch, value in enumerate(run.epoch_rmse):
         writer.writerow((epoch, repr(value)))
-    _write(out / "epoch_loss.csv", loss.getvalue())
+    (out / "epoch_loss.csv").write_text(loss.getvalue())
 
     metrics = {
         "train_rmse": run.train_rmse,
@@ -322,7 +281,7 @@ def cmd_train(cfg: RunConfig) -> int:
         "n_test_windows": bundle.dataset.n_windows - bundle.dataset.split_index,
         "wall_seconds": run.wall_seconds,
     }
-    _write(out / "metrics.json", json.dumps(metrics, indent=1) + "\n")
+    (out / "metrics.json").write_text(json.dumps(metrics, indent=1) + "\n")
     if used_neutral:
         print("warning: trained with the neutral sentiment fill", file=sys.stderr)
     test_part = "n/a" if run.test_rmse is None else f"{run.test_rmse:.6f}"
@@ -355,7 +314,7 @@ def cmd_predict(cfg: RunConfig) -> int:
         end_row = k + window - 1
         when = frame.dates[end_row].isoformat() if frame.dates is not None else ""
         writer.writerow((end_row, when, repr(float(cache.predictions[k])), repr(float(prices[k]))))
-    _write(out / "predictions.csv", pred.getvalue())
+    (out / "predictions.csv").write_text(pred.getvalue())
     print(f"wrote {out / 'predictions.csv'}: {cache.predictions.shape[0]} predictions")
     return 0
 
@@ -364,9 +323,9 @@ def _experiment_config(cfg: RunConfig) -> ExperimentConfig:
     return ExperimentConfig(
         train=cfg.train,
         indicators=cfg.indicators,
-        seeds=cfg.seeds,
+        seeds=cfg.experiments.seeds,
         scale_fit=cfg.scale_fit,
-        regime_threshold=cfg.regime_threshold,
+        regime_threshold=cfg.experiments.regime_threshold,
     )
 
 
@@ -386,7 +345,9 @@ def cmd_experiment(cfg: RunConfig, which: str) -> int:
         reports["interval"] = run_interval_experiment(daily, exp_config, sentiment, timer=timer)
     if "regime" in wanted:
         series = _load_series(cfg, cfg.interval)
-        reports["regime"] = run_regime_experiment(series, cfg.segments, exp_config, sentiment, timer=timer)
+        reports["regime"] = run_regime_experiment(
+            series, cfg.experiments.segments, exp_config, sentiment, timer=timer
+        )
     if "sentiment" in wanted:
         frame, used_neutral = _resolve_frame(cfg)
         if used_neutral:
@@ -398,19 +359,21 @@ def cmd_experiment(cfg: RunConfig, which: str) -> int:
         reports["sentiment"] = run_sentiment_ablation(frame, exp_config, interval=cfg.interval, timer=timer)
     if "forget-gate" in wanted:
         series = _load_series(cfg, cfg.interval)
-        forget = run_forget_gate_experiment(series, cfg.window_sizes, exp_config, sentiment, timer=timer)
+        forget = run_forget_gate_experiment(
+            series, cfg.experiments.window_sizes, exp_config, sentiment, timer=timer
+        )
 
     out = _prepare_out(cfg)
     failed = False
     for name, report in reports.items():
-        _write(out / f"{name}_report.csv", report_to_csv(report))
-        _write(out / f"{name}_report.json", report_to_json(report))
-        _write(out / f"{name}_aggregate.csv", aggregate_to_csv(aggregate_report([report])))
+        (out / f"{name}_report.csv").write_text(report_to_csv(report))
+        (out / f"{name}_report.json").write_text(report_to_json(report))
+        (out / f"{name}_aggregate.csv").write_text(aggregate_to_csv(aggregate_report([report])))
         print(f"== {name} experiment")
         print(summary_table(report))
         failed = failed or report.all_failed
     if forget is not None:
-        _write(out / "forget_gate_report.csv", forget_report_to_csv(forget))
+        (out / "forget_gate_report.csv").write_text(forget_report_to_csv(forget))
         print("== forget-gate experiment")
         for row in forget.rows:
             print(f"window {row.window:>3}  seed {row.seed}  mean forget {row.mean_forget:.4f}")
@@ -429,62 +392,58 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# (flag, config field it overrides, argparse options); the help text
+# defaults to "override <field>".
+_OVERRIDES = (
+    ("--seed", "train.seed", {"type": int}),
+    ("--out", "output_dir", {}),
+    ("--epochs", "train.epochs", {"type": int}),
+    ("--lr", "train.learning_rate", {"type": float}),
+    ("--layers", "train.layers", {"type": int}),
+    ("--window", "train.window", {"type": int}),
+    ("--interval", "interval", {"choices": (DAILY, WEEKLY), "help": "override pipeline interval"}),
+    ("--no-sentiment", "use_sentiment",
+     {"action": "store_const", "const": False, "help": "drop the sentiment stream"}),
+    ("--checkpoint", "checkpoint", {"help": "override config checkpoint path"}),
+)
+_PREDICT_ONLY = ("--checkpoint",)
+
+_COMMANDS = {
+    "features": "write the feature CSV",
+    "train": "train a model and write a checkpoint",
+    "predict": "predict from a checkpoint",
+    "experiment": "run an experiment suite",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="trendlab",
         description="Market trend forecasting pipeline: features, training, prediction, experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for command, help_text in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run config")
-        p.add_argument("--seed", type=int, help="override train.seed")
-        p.add_argument("--out", help="override output_dir")
-        p.add_argument("--epochs", type=int, help="override train.epochs")
-        p.add_argument("--lr", type=float, help="override train.learning_rate")
-        p.add_argument("--layers", type=int, help="override train.layers")
-        p.add_argument("--window", type=int, help="override train.window")
-        p.add_argument("--interval", choices=(DAILY, WEEKLY), help="override pipeline interval")
-        p.add_argument("--no-sentiment", action="store_true", help="drop the sentiment stream")
-
-    p_features = sub.add_parser("features", help="write the feature CSV")
-    common(p_features)
-    p_train = sub.add_parser("train", help="train a model and write a checkpoint")
-    common(p_train)
-    p_predict = sub.add_parser("predict", help="predict from a checkpoint")
-    common(p_predict)
-    p_predict.add_argument("--checkpoint", help="override config checkpoint path")
-    p_exp = sub.add_parser("experiment", help="run an experiment suite")
-    common(p_exp)
-    p_exp.add_argument("which", choices=EXPERIMENT_NAMES)
+        for flag, target, options in _OVERRIDES:
+            if command == "predict" or flag not in _PREDICT_ONLY:
+                p.add_argument(flag, **{"help": f"override {target}", **options})
+        if command == "experiment":
+            p.add_argument("which", choices=EXPERIMENT_NAMES)
     return parser
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    train_config = cfg.train
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.epochs is not None:
-        updates["epochs"] = args.epochs
-    if args.lr is not None:
-        updates["learning_rate"] = args.lr
-    if args.layers is not None:
-        updates["layers"] = args.layers
-    if args.window is not None:
-        updates["window"] = args.window
-    if updates:
-        train_config = replace(train_config, **updates)
-    cfg = replace(cfg, train=train_config)
-    if args.out is not None:
-        cfg = replace(cfg, output_dir=Path(args.out))
-    if args.interval is not None:
-        cfg = replace(cfg, interval=args.interval)
-    if args.no_sentiment:
-        cfg = replace(cfg, use_sentiment=False)
-    if getattr(args, "checkpoint", None) is not None:
-        cfg = replace(cfg, checkpoint=Path(args.checkpoint))
-    return cfg
+    """`cfg` with every given flag applied, validated like a file value."""
+    updates: dict[str, dict] = {}
+    for flag, target, _ in _OVERRIDES:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None:
+            section, _, name = target.rpartition(".")
+            updates.setdefault(section, {})[name] = value
+    top = updates.pop("", {})
+    sections = {name: replace(getattr(cfg, name), **fields) for name, fields in updates.items()}
+    return replace(cfg, **sections, **top)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, enforce_field_types
 from .market_data import PriceSeries
 
 
@@ -25,6 +25,7 @@ class IndicatorConfig:
     macd_signal: int = 9
 
     def __post_init__(self):
+        enforce_field_types(self)
         for name in ("rsi_period", "cci_period", "macd_fast", "macd_slow"):
             if getattr(self, name) < 2:
                 raise ConfigError(f"{name} must be >= 2, got {getattr(self, name)}")

@@ -1,8 +1,9 @@
 """Experiment report rows, aggregation, and CSV/JSON emission.
 
-CSV columns are fixed: model,interval,regime,features,seed,train_rmse,
-test_rmse,wall_ms,error. Floats are written with full shortest-round-trip
-precision so reruns with identical inputs produce identical bytes.
+The CSV and JSON columns of `ReportRow` and `AggregateRow` follow their
+dataclass field order. Floats are written with full shortest-round-trip
+precision, so reruns with identical inputs produce identical bytes; NaN is
+written as an empty CSV field and as JSON null, and null reads back as NaN.
 """
 
 from __future__ import annotations
@@ -15,13 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, field_types
 
 REPORT_SCHEMA_VERSION = 1
-REPORT_COLUMNS = (
-    "model", "interval", "regime", "features", "seed",
-    "train_rmse", "test_rmse", "wall_ms", "error",
-)
 
 
 @dataclass(frozen=True)
@@ -56,11 +53,6 @@ class ExperimentReport:
     def all_failed(self) -> bool:
         return bool(self.rows) and not self.ok_rows
 
-    def select(self, **fields) -> tuple[ReportRow, ...]:
-        return tuple(
-            r for r in self.rows if all(getattr(r, k) == v for k, v in fields.items())
-        )
-
 
 @dataclass(frozen=True)
 class ForgetGateRow:
@@ -73,43 +65,42 @@ class ForgetGateRow:
 class ForgetGateReport:
     rows: tuple[ForgetGateRow, ...]
 
-    def means_by_window(self, seed: int) -> list[tuple[int, float]]:
-        return sorted((r.window, r.mean_forget) for r in self.rows if r.seed == seed)
-
 
 def _fmt(value: float) -> str:
     return "" if math.isnan(value) else repr(float(value))
 
 
-def report_to_csv(report: ExperimentReport) -> str:
+def _to_csv(cls, rows) -> str:
+    """`rows` of dataclass `cls`, one column per field."""
+    types = field_types(cls)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for r in report.rows:
-        writer.writerow(
-            [r.model, r.interval, r.regime, r.features, r.seed,
-             _fmt(r.train_rmse), _fmt(r.test_rmse), _fmt(r.wall_ms), r.error]
-        )
+    writer.writerow(types)
+    for r in rows:
+        writer.writerow(_fmt(getattr(r, n)) if t is float else getattr(r, n) for n, t in types.items())
     return out.getvalue()
 
 
+def report_to_csv(report: ExperimentReport) -> str:
+    return _to_csv(ReportRow, report.rows)
+
+
 def report_to_json(report: ExperimentReport) -> str:
-    rows = []
-    for r in report.rows:
-        rows.append(
-            {
-                "model": r.model,
-                "interval": r.interval,
-                "regime": r.regime,
-                "features": r.features,
-                "seed": r.seed,
-                "train_rmse": None if math.isnan(r.train_rmse) else r.train_rmse,
-                "test_rmse": None if math.isnan(r.test_rmse) else r.test_rmse,
-                "wall_ms": None if math.isnan(r.wall_ms) else r.wall_ms,
-                "error": r.error,
-            }
-        )
+    types = field_types(ReportRow)
+    rows = [
+        {
+            n: None if t is float and math.isnan(getattr(r, n)) else getattr(r, n)
+            for n, t in types.items()
+        }
+        for r in report.rows
+    ]
     return json.dumps({"schema_version": REPORT_SCHEMA_VERSION, "rows": rows}, indent=1) + "\n"
+
+
+def _read(value, kind):
+    if kind is float:
+        return math.nan if value is None else float(value)
+    return int(value) if kind is int else value
 
 
 def report_from_json(text: str) -> ExperimentReport:
@@ -119,25 +110,16 @@ def report_from_json(text: str) -> ExperimentReport:
         raise DataError(f"unreadable report: {exc}") from None
     if not isinstance(doc, dict) or doc.get("schema_version") != REPORT_SCHEMA_VERSION:
         raise DataError("report schema mismatch")
-    rows = []
+    types = field_types(ReportRow)
     try:
-        for raw in doc["rows"]:
-            rows.append(
-                ReportRow(
-                    model=raw["model"],
-                    interval=raw["interval"],
-                    regime=raw["regime"],
-                    features=raw["features"],
-                    seed=int(raw["seed"]),
-                    train_rmse=float("nan") if raw["train_rmse"] is None else float(raw["train_rmse"]),
-                    test_rmse=float("nan") if raw["test_rmse"] is None else float(raw["test_rmse"]),
-                    wall_ms=float("nan") if raw["wall_ms"] is None else float(raw["wall_ms"]),
-                    error=raw.get("error", ""),
-                )
-            )
+        # A missing key keeps the field's default, or fails if it has none.
+        rows = tuple(
+            ReportRow(**{n: _read(raw[n], t) for n, t in types.items() if n in raw})
+            for raw in doc["rows"]
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"report schema mismatch: {exc!r}") from None
-    return ExperimentReport(rows=tuple(rows))
+    return ExperimentReport(rows=rows)
 
 
 def forget_report_to_csv(report: ForgetGateReport) -> str:
@@ -192,19 +174,7 @@ def aggregate_report(reports) -> tuple[AggregateRow, ...]:
 
 
 def aggregate_to_csv(rows: tuple[AggregateRow, ...]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ("model", "interval", "regime", "features", "count",
-         "train_rmse_mean", "train_rmse_std", "test_rmse_mean", "test_rmse_std")
-    )
-    for r in rows:
-        writer.writerow(
-            (r.model, r.interval, r.regime, r.features, r.count,
-             repr(r.train_rmse_mean), repr(r.train_rmse_std),
-             repr(r.test_rmse_mean), repr(r.test_rmse_std))
-        )
-    return out.getvalue()
+    return _to_csv(AggregateRow, rows)
 
 
 def summary_table(report: ExperimentReport) -> str:

@@ -94,34 +94,6 @@ def trend_seasonal_daily(bars: int = 1280, seed: int = 11) -> PriceSeries:
     return PriceSeries("TRSEAS", DAILY, tuple(bars_from_adjusted(adjusted, business_dates(bars), seed=seed + 1)))
 
 
-# Slowly decaying order-8 autoregression: dependencies at lags 1 and 8 with
-# coefficient mass near 1, so the latent level carries information far
-# beyond the largest lag.
-AR8_COEFFS = (0.55, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.37)
-
-
-def ar_series(
-    bars: int = 450,
-    seed: int = 5,
-    coeffs: tuple[float, ...] = AR8_COEFFS,
-    obs_noise: float = 1.0,
-) -> PriceSeries:
-    """Order-8 autoregressive latent level observed through measurement
-    noise: recovering the level rewards filtering over long histories, so
-    longer windows genuinely carry more usable information.
-    """
-    rng = np.random.default_rng(seed)
-    order = len(coeffs)
-    x = np.zeros(bars + 8 * order)
-    noise = rng.normal(0.0, 1.0, size=x.size)
-    for k in range(order, x.size):
-        x[k] = sum(c * x[k - j - 1] for j, c in enumerate(coeffs)) + noise[k]
-    observed = x[-bars:] + rng.normal(0.0, obs_noise, size=bars)
-    adjusted = 120.0 + 6.0 * observed
-    adjusted = np.maximum(adjusted, 5.0)
-    return PriceSeries("AR8", WEEKLY, tuple(bars_from_adjusted(adjusted, weekly_dates(bars), seed=seed + 1)))
-
-
 def random_walk_series(bars: int = 340, seed: int = 23, step_sigma: float = 0.012) -> PriceSeries:
     """Geometric random walk: next-step moves are unpredictable from price
     history alone. Used by the sentiment-ablation fixtures.
@@ -149,12 +121,6 @@ def planted_sentiment(series: PriceSeries, seed: int = 13, noise: float = 0.04) 
             raw = 0.5
         scores[when] = float(np.clip(raw, 0.0, 1.0))
     return scores
-
-
-def noise_sentiment(series: PriceSeries, seed: int = 17) -> dict[date, float]:
-    """Uninformative sentiment drawn uniformly from [0, 1]."""
-    rng = np.random.default_rng(seed)
-    return {when: float(v) for when, v in zip(series.dates(), rng.uniform(0.0, 1.0, size=len(series)))}
 
 
 def regime_fixture(

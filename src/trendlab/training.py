@@ -13,7 +13,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import network
-from .errors import CheckpointError, ConfigError, DataError, DivergenceError
+from .errors import CheckpointError, ConfigError, DataError, DivergenceError, enforce_field_types
 from .market_data import NormalizationScale, WindowedDataset
 from .network import (
     CELLS,
@@ -46,12 +46,7 @@ class TrainConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        for name in ("epochs", "layers", "hidden_size", "window", "seed", "d_i"):
-            value = getattr(self, name)
-            if name == "d_i" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        enforce_field_types(self)
         if self.epochs < 0:
             raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
         if not self.learning_rate > 0:
@@ -220,6 +215,10 @@ def train(
 
     _, train_cost = evaluate(train_split, params)
     _, test_cost = evaluate(dataset.test, params)
+    if not all(math.isfinite(c) for c in (train_cost, test_cost) if c is not None):
+        raise DivergenceError(
+            f"diverged at epoch {config.epochs}: non-finite final RMSE", epoch=config.epochs
+        )
     return TrainingRun(
         epoch_rmse=tuple(epoch_rmse),
         train_rmse=float(train_cost),

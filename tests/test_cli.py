@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import csv
 
 import pytest
 
-from trendlab.cli import main
+from trendlab.cli import EXPERIMENT_NAMES, RunConfig, _apply_overrides, build_parser, load_run_config, main
 from trendlab.features import build_feature_frame, feature_frame_to_csv, prepare_dataset
 from trendlab.synthetic import regime_fixture, sine_series
 from trendlab.training import rmse
@@ -183,3 +184,189 @@ def test_train_rejects_non_finite_feature_csv_as_data_error(tmp_path, column, va
     assert main(["train", "--config", str(config)]) == 2
     assert "line 5: non-finite value" in capsys.readouterr().err
     assert not (tmp_path / "train").exists()
+
+
+TINY = {"epochs": 1, "layers": 1, "hidden_size": 2, "window": 4}
+COMMANDS = [("features",), ("train",), ("predict",)] + [("experiment", which) for which in EXPERIMENT_NAMES]
+
+
+def _files(root: Path) -> list[str]:
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+def _run_config(tmp_path: Path, **keys) -> Path:
+    """A run config on an 80-bar weekly sine CSV with a tiny model, plus `keys`."""
+    prices = tmp_path / "prices.csv"
+    _write_prices(prices, sine_series(bars=80).bars)
+    doc = {
+        "price_csv": str(prices), "price_interval": "weekly", "interval": "weekly",
+        "output_dir": str(tmp_path / "out"), "train": TINY, **keys,
+    }
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(doc))
+    return config
+
+
+@pytest.fixture(scope="module")
+def checkpoint_file(tmp_path_factory) -> Path:
+    root = tmp_path_factory.mktemp("checkpoint")
+    assert main(["train", "--config", str(_run_config(root))]) == 0
+    return root / "out" / "checkpoint.json"
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("experiments", "seeds", [0.5]),
+        ("experiments", "window_sizes", [2.7]),
+        ("indicators", "macd_signal", 9.5),
+        (None, "use_sentiment", "false"),
+        (None, "use_sentiment", 1),
+        (None, "symbol", 5),
+        ("experiments", "seeds", ["x"]),
+        ("experiments", "regime_threshold", "x"),
+        ("experiments", "seeds", 5),
+        ("experiments", "segments", 5),
+        (None, "output_dir", 5),
+        (None, "price_csv", 5),
+        ("indicators", "rsi_period", 14.5),
+        ("train", "learning_rate", True),
+        (None, "train", 5),
+    ],
+)
+def test_mistyped_config_value_is_a_config_error_naming_the_key(
+    tmp_path, monkeypatch, section, key, value, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    config = _run_config(tmp_path)
+    doc = json.loads(config.read_text())
+    (doc if section is None else doc.setdefault(section, {}))[key] = value
+    config.write_text(json.dumps(doc))
+    before = _files(tmp_path)
+    assert main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("section", [None, "indicators", "train", "experiments"])
+def test_unknown_key_is_named_with_its_section(tmp_path, section, capsys):
+    config = _run_config(tmp_path)
+    doc = json.loads(config.read_text())
+    (doc if section is None else doc.setdefault(section, {}))["bogus"] = 1
+    config.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(config)]) == 1
+    assert f"unknown {section or 'config'} keys: ['bogus']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault, code", [("unknown config key", 1), ("malformed price row", 2)])
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_config_and_data_errors_exit_before_writing(
+    tmp_path, checkpoint_file, monkeypatch, command, fault, code
+):
+    monkeypatch.chdir(tmp_path)
+    config = _run_config(tmp_path, checkpoint=str(checkpoint_file))
+    if fault == "unknown config key":
+        config.write_text(json.dumps({**json.loads(config.read_text()), "bogus": 1}))
+    else:
+        prices = tmp_path / "prices.csv"
+        prices.write_text(edit_csv_field(prices.read_text(), 5, "Close", "abc"))
+    before = _files(tmp_path)
+    assert main([command[0], "--config", str(config), *command[1:]]) == code
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [], ["bogus"], ["train", "--config", "run.json", "--bogus"],
+        ["train", "--config", "run.json", "--checkpoint", "c"],
+    ],
+    ids=["no subcommand", "unknown subcommand", "unknown flag", "checkpoint outside predict"],
+)
+def test_usage_errors_exit_1(argv, capsys):
+    assert main(argv) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_experiment_failing_in_every_cell_exits_2(tmp_path, capsys):
+    series, segments = regime_fixture(bars_per_segment=60)
+    prices = tmp_path / "prices.csv"
+    _write_prices(prices, series.bars)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "price_csv": str(prices), "price_interval": "weekly", "interval": "weekly",
+        "output_dir": str(tmp_path / "out"),
+        "train": {**TINY, "window": 40},
+        "experiments": {"seeds": [0], "segments": [[s.isoformat(), e.isoformat()] for s, e in segments]},
+    }))
+    assert main(["experiment", "regime", "--config", str(config)]) == 2
+    assert "failed in every cell" in capsys.readouterr().err
+    with open(tmp_path / "out" / "regime_report.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 6 and all(row["error"] and row["test_rmse"] == "" for row in rows)
+
+
+@pytest.mark.parametrize("epochs", [1, 3], ids=["in the final evaluation", "in an epoch"])
+def test_divergence_exits_3_before_writing(tmp_path, epochs, capsys):
+    config = _run_config(tmp_path, train={**TINY, "epochs": epochs, "learning_rate": 1e300})
+    with pytest.warns(RuntimeWarning):  # numpy overflow on the way to the non-finite loss
+        assert main(["train", "--config", str(config)]) == 3
+    assert capsys.readouterr().err.startswith("divergence: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--epochs", "-1", "epochs must be non-negative"), ("--lr", "0", "learning_rate must be positive"),
+     ("--window", "0", "window must be positive"), ("--layers", "0", "layers must be positive")],
+)
+def test_override_flags_are_validated_like_file_values(tmp_path, flag, value, message, capsys):
+    config = _run_config(tmp_path)
+    assert main(["train", "--config", str(config), flag, value]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_override_flags_set_their_fields():
+    args = build_parser().parse_args([
+        "predict", "--config", "run.json", "--seed", "9", "--out", "elsewhere", "--epochs", "3",
+        "--lr", "0.5", "--layers", "4", "--window", "5", "--interval", "daily", "--no-sentiment",
+        "--checkpoint", "model.json",
+    ])
+    base = RunConfig()
+    assert _apply_overrides(base, args) == replace(
+        base, output_dir=Path("elsewhere"), interval="daily", use_sentiment=False,
+        checkpoint=Path("model.json"),
+        train=replace(base.train, seed=9, epochs=3, learning_rate=0.5, layers=4, window=5),
+    )
+    assert _apply_overrides(base, build_parser().parse_args(["train", "--config", "run.json"])) == base
+
+
+def test_config_echo_holds_every_key_and_loads_back_equal(tmp_path):
+    doc = {
+        "price_csv": "prices.csv", "sentiment_csv": "sentiment.csv", "feature_csv": None,
+        "checkpoint": "model.json", "symbol": "SYM", "interval": "daily", "price_interval": "daily",
+        "use_sentiment": False, "scale_fit": "full", "output_dir": "run",
+        "indicators": {"rsi_period": 10, "cci_period": 15, "cci_constant": 0.02, "macd_fast": 8,
+                       "macd_slow": 20, "macd_signal": 5},
+        "train": {"epochs": 7, "learning_rate": 1, "layers": 2, "hidden_size": 8, "window": 6, "seed": 3,
+                  "cell": "rnn", "d_i": 4, "forget_bias": 0.5, "beta1": 0.8, "beta2": 0.99, "epsilon": 1e-7},
+        "experiments": {"seeds": [4, 5], "segments": [{"start": "2003-01-06", "end": "2004-01-05"}],
+                        "window_sizes": [2, 3], "regime_threshold": 0},
+    }
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(doc))
+    cfg = load_run_config(config)
+    echoed = json.loads(cfg.echo())
+    assert echoed == {
+        **doc,
+        "train": {**doc["train"], "learning_rate": 1.0},
+        "experiments": {
+            **doc["experiments"], "segments": [["2003-01-06", "2004-01-05"]], "regime_threshold": 0.0,
+        },
+    }
+    assert list(echoed) == list(doc)
+    assert type(cfg.train.learning_rate) is float and type(cfg.experiments.regime_threshold) is float
+    config.write_text(cfg.echo())
+    assert load_run_config(config) == cfg

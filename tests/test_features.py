@@ -7,6 +7,7 @@ import pytest
 
 from trendlab.errors import DataError
 from trendlab.features import (
+    NEUTRAL_SENTIMENT,
     FeatureFrame,
     build_feature_frame,
     feature_frame_to_csv,
@@ -14,7 +15,8 @@ from trendlab.features import (
     parse_feature_csv,
     prepare_dataset,
 )
-from trendlab.market_data import normalize
+from trendlab.indicators import IndicatorConfig, cci, macd, rsi
+from trendlab.market_data import PriceSeries, normalize
 from trendlab.synthetic import planted_sentiment, random_walk_series, sine_series
 
 from conftest import edit_csv_field
@@ -142,3 +144,35 @@ def test_train_scale_fit_does_not_leak_rows_after_the_last_training_label(walk_f
         # The perturbation is large enough to show through a full-period fit.
         full = prepare_dataset(frame, window, scale_fit="full").dataset
         assert full.train.labels.tobytes() != before.train.labels.tobytes()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [IndicatorConfig(), IndicatorConfig(rsi_period=30), IndicatorConfig(cci_period=40, cci_constant=0.02)],
+    ids=["macd-warmup", "rsi-warmup", "cci-warmup"],
+)
+@pytest.mark.parametrize("with_sentiment", [True, False])
+def test_build_feature_frame_rows_match_a_per_bar_recomputation(config, with_sentiment):
+    """Row k belongs to bar t = warm-up + k: every value is what the bar's
+    own price prefix gives, and the Answer is the next bar's price."""
+    series = random_walk_series(bars=90)
+    sentiment = planted_sentiment(series) if with_sentiment else None
+    frame = build_feature_frame(series, config, sentiment)
+    bars = series.bars
+    assert frame.n == len(bars) - 1 - config.warmup
+    for k in range(frame.n):
+        t = config.warmup + k
+        prefix = PriceSeries(series.symbol, series.interval, bars[: t + 1])
+        assert frame.dates[k] == bars[t].date
+        assert frame.prices[k] == bars[t].adjusted
+        assert frame.answers[k] == bars[t + 1].adjusted
+        assert list(frame.fundamental[k]) == [
+            bars[t].adjusted, bars[t].volume, bars[t].adjusted - bars[t - 1].adjusted,
+        ]
+        assert list(frame.technical[k]) == [
+            rsi(prefix, config.rsi_period)[-1],
+            cci(prefix, config.cci_period, config.cci_constant)[-1],
+            macd(prefix, config.macd_fast, config.macd_slow)[-1],
+        ]
+        want = NEUTRAL_SENTIMENT if sentiment is None else sentiment[bars[t].date]
+        assert list(frame.sentiment[k]) == [want]

@@ -1,8 +1,22 @@
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import fields
 
-from trendlab.reports import ExperimentReport, ReportRow, report_from_json, report_to_json
+import pytest
+
+from trendlab.errors import DataError
+from trendlab.reports import (
+    AggregateRow,
+    ExperimentReport,
+    ReportRow,
+    aggregate_report,
+    aggregate_to_csv,
+    report_from_json,
+    report_to_csv,
+    report_to_json,
+)
 
 
 def test_report_json_round_trip_keeps_failed_rows():
@@ -23,3 +37,39 @@ def test_report_json_round_trip_keeps_failed_rows():
         assert math.isnan(got.train_rmse) and math.isnan(got.test_rmse)
     assert back.rows[1].wall_ms == 3.0
     assert math.isnan(back.rows[2].wall_ms)
+
+
+def test_report_csv_columns_follow_field_order_and_write_nan_empty():
+    report = ExperimentReport(rows=(
+        ReportRow("lstm", "weekly", "bull", "full", 0, 0.1, 0.2, 3.0),
+        ReportRow("rnn", "daily", "all", "full", 1, math.nan, math.nan, math.nan, error="DataError: short"),
+    ))
+    assert report_to_csv(report).splitlines() == [
+        ",".join(f.name for f in fields(ReportRow)),
+        "lstm,weekly,bull,full,0,0.1,0.2,3.0,",
+        "rnn,daily,all,full,1,,,,DataError: short",
+    ]
+    rows = json.loads(report_to_json(report))["rows"]
+    assert [list(r) for r in rows] == [[f.name for f in fields(ReportRow)]] * 2
+    assert [rows[1][k] for k in ("train_rmse", "test_rmse", "wall_ms")] == [None, None, None]
+
+
+def test_report_from_json_requires_fields_without_defaults():
+    row = ReportRow("lstm", "weekly", "all", "full", 0, 0.1, 0.2, 3.0)
+    doc = json.loads(report_to_json(ExperimentReport(rows=(row,))))
+    del doc["rows"][0]["error"]
+    assert report_from_json(json.dumps(doc)).rows[0].error == ""
+    del doc["rows"][0]["seed"]
+    with pytest.raises(DataError, match="report schema mismatch"):
+        report_from_json(json.dumps(doc))
+
+
+def test_aggregate_csv_columns_follow_field_order():
+    report = ExperimentReport(rows=(
+        ReportRow("lstm", "weekly", "all", "full", 0, 0.25, 0.5, 1.0),
+        ReportRow("lstm", "weekly", "all", "full", 1, 0.75, 1.5, 1.0),
+    ))
+    assert aggregate_to_csv(aggregate_report([report])).splitlines() == [
+        ",".join(f.name for f in fields(AggregateRow)),
+        "lstm,weekly,all,full,2,0.5,0.25,1.0,0.5",
+    ]

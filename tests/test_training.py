@@ -146,6 +146,17 @@ def test_train_config_validation():
         TrainConfig(cell="gru")
 
 
+def test_train_config_field_types():
+    assert type(TrainConfig(learning_rate=1).learning_rate) is float
+    assert TrainConfig(d_i=None).d_i is None and TrainConfig(d_i=3).d_i == 3
+    for field, value, kind in [
+        ("epochs", True, "an integer"), ("learning_rate", False, "a number"),
+        ("learning_rate", "0.1", "a number"), ("cell", 1, "a string"), ("d_i", 1.5, "an integer or null"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{field} must be {kind}, got "):
+            TrainConfig(**{field: value})
+
+
 # --- training loop ------------------------------------------------------------
 
 
