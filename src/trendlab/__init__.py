@@ -13,6 +13,7 @@ from .errors import (
 from .experiments import (
     PAPER_SEGMENTS,
     ExperimentConfig,
+    ExperimentsSection,
     RegimeLabel,
     classify_regime,
     run_forget_gate_experiment,
@@ -68,7 +69,6 @@ from .reports import (
     report_to_json,
 )
 from .training import (
-    Adam,
     Checkpoint,
     GradientCheckResult,
     TrainConfig,

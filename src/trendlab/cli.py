@@ -23,8 +23,8 @@ from typing import Callable
 
 from .errors import ConfigError, DataError, DivergenceError, TrendlabError, enforce_field_types, field_types
 from .experiments import (
-    PAPER_SEGMENTS,
     ExperimentConfig,
+    ExperimentsSection,
     run_forget_gate_experiment,
     run_interval_experiment,
     run_regime_experiment,
@@ -56,23 +56,6 @@ from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 CLOCK_ENV = "TRENDLAB_CLOCK"
 
 EXPERIMENT_NAMES = ("interval", "regime", "sentiment", "forget-gate", "all")
-
-
-@dataclass(frozen=True)
-class ExperimentsSection:
-    """The `experiments` section of a run config."""
-
-    seeds: tuple[int, ...] = (0, 1, 2)
-    segments: tuple[tuple[date, date], ...] = PAPER_SEGMENTS
-    window_sizes: tuple[int, ...] = (4, 8, 16)
-    regime_threshold: float = 0.15
-
-    def __post_init__(self):
-        enforce_field_types(self)
-        if not self.seeds:
-            raise ConfigError("experiments.seeds must be non-empty")
-        if any(w < 1 for w in self.window_sizes):
-            raise ConfigError("experiments.window_sizes must be positive")
 
 
 @dataclass(frozen=True)
@@ -319,19 +302,11 @@ def cmd_predict(cfg: RunConfig) -> int:
     return 0
 
 
-def _experiment_config(cfg: RunConfig) -> ExperimentConfig:
-    return ExperimentConfig(
-        train=cfg.train,
-        indicators=cfg.indicators,
-        seeds=cfg.experiments.seeds,
-        scale_fit=cfg.scale_fit,
-        regime_threshold=cfg.experiments.regime_threshold,
-    )
-
-
 def cmd_experiment(cfg: RunConfig, which: str) -> int:
     wanted = EXPERIMENT_NAMES[:-1] if which == "all" else (which,)
-    exp_config = _experiment_config(cfg)
+    exp_config = ExperimentConfig(
+        train=cfg.train, indicators=cfg.indicators, experiments=cfg.experiments, scale_fit=cfg.scale_fit
+    )
     timer = _timer()
 
     sentiment = None

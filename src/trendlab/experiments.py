@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, TrendlabError
+from .errors import ConfigError, DataError, DivergenceError, TrendlabError, enforce_field_types
 from .features import DatasetBundle, FeatureFrame, build_feature_frame, prepare_dataset
 from .indicators import IndicatorConfig
 from .market_data import DAILY, WEEKLY, PriceSeries, fit_scale, normalize, resample_weekly
@@ -54,13 +54,28 @@ SEGMENT_LENGTH_TOLERANCE_DAYS = 7
 
 
 @dataclass(frozen=True)
+class ExperimentsSection:
+    """The experiment settings: the `experiments` section of a run config."""
+
+    seeds: tuple[int, ...] = (0, 1, 2)
+    segments: tuple[tuple[date, date], ...] = PAPER_SEGMENTS
+    window_sizes: tuple[int, ...] = (4, 8, 16)
+    regime_threshold: float = 0.15
+
+    def __post_init__(self):
+        enforce_field_types(self)
+        if not self.seeds:
+            raise ConfigError("experiments.seeds must be non-empty")
+        if any(w < 1 for w in self.window_sizes):
+            raise ConfigError("experiments.window_sizes must be positive")
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     train: TrainConfig = TrainConfig()
     indicators: IndicatorConfig = IndicatorConfig()
-    seeds: tuple[int, ...] = (0, 1, 2)
-    ratio: tuple[int, int] = (15, 1)
+    experiments: ExperimentsSection = ExperimentsSection()
     scale_fit: str = "train"
-    regime_threshold: float = 0.15
 
 
 def classify_regime(segment: PriceSeries, threshold: float = 0.15) -> RegimeLabel:
@@ -134,11 +149,11 @@ def _run_grid(
     tasks = []
     for interval, regime, features, make_frame in variants:
         try:
-            prepared = prepare_dataset(make_frame(), config.train.window, config.ratio, config.scale_fit)
+            prepared = prepare_dataset(make_frame(), config.train.window, scale_fit=config.scale_fit)
         except (TrendlabError, ValueError) as exc:
             prepared = _error_text(exc)
         for model in MODELS:
-            for seed in config.seeds:
+            for seed in config.experiments.seeds:
                 row = ReportRow(
                     model=model, interval=interval, regime=regime, features=features, seed=seed,
                     train_rmse=float("nan"), test_rmse=float("nan"), wall_ms=float("nan"),
@@ -189,7 +204,7 @@ def run_regime_experiment(
     variants = []
     for start, end in segments:
         segment = series.between(start, end)
-        label = classify_regime(segment, config.regime_threshold)
+        label = classify_regime(segment, config.experiments.regime_threshold)
         frame = partial(build_feature_frame, segment, config.indicators, sentiment)
         variants.append((series.interval, label.value, FULL_FEATURES, frame))
     return _run_grid(variants, config, timer)
@@ -230,16 +245,19 @@ def run_forget_gate_experiment(
 
     rows = []
     for window in window_sizes:
-        bundle = prepare_dataset(frame, window, config.ratio, config.scale_fit)
-        for seed in config.seeds:
+        bundle = prepare_dataset(frame, window, scale_fit=config.scale_fit)
+        test = bundle.dataset.test
+        if test.n_windows == 0:
+            raise DataError(f"window size {window}: empty test split")
+        for seed in config.experiments.seeds:
             train_config = replace(config.train, cell=LSTM, seed=seed, window=window)
+            where = f"window size {window}, seed {seed}"
             try:
                 run = train(bundle.dataset, train_config, timer=timer)
+            except DivergenceError as exc:
+                raise DivergenceError(f"{where}: {exc}", epoch=exc.epoch) from exc
             except TrendlabError as exc:
-                raise DataError(f"window size {window}, seed {seed}: {exc}") from exc
-            test = bundle.dataset.test
-            if test.n_windows == 0:
-                raise DataError(f"window size {window}: empty test split")
+                raise type(exc)(f"{where}: {exc}") from exc
             mean = mean_forget_activation(forward_batch(test.streams, run.parameters))
             rows.append(ForgetGateRow(window=window, seed=seed, mean_forget=mean))
     return ForgetGateReport(rows=tuple(rows))

@@ -49,6 +49,13 @@ class FusionParameters:
     def fused_dim(self) -> int:
         return (3 if self.has_sentiment else 2) * self.d_i
 
+    def projections(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(W, b) of each fused stream: fundamental, technical, then sentiment."""
+        pairs = [(self.W_A, self.b_A), (self.W_F, self.b_F)]
+        if self.has_sentiment:
+            pairs.append((self.W_S, self.b_S))
+        return pairs
+
 
 def default_width(d_a: int, d_f: int, d_s: int | None) -> int:
     """Default shared stream width: the widest stream is never compressed."""

@@ -17,9 +17,11 @@ A memory-cell layer stores its four gates stacked, in f, i, o, c order: one
 W (4h x d), one U (4h x h) and one b (4h), so each step's four gate
 pre-activations are one GEMM (Appleyard, Kocisky & Blunsom 2016,
 arXiv:1604.01946). `NetworkParameters.param_items` names the per-gate row
-blocks `layers.k.W_f`, `layers.k.U_i`, ... and hands them out as views: an
-in-place write to a named block (the optimizer step, a finite-difference
-probe, a checkpoint load) writes the stacked array the kernel reads.
+blocks `layers.k.W_f`, `layers.k.U_i`, ... and hands them out as views.
+Every stored array is itself a view of the model's one float64 `vector`, so
+a write to a named block (a finite-difference probe, a checkpoint load) or
+to the vector (the Adam step) writes the arrays the kernel reads. Gradients
+come back as a model of the same shape: each at its parameter's index.
 
 Everything is float64 and deterministic: identical inputs and parameters
 give bit-identical outputs.
@@ -27,7 +29,7 @@ give bit-identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -108,7 +110,7 @@ class HeadParameters:
     """Affine regression head: hidden state -> scalar prediction."""
 
     w: np.ndarray
-    b: np.ndarray  # 0-d array so the optimizer can update it in place
+    b: np.ndarray  # 0-d array, so that it can be a view of one vector element
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=np.float64)
@@ -150,12 +152,19 @@ class ModelShape:
 
 @dataclass
 class NetworkParameters:
-    """All trainable parameters: fusion projections, cell layers, head."""
+    """All trainable parameters: fusion projections, cell layers, head.
+
+    The model owns copies of the parts it is given. Their arrays are views
+    of `vector`, laid out in storage order: the fusion projections, each
+    layer, then the head, each part in its field order (a memory-cell layer
+    as its stacked W, U, b).
+    """
 
     cell: str
     fusion: FusionParameters
     layers: list[LstmLayerParameters | RnnLayerParameters]
     head: HeadParameters
+    vector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.cell not in CELLS:
@@ -170,6 +179,28 @@ class NetworkParameters:
             size = layer.hidden_size
         if self.head.w.shape != (size,):
             raise ValueError(f"head weights {self.head.w.shape} != ({size},)")
+        self.fusion, self.head = replace(self.fusion), replace(self.head)
+        self.layers = [replace(layer) for layer in self.layers]
+        self._bind_to_vector()
+
+    def _bind_to_vector(self) -> None:
+        """Copy every stored array into one new vector, in storage order,
+        and rebind each field to its slice of it."""
+        stored = [
+            (part, f.name) for part in (self.fusion, *self.layers, self.head)
+            for f in fields(part) if getattr(part, f.name) is not None
+        ]
+        arrays = [getattr(part, name) for part, name in stored]
+        self.vector = np.concatenate([array.ravel() for array in arrays], dtype=np.float64)
+        slices = np.split(self.vector, np.cumsum([array.size for array in arrays])[:-1])
+        for (part, name), array, piece in zip(stored, arrays, slices):
+            setattr(part, name, piece.reshape(array.shape))
+
+    def zeros_like(self) -> NetworkParameters:
+        """A model of the same shape, over its own all-zero vector."""
+        zeros = replace(self)
+        zeros.vector[...] = 0.0
+        return zeros
 
     @property
     def hidden_size(self) -> int:
@@ -185,8 +216,8 @@ class NetworkParameters:
         )
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
-        """Canonical (name, array) pairs. The arrays are live references:
-        the memory-cell gate blocks are views of the stacked layer arrays."""
+        """Canonical (name, array) pairs. The arrays are views of `vector`,
+        and together they cover it once."""
         items = [("fusion.W_A", self.fusion.W_A), ("fusion.b_A", self.fusion.b_A),
                  ("fusion.W_F", self.fusion.W_F), ("fusion.b_F", self.fusion.b_F)]
         if self.fusion.has_sentiment:
@@ -316,11 +347,10 @@ def _fuse_batch(
     streams: tuple[np.ndarray, np.ndarray, np.ndarray | None], fusion: FusionParameters
 ) -> np.ndarray:
     """Fused layer input, batch-last (T, D, n)."""
-    a, f, s = streams
-    pairs = [(a, fusion.W_A, fusion.b_A), (f, fusion.W_F, fusion.b_F)]
-    if fusion.has_sentiment:
-        pairs.append((s, fusion.W_S, fusion.b_S))
-    parts = [np.matmul(W, stream.transpose(1, 2, 0)) + b[:, None] for stream, W, b in pairs]
+    parts = [
+        np.matmul(W, stream.transpose(1, 2, 0)) + b[:, None]
+        for stream, (W, b) in zip(streams, fusion.projections())
+    ]
     return np.concatenate(parts, axis=1)
 
 
@@ -405,13 +435,12 @@ def forward_batch(
 
 
 def _lstm_backward(
-    lc: _LstmLayerCache, layer: LstmLayerParameters, d_h_extra: np.ndarray, k: int,
-    grads: dict[str, np.ndarray],
+    lc: _LstmLayerCache, layer: LstmLayerParameters, d_h_extra: np.ndarray, grad: LstmLayerParameters
 ) -> np.ndarray:
+    """Accumulates the layer's gradients into `grad`'s (zero) arrays and
+    returns the gradient with respect to the layer input."""
     steps, hid, n = lc.h.shape
-    dW = np.zeros_like(layer.W)
-    dU = np.zeros_like(layer.U)
-    db = np.zeros(4 * hid)
+    dW, dU, db = grad.W, grad.U, grad.b
     dx = np.empty_like(lc.x)
     dA = np.empty((4 * hid, n))
     dF, dI, dO, dG = dA[:hid], dA[hid : 2 * hid], dA[2 * hid : 3 * hid], dA[3 * hid :]
@@ -442,17 +471,15 @@ def _lstm_backward(
         np.matmul(layer.W.T, dA, out=dx[t])
         dh_rec = layer.U.T @ dA
         dc_rec = dc * f
-    grads.update(LstmLayerParameters(dW, dU, db).gate_blocks(f"layers.{k}."))
     return dx
 
 
 def _rnn_backward(
-    lc: _RnnLayerCache, layer: RnnLayerParameters, d_h_extra: np.ndarray, k: int,
-    grads: dict[str, np.ndarray],
+    lc: _RnnLayerCache, layer: RnnLayerParameters, d_h_extra: np.ndarray, grad: RnnLayerParameters
 ) -> np.ndarray:
+    """Like `_lstm_backward`, for a tanh layer."""
     steps, hid, n = lc.s.shape
-    dU = np.zeros_like(layer.U)
-    dW = np.zeros_like(layer.W)
+    dU, dW = grad.U, grad.W
     dx = np.empty_like(lc.x)
     ds_rec = np.zeros((hid, n))
     for t in range(steps - 1, -1, -1):
@@ -463,14 +490,13 @@ def _rnn_backward(
             dW += da @ lc.s[t - 1].T
         np.matmul(layer.U.T, da, out=dx[t])
         ds_rec = layer.W.T @ da
-    grads[f"layers.{k}.U"] = dU
-    grads[f"layers.{k}.W"] = dW
     return dx
 
 
-def backward_batch(cache: ForwardCache, d_predictions: np.ndarray) -> dict[str, np.ndarray]:
+def backward_batch(cache: ForwardCache, d_predictions: np.ndarray) -> NetworkParameters:
     """Exact gradients of sum(d_predictions * predictions) with respect to
-    every parameter, keyed like `NetworkParameters.param_items`.
+    every parameter, as a model of the same shape: each gradient sits where
+    its parameter does.
     """
     params = cache.params
     d_pred = np.asarray(d_predictions, dtype=np.float64)
@@ -478,35 +504,29 @@ def backward_batch(cache: ForwardCache, d_predictions: np.ndarray) -> dict[str, 
         raise ValueError(f"upstream gradient shape {d_pred.shape} != predictions {cache.predictions.shape}")
     steps = cache.steps
     n = cache.n_windows
-    grads: dict[str, np.ndarray] = {}
+    grads = params.zeros_like()
 
     top = cache.layers[-1]
     final_h = (top.h if isinstance(top, _LstmLayerCache) else top.s)[-1]
-    grads["head.w"] = final_h @ d_pred
-    grads["head.b"] = np.asarray(d_pred.sum())
+    grads.head.w[...] = final_h @ d_pred
+    grads.head.b[...] = d_pred.sum()
 
     # d_h_extra[t]: gradient flowing into h_t of the current layer from
     # outside the recurrence (head at the last step, or the layer above).
     d_h_extra = np.zeros((steps, params.hidden_size, n))
     d_h_extra[-1] = np.outer(params.head.w, d_pred)
 
-    for k in range(len(params.layers) - 1, -1, -1):
-        layer = params.layers[k]
+    for lc, layer, grad in reversed(list(zip(cache.layers, params.layers, grads.layers))):
         backward = _lstm_backward if isinstance(layer, LstmLayerParameters) else _rnn_backward
-        d_h_extra = backward(cache.layers[k], layer, d_h_extra, k, grads)
+        d_h_extra = backward(lc, layer, d_h_extra, grad)
 
     # d_h_extra now holds the gradient wrt the fused input (T, D, n).
-    fusion = params.fusion
-    width = fusion.d_i
-    blocks = [("A", cache.streams[0]), ("F", cache.streams[1])]
-    if fusion.has_sentiment:
-        blocks.append(("S", cache.streams[2]))
-    for j, (name, stream) in enumerate(blocks):
+    width = params.fusion.d_i
+    for j, (stream, (dW, db)) in enumerate(zip(cache.streams, grads.fusion.projections())):
         d_proj = d_h_extra[:, j * width : (j + 1) * width]
-        grads[f"fusion.W_{name}"] = np.einsum("tin,ntj->ij", d_proj, stream)
-        grads[f"fusion.b_{name}"] = d_proj.sum(axis=(0, 2))
-
-    return {name: grads[name] for name, _ in params.param_items()}
+        dW[...] = np.einsum("tin,ntj->ij", d_proj, stream)
+        db[...] = d_proj.sum(axis=(0, 2))
+    return grads
 
 
 def mean_forget_activation(cache: ForwardCache) -> float:

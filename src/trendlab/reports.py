@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, field_types
+from .errors import ConfigError, DataError, enforce_field_types, field_types
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -98,9 +98,7 @@ def report_to_json(report: ExperimentReport) -> str:
 
 
 def _read(value, kind):
-    if kind is float:
-        return math.nan if value is None else float(value)
-    return int(value) if kind is int else value
+    return math.nan if kind is float and value is None else value
 
 
 def report_from_json(text: str) -> ExperimentReport:
@@ -117,7 +115,11 @@ def report_from_json(text: str) -> ExperimentReport:
             ReportRow(**{n: _read(raw[n], t) for n, t in types.items() if n in raw})
             for raw in doc["rows"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        for row in rows:
+            enforce_field_types(row)
+    except ConfigError as exc:
+        raise DataError(f"report schema mismatch: {exc}") from None
+    except (KeyError, TypeError) as exc:
         raise DataError(f"report schema mismatch: {exc!r}") from None
     return ExperimentReport(rows=rows)
 

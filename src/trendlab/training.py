@@ -89,60 +89,29 @@ def rmse_gradient(predictions: np.ndarray, truths: np.ndarray) -> np.ndarray:
 
 
 def adam_step(
-    params: Mapping[str, np.ndarray],
-    grads: Mapping[str, np.ndarray],
-    m: dict[str, np.ndarray],
-    v: dict[str, np.ndarray],
-    t: int,
-    *,
-    learning_rate: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
+    params: NetworkParameters, grads: NetworkParameters, m: np.ndarray, v: np.ndarray, t: int, config: TrainConfig
 ) -> None:
-    """One bias-corrected Adam update, in place on `params`, `m`, and `v`.
+    """One bias-corrected Adam update of the whole parameter vector, in
+    place on `params.vector`, `m` and `v`:
 
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2;
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)
     """
     if t < 1:
         raise ConfigError(f"step index must be >= 1, got {t}")
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise DataError(f"gradient shape mismatch for {name}: {g.shape} vs {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient in block {name}")
-        m[name] = beta1 * m[name] + (1.0 - beta1) * g
-        v[name] = beta2 * v[name] + (1.0 - beta2) * (g * g)
-        p -= learning_rate * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + epsilon)
-
-
-class Adam:
-    """Stateful wrapper around `adam_step` for a fixed parameter dict."""
-
-    def __init__(self, params: dict[str, np.ndarray], config: TrainConfig):
-        self.params = params
-        self.config = config
-        self.m = {k: np.zeros_like(a) for k, a in params.items()}
-        self.v = {k: np.zeros_like(a) for k, a in params.items()}
-        self.t = 0
-
-    def step(self, grads: Mapping[str, np.ndarray]) -> None:
-        self.t += 1
-        adam_step(
-            self.params,
-            grads,
-            self.m,
-            self.v,
-            self.t,
-            learning_rate=self.config.learning_rate,
-            beta1=self.config.beta1,
-            beta2=self.config.beta2,
-            epsilon=self.config.epsilon,
-        )
+    g = grads.vector
+    if g.shape != params.vector.shape:
+        raise DataError(f"gradient size {g.size} != parameter size {params.vector.size}")
+    if not np.isfinite(g).all():
+        name = next(name for name, block in grads.param_items() if not np.isfinite(block).all())
+        raise DivergenceError(f"non-finite gradient in block {name}")
+    beta1, beta2 = config.beta1, config.beta2
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    step = config.learning_rate * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + config.epsilon)
+    params.vector -= step
 
 
 def model_shape(dataset: WindowedDataset, config: TrainConfig) -> ModelShape:
@@ -196,7 +165,8 @@ def train(
 
     started = timer()
     params = init_parameters(model_shape(dataset, config), config.seed, config.forget_bias)
-    optimizer = Adam(params.param_dict(), config)
+    m = np.zeros_like(params.vector)
+    v = np.zeros_like(params.vector)
     streams = train_split.streams
     labels = train_split.labels
 
@@ -209,7 +179,7 @@ def train(
                 raise DivergenceError("non-finite loss")
             epoch_rmse.append(cost)
             grads = backward_batch(cache, rmse_gradient(cache.predictions, labels))
-            optimizer.step(grads)
+            adam_step(params, grads, m, v, epoch + 1, config)
         except DivergenceError as exc:
             raise DivergenceError(f"diverged at epoch {epoch}: {exc}", epoch=epoch) from None
 
@@ -283,28 +253,28 @@ def gradient_check(
     cache = forward_batch(streams, params)
     analytic = backward_batch(cache, rmse_gradient(cache.predictions, labels))
     if corrupt_block is not None:
-        if corrupt_block not in analytic:
+        blocks = analytic.param_dict()
+        if corrupt_block not in blocks:
             raise ConfigError(f"unknown parameter block {corrupt_block!r}")
-        analytic[corrupt_block] = analytic[corrupt_block] + 1.0
+        blocks[corrupt_block] += 1.0
 
     def objective() -> float:
         return rmse(forward_batch(streams, params).predictions, labels)
 
+    numeric = params.zeros_like()
+    vector = params.vector
+    for j in range(vector.size):
+        original = vector[j]
+        vector[j] = original + step
+        up = objective()
+        vector[j] = original - step
+        down = objective()
+        vector[j] = original
+        numeric.vector[j] = (up - down) / (2.0 * step)
+
     block_errors: dict[str, float] = {}
-    for name, array in params.param_items():
-        numeric = np.empty_like(array)
-        it = np.nditer(array, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            original = array[idx]
-            array[idx] = original + step
-            up = objective()
-            array[idx] = original - step
-            down = objective()
-            array[idx] = original
-            numeric[idx] = (up - down) / (2.0 * step)
-        ga = analytic[name].ravel()
-        gn = numeric.ravel()
+    for (name, ga), (_, gn) in zip(analytic.param_items(), numeric.param_items()):
+        ga, gn = ga.ravel(), gn.ravel()
         denom = max(float(np.linalg.norm(ga)), float(np.linalg.norm(gn)), 1e-12)
         block_errors[name] = float(np.linalg.norm(ga - gn)) / denom
 

@@ -2,10 +2,11 @@
 
 These are written straight from the defining formulas with plain Python
 loops and lists, deliberately sharing no code with the library
-implementations they check. The one exception is the reference recurrent
-kernel at the end, which is numpy: it is the straightforward per-step,
-time-major formulation that the library's batch-last kernel replaced, kept
-to check that kernel after its arithmetic order changed.
+implementations they check. The exceptions are numpy: the per-block Adam
+step, and the reference recurrent kernel at the end, the straightforward
+per-step, time-major formulation that the library's batch-last kernel
+replaced. Each is the form the library used before, kept to check the
+library's form after its arithmetic changed.
 """
 
 from __future__ import annotations
@@ -81,6 +82,31 @@ def unrolled_adam(
         theta = theta - lr * m_hat / (math.sqrt(v_hat) + eps)
         out.append(theta)
     return out
+
+
+def reference_adam_step(
+    params: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
+    m: dict[str, np.ndarray],
+    v: dict[str, np.ndarray],
+    t: int,
+    *,
+    learning_rate: float,
+    beta1: float,
+    beta2: float,
+    epsilon: float,
+) -> None:
+    """One bias-corrected Adam step taken block by block, in place on the
+    arrays of `params` and on `m` and `v`, keyed by block name: the
+    per-block optimizer that the library's one-vector step replaced, kept to
+    check it bit for bit."""
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for name, p in params.items():
+        g = grads[name]
+        m[name] = beta1 * m[name] + (1.0 - beta1) * g
+        v[name] = beta2 * v[name] + (1.0 - beta2) * (g * g)
+        p -= learning_rate * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + epsilon)
 
 
 def scalar_sigmoid(x: float) -> float:

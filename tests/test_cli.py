@@ -316,6 +316,16 @@ def test_divergence_exits_3_before_writing(tmp_path, epochs, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_forget_gate_divergence_exits_3_before_writing(tmp_path, capsys):
+    config = _run_config(
+        tmp_path, train={**TINY, "learning_rate": 1e300}, experiments={"seeds": [0], "window_sizes": [4]}
+    )
+    with pytest.warns(RuntimeWarning):
+        assert main(["experiment", "forget-gate", "--config", str(config)]) == 3
+    assert capsys.readouterr().err.startswith("divergence: window size 4, seed 0: diverged at epoch 1: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [("--epochs", "-1", "epochs must be non-negative"), ("--lr", "0", "learning_rate must be positive"),

@@ -16,6 +16,7 @@ from trendlab.experiments import (
     MODELS,
     NO_SENTIMENT,
     ExperimentConfig,
+    ExperimentsSection,
     classify_regime,
     run_forget_gate_experiment,
     run_interval_experiment,
@@ -30,8 +31,11 @@ from trendlab.training import TrainConfig, train
 
 from oracles import pairwise_mean
 
-CONFIG = ExperimentConfig(train=TrainConfig(epochs=2, layers=1, hidden_size=3, window=4), seeds=(0, 1))
-PER_VARIANT = len(MODELS) * len(CONFIG.seeds)
+CONFIG = ExperimentConfig(
+    train=TrainConfig(epochs=2, layers=1, hidden_size=3, window=4), experiments=ExperimentsSection(seeds=(0, 1))
+)
+SEEDS = CONFIG.experiments.seeds
+PER_VARIANT = len(MODELS) * len(SEEDS)
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +51,7 @@ def daily_data():
 
 
 def _prepare(frame):
-    return prepare_dataset(frame, CONFIG.train.window, CONFIG.ratio, CONFIG.scale_fit)
+    return prepare_dataset(frame, CONFIG.train.window, scale_fit=CONFIG.scale_fit)
 
 
 def _assert_cells_match_direct_training(report, frames):
@@ -55,7 +59,7 @@ def _assert_cells_match_direct_training(report, frames):
     bit-equal to `train` on a fresh bundle, so a cell that mutated the bundle
     it shares with later cells fails here."""
     assert len(report.rows) == PER_VARIANT * len(frames)
-    cells = [(model, seed) for model in MODELS for seed in CONFIG.seeds]
+    cells = [(model, seed) for model in MODELS for seed in SEEDS]
     for k, row in enumerate(report.rows):
         assert (row.model, row.seed) == cells[k % PER_VARIANT]
         assert row.error == ""
@@ -70,7 +74,7 @@ def test_regime_cells_match_direct_training(regime_data):
     pieces = [series.between(*segment) for segment in segments]
     frames = [build_feature_frame(piece, CONFIG.indicators, sentiment) for piece in pieces]
     _assert_cells_match_direct_training(report, frames)
-    labels = [classify_regime(piece, CONFIG.regime_threshold).value for piece in pieces]
+    labels = [classify_regime(piece, CONFIG.experiments.regime_threshold).value for piece in pieces]
     assert [row.regime for row in report.rows] == [label for label in labels for _ in range(PER_VARIANT)]
 
 
@@ -171,10 +175,10 @@ def test_forget_gate_rows_match_direct_evaluation(regime_data):
     config = replace(CONFIG, train=replace(CONFIG.train, layers=2))
     windows = (3, 5)
     report = run_forget_gate_experiment(series, windows, config, sentiment)
-    assert [(row.window, row.seed) for row in report.rows] == [(w, s) for w in windows for s in config.seeds]
+    assert [(row.window, row.seed) for row in report.rows] == [(w, s) for w in windows for s in SEEDS]
     frame = build_feature_frame(series, config.indicators, sentiment)
     for row in report.rows:
-        dataset = prepare_dataset(frame, row.window, config.ratio, config.scale_fit).dataset
+        dataset = prepare_dataset(frame, row.window, scale_fit=config.scale_fit).dataset
         run = train(dataset, replace(config.train, cell=LSTM, seed=row.seed, window=row.window))
         cache = forward_batch(dataset.test.streams, run.parameters)
         n, steps, hidden = dataset.test.n_windows, row.window, config.train.hidden_size
@@ -184,3 +188,12 @@ def test_forget_gate_rows_match_direct_evaluation(regime_data):
         ]
         assert len(values) == n * 2 * steps * hidden
         assert row.mean_forget == pairwise_mean(values)
+
+
+def test_forget_gate_rejects_an_empty_test_split_before_training(monkeypatch, regime_data):
+    series, _, sentiment = regime_data
+    window = build_feature_frame(series, CONFIG.indicators, sentiment).n - 1  # one window, for training
+    trained = _count_calls(monkeypatch, "train")
+    with pytest.raises(DataError, match=f"^window size {window}: empty test split$"):
+        run_forget_gate_experiment(series, [window], CONFIG, sentiment)
+    assert trained == []

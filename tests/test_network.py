@@ -182,6 +182,38 @@ def test_param_items_are_views_of_the_stacked_layers():
     assert layer.U[7, 2] == 7.5
 
 
+@pytest.mark.parametrize(
+    "shape", [ModelShape(layers=2, hidden=3), ModelShape(cell="rnn", layers=2, hidden=3, d_s=None)], ids=["lstm", "rnn"]
+)
+def test_every_parameter_array_is_a_view_of_the_vector(shape):
+    params = init_parameters(shape, seed=1)
+    items = params.param_items()
+    assert all(np.shares_memory(array, params.vector) for _, array in items), "a block owns its memory"
+    assert sum(array.size for _, array in items) == params.vector.size
+    params.vector[...] = np.arange(params.vector.size)
+    covered = np.sort(np.concatenate([array.ravel() for _, array in items]))
+    np.testing.assert_array_equal(covered, np.arange(params.vector.size))  # each element once
+
+    # A model owns its vector: neither one built from the same parts nor a
+    # zero model shares memory with it.
+    rebuilt = NetworkParameters(params.cell, params.fusion, params.layers, params.head)
+    zeros = params.zeros_like()
+    for other in (rebuilt, zeros):
+        assert all(np.shares_memory(array, other.vector) for _, array in other.param_items())
+        assert not np.shares_memory(other.vector, params.vector)
+    np.testing.assert_array_equal(rebuilt.vector, params.vector)
+    assert not np.any(zeros.vector)
+
+
+def test_backward_returns_gradients_in_the_parameter_layout():
+    params = init_parameters(ModelShape(layers=2, hidden=3), seed=3)
+    cache = forward_batch(one_window(np.ones((3, 3)) * 0.2, np.ones((3, 3)) * 0.1, np.ones((3, 1)) * 0.6), params)
+    grads = backward_batch(cache, np.array([1.5]))
+    assert isinstance(grads, NetworkParameters) and grads.shape == params.shape
+    assert all(np.shares_memory(array, grads.vector) for _, array in grads.param_items())
+    assert not np.shares_memory(grads.vector, params.vector)
+
+
 # --- forward -----------------------------------------------------------------
 
 
@@ -280,7 +312,7 @@ def test_gate_bounds_and_memory_decomposition():
 def test_backward_zero_upstream_gives_zero_gradients():
     params = init_parameters(ModelShape(layers=2, hidden=4), seed=1)
     cache = forward_batch(one_window(np.ones((3, 3)) * 0.2, np.ones((3, 3)) * 0.1, np.ones((3, 1)) * 0.6), params)
-    grads = backward_batch(cache, np.zeros(1))
+    grads = backward_batch(cache, np.zeros(1)).param_dict()
     for name, g in grads.items():
         assert not np.any(g), name
 
@@ -288,7 +320,7 @@ def test_backward_zero_upstream_gives_zero_gradients():
 def test_backward_head_bias_gradient_is_upstream():
     params = init_parameters(ModelShape(layers=2, hidden=4), seed=2)
     cache = forward_batch(one_window(np.ones((3, 3)) * 0.2, np.ones((3, 3)) * 0.1, np.ones((3, 1)) * 0.6), params)
-    grads = backward_batch(cache, np.array([-2.5]))
+    grads = backward_batch(cache, np.array([-2.5])).param_dict()
     assert float(grads["head.b"]) == -2.5
 
 
@@ -314,7 +346,7 @@ def _finite_difference_check(shape: ModelShape, seed: int) -> None:
     )
     weights = rng.normal(size=2)
     cache = forward_batch(streams, params)
-    grads = backward_batch(cache, weights)
+    grads = backward_batch(cache, weights).param_dict()
     step = 1e-6
     for name, array in params.param_items():
         numeric = np.empty_like(array)
@@ -378,7 +410,7 @@ def test_kernel_matches_reference(case):
         for key, array in want.items():
             got = getattr(lc, key).transpose(0, 2, 1)
             np.testing.assert_allclose(got, array, rtol=0, atol=KERNEL_TOLERANCE, err_msg=key)
-    grads = backward_batch(cache, d_pred)
+    grads = backward_batch(cache, d_pred).param_dict()
     assert list(grads) == [name for name, _ in params.param_items()]
     for name, g in grads.items():
         np.testing.assert_allclose(g, want_grads[name], rtol=0, atol=KERNEL_TOLERANCE, err_msg=name)

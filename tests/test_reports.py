@@ -64,6 +64,20 @@ def test_report_from_json_requires_fields_without_defaults():
         report_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("seed", 1.7), ("seed", True), ("seed", "1"), ("train_rmse", "0.5"), ("test_rmse", True),
+     ("wall_ms", [1.0]), ("model", 5), ("error", None)],
+)
+def test_report_from_json_rejects_a_mistyped_field(key, value):
+    row = ReportRow("lstm", "weekly", "all", "full", 0, 0.1, 0.2, 3.0)
+    doc = json.loads(report_to_json(ExperimentReport(rows=(row,))))
+    assert report_from_json(json.dumps(doc)).rows == (row,)
+    doc["rows"][0][key] = value
+    with pytest.raises(DataError, match=f"^report schema mismatch: {key} must be "):
+        report_from_json(json.dumps(doc))
+
+
 def test_aggregate_csv_columns_follow_field_order():
     report = ExperimentReport(rows=(
         ReportRow("lstm", "weekly", "all", "full", 0, 0.25, 0.5, 1.0),

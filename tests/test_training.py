@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,20 +16,20 @@ from trendlab.network import ModelShape, backward_batch, forward_batch, init_par
 from trendlab import training
 from trendlab.synthetic import sine_series
 from trendlab.training import (
-    Adam,
     GradientCheckResult,
     TrainConfig,
     adam_step,
     evaluate,
     gradient_check,
     load_checkpoint,
+    model_shape,
     rmse,
     rmse_gradient,
     save_checkpoint,
     train,
 )
 
-from oracles import unrolled_adam
+from oracles import reference_adam_step, unrolled_adam
 
 SMALL_SHAPE = ModelShape(cell="lstm", d_a=3, d_f=3, d_s=1, d_i=2, layers=3, hidden=8)
 
@@ -97,44 +98,82 @@ def test_rmse_gradient_matches_finite_differences():
 # --- Adam ---------------------------------------------------------------------
 
 
+ADAM = TrainConfig(learning_rate=0.01)
+ADAM_SHAPE = ModelShape(d_a=1, d_f=1, d_s=None, d_i=1, layers=1, hidden=1)  # 22 parameters
+
+
+def _adam_state(params):
+    return np.zeros_like(params.vector), np.zeros_like(params.vector)
+
+
 def test_adam_zero_gradient_is_identity():
-    params = {"w": np.array([1.0, -2.0])}
-    m = {"w": np.zeros(2)}
-    v = {"w": np.zeros(2)}
+    params = init_parameters(ADAM_SHAPE, seed=0)
+    before = params.vector.copy()
+    m, v = _adam_state(params)
     for t in range(1, 5):
-        adam_step(params, {"w": np.zeros(2)}, m, v, t, learning_rate=0.01)
-    np.testing.assert_array_equal(params["w"], [1.0, -2.0])
+        adam_step(params, params.zeros_like(), m, v, t, ADAM)
+    np.testing.assert_array_equal(params.vector, before)
 
 
 def test_adam_first_step_is_signed_learning_rate():
-    for g in (3.7, -0.004):
-        params = {"w": np.array([0.0])}
-        adam_step(params, {"w": np.array([g])}, {"w": np.zeros(1)}, {"w": np.zeros(1)}, 1,
-                  learning_rate=0.01)
-        assert params["w"][0] == pytest.approx(-0.01 * np.sign(g), rel=1e-5)
+    params = init_parameters(ADAM_SHAPE, seed=0).zeros_like()
+    grads = params.zeros_like()
+    grads.vector[...] = np.resize([3.7, -0.004, 250.0, -0.5], grads.vector.size)
+    adam_step(params, grads, *_adam_state(params), 1, ADAM)
+    np.testing.assert_allclose(params.vector, -0.01 * np.sign(grads.vector), rtol=1e-5)
 
 
 def test_adam_three_step_recurrence_oracle():
     expected = unrolled_adam([1.0, 1.0, 1.0], lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
     # frozen from the oracle
     assert expected == [-0.009999999900000002, -0.019999999799999932, -0.02999999969999993]
-    params = {"w": np.array([0.0])}
-    m = {"w": np.zeros(1)}
-    v = {"w": np.zeros(1)}
+    params = init_parameters(ADAM_SHAPE, seed=0).zeros_like()
+    grads = params.zeros_like()
+    grads.vector[...] = 1.0
+    m, v = _adam_state(params)
     for t in range(1, 4):
-        adam_step(params, {"w": np.array([1.0])}, m, v, t, learning_rate=0.01)
-        assert abs(params["w"][0] - expected[t - 1]) < 1e-12
+        adam_step(params, grads, m, v, t, ADAM)
+        assert np.all(np.abs(params.vector - expected[t - 1]) < 1e-12)
 
 
 def test_adam_validation():
-    params = {"w": np.zeros(2)}
-    state = {"w": np.zeros(2)}
+    params = init_parameters(ADAM_SHAPE, seed=0)
     with pytest.raises(ConfigError):
-        adam_step(params, {"w": np.zeros(2)}, state, state, 0, learning_rate=0.01)
-    with pytest.raises(DataError, match="shape"):
-        adam_step(params, {"w": np.zeros(3)}, state, state, 1, learning_rate=0.01)
-    with pytest.raises(DivergenceError):
-        adam_step(params, {"w": np.array([np.nan, 0.0])}, state, state, 1, learning_rate=0.01)
+        adam_step(params, params.zeros_like(), *_adam_state(params), 0, ADAM)
+    wider = init_parameters(replace(ADAM_SHAPE, hidden=2), seed=0).zeros_like()
+    with pytest.raises(DataError, match="size"):
+        adam_step(params, wider, *_adam_state(params), 1, ADAM)
+    for block in ("layers.0.U_o", "head.b"):
+        grads = params.zeros_like()
+        grads.param_dict()[block].flat[0] = np.nan
+        with pytest.raises(DivergenceError, match=f"non-finite gradient in block {block}$"):
+            adam_step(params, grads, *_adam_state(params), 1, ADAM)
+
+
+@pytest.mark.parametrize("cell", ["lstm", "rnn"])
+def test_train_matches_per_block_adam_oracle(sine_bundle, cell):
+    """50 epochs of `train` against the library's forward and backward
+    passes driving the per-block Adam oracle: bit-identical parameters and
+    epoch losses."""
+    dataset = sine_bundle.dataset
+    config = TrainConfig(epochs=50, cell=cell, layers=2, hidden_size=5, seed=2)
+    run = train(dataset, config)
+
+    params = init_parameters(model_shape(dataset, config), config.seed, config.forget_bias)
+    weights = params.param_dict()
+    m = {name: np.zeros_like(a) for name, a in weights.items()}
+    v = {name: np.zeros_like(a) for name, a in weights.items()}
+    streams, labels = dataset.train.streams, dataset.train.labels
+    epoch_rmse = []
+    for t in range(1, config.epochs + 1):
+        cache = forward_batch(streams, params)
+        epoch_rmse.append(rmse(cache.predictions, labels))
+        grads = backward_batch(cache, rmse_gradient(cache.predictions, labels)).param_dict()
+        reference_adam_step(weights, grads, m, v, t, learning_rate=config.learning_rate,
+                            beta1=config.beta1, beta2=config.beta2, epsilon=config.epsilon)
+    assert run.epoch_rmse == tuple(epoch_rmse)
+    for (name, got), (_, want) in zip(run.parameters.param_items(), params.param_items()):
+        assert np.array_equal(got, want), name
 
 
 def test_train_config_validation():
@@ -191,7 +230,7 @@ def test_full_batch_gradient_is_order_invariant(sine_bundle):
     )
     labels = dataset.labels
     cache = forward_batch(dataset.streams, params)
-    grads = backward_batch(cache, rmse_gradient(cache.predictions, labels))
+    grads = backward_batch(cache, rmse_gradient(cache.predictions, labels)).param_dict()
 
     order = np.random.default_rng(1).permutation(dataset.n_windows)
     shuffled = (
@@ -200,7 +239,7 @@ def test_full_batch_gradient_is_order_invariant(sine_bundle):
         dataset.sentiment[order],
     )
     cache_p = forward_batch(shuffled, params)
-    grads_p = backward_batch(cache_p, rmse_gradient(cache_p.predictions, labels[order]))
+    grads_p = backward_batch(cache_p, rmse_gradient(cache_p.predictions, labels[order])).param_dict()
     for name, g in grads.items():
         np.testing.assert_allclose(grads_p[name], g, rtol=1e-9, atol=1e-12, err_msg=name)
 
@@ -233,7 +272,7 @@ def test_divergence_in_optimizer_step_reports_epoch(sine_bundle, monkeypatch):
         grads = backward_batch(cache, d_predictions)
         calls.append(None)
         if len(calls) == 3:
-            grads["head.b"] = np.asarray(np.nan)
+            grads.head.b[...] = np.nan
         return grads
 
     monkeypatch.setattr(training, "backward_batch", poisoned)
