@@ -12,9 +12,9 @@ from .errors import (
 )
 from .experiments import (
     PAPER_SEGMENTS,
-    ExperimentConfig,
     ExperimentsSection,
     RegimeLabel,
+    RunConfig,
     classify_regime,
     run_forget_gate_experiment,
     run_interval_experiment,
@@ -45,6 +45,7 @@ from .market_data import (
     make_windows,
     normalize,
     parse_price_csv,
+    parse_sentiment_csv,
     resample_weekly,
 )
 from .network import (

@@ -1,10 +1,11 @@
 """Command-line entry point: feature building, training, prediction, and
-the experiment suite, driven by a JSON config file.
+the experiment suite, driven by a JSON run config (`experiments.RunConfig`).
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
 divergence. Every command validates its full configuration and inputs
 before writing anything; all outputs land under the configured output
-directory.
+directory. A command reads each input file once, and a command that built
+a frame on the neutral sentiment fill says so after writing its outputs.
 """
 
 from __future__ import annotations
@@ -16,15 +17,15 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, is_dataclass, replace
+from dataclasses import is_dataclass, replace
 from datetime import date
 from pathlib import Path
 from typing import Callable
 
-from .errors import ConfigError, DataError, DivergenceError, TrendlabError, enforce_field_types, field_types
+from .errors import ConfigError, DataError, DivergenceError, TrendlabError, field_types
 from .experiments import (
-    ExperimentConfig,
-    ExperimentsSection,
+    RunConfig,
+    require_sentiment_stream,
     run_forget_gate_experiment,
     run_interval_experiment,
     run_regime_experiment,
@@ -39,8 +40,7 @@ from .features import (
     parse_feature_csv,
     prepare_dataset,
 )
-from .indicators import IndicatorConfig
-from .market_data import DAILY, WEEKLY, denormalize, parse_price_csv, resample_weekly
+from .market_data import DAILY, WEEKLY, PriceSeries, denormalize, parse_price_csv, parse_sentiment_csv, resample_weekly
 from .network import forward_batch
 from .reports import (
     ExperimentReport,
@@ -51,43 +51,13 @@ from .reports import (
     report_to_json,
     summary_table,
 )
-from .training import TrainConfig, load_checkpoint, save_checkpoint, train
+from .training import load_checkpoint, save_checkpoint, train
 
 CLOCK_ENV = "TRENDLAB_CLOCK"
 
 EXPERIMENT_NAMES = ("interval", "regime", "sentiment", "forget-gate", "all")
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A run config file: one field per key, in the order `config.json`
-    echoes them, each with the value a missing key takes."""
-
-    price_csv: Path | None = None
-    sentiment_csv: Path | None = None
-    feature_csv: Path | None = None
-    checkpoint: Path | None = None
-    symbol: str = "series"
-    interval: str = WEEKLY
-    price_interval: str = DAILY
-    use_sentiment: bool = True
-    scale_fit: str = "train"
-    output_dir: Path = Path("out")
-    indicators: IndicatorConfig = IndicatorConfig()
-    train: TrainConfig = TrainConfig()
-    experiments: ExperimentsSection = ExperimentsSection()
-
-    def __post_init__(self):
-        enforce_field_types(self)
-        for name in ("interval", "price_interval"):
-            value = getattr(self, name)
-            if value not in (DAILY, WEEKLY):
-                raise ConfigError(f"{name} must be 'daily' or 'weekly', got {value!r}")
-        if self.scale_fit not in ("train", "full"):
-            raise ConfigError(f"scale_fit must be 'train' or 'full', got {self.scale_fit!r}")
-
-    def echo(self) -> str:
-        return json.dumps(asdict(self), indent=1, default=str) + "\n"
+NEUTRAL_FILL_WARNING = "warning: no sentiment_csv configured; the sentiment stream is the neutral fill 0.5"
 
 
 def _parse_segments(raw) -> tuple[tuple[date, date], ...]:
@@ -148,62 +118,48 @@ def _timer() -> Callable[[], float]:
     return time.perf_counter
 
 
-def _load_sentiment(path: Path) -> dict[date, float]:
-    reader = csv.reader(io.StringIO(path.read_text()))
+def _load_sentiment(cfg: RunConfig) -> dict[date, float] | None:
+    """Sentiment scores by date from `sentiment_csv`; None when it is not
+    set, which gives frames the neutral fill."""
+    if cfg.sentiment_csv is None:
+        return None
+    path = _require_file(cfg.sentiment_csv, "sentiment_csv")
     try:
-        header = tuple(h.strip() for h in next(reader))
-    except StopIteration:
-        raise DataError(f"{path}: empty sentiment file") from None
-    if header != ("Date", "Sentiment"):
-        raise DataError(f"{path}: sentiment header must be 'Date,Sentiment', got {header!r}")
-    scores: dict[date, float] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        try:
-            when = date.fromisoformat(row[0].strip())
-            value = float(row[1])
-        except (IndexError, ValueError) as exc:
-            raise DataError(f"{path} line {lineno}: malformed row: {exc}") from None
-        if not 0.0 <= value <= 1.0:
-            raise DataError(f"{path} line {lineno}: sentiment {value} outside [0, 1]")
-        if when in scores:
-            raise DataError(f"{path} line {lineno}: duplicate date {when}")
-        scores[when] = value
-    if not scores:
-        raise DataError(f"{path}: no sentiment rows")
-    return scores
+        return parse_sentiment_csv(path.read_text())
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
-def _load_series(cfg: RunConfig, interval: str):
+def _load_prices(cfg: RunConfig) -> PriceSeries:
     path = _require_file(cfg.price_csv, "price_csv")
-    series = parse_price_csv(path.read_text(), symbol=cfg.symbol, interval=cfg.price_interval)
-    if cfg.price_interval == interval:
+    return parse_price_csv(path.read_text(), symbol=cfg.symbol, interval=cfg.price_interval)
+
+
+def _at_interval(series: PriceSeries, interval: str) -> PriceSeries:
+    if series.interval == interval:
         return series
-    if cfg.price_interval == DAILY and interval == WEEKLY:
+    if interval == WEEKLY:
         return resample_weekly(series)
     raise ConfigError("cannot derive daily data from a weekly price_csv")
 
 
-def _resolve_frame(cfg: RunConfig) -> tuple[FeatureFrame, bool]:
-    """Build or load the raw feature frame; returns (frame, used_neutral)."""
+def _resolve_frame(cfg: RunConfig, inputs: tuple[PriceSeries, dict | None] | None = None) -> FeatureFrame:
+    """The raw feature frame: the feature CSV when one is configured, else
+    built from the price series at the pipeline interval and the sentiment
+    scores, either `inputs` or read here. Drops the sentiment stream when
+    `use_sentiment` is false."""
     if cfg.feature_csv is not None:
         frame = parse_feature_csv(_require_file(cfg.feature_csv, "feature_csv").read_text())
-        if not cfg.use_sentiment:
-            frame = frame.without_sentiment()
-        return frame, False
-    series = _load_series(cfg, cfg.interval)
-    sentiment = None
-    used_neutral = False
-    if cfg.sentiment_csv is not None:
-        sentiment = _load_sentiment(_require_file(cfg.sentiment_csv, "sentiment_csv"))
     else:
-        used_neutral = True
-    frame = build_feature_frame(series, cfg.indicators, sentiment)
-    if not cfg.use_sentiment:
-        frame = frame.without_sentiment()
-        used_neutral = False
-    return frame, used_neutral
+        series, sentiment = inputs or (_at_interval(_load_prices(cfg), cfg.interval), _load_sentiment(cfg))
+        frame = build_feature_frame(series, cfg.indicators, sentiment)
+    return frame if cfg.use_sentiment else frame.without_sentiment()
+
+
+def _warn_if_neutral_fill(cfg: RunConfig, built: bool) -> None:
+    """Warn when a sentiment stream was `built` from the price series alone."""
+    if built and cfg.use_sentiment and cfg.sentiment_csv is None:
+        print(NEUTRAL_FILL_WARNING, file=sys.stderr)
 
 
 def _prepare_out(cfg: RunConfig) -> Path:
@@ -213,18 +169,13 @@ def _prepare_out(cfg: RunConfig) -> Path:
 
 
 def cmd_features(cfg: RunConfig) -> int:
-    frame, used_neutral = _resolve_frame(cfg)
+    frame = _resolve_frame(cfg)
     if frame.sentiment is None:
         raise ConfigError("cannot write a feature CSV with --no-sentiment")
     text = feature_frame_to_csv(frame)
     out = _prepare_out(cfg)
     (out / "features.csv").write_text(text)
-    if used_neutral:
-        print(
-            "warning: no sentiment source configured; filled the Sentiment "
-            "column with the neutral 0.5",
-            file=sys.stderr,
-        )
+    _warn_if_neutral_fill(cfg, cfg.feature_csv is None)
     if cfg.feature_csv is None:
         trimmed = cfg.indicators.warmup + 1
         print(f"wrote {out / 'features.csv'}: {frame.n} rows ({trimmed} warm-up rows trimmed)")
@@ -234,7 +185,7 @@ def cmd_features(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    frame, used_neutral = _resolve_frame(cfg)
+    frame = _resolve_frame(cfg)
     bundle = prepare_dataset(frame, cfg.train.window, scale_fit=cfg.scale_fit)
     timer = _timer()
     run = train(bundle.dataset, cfg.train, timer=timer)
@@ -265,8 +216,7 @@ def cmd_train(cfg: RunConfig) -> int:
         "wall_seconds": run.wall_seconds,
     }
     (out / "metrics.json").write_text(json.dumps(metrics, indent=1) + "\n")
-    if used_neutral:
-        print("warning: trained with the neutral sentiment fill", file=sys.stderr)
+    _warn_if_neutral_fill(cfg, cfg.feature_csv is None)
     test_part = "n/a" if run.test_rmse is None else f"{run.test_rmse:.6f}"
     print(f"train RMSE {run.train_rmse:.6f}, test RMSE {test_part} (normalized units)")
     return 0
@@ -275,7 +225,7 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_predict(cfg: RunConfig) -> int:
     text = _require_file(cfg.checkpoint, "checkpoint").read_text()
     checkpoint = load_checkpoint(text)
-    frame, _ = _resolve_frame(cfg)
+    frame = _resolve_frame(cfg)
 
     use_sentiment = checkpoint.params.fusion.has_sentiment
     actual = frame_columns(frame if use_sentiment else frame.without_sentiment())
@@ -298,45 +248,35 @@ def cmd_predict(cfg: RunConfig) -> int:
         when = frame.dates[end_row].isoformat() if frame.dates is not None else ""
         writer.writerow((end_row, when, repr(float(cache.predictions[k])), repr(float(prices[k]))))
     (out / "predictions.csv").write_text(pred.getvalue())
+    _warn_if_neutral_fill(cfg, cfg.feature_csv is None and use_sentiment)
     print(f"wrote {out / 'predictions.csv'}: {cache.predictions.shape[0]} predictions")
     return 0
 
 
 def cmd_experiment(cfg: RunConfig, which: str) -> int:
     wanted = EXPERIMENT_NAMES[:-1] if which == "all" else (which,)
-    exp_config = ExperimentConfig(
-        train=cfg.train, indicators=cfg.indicators, experiments=cfg.experiments, scale_fit=cfg.scale_fit
-    )
+    if "sentiment" in wanted:
+        require_sentiment_stream(cfg)
     timer = _timer()
 
-    sentiment = None
-    if cfg.sentiment_csv is not None:
-        sentiment = _load_sentiment(_require_file(cfg.sentiment_csv, "sentiment_csv"))
+    # Every experiment but a sentiment ablation on a feature CSV builds its
+    # frames from the price series; the interval experiment resamples it itself.
+    prices = series = sentiment = None
+    if wanted != ("sentiment",) or cfg.feature_csv is None:
+        prices, sentiment = _load_prices(cfg), _load_sentiment(cfg)
+        series = prices if wanted == ("interval",) else _at_interval(prices, cfg.interval)
 
     reports: dict[str, ExperimentReport] = {}
     forget = None
     if "interval" in wanted:
-        daily = _load_series(cfg, DAILY)
-        reports["interval"] = run_interval_experiment(daily, exp_config, sentiment, timer=timer)
+        reports["interval"] = run_interval_experiment(_at_interval(prices, DAILY), cfg, sentiment, timer=timer)
     if "regime" in wanted:
-        series = _load_series(cfg, cfg.interval)
-        reports["regime"] = run_regime_experiment(
-            series, cfg.experiments.segments, exp_config, sentiment, timer=timer
-        )
+        reports["regime"] = run_regime_experiment(series, cfg, sentiment, timer=timer)
     if "sentiment" in wanted:
-        frame, used_neutral = _resolve_frame(cfg)
-        if used_neutral:
-            print(
-                "warning: sentiment ablation running on the neutral fill; "
-                "provide sentiment_csv for a meaningful comparison",
-                file=sys.stderr,
-            )
-        reports["sentiment"] = run_sentiment_ablation(frame, exp_config, interval=cfg.interval, timer=timer)
+        frame = _resolve_frame(cfg, (series, sentiment))
+        reports["sentiment"] = run_sentiment_ablation(frame, cfg, timer=timer)
     if "forget-gate" in wanted:
-        series = _load_series(cfg, cfg.interval)
-        forget = run_forget_gate_experiment(
-            series, cfg.experiments.window_sizes, exp_config, sentiment, timer=timer
-        )
+        forget = run_forget_gate_experiment(series, cfg, sentiment, timer=timer)
 
     out = _prepare_out(cfg)
     failed = False
@@ -354,8 +294,8 @@ def cmd_experiment(cfg: RunConfig, which: str) -> int:
             print(f"window {row.window:>3}  seed {row.seed}  mean forget {row.mean_forget:.4f}")
     if failed:
         print("error: an experiment failed in every cell", file=sys.stderr)
-        return 2
-    return 0
+    _warn_if_neutral_fill(cfg, prices is not None)
+    return 2 if failed else 0
 
 
 class _UsageError(Exception):

@@ -1,24 +1,26 @@
-"""Market-regime segmentation and the experiment runners: interval
-comparison, regime comparison, sentiment ablation, and forget-gate
+"""The run config, market-regime segmentation, and the experiment runners:
+interval comparison, regime comparison, sentiment ablation, and forget-gate
 analysis.
 
-Every runner is a pure function of (data, config, seed set): identical
-inputs produce identical reports, and cell failures become explicit error
-rows. A grid prepares each data variant (interval, segment, or feature set)
-once and shares that read-only bundle across the variant's (model, seed)
-cells. The cells run serially: each one issues thousands of
-microsecond-scale numpy calls that drop and retake the GIL, so threads
-would spend their time handing it back and forth and run the grid slower
-than one thread does.
+Every runner is a pure function of (data, `RunConfig`) and reads every
+setting from the config: identical inputs produce identical reports, and
+cell failures become explicit error rows. A grid prepares each data variant
+(interval, segment, or feature set) once and shares that read-only bundle
+across the variant's (model, seed) cells. The cells run serially: each one
+issues thousands of microsecond-scale numpy calls that drop and retake the
+GIL, so threads would spend their time handing it back and forth and run the
+grid slower than one thread does.
 """
 
 from __future__ import annotations
 
+import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import date
 from enum import Enum
 from functools import partial
+from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -66,16 +68,52 @@ class ExperimentsSection:
         enforce_field_types(self)
         if not self.seeds:
             raise ConfigError("experiments.seeds must be non-empty")
+        if not self.window_sizes:
+            raise ConfigError("experiments.window_sizes must be non-empty")
         if any(w < 1 for w in self.window_sizes):
             raise ConfigError("experiments.window_sizes must be positive")
+        if not self.segments:
+            raise ConfigError("experiments.segments must be non-empty")
+        spans = [(end - start).days for start, end in self.segments]
+        if min(spans) <= 0:
+            raise ConfigError("experiments.segments: each segment's end must follow its start")
+        if max(spans) - min(spans) > SEGMENT_LENGTH_TOLERANCE_DAYS:
+            raise ConfigError(
+                f"experiments.segments must cover equal periods (within {SEGMENT_LENGTH_TOLERANCE_DAYS} days); "
+                f"got spans of {sorted(set(spans))} days"
+            )
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    train: TrainConfig = TrainConfig()
-    indicators: IndicatorConfig = IndicatorConfig()
-    experiments: ExperimentsSection = ExperimentsSection()
+class RunConfig:
+    """A run config file: one field per key, in the order `config.json`
+    echoes them, each with the value a missing key takes."""
+
+    price_csv: Path | None = None
+    sentiment_csv: Path | None = None
+    feature_csv: Path | None = None
+    checkpoint: Path | None = None
+    symbol: str = "series"
+    interval: str = WEEKLY
+    price_interval: str = DAILY
+    use_sentiment: bool = True
     scale_fit: str = "train"
+    output_dir: Path = Path("out")
+    indicators: IndicatorConfig = IndicatorConfig()
+    train: TrainConfig = TrainConfig()
+    experiments: ExperimentsSection = ExperimentsSection()
+
+    def __post_init__(self):
+        enforce_field_types(self)
+        for name in ("interval", "price_interval"):
+            value = getattr(self, name)
+            if value not in (DAILY, WEEKLY):
+                raise ConfigError(f"{name} must be 'daily' or 'weekly', got {value!r}")
+        if self.scale_fit not in ("train", "full"):
+            raise ConfigError(f"scale_fit must be 'train' or 'full', got {self.scale_fit!r}")
+
+    def echo(self) -> str:
+        return json.dumps(asdict(self), indent=1, default=str) + "\n"
 
 
 def classify_regime(segment: PriceSeries, threshold: float = 0.15) -> RegimeLabel:
@@ -119,7 +157,7 @@ def _error_text(exc: Exception) -> str:
 def _cell(
     prepared: DatasetBundle | str,
     row: ReportRow,
-    config: ExperimentConfig,
+    config: RunConfig,
     timer: Callable[[], float],
 ) -> ReportRow:
     """Train one (model, seed) cell on its variant's shared bundle.
@@ -133,23 +171,23 @@ def _cell(
     except (TrendlabError, ValueError) as exc:
         return replace(row, error=_error_text(exc))
     wall_ms = (timer() - started) * 1000.0
-    if run.test_rmse is None:
-        return replace(row, error="experiment dataset produced an empty test split")
     return replace(row, train_rmse=run.train_rmse, test_rmse=run.test_rmse, wall_ms=wall_ms)
 
 
 def _run_grid(
     variants: Sequence[_Variant],
-    config: ExperimentConfig,
+    config: RunConfig,
     timer: Callable[[], float],
 ) -> ExperimentReport:
     """One row per (variant, model, seed), in that order. Each variant is
     prepared once, before the cells; `train` only reads the bundle, so its
-    cells share it."""
+    cells share it. A variant without test windows trains no cell."""
     tasks = []
     for interval, regime, features, make_frame in variants:
         try:
             prepared = prepare_dataset(make_frame(), config.train.window, scale_fit=config.scale_fit)
+            if prepared.dataset.test.n_windows == 0:
+                raise DataError("experiment dataset produced an empty test split")
         except (TrendlabError, ValueError) as exc:
             prepared = _error_text(exc)
         for model in MODELS:
@@ -162,9 +200,23 @@ def _run_grid(
     return ExperimentReport(rows=tuple(_run_cells(tasks)))
 
 
+def _series_frame(series: PriceSeries, config: RunConfig, sentiment: Mapping[date, float] | None) -> FeatureFrame:
+    """The feature frame of `series` (the neutral fill when `sentiment` is
+    None), without its sentiment stream when the config drops it."""
+    frame = build_feature_frame(series, config.indicators, sentiment)
+    return frame if config.use_sentiment else frame.without_sentiment()
+
+
+def _series_variant(
+    series: PriceSeries, regime: str, config: RunConfig, sentiment: Mapping[date, float] | None
+) -> _Variant:
+    features = FULL_FEATURES if config.use_sentiment else NO_SENTIMENT
+    return series.interval, regime, features, partial(_series_frame, series, config, sentiment)
+
+
 def run_interval_experiment(
     daily: PriceSeries,
-    config: ExperimentConfig,
+    config: RunConfig,
     sentiment: Mapping[date, float] | None = None,
     timer: Callable[[], float] = time.perf_counter,
 ) -> ExperimentReport:
@@ -173,78 +225,65 @@ def run_interval_experiment(
     """
     if daily.interval != DAILY:
         raise DataError("interval experiment needs a daily input series")
-    variants = [
-        (interval, ALL_REGIMES, FULL_FEATURES, partial(build_feature_frame, series, config.indicators, sentiment))
-        for interval, series in ((DAILY, daily), (WEEKLY, resample_weekly(daily)))
-    ]
+    variants = [_series_variant(series, ALL_REGIMES, config, sentiment) for series in (daily, resample_weekly(daily))]
     return _run_grid(variants, config, timer)
 
 
 def run_regime_experiment(
     series: PriceSeries,
-    segments: Sequence[tuple[date, date]],
-    config: ExperimentConfig,
+    config: RunConfig,
     sentiment: Mapping[date, float] | None = None,
     timer: Callable[[], float] = time.perf_counter,
 ) -> ExperimentReport:
-    """Classify each equal-length segment and train/evaluate both models on
+    """Classify each configured segment and train/evaluate both models on
     it; one row per (segment, model, seed).
     """
-    if not segments:
-        raise DataError("no segments given")
-    durations = [(end - start).days for start, end in segments]
-    if any(d <= 0 for d in durations):
-        raise DataError("segment end must follow its start")
-    if max(durations) - min(durations) > SEGMENT_LENGTH_TOLERANCE_DAYS:
-        raise DataError(
-            f"segments must cover equal periods (within {SEGMENT_LENGTH_TOLERANCE_DAYS} days); "
-            f"got spans of {sorted(set(durations))} days"
-        )
-
     variants = []
-    for start, end in segments:
+    for start, end in config.experiments.segments:
         segment = series.between(start, end)
         label = classify_regime(segment, config.experiments.regime_threshold)
-        frame = partial(build_feature_frame, segment, config.indicators, sentiment)
-        variants.append((series.interval, label.value, FULL_FEATURES, frame))
+        variants.append(_series_variant(segment, label.value, config, sentiment))
     return _run_grid(variants, config, timer)
+
+
+def require_sentiment_stream(config: RunConfig) -> None:
+    """The sentiment ablation cannot run on a config that drops the stream."""
+    if not config.use_sentiment:
+        raise ConfigError("the sentiment experiment needs use_sentiment true")
 
 
 def run_sentiment_ablation(
     frame: FeatureFrame,
-    config: ExperimentConfig,
-    interval: str = WEEKLY,
+    config: RunConfig,
     timer: Callable[[], float] = time.perf_counter,
 ) -> ExperimentReport:
     """Train both models with and without the sentiment stream; the ablated
     variant simply omits the stream (input width 2*d_I instead of 3*d_I).
+    Rows carry the config's interval.
     """
+    require_sentiment_stream(config)
     if frame.sentiment is None:
         raise DataError("missing sentiment column in the full variant")
     ablated = frame.without_sentiment()
     variants = [
-        (interval, ALL_REGIMES, FULL_FEATURES, lambda: frame),
-        (interval, ALL_REGIMES, NO_SENTIMENT, lambda: ablated),
+        (config.interval, ALL_REGIMES, FULL_FEATURES, lambda: frame),
+        (config.interval, ALL_REGIMES, NO_SENTIMENT, lambda: ablated),
     ]
     return _run_grid(variants, config, timer)
 
 
 def run_forget_gate_experiment(
     series: PriceSeries,
-    window_sizes: Sequence[int],
-    config: ExperimentConfig,
+    config: RunConfig,
     sentiment: Mapping[date, float] | None = None,
     timer: Callable[[], float] = time.perf_counter,
 ) -> ForgetGateReport:
-    """Train one memory-cell model per window size and report the mean
-    forget-gate activation over the test windows.
+    """Train one memory-cell model per configured window size and report
+    the mean forget-gate activation over the test windows.
     """
-    if not window_sizes:
-        raise DataError("no window sizes given")
-    frame = build_feature_frame(series, config.indicators, sentiment)
-
+    frame = _series_frame(series, config, sentiment)
     rows = []
-    for window in window_sizes:
+    for window in config.experiments.window_sizes:
         bundle = prepare_dataset(frame, window, scale_fit=config.scale_fit)
         test = bundle.dataset.test
         if test.n_windows == 0:

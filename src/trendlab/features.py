@@ -24,6 +24,7 @@ from .market_data import (
     compute_tdd,
     make_windows,
     normalize,
+    read_csv,
     train_window_count,
 )
 
@@ -164,27 +165,13 @@ def parse_feature_csv(text: str) -> FeatureFrame:
     Company-style frames carry no per-row price column, so the first row is
     dropped and prices are recovered from the shifted Answer column.
     """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = tuple(h.strip() for h in next(reader))
-    except StopIteration:
-        raise DataError("empty file: missing header") from None
-
     index_header = INDEX_FUNDAMENTALS + TECHNICALS + (SENTIMENT_COLUMN, ANSWER_COLUMN)
     company_header = COMPANY_FUNDAMENTALS + TECHNICALS + (SENTIMENT_COLUMN, ANSWER_COLUMN)
-    if header == index_header:
-        fundamental_names = INDEX_FUNDAMENTALS
-    elif header == company_header:
-        fundamental_names = COMPANY_FUNDAMENTALS
-    else:
-        raise DataError(f"unexpected feature header {header!r}")
+    header, rows = read_csv(text, index_header, company_header)
+    fundamental_names = INDEX_FUNDAMENTALS if header == index_header else COMPANY_FUNDAMENTALS
 
     values: list[list[float]] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(header):
-            raise DataError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+    for lineno, row in rows:
         try:
             parsed = [float(v) for v in row]
         except ValueError as exc:
@@ -266,7 +253,6 @@ def _apply_scales(block: np.ndarray, scales: list[NormalizationScale | None]) ->
 def prepare_dataset(
     frame: FeatureFrame,
     window: int,
-    ratio: tuple[int, int] = (15, 1),
     scale_fit: str = "train",
 ) -> DatasetBundle:
     """Normalize a raw frame and slide it into train/test windows.
@@ -283,7 +269,7 @@ def prepare_dataset(
     if count < 1:
         raise DataError(f"insufficient rows: {n} rows for window {window}")
     if scale_fit == "train":
-        span_end = (train_window_count(count, ratio) - 1) + window
+        span_end = (train_window_count(count) - 1) + window
     else:
         span_end = n - 1
     fit = slice(0, span_end + 1)
@@ -296,7 +282,7 @@ def prepare_dataset(
     technical = _apply_scales(frame.technical, tech_scales)
     labels = normalize(frame.prices, price_scale)
 
-    dataset = make_windows(fundamental, technical, frame.sentiment, labels, window, ratio)
+    dataset = make_windows(fundamental, technical, frame.sentiment, labels, window)
 
     column_scales: dict[str, NormalizationScale | None] = {}
     for name, scale in zip(frame.fundamental_names, fund_scales):

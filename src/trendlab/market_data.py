@@ -1,4 +1,5 @@
-"""Price series ingestion, weekly resampling, normalization, and windowed datasets.
+"""Price and sentiment CSV ingestion, weekly resampling, normalization, and
+windowed datasets. `read_csv` holds the header and row-width rule of every CSV reader.
 
 All functions here are pure: they validate their inputs, never mutate them,
 and are safe to call concurrently.
@@ -11,6 +12,7 @@ import io
 import math
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
+from typing import Iterator
 
 import numpy as np
 
@@ -22,6 +24,10 @@ INTERVALS = (DAILY, WEEKLY)
 
 # Yahoo Finance export schema; the only accepted price CSV header.
 PRICE_CSV_HEADER = ("Date", "Open", "High", "Low", "Close", "Adj Close", "Volume")
+SENTIMENT_CSV_HEADER = ("Date", "Sentiment")
+
+# Windows are split a:b between training and test, in time order.
+TRAIN_TEST_RATIO = (15, 1)
 
 
 @dataclass(frozen=True)
@@ -85,29 +91,39 @@ class PriceSeries:
         return PriceSeries(self.symbol, self.interval, picked)
 
 
+def read_csv(text: str, *headers: tuple[str, ...]) -> tuple[tuple[str, ...], Iterator[tuple[int, list[str]]]]:
+    """The header of CSV `text`, which must be one of `headers`, and an
+    iterator over its non-blank rows with their line numbers, each checked to
+    hold as many fields as the header. A UTF-8 byte-order mark before the
+    header and blanks around the header names are ignored."""
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
+    try:
+        header = tuple(h.strip() for h in next(reader))
+    except StopIteration:
+        raise DataError("empty file: missing header") from None
+    if header not in headers:
+        expected = " or ".join(repr(",".join(h)) for h in headers)
+        raise DataError(f"unexpected header {header!r}; expected {expected}")
+    return header, _checked_rows(reader, len(header))
+
+
+def _checked_rows(reader, width: int) -> Iterator[tuple[int, list[str]]]:
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != width:
+            raise DataError(f"line {lineno}: expected {width} fields, got {len(row)}")
+        yield lineno, row
+
+
 def parse_price_csv(text: str, symbol: str = "series", interval: str = DAILY) -> PriceSeries:
     """Parse a `Date,Open,High,Low,Close,Adj Close,Volume` CSV into a PriceSeries.
 
     Dates must be ISO-8601 and strictly ascending. Any malformed row is
     reported with its line number.
     """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("empty file: missing header") from None
-    cleaned = tuple(h.strip().lstrip("﻿") for h in header)
-    if cleaned != PRICE_CSV_HEADER:
-        raise DataError(
-            f"unexpected header {cleaned!r}; expected {','.join(PRICE_CSV_HEADER)!r}"
-        )
-
     bars: list[PriceBar] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(PRICE_CSV_HEADER):
-            raise DataError(f"line {lineno}: expected {len(PRICE_CSV_HEADER)} fields, got {len(row)}")
+    for lineno, row in read_csv(text, PRICE_CSV_HEADER)[1]:
         try:
             when = date.fromisoformat(row[0].strip())
             o, h, l, c, adj = (float(row[k]) for k in range(1, 6))
@@ -118,13 +134,27 @@ def parse_price_csv(text: str, symbol: str = "series", interval: str = DAILY) ->
             bars.append(PriceBar(when, o, h, l, c, adj, vol))
         except DataError as exc:
             raise DataError(f"line {lineno}: {exc}") from None
-
-    if not bars:
-        raise DataError("empty series")
-    for prev, cur in zip(bars, bars[1:]):
-        if cur.date <= prev.date:
-            raise DataError(f"dates not ascending at {cur.date} (after {prev.date})")
     return PriceSeries(symbol, interval, tuple(bars))
+
+
+def parse_sentiment_csv(text: str) -> dict[date, float]:
+    """Parse a `Date,Sentiment` CSV into scores in [0, 1] by date; any
+    malformed row is reported with its line number."""
+    scores: dict[date, float] = {}
+    for lineno, row in read_csv(text, SENTIMENT_CSV_HEADER)[1]:
+        try:
+            when = date.fromisoformat(row[0].strip())
+            value = float(row[1])
+        except ValueError as exc:
+            raise DataError(f"line {lineno}: malformed row: {exc}") from None
+        if not 0.0 <= value <= 1.0:
+            raise DataError(f"line {lineno}: sentiment {value} outside [0, 1]")
+        if when in scores:
+            raise DataError(f"line {lineno}: duplicate date {when}")
+        scores[when] = value
+    if not scores:
+        raise DataError("no sentiment rows")
+    return scores
 
 
 def _monday_of(day: date) -> date:
@@ -281,10 +311,10 @@ class WindowedDataset:
         return self._sliced(self.split_index, self.n_windows, 0)
 
 
-def train_window_count(count: int, ratio: tuple[int, int]) -> int:
-    a, b = ratio
-    if a <= 0 or b <= 0:
-        raise DataError(f"invalid split ratio {ratio}")
+def train_window_count(count: int) -> int:
+    """How many of `count` windows form the training split:
+    ceil(count * a / (a+b)) for TRAIN_TEST_RATIO a:b."""
+    a, b = TRAIN_TEST_RATIO
     return (count * a + (a + b) - 1) // (a + b)
 
 
@@ -301,15 +331,14 @@ def make_windows(
     sentiment: np.ndarray | None,
     labels: np.ndarray,
     window: int,
-    ratio: tuple[int, int] = (15, 1),
 ) -> WindowedDataset:
     """Slide a length-`window` step-1 window over the rows of the normalized
     (n, dim) stream blocks.
 
     `labels[t]` must be the normalized adjusted price at row t; window k
     covers rows [k, k+window) and takes labels[k+window]. The first
-    ceil(count * a / (a+b)) windows form the training split, so every test
-    label falls strictly after every training label.
+    `train_window_count(count)` windows form the training split, so every
+    test label falls strictly after every training label.
     """
     labels = np.asarray(labels, dtype=np.float64)
     n = fundamental.shape[0]
@@ -328,5 +357,5 @@ def make_windows(
         sentiment=None if sentiment is None else _sliding_windows(sentiment[:-1], window),
         labels=labels[window:],
         label_indices=np.arange(window, n),
-        split_index=train_window_count(count, ratio),
+        split_index=train_window_count(count),
     )

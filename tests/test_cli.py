@@ -8,9 +8,11 @@ import csv
 
 import pytest
 
-from trendlab.cli import EXPERIMENT_NAMES, RunConfig, _apply_overrides, build_parser, load_run_config, main
+from trendlab import cli
+from trendlab.cli import EXPERIMENT_NAMES, NEUTRAL_FILL_WARNING, _apply_overrides, build_parser, load_run_config, main
+from trendlab.experiments import RunConfig
 from trendlab.features import build_feature_frame, feature_frame_to_csv, prepare_dataset
-from trendlab.synthetic import regime_fixture, sine_series
+from trendlab.synthetic import planted_sentiment, regime_fixture, sine_series, trend_seasonal_daily
 from trendlab.training import rmse
 
 from conftest import edit_csv_field
@@ -23,6 +25,24 @@ def _write_prices(path: Path, bars) -> None:
             f"{b.date.isoformat()},{b.open!r},{b.high!r},{b.low!r},{b.close!r},{b.adjusted!r},{b.volume}"
         )
     path.write_text("\n".join(lines) + "\n")
+
+
+def _write_sentiment(path: Path, scores) -> None:
+    lines = ["Date,Sentiment"] + [f"{d.isoformat()},{v!r}" for d, v in sorted(scores.items())]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """The argument tuples of every call the CLI makes to its global `name`."""
+    calls = []
+    real = getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
 
 
 @pytest.fixture
@@ -232,6 +252,10 @@ def checkpoint_file(tmp_path_factory) -> Path:
         ("indicators", "rsi_period", 14.5),
         ("train", "learning_rate", True),
         (None, "train", 5),
+        ("experiments", "segments", []),
+        ("experiments", "segments", [["2015-06-01", "2015-01-05"]]),
+        ("experiments", "segments", [["2015-01-05", "2015-07-06"], ["2015-07-06", "2016-07-04"]]),
+        ("experiments", "window_sizes", []),
     ],
 )
 def test_mistyped_config_value_is_a_config_error_naming_the_key(
@@ -380,3 +404,97 @@ def test_config_echo_holds_every_key_and_loads_back_equal(tmp_path):
     assert type(cfg.train.learning_rate) is float and type(cfg.experiments.regime_threshold) is float
     config.write_text(cfg.echo())
     assert load_run_config(config) == cfg
+
+
+@pytest.mark.parametrize("which", ["sentiment", "all"])
+def test_sentiment_experiment_without_the_stream_exits_1_before_reading(tmp_path, monkeypatch, which, capsys):
+    monkeypatch.chdir(tmp_path)
+    config = _run_config(tmp_path)
+    parsed = _count_calls(monkeypatch, "parse_price_csv")
+    before = _files(tmp_path)
+    assert main(["experiment", which, "--config", str(config), "--no-sentiment"]) == 1
+    assert capsys.readouterr().err == "config error: the sentiment experiment needs use_sentiment true\n"
+    assert parsed == []
+    assert _files(tmp_path) == before
+
+
+def test_experiment_all_reads_each_input_file_once(tmp_path, monkeypatch):
+    daily = trend_seasonal_daily(bars=800)
+    prices, sentiment = tmp_path / "prices.csv", tmp_path / "sentiment.csv"
+    _write_prices(prices, daily.bars)
+    _write_sentiment(sentiment, planted_sentiment(daily))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "price_csv": str(prices), "sentiment_csv": str(sentiment), "output_dir": str(tmp_path / "out"),
+        "train": TINY,
+        "experiments": {"seeds": [0], "window_sizes": [4],
+                        "segments": [["2015-03-02", "2016-02-29"], ["2016-03-07", "2017-03-06"]]},
+    }))
+    parsed = _count_calls(monkeypatch, "parse_price_csv")
+    scores = _count_calls(monkeypatch, "_load_sentiment")
+    assert main(["experiment", "all", "--config", str(config)]) == 0
+    assert (len(parsed), len(scores)) == (1, 1)
+    assert sorted(p.name for p in (tmp_path / "out").glob("*_report.*")) == [
+        "forget_gate_report.csv", "interval_report.csv", "interval_report.json", "regime_report.csv",
+        "regime_report.json", "sentiment_report.csv", "sentiment_report.json",
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, experiments",
+    [(("features",), {}), (("train",), {}), (("predict",), {}),
+     (("experiment", "forget-gate"), {"seeds": [0], "window_sizes": [4]}),
+     (("experiment", "sentiment"), {"seeds": [0]})],
+    ids=["features", "train", "predict", "experiment forget-gate", "experiment sentiment"],
+)
+def test_every_command_on_the_neutral_fill_prints_one_warning_after_its_outputs(
+    tmp_path, checkpoint_file, command, experiments, capsys
+):
+    config = _run_config(tmp_path, checkpoint=str(checkpoint_file), experiments=experiments)
+    assert main([command[0], "--config", str(config), *command[1:]]) == 0
+    assert capsys.readouterr().err == NEUTRAL_FILL_WARNING + "\n"
+    with_scores = tmp_path / "sentiment.csv"
+    _write_sentiment(with_scores, planted_sentiment(sine_series(bars=80)))
+    config.write_text(json.dumps({**json.loads(config.read_text()), "sentiment_csv": str(with_scores)}))
+    assert main([command[0], "--config", str(config), *command[1:]]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def _train_inputs(tmp_path: Path) -> dict[str, Path]:
+    """Price, sentiment and feature CSVs of one 80-bar weekly sine series."""
+    series = sine_series(bars=80)
+    paths = {name: tmp_path / f"{name}.csv" for name in ("price_csv", "sentiment_csv", "feature_csv")}
+    _write_prices(paths["price_csv"], series.bars)
+    _write_sentiment(paths["sentiment_csv"], planted_sentiment(series))
+    paths["feature_csv"].write_text(feature_frame_to_csv(build_feature_frame(series)))
+    return paths
+
+
+@pytest.mark.parametrize("reader", ["price_csv", "sentiment_csv", "feature_csv"])
+def test_a_byte_order_mark_before_the_header_changes_no_output(tmp_path, reader):
+    paths = _train_inputs(tmp_path)
+    keys = {"feature_csv": paths["feature_csv"]} if reader == "feature_csv" else {
+        "price_csv": paths["price_csv"], "sentiment_csv": paths["sentiment_csv"],
+    }
+    checkpoints = []
+    for run in ("plain", "bom"):
+        if run == "bom":
+            paths[reader].write_text("\ufeff" + paths[reader].read_text())
+        config = _run_config(tmp_path, **{k: str(v) for k, v in keys.items()}, output_dir=str(tmp_path / run))
+        assert main(["train", "--config", str(config)]) == 0
+        checkpoints.append((tmp_path / run / "checkpoint.json").read_bytes())
+    assert checkpoints[0] == checkpoints[1]
+
+
+@pytest.mark.parametrize("row, fields", [("2015-01-19,0.5,0.9,junk", 4), ("2015-01-19", 1)])
+def test_a_sentiment_row_with_the_wrong_field_count_is_a_data_error_naming_its_line(tmp_path, row, fields, capsys):
+    paths = _train_inputs(tmp_path)
+    lines = paths["sentiment_csv"].read_text().splitlines()
+    lines[2] = row
+    paths["sentiment_csv"].write_text("\n".join(lines) + "\n")
+    config = _run_config(tmp_path, sentiment_csv=str(paths["sentiment_csv"]))
+    assert main(["train", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {paths['sentiment_csv']}: line 3: expected 2 fields, got {fields}\n"
+    )
+    assert not (tmp_path / "out").exists()

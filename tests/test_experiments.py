@@ -15,8 +15,8 @@ from trendlab.experiments import (
     FULL_FEATURES,
     MODELS,
     NO_SENTIMENT,
-    ExperimentConfig,
     ExperimentsSection,
+    RunConfig,
     classify_regime,
     run_forget_gate_experiment,
     run_interval_experiment,
@@ -31,11 +31,15 @@ from trendlab.training import TrainConfig, train
 
 from oracles import pairwise_mean
 
-CONFIG = ExperimentConfig(
+CONFIG = RunConfig(
     train=TrainConfig(epochs=2, layers=1, hidden_size=3, window=4), experiments=ExperimentsSection(seeds=(0, 1))
 )
 SEEDS = CONFIG.experiments.seeds
 PER_VARIANT = len(MODELS) * len(SEEDS)
+
+
+def _config(config: RunConfig = CONFIG, **experiments) -> RunConfig:
+    return replace(config, experiments=replace(config.experiments, **experiments))
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +74,7 @@ def _assert_cells_match_direct_training(report, frames):
 
 def test_regime_cells_match_direct_training(regime_data):
     series, segments, sentiment = regime_data
-    report = run_regime_experiment(series, segments, CONFIG, sentiment)
+    report = run_regime_experiment(series, _config(segments=segments), sentiment)
     pieces = [series.between(*segment) for segment in segments]
     frames = [build_feature_frame(piece, CONFIG.indicators, sentiment) for piece in pieces]
     _assert_cells_match_direct_training(report, frames)
@@ -114,7 +118,7 @@ def test_each_variant_is_prepared_once(monkeypatch, regime_data, daily_data, gri
     frames = _count_calls(monkeypatch, "build_feature_frame")
     bundles = _count_calls(monkeypatch, "prepare_dataset")
     if grid == "regime":
-        report, variants = run_regime_experiment(series, segments, CONFIG, sentiment), len(segments)
+        report, variants = run_regime_experiment(series, _config(segments=segments), sentiment), len(segments)
     elif grid == "interval":
         report, variants = run_interval_experiment(daily_data[0], CONFIG, daily_data[1]), 2
     else:
@@ -128,7 +132,7 @@ def test_unpreparable_segment_fails_only_its_cells(regime_data):
     series, segments, sentiment = regime_data
     late = series.bars[-20].date
     short = (late, late + (segments[0][1] - segments[0][0]))  # equal span, 20 bars left
-    report = run_regime_experiment(series, [segments[0], short, segments[2]], CONFIG, sentiment)
+    report = run_regime_experiment(series, _config(segments=(segments[0], short, segments[2])), sentiment)
 
     with pytest.raises(DataError) as expected:
         _prepare(build_feature_frame(series.between(*short), CONFIG.indicators, sentiment))
@@ -154,7 +158,7 @@ def _train_raising(monkeypatch, exc_type, cell: str, seed: int) -> None:
 def test_value_error_in_one_cell_becomes_a_typed_error_row(monkeypatch, regime_data):
     series, segments, sentiment = regime_data
     _train_raising(monkeypatch, ValueError, RNN, 1)
-    report = run_regime_experiment(series, segments[1:2], CONFIG, sentiment)
+    report = run_regime_experiment(series, _config(segments=segments[1:2]), sentiment)
     errors = {(row.model, row.seed): row.error for row in report.rows}
     assert errors == {
         (LSTM, 0): "", (LSTM, 1): "", (RNN, 0): "", (RNN, 1): "ValueError: planted failure",
@@ -165,16 +169,16 @@ def test_other_exceptions_in_a_cell_propagate(monkeypatch, regime_data):
     series, segments, sentiment = regime_data
     _train_raising(monkeypatch, TypeError, RNN, 1)
     with pytest.raises(TypeError, match="planted failure"):
-        run_regime_experiment(series, segments[1:2], CONFIG, sentiment)
+        run_regime_experiment(series, _config(segments=segments[1:2]), sentiment)
 
 
 def test_forget_gate_rows_match_direct_evaluation(regime_data):
     """Each row is the mean over the test windows, layers, steps and units
     of the forget gates of a model trained directly for its (window, seed)."""
     series, _, sentiment = regime_data
-    config = replace(CONFIG, train=replace(CONFIG.train, layers=2))
     windows = (3, 5)
-    report = run_forget_gate_experiment(series, windows, config, sentiment)
+    config = _config(replace(CONFIG, train=replace(CONFIG.train, layers=2)), window_sizes=windows)
+    report = run_forget_gate_experiment(series, config, sentiment)
     assert [(row.window, row.seed) for row in report.rows] == [(w, s) for w in windows for s in SEEDS]
     frame = build_feature_frame(series, config.indicators, sentiment)
     for row in report.rows:
@@ -195,5 +199,34 @@ def test_forget_gate_rejects_an_empty_test_split_before_training(monkeypatch, re
     window = build_feature_frame(series, CONFIG.indicators, sentiment).n - 1  # one window, for training
     trained = _count_calls(monkeypatch, "train")
     with pytest.raises(DataError, match=f"^window size {window}: empty test split$"):
-        run_forget_gate_experiment(series, [window], CONFIG, sentiment)
+        run_forget_gate_experiment(series, _config(window_sizes=(window,)), sentiment)
     assert trained == []
+
+
+def test_a_variant_without_test_windows_trains_none_of_its_cells(monkeypatch, regime_data):
+    series, segments, sentiment = regime_data
+    rows = build_feature_frame(series.between(*segments[0]), CONFIG.indicators, sentiment).n
+    window = rows - 9  # 9 windows, all of them for training: ceil(9 * 15 / 16) = 9
+    config = _config(replace(CONFIG, train=replace(CONFIG.train, window=window)), segments=segments[:1])
+    trained = _count_calls(monkeypatch, "train")
+    report = run_regime_experiment(series, config, sentiment)
+    assert trained == []
+    assert [row.error for row in report.rows] == ["experiment dataset produced an empty test split"] * PER_VARIANT
+    assert all(math.isnan(row.train_rmse) and math.isnan(row.wall_ms) for row in report.rows)
+
+
+@pytest.mark.parametrize("grid", ["interval", "regime", "forget-gate"])
+def test_use_sentiment_false_drops_the_stream_from_every_cell(monkeypatch, regime_data, daily_data, grid):
+    series, segments, sentiment = regime_data
+    config = _config(replace(CONFIG, use_sentiment=False), segments=segments, window_sizes=(3,))
+    trained = _count_calls(monkeypatch, "train")
+    if grid == "interval":
+        report = run_interval_experiment(daily_data[0], config, daily_data[1])
+    elif grid == "regime":
+        report = run_regime_experiment(series, config, sentiment)
+    else:
+        report = run_forget_gate_experiment(series, config, sentiment)
+    assert trained and all(dataset.sentiment is None for dataset, *_ in trained)
+    if grid != "forget-gate":
+        assert {row.features for row in report.rows} == {NO_SENTIMENT}
+        assert all(row.error == "" for row in report.rows)
