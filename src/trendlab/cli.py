@@ -3,16 +3,15 @@ the experiment suite, driven by a JSON run config (`experiments.RunConfig`).
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
 divergence. Every command validates its full configuration and inputs
-before writing anything; all outputs land under the configured output
-directory. A command reads each input file once, and a command that built
-a frame on the neutral sentiment fill says so after writing its outputs.
+before writing anything, and rejects contradictory config values before
+reading any file; all outputs land under the configured output directory.
+A command reads each input file once, and a command that built a frame on
+the neutral sentiment fill says so after writing its outputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -40,7 +39,16 @@ from .features import (
     parse_feature_csv,
     prepare_dataset,
 )
-from .market_data import DAILY, WEEKLY, PriceSeries, denormalize, parse_price_csv, parse_sentiment_csv, resample_weekly
+from .market_data import (
+    DAILY,
+    WEEKLY,
+    PriceSeries,
+    denormalize,
+    parse_price_csv,
+    parse_sentiment_csv,
+    resample_weekly,
+    write_csv,
+)
 from .network import forward_batch
 from .reports import (
     ExperimentReport,
@@ -60,23 +68,6 @@ EXPERIMENT_NAMES = ("interval", "regime", "sentiment", "forget-gate", "all")
 NEUTRAL_FILL_WARNING = "warning: no sentiment_csv configured; the sentiment stream is the neutral fill 0.5"
 
 
-def _parse_segments(raw) -> tuple[tuple[date, date], ...]:
-    """Segments given as [start, end] pairs or {"start", "end"} objects of ISO dates."""
-    if not isinstance(raw, list):
-        raise ConfigError(f"segments must be a list, got {raw!r}")
-    segments = []
-    for item in raw:
-        try:
-            if isinstance(item, dict):
-                start, end = item["start"], item["end"]
-            else:
-                start, end = item
-            segments.append((date.fromisoformat(start), date.fromisoformat(end)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed segment {item!r}: {exc}") from None
-    return tuple(segments)
-
-
 def _section(cls, raw, name: str):
     """`cls` built from the JSON object `raw`, one field per key."""
     if not isinstance(raw, dict):
@@ -87,9 +78,7 @@ def _section(cls, raw, name: str):
         raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
     values = dict(raw)
     for key, value in raw.items():
-        if key == "segments":
-            values[key] = _parse_segments(value)
-        elif is_dataclass(types[key]):  # a null section takes every default
+        if is_dataclass(types[key]):  # a null section takes every default
             values[key] = _section(types[key], {} if value is None else value, key)
     return cls(**values)
 
@@ -120,8 +109,9 @@ def _timer() -> Callable[[], float]:
 
 def _load_sentiment(cfg: RunConfig) -> dict[date, float] | None:
     """Sentiment scores by date from `sentiment_csv`; None when it is not
-    set, which gives frames the neutral fill."""
-    if cfg.sentiment_csv is None:
+    set, which gives frames the neutral fill, and when `use_sentiment` drops
+    the stream, so an unused file is neither read nor joined."""
+    if cfg.sentiment_csv is None or not cfg.use_sentiment:
         return None
     path = _require_file(cfg.sentiment_csv, "sentiment_csv")
     try:
@@ -135,12 +125,15 @@ def _load_prices(cfg: RunConfig) -> PriceSeries:
     return parse_price_csv(path.read_text(), symbol=cfg.symbol, interval=cfg.price_interval)
 
 
+def _require_derivable(cfg: RunConfig, interval: str) -> None:
+    """A config error, raised before any file is read, when a series at
+    `interval` cannot come from `price_csv`: daily bars need a daily file."""
+    if interval == DAILY and cfg.price_interval == WEEKLY:
+        raise ConfigError("cannot derive daily data from a weekly price_csv")
+
+
 def _at_interval(series: PriceSeries, interval: str) -> PriceSeries:
-    if series.interval == interval:
-        return series
-    if interval == WEEKLY:
-        return resample_weekly(series)
-    raise ConfigError("cannot derive daily data from a weekly price_csv")
+    return series if series.interval == interval else resample_weekly(series)
 
 
 def _resolve_frame(cfg: RunConfig, inputs: tuple[PriceSeries, dict | None] | None = None) -> FeatureFrame:
@@ -151,8 +144,10 @@ def _resolve_frame(cfg: RunConfig, inputs: tuple[PriceSeries, dict | None] | Non
     if cfg.feature_csv is not None:
         frame = parse_feature_csv(_require_file(cfg.feature_csv, "feature_csv").read_text())
     else:
-        series, sentiment = inputs or (_at_interval(_load_prices(cfg), cfg.interval), _load_sentiment(cfg))
-        frame = build_feature_frame(series, cfg.indicators, sentiment)
+        if inputs is None:
+            _require_derivable(cfg, cfg.interval)
+            inputs = _at_interval(_load_prices(cfg), cfg.interval), _load_sentiment(cfg)
+        frame = build_feature_frame(inputs[0], cfg.indicators, inputs[1])
     return frame if cfg.use_sentiment else frame.without_sentiment()
 
 
@@ -169,9 +164,9 @@ def _prepare_out(cfg: RunConfig) -> Path:
 
 
 def cmd_features(cfg: RunConfig) -> int:
-    frame = _resolve_frame(cfg)
-    if frame.sentiment is None:
+    if not cfg.use_sentiment:
         raise ConfigError("cannot write a feature CSV with --no-sentiment")
+    frame = _resolve_frame(cfg)
     text = feature_frame_to_csv(frame)
     out = _prepare_out(cfg)
     (out / "features.csv").write_text(text)
@@ -197,12 +192,7 @@ def cmd_train(cfg: RunConfig) -> int:
     )
     (out / "checkpoint.json").write_text(checkpoint)
 
-    loss = io.StringIO()
-    writer = csv.writer(loss, lineterminator="\n")
-    writer.writerow(("epoch", "train_rmse"))
-    for epoch, value in enumerate(run.epoch_rmse):
-        writer.writerow((epoch, repr(value)))
-    (out / "epoch_loss.csv").write_text(loss.getvalue())
+    (out / "epoch_loss.csv").write_text(write_csv(("epoch", "train_rmse"), enumerate(run.epoch_rmse)))
 
     metrics = {
         "train_rmse": run.train_rmse,
@@ -223,9 +213,9 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_predict(cfg: RunConfig) -> int:
-    text = _require_file(cfg.checkpoint, "checkpoint").read_text()
-    checkpoint = load_checkpoint(text)
+    path = _require_file(cfg.checkpoint, "checkpoint")
     frame = _resolve_frame(cfg)
+    checkpoint = load_checkpoint(path.read_text())
 
     use_sentiment = checkpoint.params.fusion.has_sentiment
     actual = frame_columns(frame if use_sentiment else frame.without_sentiment())
@@ -239,15 +229,13 @@ def cmd_predict(cfg: RunConfig) -> int:
     cache = forward_batch(streams, checkpoint.params)
     prices = denormalize(cache.predictions, checkpoint.scale)
 
+    # One row per window, at its last row; `csv` writes a date in its ISO
+    # form and None (a feature CSV has no dates) as an empty field.
+    dates = frame.dates or (None,) * frame.n
+    rows = zip(range(window - 1, frame.n), dates[window - 1 :], cache.predictions.tolist(), prices.tolist())
+    header = ("window_end_row", "date", "prediction_normalized", "prediction_price")
     out = _prepare_out(cfg)
-    pred = io.StringIO()
-    writer = csv.writer(pred, lineterminator="\n")
-    writer.writerow(("window_end_row", "date", "prediction_normalized", "prediction_price"))
-    for k in range(cache.predictions.shape[0]):
-        end_row = k + window - 1
-        when = frame.dates[end_row].isoformat() if frame.dates is not None else ""
-        writer.writerow((end_row, when, repr(float(cache.predictions[k])), repr(float(prices[k]))))
-    (out / "predictions.csv").write_text(pred.getvalue())
+    (out / "predictions.csv").write_text(write_csv(header, rows))
     _warn_if_neutral_fill(cfg, cfg.feature_csv is None and use_sentiment)
     print(f"wrote {out / 'predictions.csv'}: {cache.predictions.shape[0]} predictions")
     return 0
@@ -263,13 +251,14 @@ def cmd_experiment(cfg: RunConfig, which: str) -> int:
     # frames from the price series; the interval experiment resamples it itself.
     prices = series = sentiment = None
     if wanted != ("sentiment",) or cfg.feature_csv is None:
+        _require_derivable(cfg, DAILY if "interval" in wanted else cfg.interval)
         prices, sentiment = _load_prices(cfg), _load_sentiment(cfg)
         series = prices if wanted == ("interval",) else _at_interval(prices, cfg.interval)
 
     reports: dict[str, ExperimentReport] = {}
     forget = None
     if "interval" in wanted:
-        reports["interval"] = run_interval_experiment(_at_interval(prices, DAILY), cfg, sentiment, timer=timer)
+        reports["interval"] = run_interval_experiment(prices, cfg, sentiment, timer=timer)
     if "regime" in wanted:
         reports["regime"] = run_regime_experiment(series, cfg, sentiment, timer=timer)
     if "sentiment" in wanted:

@@ -90,6 +90,11 @@ def _convert(value, hint):
             raise _Mismatch from None
     if hint is Path and isinstance(value, str):
         return Path(value)
+    if hint is date and isinstance(value, str):
+        try:
+            return date.fromisoformat(value)
+        except ValueError:
+            raise _Mismatch from None
     if isinstance(value, hint) and (hint is bool or not isinstance(value, bool)):
         return value
     raise _Mismatch
@@ -102,7 +107,8 @@ def enforce_field_types(obj) -> None:
     `int` takes an int and not a bool; `float` takes an int or a float, not
     a bool, and stores a float; `bool` and `str` take only themselves;
     `X | None` also takes None; `tuple[X, ...]` takes a list or tuple of X
-    and stores a tuple; `Path` takes a str or a Path and stores a Path.
+    and stores a tuple; `Path` takes a str or a Path and stores a Path;
+    `date` takes an ISO-8601 str or a date and stores a date.
     """
     for name, hint in field_types(type(obj)).items():
         value = getattr(obj, name)

@@ -5,8 +5,6 @@ windowed datasets.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, replace
 from datetime import date
@@ -26,6 +24,7 @@ from .market_data import (
     normalize,
     read_csv,
     train_window_count,
+    write_csv,
 )
 
 INDEX_FUNDAMENTALS = ("Adj. Price", "Trading Vol.", "TDD")
@@ -147,16 +146,8 @@ def feature_frame_to_csv(frame: FeatureFrame) -> str:
     if frame.sentiment.shape[1] != 1:
         raise DataError("feature CSV expects a single sentiment column")
     header = frame.fundamental_names + frame.technical_names + (SENTIMENT_COLUMN, ANSWER_COLUMN)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for k in range(frame.n):
-        writer.writerow(
-            [repr(float(v)) for v in frame.fundamental[k]]
-            + [repr(float(v)) for v in frame.technical[k]]
-            + [repr(float(frame.sentiment[k, 0])), repr(float(frame.answers[k]))]
-        )
-    return out.getvalue()
+    rows = np.column_stack((frame.fundamental, frame.technical, frame.sentiment, frame.answers))
+    return write_csv(header, rows.tolist())
 
 
 def parse_feature_csv(text: str) -> FeatureFrame:

@@ -22,15 +22,12 @@ class IndicatorConfig:
     cci_constant: float = 0.015
     macd_fast: int = 12
     macd_slow: int = 26
-    macd_signal: int = 9
 
     def __post_init__(self):
         enforce_field_types(self)
         for name in ("rsi_period", "cci_period", "macd_fast", "macd_slow"):
             if getattr(self, name) < 2:
                 raise ConfigError(f"{name} must be >= 2, got {getattr(self, name)}")
-        if self.macd_signal < 1:
-            raise ConfigError(f"macd_signal must be >= 1, got {self.macd_signal}")
         if not self.macd_fast < self.macd_slow:
             raise ConfigError(
                 f"macd_fast ({self.macd_fast}) must be smaller than macd_slow ({self.macd_slow})"

@@ -1,5 +1,6 @@
 """Price and sentiment CSV ingestion, weekly resampling, normalization, and
-windowed datasets. `read_csv` holds the header and row-width rule of every CSV reader.
+windowed datasets. `read_csv` holds the header and row-width rule of every
+CSV reader, and `write_csv` the cell rule of every CSV writer.
 
 All functions here are pure: they validate their inputs, never mutate them,
 and are safe to call concurrently.
@@ -12,7 +13,7 @@ import io
 import math
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -114,6 +115,23 @@ def _checked_rows(reader, width: int) -> Iterator[tuple[int, list[str]]]:
         if len(row) != width:
             raise DataError(f"line {lineno}: expected {width} fields, got {len(row)}")
         yield lineno, row
+
+
+def write_csv(header: Sequence[str], rows: Iterable[Iterable]) -> str:
+    """CSV text of `header` and `rows`, each line ending in "\n". A float
+    cell (Python or numpy) is written as `repr(float(v))`, which reads back
+    exactly, and NaN as an empty field; any other cell as `csv` writes it."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_csv_cell(v) for v in row] for row in rows)
+    return out.getvalue()
+
+
+def _csv_cell(value):
+    if isinstance(value, (float, np.floating)):
+        return "" if math.isnan(value) else repr(float(value))
+    return value
 
 
 def parse_price_csv(text: str, symbol: str = "series", interval: str = DAILY) -> PriceSeries:

@@ -8,8 +8,6 @@ written as an empty CSV field and as JSON null, and null reads back as NaN.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -17,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, enforce_field_types, field_types
+from .market_data import write_csv
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -66,19 +65,10 @@ class ForgetGateReport:
     rows: tuple[ForgetGateRow, ...]
 
 
-def _fmt(value: float) -> str:
-    return "" if math.isnan(value) else repr(float(value))
-
-
 def _to_csv(cls, rows) -> str:
     """`rows` of dataclass `cls`, one column per field."""
-    types = field_types(cls)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(types)
-    for r in rows:
-        writer.writerow(_fmt(getattr(r, n)) if t is float else getattr(r, n) for n, t in types.items())
-    return out.getvalue()
+    names = tuple(field_types(cls))
+    return write_csv(names, ([getattr(r, n) for n in names] for r in rows))
 
 
 def report_to_csv(report: ExperimentReport) -> str:
@@ -125,12 +115,7 @@ def report_from_json(text: str) -> ExperimentReport:
 
 
 def forget_report_to_csv(report: ForgetGateReport) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("window_size", "seed", "mean_forget"))
-    for r in report.rows:
-        writer.writerow((r.window, r.seed, repr(float(r.mean_forget))))
-    return out.getvalue()
+    return write_csv(("window_size", "seed", "mean_forget"), ((r.window, r.seed, r.mean_forget) for r in report.rows))
 
 
 @dataclass(frozen=True)

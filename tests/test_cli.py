@@ -239,7 +239,7 @@ def checkpoint_file(tmp_path_factory) -> Path:
     [
         ("experiments", "seeds", [0.5]),
         ("experiments", "window_sizes", [2.7]),
-        ("indicators", "macd_signal", 9.5),
+        ("experiments", "segments", [["2015-13-01", "2016-01-05"]]),
         (None, "use_sentiment", "false"),
         (None, "use_sentiment", 1),
         (None, "symbol", 5),
@@ -256,6 +256,7 @@ def checkpoint_file(tmp_path_factory) -> Path:
         ("experiments", "segments", [["2015-06-01", "2015-01-05"]]),
         ("experiments", "segments", [["2015-01-05", "2015-07-06"], ["2015-07-06", "2016-07-04"]]),
         ("experiments", "window_sizes", []),
+        ("experiments", "segments", [{"start": "2015-01-05", "end": "2016-01-04"}]),
     ],
 )
 def test_mistyped_config_value_is_a_config_error_naming_the_key(
@@ -294,6 +295,9 @@ def test_config_and_data_errors_exit_before_writing(
         config.write_text(json.dumps({**json.loads(config.read_text()), "bogus": 1}))
     else:
         prices = tmp_path / "prices.csv"
+        if command[1:] in (("interval",), ("all",)):  # weekly prices would be a config error first
+            _write_prices(prices, trend_seasonal_daily(bars=80).bars)
+            config.write_text(json.dumps({**json.loads(config.read_text()), "price_interval": "daily"}))
         prices.write_text(edit_csv_field(prices.read_text(), 5, "Close", "abc"))
     before = _files(tmp_path)
     assert main([command[0], "--config", str(config), *command[1:]]) == code
@@ -382,11 +386,10 @@ def test_config_echo_holds_every_key_and_loads_back_equal(tmp_path):
         "price_csv": "prices.csv", "sentiment_csv": "sentiment.csv", "feature_csv": None,
         "checkpoint": "model.json", "symbol": "SYM", "interval": "daily", "price_interval": "daily",
         "use_sentiment": False, "scale_fit": "full", "output_dir": "run",
-        "indicators": {"rsi_period": 10, "cci_period": 15, "cci_constant": 0.02, "macd_fast": 8,
-                       "macd_slow": 20, "macd_signal": 5},
+        "indicators": {"rsi_period": 10, "cci_period": 15, "cci_constant": 0.02, "macd_fast": 8, "macd_slow": 20},
         "train": {"epochs": 7, "learning_rate": 1, "layers": 2, "hidden_size": 8, "window": 6, "seed": 3,
                   "cell": "rnn", "d_i": 4, "forget_bias": 0.5, "beta1": 0.8, "beta2": 0.99, "epsilon": 1e-7},
-        "experiments": {"seeds": [4, 5], "segments": [{"start": "2003-01-06", "end": "2004-01-05"}],
+        "experiments": {"seeds": [4, 5], "segments": [["2003-01-06", "2004-01-05"]],
                         "window_sizes": [2, 3], "regime_threshold": 0},
     }
     config = tmp_path / "run.json"
@@ -396,9 +399,7 @@ def test_config_echo_holds_every_key_and_loads_back_equal(tmp_path):
     assert echoed == {
         **doc,
         "train": {**doc["train"], "learning_rate": 1.0},
-        "experiments": {
-            **doc["experiments"], "segments": [["2003-01-06", "2004-01-05"]], "regime_threshold": 0.0,
-        },
+        "experiments": {**doc["experiments"], "regime_threshold": 0.0},
     }
     assert list(echoed) == list(doc)
     assert type(cfg.train.learning_rate) is float and type(cfg.experiments.regime_threshold) is float
@@ -438,6 +439,10 @@ def test_experiment_all_reads_each_input_file_once(tmp_path, monkeypatch):
         "forget_gate_report.csv", "interval_report.csv", "interval_report.json", "regime_report.csv",
         "regime_report.json", "sentiment_report.csv", "sentiment_report.json",
     ]
+    with open(tmp_path / "out" / "forget_gate_report.csv", newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert header == ["window_size", "seed", "mean_forget"]
+    assert [row[:2] for row in rows] == [["4", "0"]] and 0.0 < float(rows[0][2]) < 1.0
 
 
 @pytest.mark.parametrize(
@@ -498,3 +503,69 @@ def test_a_sentiment_row_with_the_wrong_field_count_is_a_data_error_naming_its_l
         f"data error: {paths['sentiment_csv']}: line 3: expected 2 fields, got {fields}\n"
     )
     assert not (tmp_path / "out").exists()
+
+
+def test_no_sentiment_reads_no_sentiment_file(tmp_path, monkeypatch, capsys):
+    """A sentiment file missing a joined date fails no run that drops the
+    stream: its outputs match a run with no sentiment_csv at all."""
+    monkeypatch.setenv("TRENDLAB_CLOCK", "fixed")
+    paths = _train_inputs(tmp_path)
+    lines = paths["sentiment_csv"].read_text().splitlines()
+    del lines[40]  # a row inside the frame, after the indicator warm-up
+    paths["sentiment_csv"].write_text("\n".join(lines) + "\n")
+    outputs = []
+    for run, keys in (("gap", {"sentiment_csv": str(paths["sentiment_csv"])}), ("unset", {})):
+        config = _run_config(tmp_path, output_dir=str(tmp_path / run), **keys)
+        assert main(["train", "--config", str(config), "--no-sentiment"]) == 0
+        outputs.append([(tmp_path / run / name).read_bytes() for name in ("checkpoint.json", "metrics.json")])
+    assert outputs[0] == outputs[1]
+    assert capsys.readouterr().err == ""
+
+
+DERIVE_DAILY = "cannot derive daily data from a weekly price_csv"
+
+
+@pytest.mark.parametrize(
+    "argv, keys, message",
+    [
+        (["train"], {"interval": "daily"}, DERIVE_DAILY),
+        (["predict"], {"interval": "daily"}, DERIVE_DAILY),
+        (["experiment", "regime"], {"interval": "daily"}, DERIVE_DAILY),
+        (["experiment", "interval"], {}, DERIVE_DAILY),
+        (["experiment", "all"], {}, DERIVE_DAILY),
+        (["features", "--no-sentiment"], {}, "cannot write a feature CSV with --no-sentiment"),
+    ],
+    ids=["train", "predict", "experiment regime", "experiment interval", "experiment all", "features"],
+)
+def test_config_contradictions_exit_1_before_reading_any_file(
+    tmp_path, checkpoint_file, monkeypatch, argv, keys, message, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    config = _run_config(tmp_path, checkpoint=str(checkpoint_file), **keys)
+    parsed = _count_calls(monkeypatch, "parse_price_csv")
+    loaded = _count_calls(monkeypatch, "load_checkpoint")
+    before = _files(tmp_path)
+    assert main([argv[0], "--config", str(config), *argv[1:]]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert (parsed, loaded) == ([], [])
+    assert _files(tmp_path) == before
+
+
+def test_a_feature_csv_frame_is_not_held_to_the_price_interval(tmp_path):
+    paths = _train_inputs(tmp_path)
+    config = _run_config(tmp_path, feature_csv=str(paths["feature_csv"]), interval="daily")
+    assert main(["train", "--config", str(config)]) == 0
+
+
+def test_epoch_loss_rows_read_back_to_the_run_losses(tmp_path, monkeypatch):
+    runs = []
+    real = cli.train
+    monkeypatch.setattr(cli, "train", lambda *args, **kwargs: runs.append(real(*args, **kwargs)) or runs[-1])
+    config = _run_config(tmp_path, train={**TINY, "epochs": 3})
+    assert main(["train", "--config", str(config)]) == 0
+    text = (tmp_path / "out" / "epoch_loss.csv").read_text()
+    assert text == "epoch,train_rmse\n" + "".join(f"{k},{v!r}\n" for k, v in enumerate(runs[0].epoch_rmse))
+    with open(tmp_path / "out" / "epoch_loss.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [int(row["epoch"]) for row in rows] == [0, 1, 2]
+    assert tuple(float(row["train_rmse"]) for row in rows) == runs[0].epoch_rmse

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import ast
+import math
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trendlab import market_data
 from trendlab.errors import DataError
 from trendlab.market_data import (
     DAILY,
@@ -20,7 +24,9 @@ from trendlab.market_data import (
     make_windows,
     normalize,
     parse_price_csv,
+    read_csv,
     resample_weekly,
+    write_csv,
 )
 
 from conftest import EXPECTED_TDD, table_csv
@@ -40,6 +46,44 @@ def daily_series(values, volumes=None, start=date(2020, 1, 6)) -> PriceSeries:
         bars.append(flat_bar(day, value, volume))
         day += timedelta(days=1)
     return PriceSeries("T", DAILY, tuple(bars))
+
+
+# --- CSV codec ---------------------------------------------------------------
+
+
+def test_write_csv_writes_each_cell_kind():
+    rows = [
+        (1, "lstm", "", math.nan, "DataError: short, 3 bars"),
+        (np.int64(2), "rnn", date(2015, 1, 5), np.float64(0.1), -0.0),
+    ]
+    assert write_csv(("n", "model", "date", "rmse", "error"), rows) == (
+        'n,model,date,rmse,error\n1,lstm,,,"DataError: short, 3 bars"\n2,rnn,2015-01-05,0.1,-0.0\n'
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False), st.booleans())
+def test_write_csv_floats_read_back_exactly(value, as_numpy):
+    text = write_csv(("v",), [(np.float64(value) if as_numpy else value,)])
+    [(_, [field])] = list(read_csv(text, ("v",))[1])
+    assert float(field).hex() == value.hex()
+
+
+def test_only_market_data_imports_csv():
+    """One module holds the CSV read and write rules; no other imports `csv`."""
+    package = Path(market_data.__file__).parent
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] == "csv" for m in modules):
+                importers.append(path.name)
+    assert importers == ["market_data.py"]
 
 
 # --- parsing -----------------------------------------------------------------

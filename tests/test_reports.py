@@ -4,15 +4,19 @@ import json
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from trendlab.errors import DataError
 from trendlab.reports import (
     AggregateRow,
     ExperimentReport,
+    ForgetGateReport,
+    ForgetGateRow,
     ReportRow,
     aggregate_report,
     aggregate_to_csv,
+    forget_report_to_csv,
     report_from_json,
     report_to_csv,
     report_to_json,
@@ -87,3 +91,8 @@ def test_aggregate_csv_columns_follow_field_order():
         ",".join(f.name for f in fields(AggregateRow)),
         "lstm,weekly,all,full,2,0.5,0.25,1.0,0.5",
     ]
+
+
+def test_forget_report_csv_holds_one_exact_row_per_window_and_seed():
+    report = ForgetGateReport(rows=(ForgetGateRow(4, 0, 0.1), ForgetGateRow(8, 1, np.float64(2.0) / 3.0)))
+    assert forget_report_to_csv(report) == "window_size,seed,mean_forget\n4,0,0.1\n8,1,0.6666666666666666\n"
