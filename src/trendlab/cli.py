@@ -107,22 +107,23 @@ def _timer() -> Callable[[], float]:
     return time.perf_counter
 
 
-def _load_sentiment(cfg: RunConfig) -> dict[date, float] | None:
-    """Sentiment scores by date from `sentiment_csv`; None when it is not
-    set, which gives frames the neutral fill, and when `use_sentiment` drops
-    the stream, so an unused file is neither read nor joined."""
-    if cfg.sentiment_csv is None or not cfg.use_sentiment:
-        return None
-    path = _require_file(cfg.sentiment_csv, "sentiment_csv")
+def _load_inputs(cfg: RunConfig) -> tuple[PriceSeries, dict[date, float] | None]:
+    """The price series from `price_csv` and the sentiment scores by date
+    from `sentiment_csv`, each file checked to exist before either is read.
+    The scores are None when `sentiment_csv` is not set, which gives frames
+    the neutral fill, and when `use_sentiment` drops the stream, so an
+    unused file is neither read nor joined."""
+    price_path = _require_file(cfg.price_csv, "price_csv")
+    sentiment_path = None
+    if cfg.sentiment_csv is not None and cfg.use_sentiment:
+        sentiment_path = _require_file(cfg.sentiment_csv, "sentiment_csv")
+    prices = parse_price_csv(price_path.read_text(), symbol=cfg.symbol, interval=cfg.price_interval)
+    if sentiment_path is None:
+        return prices, None
     try:
-        return parse_sentiment_csv(path.read_text())
+        return prices, parse_sentiment_csv(sentiment_path.read_text())
     except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
-
-
-def _load_prices(cfg: RunConfig) -> PriceSeries:
-    path = _require_file(cfg.price_csv, "price_csv")
-    return parse_price_csv(path.read_text(), symbol=cfg.symbol, interval=cfg.price_interval)
+        raise DataError(f"{sentiment_path}: {exc}") from None
 
 
 def _require_derivable(cfg: RunConfig, interval: str) -> None:
@@ -146,7 +147,8 @@ def _resolve_frame(cfg: RunConfig, inputs: tuple[PriceSeries, dict | None] | Non
     else:
         if inputs is None:
             _require_derivable(cfg, cfg.interval)
-            inputs = _at_interval(_load_prices(cfg), cfg.interval), _load_sentiment(cfg)
+            prices, sentiment = _load_inputs(cfg)
+            inputs = _at_interval(prices, cfg.interval), sentiment
         frame = build_feature_frame(inputs[0], cfg.indicators, inputs[1])
     return frame if cfg.use_sentiment else frame.without_sentiment()
 
@@ -165,7 +167,7 @@ def _prepare_out(cfg: RunConfig) -> Path:
 
 def cmd_features(cfg: RunConfig) -> int:
     if not cfg.use_sentiment:
-        raise ConfigError("cannot write a feature CSV with --no-sentiment")
+        raise ConfigError("cannot write a feature CSV with use_sentiment false")
     frame = _resolve_frame(cfg)
     text = feature_frame_to_csv(frame)
     out = _prepare_out(cfg)
@@ -252,7 +254,7 @@ def cmd_experiment(cfg: RunConfig, which: str) -> int:
     prices = series = sentiment = None
     if wanted != ("sentiment",) or cfg.feature_csv is None:
         _require_derivable(cfg, DAILY if "interval" in wanted else cfg.interval)
-        prices, sentiment = _load_prices(cfg), _load_sentiment(cfg)
+        prices, sentiment = _load_inputs(cfg)
         series = prices if wanted == ("interval",) else _at_interval(prices, cfg.interval)
 
     reports: dict[str, ExperimentReport] = {}

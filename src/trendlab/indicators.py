@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, enforce_field_types
 from .market_data import PriceSeries
@@ -59,15 +60,16 @@ def rsi(series: PriceSeries, period: int = 14) -> np.ndarray:
     gains = np.maximum(deltas, 0.0)
     losses = np.maximum(-deltas, 0.0)
 
-    out = np.empty(prices.size - period, dtype=np.float64)
-    avg_gain = gains[:period].mean()
-    avg_loss = losses[:period].mean()
-    out[0] = _rsi_value(avg_gain, avg_loss)
-    for k in range(period, deltas.size):
-        avg_gain = (avg_gain * (period - 1) + gains[k]) / period
-        avg_loss = (avg_loss * (period - 1) + losses[k]) / period
-        out[k - period + 1] = _rsi_value(avg_gain, avg_loss)
-    return out
+    # The recursion runs on Python floats: the same IEEE double arithmetic
+    # as numpy scalars, at a fraction of the cost per step.
+    avg_gain = float(gains[:period].mean())
+    avg_loss = float(losses[:period].mean())
+    out = [_rsi_value(avg_gain, avg_loss)]
+    for gain, loss in zip(gains[period:].tolist(), losses[period:].tolist()):
+        avg_gain = (avg_gain * (period - 1) + gain) / period
+        avg_loss = (avg_loss * (period - 1) + loss) / period
+        out.append(_rsi_value(avg_gain, avg_loss))
+    return np.array(out, dtype=np.float64)
 
 
 def _rsi_value(avg_gain: float, avg_loss: float) -> float:
@@ -94,12 +96,11 @@ def cci(series: PriceSeries, period: int = 20, constant: float = 0.015) -> np.nd
         raise DataError(f"series too short for CCI-{period}: {len(bars)} bars")
     tp = np.array([(b.high + b.low + b.close) / 3.0 for b in bars], dtype=np.float64)
 
-    out = np.empty(tp.size - period + 1, dtype=np.float64)
-    for t in range(period - 1, tp.size):
-        win = tp[t - period + 1 : t + 1]
-        sma = win.mean()
-        mad = np.abs(win - sma).mean()
-        out[t - period + 1] = 0.0 if mad == 0.0 else (tp[t] - sma) / (constant * mad)
+    windows = sliding_window_view(tp, period)
+    sma = windows.mean(axis=1)
+    mad = np.abs(windows - sma[:, None]).mean(axis=1)
+    out = np.zeros_like(sma)
+    np.divide(tp[period - 1 :] - sma, constant * mad, out=out, where=mad != 0.0)
     return out
 
 
@@ -111,11 +112,10 @@ def ema(values: np.ndarray, period: int) -> np.ndarray:
     if values.size < period:
         raise DataError(f"too few values for EMA-{period}: {values.size}")
     alpha = 2.0 / (period + 1.0)
-    out = np.empty(values.size - period + 1, dtype=np.float64)
-    out[0] = values[:period].mean()
-    for k in range(period, values.size):
-        out[k - period + 1] = alpha * values[k] + (1.0 - alpha) * out[k - period]
-    return out
+    out = [float(values[:period].mean())]
+    for value in values[period:].tolist():
+        out.append(alpha * value + (1.0 - alpha) * out[-1])
+    return np.array(out, dtype=np.float64)
 
 
 def macd(series: PriceSeries, fast: int = 12, slow: int = 26) -> np.ndarray:

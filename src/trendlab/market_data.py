@@ -12,7 +12,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass, replace
-from datetime import date, timedelta
+from datetime import date
+from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -175,10 +176,6 @@ def parse_sentiment_csv(text: str) -> dict[date, float]:
     return scores
 
 
-def _monday_of(day: date) -> date:
-    return day - timedelta(days=day.weekday())
-
-
 def resample_weekly(series: PriceSeries) -> PriceSeries:
     """Collapse daily bars into Monday-anchored weekly bars.
 
@@ -187,20 +184,16 @@ def resample_weekly(series: PriceSeries) -> PriceSeries:
     """
     if series.interval != DAILY:
         raise DataError("input already weekly")
-    weekly: list[PriceBar] = []
-    group: list[PriceBar] = []
-    for bar in series.bars:
-        if group and _monday_of(bar.date) != _monday_of(group[0].date):
-            weekly.append(_collapse_week(group))
-            group = []
-        group.append(bar)
-    weekly.append(_collapse_week(group))
-    return PriceSeries(series.symbol, WEEKLY, tuple(weekly))
+    # Bars are keyed by the ordinal of their week's Monday; dates ascend, so
+    # the bars of one week are adjacent.
+    weeks = groupby(series.bars, key=lambda bar: bar.date.toordinal() - bar.date.weekday())
+    weekly = tuple(_collapse_week(date.fromordinal(monday), list(group)) for monday, group in weeks)
+    return PriceSeries(series.symbol, WEEKLY, weekly)
 
 
-def _collapse_week(group: list[PriceBar]) -> PriceBar:
+def _collapse_week(monday: date, group: list[PriceBar]) -> PriceBar:
     return PriceBar(
-        date=_monday_of(group[0].date),
+        date=monday,
         open=group[0].open,
         high=max(b.high for b in group),
         low=min(b.low for b in group),

@@ -4,6 +4,7 @@ loop, finite-difference gradient checking, and checkpoint persistence.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import time
@@ -24,7 +25,7 @@ from .network import (
     init_parameters,
 )
 
-CHECKPOINT_SCHEMA_VERSION = 2
+CHECKPOINT_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -282,12 +283,14 @@ def gradient_check(
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint persistence: versioned JSON, bit-exact float round-trips.
-# Python's shortest-repr float serialization guarantees float(repr(x)) == x,
-# so plain JSON numbers round-trip losslessly. The model is its ModelShape
-# plus every `param_items()` array by name; the loader rebuilds the shape's
-# parameters and accepts the stored arrays only if they fill it exactly and
-# the shape agrees with the stored training config.
+# Checkpoint persistence: versioned JSON, bit-exact parameter round-trips.
+# The model is its ModelShape plus `NetworkParameters.vector`, stored as the
+# base64 of its little-endian float64 bytes; every value, NaN, infinities,
+# -0.0 and subnormals included, reads back bit for bit. The file layout is
+# the vector's storage order (`NetworkParameters._bind_to_vector`), so a
+# change to that order needs a schema version bump. The loader rebuilds the
+# shape's model and accepts the stored vector only if it fills it exactly
+# and the shape agrees with the stored training config.
 # ---------------------------------------------------------------------------
 
 
@@ -321,7 +324,7 @@ def save_checkpoint(
         else {name: _scale_doc(s) for name, s in column_scales.items()},
         "columns": None if columns is None else dict(columns),
         "shape": asdict(params.shape),
-        "params": {name: array.tolist() for name, array in params.param_items()},
+        "vector": base64.b64encode(params.vector.astype("<f8").tobytes()).decode("ascii"),
     }
     return json.dumps(doc, indent=1) + "\n"
 
@@ -338,20 +341,19 @@ def _check_shape_matches_config(shape: ModelShape, config: TrainConfig) -> None:
 
 
 def _load_params(shape: ModelShape, raw) -> NetworkParameters:
-    """The parameters of `shape`, filled from the stored name -> array map."""
+    """The parameters of `shape`, filled from the stored base64 vector."""
     params = init_parameters(shape, seed=0)
-    items = params.param_items()
-    names = {name for name, _ in items}
-    if set(raw) != names:
+    if not isinstance(raw, str):
+        raise CheckpointError(f"stored vector must be a base64 string, got {type(raw).__name__}")
+    try:
+        data = base64.b64decode(raw, validate=True)
+    except ValueError as exc:
+        raise CheckpointError(f"stored vector is not valid base64: {exc}") from None
+    if len(data) != 8 * params.vector.size:
         raise CheckpointError(
-            f"stored parameters do not fit the model: missing {sorted(names - set(raw))}, "
-            f"unexpected {sorted(set(raw) - names)}"
+            f"stored vector holds {len(data)} bytes, the model needs {8 * params.vector.size}"
         )
-    for name, array in items:
-        value = np.array(raw[name], dtype=np.float64)
-        if value.shape != array.shape:
-            raise CheckpointError(f"parameter {name} has shape {value.shape}, the model needs {array.shape}")
-        array[...] = value
+    params.vector[...] = np.frombuffer(data, dtype="<f8")
     return params
 
 
@@ -374,7 +376,7 @@ def load_checkpoint(text: str) -> Checkpoint:
         scale = NormalizationScale(**doc["scale"])
         shape = ModelShape(**doc["shape"])
         _check_shape_matches_config(shape, config)
-        params = _load_params(shape, doc["params"])
+        params = _load_params(shape, doc["vector"])
         column_scales = {}
         if doc.get("column_scales") is not None:
             for name, s in doc["column_scales"].items():

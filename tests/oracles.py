@@ -2,16 +2,18 @@
 
 These are written straight from the defining formulas with plain Python
 loops and lists, deliberately sharing no code with the library
-implementations they check. The exceptions are numpy: the per-block Adam
-step, and the reference recurrent kernel at the end, the straightforward
-per-step, time-major formulation that the library's batch-last kernel
-replaced. Each is the form the library used before, kept to check the
-library's form after its arithmetic changed.
+implementations they check. The exceptions are numpy: the per-window and
+per-step indicator loops and the per-bar weekly grouping, the per-block
+Adam step, and the reference recurrent kernel at the end, the
+straightforward per-step, time-major formulation that the library's
+batch-last kernel replaced. Each is the form the library used before, kept
+to check the library's form after its arithmetic changed.
 """
 
 from __future__ import annotations
 
 import math
+from datetime import timedelta
 
 import numpy as np
 
@@ -65,6 +67,80 @@ def ema_macd(prices: list[float], fast: int, slow: int) -> list[float]:
     slow_line = seeded_ema(prices, slow)
     offset = slow - fast
     return [f - s for f, s in zip(fast_line[offset:], slow_line)]
+
+
+def loop_rsi(prices: np.ndarray, period: int) -> np.ndarray:
+    """Wilder RSI with the recursion on numpy scalars, one step per delta:
+    the loop the library's Python-float recursion replaced."""
+    deltas = np.diff(prices)
+    gains = np.maximum(deltas, 0.0)
+    losses = np.maximum(-deltas, 0.0)
+
+    def to_rsi(g, l):
+        if l == 0.0 and g == 0.0:
+            return 50.0
+        if l == 0.0:
+            return 100.0
+        return 100.0 - 100.0 / (1.0 + g / l)
+
+    out = np.empty(prices.size - period, dtype=np.float64)
+    avg_gain = gains[:period].mean()
+    avg_loss = losses[:period].mean()
+    out[0] = to_rsi(avg_gain, avg_loss)
+    for k in range(period, deltas.size):
+        avg_gain = (avg_gain * (period - 1) + gains[k]) / period
+        avg_loss = (avg_loss * (period - 1) + losses[k]) / period
+        out[k - period + 1] = to_rsi(avg_gain, avg_loss)
+    return out
+
+
+def loop_cci(tp: np.ndarray, period: int, constant: float) -> np.ndarray:
+    """CCI of typical prices `tp`, one numpy window at a time: the loop the
+    library's sliding-window form replaced."""
+    out = np.empty(tp.size - period + 1, dtype=np.float64)
+    for t in range(period - 1, tp.size):
+        win = tp[t - period + 1 : t + 1]
+        sma = win.mean()
+        mad = np.abs(win - sma).mean()
+        out[t - period + 1] = 0.0 if mad == 0.0 else (tp[t] - sma) / (constant * mad)
+    return out
+
+
+def loop_ema(values: np.ndarray, period: int) -> np.ndarray:
+    """SMA-seeded EMA with the recursion on numpy scalars: the loop the
+    library's Python-float recursion replaced."""
+    alpha = 2.0 / (period + 1.0)
+    out = np.empty(values.size - period + 1, dtype=np.float64)
+    out[0] = values[:period].mean()
+    for k in range(period, values.size):
+        out[k - period + 1] = alpha * values[k] + (1.0 - alpha) * out[k - period]
+    return out
+
+
+def loop_resample_weekly(bars) -> list[tuple]:
+    """Daily bars grouped into Monday-anchored weeks by comparing each bar's
+    Monday with its group's first, as (monday, open, high, low, close,
+    adjusted, volume) tuples: the grouping the library's one-key-per-bar
+    form replaced."""
+
+    def monday_of(day):
+        return day - timedelta(days=day.weekday())
+
+    def collapse(group):
+        return (
+            monday_of(group[0].date), group[0].open, max(b.high for b in group),
+            min(b.low for b in group), group[-1].close, group[-1].adjusted,
+            sum(b.volume for b in group),
+        )
+
+    weekly, group = [], []
+    for bar in bars:
+        if group and monday_of(bar.date) != monday_of(group[0].date):
+            weekly.append(collapse(group))
+            group = []
+        group.append(bar)
+    weekly.append(collapse(group))
+    return weekly
 
 
 def unrolled_adam(

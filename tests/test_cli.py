@@ -432,7 +432,7 @@ def test_experiment_all_reads_each_input_file_once(tmp_path, monkeypatch):
                         "segments": [["2015-03-02", "2016-02-29"], ["2016-03-07", "2017-03-06"]]},
     }))
     parsed = _count_calls(monkeypatch, "parse_price_csv")
-    scores = _count_calls(monkeypatch, "_load_sentiment")
+    scores = _count_calls(monkeypatch, "parse_sentiment_csv")
     assert main(["experiment", "all", "--config", str(config)]) == 0
     assert (len(parsed), len(scores)) == (1, 1)
     assert sorted(p.name for p in (tmp_path / "out").glob("*_report.*")) == [
@@ -533,9 +533,11 @@ DERIVE_DAILY = "cannot derive daily data from a weekly price_csv"
         (["experiment", "regime"], {"interval": "daily"}, DERIVE_DAILY),
         (["experiment", "interval"], {}, DERIVE_DAILY),
         (["experiment", "all"], {}, DERIVE_DAILY),
-        (["features", "--no-sentiment"], {}, "cannot write a feature CSV with --no-sentiment"),
+        (["features", "--no-sentiment"], {}, "cannot write a feature CSV with use_sentiment false"),
+        (["features"], {"use_sentiment": False}, "cannot write a feature CSV with use_sentiment false"),
     ],
-    ids=["train", "predict", "experiment regime", "experiment interval", "experiment all", "features"],
+    ids=["train", "predict", "experiment regime", "experiment interval", "experiment all", "features",
+         "features use_sentiment key"],
 )
 def test_config_contradictions_exit_1_before_reading_any_file(
     tmp_path, checkpoint_file, monkeypatch, argv, keys, message, capsys
@@ -547,6 +549,22 @@ def test_config_contradictions_exit_1_before_reading_any_file(
     before = _files(tmp_path)
     assert main([argv[0], "--config", str(config), *argv[1:]]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert (parsed, loaded) == ([], [])
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_a_missing_sentiment_csv_exits_1_before_any_file_is_parsed(
+    tmp_path, checkpoint_file, monkeypatch, command, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    keys = {"price_interval": "daily"} if command[1:] in (("interval",), ("all",)) else {}
+    config = _run_config(tmp_path, checkpoint=str(checkpoint_file), sentiment_csv="missing.csv", **keys)
+    parsed = _count_calls(monkeypatch, "parse_price_csv")
+    loaded = _count_calls(monkeypatch, "load_checkpoint")
+    before = _files(tmp_path)
+    assert main([command[0], "--config", str(config), *command[1:]]) == 1
+    assert capsys.readouterr().err == "config error: sentiment_csv does not exist: missing.csv\n"
     assert (parsed, loaded) == ([], [])
     assert _files(tmp_path) == before
 

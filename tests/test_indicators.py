@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from trendlab.errors import ConfigError, DataError
 from trendlab.indicators import IndicatorConfig, cci, ema, macd, rsi
-from trendlab.market_data import WEEKLY, PriceBar, PriceSeries
-from trendlab.synthetic import indicator_fixture
+from trendlab.market_data import WEEKLY, PriceBar, PriceSeries, resample_weekly
+from trendlab.synthetic import indicator_fixture, paper_shaped_series, random_walk_series, trend_seasonal_daily
 
-from oracles import ema_macd, wilder_rsi, windowed_cci
+from oracles import ema_macd, loop_cci, loop_ema, loop_rsi, wilder_rsi, windowed_cci
 
 # Spot values computed once with the brute-force oracles on the 60-bar
 # fixture, frozen to guard against both implementations drifting together.
@@ -182,6 +182,50 @@ def test_ema_matches_oracle(fixture_series):
     import oracles
 
     np.testing.assert_allclose(got, oracles.seeded_ema(prices, 12), atol=1e-9)
+
+
+# --- bit-identity with the loop forms ---------------------------------------
+
+
+def _with_flat_stretches() -> PriceSeries:
+    """Flat, rising and falling stretches longer than every period, so CCI
+    windows with zero deviation, and RSI averages with no losses or with
+    neither gains nor losses, all occur."""
+    values = [10.0] * 30 + [10.0 + k for k in range(1, 21)] + [30.0] * 25
+    values += [30.0 - 0.5 * k for k in range(1, 21)] + [20.0] * 25 + [20.0, 21.0, 20.5, 21.5] * 8
+    return flat_series(values)
+
+
+_BIT_SERIES = {
+    "paper_shaped": lambda: paper_shaped_series(seed=0),
+    "weekly_resampled": lambda: resample_weekly(trend_seasonal_daily(bars=1821, seed=4)),
+    "daily": lambda: trend_seasonal_daily(bars=1821, seed=4),
+    "random_walk": lambda: random_walk_series(seed=5),
+    "flat_stretches": _with_flat_stretches,
+}
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and np.array_equal(
+        got.view(np.uint64), want.view(np.uint64)
+    )
+
+
+@pytest.mark.parametrize("name", list(_BIT_SERIES))
+def test_indicators_equal_the_loop_forms_bit_for_bit(name):
+    series = _BIT_SERIES[name]()
+    prices = series.adjusted()
+    tp = np.array([(b.high + b.low + b.close) / 3.0 for b in series.bars])
+    assert _same_bits(rsi(series, 14), loop_rsi(prices, 14))
+    assert _same_bits(cci(series, 20, 0.015), loop_cci(tp, 20, 0.015))
+    assert _same_bits(ema(prices, 12), loop_ema(prices, 12))
+    assert _same_bits(macd(series, 12, 26), loop_ema(prices, 12)[14:] - loop_ema(prices, 26))
+
+
+def test_flat_stretches_reach_every_special_case():
+    series = _with_flat_stretches()
+    assert (cci(series, 20, 0.015) == 0.0).sum() > 10
+    assert {50.0, 100.0} <= set(rsi(series, 14).tolist())
 
 
 # --- causality ---------------------------------------------------------------

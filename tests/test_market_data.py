@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trendlab import market_data
+from trendlab.synthetic import trend_seasonal_daily
 from trendlab.errors import DataError
 from trendlab.market_data import (
     DAILY,
@@ -30,6 +31,7 @@ from trendlab.market_data import (
 )
 
 from conftest import EXPECTED_TDD, table_csv
+from oracles import loop_resample_weekly
 
 
 def flat_bar(when: date, price: float, volume: int = 100) -> PriceBar:
@@ -183,6 +185,34 @@ def test_resample_two_weeks_brute_force():
         assert bar.adjusted == group[-1].adjusted
         assert bar.high == max(b.high for b in group)
         assert bar.low == min(b.low for b in group)
+
+
+def _bar_tuple(bar: PriceBar) -> tuple:
+    return (bar.date, bar.open, bar.high, bar.low, bar.close, bar.adjusted, bar.volume)
+
+
+def test_resample_equals_the_per_bar_grouping_across_years_and_missing_mondays():
+    # Weeks of 2019-12-30 and 2024-12-30 cross a year boundary; the Mondays
+    # 2019-12-30, 2020-01-06 and 2020-12-28 are missing, and 2021-01-02 is a
+    # Saturday bar in a week whose Monday lies in 2020.
+    days = [date(2019, 12, 26), date(2019, 12, 27), date(2019, 12, 31), date(2020, 1, 2),
+            date(2020, 1, 7), date(2020, 1, 10), date(2020, 1, 13), date(2020, 12, 29),
+            date(2021, 1, 1), date(2021, 1, 2), date(2021, 1, 4), date(2024, 12, 30), date(2025, 1, 3)]
+    rng = np.random.default_rng(3)
+    bars = []
+    for day, price in zip(days, 100.0 + rng.normal(0.0, 1.0, len(days)).cumsum()):
+        spread = rng.uniform(0.1, 1.0, 2)
+        bars.append(PriceBar(day, price, price + spread[0], price - spread[1], price, price * 0.5,
+                             int(rng.integers(0, 10**6))))
+    edges = PriceSeries("T", DAILY, tuple(bars))
+    for series in (edges, trend_seasonal_daily(bars=1821, seed=2)):
+        weekly = resample_weekly(series)
+        assert (weekly.symbol, weekly.interval) == (series.symbol, WEEKLY)
+        assert [_bar_tuple(bar) for bar in weekly.bars] == loop_resample_weekly(series.bars)
+    assert [bar.date for bar in resample_weekly(edges).bars] == [
+        date(2019, 12, 23), date(2019, 12, 30), date(2020, 1, 6), date(2020, 1, 13),
+        date(2020, 12, 28), date(2021, 1, 4), date(2024, 12, 30),
+    ]
 
 
 def test_resample_rejects_weekly_input():

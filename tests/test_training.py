@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import replace
@@ -332,17 +333,48 @@ def _tiny_checkpoint() -> str:
 
 
 def test_checkpoint_version_mismatch():
-    bumped = _tiny_checkpoint().replace('"schema_version": 2', '"schema_version": 3', 1)
+    bumped = _tiny_checkpoint().replace('"schema_version": 3', '"schema_version": 4', 1)
     with pytest.raises(CheckpointError, match="schema_version"):
         load_checkpoint(bumped)
 
 
 def test_checkpoint_version_1_is_rejected():
     doc = json.loads(_tiny_checkpoint())
-    del doc["shape"], doc["params"]
+    del doc["shape"], doc["vector"]
     doc.update(schema_version=1, model={"cell": "lstm", "fusion": {}, "layers": [], "head": {}})
     with pytest.raises(CheckpointError, match="schema_version 1.*retrain"):
         load_checkpoint(json.dumps(doc))
+
+
+def test_checkpoint_version_2_is_rejected():
+    params = init_parameters(ModelShape(layers=1, hidden=2), seed=0)
+    doc = json.loads(_tiny_checkpoint())
+    del doc["vector"]
+    doc.update(schema_version=2, params={name: array.tolist() for name, array in params.param_items()})
+    with pytest.raises(CheckpointError, match="schema_version 2.*retrain"):
+        load_checkpoint(json.dumps(doc))
+
+
+# -0.0, the smallest subnormal, +-inf, a quiet NaN with a payload and a
+# signalling NaN: values a decimal codec could lose.
+_SPECIAL_BITS = np.array(
+    [0x8000000000000000, 0x0000000000000001, 0x7FF0000000000000, 0xFFF0000000000000,
+     0x7FF8000000000123, 0x7FF0000000000001],
+    dtype=np.uint64,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_checkpoint_vector_round_trips_any_float64_bitwise(bits):
+    shape = ModelShape(d_a=1, d_f=1, d_s=None, layers=1, hidden=1)
+    params = init_parameters(shape, seed=0)
+    stored = np.resize(np.array(bits, dtype=np.uint64), params.vector.size)
+    stored[: _SPECIAL_BITS.size] = _SPECIAL_BITS
+    params.vector[...] = stored.view(np.float64)
+    text = save_checkpoint(params, TrainConfig(layers=1, hidden_size=1), NormalizationScale(0.0, 1.0))
+    loaded = load_checkpoint(text)
+    assert np.array_equal(loaded.params.vector.view(np.uint64), stored)
 
 
 def test_checkpoint_truncated():
@@ -372,34 +404,45 @@ def _rnn_shape_over_memory_cells(doc):
     doc["shape"]["cell"] = doc["config"]["cell"] = "rnn"
 
 
-def _missing_block(doc):
-    del doc["params"]["layers.2.b_c"]
+def _edit_vector_bytes(doc, edit):
+    doc["vector"] = base64.b64encode(edit(base64.b64decode(doc["vector"]))).decode("ascii")
 
 
-def _extra_block(doc):
-    doc["params"]["layers.3.W_f"] = doc["params"]["layers.2.W_f"]
+def _vector_one_value_short(doc):
+    _edit_vector_bytes(doc, lambda data: data[:-8])
 
 
-def _one_row_block(doc):  # (8,) would broadcast into the (8, 8) block
-    doc["params"]["layers.1.U_o"] = doc["params"]["layers.1.U_o"][0]
+def _vector_one_value_long(doc):
+    _edit_vector_bytes(doc, lambda data: data + data[:8])
 
 
-def _text_block(doc):
-    doc["params"]["head.b"] = "zero"
+def _vector_not_base64(doc):
+    doc["vector"] = "zero!" + doc["vector"]
+
+
+def _vector_as_list(doc):
+    doc["vector"] = np.frombuffer(base64.b64decode(doc["vector"]), dtype="<f8").tolist()
 
 
 def _fractional_hidden(doc):
     doc["shape"]["hidden"] = 8.0
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [_rnn_shape_over_memory_cells, _missing_block, _extra_block, _one_row_block, _text_block, _fractional_hidden],
-)
-def test_checkpoint_rejects_a_malformed_model(edit):
+_MALFORMED = [
+    (_rnn_shape_over_memory_cells, "the model needs"),
+    (_vector_one_value_short, "holds 12768 bytes, the model needs 12776"),
+    (_vector_one_value_long, "holds 12784 bytes, the model needs 12776"),
+    (_vector_not_base64, "not valid base64"),
+    (_vector_as_list, "must be a base64 string, got list"),
+    (_fractional_hidden, "invalid checkpoint contents"),
+]
+
+
+@pytest.mark.parametrize("edit, message", _MALFORMED, ids=[edit.__name__ for edit, _ in _MALFORMED])
+def test_checkpoint_rejects_a_malformed_model(edit, message):
     doc = _small_checkpoint_doc()
     edit(doc)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match=message):
         load_checkpoint(json.dumps(doc))
 
 
