@@ -61,8 +61,6 @@ from .network import (
 from .reports import (
     AggregateRow,
     ExperimentReport,
-    ForgetGateReport,
-    ForgetGateRow,
     ReportRow,
     aggregate_report,
     report_from_json,

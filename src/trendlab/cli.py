@@ -2,9 +2,11 @@
 the experiment suite, driven by a JSON run config (`experiments.RunConfig`).
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
-divergence. Every command validates its full configuration and inputs
-before writing anything, and rejects contradictory config values before
-reading any file; all outputs land under the configured output directory.
+divergence in `train` or `predict`; an experiment records a diverged cell
+as an error row and exits 2 if it failed in every cell. Every command
+validates its full configuration and inputs before writing anything, and
+rejects contradictory config values before reading any file; all outputs
+land under the configured output directory.
 A command reads each input file once, and a command that built a frame on
 the neutral sentiment fill says so after writing its outputs.
 """
@@ -24,6 +26,7 @@ from typing import Callable
 from .errors import ConfigError, DataError, DivergenceError, TrendlabError, field_types
 from .experiments import (
     RunConfig,
+    regime_segments,
     require_sentiment_stream,
     run_forget_gate_experiment,
     run_interval_experiment,
@@ -54,7 +57,6 @@ from .reports import (
     ExperimentReport,
     aggregate_report,
     aggregate_to_csv,
-    forget_report_to_csv,
     report_to_csv,
     report_to_json,
     summary_table,
@@ -257,8 +259,10 @@ def cmd_experiment(cfg: RunConfig, which: str) -> int:
         prices, sentiment = _load_inputs(cfg)
         series = prices if wanted == ("interval",) else _at_interval(prices, cfg.interval)
 
+    if "regime" in wanted:
+        regime_segments(series, cfg)  # a bad segment fails here, before any cell trains
+
     reports: dict[str, ExperimentReport] = {}
-    forget = None
     if "interval" in wanted:
         reports["interval"] = run_interval_experiment(prices, cfg, sentiment, timer=timer)
     if "regime" in wanted:
@@ -267,22 +271,18 @@ def cmd_experiment(cfg: RunConfig, which: str) -> int:
         frame = _resolve_frame(cfg, (series, sentiment))
         reports["sentiment"] = run_sentiment_ablation(frame, cfg, timer=timer)
     if "forget-gate" in wanted:
-        forget = run_forget_gate_experiment(series, cfg, sentiment, timer=timer)
+        reports["forget-gate"] = run_forget_gate_experiment(series, cfg, sentiment, timer=timer)
 
     out = _prepare_out(cfg)
     failed = False
     for name, report in reports.items():
-        (out / f"{name}_report.csv").write_text(report_to_csv(report))
-        (out / f"{name}_report.json").write_text(report_to_json(report))
-        (out / f"{name}_aggregate.csv").write_text(aggregate_to_csv(aggregate_report([report])))
+        stem = name.replace("-", "_")
+        (out / f"{stem}_report.csv").write_text(report_to_csv(report))
+        (out / f"{stem}_report.json").write_text(report_to_json(report))
+        (out / f"{stem}_aggregate.csv").write_text(aggregate_to_csv(aggregate_report([report])))
         print(f"== {name} experiment")
         print(summary_table(report))
         failed = failed or report.all_failed
-    if forget is not None:
-        (out / "forget_gate_report.csv").write_text(forget_report_to_csv(forget))
-        print("== forget-gate experiment")
-        for row in forget.rows:
-            print(f"window {row.window:>3}  seed {row.seed}  mean forget {row.mean_forget:.4f}")
     if failed:
         print("error: an experiment failed in every cell", file=sys.stderr)
     _warn_if_neutral_fill(cfg, prices is not None)

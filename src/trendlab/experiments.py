@@ -3,34 +3,37 @@ interval comparison, regime comparison, sentiment ablation, and forget-gate
 analysis.
 
 Every runner is a pure function of (data, `RunConfig`) and reads every
-setting from the config: identical inputs produce identical reports, and
-cell failures become explicit error rows. A grid prepares each data variant
-(interval, segment, or feature set) once and shares that read-only bundle
-across the variant's (model, seed) cells. The cells run serially: each one
-issues thousands of microsecond-scale numpy calls that drop and retake the
-GIL, so threads would spend their time handing it back and forth and run the
-grid slower than one thread does.
+setting from the config: identical inputs produce identical reports. All
+four build one grid of cells, preparing each data variant (interval,
+segment, feature set, or window size) once and sharing that read-only bundle
+across the variant's (model, seed) cells. One failure policy: a variant that
+cannot be prepared, or a cell that fails or diverges, becomes error rows and
+the other cells still run. The cells run serially: each one issues thousands
+of microsecond-scale numpy calls that drop and retake the GIL, so threads
+would spend their time handing it back and forth and run the grid slower
+than one thread does.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, replace
 from datetime import date
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DivergenceError, TrendlabError, enforce_field_types
+from .errors import ConfigError, DataError, TrendlabError, enforce_field_types
 from .features import DatasetBundle, FeatureFrame, build_feature_frame, prepare_dataset
 from .indicators import IndicatorConfig
 from .market_data import DAILY, WEEKLY, PriceSeries, fit_scale, normalize, resample_weekly
-from .network import LSTM, RNN, forward_batch, mean_forget_activation
-from .reports import ExperimentReport, ForgetGateReport, ForgetGateRow, ReportRow
+from .network import LSTM, RNN
+from .reports import ExperimentReport, ReportRow
 from .training import TrainConfig, train
 
 MODELS = (LSTM, RNN)
@@ -138,9 +141,9 @@ def classify_regime(segment: PriceSeries, threshold: float = 0.15) -> RegimeLabe
     return RegimeLabel.FLAT
 
 
-# A grid variant: its report labels (interval, regime, features) and a
-# builder for its feature frame.
-_Variant = tuple[str, str, str, Callable[[], FeatureFrame]]
+# A grid variant: its report labels (interval, regime, features), the window
+# its cells train on, and a builder for its feature frame.
+_Variant = tuple[str, str, str, int, Callable[[], FeatureFrame]]
 
 
 def _run_cells(tasks: Sequence[Callable[[], ReportRow]]) -> list[ReportRow]:
@@ -164,37 +167,39 @@ def _cell(
     `prepared` is the error text when the variant could not be prepared."""
     if isinstance(prepared, str):
         return replace(row, error=prepared)
-    train_config = replace(config.train, cell=row.model, seed=row.seed)
+    train_config = replace(config.train, cell=row.model, seed=row.seed, window=row.window)
     started = timer()
     try:
         run = train(prepared.dataset, train_config, timer=timer)
     except (TrendlabError, ValueError) as exc:
         return replace(row, error=_error_text(exc))
     wall_ms = (timer() - started) * 1000.0
-    return replace(row, train_rmse=run.train_rmse, test_rmse=run.test_rmse, wall_ms=wall_ms)
+    mean_forget = math.nan if run.test_mean_forget is None else run.test_mean_forget
+    return replace(row, train_rmse=run.train_rmse, test_rmse=run.test_rmse, mean_forget=mean_forget, wall_ms=wall_ms)
 
 
 def _run_grid(
     variants: Sequence[_Variant],
     config: RunConfig,
     timer: Callable[[], float],
+    models: Sequence[str] = MODELS,
 ) -> ExperimentReport:
     """One row per (variant, model, seed), in that order. Each variant is
     prepared once, before the cells; `train` only reads the bundle, so its
     cells share it. A variant without test windows trains no cell."""
     tasks = []
-    for interval, regime, features, make_frame in variants:
+    for interval, regime, features, window, make_frame in variants:
         try:
-            prepared = prepare_dataset(make_frame(), config.train.window, scale_fit=config.scale_fit)
+            prepared = prepare_dataset(make_frame(), window, scale_fit=config.scale_fit)
             if prepared.dataset.test.n_windows == 0:
                 raise DataError("experiment dataset produced an empty test split")
         except (TrendlabError, ValueError) as exc:
             prepared = _error_text(exc)
-        for model in MODELS:
+        for model in models:
             for seed in config.experiments.seeds:
                 row = ReportRow(
-                    model=model, interval=interval, regime=regime, features=features, seed=seed,
-                    train_rmse=float("nan"), test_rmse=float("nan"), wall_ms=float("nan"),
+                    model=model, interval=interval, regime=regime, features=features, window=window,
+                    seed=seed, train_rmse=math.nan, test_rmse=math.nan, mean_forget=math.nan, wall_ms=math.nan,
                 )
                 tasks.append(partial(_cell, prepared, row, config, timer))
     return ExperimentReport(rows=tuple(_run_cells(tasks)))
@@ -211,7 +216,7 @@ def _series_variant(
     series: PriceSeries, regime: str, config: RunConfig, sentiment: Mapping[date, float] | None
 ) -> _Variant:
     features = FULL_FEATURES if config.use_sentiment else NO_SENTIMENT
-    return series.interval, regime, features, partial(_series_frame, series, config, sentiment)
+    return series.interval, regime, features, config.train.window, partial(_series_frame, series, config, sentiment)
 
 
 def run_interval_experiment(
@@ -238,12 +243,14 @@ def run_regime_experiment(
     """Classify each configured segment and train/evaluate both models on
     it; one row per (segment, model, seed).
     """
-    variants = []
-    for start, end in config.experiments.segments:
-        segment = series.between(start, end)
-        label = classify_regime(segment, config.experiments.regime_threshold)
-        variants.append(_series_variant(segment, label.value, config, sentiment))
+    variants = [_series_variant(s, label.value, config, sentiment) for s, label in regime_segments(series, config)]
     return _run_grid(variants, config, timer)
+
+
+def regime_segments(series: PriceSeries, config: RunConfig) -> list[tuple[PriceSeries, RegimeLabel]]:
+    """Each configured segment of `series` and its label; a DataError for one too short to classify."""
+    segments = [series.between(start, end) for start, end in config.experiments.segments]
+    return [(s, classify_regime(s, config.experiments.regime_threshold)) for s in segments]
 
 
 def require_sentiment_stream(config: RunConfig) -> None:
@@ -266,8 +273,8 @@ def run_sentiment_ablation(
         raise DataError("missing sentiment column in the full variant")
     ablated = frame.without_sentiment()
     variants = [
-        (config.interval, ALL_REGIMES, FULL_FEATURES, lambda: frame),
-        (config.interval, ALL_REGIMES, NO_SENTIMENT, lambda: ablated),
+        (config.interval, ALL_REGIMES, FULL_FEATURES, config.train.window, lambda: frame),
+        (config.interval, ALL_REGIMES, NO_SENTIMENT, config.train.window, lambda: ablated),
     ]
     return _run_grid(variants, config, timer)
 
@@ -277,26 +284,12 @@ def run_forget_gate_experiment(
     config: RunConfig,
     sentiment: Mapping[date, float] | None = None,
     timer: Callable[[], float] = time.perf_counter,
-) -> ForgetGateReport:
-    """Train one memory-cell model per configured window size and report
+) -> ExperimentReport:
+    """Train the memory-cell model at each configured window size, all on
+    one feature frame; one row per (window, seed), whose `mean_forget` is
     the mean forget-gate activation over the test windows.
     """
-    frame = _series_frame(series, config, sentiment)
-    rows = []
-    for window in config.experiments.window_sizes:
-        bundle = prepare_dataset(frame, window, scale_fit=config.scale_fit)
-        test = bundle.dataset.test
-        if test.n_windows == 0:
-            raise DataError(f"window size {window}: empty test split")
-        for seed in config.experiments.seeds:
-            train_config = replace(config.train, cell=LSTM, seed=seed, window=window)
-            where = f"window size {window}, seed {seed}"
-            try:
-                run = train(bundle.dataset, train_config, timer=timer)
-            except DivergenceError as exc:
-                raise DivergenceError(f"{where}: {exc}", epoch=exc.epoch) from exc
-            except TrendlabError as exc:
-                raise type(exc)(f"{where}: {exc}") from exc
-            mean = mean_forget_activation(forward_batch(test.streams, run.parameters))
-            rows.append(ForgetGateRow(window=window, seed=seed, mean_forget=mean))
-    return ForgetGateReport(rows=tuple(rows))
+    interval, regime, features, _, make_frame = _series_variant(series, ALL_REGIMES, config, sentiment)
+    make_frame = cache(make_frame)
+    variants = [(interval, regime, features, window, make_frame) for window in config.experiments.window_sizes]
+    return _run_grid(variants, config, timer, models=(LSTM,))

@@ -30,6 +30,7 @@ give bit-identical outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from typing import Callable
 
 import numpy as np
 
@@ -257,11 +258,21 @@ def init_parameters(shape: ModelShape, seed: int, forget_bias: float = 1.0) -> N
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-limit, limit, size=(fan_out, fan_in))
 
+    return _build_parameters(shape, glorot, forget_bias)
+
+
+def zero_parameters(shape: ModelShape) -> NetworkParameters:
+    """All-zero weights and biases, drawn from no generator."""
+    return _build_parameters(shape, lambda *dims: np.zeros(dims), 0.0)
+
+
+def _build_parameters(shape: ModelShape, weights: Callable, forget_bias: float) -> NetworkParameters:
+    """A model of `shape`, each weight matrix made by `weights(fan_out, fan_in)` in a fixed order."""
     width = shape.width
     fusion = FusionParameters(
-        W_A=glorot(width, shape.d_a), b_A=np.zeros(width),
-        W_F=glorot(width, shape.d_f), b_F=np.zeros(width),
-        W_S=glorot(width, shape.d_s) if shape.d_s is not None else None,
+        W_A=weights(width, shape.d_a), b_A=np.zeros(width),
+        W_F=weights(width, shape.d_f), b_F=np.zeros(width),
+        W_S=weights(width, shape.d_s) if shape.d_s is not None else None,
         b_S=np.zeros(width) if shape.d_s is not None else None,
     )
 
@@ -272,15 +283,15 @@ def init_parameters(shape: ModelShape, seed: int, forget_bias: float = 1.0) -> N
         if shape.cell == LSTM:
             # Draws W_f, U_f, W_i, U_i, W_o, U_o, W_c, U_c in turn; a seed's
             # values depend on that order.
-            W, U = map(np.concatenate, zip(*[(glorot(hid, size), glorot(hid, hid)) for _ in GATES]))
+            W, U = map(np.concatenate, zip(*[(weights(hid, size), weights(hid, hid)) for _ in GATES]))
             b = np.zeros(4 * hid)
             b[:hid] = forget_bias
             layers.append(LstmLayerParameters(W, U, b))
         else:
-            layers.append(RnnLayerParameters(U=glorot(shape.hidden, size), W=glorot(shape.hidden, shape.hidden)))
+            layers.append(RnnLayerParameters(U=weights(shape.hidden, size), W=weights(shape.hidden, shape.hidden)))
         size = shape.hidden
 
-    head = HeadParameters(w=glorot(1, shape.hidden)[0], b=np.zeros(()))
+    head = HeadParameters(w=weights(1, shape.hidden)[0], b=np.zeros(()))
     return NetworkParameters(shape.cell, fusion, layers, head)
 
 

@@ -1,9 +1,11 @@
 """Experiment report rows, aggregation, and CSV/JSON emission.
 
-The CSV and JSON columns of `ReportRow` and `AggregateRow` follow their
-dataclass field order. Floats are written with full shortest-round-trip
-precision, so reruns with identical inputs produce identical bytes; NaN is
-written as an empty CSV field and as JSON null, and null reads back as NaN.
+Every experiment writes one `ReportRow` per cell and `AggregateRow`s over
+seeds; the CSV and JSON columns follow the dataclass field order. Floats
+are written with full shortest-round-trip precision, so reruns with
+identical inputs produce identical bytes; NaN is written as an empty CSV
+field and as JSON null, and null reads back as NaN. Schema 2 added `window`
+(also an aggregate group key) and `mean_forget`; schema 1 is rejected.
 """
 
 from __future__ import annotations
@@ -11,27 +13,31 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ConfigError, DataError, enforce_field_types, field_types
 from .market_data import write_csv
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
 class ReportRow:
-    """One experiment cell. `error` is non-empty when the cell failed, in
-    which case the RMSE fields hold NaN."""
+    """One experiment cell. `mean_forget` is the mean forget-gate activation
+    over the test windows (NaN for a plain recurrent cell). `error` is
+    non-empty when the cell failed, and then the RMSEs and `mean_forget` are NaN."""
 
     model: str
     interval: str
     regime: str
     features: str
+    window: int
     seed: int
     train_rmse: float
     test_rmse: float
+    mean_forget: float
     wall_ms: float
     error: str = ""
 
@@ -51,18 +57,6 @@ class ExperimentReport:
     @property
     def all_failed(self) -> bool:
         return bool(self.rows) and not self.ok_rows
-
-
-@dataclass(frozen=True)
-class ForgetGateRow:
-    window: int
-    seed: int
-    mean_forget: float
-
-
-@dataclass(frozen=True)
-class ForgetGateReport:
-    rows: tuple[ForgetGateRow, ...]
 
 
 def _to_csv(cls, rows) -> str:
@@ -114,34 +108,30 @@ def report_from_json(text: str) -> ExperimentReport:
     return ExperimentReport(rows=rows)
 
 
-def forget_report_to_csv(report: ForgetGateReport) -> str:
-    return write_csv(("window_size", "seed", "mean_forget"), ((r.window, r.seed, r.mean_forget) for r in report.rows))
-
-
 @dataclass(frozen=True)
 class AggregateRow:
     model: str
     interval: str
     regime: str
     features: str
+    window: int
     count: int
     train_rmse_mean: float
     train_rmse_std: float
     test_rmse_mean: float
     test_rmse_std: float
+    mean_forget_mean: float
 
 
-def aggregate_report(reports) -> tuple[AggregateRow, ...]:
-    """Group successful rows by (model, interval, regime, features) and
-    report mean and population standard deviation over seed replicates.
-    Rows are ordered by group key.
+def aggregate_report(reports: Iterable[ExperimentReport]) -> tuple[AggregateRow, ...]:
+    """Group successful rows by (model, interval, regime, features, window)
+    and report mean and population standard deviation over seed
+    replicates. Rows are ordered by group key.
     """
-    groups: dict[tuple[str, str, str, str], list[ReportRow]] = {}
+    groups: dict[tuple[str, str, str, str, int], list[ReportRow]] = {}
     for report in reports:
-        if not isinstance(report, ExperimentReport):
-            raise DataError(f"cannot aggregate {type(report).__name__}")
         for r in report.ok_rows:
-            groups.setdefault((r.model, r.interval, r.regime, r.features), []).append(r)
+            groups.setdefault((r.model, r.interval, r.regime, r.features, r.window), []).append(r)
     out = []
     for key in sorted(groups):
         rows = groups[key]
@@ -149,12 +139,13 @@ def aggregate_report(reports) -> tuple[AggregateRow, ...]:
         test = np.array([r.test_rmse for r in rows])
         out.append(
             AggregateRow(
-                model=key[0], interval=key[1], regime=key[2], features=key[3],
+                model=key[0], interval=key[1], regime=key[2], features=key[3], window=key[4],
                 count=len(rows),
                 train_rmse_mean=float(train.mean()),
                 train_rmse_std=float(train.std()),
                 test_rmse_mean=float(test.mean()),
                 test_rmse_std=float(test.std()),
+                mean_forget_mean=float(np.mean([r.mean_forget for r in rows])),
             )
         )
     return tuple(out)
@@ -166,17 +157,14 @@ def aggregate_to_csv(rows: tuple[AggregateRow, ...]) -> str:
 
 def summary_table(report: ExperimentReport) -> str:
     """Human-readable fixed-width table for terminal output."""
-    headers = ("model", "interval", "regime", "features", "seed", "train_rmse", "test_rmse", "status")
-    body = []
-    for r in report.rows:
-        body.append(
-            (r.model, r.interval, r.regime, r.features, str(r.seed),
-             "-" if math.isnan(r.train_rmse) else f"{r.train_rmse:.4f}",
-             "-" if math.isnan(r.test_rmse) else f"{r.test_rmse:.4f}",
-             r.error or "ok")
-        )
-    widths = [max(len(h), *(len(row[k]) for row in body)) if body else len(h) for k, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(widths[k]) for k, h in enumerate(headers))]
-    for row in body:
-        lines.append("  ".join(cell.ljust(widths[k]) for k, cell in enumerate(row)))
-    return "\n".join(lines)
+    headers = ("model", "interval", "regime", "features", "window", "seed",
+               "train_rmse", "test_rmse", "mean_forget", "status")
+    body = [
+        (r.model, r.interval, r.regime, r.features, str(r.window), str(r.seed),
+         *("-" if math.isnan(v) else f"{v:.4f}" for v in (r.train_rmse, r.test_rmse, r.mean_forget)),
+         r.error or "ok")
+        for r in report.rows
+    ]
+    table = [headers, *body]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in table)

@@ -18,11 +18,14 @@ from .errors import CheckpointError, ConfigError, DataError, DivergenceError, en
 from .market_data import NormalizationScale, WindowedDataset
 from .network import (
     CELLS,
+    ForwardCache,
     ModelShape,
     NetworkParameters,
     backward_batch,
     forward_batch,
     init_parameters,
+    mean_forget_activation,
+    zero_parameters,
 )
 
 CHECKPOINT_SCHEMA_VERSION = 3
@@ -127,21 +130,24 @@ def model_shape(dataset: WindowedDataset, config: TrainConfig) -> ModelShape:
     )
 
 
-def evaluate(dataset: WindowedDataset, params: NetworkParameters) -> tuple[np.ndarray, float | None]:
-    """Predictions over all windows and their RMSE (None when empty)."""
+def evaluate(dataset: WindowedDataset, params: NetworkParameters) -> tuple[ForwardCache | None, float | None]:
+    """The forward pass over all windows and its RMSE; both None when empty."""
     if dataset.n_windows == 0:
-        return np.zeros(0), None
+        return None, None
     cache = forward_batch(dataset.streams, params)
-    return cache.predictions, rmse(cache.predictions, dataset.labels)
+    return cache, rmse(cache.predictions, dataset.labels)
 
 
 @dataclass(frozen=True)
 class TrainingRun:
-    """Per-epoch training cost, final metrics, and the trained parameters."""
+    """Per-epoch training cost, final metrics, and the trained parameters.
+    `test_mean_forget` is the mean forget-gate activation of the final test
+    pass: None for a plain recurrent cell or an empty test split."""
 
     epoch_rmse: tuple[float, ...]
     train_rmse: float
     test_rmse: float | None
+    test_mean_forget: float | None
     wall_seconds: float
     config: TrainConfig
     parameters: NetworkParameters
@@ -185,7 +191,7 @@ def train(
             raise DivergenceError(f"diverged at epoch {epoch}: {exc}", epoch=epoch) from None
 
     _, train_cost = evaluate(train_split, params)
-    _, test_cost = evaluate(dataset.test, params)
+    test_cache, test_cost = evaluate(dataset.test, params)
     if not all(math.isfinite(c) for c in (train_cost, test_cost) if c is not None):
         raise DivergenceError(
             f"diverged at epoch {config.epochs}: non-finite final RMSE", epoch=config.epochs
@@ -194,6 +200,8 @@ def train(
         epoch_rmse=tuple(epoch_rmse),
         train_rmse=float(train_cost),
         test_rmse=None if test_cost is None else float(test_cost),
+        test_mean_forget=None if test_cache is None or config.cell != network.LSTM
+        else mean_forget_activation(test_cache),
         wall_seconds=timer() - started,
         config=config,
         parameters=params,
@@ -342,7 +350,7 @@ def _check_shape_matches_config(shape: ModelShape, config: TrainConfig) -> None:
 
 def _load_params(shape: ModelShape, raw) -> NetworkParameters:
     """The parameters of `shape`, filled from the stored base64 vector."""
-    params = init_parameters(shape, seed=0)
+    params = zero_parameters(shape)
     if not isinstance(raw, str):
         raise CheckpointError(f"stored vector must be a base64 string, got {type(raw).__name__}")
     try:

@@ -8,7 +8,7 @@ import csv
 
 import pytest
 
-from trendlab import cli
+from trendlab import cli, experiments
 from trendlab.cli import EXPERIMENT_NAMES, NEUTRAL_FILL_WARNING, _apply_overrides, build_parser, load_run_config, main
 from trendlab.experiments import RunConfig
 from trendlab.features import build_feature_frame, feature_frame_to_csv, prepare_dataset
@@ -344,14 +344,17 @@ def test_divergence_exits_3_before_writing(tmp_path, epochs, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_forget_gate_divergence_exits_3_before_writing(tmp_path, capsys):
+def test_a_forget_gate_run_diverging_in_every_cell_exits_2_with_its_error_rows(tmp_path, capsys):
     config = _run_config(
-        tmp_path, train={**TINY, "learning_rate": 1e300}, experiments={"seeds": [0], "window_sizes": [4]}
+        tmp_path, train={**TINY, "learning_rate": 1e300}, experiments={"seeds": [0, 1], "window_sizes": [4, 5]}
     )
-    with pytest.warns(RuntimeWarning):
-        assert main(["experiment", "forget-gate", "--config", str(config)]) == 3
-    assert capsys.readouterr().err.startswith("divergence: window size 4, seed 0: diverged at epoch 1: ")
-    assert not (tmp_path / "out").exists()
+    with pytest.warns(RuntimeWarning):  # numpy overflow on the way to the non-finite loss
+        assert main(["experiment", "forget-gate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: an experiment failed in every cell\n")
+    with open(tmp_path / "out" / "forget_gate_report.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [(row["window"], row["seed"]) for row in rows] == [("4", "0"), ("4", "1"), ("5", "0"), ("5", "1")]
+    assert all(row["error"].startswith("diverged at epoch ") and row["mean_forget"] == "" for row in rows)
 
 
 @pytest.mark.parametrize(
@@ -436,13 +439,53 @@ def test_experiment_all_reads_each_input_file_once(tmp_path, monkeypatch):
     assert main(["experiment", "all", "--config", str(config)]) == 0
     assert (len(parsed), len(scores)) == (1, 1)
     assert sorted(p.name for p in (tmp_path / "out").glob("*_report.*")) == [
-        "forget_gate_report.csv", "interval_report.csv", "interval_report.json", "regime_report.csv",
-        "regime_report.json", "sentiment_report.csv", "sentiment_report.json",
+        "forget_gate_report.csv", "forget_gate_report.json", "interval_report.csv", "interval_report.json",
+        "regime_report.csv", "regime_report.json", "sentiment_report.csv", "sentiment_report.json",
     ]
     with open(tmp_path / "out" / "forget_gate_report.csv", newline="") as handle:
-        header, *rows = csv.reader(handle)
-    assert header == ["window_size", "seed", "mean_forget"]
-    assert [row[:2] for row in rows] == [["4", "0"]] and 0.0 < float(rows[0][2]) < 1.0
+        rows = list(csv.DictReader(handle))
+    assert [(row["model"], row["window"], row["seed"], row["error"]) for row in rows] == [("lstm", "4", "0", "")]
+    assert 0.0 < float(rows[0]["mean_forget"]) < 1.0
+
+
+def _experiment_all_config(tmp_path: Path, segments) -> Path:
+    """`experiment all` on 800 daily bars with planted sentiment, a tiny
+    model, two seeds, two forget-gate windows and the given segments."""
+    daily = trend_seasonal_daily(bars=800)
+    prices, sentiment = tmp_path / "prices.csv", tmp_path / "sentiment.csv"
+    _write_prices(prices, daily.bars)
+    _write_sentiment(sentiment, planted_sentiment(daily))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "price_csv": str(prices), "sentiment_csv": str(sentiment), "output_dir": str(tmp_path / "out"),
+        "train": TINY, "experiments": {"seeds": [0, 1], "window_sizes": [3, 4], "segments": segments},
+    }))
+    return config
+
+
+def test_experiment_all_writes_the_same_bytes_twice_on_the_fixed_clock(tmp_path, monkeypatch):
+    monkeypatch.setenv(cli.CLOCK_ENV, "fixed")
+    config = _experiment_all_config(tmp_path, [["2015-03-02", "2016-02-29"], ["2016-03-07", "2017-03-06"]])
+    outputs = []
+    for _ in range(2):
+        assert main(["experiment", "all", "--config", str(config)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()})
+    stems = ("interval", "regime", "sentiment", "forget_gate")
+    assert sorted(outputs[0]) == sorted(
+        ["config.json"] + [f"{s}_{kind}" for s in stems for kind in ("report.csv", "report.json", "aggregate.csv")]
+    )
+    assert outputs[0] == outputs[1]
+
+
+def test_experiment_all_with_a_segment_outside_the_data_fails_before_training(tmp_path, monkeypatch, capsys):
+    config = _experiment_all_config(tmp_path, [["2015-03-02", "2016-02-29"], ["2030-01-07", "2031-01-06"]])
+    trained = []
+    real = experiments.train
+    monkeypatch.setattr(experiments, "train", lambda *args, **kwargs: trained.append(args) or real(*args, **kwargs))
+    assert main(["experiment", "all", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "data error: no bars between 2030-01-07 and 2031-01-06\n"
+    assert trained == []
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

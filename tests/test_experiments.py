@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 
 from trendlab import experiments
-from trendlab.errors import DataError
+from trendlab.errors import DataError, DivergenceError
 from trendlab.experiments import (
     FULL_FEATURES,
     MODELS,
@@ -111,21 +111,29 @@ def _count_calls(monkeypatch, name: str) -> list:
     return calls
 
 
-@pytest.mark.parametrize("grid", ["regime", "interval", "sentiment"])
+@pytest.mark.parametrize("grid", ["regime", "interval", "sentiment", "forget-gate"])
 def test_each_variant_is_prepared_once(monkeypatch, regime_data, daily_data, grid):
+    """Each variant's bundle is prepared once; the forget-gate windows all
+    share one feature frame."""
     series, segments, sentiment = regime_data
     ablation_frame = build_feature_frame(series, CONFIG.indicators, sentiment)
     frames = _count_calls(monkeypatch, "build_feature_frame")
     bundles = _count_calls(monkeypatch, "prepare_dataset")
     if grid == "regime":
-        report, variants = run_regime_experiment(series, _config(segments=segments), sentiment), len(segments)
+        report = run_regime_experiment(series, _config(segments=segments), sentiment)
+        variants, built, per_variant = len(segments), len(segments), PER_VARIANT
     elif grid == "interval":
-        report, variants = run_interval_experiment(daily_data[0], CONFIG, daily_data[1]), 2
+        report = run_interval_experiment(daily_data[0], CONFIG, daily_data[1])
+        variants, built, per_variant = 2, 2, PER_VARIANT
+    elif grid == "sentiment":
+        report = run_sentiment_ablation(ablation_frame, CONFIG)
+        variants, built, per_variant = 2, 0, PER_VARIANT
     else:
-        report, variants = run_sentiment_ablation(ablation_frame, CONFIG), 2
-    assert len(report.rows) == PER_VARIANT * variants
-    assert len(bundles) == variants
-    assert len(frames) == (0 if grid == "sentiment" else variants)
+        report = run_forget_gate_experiment(series, _config(window_sizes=(3, 4, 5)), sentiment)
+        variants, built, per_variant = 3, 1, len(SEEDS)  # LSTM cells only
+    assert len(report.rows) == per_variant * variants
+    assert all(row.error == "" for row in report.rows)
+    assert (len(bundles), len(frames)) == (variants, built)
 
 
 def test_unpreparable_segment_fails_only_its_cells(regime_data):
@@ -174,16 +182,21 @@ def test_other_exceptions_in_a_cell_propagate(monkeypatch, regime_data):
 
 def test_forget_gate_rows_match_direct_evaluation(regime_data):
     """Each row is the mean over the test windows, layers, steps and units
-    of the forget gates of a model trained directly for its (window, seed)."""
+    of the forget gates of a model trained directly for its (window, seed),
+    and carries that model's RMSEs."""
     series, _, sentiment = regime_data
     windows = (3, 5)
     config = _config(replace(CONFIG, train=replace(CONFIG.train, layers=2)), window_sizes=windows)
     report = run_forget_gate_experiment(series, config, sentiment)
     assert [(row.window, row.seed) for row in report.rows] == [(w, s) for w in windows for s in SEEDS]
+    assert {(row.model, row.interval, row.regime, row.features) for row in report.rows} == {
+        (LSTM, WEEKLY, "all", FULL_FEATURES)
+    }
     frame = build_feature_frame(series, config.indicators, sentiment)
     for row in report.rows:
         dataset = prepare_dataset(frame, row.window, scale_fit=config.scale_fit).dataset
         run = train(dataset, replace(config.train, cell=LSTM, seed=row.seed, window=row.window))
+        assert (row.train_rmse, row.test_rmse, row.mean_forget) == (run.train_rmse, run.test_rmse, run.test_mean_forget)
         cache = forward_batch(dataset.test.streams, run.parameters)
         n, steps, hidden = dataset.test.n_windows, row.window, config.train.hidden_size
         values = [
@@ -194,25 +207,36 @@ def test_forget_gate_rows_match_direct_evaluation(regime_data):
         assert row.mean_forget == pairwise_mean(values)
 
 
-def test_forget_gate_rejects_an_empty_test_split_before_training(monkeypatch, regime_data):
-    series, _, sentiment = regime_data
-    window = build_feature_frame(series, CONFIG.indicators, sentiment).n - 1  # one window, for training
-    trained = _count_calls(monkeypatch, "train")
-    with pytest.raises(DataError, match=f"^window size {window}: empty test split$"):
-        run_forget_gate_experiment(series, _config(window_sizes=(window,)), sentiment)
-    assert trained == []
-
-
-def test_a_variant_without_test_windows_trains_none_of_its_cells(monkeypatch, regime_data):
+@pytest.mark.parametrize("grid", ["regime", "forget-gate"])
+def test_a_variant_without_test_windows_trains_none_of_its_cells(monkeypatch, regime_data, grid):
     series, segments, sentiment = regime_data
-    rows = build_feature_frame(series.between(*segments[0]), CONFIG.indicators, sentiment).n
-    window = rows - 9  # 9 windows, all of them for training: ceil(9 * 15 / 16) = 9
-    config = _config(replace(CONFIG, train=replace(CONFIG.train, window=window)), segments=segments[:1])
     trained = _count_calls(monkeypatch, "train")
-    report = run_regime_experiment(series, config, sentiment)
+    if grid == "regime":
+        rows = build_feature_frame(series.between(*segments[0]), CONFIG.indicators, sentiment).n
+        window = rows - 9  # 9 windows, all of them for training: ceil(9 * 15 / 16) = 9
+        config = _config(replace(CONFIG, train=replace(CONFIG.train, window=window)), segments=segments[:1])
+        report, cells = run_regime_experiment(series, config, sentiment), PER_VARIANT
+    else:
+        window = build_feature_frame(series, CONFIG.indicators, sentiment).n - 1  # one window, for training
+        report, cells = run_forget_gate_experiment(series, _config(window_sizes=(window,)), sentiment), len(SEEDS)
     assert trained == []
-    assert [row.error for row in report.rows] == ["experiment dataset produced an empty test split"] * PER_VARIANT
-    assert all(math.isnan(row.train_rmse) and math.isnan(row.wall_ms) for row in report.rows)
+    assert [row.error for row in report.rows] == ["experiment dataset produced an empty test split"] * cells
+    assert [row.window for row in report.rows] == [window] * cells
+    assert all(math.isnan(row.train_rmse) and math.isnan(row.mean_forget) for row in report.rows)
+    assert all(math.isnan(row.wall_ms) for row in report.rows)
+
+
+def test_a_diverging_forget_gate_seed_becomes_an_error_row(monkeypatch, regime_data):
+    series, _, sentiment = regime_data
+    _train_raising(monkeypatch, DivergenceError, LSTM, 1)
+    report = run_forget_gate_experiment(series, _config(window_sizes=(3, 5)), sentiment)
+    assert [(row.window, row.seed, row.error) for row in report.rows] == [
+        (3, 0, ""), (3, 1, "planted failure"), (5, 0, ""), (5, 1, "planted failure"),
+    ]
+    failed = [(row.train_rmse, row.test_rmse, row.mean_forget) for row in report.rows if not row.ok]
+    finite = [(row.train_rmse, row.test_rmse, row.mean_forget) for row in report.rows if row.ok]
+    assert all(math.isnan(v) for values in failed for v in values)
+    assert all(math.isfinite(v) for values in finite for v in values)
 
 
 @pytest.mark.parametrize("grid", ["interval", "regime", "forget-gate"])
@@ -227,6 +251,5 @@ def test_use_sentiment_false_drops_the_stream_from_every_cell(monkeypatch, regim
     else:
         report = run_forget_gate_experiment(series, config, sentiment)
     assert trained and all(dataset.sentiment is None for dataset, *_ in trained)
-    if grid != "forget-gate":
-        assert {row.features for row in report.rows} == {NO_SENTIMENT}
-        assert all(row.error == "" for row in report.rows)
+    assert {row.features for row in report.rows} == {NO_SENTIMENT}
+    assert all(row.error == "" for row in report.rows)

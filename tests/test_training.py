@@ -332,6 +332,24 @@ def _tiny_checkpoint() -> str:
     return save_checkpoint(params, TrainConfig(layers=1, hidden_size=2), NormalizationScale(0.0, 1.0))
 
 
+@pytest.mark.parametrize("cell", ["lstm", "rnn"])
+def test_load_checkpoint_draws_no_seeded_weights(monkeypatch, cell):
+    """The loader fills a template that it builds without drawing weights,
+    and the stored vector still reads back bit for bit."""
+    shape = replace(SMALL_SHAPE, cell=cell)
+    params = init_parameters(shape, seed=123)
+    config = TrainConfig(cell=cell, layers=shape.layers, hidden_size=shape.hidden, d_i=shape.d_i)
+    text = save_checkpoint(params, config, NormalizationScale(0.0, 1.0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew seeded weights")
+
+    monkeypatch.setattr(training, "init_parameters", refuse)
+    loaded = load_checkpoint(text)
+    assert np.array_equal(loaded.params.vector.view(np.uint64), params.vector.view(np.uint64))
+    assert [name for name, _ in loaded.params.param_items()] == [name for name, _ in params.param_items()]
+
+
 def test_checkpoint_version_mismatch():
     bumped = _tiny_checkpoint().replace('"schema_version": 3', '"schema_version": 4', 1)
     with pytest.raises(CheckpointError, match="schema_version"):
