@@ -36,7 +36,6 @@ from .market_data import (
     DAILY,
     WEEKLY,
     NormalizationScale,
-    PriceBar,
     PriceSeries,
     WindowedDataset,
     compute_tdd,

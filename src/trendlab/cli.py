@@ -20,6 +20,7 @@ import sys
 import time
 from dataclasses import is_dataclass, replace
 from datetime import date
+from functools import cache
 from pathlib import Path
 from typing import Callable
 
@@ -175,11 +176,8 @@ def cmd_features(cfg: RunConfig) -> int:
     out = _prepare_out(cfg)
     (out / "features.csv").write_text(text)
     _warn_if_neutral_fill(cfg, cfg.feature_csv is None)
-    if cfg.feature_csv is None:
-        trimmed = cfg.indicators.warmup + 1
-        print(f"wrote {out / 'features.csv'}: {frame.n} rows ({trimmed} warm-up rows trimmed)")
-    else:
-        print(f"wrote {out / 'features.csv'}: {frame.n} rows")
+    trimmed = f" ({cfg.indicators.warmup + 1} warm-up rows trimmed)" if cfg.feature_csv is None else ""
+    print(f"wrote {out / 'features.csv'}: {frame.n} rows{trimmed}")
     return 0
 
 
@@ -259,16 +257,17 @@ def cmd_experiment(cfg: RunConfig, which: str) -> int:
         prices, sentiment = _load_inputs(cfg)
         series = prices if wanted == ("interval",) else _at_interval(prices, cfg.interval)
 
+    # A bad segment or ablation frame fails here, before any cell trains.
     if "regime" in wanted:
-        regime_segments(series, cfg)  # a bad segment fails here, before any cell trains
+        regime_segments(series, cfg)
+    frame = _resolve_frame(cfg, (series, sentiment)) if "sentiment" in wanted else None
 
     reports: dict[str, ExperimentReport] = {}
     if "interval" in wanted:
         reports["interval"] = run_interval_experiment(prices, cfg, sentiment, timer=timer)
     if "regime" in wanted:
         reports["regime"] = run_regime_experiment(series, cfg, sentiment, timer=timer)
-    if "sentiment" in wanted:
-        frame = _resolve_frame(cfg, (series, sentiment))
+    if frame is not None:
         reports["sentiment"] = run_sentiment_ablation(frame, cfg, timer=timer)
     if "forget-gate" in wanted:
         reports["forget-gate"] = run_forget_gate_experiment(series, cfg, sentiment, timer=timer)
@@ -322,6 +321,7 @@ _COMMANDS = {
 }
 
 
+@cache  # built once per process; parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="trendlab",

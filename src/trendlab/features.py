@@ -99,13 +99,12 @@ def build_feature_frame(
             f"indicator warm-up exhausts data: need more than {start + 2} bars, got {n}"
         )
     adjusted = series.adjusted()
-    volume = np.array([b.volume for b in series.bars], dtype=np.float64)
+    volume = series.volume.astype(np.float64)
     tdd = compute_tdd(series)  # tdd[k] belongs to bar k+1
     rsi_vals = rsi(series, config.rsi_period)          # defined from rsi_period
     cci_vals = cci(series, config.cci_period, config.cci_constant)  # from cci_period-1
     macd_vals = macd(series, config.macd_fast, config.macd_slow)    # from macd_slow-1
 
-    rows = range(start, n - 1)
     fundamental = np.column_stack([
         adjusted[start : n - 1],
         volume[start : n - 1],
@@ -117,16 +116,14 @@ def build_feature_frame(
         macd_vals[start - (config.macd_slow - 1) : n - 1 - (config.macd_slow - 1)],
     ])
 
-    dates = series.dates()
+    dates = series.dates()[start : n - 1]
     if sentiment_by_date is None:
-        sentiment = np.full((len(fundamental), 1), NEUTRAL_SENTIMENT)
+        sentiment = np.full((len(dates), 1), NEUTRAL_SENTIMENT)
     else:
-        missing = [dates[t] for t in rows if dates[t] not in sentiment_by_date]
+        missing = [d for d in dates if d not in sentiment_by_date]
         if missing:
-            raise DataError(
-                f"unjoinable sentiment dates: {len(missing)} rows lack sentiment, first {missing[0]}"
-            )
-        sentiment = np.array([[float(sentiment_by_date[dates[t]])] for t in rows])
+            raise DataError(f"unjoinable sentiment dates: {len(missing)} rows lack sentiment, first {missing[0]}")
+        sentiment = np.array([[float(sentiment_by_date[d])] for d in dates])
 
     return FeatureFrame(
         fundamental=fundamental,
@@ -135,7 +132,7 @@ def build_feature_frame(
         prices=adjusted[start : n - 1],
         answers=adjusted[start + 1 : n],
         fundamental_names=INDEX_FUNDAMENTALS,
-        dates=tuple(dates[start : n - 1]),
+        dates=dates,
     )
 
 
@@ -259,10 +256,7 @@ def prepare_dataset(
     count = n - window
     if count < 1:
         raise DataError(f"insufficient rows: {n} rows for window {window}")
-    if scale_fit == "train":
-        span_end = (train_window_count(count) - 1) + window
-    else:
-        span_end = n - 1
+    span_end = (train_window_count(count) - 1) + window if scale_fit == "train" else n - 1
     fit = slice(0, span_end + 1)
 
     price_scale = NormalizationScale.from_values(frame.prices[fit])
@@ -275,11 +269,7 @@ def prepare_dataset(
 
     dataset = make_windows(fundamental, technical, frame.sentiment, labels, window)
 
-    column_scales: dict[str, NormalizationScale | None] = {}
-    for name, scale in zip(frame.fundamental_names, fund_scales):
-        column_scales[name] = scale
-    for name, scale in zip(frame.technical_names, tech_scales):
-        column_scales[name] = scale
+    column_scales = dict(zip(frame.fundamental_names + frame.technical_names, fund_scales + tech_scales))
     return DatasetBundle(dataset=dataset, price_scale=price_scale, column_scales=column_scales, frame=frame)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, enforce_field_types
-from .market_data import PriceSeries
+from .market_data import CLOSE, HIGH, LOW, PriceSeries
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,10 @@ def cci(series: PriceSeries, period: int = 20, constant: float = 0.015) -> np.nd
         raise ConfigError(f"cci period must be >= 2, got {period}")
     if constant <= 0:
         raise ConfigError(f"cci constant must be positive, got {constant}")
-    bars = series.bars
-    if len(bars) < period:
-        raise DataError(f"series too short for CCI-{period}: {len(bars)} bars")
-    tp = np.array([(b.high + b.low + b.close) / 3.0 for b in bars], dtype=np.float64)
+    if len(series) < period:
+        raise DataError(f"series too short for CCI-{period}: {len(series)} bars")
+    prices = series.ohlca
+    tp = (prices[:, HIGH] + prices[:, LOW] + prices[:, CLOSE]) / 3.0
 
     windows = sliding_window_view(tp, period)
     sma = windows.mean(axis=1)

@@ -2,6 +2,10 @@
 windowed datasets. `read_csv` holds the header and row-width rule of every
 CSV reader, and `write_csv` the cell rule of every CSV writer.
 
+A `PriceSeries` is columnar (date ordinals, an (n, 5) price block, volumes)
+and checks every bar invariant at once over whole columns; parsing,
+resampling and slicing build columns directly, with no per-bar objects.
+
 All functions here are pure: they validate their inputs, never mutate them,
 and are safe to call concurrently.
 """
@@ -11,9 +15,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from datetime import date
-from itertools import groupby
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -32,65 +37,96 @@ SENTIMENT_CSV_HEADER = ("Date", "Sentiment")
 TRAIN_TEST_RATIO = (15, 1)
 
 
-@dataclass(frozen=True)
-class PriceBar:
-    """One OHLCV + adjusted-price observation at a calendar date."""
+# Columns of `PriceSeries.ohlca`, in price CSV order.
+PRICE_FIELDS = ("open", "high", "low", "close", "adjusted")
+OPEN, HIGH, LOW, CLOSE, ADJUSTED = range(len(PRICE_FIELDS))
 
-    date: date
-    open: float
-    high: float
-    low: float
-    close: float
-    adjusted: float
-    volume: int
+_INT64_MAX = np.iinfo(np.int64).max
 
-    def __post_init__(self):
-        if not (self.low <= self.open <= self.high):
-            raise DataError(f"{self.date}: open {self.open} outside [low, high]")
-        if not (self.low <= self.close <= self.high):
-            raise DataError(f"{self.date}: close {self.close} outside [low, high]")
-        if self.volume < 0:
-            raise DataError(f"{self.date}: negative volume {self.volume}")
-        if not self.adjusted > 0:
-            raise DataError(f"{self.date}: adjusted price must be positive, got {self.adjusted}")
-        for name in ("open", "high", "low", "close", "adjusted"):
-            if not math.isfinite(getattr(self, name)):
-                raise DataError(f"{self.date}: non-finite {name}")
+# One bar as plain Python values: a row of `PriceSeries.bars`.
+PriceRow = namedtuple("PriceRow", ("date", *PRICE_FIELDS, "volume"))
 
 
-@dataclass(frozen=True)
+class _BarFault(DataError):
+    """A bar that breaks a bar invariant; `index` is its row in the series."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+def _check_bars(ordinals: np.ndarray, ohlca: np.ndarray, volume: np.ndarray) -> None:
+    """Raise a _BarFault for the first bar, in row order, that breaks a bar
+    invariant: low <= open <= high, low <= close <= high, volume >= 0,
+    adjusted > 0 and every price finite, checked in that order per bar."""
+    o, h, l, c, a = ohlca.T
+    faults = np.vstack((~((l <= o) & (o <= h)), ~((l <= c) & (c <= h)), volume < 0, ~(a > 0), ~np.isfinite(ohlca.T)))
+    bad = faults.any(axis=0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        bar = ohlca[k].tolist()
+        messages = (f"open {bar[OPEN]} outside [low, high]", f"close {bar[CLOSE]} outside [low, high]",
+                    f"negative volume {volume[k]}", f"adjusted price must be positive, got {bar[ADJUSTED]}",
+                    *(f"non-finite {name}" for name in PRICE_FIELDS))
+        raise _BarFault(k, f"{date.fromordinal(int(ordinals[k]))}: {messages[int(np.argmax(faults[:, k]))]}")
+
+
+@dataclass(frozen=True, eq=False)
 class PriceSeries:
-    """Ordered, gap-free-by-construction sequence of bars for one symbol."""
+    """The bars of one symbol as read-only columns, in strictly ascending
+    date order: `ordinals` (int64 `date.toordinal()` values), `ohlca`
+    ((n, 5) float64 open, high, low, close, adjusted) and `volume` (int64).
+    Every bar invariant is checked once, here, over whole columns."""
 
     symbol: str
     interval: str
-    bars: tuple[PriceBar, ...]
+    ordinals: np.ndarray
+    ohlca: np.ndarray
+    volume: np.ndarray
 
     def __post_init__(self):
         if self.interval not in INTERVALS:
             raise DataError(f"unknown interval {self.interval!r}")
-        if not self.bars:
+        ordinals = np.array(self.ordinals, dtype=np.int64)
+        ohlca = np.array(self.ohlca, dtype=np.float64, order="C")
+        volume = np.array(self.volume, dtype=np.int64)
+        if not len(ordinals):
             raise DataError("empty series")
-        object.__setattr__(self, "bars", tuple(self.bars))
-        for prev, cur in zip(self.bars, self.bars[1:]):
-            if cur.date <= prev.date:
-                raise DataError(f"dates not ascending at {cur.date} (after {prev.date})")
+        shapes = (ordinals.shape, ohlca.shape, volume.shape)
+        if shapes != ((len(ordinals),), (len(ordinals), len(PRICE_FIELDS)), (len(ordinals),)):
+            raise DataError(f"price columns of shapes {shapes}; want (n,), (n, 5) and (n,)")
+        for name, column in (("ordinals", ordinals), ("ohlca", ohlca), ("volume", volume)):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        _check_bars(self.ordinals, self.ohlca, self.volume)
+        steps = np.diff(self.ordinals)
+        if (steps <= 0).any():
+            k = int(np.argmax(steps <= 0))
+            earlier, later = map(date.fromordinal, self.ordinals[k : k + 2].tolist())
+            raise DataError(f"dates not ascending at {later} (after {earlier})")
 
     def __len__(self) -> int:
-        return len(self.bars)
+        return len(self.ordinals)
+
+    @property
+    def bars(self) -> tuple[PriceRow, ...]:
+        """The bars as rows of Python values, built on each access: for
+        writing fixture files, not for the pipeline."""
+        columns = zip(self.ordinals.tolist(), self.ohlca.tolist(), self.volume.tolist())
+        return tuple(PriceRow(date.fromordinal(d), *prices, v) for d, prices, v in columns)
 
     def adjusted(self) -> np.ndarray:
-        return np.array([b.adjusted for b in self.bars], dtype=np.float64)
+        return self.ohlca[:, ADJUSTED].copy()
 
     def dates(self) -> tuple[date, ...]:
-        return tuple(b.date for b in self.bars)
+        return tuple(map(date.fromordinal, self.ordinals.tolist()))
 
     def between(self, start: date, end: date) -> "PriceSeries":
         """Sub-series with start <= bar.date <= end."""
-        picked = tuple(b for b in self.bars if start <= b.date <= end)
-        if not picked:
+        lo, hi = np.searchsorted(self.ordinals, (start.toordinal(), end.toordinal() + 1))
+        if lo >= hi:
             raise DataError(f"no bars between {start} and {end}")
-        return PriceSeries(self.symbol, self.interval, picked)
+        return PriceSeries(self.symbol, self.interval, self.ordinals[lo:hi], self.ohlca[lo:hi], self.volume[lo:hi])
 
 
 def read_csv(text: str, *headers: tuple[str, ...]) -> tuple[tuple[str, ...], Iterator[tuple[int, list[str]]]]:
@@ -138,22 +174,46 @@ def _csv_cell(value):
 def parse_price_csv(text: str, symbol: str = "series", interval: str = DAILY) -> PriceSeries:
     """Parse a `Date,Open,High,Low,Close,Adj Close,Volume` CSV into a PriceSeries.
 
-    Dates must be ISO-8601 and strictly ascending. Any malformed row is
-    reported with its line number.
+    Dates must be ISO-8601 and strictly ascending, and volumes must fit in
+    int64. The first malformed row or bar breaking a bar invariant, in row
+    order, is reported with its line number; a date out of order only after
+    every row has passed.
     """
-    bars: list[PriceBar] = []
-    for lineno, row in read_csv(text, PRICE_CSV_HEADER)[1]:
-        try:
-            when = date.fromisoformat(row[0].strip())
-            o, h, l, c, adj = (float(row[k]) for k in range(1, 6))
-            vol = int(row[6])
-        except ValueError as exc:
-            raise DataError(f"line {lineno}: malformed row: {exc}") from None
-        try:
-            bars.append(PriceBar(when, o, h, l, c, adj, vol))
-        except DataError as exc:
-            raise DataError(f"line {lineno}: {exc}") from None
-    return PriceSeries(symbol, interval, tuple(bars))
+    rows, malformed = [], None
+    try:
+        for lineno, row in read_csv(text, PRICE_CSV_HEADER)[1]:
+            try:
+                rows.append((
+                    date.fromisoformat(row[0].strip()).toordinal(),
+                    float(row[1]), float(row[2]), float(row[3]), float(row[4]), float(row[5]),
+                    int(row[6]),
+                ))
+            except ValueError as exc:
+                raise DataError(f"line {lineno}: malformed row: {exc}") from None
+    except DataError as exc:  # raised once the rows before it pass their checks
+        malformed = exc
+    columns = list(zip(*rows)) or [()] * 7
+    try:
+        volume = np.array(columns[6], dtype=np.int64)
+    except OverflowError:
+        k = next(k for k, v in enumerate(columns[6]) if not -_INT64_MAX - 1 <= v <= _INT64_MAX)
+        malformed = DataError(f"line {_line_of(text, k)}: malformed row: volume {columns[6][k]} does not fit in int64")
+        columns = [column[:k] for column in columns]
+        volume = np.array(columns[6], dtype=np.int64)
+    ordinals = np.array(columns[0], dtype=np.int64)
+    ohlca = np.array(columns[1:6], dtype=np.float64).T
+    try:
+        if malformed is None:
+            return PriceSeries(symbol, interval, ordinals, ohlca, volume)
+        _check_bars(ordinals, ohlca, volume)  # an earlier bad bar is named first
+    except _BarFault as exc:
+        raise DataError(f"line {_line_of(text, exc.index)}: {exc}") from None
+    raise malformed
+
+
+def _line_of(text: str, index: int) -> int:
+    """The line number of data row `index` of price CSV `text`."""
+    return next(islice(read_csv(text, PRICE_CSV_HEADER)[1], index, None))[0]
 
 
 def parse_sentiment_csv(text: str) -> dict[date, float]:
@@ -180,27 +240,25 @@ def resample_weekly(series: PriceSeries) -> PriceSeries:
     """Collapse daily bars into Monday-anchored weekly bars.
 
     open = first open, high = max high, low = min low, close/adjusted = last
-    values, volume = sum. The weekly bar carries the Monday of its week.
+    values, volume = sum, a DataError if that sum does not fit in int64. The
+    weekly bar carries the Monday of its week.
     """
     if series.interval != DAILY:
         raise DataError("input already weekly")
-    # Bars are keyed by the ordinal of their week's Monday; dates ascend, so
-    # the bars of one week are adjacent.
-    weeks = groupby(series.bars, key=lambda bar: bar.date.toordinal() - bar.date.weekday())
-    weekly = tuple(_collapse_week(date.fromordinal(monday), list(group)) for monday, group in weeks)
-    return PriceSeries(series.symbol, WEEKLY, weekly)
-
-
-def _collapse_week(monday: date, group: list[PriceBar]) -> PriceBar:
-    return PriceBar(
-        date=monday,
-        open=group[0].open,
-        high=max(b.high for b in group),
-        low=min(b.low for b in group),
-        close=group[-1].close,
-        adjusted=group[-1].adjusted,
-        volume=sum(b.volume for b in group),
-    )
+    # Ordinal 1 (0001-01-01) is a Monday. Dates ascend, so the bars of one
+    # week are adjacent: a week starts where the Monday changes.
+    mondays = series.ordinals - (series.ordinals - 1) % 7
+    starts = np.flatnonzero(np.diff(mondays, prepend=mondays[0] - 1))
+    ends = np.append(starts[1:], len(series)) - 1
+    prices = series.ohlca
+    high, low = np.maximum.reduceat(prices[:, HIGH], starts), np.minimum.reduceat(prices[:, LOW], starts)
+    ohlca = np.column_stack((prices[starts, OPEN], high, low, prices[ends, CLOSE], prices[ends, ADJUSTED]))
+    if series.volume.max() > _INT64_MAX // 7:  # a week holds at most 7 bars: smaller volumes cannot overflow
+        for monday, total in zip(mondays[starts].tolist(), np.add.reduceat(series.volume.astype(object), starts)):
+            if total > _INT64_MAX:
+                raise DataError(f"week of {date.fromordinal(monday)}: volume {total} does not fit in int64")
+    volume = np.add.reduceat(series.volume, starts)
+    return PriceSeries(series.symbol, WEEKLY, mondays[starts], ohlca, volume)
 
 
 def compute_tdd(series: PriceSeries) -> np.ndarray:

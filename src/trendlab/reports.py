@@ -72,10 +72,7 @@ def report_to_csv(report: ExperimentReport) -> str:
 def report_to_json(report: ExperimentReport) -> str:
     types = field_types(ReportRow)
     rows = [
-        {
-            n: None if t is float and math.isnan(getattr(r, n)) else getattr(r, n)
-            for n, t in types.items()
-        }
+        {n: None if t is float and math.isnan(getattr(r, n)) else getattr(r, n) for n, t in types.items()}
         for r in report.rows
     ]
     return json.dumps({"schema_version": REPORT_SCHEMA_VERSION, "rows": rows}, indent=1) + "\n"
@@ -137,17 +134,11 @@ def aggregate_report(reports: Iterable[ExperimentReport]) -> tuple[AggregateRow,
         rows = groups[key]
         train = np.array([r.train_rmse for r in rows])
         test = np.array([r.test_rmse for r in rows])
-        out.append(
-            AggregateRow(
-                model=key[0], interval=key[1], regime=key[2], features=key[3], window=key[4],
-                count=len(rows),
-                train_rmse_mean=float(train.mean()),
-                train_rmse_std=float(train.std()),
-                test_rmse_mean=float(test.mean()),
-                test_rmse_std=float(test.std()),
-                mean_forget_mean=float(np.mean([r.mean_forget for r in rows])),
-            )
-        )
+        out.append(AggregateRow(
+            *key, count=len(rows), train_rmse_mean=float(train.mean()), train_rmse_std=float(train.std()),
+            test_rmse_mean=float(test.mean()), test_rmse_std=float(test.std()),
+            mean_forget_mean=float(np.mean([r.mean_forget for r in rows])),
+        ))
     return tuple(out)
 
 

@@ -11,7 +11,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .market_data import DAILY, WEEKLY, PriceBar, PriceSeries
+from .market_data import DAILY, WEEKLY, PriceSeries
 
 
 def weekly_dates(n: int, start: date = date(2015, 1, 5)) -> list[date]:
@@ -21,20 +21,16 @@ def weekly_dates(n: int, start: date = date(2015, 1, 5)) -> list[date]:
 
 
 def business_dates(n: int, start: date = date(2015, 1, 5)) -> list[date]:
-    out: list[date] = []
-    day = start
-    while len(out) < n:
-        if day.weekday() < 5:
-            out.append(day)
-        day += timedelta(days=1)
-    return out
+    days = (start + timedelta(days=k) for k in range(7 * (n // 5 + 1)))
+    return [day for day in days if day.weekday() < 5][:n]
 
 
 def bars_from_adjusted(
     adjusted: np.ndarray, dates: list[date], seed: int = 0, volume_base: int = 1_000_000
-) -> list[PriceBar]:
-    """Wrap an adjusted-price path into OHLCV bars that satisfy the bar
-    invariants: open = previous close, high/low bracket both.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Wrap an adjusted-price path into the (ordinals, ohlca, volume) columns
+    of bars that satisfy the bar invariants: open = previous close, high/low
+    bracket both.
     """
     adjusted = np.asarray(adjusted, dtype=np.float64)
     if adjusted.min() <= 0:
@@ -42,21 +38,11 @@ def bars_from_adjusted(
     rng = np.random.default_rng(seed)
     spreads = rng.uniform(0.05, 0.6, size=(adjusted.size, 2))
     volumes = (volume_base * (1.5 + 0.5 * np.cos(np.arange(adjusted.size) / 3.0))).astype(np.int64)
-    bars = []
-    prev_close = float(adjusted[0])
-    for k, when in enumerate(dates):
-        close = float(adjusted[k])
-        opening = prev_close
-        high = max(opening, close) + float(spreads[k, 0])
-        low = min(opening, close) - float(spreads[k, 1])
-        bars.append(
-            PriceBar(
-                date=when, open=opening, high=high, low=low,
-                close=close, adjusted=close, volume=int(volumes[k]),
-            )
-        )
-        prev_close = close
-    return bars
+    opening = np.concatenate((adjusted[:1], adjusted[:-1]))
+    high = np.maximum(opening, adjusted) + spreads[:, 0]
+    low = np.minimum(opening, adjusted) - spreads[:, 1]
+    ordinals = np.array([when.toordinal() for when in dates], dtype=np.int64)
+    return ordinals, np.column_stack((opening, high, low, adjusted, adjusted)), volumes
 
 
 def indicator_fixture(bars: int = 60, seed: int = 7) -> PriceSeries:
@@ -65,7 +51,7 @@ def indicator_fixture(bars: int = 60, seed: int = 7) -> PriceSeries:
     steps = rng.normal(0.0, 1.4, size=bars)
     adjusted = 100.0 + np.cumsum(steps)
     adjusted = np.maximum(adjusted, 5.0)
-    return PriceSeries("F1", WEEKLY, tuple(bars_from_adjusted(adjusted, weekly_dates(bars), seed=seed + 1)))
+    return PriceSeries("F1", WEEKLY, *bars_from_adjusted(adjusted, weekly_dates(bars), seed=seed + 1))
 
 
 def sine_series(bars: int = 59, period: float = 16.0, base: float = 100.0, amplitude: float = 10.0) -> PriceSeries:
@@ -74,7 +60,7 @@ def sine_series(bars: int = 59, period: float = 16.0, base: float = 100.0, ampli
     """
     t = np.arange(bars, dtype=np.float64)
     adjusted = base + amplitude * np.sin(2.0 * np.pi * t / period)
-    return PriceSeries("SINE", WEEKLY, tuple(bars_from_adjusted(adjusted, weekly_dates(bars), seed=1)))
+    return PriceSeries("SINE", WEEKLY, *bars_from_adjusted(adjusted, weekly_dates(bars), seed=1))
 
 
 def trend_seasonal_daily(bars: int = 1280, seed: int = 11) -> PriceSeries:
@@ -91,7 +77,7 @@ def trend_seasonal_daily(bars: int = 1280, seed: int = 11) -> PriceSeries:
     noise = rng.normal(0.0, 1.6, size=bars) * weekday_swing
     adjusted = 250.0 + 0.06 * t + 12.0 * np.sin(2.0 * np.pi * t / 40.0) + noise
     adjusted = np.maximum(adjusted, 5.0)
-    return PriceSeries("TRSEAS", DAILY, tuple(bars_from_adjusted(adjusted, business_dates(bars), seed=seed + 1)))
+    return PriceSeries("TRSEAS", DAILY, *bars_from_adjusted(adjusted, business_dates(bars), seed=seed + 1))
 
 
 def random_walk_series(bars: int = 340, seed: int = 23, step_sigma: float = 0.012) -> PriceSeries:
@@ -101,7 +87,7 @@ def random_walk_series(bars: int = 340, seed: int = 23, step_sigma: float = 0.01
     rng = np.random.default_rng(seed)
     log_path = np.cumsum(rng.normal(0.0, step_sigma, size=bars))
     adjusted = 150.0 * np.exp(log_path)
-    return PriceSeries("WALK", WEEKLY, tuple(bars_from_adjusted(adjusted, weekly_dates(bars), seed=seed + 1)))
+    return PriceSeries("WALK", WEEKLY, *bars_from_adjusted(adjusted, weekly_dates(bars), seed=seed + 1))
 
 
 def planted_sentiment(series: PriceSeries, seed: int = 13, noise: float = 0.04) -> dict[date, float]:
@@ -113,12 +99,8 @@ def planted_sentiment(series: PriceSeries, seed: int = 13, noise: float = 0.04) 
     deltas = np.diff(adjusted)
     scale = float(np.std(deltas)) or 1.0
     scores = {}
-    dates = series.dates()
-    for k, when in enumerate(dates):
-        if k < deltas.size:
-            raw = 0.5 + 0.4 * np.tanh(deltas[k] / (1.2 * scale)) + rng.normal(0.0, noise)
-        else:
-            raw = 0.5
+    for k, when in enumerate(series.dates()):
+        raw = 0.5 + 0.4 * np.tanh(deltas[k] / (1.2 * scale)) + rng.normal(0.0, noise) if k < deltas.size else 0.5
         scores[when] = float(np.clip(raw, 0.0, 1.0))
     return scores
 
@@ -139,7 +121,7 @@ def regime_fixture(
     adjusted = np.concatenate([bear, flat, bull]) + noise
     adjusted = np.maximum(adjusted, 5.0)
     dates = weekly_dates(3 * n, start=date(2000, 1, 3))
-    series = PriceSeries("REGIME", WEEKLY, tuple(bars_from_adjusted(adjusted, dates, seed=seed + 1)))
+    series = PriceSeries("REGIME", WEEKLY, *bars_from_adjusted(adjusted, dates, seed=seed + 1))
     segments = [
         (dates[0], dates[n - 1]),
         (dates[n], dates[2 * n - 1]),
@@ -153,26 +135,17 @@ def paper_shaped_series(seed: int = 3) -> PriceSeries:
     the preset regime segments: a two-year decline from February 2000, a
     flat stretch from September 2004, and a two-year climb from August 2013.
     """
-    start = date(2000, 1, 3)
-    end = date(2017, 9, 11)
-    dates = []
-    day = start
-    while day <= end:
-        dates.append(day)
-        day += timedelta(weeks=1)
+    dates = weekly_dates(924, start=date(2000, 1, 3))  # to 2017-09-11
+    drifts = (
+        (date(2000, 2, 1), date(2002, 1, 31), -9.0),
+        (date(2004, 9, 1), date(2006, 8, 31), 0.0),
+        (date(2013, 8, 1), date(2015, 7, 31), 9.0),
+    )
     rng = np.random.default_rng(seed)
-    n = len(dates)
-    adjusted = np.empty(n)
+    adjusted = np.empty(len(dates))
     level = 1800.0
     for k, when in enumerate(dates):
-        if date(2000, 2, 1) <= when <= date(2002, 1, 31):
-            drift = -9.0
-        elif date(2004, 9, 1) <= when <= date(2006, 8, 31):
-            drift = 0.0
-        elif date(2013, 8, 1) <= when <= date(2015, 7, 31):
-            drift = 9.0
-        else:
-            drift = 0.8
+        drift = next((d for start, end, d in drifts if start <= when <= end), 0.8)
         level = max(level + drift + rng.normal(0.0, 4.0), 50.0)
         adjusted[k] = level
-    return PriceSeries("SHAPED", WEEKLY, tuple(bars_from_adjusted(adjusted, dates, seed=seed + 1)))
+    return PriceSeries("SHAPED", WEEKLY, *bars_from_adjusted(adjusted, dates, seed=seed + 1))

@@ -62,10 +62,9 @@ class TrainConfig:
             raise ConfigError(f"cell must be one of {CELLS}, got {self.cell!r}")
         if self.d_i is not None and self.d_i < 1:
             raise ConfigError(f"d_i must be positive, got {self.d_i}")
-        if not 0 < self.beta1 < 1:
-            raise ConfigError(f"beta1 must lie in (0, 1), got {self.beta1}")
-        if not 0 < self.beta2 < 1:
-            raise ConfigError(f"beta2 must lie in (0, 1), got {self.beta2}")
+        for name in ("beta1", "beta2"):
+            if not 0 < getattr(self, name) < 1:
+                raise ConfigError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
         if not self.epsilon > 0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
 
@@ -163,9 +162,7 @@ def train(
     per (dataset, config).
     """
     if config.window != dataset.window:
-        raise ConfigError(
-            f"config window {config.window} != dataset window {dataset.window}"
-        )
+        raise ConfigError(f"config window {config.window} != dataset window {dataset.window}")
     train_split = dataset.train
     if train_split.n_windows == 0:
         raise DataError("empty training split")
@@ -193,9 +190,7 @@ def train(
     _, train_cost = evaluate(train_split, params)
     test_cache, test_cost = evaluate(dataset.test, params)
     if not all(math.isfinite(c) for c in (train_cost, test_cost) if c is not None):
-        raise DivergenceError(
-            f"diverged at epoch {config.epochs}: non-finite final RMSE", epoch=config.epochs
-        )
+        raise DivergenceError(f"diverged at epoch {config.epochs}: non-finite final RMSE", epoch=config.epochs)
     return TrainingRun(
         epoch_rmse=tuple(epoch_rmse),
         train_rmse=float(train_cost),
@@ -358,9 +353,7 @@ def _load_params(shape: ModelShape, raw) -> NetworkParameters:
     except ValueError as exc:
         raise CheckpointError(f"stored vector is not valid base64: {exc}") from None
     if len(data) != 8 * params.vector.size:
-        raise CheckpointError(
-            f"stored vector holds {len(data)} bytes, the model needs {8 * params.vector.size}"
-        )
+        raise CheckpointError(f"stored vector holds {len(data)} bytes, the model needs {8 * params.vector.size}")
     params.vector[...] = np.frombuffer(data, dtype="<f8")
     return params
 
@@ -385,15 +378,11 @@ def load_checkpoint(text: str) -> Checkpoint:
         shape = ModelShape(**doc["shape"])
         _check_shape_matches_config(shape, config)
         params = _load_params(shape, doc["vector"])
-        column_scales = {}
-        if doc.get("column_scales") is not None:
-            for name, s in doc["column_scales"].items():
-                column_scales[name] = None if s is None else NormalizationScale(**s)
+        stored = doc.get("column_scales") or {}
+        column_scales = {name: None if s is None else NormalizationScale(**s) for name, s in stored.items()}
         columns = doc.get("columns") or {}
     except CheckpointError:
         raise
     except (KeyError, TypeError, ValueError, ConfigError, DataError) as exc:
         raise CheckpointError(f"invalid checkpoint contents: {exc!r}") from None
-    return Checkpoint(
-        params=params, config=config, scale=scale, column_scales=column_scales, columns=columns
-    )
+    return Checkpoint(params=params, config=config, scale=scale, column_scales=column_scales, columns=columns)

@@ -4,7 +4,7 @@ from datetime import date
 
 import pytest
 
-from trendlab.market_data import PriceBar, PriceSeries, WEEKLY
+from trendlab.market_data import PriceSeries, WEEKLY
 
 # Weekly NASDAQ-100-style sample rows used across the data tests.
 TABLE_ROWS = [
@@ -38,10 +38,14 @@ def edit_csv_field(text: str, line: int, column: str, value: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def series_of(rows, interval: str = WEEKLY, symbol: str = "T") -> PriceSeries:
+    """A PriceSeries of (date, open, high, low, close, adjusted, volume)
+    rows; a date may be a `date` or its ISO text."""
+    rows = list(rows)
+    ordinals = [(d if isinstance(d, date) else date.fromisoformat(d)).toordinal() for d, *_ in rows]
+    return PriceSeries(symbol, interval, ordinals, [row[1:6] for row in rows], [row[6] for row in rows])
+
+
 @pytest.fixture
 def table_series() -> PriceSeries:
-    bars = tuple(
-        PriceBar(date.fromisoformat(when), o, h, l, c, adj, vol)
-        for when, o, h, l, c, adj, vol in TABLE_ROWS
-    )
-    return PriceSeries("NDX", WEEKLY, bars)
+    return series_of(TABLE_ROWS, symbol="NDX")

@@ -6,16 +6,20 @@ implementations they check. The exceptions are numpy: the per-window and
 per-step indicator loops and the per-bar weekly grouping, the per-block
 Adam step, and the reference recurrent kernel at the end, the
 straightforward per-step, time-major formulation that the library's
-batch-last kernel replaced. Each is the form the library used before, kept
-to check the library's form after its arithmetic changed.
+batch-last kernel replaced; and the per-row price CSV parser, which reads
+rows through the library's `read_csv`. Each is the form the library used
+before, kept to check the library's form after its arithmetic changed.
 """
 
 from __future__ import annotations
 
 import math
-from datetime import timedelta
+from datetime import date, timedelta
 
 import numpy as np
+
+from trendlab.errors import DataError
+from trendlab.market_data import PRICE_CSV_HEADER, read_csv
 
 
 def wilder_rsi(prices: list[float], period: int) -> list[float]:
@@ -141,6 +145,48 @@ def loop_resample_weekly(bars) -> list[tuple]:
         group.append(bar)
     weekly.append(collapse(group))
     return weekly
+
+
+def loop_parse_price_csv(text: str) -> list[tuple]:
+    """Price CSV rows as (date, open, high, low, close, adjusted, volume)
+    tuples, converted and checked one row at a time, then checked for
+    ascending dates: the per-row parser the library's columnar one
+    replaced, raising the same errors."""
+    bars = []
+    for lineno, row in read_csv(text, PRICE_CSV_HEADER)[1]:
+        try:
+            when = date.fromisoformat(row[0].strip())
+            o, h, l, c, adj = (float(row[k]) for k in range(1, 6))
+            vol = int(row[6])
+        except ValueError as exc:
+            raise DataError(f"line {lineno}: malformed row: {exc}") from None
+        fault = _bar_fault(o, h, l, c, adj, vol)
+        if fault is not None:
+            raise DataError(f"line {lineno}: {when}: {fault}")
+        bars.append((when, o, h, l, c, adj, vol))
+    if not bars:
+        raise DataError("empty series")
+    for prev, cur in zip(bars, bars[1:]):
+        if cur[0] <= prev[0]:
+            raise DataError(f"dates not ascending at {cur[0]} (after {prev[0]})")
+    return bars
+
+
+def _bar_fault(o: float, h: float, l: float, c: float, adj: float, vol: int) -> str | None:
+    """The first bar invariant one bar breaks, in the order the per-bar
+    record checked them."""
+    if not (l <= o <= h):
+        return f"open {o} outside [low, high]"
+    if not (l <= c <= h):
+        return f"close {c} outside [low, high]"
+    if vol < 0:
+        return f"negative volume {vol}"
+    if not adj > 0:
+        return f"adjusted price must be positive, got {adj}"
+    for name, value in zip(("open", "high", "low", "close", "adjusted"), (o, h, l, c, adj)):
+        if not math.isfinite(value):
+            return f"non-finite {name}"
+    return None
 
 
 def unrolled_adam(

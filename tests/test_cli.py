@@ -384,6 +384,18 @@ def test_override_flags_set_their_fields():
     assert _apply_overrides(base, build_parser().parse_args(["train", "--config", "run.json"])) == base
 
 
+def test_the_parser_is_built_once_and_keeps_no_flag_between_calls(tmp_path):
+    assert build_parser() is build_parser()
+    config = _run_config(tmp_path)
+    first, second = tmp_path / "first", tmp_path / "second"
+    argv = ["features", "--config", str(config)]
+    assert main([*argv, "--out", str(first), "--window", "7", "--seed", "5", "--lr", "0.25"]) == 0
+    assert main([*argv, "--out", str(second)]) == 0
+    echoes = [json.loads((out / "config.json").read_text()) for out in (first, second)]
+    assert [echoes[0]["train"][key] for key in ("window", "seed", "learning_rate")] == [7, 5, 0.25]
+    assert echoes[1] == {**json.loads(load_run_config(config).echo()), "output_dir": str(second)}
+
+
 def test_config_echo_holds_every_key_and_loads_back_equal(tmp_path):
     doc = {
         "price_csv": "prices.csv", "sentiment_csv": "sentiment.csv", "feature_csv": None,
@@ -484,6 +496,20 @@ def test_experiment_all_with_a_segment_outside_the_data_fails_before_training(tm
     monkeypatch.setattr(experiments, "train", lambda *args, **kwargs: trained.append(args) or real(*args, **kwargs))
     assert main(["experiment", "all", "--config", str(config)]) == 2
     assert capsys.readouterr().err == "data error: no bars between 2030-01-07 and 2031-01-06\n"
+    assert trained == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_experiment_all_with_a_malformed_feature_csv_fails_before_training(tmp_path, monkeypatch, capsys):
+    config = _experiment_all_config(tmp_path, [["2015-03-02", "2016-02-29"], ["2016-03-07", "2017-03-06"]])
+    features = tmp_path / "features.csv"
+    features.write_text("not,a,feature,header\n1,2,3,4\n")
+    config.write_text(json.dumps({**json.loads(config.read_text()), "feature_csv": str(features)}))
+    trained = []
+    real = experiments.train
+    monkeypatch.setattr(experiments, "train", lambda *args, **kwargs: trained.append(args) or real(*args, **kwargs))
+    assert main(["experiment", "all", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("data error: unexpected header ('not', 'a', 'feature', 'header')")
     assert trained == []
     assert not (tmp_path / "out").exists()
 

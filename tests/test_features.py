@@ -16,10 +16,10 @@ from trendlab.features import (
     prepare_dataset,
 )
 from trendlab.indicators import IndicatorConfig, cci, macd, rsi
-from trendlab.market_data import PriceSeries, normalize
+from trendlab.market_data import normalize
 from trendlab.synthetic import planted_sentiment, random_walk_series, sine_series
 
-from conftest import edit_csv_field
+from conftest import edit_csv_field, series_of
 
 
 @pytest.fixture(scope="module")
@@ -162,7 +162,7 @@ def test_build_feature_frame_rows_match_a_per_bar_recomputation(config, with_sen
     assert frame.n == len(bars) - 1 - config.warmup
     for k in range(frame.n):
         t = config.warmup + k
-        prefix = PriceSeries(series.symbol, series.interval, bars[: t + 1])
+        prefix = series_of(bars[: t + 1], series.interval)
         assert frame.dates[k] == bars[t].date
         assert frame.prices[k] == bars[t].adjusted
         assert frame.answers[k] == bars[t + 1].adjusted

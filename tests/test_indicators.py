@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from trendlab.errors import ConfigError, DataError
 from trendlab.indicators import IndicatorConfig, cci, ema, macd, rsi
-from trendlab.market_data import WEEKLY, PriceBar, PriceSeries, resample_weekly
+from trendlab.market_data import PriceSeries, resample_weekly
 from trendlab.synthetic import indicator_fixture, paper_shaped_series, random_walk_series, trend_seasonal_daily
 
+from conftest import series_of
 from oracles import ema_macd, loop_cci, loop_ema, loop_rsi, wilder_rsi, windowed_cci
 
 # Spot values computed once with the brute-force oracles on the 60-bar
@@ -27,8 +28,8 @@ def flat_series(values, highs=None, lows=None) -> PriceSeries:
     for k, v in enumerate(values):
         high = highs[k] if highs else v
         low = lows[k] if lows else v
-        bars.append(PriceBar(start + timedelta(weeks=k), v, high, low, v, v, 100))
-    return PriceSeries("T", WEEKLY, tuple(bars))
+        bars.append((start + timedelta(weeks=k), v, high, low, v, v, 100))
+    return series_of(bars)
 
 
 @pytest.fixture(scope="module")
@@ -232,7 +233,7 @@ def test_flat_stretches_reach_every_special_case():
 
 
 def test_indicators_are_causal(fixture_series):
-    prefix = PriceSeries("F1", WEEKLY, fixture_series.bars[:45])
+    prefix = series_of(fixture_series.bars[:45])
     for fn, args in ((rsi, (14,)), (cci, (20, 0.015)), (macd, (12, 26))):
         full = fn(fixture_series, *args)
         truncated = fn(prefix, *args)

@@ -17,7 +17,6 @@ from trendlab.market_data import (
     DAILY,
     WEEKLY,
     NormalizationScale,
-    PriceBar,
     PriceSeries,
     compute_tdd,
     denormalize,
@@ -30,12 +29,14 @@ from trendlab.market_data import (
     write_csv,
 )
 
-from conftest import EXPECTED_TDD, table_csv
-from oracles import loop_resample_weekly
+from conftest import EXPECTED_TDD, TABLE_ROWS, series_of, table_csv
+from oracles import loop_parse_price_csv, loop_resample_weekly
+
+INT64_MAX = 2**63 - 1
 
 
-def flat_bar(when: date, price: float, volume: int = 100) -> PriceBar:
-    return PriceBar(when, price, price, price, price, price, volume)
+def flat_bar(when: date, price: float, volume: int = 100) -> tuple:
+    return (when, price, price, price, price, price, volume)
 
 
 def daily_series(values, volumes=None, start=date(2020, 1, 6)) -> PriceSeries:
@@ -47,7 +48,7 @@ def daily_series(values, volumes=None, start=date(2020, 1, 6)) -> PriceSeries:
             day += timedelta(days=1)
         bars.append(flat_bar(day, value, volume))
         day += timedelta(days=1)
-    return PriceSeries("T", DAILY, tuple(bars))
+    return series_of(bars, DAILY)
 
 
 # --- CSV codec ---------------------------------------------------------------
@@ -138,12 +139,218 @@ def test_parse_rejects_bar_invariant_violations():
 
 
 def test_bar_invariants():
-    with pytest.raises(DataError):
-        PriceBar(date(2020, 1, 1), 5.0, 4.0, 3.0, 3.5, 3.5, 10)  # open > high
-    with pytest.raises(DataError):
-        PriceBar(date(2020, 1, 1), 4.0, 5.0, 3.0, 3.5, 3.5, -1)  # negative volume
-    with pytest.raises(DataError):
-        PriceBar(date(2020, 1, 1), 4.0, 5.0, 3.0, 3.5, 0.0, 10)  # adjusted not positive
+    def one_bar(o, h, l, c, adj, vol):
+        return series_of([(date(2020, 1, 1), o, h, l, c, adj, vol)], DAILY)
+
+    with pytest.raises(DataError, match="open 5.0 outside"):
+        one_bar(5.0, 4.0, 3.0, 3.5, 3.5, 10)  # open > high
+    with pytest.raises(DataError, match="negative volume -1"):
+        one_bar(4.0, 5.0, 3.0, 3.5, 3.5, -1)
+    with pytest.raises(DataError, match="adjusted price must be positive"):
+        one_bar(4.0, 5.0, 3.0, 3.5, 0.0, 10)
+
+
+# Each bar invariant, broken by one field of a valid bar, and the message it
+# raises; the per-bar checks run in this order.
+BROKEN_BARS = [
+    ({"open": 5.5}, "open 5.5 outside [low, high]"),
+    ({"open": 2.5}, "open 2.5 outside [low, high]"),
+    ({"close": 5.5}, "close 5.5 outside [low, high]"),
+    ({"close": 2.5}, "close 2.5 outside [low, high]"),
+    ({"low": 4.5}, "open 4.0 outside [low, high]"),
+    ({"high": 3.4}, "open 4.0 outside [low, high]"),
+    ({"volume": -1}, "negative volume -1"),
+    ({"adjusted": 0.0}, "adjusted price must be positive, got 0.0"),
+    ({"adjusted": -2.0}, "adjusted price must be positive, got -2.0"),
+    ({"adjusted": math.nan}, "adjusted price must be positive, got nan"),
+    ({"open": math.nan}, "open nan outside [low, high]"),
+    ({"close": math.inf}, "close inf outside [low, high]"),
+    ({"high": math.inf}, "non-finite high"),
+    ({"low": -math.inf}, "non-finite low"),
+    ({"adjusted": math.inf}, "non-finite adjusted"),
+    ({"open": 9.0, "volume": -1, "adjusted": 0.0}, "open 9.0 outside [low, high]"),
+    ({"volume": -1, "adjusted": math.inf}, "negative volume -1"),
+]
+FIELDS = ("date", "open", "high", "low", "close", "adjusted", "volume")
+
+
+@pytest.mark.parametrize("edits, message", BROKEN_BARS)
+def test_series_rejects_each_broken_bar_invariant(edits, message):
+    good = dict(zip(FIELDS, (None, 4.0, 5.0, 3.0, 3.5, 3.5, 10)))
+    rows = [tuple({**good, "date": date(2020, 1, k)}.values()) for k in (6, 7, 8, 9)]
+    rows[2] = tuple({**good, "date": date(2020, 1, 8), **edits}.values())
+    rows[3] = tuple({**good, "date": date(2020, 1, 9), "open": 99.0}.values())  # a later fault
+    with pytest.raises(DataError) as caught:
+        series_of(rows, DAILY)
+    assert str(caught.value) == f"2020-01-08: {message}"
+
+
+def test_series_accepts_the_table_rows_at_their_bounds(table_series):
+    assert len(table_series) == len(TABLE_ROWS)
+    assert [tuple(bar)[1:] for bar in table_series.bars] == [row[1:] for row in TABLE_ROWS]
+    # open, close and low equal to the high, volume 0: every bound is inclusive
+    edge = series_of([(date(2020, 1, 6), 5.0, 5.0, 5.0, 5.0, 1e-300, 0)], DAILY)
+    assert edge.bars[0].volume == 0
+
+
+def test_series_rejects_dates_out_of_order_after_every_bar_check():
+    rows = [flat_bar(date(2020, 1, 7), 2.0), flat_bar(date(2020, 1, 7), 2.0), flat_bar(date(2020, 1, 8), -1.0)]
+    with pytest.raises(DataError, match="2020-01-08: adjusted price must be positive"):
+        series_of(rows, DAILY)
+    with pytest.raises(DataError, match=r"^dates not ascending at 2020-01-07 \(after 2020-01-07\)$"):
+        series_of(rows[:2], DAILY)
+
+
+def test_series_columns_are_read_only_copies():
+    ohlca = np.full((2, 5), 2.0)
+    series = PriceSeries("T", DAILY, [737795, 737796], ohlca, [1, 2])
+    ohlca[0, 0] = 99.0
+    assert series.ohlca[0, 0] == 2.0
+    for column in (series.ordinals, series.ohlca, series.volume):
+        with pytest.raises(ValueError):
+            column[0] = 0
+    assert series.adjusted().flags.writeable
+
+
+def test_series_rejects_misshapen_columns():
+    with pytest.raises(DataError, match="price columns of shapes"):
+        PriceSeries("T", DAILY, [737795, 737796], np.full((2, 4), 2.0), [1, 2])
+    with pytest.raises(DataError, match="price columns of shapes"):
+        PriceSeries("T", DAILY, [737795, 737796], np.full((2, 5), 2.0), [1])
+
+
+def test_bars_rows_hold_python_values_that_repr_exactly(table_series):
+    """The benchmark writes its fixture files from `bars` with repr."""
+    bar = table_series.bars[0]
+    assert [type(v) for v in bar] == [date, float, float, float, float, float, int]
+    assert f"{bar.open!r},{bar.volume}" == "1761.97998,6610950000"
+    assert table_series.bars[3:5] == tuple(table_series.bars)[3:5]
+
+
+def test_between_picks_the_inclusive_date_range(table_series):
+    picked = table_series.between(date(2010, 7, 5), date(2010, 7, 26))
+    assert [d.isoformat() for d in picked.dates()] == [row[0] for row in TABLE_ROWS[1:5]]
+    assert len(table_series.between(date(2010, 7, 6), date(2010, 7, 25))) == 2
+    with pytest.raises(DataError, match="no bars between"):
+        table_series.between(date(2010, 7, 6), date(2010, 7, 11))
+
+
+# --- the columnar parse against the per-row oracle ---------------------------
+
+
+def _csv(rows) -> str:
+    return "\n".join(["Date,Open,High,Low,Close,Adj Close,Volume", *(",".join(map(str, r)) for r in rows)]) + "\n"
+
+
+def _valid_rows(rng, n: int) -> list[list[str]]:
+    ordinals = date(2001, 1, 1).toordinal() + np.cumsum(rng.integers(1, 5, n))
+    low = rng.uniform(1.0, 500.0, n)
+    high = low + rng.uniform(0.0, 20.0, n)
+    inside = low[:, None] + rng.uniform(0.0, 1.0, (n, 3)) * (high - low)[:, None]
+    volume = rng.integers(0, 10**12, n)
+    return [
+        [date.fromordinal(d).isoformat(), repr(o), repr(h), repr(l), repr(c), repr(a), str(v)]
+        for d, o, h, l, c, a, v in zip(
+            ordinals.tolist(), *inside[:, :1].T.tolist(), high.tolist(), low.tolist(), *inside[:, 1:].T.tolist(),
+            volume.tolist(),
+        )
+    ]
+
+
+# Edits that break one row: (column, value); a value of None copies the
+# previous row's date.
+BREAKS = {
+    "nan": [(1, "nan"), (2, "nan"), (3, "NaN"), (4, "nan"), (5, "nan")],
+    "inf": [(1, "inf"), (2, "inf"), (3, "-inf"), (4, "-inf"), (5, "inf")],
+    "open outside": [(1, "1e9"), (1, "0.5")],
+    "close outside": [(4, "1e9"), (4, "0.5")],
+    "negative volume": [(6, "-1"), (6, "-123456789")],
+    "adjusted": [(5, "0"), (5, "-0.0"), (5, "-3.5")],
+    "malformed": [(0, "2020-13-45"), (0, ""), (1, "oops"), (3, "1,5"), (5, ""), (6, "1.5"), (6, "x")],
+    "descending": [(0, None)],
+}
+
+
+def _broken(rows, k: int, column: int, value) -> None:
+    rows[k][column] = rows[k - 1][0] if value is None else value
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 30),
+    faults=st.lists(st.tuples(st.sampled_from(sorted(BREAKS)), st.integers(0, 10**6)), max_size=2),
+    positions=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=2, max_size=2),
+)
+def test_columnar_parse_equals_the_per_row_oracle(seed, n, faults, positions):
+    rows = _valid_rows(np.random.default_rng(seed), n)
+    for (kind, pick), position in zip(faults, positions):
+        k = int(position * n)
+        if kind == "descending" and k == 0:
+            continue
+        _broken(rows, k, *BREAKS[kind][pick % len(BREAKS[kind])])
+    text = _csv(rows)
+    want = _outcome(loop_parse_price_csv, text)
+    got = _outcome(parse_price_csv, text)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert isinstance(got, PriceSeries)
+    np.testing.assert_array_equal(got.ordinals, [bar[0].toordinal() for bar in want])
+    assert got.ohlca.tobytes() == np.array([bar[1:6] for bar in want]).tobytes()
+    assert got.volume.tolist() == [bar[6] for bar in want]
+
+
+def test_parse_names_an_earlier_bad_bar_before_a_later_malformed_row():
+    rows = _valid_rows(np.random.default_rng(0), 6)
+    _broken(rows, 1, 2, "nan")
+    _broken(rows, 4, 1, "oops")
+    text = _csv(rows)
+    with pytest.raises(DataError, match=r"^line 3: .*: open .* outside \[low, high\]$"):
+        parse_price_csv(text)
+    assert _outcome(parse_price_csv, text) == _outcome(loop_parse_price_csv, text)
+
+
+def test_parse_names_a_bad_bar_after_blank_lines_by_its_own_line():
+    rows = _valid_rows(np.random.default_rng(1), 3)
+    _broken(rows, 2, 6, "-1")
+    text = _csv(rows).replace("\n", "\n\n", 2)  # blank lines 2 and 4
+    with pytest.raises(DataError, match=r"^line 6: .*negative volume -1$"):
+        parse_price_csv(text)
+
+
+# --- volumes beyond int64 ----------------------------------------------------
+
+
+@pytest.mark.parametrize("volume", [INT64_MAX + 1, -INT64_MAX - 2, 10**30])
+def test_parse_rejects_a_volume_beyond_int64_by_its_line(volume):
+    rows = _valid_rows(np.random.default_rng(2), 5)
+    _broken(rows, 3, 6, str(volume))
+    _broken(rows, 4, 1, "oops")  # a later malformed row is not named
+    with pytest.raises(DataError) as caught:
+        parse_price_csv(_csv(rows))
+    assert str(caught.value) == f"line 5: malformed row: volume {volume} does not fit in int64"
+
+
+def test_parse_names_an_earlier_bad_bar_before_a_volume_beyond_int64():
+    rows = _valid_rows(np.random.default_rng(2), 5)
+    _broken(rows, 1, 5, "0")
+    _broken(rows, 3, 6, str(INT64_MAX + 1))
+    with pytest.raises(DataError, match=r"^line 3: .*adjusted price must be positive, got 0.0$"):
+        parse_price_csv(_csv(rows))
+
+
+def test_parse_keeps_the_extreme_int64_volume_exactly():
+    rows = _valid_rows(np.random.default_rng(3), 2)
+    _broken(rows, 1, 6, str(INT64_MAX))
+    assert parse_price_csv(_csv(rows)).bars[1].volume == INT64_MAX
 
 
 # --- weekly resampling -------------------------------------------------------
@@ -151,18 +358,15 @@ def test_bar_invariants():
 
 def test_resample_takes_max_high():
     template = daily_series([2.0] * 5)  # Mon..Fri of one week
-    bars = [
-        PriceBar(b.date, 2.0, high, 1.0, 2.0, 2.0, 100)
-        for b, high in zip(template.bars, [3.0, 7.0, 5.0, 6.0, 4.0])
-    ]
-    weekly = resample_weekly(PriceSeries("T", DAILY, tuple(bars)))
+    bars = [(b.date, 2.0, high, 1.0, 2.0, 2.0, 100) for b, high in zip(template.bars, [3.0, 7.0, 5.0, 6.0, 4.0])]
+    weekly = resample_weekly(series_of(bars, DAILY))
     assert len(weekly) == 1
     assert weekly.bars[0].high == 7
 
 
 def test_resample_single_bar_week():
     wednesday = date(2020, 1, 8)
-    series = PriceSeries("T", DAILY, (flat_bar(wednesday, 12.5, volume=777),))
+    series = series_of([flat_bar(wednesday, 12.5, volume=777)], DAILY)
     weekly = resample_weekly(series)
     bar = weekly.bars[0]
     assert bar.date == date(2020, 1, 6)  # anchored to the Monday
@@ -187,10 +391,6 @@ def test_resample_two_weeks_brute_force():
         assert bar.low == min(b.low for b in group)
 
 
-def _bar_tuple(bar: PriceBar) -> tuple:
-    return (bar.date, bar.open, bar.high, bar.low, bar.close, bar.adjusted, bar.volume)
-
-
 def test_resample_equals_the_per_bar_grouping_across_years_and_missing_mondays():
     # Weeks of 2019-12-30 and 2024-12-30 cross a year boundary; the Mondays
     # 2019-12-30, 2020-01-06 and 2020-12-28 are missing, and 2021-01-02 is a
@@ -202,13 +402,12 @@ def test_resample_equals_the_per_bar_grouping_across_years_and_missing_mondays()
     bars = []
     for day, price in zip(days, 100.0 + rng.normal(0.0, 1.0, len(days)).cumsum()):
         spread = rng.uniform(0.1, 1.0, 2)
-        bars.append(PriceBar(day, price, price + spread[0], price - spread[1], price, price * 0.5,
-                             int(rng.integers(0, 10**6))))
-    edges = PriceSeries("T", DAILY, tuple(bars))
+        bars.append((day, price, price + spread[0], price - spread[1], price, price * 0.5, int(rng.integers(0, 10**6))))
+    edges = series_of(bars, DAILY)
     for series in (edges, trend_seasonal_daily(bars=1821, seed=2)):
         weekly = resample_weekly(series)
         assert (weekly.symbol, weekly.interval) == (series.symbol, WEEKLY)
-        assert [_bar_tuple(bar) for bar in weekly.bars] == loop_resample_weekly(series.bars)
+        assert [tuple(bar) for bar in weekly.bars] == loop_resample_weekly(series.bars)
     assert [bar.date for bar in resample_weekly(edges).bars] == [
         date(2019, 12, 23), date(2019, 12, 30), date(2020, 1, 6), date(2020, 1, 13),
         date(2020, 12, 28), date(2021, 1, 4), date(2024, 12, 30),
@@ -216,9 +415,20 @@ def test_resample_equals_the_per_bar_grouping_across_years_and_missing_mondays()
 
 
 def test_resample_rejects_weekly_input():
-    series = PriceSeries("T", WEEKLY, (flat_bar(date(2020, 1, 6), 10.0),))
+    series = series_of([flat_bar(date(2020, 1, 6), 10.0)], WEEKLY)
     with pytest.raises(DataError, match="already weekly"):
         resample_weekly(series)
+
+
+def test_resample_rejects_a_weekly_volume_beyond_int64():
+    # Three bars near the int64 limit: their wrapped int64 sum is positive.
+    series = daily_series([5.0] * 6, [INT64_MAX, INT64_MAX, INT64_MAX, 0, 0, 2])
+    assert np.add.reduceat(series.volume, [0, 5])[0] > 0
+    with pytest.raises(DataError) as caught:
+        resample_weekly(series)
+    assert str(caught.value) == f"week of 2020-01-06: volume {3 * INT64_MAX} does not fit in int64"
+    exact = resample_weekly(daily_series([5.0] * 6, [INT64_MAX - 7, 3, 4, 0, 0, 9]))
+    assert [bar.volume for bar in exact.bars] == [INT64_MAX, 9]
 
 
 @settings(max_examples=50)

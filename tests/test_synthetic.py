@@ -36,8 +36,8 @@ SEEDED = {
     "planted_sentiment": lambda seed: planted_sentiment(sine_series(bars=40), seed=seed),
     "regime_fixture": lambda seed: regime_fixture(bars_per_segment=20, seed=seed),
     "paper_shaped_series": lambda seed: paper_shaped_series(seed=seed),
-    "bars_from_adjusted": lambda seed: bars_from_adjusted(
-        sine_series(bars=30).adjusted(), weekly_dates(30), seed=seed
+    "bars_from_adjusted": lambda seed: PriceSeries(
+        "S", WEEKLY, *bars_from_adjusted(sine_series(bars=30).adjusted(), weekly_dates(30), seed=seed)
     ),
 }
 
