@@ -244,6 +244,10 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 
 def cmd_experiment(cfg: RunConfig, which: str) -> int:
+    # Only the sentiment ablation can run on a feature CSV; with both files
+    # one report set would mix two data sources.
+    if which == "all" and cfg.price_csv is not None and cfg.feature_csv is not None:
+        raise ConfigError("experiment all reads one data source: set price_csv or feature_csv, not both")
     wanted = EXPERIMENT_NAMES[:-1] if which == "all" else (which,)
     if "sentiment" in wanted:
         require_sentiment_stream(cfg)

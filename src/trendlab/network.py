@@ -23,6 +23,19 @@ a write to a named block (a finite-difference probe, a checkpoint load) or
 to the vector (the Adam step) writes the arrays the kernel reads. Gradients
 come back as a model of the same shape: each at its parameter's index.
 
+A forward pass writes every (T, ., n) activation (the fused input, and per
+layer the stacked (T, 4h, n) gate buffer, h, c and tanh(c), or a tanh
+layer's states) into arrays it allocates, or, given `out=cache`, into that
+cache's arrays, as Appleyard et al. preallocate theirs. `out` must come from
+a forward of the same cell, widths, window count and step count; any other
+raises ValueError, with no fallback to fresh arrays. The same ufunc and BLAS
+calls run in the same order, only into other destinations, so the results
+are bit-identical to a fresh forward's, and `out` is stale afterwards. A
+cache given in place of the parameters stands for its own model and buffers.
+Full-batch training runs each epoch into the last epoch's cache, so a run
+holds one set of activations, the memory that dominates exact BPTT (Chen et
+al. 2016, arXiv:1604.06174), instead of two.
+
 Everything is float64 and deterministic: identical inputs and parameters
 give bit-identical outputs.
 """
@@ -311,20 +324,39 @@ def _build_parameters(shape: ModelShape, weights: Callable, forget_bias: float) 
 
 @dataclass
 class _LstmLayerCache:
-    x: np.ndarray        # (T, D, n) layer inputs
+    x: np.ndarray        # (T, D, n) layer inputs: the fused input or the layer below's h
+    gates: np.ndarray    # (T, 4H, n) gate activations, row blocks f, i, o, g
     h: np.ndarray        # (T, H, n) hidden states
     c: np.ndarray        # (T, H, n) cell states
-    f: np.ndarray        # gate activations: (T, H, n) row blocks of one
-    i: np.ndarray        # (T, 4H, n) buffer, in f, i, o, c order
-    o: np.ndarray
-    g: np.ndarray        # candidate activations tanh(.)
     tanh_c: np.ndarray
+
+    def _gate(self, j: int) -> np.ndarray:
+        hid = self.h.shape[1]
+        return self.gates[:, j * hid : (j + 1) * hid]
+
+    f = property(lambda self: self._gate(0))
+    i = property(lambda self: self._gate(1))
+    o = property(lambda self: self._gate(2))
+    g = property(lambda self: self._gate(3))  # candidate activations tanh(.)
+
+    @property
+    def hidden(self) -> np.ndarray:
+        return self.h
 
 
 @dataclass
 class _RnnLayerCache:
     x: np.ndarray
     s: np.ndarray        # (T, H, n)
+
+    @property
+    def hidden(self) -> np.ndarray:
+        return self.s
+
+
+def _owned(lc: _LstmLayerCache | _RnnLayerCache) -> list[np.ndarray]:
+    """The arrays a layer cache writes: every field but its input x."""
+    return [getattr(lc, f.name) for f in fields(lc)[1:]]
 
 
 @dataclass
@@ -344,6 +376,12 @@ class ForwardCache:
     def steps(self) -> int:
         return self.layers[0].x.shape[0]
 
+    def buffers(self) -> list[np.ndarray]:
+        """The activation arrays a forward pass writes: the fused input,
+        then each layer's, in order. Another forward given this cache as
+        `out` overwrites exactly these."""
+        return [self.layers[0].x] + [a for lc in self.layers for a in _owned(lc)]
+
 
 def _as_batch(stream: np.ndarray, name: str, expected_dim: int) -> np.ndarray:
     arr = np.asarray(stream, dtype=np.float64)
@@ -355,24 +393,23 @@ def _as_batch(stream: np.ndarray, name: str, expected_dim: int) -> np.ndarray:
 
 
 def _fuse_batch(
-    streams: tuple[np.ndarray, np.ndarray, np.ndarray | None], fusion: FusionParameters
-) -> np.ndarray:
-    """Fused layer input, batch-last (T, D, n)."""
-    parts = [
-        np.matmul(W, stream.transpose(1, 2, 0)) + b[:, None]
-        for stream, (W, b) in zip(streams, fusion.projections())
-    ]
-    return np.concatenate(parts, axis=1)
+    streams: tuple[np.ndarray, np.ndarray, np.ndarray | None], fusion: FusionParameters, out: np.ndarray
+) -> None:
+    """Writes the fused layer input, batch-last (T, D, n), into `out`: each
+    stream's projection fills its block of D."""
+    width = fusion.d_i
+    for j, (stream, (W, b)) in enumerate(zip(streams, fusion.projections())):
+        block = out[:, j * width : (j + 1) * width]
+        np.matmul(W, stream.transpose(1, 2, 0), out=block)
+        block += b[:, None]
 
 
-def _lstm_forward(x: np.ndarray, layer: LstmLayerParameters) -> _LstmLayerCache:
-    steps, _, n = x.shape
-    hid = layer.hidden_size
-    A = np.matmul(layer.W, x)                            # (T, 4H, n)
+def _lstm_forward(lc: _LstmLayerCache, layer: LstmLayerParameters) -> None:
+    """Fills the cache's gates, h, c and tanh_c from its input x."""
+    steps, hid, n = lc.h.shape
+    A, H, C, TC = lc.gates, lc.h, lc.c, lc.tanh_c
+    np.matmul(layer.W, lc.x, out=A)                      # (T, 4H, n)
     A += layer.b[:, None]
-    H = np.empty((steps, hid, n))
-    C = np.empty((steps, hid, n))
-    TC = np.empty((steps, hid, n))
     rec = np.empty((4 * hid, n))
     for t in range(steps):
         act = A[t]
@@ -389,30 +426,65 @@ def _lstm_forward(x: np.ndarray, layer: LstmLayerParameters) -> _LstmLayerCache:
             np.multiply(i, g, out=C[t])
         np.tanh(C[t], out=TC[t])
         np.multiply(o, TC[t], out=H[t])
-    return _LstmLayerCache(
-        x=x, h=H, c=C, f=A[:, :hid], i=A[:, hid : 2 * hid], o=A[:, 2 * hid : 3 * hid],
-        g=A[:, 3 * hid :], tanh_c=TC,
-    )
 
 
-def _rnn_forward(x: np.ndarray, layer: RnnLayerParameters) -> _RnnLayerCache:
-    S = np.matmul(layer.U, x)                            # (T, H, n)
+def _rnn_forward(lc: _RnnLayerCache, layer: RnnLayerParameters) -> None:
+    """Fills the cache's states s from its input x."""
+    S = lc.s
+    np.matmul(layer.U, lc.x, out=S)                      # (T, H, n)
     rec = np.empty(S.shape[1:])
     for t in range(S.shape[0]):
         if t > 0:
             np.matmul(layer.W, S[t - 1], out=rec)
             S[t] += rec
         np.tanh(S[t], out=S[t])
-    return _RnnLayerCache(x=x, s=S)
+
+
+def _layout(params: NetworkParameters, steps: int, n: int) -> tuple:
+    """The fused input's shape, then per layer its cache type and the shapes
+    of the arrays it writes: what a forward over (n, steps) windows fills."""
+    layers = []
+    for layer in params.layers:
+        hid = layer.hidden_size
+        if isinstance(layer, LstmLayerParameters):
+            layers.append((_LstmLayerCache, ((steps, 4 * hid, n),) + ((steps, hid, n),) * 3))
+        else:
+            layers.append((_RnnLayerCache, ((steps, hid, n),)))
+    return (steps, params.fusion.fused_dim, n), tuple(layers)
+
+
+def _layout_of(cache: ForwardCache) -> tuple:
+    return cache.layers[0].x.shape, tuple((type(lc), tuple(a.shape for a in _owned(lc))) for lc in cache.layers)
+
+
+def _describe(layout: tuple) -> str:
+    (steps, width, n), layers = layout
+    cell = LSTM if layers[0][0] is _LstmLayerCache else RNN
+    widths = [width] + [shapes[-1][1] for _, shapes in layers]
+    return f"{cell} widths {widths}, {steps} steps, {n} windows"
 
 
 def forward_batch(
     streams: tuple[np.ndarray, np.ndarray, np.ndarray | None],
-    params: NetworkParameters,
+    params: NetworkParameters | ForwardCache,
+    out: ForwardCache | None = None,
 ) -> ForwardCache:
     """Evaluate every window in the batch; returns predictions plus the
     cached activations required for an exact backward pass.
+
+    With `out`, a cache of the same cell, widths, window count and step
+    count, every activation is written into `out`'s arrays, and the cache
+    returned is over them; `out` is stale afterwards, and holds partial
+    values if the call raises. Any other `out` raises ValueError. A cache
+    given in place of `params` stands for its own model and buffers:
+    `forward_batch(streams, cache)` is `forward_batch(streams, cache.params,
+    out=cache)`, so a loop that updates the parameter vector in place can
+    run each step into the previous step's cache.
     """
+    if isinstance(params, ForwardCache):
+        if out is not None:
+            raise ValueError("give a cache either in place of the parameters or as out, not both")
+        params, out = params.params, params
     a = _as_batch(streams[0], "fundamental", params.fusion.W_A.shape[1])
     f = _as_batch(streams[1], "technical", params.fusion.W_F.shape[1])
     if params.fusion.has_sentiment:
@@ -428,16 +500,23 @@ def forward_batch(
     if a.shape[1] < 1:
         raise ValueError("window must contain at least one step")
 
-    x = _fuse_batch((a, f, s), params.fusion)            # (T, D, n)
+    layout = _layout(params, a.shape[1], a.shape[0])
+    if out is None:
+        x = np.empty(layout[0])
+        owned = [map(np.empty, shapes) for _, shapes in layout[1]]
+    elif _layout_of(out) != layout:
+        raise ValueError(f"out holds a {_describe(_layout_of(out))} cache; this forward needs {_describe(layout)}")
+    else:
+        x = out.layers[0].x
+        owned = [_owned(lc) for lc in out.layers]
+
+    _fuse_batch((a, f, s), params.fusion, x)
     caches: list[_LstmLayerCache | _RnnLayerCache] = []
-    for layer in params.layers:
-        if isinstance(layer, LstmLayerParameters):
-            lc = _lstm_forward(x, layer)
-            x = lc.h
-        else:
-            lc = _rnn_forward(x, layer)
-            x = lc.s
+    for layer, (kind, _), arrays in zip(params.layers, layout[1], owned):
+        lc = kind(x, *arrays)
+        (_lstm_forward if kind is _LstmLayerCache else _rnn_forward)(lc, layer)
         caches.append(lc)
+        x = lc.hidden
 
     predictions = params.head.w @ x[-1] + float(params.head.b)
     if not np.all(np.isfinite(predictions)):
@@ -457,8 +536,9 @@ def _lstm_backward(
     dF, dI, dO, dG = dA[:hid], dA[hid : 2 * hid], dA[2 * hid : 3 * hid], dA[3 * hid :]
     dh_rec = np.zeros((hid, n))
     dc_rec = np.zeros((hid, n))
+    F, I, O, G = lc.f, lc.i, lc.o, lc.g
     for t in range(steps - 1, -1, -1):
-        f, i, o, g, tc = lc.f[t], lc.i[t], lc.o[t], lc.g[t], lc.tanh_c[t]
+        f, i, o, g, tc = F[t], I[t], O[t], G[t], lc.tanh_c[t]
         dh = d_h_extra[t] + dh_rec
         dc = dc_rec + dh * o * (1.0 - tc**2)
         if t > 0:
@@ -517,9 +597,7 @@ def backward_batch(cache: ForwardCache, d_predictions: np.ndarray) -> NetworkPar
     n = cache.n_windows
     grads = params.zeros_like()
 
-    top = cache.layers[-1]
-    final_h = (top.h if isinstance(top, _LstmLayerCache) else top.s)[-1]
-    grads.head.w[...] = final_h @ d_pred
+    grads.head.w[...] = cache.layers[-1].hidden[-1] @ d_pred
     grads.head.b[...] = d_pred.sum()
 
     # d_h_extra[t]: gradient flowing into h_t of the current layer from

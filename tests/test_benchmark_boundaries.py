@@ -2,7 +2,8 @@
 as listed in `perfbench/layers.py`. Resolving every one of them here makes a
 rename fail the test suite, not only the traced benchmark run, and so does a
 call that stops going through its patched module name: each workload's
-command, run small, must call every boundary required for that workload."""
+command, run small, must call every boundary required for that workload,
+with arguments the boundary's work counter accepts."""
 
 from __future__ import annotations
 
@@ -35,9 +36,14 @@ from workloads import DAILY_BARS, VARIANTS, write_config, write_price_csv, write
 TINY = {"epochs": 2, "layers": 1, "hidden_size": 2, "window": 4}
 
 
-def _counted(name, real, calls: Counter):
+def _counted(name, real, calls: Counter, work=None):
+    """`real`, counting its calls in `calls[name]`; with `work`, also
+    computes the boundary's work count from each call's arguments, as the
+    traced run does, so a call the counter cannot read fails here."""
     def wrapper(*args, **kwargs):
         calls[name] += 1
+        if work is not None:
+            work(*args, **kwargs)
         return real(*args, **kwargs)
     return wrapper
 
@@ -102,7 +108,7 @@ def test_each_workload_command_calls_every_boundary_it_requires(tmp_path, monkey
     calls = Counter()
     for b in required:
         module = importlib.import_module(b.module)
-        monkeypatch.setattr(module, b.attr, _counted(b.key, getattr(module, b.attr), calls))
+        monkeypatch.setattr(module, b.attr, _counted(b.key, getattr(module, b.attr), calls, b.work))
     assert cli.main(argv) == 0
     assert [b.key for b in required if calls[b.key] == 0] == []
 

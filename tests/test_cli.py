@@ -500,16 +500,40 @@ def test_experiment_all_with_a_segment_outside_the_data_fails_before_training(tm
     assert not (tmp_path / "out").exists()
 
 
-def test_experiment_all_with_a_malformed_feature_csv_fails_before_training(tmp_path, monkeypatch, capsys):
-    config = _experiment_all_config(tmp_path, [["2015-03-02", "2016-02-29"], ["2016-03-07", "2017-03-06"]])
+def test_experiment_sentiment_with_a_malformed_feature_csv_fails_before_training(tmp_path, monkeypatch, capsys):
+    config = _experiment_all_config(tmp_path, [["2015-03-02", "2016-02-29"]])
     features = tmp_path / "features.csv"
     features.write_text("not,a,feature,header\n1,2,3,4\n")
     config.write_text(json.dumps({**json.loads(config.read_text()), "feature_csv": str(features)}))
     trained = []
     real = experiments.train
     monkeypatch.setattr(experiments, "train", lambda *args, **kwargs: trained.append(args) or real(*args, **kwargs))
-    assert main(["experiment", "all", "--config", str(config)]) == 2
+    assert main(["experiment", "sentiment", "--config", str(config)]) == 2
     assert capsys.readouterr().err.startswith("data error: unexpected header ('not', 'a', 'feature', 'header')")
+    assert trained == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_experiment_all_with_a_malformed_feature_csv_fails_before_training(tmp_path, monkeypatch, capsys):
+    """With both a price and a feature CSV, the sentiment ablation would
+    train on the feature CSV and the other experiments on the price CSV: one
+    report set from two data sources. The config is refused before any
+    input file is read, so the feature CSV's contents never matter."""
+    config = _experiment_all_config(tmp_path, [["2015-03-02", "2016-02-29"], ["2016-03-07", "2017-03-06"]])
+    features = tmp_path / "features.csv"
+    features.write_text("not,a,feature,header\n1,2,3,4\n")
+    config.write_text(json.dumps({**json.loads(config.read_text()), "feature_csv": str(features)}))
+    read = []
+    real_read = Path.read_text
+    monkeypatch.setattr(Path, "read_text", lambda path, *args: read.append(path) or real_read(path, *args))
+    trained = []
+    real = experiments.train
+    monkeypatch.setattr(experiments, "train", lambda *args, **kwargs: trained.append(args) or real(*args, **kwargs))
+    assert main(["experiment", "all", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: experiment all reads one data source: set price_csv or feature_csv, not both\n"
+    )
+    assert read == [config]
     assert trained == []
     assert not (tmp_path / "out").exists()
 
