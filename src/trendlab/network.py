@@ -25,13 +25,13 @@ come back as a model of the same shape: each at its parameter's index.
 
 A forward pass writes every (T, ., n) activation (the fused input, and per
 layer the stacked (T, 4h, n) gate buffer, h, c and tanh(c), or a tanh
-layer's states) into arrays it allocates, or, given `out=cache`, into that
-cache's arrays, as Appleyard et al. preallocate theirs. `out` must come from
-a forward of the same cell, widths, window count and step count; any other
-raises ValueError, with no fallback to fresh arrays. The same ufunc and BLAS
-calls run in the same order, only into other destinations, so the results
-are bit-identical to a fresh forward's, and `out` is stale afterwards. A
-cache given in place of the parameters stands for its own model and buffers.
+layer's states) into arrays it allocates, or, given a cache in place of the
+parameters, into that cache's arrays, as Appleyard et al. preallocate
+theirs. The cache stands for its own model, so the only check is that it
+covers the same window count and step count as the streams; any other raises
+ValueError, with no fallback to fresh arrays. The same ufunc and BLAS calls
+run in the same order, only into other destinations, so the results are
+bit-identical to a fresh forward's, and the cache given is stale afterwards.
 Full-batch training runs each epoch into the last epoch's cache, so a run
 holds one set of activations, the memory that dominates exact BPTT (Chen et
 al. 2016, arXiv:1604.06174), instead of two.
@@ -378,8 +378,8 @@ class ForwardCache:
 
     def buffers(self) -> list[np.ndarray]:
         """The activation arrays a forward pass writes: the fused input,
-        then each layer's, in order. Another forward given this cache as
-        `out` overwrites exactly these."""
+        then each layer's, in order. Another forward given this cache in
+        place of the parameters overwrites exactly these."""
         return [self.layers[0].x] + [a for lc in self.layers for a in _owned(lc)]
 
 
@@ -453,38 +453,22 @@ def _layout(params: NetworkParameters, steps: int, n: int) -> tuple:
     return (steps, params.fusion.fused_dim, n), tuple(layers)
 
 
-def _layout_of(cache: ForwardCache) -> tuple:
-    return cache.layers[0].x.shape, tuple((type(lc), tuple(a.shape for a in _owned(lc))) for lc in cache.layers)
-
-
-def _describe(layout: tuple) -> str:
-    (steps, width, n), layers = layout
-    cell = LSTM if layers[0][0] is _LstmLayerCache else RNN
-    widths = [width] + [shapes[-1][1] for _, shapes in layers]
-    return f"{cell} widths {widths}, {steps} steps, {n} windows"
-
-
 def forward_batch(
-    streams: tuple[np.ndarray, np.ndarray, np.ndarray | None],
-    params: NetworkParameters | ForwardCache,
-    out: ForwardCache | None = None,
+    streams: tuple[np.ndarray, np.ndarray, np.ndarray | None], params: NetworkParameters | ForwardCache
 ) -> ForwardCache:
     """Evaluate every window in the batch; returns predictions plus the
     cached activations required for an exact backward pass.
 
-    With `out`, a cache of the same cell, widths, window count and step
-    count, every activation is written into `out`'s arrays, and the cache
-    returned is over them; `out` is stale afterwards, and holds partial
-    values if the call raises. Any other `out` raises ValueError. A cache
-    given in place of `params` stands for its own model and buffers:
-    `forward_batch(streams, cache)` is `forward_batch(streams, cache.params,
-    out=cache)`, so a loop that updates the parameter vector in place can
-    run each step into the previous step's cache.
+    A cache given in place of `params` stands for its own model and
+    buffers: every activation is written into its arrays, and the cache
+    returned is over them. The given cache is stale afterwards, and holds
+    partial values if the call raises. It must cover as many windows and
+    steps as the streams, or ValueError is raised. A loop that updates the
+    parameter vector in place can so run each step into the last step's cache.
     """
+    into = None
     if isinstance(params, ForwardCache):
-        if out is not None:
-            raise ValueError("give a cache either in place of the parameters or as out, not both")
-        params, out = params.params, params
+        params, into = params.params, params
     a = _as_batch(streams[0], "fundamental", params.fusion.W_A.shape[1])
     f = _as_batch(streams[1], "technical", params.fusion.W_F.shape[1])
     if params.fusion.has_sentiment:
@@ -501,14 +485,14 @@ def forward_batch(
         raise ValueError("window must contain at least one step")
 
     layout = _layout(params, a.shape[1], a.shape[0])
-    if out is None:
+    if into is None:
         x = np.empty(layout[0])
         owned = [map(np.empty, shapes) for _, shapes in layout[1]]
-    elif _layout_of(out) != layout:
-        raise ValueError(f"out holds a {_describe(_layout_of(out))} cache; this forward needs {_describe(layout)}")
+    elif (into.n_windows, into.steps) != a.shape[:2]:
+        raise ValueError(f"cache holds {into.n_windows} windows of {into.steps} steps, the streams {a.shape[:2]}")
     else:
-        x = out.layers[0].x
-        owned = [_owned(lc) for lc in out.layers]
+        x = into.layers[0].x
+        owned = [_owned(lc) for lc in into.layers]
 
     _fuse_batch((a, f, s), params.fusion, x)
     caches: list[_LstmLayerCache | _RnnLayerCache] = []

@@ -185,9 +185,6 @@ def train(
     labels = train_split.labels
 
     epoch_rmse: list[float] = []
-    # The cache goes in place of the parameters, not as `out=`: the
-    # benchmark's traced run counts window-steps from the two arguments of
-    # every `forward_batch` call made here.
     cache: ForwardCache | None = None
     for epoch in range(config.epochs):
         try:
