@@ -55,6 +55,7 @@ from .network import (
     backward_batch,
     forward_batch,
     init_parameters,
+    last_step_cache,
     mean_forget_activation,
 )
 from .reports import (

@@ -53,7 +53,7 @@ from .market_data import (
     resample_weekly,
     write_csv,
 )
-from .network import forward_batch
+from .network import forward_batch, last_step_cache
 from .reports import (
     ExperimentReport,
     aggregate_report,
@@ -228,7 +228,9 @@ def cmd_predict(cfg: RunConfig) -> int:
             )
     window = checkpoint.config.window
     streams = inference_windows(frame, window, checkpoint.column_scales, use_sentiment)
-    cache = forward_batch(streams, checkpoint.params)
+    # Predictions need no backward pass: each memory-cell layer keeps one
+    # step of gates and cell state instead of all of them.
+    cache = forward_batch(streams, last_step_cache(checkpoint.params, *streams[0].shape[:2]))
     prices = denormalize(cache.predictions, checkpoint.scale)
 
     # One row per window, at its last row; `csv` writes a date in its ISO

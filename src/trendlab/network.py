@@ -36,6 +36,18 @@ Full-batch training runs each epoch into the last epoch's cache, so a run
 holds one set of activations, the memory that dominates exact BPTT (Chen et
 al. 2016, arXiv:1604.06174), instead of two.
 
+A memory-cell layer's cache holds its gates, c and tanh(c) at one of two
+depths: every step (depth T, what a forward allocates and what the backward
+pass and the forget-gate mean read), or the last step only (depth 1, from
+`last_step_cache`, for predictions; those two readers refuse it). h keeps
+every step at both depths, since it is the next layer's input. Step t sits
+at row t % depth, and the inputs of each block of depth steps are projected
+by one GEMM as the block begins. At depth T that is the whole window's
+projection before step 0, as in training; at depth 1 a step's projection is
+made just before the step reads it, while it is still in cache. Each step's
+input projection is the same GEMM on the same slice at either depth, so the
+predictions are bit-identical.
+
 Everything is float64 and deterministic: identical inputs and parameters
 give bit-identical outputs.
 """
@@ -325,10 +337,15 @@ def _build_parameters(shape: ModelShape, weights: Callable, forget_bias: float) 
 @dataclass
 class _LstmLayerCache:
     x: np.ndarray        # (T, D, n) layer inputs: the fused input or the layer below's h
-    gates: np.ndarray    # (T, 4H, n) gate activations, row blocks f, i, o, g
+    gates: np.ndarray    # (depth, 4H, n) gate activations, row blocks f, i, o, g
     h: np.ndarray        # (T, H, n) hidden states
-    c: np.ndarray        # (T, H, n) cell states
-    tanh_c: np.ndarray
+    c: np.ndarray        # (depth, H, n) cell states
+    tanh_c: np.ndarray   # (depth, H, n)
+
+    @property
+    def depth(self) -> int:
+        """Steps held by gates, c and tanh_c: T, or 1 for the last step only."""
+        return self.gates.shape[0]
 
     def _gate(self, j: int) -> np.ndarray:
         hid = self.h.shape[1]
@@ -361,7 +378,8 @@ def _owned(lc: _LstmLayerCache | _RnnLayerCache) -> list[np.ndarray]:
 
 @dataclass
 class ForwardCache:
-    """Everything the backward pass needs, plus the predictions."""
+    """Everything the backward pass needs, plus the predictions; a cache
+    from `last_step_cache` holds only what the predictions need."""
 
     params: NetworkParameters
     streams: tuple[np.ndarray, np.ndarray, np.ndarray | None]  # (n, T, d) each
@@ -381,6 +399,37 @@ class ForwardCache:
         then each layer's, in order. Another forward given this cache in
         place of the parameters overwrites exactly these."""
         return [self.layers[0].x] + [a for lc in self.layers for a in _owned(lc)]
+
+    def _require_every_step(self, reader: str) -> None:
+        if any(isinstance(lc, _LstmLayerCache) and lc.depth < self.steps for lc in self.layers):
+            raise ValueError(f"{reader} needs every step's gates, and this cache keeps only the last step")
+
+
+def _empty_cache(params: NetworkParameters, n: int, steps: int, depth: int) -> ForwardCache:
+    """A cache of `params` over new uninitialised arrays for n windows of
+    `steps` steps, each memory-cell layer holding gates, c and tanh(c) at
+    `depth` steps (`steps` or 1). Its predictions are NaN until a forward
+    runs into it."""
+    x = np.empty((steps, params.fusion.fused_dim, n))
+    layers: list[_LstmLayerCache | _RnnLayerCache] = []
+    for layer in params.layers:
+        hid = layer.hidden_size
+        if isinstance(layer, LstmLayerParameters):
+            lc = _LstmLayerCache(x, np.empty((depth, 4 * hid, n)), np.empty((steps, hid, n)),
+                                 np.empty((depth, hid, n)), np.empty((depth, hid, n)))
+        else:
+            lc = _RnnLayerCache(x, np.empty((steps, hid, n)))
+        layers.append(lc)
+        x = lc.hidden
+    return ForwardCache(params, (), layers, np.full(n, np.nan))
+
+
+def last_step_cache(params: NetworkParameters, n_windows: int, steps: int) -> ForwardCache:
+    """A cache of `params` to forward n_windows windows of `steps` steps
+    into, for predictions only: each memory-cell layer keeps one step of
+    gates, c and tanh(c), so the backward pass and the forget-gate mean
+    refuse the result."""
+    return _empty_cache(params, n_windows, steps, depth=1)
 
 
 def _as_batch(stream: np.ndarray, name: str, expected_dim: int) -> np.ndarray:
@@ -405,14 +454,19 @@ def _fuse_batch(
 
 
 def _lstm_forward(lc: _LstmLayerCache, layer: LstmLayerParameters) -> None:
-    """Fills the cache's gates, h, c and tanh_c from its input x."""
+    """Fills the cache's gates, h, c and tanh_c from its input x. Step t
+    lives at row t % depth of the depth-deep arrays; the inputs of each
+    block of depth steps are projected in one GEMM as the block begins."""
     steps, hid, n = lc.h.shape
     A, H, C, TC = lc.gates, lc.h, lc.c, lc.tanh_c
-    np.matmul(layer.W, lc.x, out=A)                      # (T, 4H, n)
-    A += layer.b[:, None]
+    depth = lc.depth
     rec = np.empty((4 * hid, n))
     for t in range(steps):
-        act = A[t]
+        k = t % depth
+        if k == 0:
+            np.matmul(layer.W, lc.x[t : t + depth], out=A)   # (depth, 4H, n)
+            A += layer.b[:, None]
+        act = A[k]
         if t > 0:
             np.matmul(layer.U, H[t - 1], out=rec)
             act += rec
@@ -420,12 +474,12 @@ def _lstm_forward(lc: _LstmLayerCache, layer: LstmLayerParameters) -> None:
         np.tanh(act[3 * hid :], out=act[3 * hid :])
         f, i, o, g = act[:hid], act[hid : 2 * hid], act[2 * hid : 3 * hid], act[3 * hid :]
         if t > 0:
-            np.multiply(f, C[t - 1], out=C[t])
-            C[t] += i * g
+            np.multiply(f, C[(t - 1) % depth], out=C[k])
+            C[k] += i * g
         else:
-            np.multiply(i, g, out=C[t])
-        np.tanh(C[t], out=TC[t])
-        np.multiply(o, TC[t], out=H[t])
+            np.multiply(i, g, out=C[k])
+        np.tanh(C[k], out=TC[k])
+        np.multiply(o, TC[k], out=H[t])
 
 
 def _rnn_forward(lc: _RnnLayerCache, layer: RnnLayerParameters) -> None:
@@ -440,19 +494,6 @@ def _rnn_forward(lc: _RnnLayerCache, layer: RnnLayerParameters) -> None:
         np.tanh(S[t], out=S[t])
 
 
-def _layout(params: NetworkParameters, steps: int, n: int) -> tuple:
-    """The fused input's shape, then per layer its cache type and the shapes
-    of the arrays it writes: what a forward over (n, steps) windows fills."""
-    layers = []
-    for layer in params.layers:
-        hid = layer.hidden_size
-        if isinstance(layer, LstmLayerParameters):
-            layers.append((_LstmLayerCache, ((steps, 4 * hid, n),) + ((steps, hid, n),) * 3))
-        else:
-            layers.append((_RnnLayerCache, ((steps, hid, n),)))
-    return (steps, params.fusion.fused_dim, n), tuple(layers)
-
-
 def forward_batch(
     streams: tuple[np.ndarray, np.ndarray, np.ndarray | None], params: NetworkParameters | ForwardCache
 ) -> ForwardCache:
@@ -465,6 +506,8 @@ def forward_batch(
     partial values if the call raises. It must cover as many windows and
     steps as the streams, or ValueError is raised. A loop that updates the
     parameter vector in place can so run each step into the last step's cache.
+    A cache from `last_step_cache` gives the same predictions, but keeps
+    too little for the backward pass.
     """
     into = None
     if isinstance(params, ForwardCache):
@@ -484,28 +527,19 @@ def forward_batch(
     if a.shape[1] < 1:
         raise ValueError("window must contain at least one step")
 
-    layout = _layout(params, a.shape[1], a.shape[0])
     if into is None:
-        x = np.empty(layout[0])
-        owned = [map(np.empty, shapes) for _, shapes in layout[1]]
+        into = _empty_cache(params, a.shape[0], a.shape[1], depth=a.shape[1])
     elif (into.n_windows, into.steps) != a.shape[:2]:
         raise ValueError(f"cache holds {into.n_windows} windows of {into.steps} steps, the streams {a.shape[:2]}")
-    else:
-        x = into.layers[0].x
-        owned = [_owned(lc) for lc in into.layers]
 
-    _fuse_batch((a, f, s), params.fusion, x)
-    caches: list[_LstmLayerCache | _RnnLayerCache] = []
-    for layer, (kind, _), arrays in zip(params.layers, layout[1], owned):
-        lc = kind(x, *arrays)
-        (_lstm_forward if kind is _LstmLayerCache else _rnn_forward)(lc, layer)
-        caches.append(lc)
-        x = lc.hidden
+    _fuse_batch((a, f, s), params.fusion, into.layers[0].x)
+    for lc, layer in zip(into.layers, params.layers):
+        (_lstm_forward if isinstance(lc, _LstmLayerCache) else _rnn_forward)(lc, layer)
 
-    predictions = params.head.w @ x[-1] + float(params.head.b)
+    predictions = params.head.w @ into.layers[-1].hidden[-1] + float(params.head.b)
     if not np.all(np.isfinite(predictions)):
         raise DivergenceError("non-finite prediction in forward pass")
-    return ForwardCache(params=params, streams=(a, f, s), layers=caches, predictions=predictions)
+    return ForwardCache(params=params, streams=(a, f, s), layers=list(into.layers), predictions=predictions)
 
 
 def _lstm_backward(
@@ -573,6 +607,7 @@ def backward_batch(cache: ForwardCache, d_predictions: np.ndarray) -> NetworkPar
     every parameter, as a model of the same shape: each gradient sits where
     its parameter does.
     """
+    cache._require_every_step("the backward pass")
     params = cache.params
     d_pred = np.asarray(d_predictions, dtype=np.float64)
     if d_pred.shape != cache.predictions.shape:
@@ -607,6 +642,7 @@ def mean_forget_activation(cache: ForwardCache) -> float:
     windows, layers, steps and units weighted equally. The values are
     summed in window, layer, step, unit order, which fixes the last bits
     of the result."""
+    cache._require_every_step("the forget-gate mean")
     forget = [lc.f for lc in cache.layers if isinstance(lc, _LstmLayerCache)]
     if not forget:
         raise ValueError("the cache holds no forget gates")

@@ -109,7 +109,8 @@ def test_predict_rejects_checkpoint_whose_config_disagrees_with_the_model(traine
     assert not out.exists()
 
 
-def test_train_then_predict_reproduces_the_test_rmse(tmp_path):
+@pytest.mark.parametrize("cell", ["lstm", "rnn"])
+def test_train_then_predict_reproduces_the_test_rmse(tmp_path, cell):
     series = sine_series(bars=120)
     prices = tmp_path / "prices.csv"
     _write_prices(prices, series.bars)
@@ -119,7 +120,7 @@ def test_train_then_predict_reproduces_the_test_rmse(tmp_path):
         "price_interval": "weekly",
         "interval": "weekly",
         "output_dir": str(tmp_path / "train"),
-        "train": {"epochs": 5, "layers": 2, "hidden_size": 4, "window": 6},
+        "train": {"cell": cell, "epochs": 5, "layers": 2, "hidden_size": 4, "window": 6},
     }))
     assert main(["train", "--config", str(config)]) == 0
     checkpoint = tmp_path / "train" / "checkpoint.json"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from trendlab.network import (
     backward_batch,
     forward_batch,
     init_parameters,
+    last_step_cache,
     mean_forget_activation,
 )
 
@@ -333,11 +335,33 @@ def test_reused_lstm_gates_are_row_blocks_of_one_buffer():
 @pytest.mark.parametrize("windows, steps", [(5, 6), (4, 7)], ids=["windows", "steps"])
 def test_a_cache_of_other_windows_is_rejected(windows, steps):
     params = init_parameters(ModelShape(layers=2, hidden=4), seed=0)
-    cache = forward_batch(_random_streams(1, windows, steps, sentiment=True), params)
-    before = [a.copy() for a in cache.buffers()]
-    with pytest.raises(ValueError, match=rf"cache holds {windows} windows of {steps} steps, the streams \(4, 6\)"):
-        forward_batch(_random_streams(0, windows=4, steps=6, sentiment=True), cache)
-    assert all(np.array_equal(a, b) for a, b in zip(cache.buffers(), before))
+    streams = _random_streams(1, windows, steps, sentiment=True)
+    for into in (params, last_step_cache(params, windows, steps)):
+        cache = forward_batch(streams, into)
+        before = [a.copy() for a in cache.buffers()]
+        with pytest.raises(ValueError, match=rf"cache holds {windows} windows of {steps} steps, the streams \(4, 6\)"):
+            forward_batch(_random_streams(0, windows=4, steps=6, sentiment=True), cache)
+        assert all(np.array_equal(a, b) for a, b in zip(cache.buffers(), before))
+
+
+@pytest.mark.parametrize(
+    "reader", [lambda cache: backward_batch(cache, np.ones(cache.n_windows)), mean_forget_activation],
+    ids=["backward", "mean_forget"],
+)
+def test_a_last_step_cache_is_refused_where_every_step_is_read(reader):
+    params = init_parameters(ModelShape(layers=2, hidden=4), seed=0)
+    cache = forward_batch(_random_streams(1, windows=3, steps=5, sentiment=True), last_step_cache(params, 3, 5))
+    with pytest.raises(ValueError, match="keeps only the last step"):
+        reader(cache)
+
+
+def test_a_one_step_last_step_cache_holds_every_step():
+    params = init_parameters(ModelShape(layers=2, hidden=4), seed=0)
+    streams = _random_streams(1, windows=3, steps=1, sentiment=True)
+    fresh, last = forward_batch(streams, params), forward_batch(streams, last_step_cache(params, 3, 1))
+    d_pred = np.arange(3.0)
+    assert np.array_equal(backward_batch(last, d_pred).vector, backward_batch(fresh, d_pred).vector)
+    assert mean_forget_activation(last) == mean_forget_activation(fresh)
 
 
 def test_gate_bounds_and_memory_decomposition():
@@ -467,6 +491,46 @@ def test_kernel_matches_reference(case):
     assert list(grads) == [name for name, _ in params.param_items()]
     for name, g in grads.items():
         np.testing.assert_allclose(g, want_grads[name], rtol=0, atol=KERNEL_TOLERANCE, err_msg=name)
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_forward_into_a_last_step_cache_equals_a_full_forward(case):
+    params, streams, _ = _reference_case(case)
+    n, steps = streams[0].shape[:2]
+    full = forward_batch(streams, params)
+    # A stale cache: computed from other parameters and other streams, then
+    # loaded with the parameters, since a cache stands for its own model.
+    other = init_parameters(params.shape, seed=99)
+    rng = np.random.default_rng(99)
+    stale = forward_batch(
+        tuple(None if x is None else rng.normal(size=x.shape) for x in streams), last_step_cache(other, n, steps)
+    )
+    other.vector[...] = params.vector
+    for into in (last_step_cache(params, n, steps), stale):
+        last = forward_batch(streams, into)
+        assert np.array_equal(last.predictions, full.predictions)
+        for lc, want in zip(last.layers, full.layers):
+            assert type(lc) is type(want)
+            for name, got in vars(lc).items():
+                # x and h keep every step; gates, c and tanh_c the last one.
+                assert np.array_equal(got, getattr(want, name)[-got.shape[0] :]), name
+
+
+def test_a_last_step_cache_is_under_a_quarter_of_a_full_cache():
+    """The paper's 3 x 32 LSTM over 883 windows of 12 steps, an 18-year
+    daily history: the buffers, and the traced peak of one forward into a
+    new last-step cache, against the buffers of a full forward."""
+    params = init_parameters(ModelShape(), seed=0)
+    streams = _random_streams(0, windows=883, steps=12, sentiment=True)
+    full_bytes = sum(a.nbytes for a in forward_batch(streams, params).buffers())
+    tracemalloc.start()
+    try:
+        last = forward_batch(streams, last_step_cache(params, 883, 12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(a.nbytes for a in last.buffers()) <= 0.25 * full_bytes
+    assert peak <= 0.3 * full_bytes
 
 
 def test_saturated_gates_raise_no_overflow_warning():
