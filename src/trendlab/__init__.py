@@ -30,7 +30,6 @@ from .features import (
     parse_feature_csv,
     prepare_dataset,
 )
-from .fusion import FusionParameters
 from .indicators import IndicatorConfig, cci, ema, macd, rsi
 from .market_data import (
     DAILY,
@@ -48,6 +47,7 @@ from .market_data import (
     resample_weekly,
 )
 from .network import (
+    FusionParameters,
     LstmLayerParameters,
     ModelShape,
     NetworkParameters,

@@ -219,9 +219,9 @@ def cmd_predict(cfg: RunConfig) -> int:
     frame = _resolve_frame(cfg)
     checkpoint = load_checkpoint(path.read_text())
 
-    use_sentiment = checkpoint.params.fusion.has_sentiment
+    use_sentiment = checkpoint.params.shape.d_s is not None
     actual = frame_columns(frame if use_sentiment else frame.without_sentiment())
-    for stream, names in (checkpoint.columns or {}).items():
+    for stream, names in checkpoint.columns.items():
         if names != actual.get(stream):
             raise DataError(
                 f"frame {stream} columns {actual.get(stream)} do not match checkpoint {names}"

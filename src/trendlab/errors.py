@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and the one field-type rule
-that the config dataclasses enforce when they are built."""
+"""Exception types shared across the package, the one field-type rule that
+the config dataclasses enforce when they are built, and the rule that their
+numbers are finite."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from datetime import date
 from functools import cache
@@ -117,3 +119,14 @@ def enforce_field_types(obj) -> None:
         except _Mismatch:
             raise ConfigError(f"{name} must be {_describe(hint)}, got {value!r}") from None
         object.__setattr__(obj, name, converted)
+
+
+def require_finite(obj) -> None:
+    """Refuse a NaN or an infinity in any float field of config dataclass
+    `obj`; call it after `enforce_field_types`, which stores every number
+    field as a float. Report rows do not call it: they store NaN for a
+    metric that a failed cell did not produce."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be a finite number, got {value!r}")

@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, TrendlabError, enforce_field_types
+from .errors import ConfigError, DataError, TrendlabError, enforce_field_types, require_finite
 from .features import DatasetBundle, FeatureFrame, build_feature_frame, prepare_dataset
 from .indicators import IndicatorConfig
 from .market_data import DAILY, WEEKLY, PriceSeries, fit_scale, normalize, resample_weekly
@@ -69,6 +69,9 @@ class ExperimentsSection:
 
     def __post_init__(self):
         enforce_field_types(self)
+        require_finite(self)
+        if self.regime_threshold < 0:
+            raise ConfigError(f"experiments.regime_threshold must be non-negative, got {self.regime_threshold}")
         if not self.seeds:
             raise ConfigError("experiments.seeds must be non-empty")
         if not self.window_sizes:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError, enforce_field_types
+from .errors import ConfigError, DataError, enforce_field_types, require_finite
 from .market_data import CLOSE, HIGH, LOW, PriceSeries
 
 
@@ -26,6 +26,7 @@ class IndicatorConfig:
 
     def __post_init__(self):
         enforce_field_types(self)
+        require_finite(self)
         for name in ("rsi_period", "cci_period", "macd_fast", "macd_slow"):
             if getattr(self, name) < 2:
                 raise ConfigError(f"{name} must be >= 2, got {getattr(self, name)}")

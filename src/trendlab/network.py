@@ -7,21 +7,27 @@ Two cell types share the sequence-evaluation contract: the gated memory cell
     c_t = f_t * c_{t-1} + i_t * tanh(W_c x_t + U_c h_{t-1} + b_c)
     h_t = o_t * tanh(c_t)
 
-and the plain tanh recurrence s_t = tanh(U x_t + W s_{t-1}). A stack of
-layers reads the fused feature streams, and an affine head maps the top
-layer's final hidden state to the scalar next-step prediction. The backward
-pass is exact reverse-mode differentiation through the whole unrolled
-window, including the stream projections, with no truncation.
+and the plain tanh recurrence s_t = tanh(U x_t + W s_{t-1}). Per-stream
+affine projections map the fundamental, technical and sentiment streams to
+one shared width and are concatenated into the first layer's input; a stack
+of layers reads it, and an affine head maps the top layer's final hidden
+state to the scalar next-step prediction. The backward pass is exact
+reverse-mode differentiation through the whole unrolled window, including
+the stream projections, with no truncation.
+
+A model is its `ModelShape` plus one float64 `vector`. `NetworkParameters(shape)`
+allocates the vector, all zeros, and binds every stored array as a view of
+it, in the storage order that `storage_order` alone defines: the stream
+projections, each layer, then the head. A write to a named block (a
+finite-difference probe, `init_parameters`) or to the vector (the Adam step,
+a checkpoint load) writes the arrays the kernel reads. Gradients come back
+as a model of the same shape: each at its parameter's index.
 
 A memory-cell layer stores its four gates stacked, in f, i, o, c order: one
 W (4h x d), one U (4h x h) and one b (4h), so each step's four gate
 pre-activations are one GEMM (Appleyard, Kocisky & Blunsom 2016,
 arXiv:1604.01946). `NetworkParameters.param_items` names the per-gate row
 blocks `layers.k.W_f`, `layers.k.U_i`, ... and hands them out as views.
-Every stored array is itself a view of the model's one float64 `vector`, so
-a write to a named block (a finite-difference probe, a checkpoint load) or
-to the vector (the Adam step) writes the arrays the kernel reads. Gradients
-come back as a model of the same shape: each at its parameter's index.
 
 A forward pass writes every (T, ., n) activation (the fused input, and per
 layer the stacked (T, 4h, n) gate buffer, h, c and tanh(c), or a tanh
@@ -54,13 +60,12 @@ give bit-identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Callable
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DivergenceError
-from .fusion import FusionParameters, default_width
 
 LSTM = "lstm"
 RNN = "rnn"
@@ -69,85 +74,12 @@ CELLS = (LSTM, RNN)
 GATES = ("f", "i", "o", "c")
 
 
-@dataclass
-class LstmLayerParameters:
-    """Gate-stacked input weights W (4h x input), recurrent weights U
-    (4h x h) and biases b (4h). Gate g in f, i, o, c (index j) owns rows
-    [j*h, (j+1)*h) of all three; `gate_blocks` names those row blocks and
-    returns them as views, so writing a block writes the stacked array.
-    """
-
-    W: np.ndarray
-    U: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        if self.W.ndim != 2 or self.W.shape[0] == 0 or self.W.shape[0] % len(GATES):
-            raise ValueError(f"W shape {self.W.shape} is not (4 * hidden, input)")
-        rows = self.W.shape[0]
-        if self.U.shape != (rows, rows // len(GATES)):
-            raise ValueError(f"U shape {self.U.shape} != ({rows}, {rows // len(GATES)})")
-        if self.b.shape != (rows,):
-            raise ValueError(f"b shape {self.b.shape} != ({rows},)")
-
-    @property
-    def hidden_size(self) -> int:
-        return self.W.shape[0] // len(GATES)
-
-    @property
-    def input_size(self) -> int:
-        return self.W.shape[1]
-
-    def gate_blocks(self, prefix: str) -> list[tuple[str, np.ndarray]]:
-        """(name, view) per gate row block, W_g, U_g, b_g for g in f, i, o, c."""
-        hid = self.hidden_size
-        items = []
-        for j, g in enumerate(GATES):
-            rows = slice(j * hid, (j + 1) * hid)
-            items += [(f"{prefix}W_{g}", self.W[rows]), (f"{prefix}U_{g}", self.U[rows]),
-                      (f"{prefix}b_{g}", self.b[rows])]
-        return items
-
-
-@dataclass
-class RnnLayerParameters:
-    """Input weights U (hidden x input) and recurrent weights W (hidden x
-    hidden) of the bias-free tanh recurrence.
-    """
-
-    U: np.ndarray
-    W: np.ndarray
-
-    def __post_init__(self):
-        if self.W.shape != (self.U.shape[0], self.U.shape[0]):
-            raise ValueError(f"recurrent weights {self.W.shape} inconsistent with {self.U.shape}")
-
-    @property
-    def hidden_size(self) -> int:
-        return self.U.shape[0]
-
-    @property
-    def input_size(self) -> int:
-        return self.U.shape[1]
-
-
-@dataclass
-class HeadParameters:
-    """Affine regression head: hidden state -> scalar prediction."""
-
-    w: np.ndarray
-    b: np.ndarray  # 0-d array, so that it can be a view of one vector element
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        if self.b.shape != ():
-            raise ValueError("head bias must be a scalar")
-
-
 @dataclass(frozen=True)
 class ModelShape:
-    """Static shape description used to build parameters."""
+    """Everything that fixes a model's parameter layout: the cell, the
+    stream widths (d_s None without sentiment), the shared projection width
+    d_i (None: the widest stream, so no stream is compressed), the layer
+    count and the hidden size."""
 
     cell: str = LSTM
     d_a: int = 3
@@ -169,7 +101,7 @@ class ModelShape:
 
     @property
     def width(self) -> int:
-        return self.d_i if self.d_i is not None else default_width(self.d_a, self.d_f, self.d_s)
+        return self.d_i if self.d_i is not None else max(self.d_a, self.d_f, self.d_s or 0)
 
     @property
     def fused_dim(self) -> int:
@@ -177,77 +109,115 @@ class ModelShape:
 
 
 @dataclass
-class NetworkParameters:
-    """All trainable parameters: fusion projections, cell layers, head.
+class FusionParameters:
+    """Each stream's projection to the shared width: W_A/b_A fundamental,
+    W_F/b_F technical, W_S/b_S sentiment (None when sentiment is ablated)."""
 
-    The model owns copies of the parts it is given. Their arrays are views
-    of `vector`, laid out in storage order: the fusion projections, each
-    layer, then the head, each part in its field order (a memory-cell layer
-    as its stacked W, U, b).
+    W_A: np.ndarray
+    b_A: np.ndarray
+    W_F: np.ndarray
+    b_F: np.ndarray
+    W_S: np.ndarray | None = None
+    b_S: np.ndarray | None = None
+
+    def projections(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(W, b) of each fused stream: fundamental, technical, then sentiment."""
+        pairs = [(self.W_A, self.b_A), (self.W_F, self.b_F)]
+        if self.W_S is not None:
+            pairs.append((self.W_S, self.b_S))
+        return pairs
+
+
+@dataclass
+class LstmLayerParameters:
+    """Gate-stacked input weights W (4h x input), recurrent weights U
+    (4h x h) and biases b (4h). Gate g in f, i, o, c (index j) owns rows
+    [j*h, (j+1)*h) of all three; `gate_blocks` names those row blocks and
+    returns them as views, so writing a block writes the stacked array.
     """
 
-    cell: str
-    fusion: FusionParameters
-    layers: list[LstmLayerParameters | RnnLayerParameters]
-    head: HeadParameters
-    vector: np.ndarray = field(init=False, repr=False, compare=False)
+    W: np.ndarray
+    U: np.ndarray
+    b: np.ndarray
 
-    def __post_init__(self):
-        if self.cell not in CELLS:
-            raise ValueError(f"unknown cell {self.cell!r}")
-        layer_type = LstmLayerParameters if self.cell == LSTM else RnnLayerParameters
-        size = self.fusion.fused_dim
-        for k, layer in enumerate(self.layers):
-            if not isinstance(layer, layer_type):
-                raise ValueError(f"layer {k} is {type(layer).__name__}, not a {self.cell!r} layer")
-            if layer.input_size != size:
-                raise ValueError(f"layer {k} input size {layer.input_size} != expected {size}")
-            size = layer.hidden_size
-        if self.head.w.shape != (size,):
-            raise ValueError(f"head weights {self.head.w.shape} != ({size},)")
-        self.fusion, self.head = replace(self.fusion), replace(self.head)
-        self.layers = [replace(layer) for layer in self.layers]
-        self._bind_to_vector()
+    def gate_blocks(self, prefix: str) -> list[tuple[str, np.ndarray]]:
+        """(name, view) per gate row block, W_g, U_g, b_g for g in f, i, o, c."""
+        hid = self.U.shape[1]
+        items = []
+        for j, g in enumerate(GATES):
+            rows = slice(j * hid, (j + 1) * hid)
+            items += [(f"{prefix}W_{g}", self.W[rows]), (f"{prefix}U_{g}", self.U[rows]),
+                      (f"{prefix}b_{g}", self.b[rows])]
+        return items
 
-    def _bind_to_vector(self) -> None:
-        """Copy every stored array into one new vector, in storage order,
-        and rebind each field to its slice of it."""
-        stored = [
-            (part, f.name) for part in (self.fusion, *self.layers, self.head)
-            for f in fields(part) if getattr(part, f.name) is not None
-        ]
-        arrays = [getattr(part, name) for part, name in stored]
-        self.vector = np.concatenate([array.ravel() for array in arrays], dtype=np.float64)
-        slices = np.split(self.vector, np.cumsum([array.size for array in arrays])[:-1])
-        for (part, name), array, piece in zip(stored, arrays, slices):
-            setattr(part, name, piece.reshape(array.shape))
 
-    def zeros_like(self) -> NetworkParameters:
-        """A model of the same shape, over its own all-zero vector."""
-        zeros = replace(self)
-        zeros.vector[...] = 0.0
-        return zeros
+@dataclass
+class RnnLayerParameters:
+    """Input weights U (hidden x input) and recurrent weights W (hidden x
+    hidden) of the bias-free tanh recurrence.
+    """
 
-    @property
-    def hidden_size(self) -> int:
-        return self.layers[-1].hidden_size
+    U: np.ndarray
+    W: np.ndarray
 
-    @property
-    def shape(self) -> ModelShape:
-        fusion = self.fusion
-        return ModelShape(
-            cell=self.cell, d_a=fusion.W_A.shape[1], d_f=fusion.W_F.shape[1],
-            d_s=fusion.W_S.shape[1] if fusion.has_sentiment else None, d_i=fusion.d_i,
-            layers=len(self.layers), hidden=self.hidden_size,
-        )
+
+@dataclass
+class HeadParameters:
+    """Affine regression head: hidden state -> scalar prediction."""
+
+    w: np.ndarray
+    b: np.ndarray  # 0-d array, so that it can be a view of one vector element
+
+
+def storage_order(shape: ModelShape) -> list[tuple[type, list[tuple[int, ...]]]]:
+    """The parts of a model of `shape` in storage order, each as its class
+    and the dims of its arrays in field order: the stream projections
+    (W_A, b_A, W_F, b_F, then W_S, b_S with sentiment), each layer (a
+    memory-cell layer's stacked W, U, b; a tanh layer's U, W), then the
+    head's w and b. A checkpoint stores the vector in this order, so a
+    change to it needs a new checkpoint schema."""
+    width, hid = shape.width, shape.hidden
+    streams = (shape.d_a, shape.d_f) if shape.d_s is None else (shape.d_a, shape.d_f, shape.d_s)
+    parts = [(FusionParameters, [dims for d in streams for dims in ((width, d), (width,))])]
+    size = shape.fused_dim
+    for _ in range(shape.layers):
+        if shape.cell == LSTM:
+            parts.append((LstmLayerParameters, [(4 * hid, size), (4 * hid, hid), (4 * hid,)]))
+        else:
+            parts.append((RnnLayerParameters, [(hid, size), (hid, hid)]))
+        size = hid
+    parts.append((HeadParameters, [(hid,), ()]))
+    return parts
+
+
+class NetworkParameters:
+    """All trainable parameters of a model of `shape`, all zero when new:
+    the fusion projections, the cell layers and the head. Every array is a
+    view of the one float64 `vector`, laid out as `storage_order` lists them.
+    """
+
+    def __init__(self, shape: ModelShape):
+        self.shape = shape
+        parts = storage_order(shape)
+        self.vector = np.zeros(sum(math.prod(dims) for _, part in parts for dims in part))
+        built, offset = [], 0
+        for cls, part in parts:
+            arrays = []
+            for dims in part:
+                size = math.prod(dims)
+                arrays.append(self.vector[offset : offset + size].reshape(dims))
+                offset += size
+            built.append(cls(*arrays))
+        self.fusion: FusionParameters = built[0]
+        self.layers: list[LstmLayerParameters | RnnLayerParameters] = built[1:-1]
+        self.head: HeadParameters = built[-1]
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
         """Canonical (name, array) pairs. The arrays are views of `vector`,
         and together they cover it once."""
-        items = [("fusion.W_A", self.fusion.W_A), ("fusion.b_A", self.fusion.b_A),
-                 ("fusion.W_F", self.fusion.W_F), ("fusion.b_F", self.fusion.b_F)]
-        if self.fusion.has_sentiment:
-            items += [("fusion.W_S", self.fusion.W_S), ("fusion.b_S", self.fusion.b_S)]
+        fusion = self.fusion
+        items = [(f"fusion.{f.name}", getattr(fusion, f.name)) for f in fields(fusion)
+                 if getattr(fusion, f.name) is not None]
         for k, layer in enumerate(self.layers):
             if isinstance(layer, LstmLayerParameters):
                 items += layer.gate_blocks(f"layers.{k}.")
@@ -276,48 +246,21 @@ def _sigmoid_(z: np.ndarray) -> np.ndarray:
 def init_parameters(shape: ModelShape, seed: int, forget_bias: float = 1.0) -> NetworkParameters:
     """Seeded Glorot-uniform weights, zero biases except the forget-gate
     bias, which starts at `forget_bias` so fresh cells retain their memory.
+    The weights are drawn in `param_items` order, W_A, W_F, W_S, then per
+    layer W_f, U_f, W_i, ..., U_c (or U, W), then the head's w; a seed's
+    values depend on that order.
     """
     rng = np.random.default_rng(seed)
-
-    def glorot(fan_out: int, fan_in: int) -> np.ndarray:
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_out, fan_in))
-
-    return _build_parameters(shape, glorot, forget_bias)
-
-
-def zero_parameters(shape: ModelShape) -> NetworkParameters:
-    """All-zero weights and biases, drawn from no generator."""
-    return _build_parameters(shape, lambda *dims: np.zeros(dims), 0.0)
-
-
-def _build_parameters(shape: ModelShape, weights: Callable, forget_bias: float) -> NetworkParameters:
-    """A model of `shape`, each weight matrix made by `weights(fan_out, fan_in)` in a fixed order."""
-    width = shape.width
-    fusion = FusionParameters(
-        W_A=weights(width, shape.d_a), b_A=np.zeros(width),
-        W_F=weights(width, shape.d_f), b_F=np.zeros(width),
-        W_S=weights(width, shape.d_s) if shape.d_s is not None else None,
-        b_S=np.zeros(width) if shape.d_s is not None else None,
-    )
-
-    layers: list[LstmLayerParameters | RnnLayerParameters] = []
-    size = shape.fused_dim
-    hid = shape.hidden
-    for _ in range(shape.layers):
-        if shape.cell == LSTM:
-            # Draws W_f, U_f, W_i, U_i, W_o, U_o, W_c, U_c in turn; a seed's
-            # values depend on that order.
-            W, U = map(np.concatenate, zip(*[(weights(hid, size), weights(hid, hid)) for _ in GATES]))
-            b = np.zeros(4 * hid)
-            b[:hid] = forget_bias
-            layers.append(LstmLayerParameters(W, U, b))
-        else:
-            layers.append(RnnLayerParameters(U=weights(shape.hidden, size), W=weights(shape.hidden, shape.hidden)))
-        size = shape.hidden
-
-    head = HeadParameters(w=weights(1, shape.hidden)[0], b=np.zeros(()))
-    return NetworkParameters(shape.cell, fusion, layers, head)
+    params = NetworkParameters(shape)
+    for name, block in params.param_items():
+        kind = name.rsplit(".", 1)[1]
+        if kind == "b_f":
+            block[...] = forget_bias
+        elif not kind.startswith("b"):
+            fan_out, fan_in = block.shape if block.ndim == 2 else (1, block.size)
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            block[...] = rng.uniform(-limit, limit, size=(fan_out, fan_in)).reshape(block.shape)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +353,12 @@ def _empty_cache(params: NetworkParameters, n: int, steps: int, depth: int) -> F
     `steps` steps, each memory-cell layer holding gates, c and tanh(c) at
     `depth` steps (`steps` or 1). Its predictions are NaN until a forward
     runs into it."""
-    x = np.empty((steps, params.fusion.fused_dim, n))
+    shape = params.shape
+    hid = shape.hidden
+    x = np.empty((steps, shape.fused_dim, n))
     layers: list[_LstmLayerCache | _RnnLayerCache] = []
-    for layer in params.layers:
-        hid = layer.hidden_size
-        if isinstance(layer, LstmLayerParameters):
+    for _ in range(shape.layers):
+        if shape.cell == LSTM:
             lc = _LstmLayerCache(x, np.empty((depth, 4 * hid, n)), np.empty((steps, hid, n)),
                                  np.empty((depth, hid, n)), np.empty((depth, hid, n)))
         else:
@@ -442,12 +386,12 @@ def _as_batch(stream: np.ndarray, name: str, expected_dim: int) -> np.ndarray:
 
 
 def _fuse_batch(
-    streams: tuple[np.ndarray, np.ndarray, np.ndarray | None], fusion: FusionParameters, out: np.ndarray
+    streams: tuple[np.ndarray, np.ndarray, np.ndarray | None], params: NetworkParameters, out: np.ndarray
 ) -> None:
     """Writes the fused layer input, batch-last (T, D, n), into `out`: each
     stream's projection fills its block of D."""
-    width = fusion.d_i
-    for j, (stream, (W, b)) in enumerate(zip(streams, fusion.projections())):
+    width = params.shape.width
+    for j, (stream, (W, b)) in enumerate(zip(streams, params.fusion.projections())):
         block = out[:, j * width : (j + 1) * width]
         np.matmul(W, stream.transpose(1, 2, 0), out=block)
         block += b[:, None]
@@ -512,12 +456,13 @@ def forward_batch(
     into = None
     if isinstance(params, ForwardCache):
         params, into = params.params, params
-    a = _as_batch(streams[0], "fundamental", params.fusion.W_A.shape[1])
-    f = _as_batch(streams[1], "technical", params.fusion.W_F.shape[1])
-    if params.fusion.has_sentiment:
+    shape = params.shape
+    a = _as_batch(streams[0], "fundamental", shape.d_a)
+    f = _as_batch(streams[1], "technical", shape.d_f)
+    if shape.d_s is not None:
         if streams[2] is None:
             raise ValueError("parameters expect a sentiment stream but none was given")
-        s = _as_batch(streams[2], "sentiment", params.fusion.W_S.shape[1])
+        s = _as_batch(streams[2], "sentiment", shape.d_s)
         if s.shape[:2] != a.shape[:2]:
             raise ValueError("stream batch/step shapes differ")
     else:
@@ -532,7 +477,7 @@ def forward_batch(
     elif (into.n_windows, into.steps) != a.shape[:2]:
         raise ValueError(f"cache holds {into.n_windows} windows of {into.steps} steps, the streams {a.shape[:2]}")
 
-    _fuse_batch((a, f, s), params.fusion, into.layers[0].x)
+    _fuse_batch((a, f, s), params, into.layers[0].x)
     for lc, layer in zip(into.layers, params.layers):
         (_lstm_forward if isinstance(lc, _LstmLayerCache) else _rnn_forward)(lc, layer)
 
@@ -614,14 +559,14 @@ def backward_batch(cache: ForwardCache, d_predictions: np.ndarray) -> NetworkPar
         raise ValueError(f"upstream gradient shape {d_pred.shape} != predictions {cache.predictions.shape}")
     steps = cache.steps
     n = cache.n_windows
-    grads = params.zeros_like()
+    grads = NetworkParameters(params.shape)
 
     grads.head.w[...] = cache.layers[-1].hidden[-1] @ d_pred
     grads.head.b[...] = d_pred.sum()
 
     # d_h_extra[t]: gradient flowing into h_t of the current layer from
     # outside the recurrence (head at the last step, or the layer above).
-    d_h_extra = np.zeros((steps, params.hidden_size, n))
+    d_h_extra = np.zeros((steps, params.shape.hidden, n))
     d_h_extra[-1] = np.outer(params.head.w, d_pred)
 
     for lc, layer, grad in reversed(list(zip(cache.layers, params.layers, grads.layers))):
@@ -629,7 +574,7 @@ def backward_batch(cache: ForwardCache, d_predictions: np.ndarray) -> NetworkPar
         d_h_extra = backward(lc, layer, d_h_extra, grad)
 
     # d_h_extra now holds the gradient wrt the fused input (T, D, n).
-    width = params.fusion.d_i
+    width = params.shape.width
     for j, (stream, (dW, db)) in enumerate(zip(cache.streams, grads.fusion.projections())):
         d_proj = d_h_extra[:, j * width : (j + 1) * width]
         dW[...] = np.einsum("tin,ntj->ij", d_proj, stream)

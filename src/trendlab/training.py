@@ -8,13 +8,13 @@ import base64
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
 from . import network
-from .errors import CheckpointError, ConfigError, DataError, DivergenceError, enforce_field_types
+from .errors import CheckpointError, ConfigError, DataError, DivergenceError, enforce_field_types, require_finite
 from .market_data import NormalizationScale, WindowedDataset
 from .network import (
     CELLS,
@@ -25,10 +25,10 @@ from .network import (
     forward_batch,
     init_parameters,
     mean_forget_activation,
-    zero_parameters,
 )
 
-CHECKPOINT_SCHEMA_VERSION = 3
+CHECKPOINT_SCHEMA_VERSION = 4
+STREAMS = ("fundamental", "technical", "sentiment")
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,7 @@ class TrainConfig:
 
     def __post_init__(self):
         enforce_field_types(self)
+        require_finite(self)
         if self.epochs < 0:
             raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
         if not self.learning_rate > 0:
@@ -117,16 +118,12 @@ def adam_step(
     params.vector -= step
 
 
-def model_shape(dataset: WindowedDataset, config: TrainConfig) -> ModelShape:
-    return ModelShape(
-        cell=config.cell,
-        d_a=dataset.fundamental.shape[2],
-        d_f=dataset.technical.shape[2],
-        d_s=None if dataset.sentiment is None else dataset.sentiment.shape[2],
-        d_i=config.d_i,
-        layers=config.layers,
-        hidden=config.hidden_size,
-    )
+def model_shape(widths: tuple[int, int, int | None], config: TrainConfig) -> ModelShape:
+    """The model `config` builds on streams of these widths: fundamental,
+    technical, and sentiment (None without the stream)."""
+    d_a, d_f, d_s = widths
+    return ModelShape(cell=config.cell, d_a=d_a, d_f=d_f, d_s=d_s, d_i=config.d_i,
+                      layers=config.layers, hidden=config.hidden_size)
 
 
 def evaluate(
@@ -178,7 +175,8 @@ def train(
         raise DataError("empty training split")
 
     started = timer()
-    params = init_parameters(model_shape(dataset, config), config.seed, config.forget_bias)
+    widths = tuple(None if stream is None else stream.shape[2] for stream in dataset.streams)
+    params = init_parameters(model_shape(widths, config), config.seed, config.forget_bias)
     m = np.zeros_like(params.vector)
     v = np.zeros_like(params.vector)
     streams = train_split.streams
@@ -248,14 +246,10 @@ def gradient_check(
     step: float = 1e-6,
     windows: int = 3,
     steps: int = 5,
-    corrupt_block: str | None = None,
 ) -> GradientCheckResult:
     """Compare analytic gradients of the RMSE cost against central finite
     differences on a random instance. Reports, per parameter block, the
     relative error ||g_a - g_n|| / max(||g_a||, ||g_n||).
-
-    `corrupt_block` deliberately perturbs one analytic block first; used to
-    prove the check localizes faults.
     """
     rng = np.random.default_rng(seed)
     params = init_parameters(shape, seed)
@@ -267,16 +261,11 @@ def gradient_check(
 
     cache = forward_batch(streams, params)
     analytic = backward_batch(cache, rmse_gradient(cache.predictions, labels))
-    if corrupt_block is not None:
-        blocks = analytic.param_dict()
-        if corrupt_block not in blocks:
-            raise ConfigError(f"unknown parameter block {corrupt_block!r}")
-        blocks[corrupt_block] += 1.0
 
     def objective() -> float:
         return rmse(forward_batch(streams, params).predictions, labels)
 
-    numeric = params.zeros_like()
+    numeric = NetworkParameters(shape)
     vector = params.vector
     for j in range(vector.size):
         original = vector[j]
@@ -298,13 +287,15 @@ def gradient_check(
 
 # ---------------------------------------------------------------------------
 # Checkpoint persistence: versioned JSON, bit-exact parameter round-trips.
-# The model is its ModelShape plus `NetworkParameters.vector`, stored as the
-# base64 of its little-endian float64 bytes; every value, NaN, infinities,
-# -0.0 and subnormals included, reads back bit for bit. The file layout is
-# the vector's storage order (`NetworkParameters._bind_to_vector`), so a
-# change to that order needs a schema version bump. The loader rebuilds the
-# shape's model and accepts the stored vector only if it fills it exactly
-# and the shape agrees with the stored training config.
+# The model is `model_shape(widths, config)` plus `NetworkParameters.vector`.
+# The file stores the training config, and each stream's column names under
+# `columns`, whose counts are the stream widths: one description of the
+# model, with no separate shape record to disagree with it. The vector is
+# stored as the base64 of its little-endian float64 bytes; every value, NaN,
+# infinities, -0.0 and subnormals included, reads back bit for bit. Its
+# layout is `network.storage_order`, so a change to that order needs a
+# schema version bump. The loader builds the described model and accepts
+# the stored vector only if it fills it exactly. Versions 1-3 are refused.
 # ---------------------------------------------------------------------------
 
 
@@ -314,49 +305,56 @@ class Checkpoint:
     config: TrainConfig
     scale: NormalizationScale
     column_scales: dict[str, NormalizationScale | None]
-    columns: dict
+    columns: dict[str, list[str] | None]
 
 
 def _scale_doc(scale: NormalizationScale | None):
     return None if scale is None else {"min": scale.min, "max": scale.max}
 
 
+def _widths(columns: Mapping[str, list[str] | None]) -> tuple[int, int, int | None]:
+    return tuple(None if columns[stream] is None else len(columns[stream]) for stream in STREAMS)
+
+
 def save_checkpoint(
     params: NetworkParameters,
     config: TrainConfig,
     scale: NormalizationScale,
-    column_scales: Mapping[str, NormalizationScale | None] | None = None,
-    columns: Mapping | None = None,
+    column_scales: Mapping[str, NormalizationScale | None],
+    columns: Mapping[str, list[str] | None],
 ) -> str:
-    """Serialize model, config, and normalization state to versioned JSON."""
+    """Serialize model, config, and normalization state to versioned JSON.
+    `config` and `columns` must describe the model, as they do in training."""
+    if model_shape(_widths(columns), config) != params.shape:
+        raise ValueError(f"config and columns describe another model than {params.shape}")
     doc = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "config": asdict(config),
         "scale": _scale_doc(scale),
-        "column_scales": None
-        if column_scales is None
-        else {name: _scale_doc(s) for name, s in column_scales.items()},
-        "columns": None if columns is None else dict(columns),
-        "shape": asdict(params.shape),
+        "column_scales": {name: _scale_doc(s) for name, s in column_scales.items()},
+        "columns": dict(columns),
         "vector": base64.b64encode(params.vector.astype("<f8").tobytes()).decode("ascii"),
     }
     return json.dumps(doc, indent=1) + "\n"
 
 
-def _check_shape_matches_config(shape: ModelShape, config: TrainConfig) -> None:
-    """The stored shape must be the one `config` builds on the stored stream widths."""
-    built = replace(shape, cell=config.cell, d_i=config.d_i, layers=config.layers, hidden=config.hidden_size)
-    stored = (shape.cell, shape.layers, shape.hidden, shape.width)
-    wanted = (built.cell, built.layers, built.hidden, built.width)
-    if stored != wanted:
-        raise CheckpointError(
-            f"stored model (cell, layers, hidden, d_i) {stored} disagrees with its config {wanted}"
-        )
+def _stream_columns(raw) -> dict[str, list[str] | None]:
+    """The stored column names per stream: a non-empty list of strings each,
+    or null for an ablated sentiment stream."""
+    if not isinstance(raw, dict) or set(raw) != set(STREAMS):
+        raise CheckpointError(f"columns must be an object with keys {', '.join(STREAMS)}, got {raw!r}")
+    for stream in STREAMS:
+        names = raw[stream]
+        if names is None and stream == "sentiment":
+            continue
+        if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
+            raise CheckpointError(f"{stream} columns must be a non-empty list of strings, got {names!r}")
+    return raw
 
 
 def _load_params(shape: ModelShape, raw) -> NetworkParameters:
     """The parameters of `shape`, filled from the stored base64 vector."""
-    params = zero_parameters(shape)
+    params = NetworkParameters(shape)
     if not isinstance(raw, str):
         raise CheckpointError(f"stored vector must be a base64 string, got {type(raw).__name__}")
     try:
@@ -386,14 +384,12 @@ def load_checkpoint(text: str) -> Checkpoint:
     try:
         config = TrainConfig(**doc["config"])
         scale = NormalizationScale(**doc["scale"])
-        shape = ModelShape(**doc["shape"])
-        _check_shape_matches_config(shape, config)
-        params = _load_params(shape, doc["vector"])
-        stored = doc.get("column_scales") or {}
+        columns = _stream_columns(doc["columns"])
+        params = _load_params(model_shape(_widths(columns), config), doc["vector"])
+        stored = doc["column_scales"]
         column_scales = {name: None if s is None else NormalizationScale(**s) for name, s in stored.items()}
-        columns = doc.get("columns") or {}
     except CheckpointError:
         raise
-    except (KeyError, TypeError, ValueError, ConfigError, DataError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, ConfigError, DataError) as exc:
         raise CheckpointError(f"invalid checkpoint contents: {exc!r}") from None
     return Checkpoint(params=params, config=config, scale=scale, column_scales=column_scales, columns=columns)

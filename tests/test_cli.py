@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -93,7 +94,9 @@ def test_predict_rejects_column_mismatch_before_writing(trained, tmp_path, strea
     _edit_columns(checkpoint, stream, names)
     out = tmp_path / "predict"
     assert _predict(config, checkpoint, out) == 2
-    assert f"{stream} columns" in capsys.readouterr().err
+    # Without sentiment columns the checkpoint describes a smaller model
+    # than its vector fills.
+    assert ("the model needs" if names is None else f"{stream} columns") in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -105,7 +108,28 @@ def test_predict_rejects_checkpoint_whose_config_disagrees_with_the_model(traine
     checkpoint.write_text(json.dumps(doc))
     out = tmp_path / "predict"
     assert _predict(config, checkpoint, out) == 2
-    assert "disagrees with its config" in capsys.readouterr().err
+    assert "the model needs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_predict_rejects_a_checkpoint_whose_stream_widths_disagree_with_its_columns(tmp_path, capsys):
+    """Stream widths 2 and 4 at d_i 3 fill the same vector as the trained
+    widths 3 and 3, so only the widths' source can tell them apart."""
+    prices = tmp_path / "prices.csv"
+    _write_prices(prices, sine_series(bars=80).bars)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "price_csv": str(prices), "price_interval": "weekly", "interval": "weekly",
+        "output_dir": str(tmp_path / "train"),
+        "train": {"epochs": 1, "layers": 1, "hidden_size": 2, "window": 4, "d_i": 3},
+    }))
+    assert main(["train", "--config", str(config)]) == 0
+    checkpoint = tmp_path / "train" / "checkpoint.json"
+    _edit_columns(checkpoint, "fundamental", ["Adj. Price", "TDD"])
+    _edit_columns(checkpoint, "technical", ["RSI", "CCI", "MACD", "Volume"])
+    out = tmp_path / "predict"
+    assert _predict(config, checkpoint, out) == 2
+    assert "fundamental columns" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -272,6 +296,30 @@ def test_mistyped_config_value_is_a_config_error_naming_the_key(
     assert main(["train", "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "argv, keys, name",
+    [
+        (["train", "--lr", "inf"], {}, "learning_rate"),
+        (["train", "--lr", "1e400"], {}, "learning_rate"),
+        (["train"], {"train": {**TINY, "forget_bias": math.nan}}, "forget_bias"),
+        (["features"], {"train": {**TINY, "forget_bias": math.nan}}, "forget_bias"),
+        (["features"], {"indicators": {"cci_constant": math.inf}}, "cci_constant"),
+        (["experiment", "regime"], {"experiments": {"regime_threshold": math.nan}}, "regime_threshold"),
+        (["experiment", "regime"], {"experiments": {"regime_threshold": -1.0}}, "regime_threshold"),
+    ],
+    ids=["lr inf", "lr 1e400", "train forget_bias NaN", "features forget_bias NaN", "cci_constant inf",
+         "regime_threshold NaN", "regime_threshold negative"],
+)
+def test_a_non_finite_or_negative_config_number_is_a_config_error(tmp_path, monkeypatch, argv, keys, name, capsys):
+    monkeypatch.chdir(tmp_path)
+    config = _run_config(tmp_path, **keys)
+    before = _files(tmp_path)
+    assert main([argv[0], "--config", str(config), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and name in err
     assert _files(tmp_path) == before
 
 

@@ -9,11 +9,8 @@ import pytest
 
 from trendlab.errors import DivergenceError
 from trendlab.network import (
-    HeadParameters,
-    LstmLayerParameters,
     ModelShape,
     NetworkParameters,
-    RnnLayerParameters,
     backward_batch,
     forward_batch,
     init_parameters,
@@ -92,12 +89,12 @@ def test_rnn_step_scalar_oracle():
 
 
 def test_rnn_step_shape_errors():
-    with pytest.raises(ValueError, match="recurrent weights"):
-        RnnLayerParameters(U=np.zeros((1, 2)), W=np.zeros((2, 2)))
-    fusion = init_parameters(SCALAR_RNN_SHAPE, seed=0).fusion
-    with pytest.raises(ValueError, match="input size"):
-        NetworkParameters("rnn", fusion, [RnnLayerParameters(np.zeros((1, 3)), np.zeros((1, 1)))],
-                          HeadParameters(np.zeros(1), np.zeros(())))
+    """Only a valid shape builds a model, and a tanh layer's arrays follow
+    it: U (hidden x input), W (hidden x hidden)."""
+    with pytest.raises(ValueError, match="positive"):
+        ModelShape(cell="rnn", hidden=0)
+    params = NetworkParameters(ModelShape(cell="rnn", d_s=None, d_i=2, layers=2, hidden=3))
+    assert [(layer.U.shape, layer.W.shape) for layer in params.layers] == [((3, 4), (3, 3)), ((3, 3), (3, 3))]
 
 
 # --- one memory-cell step ------------------------------------------------------
@@ -142,16 +139,16 @@ def test_lstm_step_memory_erasure():
 
 
 def test_lstm_step_shape_errors():
-    with pytest.raises(ValueError, match="W shape"):
-        LstmLayerParameters(W=np.zeros((6, 1)), U=np.zeros((6, 1)), b=np.zeros(6))
-    with pytest.raises(ValueError, match="U shape"):
-        LstmLayerParameters(W=np.zeros((4, 1)), U=np.zeros((4, 2)), b=np.zeros(4))
-    with pytest.raises(ValueError, match="b shape"):
-        LstmLayerParameters(W=np.zeros((4, 1)), U=np.zeros((4, 1)), b=np.zeros(1))
-    fusion = init_parameters(SCALAR_SHAPE, seed=0).fusion
-    layer = LstmLayerParameters(W=np.zeros((4, 2)), U=np.zeros((4, 1)), b=np.zeros(4))
-    with pytest.raises(ValueError, match="input size"):
-        NetworkParameters("lstm", fusion, [layer], HeadParameters(np.zeros(1), np.zeros(())))
+    """Only a valid shape builds a model, and a memory-cell layer's stacked
+    arrays follow it: W (4h x input), U (4h x h), b (4h), then the head's
+    w (h) and scalar b."""
+    with pytest.raises(ValueError, match="unknown cell"):
+        ModelShape(cell="gru")
+    params = NetworkParameters(ModelShape(d_i=2, layers=2, hidden=3))
+    assert [(layer.W.shape, layer.U.shape, layer.b.shape) for layer in params.layers] == [
+        ((12, 6), (12, 3), (12,)), ((12, 3), (12, 3), (12,))
+    ]
+    assert (params.head.w.shape, params.head.b.shape) == ((3,), ())
 
 
 def test_lstm_step_flags_divergence():
@@ -159,13 +156,6 @@ def test_lstm_step_flags_divergence():
     params.param_dict()["layers.0.W_c"][...] = np.nan
     with pytest.raises(DivergenceError):
         forward_batch(fundamental_only([1.0]), params)
-
-
-@pytest.mark.parametrize("cell, layers", [("rnn", "lstm"), ("lstm", "rnn")])
-def test_network_rejects_layers_of_the_other_cell(cell, layers):
-    built = init_parameters(ModelShape(cell=layers, layers=2, hidden=3), seed=0)
-    with pytest.raises(ValueError, match="layer 0 is"):
-        NetworkParameters(cell, built.fusion, built.layers, built.head)
 
 
 def test_param_items_are_views_of_the_stacked_layers():
@@ -196,14 +186,11 @@ def test_every_parameter_array_is_a_view_of_the_vector(shape):
     covered = np.sort(np.concatenate([array.ravel() for _, array in items]))
     np.testing.assert_array_equal(covered, np.arange(params.vector.size))  # each element once
 
-    # A model owns its vector: neither one built from the same parts nor a
-    # zero model shares memory with it.
-    rebuilt = NetworkParameters(params.cell, params.fusion, params.layers, params.head)
-    zeros = params.zeros_like()
-    for other in (rebuilt, zeros):
-        assert all(np.shares_memory(array, other.vector) for _, array in other.param_items())
-        assert not np.shares_memory(other.vector, params.vector)
-    np.testing.assert_array_equal(rebuilt.vector, params.vector)
+    # A model owns its vector: a new model of the same shape starts at zero
+    # and shares no memory with it.
+    zeros = NetworkParameters(shape)
+    assert all(np.shares_memory(array, zeros.vector) for _, array in zeros.param_items())
+    assert not np.shares_memory(zeros.vector, params.vector)
     assert not np.any(zeros.vector)
 
 
@@ -477,7 +464,7 @@ def _reference_case(name: str):
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_kernel_matches_reference(case):
     params, streams, d_pred = _reference_case(case)
-    assert params.hidden_size != params.fusion.fused_dim
+    assert params.shape.hidden != params.shape.fused_dim
     want_pred, want_caches = reference_forward(streams, params)
     want_grads = reference_backward(streams, params, want_caches, d_pred)
 

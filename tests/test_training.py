@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from trendlab.errors import CheckpointError, ConfigError, DataError, DivergenceError
 from trendlab.features import build_feature_frame, prepare_dataset
 from trendlab.market_data import NormalizationScale, WindowedDataset, make_windows
-from trendlab.network import ModelShape, backward_batch, forward_batch, init_parameters
+from trendlab.network import ModelShape, NetworkParameters, backward_batch, forward_batch, init_parameters
 from trendlab import training
 from trendlab.synthetic import paper_shaped_series, planted_sentiment, sine_series
 from trendlab.training import (
@@ -113,13 +113,12 @@ def test_adam_zero_gradient_is_identity():
     before = params.vector.copy()
     m, v = _adam_state(params)
     for t in range(1, 5):
-        adam_step(params, params.zeros_like(), m, v, t, ADAM)
+        adam_step(params, NetworkParameters(ADAM_SHAPE), m, v, t, ADAM)
     np.testing.assert_array_equal(params.vector, before)
 
 
 def test_adam_first_step_is_signed_learning_rate():
-    params = init_parameters(ADAM_SHAPE, seed=0).zeros_like()
-    grads = params.zeros_like()
+    params, grads = NetworkParameters(ADAM_SHAPE), NetworkParameters(ADAM_SHAPE)
     grads.vector[...] = np.resize([3.7, -0.004, 250.0, -0.5], grads.vector.size)
     adam_step(params, grads, *_adam_state(params), 1, ADAM)
     np.testing.assert_allclose(params.vector, -0.01 * np.sign(grads.vector), rtol=1e-5)
@@ -129,8 +128,7 @@ def test_adam_three_step_recurrence_oracle():
     expected = unrolled_adam([1.0, 1.0, 1.0], lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
     # frozen from the oracle
     assert expected == [-0.009999999900000002, -0.019999999799999932, -0.02999999969999993]
-    params = init_parameters(ADAM_SHAPE, seed=0).zeros_like()
-    grads = params.zeros_like()
+    params, grads = NetworkParameters(ADAM_SHAPE), NetworkParameters(ADAM_SHAPE)
     grads.vector[...] = 1.0
     m, v = _adam_state(params)
     for t in range(1, 4):
@@ -141,12 +139,12 @@ def test_adam_three_step_recurrence_oracle():
 def test_adam_validation():
     params = init_parameters(ADAM_SHAPE, seed=0)
     with pytest.raises(ConfigError):
-        adam_step(params, params.zeros_like(), *_adam_state(params), 0, ADAM)
-    wider = init_parameters(replace(ADAM_SHAPE, hidden=2), seed=0).zeros_like()
+        adam_step(params, NetworkParameters(ADAM_SHAPE), *_adam_state(params), 0, ADAM)
+    wider = NetworkParameters(replace(ADAM_SHAPE, hidden=2))
     with pytest.raises(DataError, match="size"):
         adam_step(params, wider, *_adam_state(params), 1, ADAM)
     for block in ("layers.0.U_o", "head.b"):
-        grads = params.zeros_like()
+        grads = NetworkParameters(ADAM_SHAPE)
         grads.param_dict()[block].flat[0] = np.nan
         with pytest.raises(DivergenceError, match=f"non-finite gradient in block {block}$"):
             adam_step(params, grads, *_adam_state(params), 1, ADAM)
@@ -161,7 +159,7 @@ def test_train_matches_per_block_adam_oracle(sine_bundle, cell):
     config = TrainConfig(epochs=50, cell=cell, layers=2, hidden_size=5, seed=2)
     run = train(dataset, config)
 
-    params = init_parameters(model_shape(dataset, config), config.seed, config.forget_bias)
+    params = init_parameters(model_shape((3, 3, 1), config), config.seed, config.forget_bias)
     weights = params.param_dict()
     m = {name: np.zeros_like(a) for name, a in weights.items()}
     v = {name: np.zeros_like(a) for name, a in weights.items()}
@@ -317,18 +315,30 @@ def test_gradient_check_passes_rnn():
     assert gradient_check(shape, seed=1).passed
 
 
-def test_gradient_check_localizes_corruption():
-    result = gradient_check(SMALL_SHAPE, seed=0, corrupt_block="layers.0.W_f")
+def test_gradient_check_localizes_corruption(monkeypatch):
+    def corrupted(cache, d_predictions):
+        grads = backward_batch(cache, d_predictions)
+        grads.param_dict()["layers.0.W_f"][...] += 1.0
+        return grads
+
+    monkeypatch.setattr(training, "backward_batch", corrupted)
+    result = gradient_check(SMALL_SHAPE, seed=0)
     assert not result.passed
     assert result.failing_blocks == ["layers.0.W_f"]
 
 
-def test_gradient_check_unknown_block():
-    with pytest.raises(ConfigError, match="unknown parameter block"):
-        gradient_check(SMALL_SHAPE, seed=0, corrupt_block="nope")
-
-
 # --- checkpoints ---------------------------------------------------------------
+
+
+def _columns(shape: ModelShape) -> dict:
+    """Column names for each stream width of `shape`."""
+    return {"fundamental": [f"a{k}" for k in range(shape.d_a)], "technical": [f"f{k}" for k in range(shape.d_f)],
+            "sentiment": None if shape.d_s is None else [f"s{k}" for k in range(shape.d_s)]}
+
+
+def _save(params, config: TrainConfig) -> str:
+    return save_checkpoint(params, config, NormalizationScale(0.0, 1.0), column_scales={},
+                           columns=_columns(params.shape))
 
 
 def test_checkpoint_round_trip_bitwise():
@@ -336,8 +346,7 @@ def test_checkpoint_round_trip_bitwise():
     config = TrainConfig(epochs=7, seed=123, layers=3, hidden_size=8, d_i=2)
     scale = NormalizationScale(1728.339966, 1902.880005)
     column_scales = {"Adj. Price": scale, "TDD": None}
-    text = save_checkpoint(params, config, scale, column_scales=column_scales,
-                           columns={"fundamental": ["Adj. Price"], "technical": [], "sentiment": None})
+    text = save_checkpoint(params, config, scale, column_scales=column_scales, columns=_columns(SMALL_SHAPE))
     loaded = load_checkpoint(text)
     assert loaded.config == config
     assert loaded.scale == scale
@@ -350,7 +359,7 @@ def test_checkpoint_round_trip_bitwise():
 
 def _tiny_checkpoint() -> str:
     params = init_parameters(ModelShape(layers=1, hidden=2), seed=0)
-    return save_checkpoint(params, TrainConfig(layers=1, hidden_size=2), NormalizationScale(0.0, 1.0))
+    return _save(params, TrainConfig(layers=1, hidden_size=2))
 
 
 @pytest.mark.parametrize("cell", ["lstm", "rnn"])
@@ -360,7 +369,7 @@ def test_load_checkpoint_draws_no_seeded_weights(monkeypatch, cell):
     shape = replace(SMALL_SHAPE, cell=cell)
     params = init_parameters(shape, seed=123)
     config = TrainConfig(cell=cell, layers=shape.layers, hidden_size=shape.hidden, d_i=shape.d_i)
-    text = save_checkpoint(params, config, NormalizationScale(0.0, 1.0))
+    text = _save(params, config)
 
     def refuse(*args, **kwargs):
         raise AssertionError("load_checkpoint drew seeded weights")
@@ -372,14 +381,14 @@ def test_load_checkpoint_draws_no_seeded_weights(monkeypatch, cell):
 
 
 def test_checkpoint_version_mismatch():
-    bumped = _tiny_checkpoint().replace('"schema_version": 3', '"schema_version": 4', 1)
+    bumped = _tiny_checkpoint().replace('"schema_version": 4', '"schema_version": 5', 1)
     with pytest.raises(CheckpointError, match="schema_version"):
         load_checkpoint(bumped)
 
 
 def test_checkpoint_version_1_is_rejected():
     doc = json.loads(_tiny_checkpoint())
-    del doc["shape"], doc["vector"]
+    del doc["vector"]
     doc.update(schema_version=1, model={"cell": "lstm", "fusion": {}, "layers": [], "head": {}})
     with pytest.raises(CheckpointError, match="schema_version 1.*retrain"):
         load_checkpoint(json.dumps(doc))
@@ -392,6 +401,28 @@ def test_checkpoint_version_2_is_rejected():
     doc.update(schema_version=2, params={name: array.tolist() for name, array in params.param_items()})
     with pytest.raises(CheckpointError, match="schema_version 2.*retrain"):
         load_checkpoint(json.dumps(doc))
+
+
+def test_checkpoint_version_3_is_rejected():
+    doc = json.loads(_tiny_checkpoint())
+    doc.update(schema_version=3, shape={"cell": "lstm", "d_a": 3, "d_f": 3, "d_s": 1, "d_i": None,
+                                        "layers": 1, "hidden": 2})
+    with pytest.raises(CheckpointError, match="schema_version 3.*retrain"):
+        load_checkpoint(json.dumps(doc))
+
+
+def test_checkpoint_stores_each_model_description_once():
+    """The config and the column names describe the model; a second record
+    of its shape could disagree with them."""
+    assert list(json.loads(_tiny_checkpoint())) == [
+        "schema_version", "config", "scale", "column_scales", "columns", "vector"
+    ]
+
+
+def test_save_checkpoint_refuses_a_model_its_config_and_columns_do_not_describe():
+    params = init_parameters(SMALL_SHAPE, seed=0)
+    with pytest.raises(ValueError, match="another model"):
+        _save(params, TrainConfig(layers=3, hidden_size=8))
 
 
 # -0.0, the smallest subnormal, +-inf, a quiet NaN with a payload and a
@@ -411,7 +442,7 @@ def test_checkpoint_vector_round_trips_any_float64_bitwise(bits):
     stored = np.resize(np.array(bits, dtype=np.uint64), params.vector.size)
     stored[: _SPECIAL_BITS.size] = _SPECIAL_BITS
     params.vector[...] = stored.view(np.float64)
-    text = save_checkpoint(params, TrainConfig(layers=1, hidden_size=1), NormalizationScale(0.0, 1.0))
+    text = _save(params, TrainConfig(layers=1, hidden_size=1))
     loaded = load_checkpoint(text)
     assert np.array_equal(loaded.params.vector.view(np.uint64), stored)
 
@@ -425,7 +456,7 @@ def test_checkpoint_truncated():
 def _small_checkpoint_doc() -> dict:
     params = init_parameters(SMALL_SHAPE, seed=4)
     config = TrainConfig(layers=3, hidden_size=8, d_i=2)
-    return json.loads(save_checkpoint(params, config, NormalizationScale(0.0, 1.0)))
+    return json.loads(_save(params, config))
 
 
 @pytest.mark.parametrize(
@@ -435,12 +466,12 @@ def test_checkpoint_rejects_config_that_disagrees_with_the_model(field, value):
     doc = _small_checkpoint_doc()
     load_checkpoint(json.dumps(doc))
     doc["config"][field] = value
-    with pytest.raises(CheckpointError, match="disagrees with its config"):
+    with pytest.raises(CheckpointError, match="the model needs"):
         load_checkpoint(json.dumps(doc))
 
 
 def _rnn_shape_over_memory_cells(doc):
-    doc["shape"]["cell"] = doc["config"]["cell"] = "rnn"
+    doc["config"]["cell"] = "rnn"
 
 
 def _edit_vector_bytes(doc, edit):
@@ -464,7 +495,23 @@ def _vector_as_list(doc):
 
 
 def _fractional_hidden(doc):
-    doc["shape"]["hidden"] = 8.0
+    doc["config"]["hidden_size"] = 8.0
+
+
+def _columns_as_a_string(doc):
+    doc["columns"]["technical"] = "RSI"  # as long as the three names it replaces
+
+
+def _columns_empty(doc):
+    doc["columns"]["fundamental"] = []
+
+
+def _columns_without_sentiment_key(doc):
+    del doc["columns"]["sentiment"]
+
+
+def _column_scales_as_a_list(doc):
+    doc["column_scales"] = [None]
 
 
 _MALFORMED = [
@@ -474,6 +521,10 @@ _MALFORMED = [
     (_vector_not_base64, "not valid base64"),
     (_vector_as_list, "must be a base64 string, got list"),
     (_fractional_hidden, "invalid checkpoint contents"),
+    (_columns_as_a_string, "technical columns must be a non-empty list of strings, got 'RSI'"),
+    (_columns_empty, r"fundamental columns must be a non-empty list of strings, got \[\]"),
+    (_columns_without_sentiment_key, "columns must be an object with keys fundamental, technical, sentiment"),
+    (_column_scales_as_a_list, "invalid checkpoint contents"),
 ]
 
 
