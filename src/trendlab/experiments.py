@@ -72,14 +72,16 @@ class ExperimentsSection:
         require_finite(self)
         if self.regime_threshold < 0:
             raise ConfigError(f"experiments.regime_threshold must be non-negative, got {self.regime_threshold}")
-        if not self.seeds:
-            raise ConfigError("experiments.seeds must be non-empty")
-        if not self.window_sizes:
-            raise ConfigError("experiments.window_sizes must be non-empty")
-        if any(w < 1 for w in self.window_sizes):
+        for name in ("seeds", "window_sizes", "segments"):
+            values = getattr(self, name)
+            if not values:
+                raise ConfigError(f"experiments.{name} must be non-empty")
+            if len(set(values)) < len(values):
+                raise ConfigError(f"experiments.{name} must not repeat an entry")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"experiments.seeds must be non-negative, got {list(self.seeds)}")
+        if min(self.window_sizes) < 1:
             raise ConfigError("experiments.window_sizes must be positive")
-        if not self.segments:
-            raise ConfigError("experiments.segments must be non-empty")
         spans = [(end - start).days for start, end in self.segments]
         if min(spans) <= 0:
             raise ConfigError("experiments.segments: each segment's end must follow its start")

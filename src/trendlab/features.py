@@ -248,10 +248,9 @@ def prepare_dataset(
     Every non-sentiment column is min-max mapped onto [-1, 1]; labels use
     the adjusted-price scale. With scale_fit="train" (the default) scales
     are fitted on rows up to the last training label so no test-period
-    statistics leak backwards; "full" fits on the whole frame instead.
+    statistics leak backwards; "full", the one other value `RunConfig`
+    accepts, fits on the whole frame instead.
     """
-    if scale_fit not in ("train", "full"):
-        raise DataError(f"scale_fit must be 'train' or 'full', got {scale_fit!r}")
     n = frame.n
     count = n - window
     if count < 1:

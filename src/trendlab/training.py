@@ -1,5 +1,5 @@
 """Root-mean-squared-error objective, Adam optimizer, full-batch training
-loop, finite-difference gradient checking, and checkpoint persistence.
+loop, and checkpoint persistence.
 """
 
 from __future__ import annotations
@@ -52,8 +52,9 @@ class TrainConfig:
     def __post_init__(self):
         enforce_field_types(self)
         require_finite(self)
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         for name in ("layers", "hidden_size", "window"):
@@ -210,79 +211,6 @@ def train(
         config=config,
         parameters=params,
     )
-
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GradientCheckResult:
-    block_errors: dict[str, float]
-    tolerance: float
-
-    @property
-    def max_error(self) -> float:
-        return max(self.block_errors.values())
-
-    @property
-    def worst_block(self) -> str:
-        return max(self.block_errors, key=self.block_errors.get)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_error <= self.tolerance
-
-    @property
-    def failing_blocks(self) -> list[str]:
-        return [k for k, e in self.block_errors.items() if e > self.tolerance]
-
-
-def gradient_check(
-    shape: ModelShape,
-    seed: int = 0,
-    tolerance: float = 1e-5,
-    step: float = 1e-6,
-    windows: int = 3,
-    steps: int = 5,
-) -> GradientCheckResult:
-    """Compare analytic gradients of the RMSE cost against central finite
-    differences on a random instance. Reports, per parameter block, the
-    relative error ||g_a - g_n|| / max(||g_a||, ||g_n||).
-    """
-    rng = np.random.default_rng(seed)
-    params = init_parameters(shape, seed)
-    a = rng.uniform(-1.0, 1.0, size=(windows, steps, shape.d_a))
-    f = rng.uniform(-1.0, 1.0, size=(windows, steps, shape.d_f))
-    s = rng.uniform(0.0, 1.0, size=(windows, steps, shape.d_s)) if shape.d_s else None
-    labels = rng.uniform(-1.0, 1.0, size=windows)
-    streams = (a, f, s)
-
-    cache = forward_batch(streams, params)
-    analytic = backward_batch(cache, rmse_gradient(cache.predictions, labels))
-
-    def objective() -> float:
-        return rmse(forward_batch(streams, params).predictions, labels)
-
-    numeric = NetworkParameters(shape)
-    vector = params.vector
-    for j in range(vector.size):
-        original = vector[j]
-        vector[j] = original + step
-        up = objective()
-        vector[j] = original - step
-        down = objective()
-        vector[j] = original
-        numeric.vector[j] = (up - down) / (2.0 * step)
-
-    block_errors: dict[str, float] = {}
-    for (name, ga), (_, gn) in zip(analytic.param_items(), numeric.param_items()):
-        ga, gn = ga.ravel(), gn.ravel()
-        denom = max(float(np.linalg.norm(ga)), float(np.linalg.norm(gn)), 1e-12)
-        block_errors[name] = float(np.linalg.norm(ga - gn)) / denom
-
-    return GradientCheckResult(block_errors=block_errors, tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ straightforward per-step, time-major formulation that the library's
 batch-last kernel replaced; and the per-row price CSV parser, which reads
 rows through the library's `read_csv`. Each is the form the library used
 before, kept to check the library's form after its arithmetic changed.
+The gradient check at the end shares code with the library by design: it
+differentiates the library's own forward pass numerically, to check the
+library's backward pass against it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 
 from trendlab.errors import DataError
 from trendlab.market_data import PRICE_CSV_HEADER, read_csv
+from trendlab.network import ModelShape, NetworkParameters, backward_batch, forward_batch, init_parameters
 
 
 def wilder_rsi(prices: list[float], period: int) -> list[float]:
@@ -473,3 +477,44 @@ def reference_backward(streams, params, caches, d_pred: np.ndarray) -> dict[str,
         grads[f"fusion.W_{name}"] = np.einsum("tni,tnj->ij", d_proj, stream.transpose(1, 0, 2))
         grads[f"fusion.b_{name}"] = d_proj.sum(axis=(0, 1))
     return grads
+
+
+# --- gradient check ----------------------------------------------------------
+
+
+def gradient_check(shape: ModelShape, seed: int, loss, d_loss) -> dict[str, float]:
+    """Per parameter block, the relative error ||g_a - g_n|| / max(||g_a||,
+    ||g_n||) between `backward_batch`'s gradient and central finite
+    differences (step 1e-6) through `forward_batch`, on a random instance:
+    the parameters `init_parameters(shape, seed)`, and 3 windows of 5 steps
+    and a target vector of 3 drawn from `seed`. The objective is
+    `loss(predictions, target)`, and `d_loss(predictions, target)` is the
+    upstream gradient given to `backward_batch`.
+    """
+    rng = np.random.default_rng(seed)
+    params = init_parameters(shape, seed)
+    a = rng.uniform(-1.0, 1.0, size=(3, 5, shape.d_a))
+    f = rng.uniform(-1.0, 1.0, size=(3, 5, shape.d_f))
+    s = rng.uniform(0.0, 1.0, size=(3, 5, shape.d_s)) if shape.d_s else None
+    target = rng.uniform(-1.0, 1.0, size=3)
+    streams = (a, f, s)
+
+    cache = forward_batch(streams, params)
+    analytic = backward_batch(cache, d_loss(cache.predictions, target))
+
+    numeric = NetworkParameters(shape)
+    vector, step = params.vector, 1e-6
+    for j in range(vector.size):
+        original = vector[j]
+        vector[j] = original + step
+        up = loss(forward_batch(streams, params).predictions, target)
+        vector[j] = original - step
+        down = loss(forward_batch(streams, params).predictions, target)
+        vector[j] = original
+        numeric.vector[j] = (up - down) / (2.0 * step)
+
+    errors = {}
+    for (name, ga), (_, gn) in zip(analytic.param_items(), numeric.param_items()):
+        denom = max(float(np.linalg.norm(ga)), float(np.linalg.norm(gn)), 1e-12)
+        errors[name] = float(np.linalg.norm(ga - gn)) / denom
+    return errors

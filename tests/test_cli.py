@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -309,11 +312,20 @@ def test_mistyped_config_value_is_a_config_error_naming_the_key(
         (["features"], {"indicators": {"cci_constant": math.inf}}, "cci_constant"),
         (["experiment", "regime"], {"experiments": {"regime_threshold": math.nan}}, "regime_threshold"),
         (["experiment", "regime"], {"experiments": {"regime_threshold": -1.0}}, "regime_threshold"),
+        (["train", "--seed", "-1"], {}, "seed"),
+        (["train"], {"train": {**TINY, "seed": -1}}, "seed"),
+        (["experiment", "sentiment"], {"experiments": {"seeds": [0, -1]}}, "seeds"),
+        (["experiment", "sentiment"], {"experiments": {"seeds": [0, 0]}}, "seeds"),
+        (["experiment", "forget-gate"], {"experiments": {"seeds": [0], "window_sizes": [4, 5, 4]}}, "window_sizes"),
+        (["experiment", "regime"], {"experiments": {"segments": [["2015-01-05", "2016-01-04"]] * 2}}, "segments"),
     ],
     ids=["lr inf", "lr 1e400", "train forget_bias NaN", "features forget_bias NaN", "cci_constant inf",
-         "regime_threshold NaN", "regime_threshold negative"],
+         "regime_threshold NaN", "regime_threshold negative", "seed flag negative", "train seed negative",
+         "experiments seed negative", "experiments seed repeated", "window size repeated", "segment repeated"],
 )
 def test_a_non_finite_or_negative_config_number_is_a_config_error(tmp_path, monkeypatch, argv, keys, name, capsys):
+    """Also a repeated seed, window size or segment: it would run one cell
+    twice, and the aggregate would count the copy as a second sample."""
     monkeypatch.chdir(tmp_path)
     config = _run_config(tmp_path, **keys)
     before = _files(tmp_path)
@@ -729,3 +741,24 @@ def test_epoch_loss_rows_read_back_to_the_run_losses(tmp_path, monkeypatch):
         rows = list(csv.DictReader(handle))
     assert [int(row["epoch"]) for row in rows] == [0, 1, 2]
     assert tuple(float(row["train_rmse"]) for row in rows) == runs[0].epoch_rmse
+
+
+@pytest.mark.parametrize(
+    "args, code, stream, start",
+    [
+        (["--help"], 0, "stdout", "usage: trendlab"),
+        (["train"], 1, "stderr", "usage error: "),
+        (["train", "--config", "missing.json"], 1, "stderr", "config error: "),
+    ],
+    ids=["help", "no config", "missing config"],
+)
+def test_module_entry_point_in_a_fresh_interpreter(tmp_path, args, code, stream, start):
+    """`python -m trendlab.cli` imports the package as a user's shell does,
+    and keeps the exit-code contract."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "trendlab.cli", *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == code, done.stderr
+    assert getattr(done, stream).startswith(start)
+    assert _files(tmp_path) == []

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trendlab.errors import DivergenceError
 from trendlab.network import (
@@ -19,6 +21,7 @@ from trendlab.network import (
 )
 
 from oracles import (
+    gradient_check,
     pairwise_mean,
     python_lstm_forward,
     reference_backward,
@@ -269,11 +272,131 @@ def test_forward_is_bit_reproducible():
 
 
 def test_forward_stream_shape_errors():
+    """Each stream must have the width its projection reads, and a model
+    with a sentiment projection needs the sentiment stream."""
     params = init_parameters(ModelShape(layers=1, hidden=2), seed=0)
-    with pytest.raises(ValueError, match="dim"):
+    with pytest.raises(ValueError, match="fundamental stream dim 5 != expected 3"):
         forward_batch((np.zeros((1, 3, 5)), np.zeros((1, 3, 3)), np.zeros((1, 3, 1))), params)
+    with pytest.raises(ValueError, match="technical stream dim 2 != expected 3"):
+        forward_batch((np.zeros((1, 3, 3)), np.zeros((1, 3, 2)), np.zeros((1, 3, 1))), params)
+    with pytest.raises(ValueError, match="sentiment stream dim 2 != expected 1"):
+        forward_batch((np.zeros((1, 3, 3)), np.zeros((1, 3, 3)), np.zeros((1, 3, 2))), params)
     with pytest.raises(ValueError, match="sentiment stream"):
         forward_batch((np.zeros((1, 3, 3)), np.zeros((1, 3, 3)), None), params)
+
+
+# --- stream fusion: each stream's affine projection, concatenated fundamental,
+# technical, sentiment into the first layer's cached input --------------------
+
+
+def projections(W_A, b_A, W_F, b_F, W_S=None, b_S=None) -> NetworkParameters:
+    """A one-unit tanh model whose stream projections are these arrays."""
+    shape = ModelShape(cell="rnn", d_a=W_A.shape[1], d_f=W_F.shape[1], d_s=None if W_S is None else W_S.shape[1],
+                       d_i=W_A.shape[0], layers=1, hidden=1)
+    params = NetworkParameters(shape)
+    for W, b, (W_view, b_view) in zip((W_A, W_F, W_S), (b_A, b_F, b_S), params.fusion.projections()):
+        W_view[...], b_view[...] = W, b
+    return params
+
+
+def fused(params: NetworkParameters, a, f, s=None) -> np.ndarray:
+    """The fused input vector `forward_batch` feeds the first layer for a
+    one-step window with stream vectors a, f and s."""
+    streams = tuple(None if v is None else np.asarray(v, dtype=np.float64)[None, None] for v in (a, f, s))
+    return forward_batch(streams, params).layers[0].x[0, :, 0]
+
+
+def test_project_identity():
+    v = np.array([1.0, -2.0, 3.0])
+    out = fused(projections(np.eye(3), np.zeros(3), np.zeros((3, 1)), np.zeros(3)), v, [5.0])
+    np.testing.assert_array_equal(out[:3], v)
+
+
+def test_project_constant_map():
+    b = np.array([4.0, 5.0])
+    out = fused(projections(np.zeros((2, 3)), b, np.zeros((2, 1)), np.zeros(2)), [9.0, 9.0, 9.0], [1.0])
+    np.testing.assert_array_equal(out[:2], b)
+
+
+def test_project_matches_brute_force():
+    rng = np.random.default_rng(0)
+    W = rng.normal(size=(4, 3))
+    b = rng.normal(size=4)
+    v = rng.normal(size=3)
+    expected = np.array([sum(W[i, j] * v[j] for j in range(3)) + b[i] for i in range(4)])
+    out = fused(projections(np.zeros((4, 2)), np.zeros(4), W, b), [0.0, 0.0], v)
+    np.testing.assert_allclose(out[4:], expected, atol=1e-12)
+
+
+def test_fuse_width():
+    fusion = projections(np.ones((4, 2)), np.zeros(4), np.ones((4, 2)), np.zeros(4), np.ones((4, 1)), np.zeros(4))
+    assert fused(fusion, np.zeros(2), np.ones(2), [2.0]).shape == (12,)
+
+
+def _identity_fusion(with_sentiment: bool = True) -> NetworkParameters:
+    sentiment = (np.eye(2), np.zeros(2)) if with_sentiment else (None, None)
+    return projections(np.eye(2), np.zeros(2), np.eye(2), np.zeros(2), *sentiment)
+
+
+def test_fuse_concatenation_order():
+    out = fused(_identity_fusion(), [1.0, 2.0], [3.0, 4.0], [5.0, 6.0])
+    assert out.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+
+def test_fuse_without_sentiment():
+    out = fused(_identity_fusion(with_sentiment=False), [1.0, 2.0], [3.0, 4.0])
+    assert out.tolist() == [1.0, 2.0, 3.0, 4.0]
+
+
+def test_fuse_components_recoverable():
+    rng = np.random.default_rng(1)
+    W_A, W_F, W_S = rng.normal(size=(2, 3)), rng.normal(size=(2, 3)), rng.normal(size=(2, 1))
+    b_A, b_F, b_S = rng.normal(size=2), rng.normal(size=2), rng.normal(size=2)
+    a, f, s = rng.normal(size=3), rng.normal(size=3), rng.uniform(size=1)
+    out = fused(projections(W_A, b_A, W_F, b_F, W_S, b_S), a, f, s)
+    np.testing.assert_allclose(out[:2], W_A @ a + b_A, atol=1e-15)
+    np.testing.assert_allclose(out[2:4], W_F @ f + b_F, atol=1e-15)
+    np.testing.assert_allclose(out[4:], W_S @ s + b_S, atol=1e-15)
+
+
+@settings(max_examples=60)
+@given(
+    alpha=st.floats(-5.0, 5.0),
+    beta=st.floats(-5.0, 5.0),
+    seed=st.integers(0, 2**31),
+)
+def test_project_linearity(alpha, beta, seed):
+    rng = np.random.default_rng(seed)
+    fusion = projections(rng.normal(size=(3, 4)), np.zeros(3), np.zeros((3, 1)), np.zeros(3))
+    v1 = rng.normal(size=4)
+    v2 = rng.normal(size=4)
+    lhs = fused(fusion, alpha * v1 + beta * v2, [0.0])
+    rhs = alpha * fused(fusion, v1, [0.0]) + beta * fused(fusion, v2, [0.0])
+    np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+def test_default_width_never_compresses():
+    assert ModelShape(d_a=3, d_f=3, d_s=1).width == 3
+    assert ModelShape(d_a=2, d_f=5, d_s=None).width == 5
+    assert ModelShape(d_a=2, d_f=5, d_s=None, d_i=1).width == 1
+
+
+def test_fuse_streams_round_trip():
+    fusion = projections(
+        np.eye(2), np.zeros(2), 2.0 * np.eye(2), np.zeros(2), np.array([[1.0], [0.0]]), np.array([0.5, 0.5])
+    )
+    out = fused(fusion, [1.0, 2.0], [3.0, 4.0], [1.0])
+    assert out.tolist() == [1.0, 2.0, 6.0, 8.0, 1.5, 0.5]
+
+
+def test_fusion_parameters_shape_checks():
+    """Each projection maps its stream to the shared width, and a model has
+    W_S and b_S together or neither."""
+    for d_s in (2, None):
+        fusion = NetworkParameters(ModelShape(d_a=3, d_f=4, d_s=d_s, d_i=5, layers=1, hidden=2)).fusion
+        widths = (3, 4) if d_s is None else (3, 4, d_s)
+        assert [(W.shape, b.shape) for W, b in fusion.projections()] == [((5, d), (5,)) for d in widths]
+        assert (fusion.W_S is None) == (fusion.b_S is None) == (d_s is None)
 
 
 # --- buffer reuse --------------------------------------------------------------
@@ -388,44 +511,34 @@ def test_backward_head_bias_gradient_is_upstream():
     assert float(grads["head.b"]) == -2.5
 
 
+def weighted_sum(predictions: np.ndarray, weights: np.ndarray) -> float:
+    """A fixed linear weighting of the predictions: its upstream gradient
+    is the weights themselves, an arbitrary vector."""
+    return float(weights @ predictions)
+
+
+def weighted_sum_gradient(predictions: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    return weights
+
+
 def test_backward_matches_finite_differences_lstm():
-    _finite_difference_check(ModelShape(cell="lstm", layers=2, hidden=4, d_a=2, d_f=2, d_s=1, d_i=2), seed=7)
+    _check_weighted_sum(ModelShape(cell="lstm", layers=2, hidden=4, d_a=2, d_f=2, d_s=1, d_i=2), seed=7)
 
 
 def test_backward_matches_finite_differences_rnn():
-    _finite_difference_check(ModelShape(cell="rnn", layers=2, hidden=4, d_a=2, d_f=2, d_s=1, d_i=2), seed=8)
+    _check_weighted_sum(ModelShape(cell="rnn", layers=2, hidden=4, d_a=2, d_f=2, d_s=1, d_i=2), seed=8)
 
 
 def test_backward_matches_finite_differences_no_sentiment():
-    _finite_difference_check(ModelShape(cell="lstm", layers=2, hidden=3, d_a=2, d_f=3, d_s=None), seed=9)
+    _check_weighted_sum(ModelShape(cell="lstm", layers=2, hidden=3, d_a=2, d_f=3, d_s=None), seed=9)
 
 
-def _finite_difference_check(shape: ModelShape, seed: int) -> None:
-    rng = np.random.default_rng(seed)
-    params = init_parameters(shape, seed)
-    streams = (
-        rng.normal(size=(2, 4, shape.d_a)),
-        rng.normal(size=(2, 4, shape.d_f)),
-        rng.uniform(size=(2, 4, shape.d_s)) if shape.d_s else None,
-    )
-    weights = rng.normal(size=2)
-    cache = forward_batch(streams, params)
-    grads = backward_batch(cache, weights).param_dict()
-    step = 1e-6
-    for name, array in params.param_items():
-        numeric = np.empty_like(array)
-        it = np.nditer(array, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            keep = array[idx]
-            array[idx] = keep + step
-            up = float(weights @ forward_batch(streams, params).predictions)
-            array[idx] = keep - step
-            down = float(weights @ forward_batch(streams, params).predictions)
-            array[idx] = keep
-            numeric[idx] = (up - down) / (2 * step)
-        denom = max(np.linalg.norm(grads[name]), np.linalg.norm(numeric), 1e-12)
-        assert np.linalg.norm(grads[name] - numeric) / denom < 1e-5, name
+def _check_weighted_sum(shape: ModelShape, seed: int) -> None:
+    """The backward pass under an arbitrary upstream gradient: the objective
+    is a fixed linear weighting of the predictions, whose gradient is the
+    weights themselves."""
+    errors = gradient_check(shape, seed, lambda p, weights: float(weights @ p), lambda p, weights: weights)
+    assert max(errors.values()) < 1e-5, errors
 
 
 def test_backward_upstream_shape_mismatch():

@@ -18,11 +18,9 @@ from trendlab.network import ModelShape, NetworkParameters, backward_batch, forw
 from trendlab import training
 from trendlab.synthetic import paper_shaped_series, planted_sentiment, sine_series
 from trendlab.training import (
-    GradientCheckResult,
     TrainConfig,
     adam_step,
     evaluate,
-    gradient_check,
     load_checkpoint,
     model_shape,
     rmse,
@@ -31,7 +29,7 @@ from trendlab.training import (
     train,
 )
 
-from oracles import reference_adam_step, unrolled_adam
+from oracles import gradient_check, reference_adam_step, unrolled_adam
 
 SMALL_SHAPE = ModelShape(cell="lstm", d_a=3, d_f=3, d_s=1, d_i=2, layers=3, hidden=8)
 
@@ -305,14 +303,15 @@ def test_divergence_in_optimizer_step_reports_epoch(sine_bundle, monkeypatch):
 
 
 def test_gradient_check_passes_small_lstm():
-    result = gradient_check(SMALL_SHAPE, seed=0, tolerance=1e-5)
-    assert result.passed, (result.worst_block, result.max_error)
-    assert set(result.block_errors) == {name for name, _ in init_parameters(SMALL_SHAPE, 0).param_items()}
+    errors = gradient_check(SMALL_SHAPE, 0, rmse, rmse_gradient)
+    assert max(errors.values()) <= 1e-5, errors
+    assert set(errors) == {name for name, _ in init_parameters(SMALL_SHAPE, 0).param_items()}
 
 
 def test_gradient_check_passes_rnn():
     shape = ModelShape(cell="rnn", d_a=3, d_f=3, d_s=1, d_i=2, layers=2, hidden=6)
-    assert gradient_check(shape, seed=1).passed
+    errors = gradient_check(shape, 1, rmse, rmse_gradient)
+    assert max(errors.values()) <= 1e-5, errors
 
 
 def test_gradient_check_localizes_corruption(monkeypatch):
@@ -321,10 +320,9 @@ def test_gradient_check_localizes_corruption(monkeypatch):
         grads.param_dict()["layers.0.W_f"][...] += 1.0
         return grads
 
-    monkeypatch.setattr(training, "backward_batch", corrupted)
-    result = gradient_check(SMALL_SHAPE, seed=0)
-    assert not result.passed
-    assert result.failing_blocks == ["layers.0.W_f"]
+    monkeypatch.setattr("oracles.backward_batch", corrupted)
+    errors = gradient_check(SMALL_SHAPE, 0, rmse, rmse_gradient)
+    assert [name for name, error in errors.items() if error > 1e-5] == ["layers.0.W_f"]
 
 
 # --- checkpoints ---------------------------------------------------------------
