@@ -328,6 +328,12 @@ def test_project_matches_brute_force():
     np.testing.assert_allclose(out[4:], expected, atol=1e-12)
 
 
+def test_project_shape_errors():
+    fusion = projections(np.zeros((4, 3)), np.zeros(4), np.zeros((4, 3)), np.zeros(4))
+    with pytest.raises(ValueError, match="fundamental stream dim"):
+        fused(fusion, np.zeros(2), np.zeros(3))
+
+
 def test_fuse_width():
     fusion = projections(np.ones((4, 2)), np.zeros(4), np.ones((4, 2)), np.zeros(4), np.ones((4, 1)), np.zeros(4))
     assert fused(fusion, np.zeros(2), np.ones(2), [2.0]).shape == (12,)
@@ -346,6 +352,14 @@ def test_fuse_concatenation_order():
 def test_fuse_without_sentiment():
     out = fused(_identity_fusion(with_sentiment=False), [1.0, 2.0], [3.0, 4.0])
     assert out.tolist() == [1.0, 2.0, 3.0, 4.0]
+
+
+def test_fuse_dimension_mismatch():
+    fusion = projections(np.zeros((2, 3)), np.zeros(2), np.zeros((2, 2)), np.zeros(2), np.zeros((2, 1)), np.zeros(2))
+    with pytest.raises(ValueError, match="technical stream dim 3 != expected 2"):
+        fused(fusion, np.zeros(3), np.zeros(3), [0.5])
+    with pytest.raises(ValueError, match="sentiment stream dim 2 != expected 1"):
+        fused(fusion, np.zeros(3), np.zeros(2), [0.5, 0.5])
 
 
 def test_fuse_components_recoverable():
