@@ -100,7 +100,7 @@ def _require_file(path: Path | None, what: str) -> Path:
     if path is None:
         raise ConfigError(f"config does not set {what}")
     if not path.is_file():
-        raise ConfigError(f"{what} does not exist: {path}")
+        raise ConfigError(f"{what} {'is not a file' if path.exists() else 'does not exist'}: {path}")
     return path
 
 

@@ -30,8 +30,8 @@ arXiv:1604.01946). `NetworkParameters.param_items` names the per-gate row
 blocks `layers.k.W_f`, `layers.k.U_i`, ... and hands them out as views.
 
 A forward pass writes every (T, ., n) activation (the fused input, and per
-layer the stacked (T, 4h, n) gate buffer, h, c and tanh(c), or a tanh
-layer's states) into arrays it allocates, or, given a cache in place of the
+layer the stacked (T, 4h, n) gate buffer, h and c, or a tanh layer's
+states) into arrays it allocates, or, given a cache in place of the
 parameters, into that cache's arrays, as Appleyard et al. preallocate
 theirs. The cache stands for its own model, so the only check is that it
 covers the same window count and step count as the streams; any other raises
@@ -42,9 +42,9 @@ Full-batch training runs each epoch into the last epoch's cache, so a run
 holds one set of activations, the memory that dominates exact BPTT (Chen et
 al. 2016, arXiv:1604.06174), instead of two.
 
-A memory-cell layer's cache holds its gates, c and tanh(c) at one of two
-depths: every step (depth T, what a forward allocates and what the backward
-pass and the forget-gate mean read), or the last step only (depth 1, from
+A memory-cell layer's cache holds its gates and c at one of two depths:
+every step (depth T, what a forward allocates and what the backward pass
+and the forget-gate mean read), or the last step only (depth 1, from
 `last_step_cache`, for predictions; those two readers refuse it). h keeps
 every step at both depths, since it is the next layer's input. Step t sits
 at row t % depth, and the inputs of each block of depth steps are projected
@@ -53,6 +53,14 @@ projection before step 0, as in training; at depth 1 a step's projection is
 made just before the step reads it, while it is still in cache. Each step's
 input projection is the same GEMM on the same slice at either depth, so the
 predictions are bit-identical.
+
+tanh(c) is held at neither depth. The forward pass writes each step's into
+one (h, n) scratch, and the backward pass recomputes it from c with the
+same call, one tanh per step: the cheap end of the store-or-recompute trade
+of memory-efficient BPTT (Gruslys et al. 2016, arXiv:1606.03401). The
+backward pass also writes each layer's input gradient over the upstream
+gradient it has just read, when the two have one shape, so it holds one
+such (T, ., n) buffer instead of two.
 
 Everything is float64 and deterministic: identical inputs and parameters
 give bit-identical outputs.
@@ -279,15 +287,18 @@ def init_parameters(shape: ModelShape, seed: int, forget_bias: float = 1.0) -> N
 
 @dataclass
 class _LstmLayerCache:
+    """A memory-cell layer's activations: its input x and h at every step,
+    its gates and c at `depth` steps. tanh(c) is not held; its readers
+    recompute it from c."""
+
     x: np.ndarray        # (T, D, n) layer inputs: the fused input or the layer below's h
     gates: np.ndarray    # (depth, 4H, n) gate activations, row blocks f, i, o, g
     h: np.ndarray        # (T, H, n) hidden states
     c: np.ndarray        # (depth, H, n) cell states
-    tanh_c: np.ndarray   # (depth, H, n)
 
     @property
     def depth(self) -> int:
-        """Steps held by gates, c and tanh_c: T, or 1 for the last step only."""
+        """Steps held by gates and c: T, or 1 for the last step only."""
         return self.gates.shape[0]
 
     def _gate(self, j: int) -> np.ndarray:
@@ -350,8 +361,8 @@ class ForwardCache:
 
 def _empty_cache(params: NetworkParameters, n: int, steps: int, depth: int) -> ForwardCache:
     """A cache of `params` over new uninitialised arrays for n windows of
-    `steps` steps, each memory-cell layer holding gates, c and tanh(c) at
-    `depth` steps (`steps` or 1). Its predictions are NaN until a forward
+    `steps` steps, each memory-cell layer holding gates and c at `depth`
+    steps (`steps` or 1). Its predictions are NaN until a forward
     runs into it."""
     shape = params.shape
     hid = shape.hidden
@@ -360,7 +371,7 @@ def _empty_cache(params: NetworkParameters, n: int, steps: int, depth: int) -> F
     for _ in range(shape.layers):
         if shape.cell == LSTM:
             lc = _LstmLayerCache(x, np.empty((depth, 4 * hid, n)), np.empty((steps, hid, n)),
-                                 np.empty((depth, hid, n)), np.empty((depth, hid, n)))
+                                 np.empty((depth, hid, n)))
         else:
             lc = _RnnLayerCache(x, np.empty((steps, hid, n)))
         layers.append(lc)
@@ -371,8 +382,8 @@ def _empty_cache(params: NetworkParameters, n: int, steps: int, depth: int) -> F
 def last_step_cache(params: NetworkParameters, n_windows: int, steps: int) -> ForwardCache:
     """A cache of `params` to forward n_windows windows of `steps` steps
     into, for predictions only: each memory-cell layer keeps one step of
-    gates, c and tanh(c), so the backward pass and the forget-gate mean
-    refuse the result."""
+    gates and c, so the backward pass and the forget-gate mean refuse the
+    result."""
     return _empty_cache(params, n_windows, steps, depth=1)
 
 
@@ -398,13 +409,14 @@ def _fuse_batch(
 
 
 def _lstm_forward(lc: _LstmLayerCache, layer: LstmLayerParameters) -> None:
-    """Fills the cache's gates, h, c and tanh_c from its input x. Step t
-    lives at row t % depth of the depth-deep arrays; the inputs of each
-    block of depth steps are projected in one GEMM as the block begins."""
+    """Fills the cache's gates, h and c from its input x. Step t lives at
+    row t % depth of the depth-deep arrays; the inputs of each block of
+    depth steps are projected in one GEMM as the block begins."""
     steps, hid, n = lc.h.shape
-    A, H, C, TC = lc.gates, lc.h, lc.c, lc.tanh_c
+    A, H, C = lc.gates, lc.h, lc.c
     depth = lc.depth
     rec = np.empty((4 * hid, n))
+    tc = np.empty((hid, n))
     for t in range(steps):
         k = t % depth
         if k == 0:
@@ -422,8 +434,8 @@ def _lstm_forward(lc: _LstmLayerCache, layer: LstmLayerParameters) -> None:
             C[k] += i * g
         else:
             np.multiply(i, g, out=C[k])
-        np.tanh(C[k], out=TC[k])
-        np.multiply(o, TC[k], out=H[t])
+        np.tanh(C[k], out=tc)
+        np.multiply(o, tc, out=H[t])
 
 
 def _rnn_forward(lc: _RnnLayerCache, layer: RnnLayerParameters) -> None:
@@ -487,21 +499,33 @@ def forward_batch(
     return ForwardCache(params=params, streams=(a, f, s), layers=list(into.layers), predictions=predictions)
 
 
+def _input_gradient(x: np.ndarray, d_h_extra: np.ndarray) -> np.ndarray:
+    """The array a layer's backward pass writes its input gradient into:
+    `d_h_extra` itself when x has its shape, as every layer above the
+    first does, else a new one. Step t's gradient is written only after
+    step t has read d_h_extra[t], and the steps run backwards, so no value
+    is overwritten before it is read."""
+    return d_h_extra if d_h_extra.shape == x.shape else np.empty_like(x)
+
+
 def _lstm_backward(
     lc: _LstmLayerCache, layer: LstmLayerParameters, d_h_extra: np.ndarray, grad: LstmLayerParameters
 ) -> np.ndarray:
     """Accumulates the layer's gradients into `grad`'s (zero) arrays and
-    returns the gradient with respect to the layer input."""
+    returns the gradient with respect to the layer input, written over
+    `d_h_extra` when the two have one shape (see `_input_gradient`)."""
     steps, hid, n = lc.h.shape
     dW, dU, db = grad.W, grad.U, grad.b
-    dx = np.empty_like(lc.x)
+    dx = _input_gradient(lc.x, d_h_extra)
     dA = np.empty((4 * hid, n))
     dF, dI, dO, dG = dA[:hid], dA[hid : 2 * hid], dA[2 * hid : 3 * hid], dA[3 * hid :]
+    tc = np.empty((hid, n))
     dh_rec = np.zeros((hid, n))
     dc_rec = np.zeros((hid, n))
     F, I, O, G = lc.f, lc.i, lc.o, lc.g
     for t in range(steps - 1, -1, -1):
-        f, i, o, g, tc = F[t], I[t], O[t], G[t], lc.tanh_c[t]
+        f, i, o, g = F[t], I[t], O[t], G[t]
+        np.tanh(lc.c[t], out=tc)
         dh = d_h_extra[t] + dh_rec
         dc = dc_rec + dh * o * (1.0 - tc**2)
         if t > 0:
@@ -534,7 +558,7 @@ def _rnn_backward(
     """Like `_lstm_backward`, for a tanh layer."""
     steps, hid, n = lc.s.shape
     dU, dW = grad.U, grad.W
-    dx = np.empty_like(lc.x)
+    dx = _input_gradient(lc.x, d_h_extra)
     ds_rec = np.zeros((hid, n))
     for t in range(steps - 1, -1, -1):
         da = d_h_extra[t] + ds_rec
@@ -551,6 +575,13 @@ def backward_batch(cache: ForwardCache, d_predictions: np.ndarray) -> NetworkPar
     """Exact gradients of sum(d_predictions * predictions) with respect to
     every parameter, as a model of the same shape: each gradient sits where
     its parameter does.
+
+    The pass recomputes each step's tanh(c_t) from the cached c_t, with the
+    call the forward pass made, so the bits match a stored copy. Each layer
+    writes its input gradient over its own upstream-gradient buffer once a
+    step has read it, whenever their shapes agree (every layer above the
+    first; the first too when hidden == fused_dim). That buffer is the
+    pass's own: the cache, its streams and `d_predictions` are only read.
     """
     cache._require_every_step("the backward pass")
     params = cache.params

@@ -162,9 +162,10 @@ def train(
     backpropagates the RMSE cost, and takes one Adam step. Deterministic
     per (dataset, config).
 
-    The run holds one set of activation buffers. The Adam step updates the
-    parameter vector in place, so each epoch's forward, and the final
-    train-split evaluation, runs into the previous epoch's cache
+    The run holds one set of activation buffers: every step's gates, h and
+    c, but not tanh(c), which the backward pass recomputes. The Adam step
+    updates the parameter vector in place, so each epoch's forward, and the
+    final train-split evaluation, runs into the previous epoch's cache
     (`forward_batch(streams, cache)`): the same calls as with fresh arrays,
     the same bits, and one cache alive instead of two. The test split has
     another window count and gets its own arrays.

@@ -762,3 +762,19 @@ def test_module_entry_point_in_a_fresh_interpreter(tmp_path, args, code, stream,
     assert done.returncode == code, done.stderr
     assert getattr(done, stream).startswith(start)
     assert _files(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "key, command",
+    [("price_csv", "train"), ("sentiment_csv", "train"), ("feature_csv", "train"), ("checkpoint", "predict")],
+)
+def test_a_directory_in_place_of_an_input_file_is_not_a_file(tmp_path, monkeypatch, key, command, capsys):
+    """A path that exists but is a directory is named as such, not as
+    missing, and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "folder").mkdir()
+    config = _run_config(tmp_path, **{key: "folder"})
+    before = _files(tmp_path)
+    assert main([command, "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"config error: {key} is not a file: folder\n"
+    assert _files(tmp_path) == before

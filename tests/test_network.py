@@ -577,9 +577,12 @@ REFERENCE_CASES = {
 
 
 def _reference_case(name: str):
-    shape, steps, n = REFERENCE_CASES[name]
-    rng = np.random.default_rng(len(name))
-    params = init_parameters(shape, seed=len(name))
+    return _random_case(*REFERENCE_CASES[name], seed=len(name))
+
+
+def _random_case(shape: ModelShape, steps: int, n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    params = init_parameters(shape, seed=seed)
     streams = (
         rng.normal(size=(n, steps, shape.d_a)),
         rng.normal(size=(n, steps, shape.d_f)),
@@ -588,10 +591,7 @@ def _reference_case(name: str):
     return params, streams, rng.normal(size=n)
 
 
-@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
-def test_kernel_matches_reference(case):
-    params, streams, d_pred = _reference_case(case)
-    assert params.shape.hidden != params.shape.fused_dim
+def _assert_kernel_matches_reference(params, streams, d_pred) -> None:
     want_pred, want_caches = reference_forward(streams, params)
     want_grads = reference_backward(streams, params, want_caches, d_pred)
 
@@ -599,12 +599,42 @@ def test_kernel_matches_reference(case):
     np.testing.assert_allclose(cache.predictions, want_pred, rtol=0, atol=KERNEL_TOLERANCE)
     for lc, want in zip(cache.layers, want_caches):
         for key, array in want.items():
-            got = getattr(lc, key).transpose(0, 2, 1)
-            np.testing.assert_allclose(got, array, rtol=0, atol=KERNEL_TOLERANCE, err_msg=key)
+            # The cache holds c, not tanh(c), which the backward pass recomputes.
+            got = np.tanh(lc.c) if key == "tanh_c" else getattr(lc, key)
+            np.testing.assert_allclose(got.transpose(0, 2, 1), array, rtol=0, atol=KERNEL_TOLERANCE, err_msg=key)
     grads = backward_batch(cache, d_pred).param_dict()
     assert list(grads) == [name for name, _ in params.param_items()]
     for name, g in grads.items():
         np.testing.assert_allclose(g, want_grads[name], rtol=0, atol=KERNEL_TOLERANCE, err_msg=name)
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_kernel_matches_reference(case):
+    params, streams, d_pred = _reference_case(case)
+    assert params.shape.hidden != params.shape.fused_dim
+    _assert_kernel_matches_reference(params, streams, d_pred)
+
+
+@pytest.mark.parametrize("cell", ["lstm", "rnn"])
+def test_a_first_layer_as_wide_as_its_input_matches_the_reference(cell):
+    """hidden == fused_dim: the first layer, like every layer above it,
+    writes its input gradient over its upstream gradient buffer."""
+    shape = ModelShape(cell=cell, layers=2, hidden=9)
+    assert shape.hidden == shape.fused_dim
+    _assert_kernel_matches_reference(*_random_case(shape, steps=5, n=4, seed=11))
+    _check_weighted_sum(shape, seed=11)
+
+
+@pytest.mark.parametrize("hidden", [5, 9], ids=["first layer allocates", "every layer in place"])
+@pytest.mark.parametrize("cell", ["lstm", "rnn"])
+def test_backward_leaves_the_cache_and_the_upstream_gradient_unchanged(cell, hidden):
+    params, streams, d_pred = _random_case(ModelShape(cell=cell, layers=3, hidden=hidden), steps=6, n=4, seed=12)
+    cache = forward_batch(streams, params)
+    held = cache.buffers() + [s for s in cache.streams if s is not None] + [cache.predictions, d_pred]
+    before = [a.copy() for a in held]
+    first = backward_batch(cache, d_pred)
+    assert all(np.array_equal(a, b) for a, b in zip(held, before))
+    assert np.array_equal(backward_batch(cache, d_pred).vector, first.vector)
 
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
@@ -626,7 +656,7 @@ def test_forward_into_a_last_step_cache_equals_a_full_forward(case):
         for lc, want in zip(last.layers, full.layers):
             assert type(lc) is type(want)
             for name, got in vars(lc).items():
-                # x and h keep every step; gates, c and tanh_c the last one.
+                # x and h keep every step; gates and c the last one.
                 assert np.array_equal(got, getattr(want, name)[-got.shape[0] :]), name
 
 
@@ -643,8 +673,21 @@ def test_a_last_step_cache_is_under_a_quarter_of_a_full_cache():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(a.nbytes for a in last.buffers()) <= 0.25 * full_bytes
+    last_bytes = sum(a.nbytes for a in last.buffers())
+    assert last_bytes <= 0.25 * full_bytes
     assert peak <= 0.3 * full_bytes
+    # The same limits in bytes, as they read when a full cache held 57,727,008.
+    assert last_bytes <= 14.43e6
+    assert peak <= 17.32e6
+
+
+def test_a_full_forward_holds_gates_h_and_c_only():
+    """The paper's 3 x 32 LSTM over 883 windows of 12 steps: the fused input
+    plus, per layer, every step's gates, h and c, x + 3 x (gates + h + c) =
+    49,589,280 bytes. tanh(c) is recomputed by the backward pass, not held."""
+    params = init_parameters(ModelShape(), seed=0)
+    cache = forward_batch(_random_streams(0, windows=883, steps=12, sentiment=True), params)
+    assert sum(a.nbytes for a in cache.buffers()) <= 50.0e6
 
 
 def test_saturated_gates_raise_no_overflow_warning():
