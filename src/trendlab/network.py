@@ -29,38 +29,41 @@ pre-activations are one GEMM (Appleyard, Kocisky & Blunsom 2016,
 arXiv:1604.01946). `NetworkParameters.param_items` names the per-gate row
 blocks `layers.k.W_f`, `layers.k.U_i`, ... and hands them out as views.
 
-A forward pass writes every (T, ., n) activation (the fused input, and per
-layer the stacked (T, 4h, n) gate buffer, h and c, or a tanh layer's
-states) into arrays it allocates, or, given a cache in place of the
-parameters, into that cache's arrays, as Appleyard et al. preallocate
-theirs. The cache stands for its own model, so the only check is that it
-covers the same window count and step count as the streams; any other raises
-ValueError, with no fallback to fresh arrays. The same ufunc and BLAS calls
-run in the same order, only into other destinations, so the results are
-bit-identical to a fresh forward's, and the cache given is stale afterwards.
-Full-batch training runs each epoch into the last epoch's cache, so a run
-holds one set of activations, the memory that dominates exact BPTT (Chen et
-al. 2016, arXiv:1604.06174), instead of two.
+A forward pass writes its activations (the fused input, and per layer the
+stacked gate buffer and c, or a tanh layer's states) into arrays it
+allocates, or, given a cache in place of the parameters, into that cache's
+arrays, as Appleyard et al. preallocate theirs. The cache stands for its own
+model, so the only check is that it covers the same window count and step
+count as the streams; any other raises ValueError, with no fallback to fresh
+arrays. The same ufunc and BLAS calls run in the same order, only into other
+destinations, so the results are bit-identical to a fresh forward's, and the
+cache given is stale afterwards. Full-batch training runs each epoch into
+the last epoch's cache, so a run holds one set of activations, the memory
+that dominates exact BPTT (Chen et al. 2016, arXiv:1604.06174), instead of
+two.
 
-A memory-cell layer's cache holds its gates and c at one of two depths:
-every step (depth T, what a forward allocates and what the backward pass
-and the forget-gate mean read), or the last step only (depth 1, from
-`last_step_cache`, for predictions; those two readers refuse it). h keeps
-every step at both depths, since it is the next layer's input. Step t sits
-at row t % depth, and the inputs of each block of depth steps are projected
-by one GEMM as the block begins. At depth T that is the whole window's
-projection before step 0, as in training; at depth 1 a step's projection is
-made just before the step reads it, while it is still in cache. Each step's
-input projection is the same GEMM on the same slice at either depth, so the
-predictions are bit-identical.
+A memory-cell stack runs step-major in both passes, the wavefront order of
+Appleyard et al.: each step runs every layer in turn, so a layer's h is read
+by the layer above at the step it is made, and lives in one (h, n) buffer.
+Its cache holds only gates and c, at one of two depths: every step (depth T,
+what a forward allocates and what the backward pass and the forget-gate mean
+read), or the last step only (depth 1, from `last_step_cache`, for
+predictions; those two readers refuse it). Step t sits at row t % depth,
+and each step's gates are computed in that row: one GEMM of the step's
+input, one of the recurrent h, whatever the depth, so the predictions are
+bit-identical at either depth. The cache also holds the top layer's last h,
+which the head reads.
 
-tanh(c) is held at neither depth. The forward pass writes each step's into
-one (h, n) scratch, and the backward pass recomputes it from c with the
-same call, one tanh per step: the cheap end of the store-or-recompute trade
-of memory-efficient BPTT (Gruslys et al. 2016, arXiv:1606.03401). The
-backward pass also writes each layer's input gradient over the upstream
-gradient it has just read, when the two have one shape, so it holds one
-such (T, ., n) buffer instead of two.
+Neither tanh(c) nor h is held at any step: the backward pass runs t
+downwards and, at each t, the layers from the top down, and recomputes
+tanh(c_{t-1}) and h_{t-1} = o_{t-1} * tanh(c_{t-1}) from the cache with the
+forward pass's two calls, one tanh and one product per layer and step: the
+cheap end of the store-or-recompute trade of memory-efficient BPTT (Gruslys
+et al. 2016, arXiv:1606.03401). A layer's input gradient at step t is the
+layer below's upstream gradient at the same step, so it passes in one
+(h, n) buffer; only the fused input's gradient has a step axis. A tanh
+stack runs layer by layer in both passes, since its states are both its
+state and its output.
 
 Everything is float64 and deterministic: identical inputs and parameters
 give bit-identical outputs.
@@ -287,22 +290,19 @@ def init_parameters(shape: ModelShape, seed: int, forget_bias: float = 1.0) -> N
 
 @dataclass
 class _LstmLayerCache:
-    """A memory-cell layer's activations: its input x and h at every step,
-    its gates and c at `depth` steps. tanh(c) is not held; its readers
-    recompute it from c."""
+    """A memory-cell layer's gates and c at `depth` steps. Neither its input
+    nor its h is held: h_t = o_t * tanh(c_t) is recomputed where it is read."""
 
-    x: np.ndarray        # (T, D, n) layer inputs: the fused input or the layer below's h
     gates: np.ndarray    # (depth, 4H, n) gate activations, row blocks f, i, o, g
-    h: np.ndarray        # (T, H, n) hidden states
     c: np.ndarray        # (depth, H, n) cell states
 
     @property
     def depth(self) -> int:
-        """Steps held by gates and c: T, or 1 for the last step only."""
+        """Steps held: T, or 1 for the last step only."""
         return self.gates.shape[0]
 
     def _gate(self, j: int) -> np.ndarray:
-        hid = self.h.shape[1]
+        hid = self.c.shape[1]
         return self.gates[:, j * hid : (j + 1) * hid]
 
     f = property(lambda self: self._gate(0))
@@ -310,24 +310,10 @@ class _LstmLayerCache:
     o = property(lambda self: self._gate(2))
     g = property(lambda self: self._gate(3))  # candidate activations tanh(.)
 
-    @property
-    def hidden(self) -> np.ndarray:
-        return self.h
-
 
 @dataclass
 class _RnnLayerCache:
-    x: np.ndarray
-    s: np.ndarray        # (T, H, n)
-
-    @property
-    def hidden(self) -> np.ndarray:
-        return self.s
-
-
-def _owned(lc: _LstmLayerCache | _RnnLayerCache) -> list[np.ndarray]:
-    """The arrays a layer cache writes: every field but its input x."""
-    return [getattr(lc, f.name) for f in fields(lc)[1:]]
+    s: np.ndarray        # (T, H, n) states, also the layer's output
 
 
 @dataclass
@@ -337,7 +323,9 @@ class ForwardCache:
 
     params: NetworkParameters
     streams: tuple[np.ndarray, np.ndarray, np.ndarray | None]  # (n, T, d) each
+    x: np.ndarray            # (T, D, n) fused input, the first layer's
     layers: list[_LstmLayerCache | _RnnLayerCache]
+    h: np.ndarray            # (H, n) the top layer's last hidden state, which the head reads
     predictions: np.ndarray  # (n,)
 
     @property
@@ -346,13 +334,13 @@ class ForwardCache:
 
     @property
     def steps(self) -> int:
-        return self.layers[0].x.shape[0]
+        return self.x.shape[0]
 
     def buffers(self) -> list[np.ndarray]:
         """The activation arrays a forward pass writes: the fused input,
-        then each layer's, in order. Another forward given this cache in
+        each layer's, and the top h. Another forward given this cache in
         place of the parameters overwrites exactly these."""
-        return [self.layers[0].x] + [a for lc in self.layers for a in _owned(lc)]
+        return [self.x] + [a for lc in self.layers for a in vars(lc).values()] + [self.h]
 
     def _require_every_step(self, reader: str) -> None:
         if any(isinstance(lc, _LstmLayerCache) and lc.depth < self.steps for lc in self.layers):
@@ -366,24 +354,21 @@ def _empty_cache(params: NetworkParameters, n: int, steps: int, depth: int) -> F
     runs into it."""
     shape = params.shape
     hid = shape.hidden
+    if shape.cell == LSTM:
+        layers = [_LstmLayerCache(np.empty((depth, 4 * hid, n)), np.empty((depth, hid, n)))
+                  for _ in range(shape.layers)]
+    else:
+        layers = [_RnnLayerCache(np.empty((steps, hid, n))) for _ in range(shape.layers)]
     x = np.empty((steps, shape.fused_dim, n))
-    layers: list[_LstmLayerCache | _RnnLayerCache] = []
-    for _ in range(shape.layers):
-        if shape.cell == LSTM:
-            lc = _LstmLayerCache(x, np.empty((depth, 4 * hid, n)), np.empty((steps, hid, n)),
-                                 np.empty((depth, hid, n)))
-        else:
-            lc = _RnnLayerCache(x, np.empty((steps, hid, n)))
-        layers.append(lc)
-        x = lc.hidden
-    return ForwardCache(params, (), layers, np.full(n, np.nan))
+    return ForwardCache(params, (), x, layers, np.empty((hid, n)), np.full(n, np.nan))
 
 
 def last_step_cache(params: NetworkParameters, n_windows: int, steps: int) -> ForwardCache:
     """A cache of `params` to forward n_windows windows of `steps` steps
     into, for predictions only: each memory-cell layer keeps one step of
     gates and c, so the backward pass and the forget-gate mean refuse the
-    result."""
+    result. Its buffers are the fused input, one step per layer and the
+    top h."""
     return _empty_cache(params, n_windows, steps, depth=1)
 
 
@@ -408,53 +393,65 @@ def _fuse_batch(
         block += b[:, None]
 
 
-def _lstm_forward(lc: _LstmLayerCache, layer: LstmLayerParameters) -> None:
-    """Fills the cache's gates, h and c from its input x. Step t lives at
-    row t % depth of the depth-deep arrays; the inputs of each block of
-    depth steps are projected in one GEMM as the block begins."""
-    steps, hid, n = lc.h.shape
-    A, H, C = lc.gates, lc.h, lc.c
-    depth = lc.depth
+def _lstm_forward(cache: ForwardCache, layers: list[LstmLayerParameters]) -> None:
+    """Fills the memory-cell stack's gates and c, and the top h, from the
+    fused input, step-major: at each step, layers 0..L-1 in turn. Step t
+    lives at row t % depth. Each layer keeps its h in one (H, n) buffer (the
+    top layer's is the cache's h): the layer above reads it at the same
+    step, the layer's own recurrence at the next."""
+    hid, n = cache.h.shape
+    depth = cache.layers[0].depth
+    hs = [np.empty((hid, n)) for _ in layers[:-1]] + [cache.h]
     rec = np.empty((4 * hid, n))
     tc = np.empty((hid, n))
-    for t in range(steps):
+    for t in range(cache.steps):
         k = t % depth
-        if k == 0:
-            np.matmul(layer.W, lc.x[t : t + depth], out=A)   # (depth, 4H, n)
-            A += layer.b[:, None]
-        act = A[k]
-        if t > 0:
-            np.matmul(layer.U, H[t - 1], out=rec)
-            act += rec
-        _sigmoid_(act[: 3 * hid])
-        np.tanh(act[3 * hid :], out=act[3 * hid :])
-        f, i, o, g = act[:hid], act[hid : 2 * hid], act[2 * hid : 3 * hid], act[3 * hid :]
-        if t > 0:
-            np.multiply(f, C[(t - 1) % depth], out=C[k])
-            C[k] += i * g
-        else:
-            np.multiply(i, g, out=C[k])
-        np.tanh(C[k], out=tc)
-        np.multiply(o, tc, out=H[t])
+        x = cache.x[t]
+        for lc, layer, h in zip(cache.layers, layers, hs):
+            act, C = lc.gates[k], lc.c
+            np.matmul(layer.W, x, out=act)
+            act += layer.b[:, None]
+            if t > 0:
+                np.matmul(layer.U, h, out=rec)
+                act += rec
+            _sigmoid_(act[: 3 * hid])
+            np.tanh(act[3 * hid :], out=act[3 * hid :])
+            f, i, o, g = act[:hid], act[hid : 2 * hid], act[2 * hid : 3 * hid], act[3 * hid :]
+            if t > 0:
+                np.multiply(f, C[(t - 1) % depth], out=C[k])
+                np.multiply(i, g, out=tc)
+                C[k] += tc
+            else:
+                np.multiply(i, g, out=C[k])
+            np.tanh(C[k], out=tc)
+            np.multiply(o, tc, out=h)
+            x = h
 
 
-def _rnn_forward(lc: _RnnLayerCache, layer: RnnLayerParameters) -> None:
-    """Fills the cache's states s from its input x."""
-    S = lc.s
-    np.matmul(layer.U, lc.x, out=S)                      # (T, H, n)
-    rec = np.empty(S.shape[1:])
-    for t in range(S.shape[0]):
-        if t > 0:
-            np.matmul(layer.W, S[t - 1], out=rec)
-            S[t] += rec
-        np.tanh(S[t], out=S[t])
+def _rnn_forward(cache: ForwardCache, layers: list[RnnLayerParameters]) -> None:
+    """Fills each tanh layer's states s from its input, layer by layer, and
+    copies the top layer's last state to the cache's h."""
+    x = cache.x
+    for lc, layer in zip(cache.layers, layers):
+        S = lc.s
+        np.matmul(layer.U, x, out=S)                      # (T, H, n)
+        rec = np.empty(S.shape[1:])
+        for t in range(S.shape[0]):
+            if t > 0:
+                np.matmul(layer.W, S[t - 1], out=rec)
+                S[t] += rec
+            np.tanh(S[t], out=S[t])
+        x = S
+    np.copyto(cache.h, x[-1])
 
 
 def forward_batch(
     streams: tuple[np.ndarray, np.ndarray, np.ndarray | None], params: NetworkParameters | ForwardCache
 ) -> ForwardCache:
     """Evaluate every window in the batch; returns predictions plus the
-    cached activations required for an exact backward pass.
+    cached activations required for an exact backward pass: the fused
+    input, every step's gates and c (a tanh layer's states), and the top
+    layer's last h.
 
     A cache given in place of `params` stands for its own model and
     buffers: every activation is written into its arrays, and the cache
@@ -489,86 +486,107 @@ def forward_batch(
     elif (into.n_windows, into.steps) != a.shape[:2]:
         raise ValueError(f"cache holds {into.n_windows} windows of {into.steps} steps, the streams {a.shape[:2]}")
 
-    _fuse_batch((a, f, s), params, into.layers[0].x)
-    for lc, layer in zip(into.layers, params.layers):
-        (_lstm_forward if isinstance(lc, _LstmLayerCache) else _rnn_forward)(lc, layer)
+    _fuse_batch((a, f, s), params, into.x)
+    (_lstm_forward if shape.cell == LSTM else _rnn_forward)(into, params.layers)
 
-    predictions = params.head.w @ into.layers[-1].hidden[-1] + float(params.head.b)
+    predictions = params.head.w @ into.h + float(params.head.b)
     if not np.all(np.isfinite(predictions)):
         raise DivergenceError("non-finite prediction in forward pass")
-    return ForwardCache(params=params, streams=(a, f, s), layers=list(into.layers), predictions=predictions)
-
-
-def _input_gradient(x: np.ndarray, d_h_extra: np.ndarray) -> np.ndarray:
-    """The array a layer's backward pass writes its input gradient into:
-    `d_h_extra` itself when x has its shape, as every layer above the
-    first does, else a new one. Step t's gradient is written only after
-    step t has read d_h_extra[t], and the steps run backwards, so no value
-    is overwritten before it is read."""
-    return d_h_extra if d_h_extra.shape == x.shape else np.empty_like(x)
+    return ForwardCache(params, (a, f, s), into.x, list(into.layers), into.h, predictions)
 
 
 def _lstm_backward(
-    lc: _LstmLayerCache, layer: LstmLayerParameters, d_h_extra: np.ndarray, grad: LstmLayerParameters
+    cache: ForwardCache, layers: list[LstmLayerParameters], d_h: np.ndarray, grads: list[LstmLayerParameters]
 ) -> np.ndarray:
-    """Accumulates the layer's gradients into `grad`'s (zero) arrays and
-    returns the gradient with respect to the layer input, written over
-    `d_h_extra` when the two have one shape (see `_input_gradient`)."""
-    steps, hid, n = lc.h.shape
-    dW, dU, db = grad.W, grad.U, grad.b
-    dx = _input_gradient(lc.x, d_h_extra)
+    """Accumulates the memory-cell stack's gradients into `grads`' (zero)
+    arrays, given `d_h`, the gradient into the top layer's last h, and
+    returns the (T, D, n) gradient with respect to the fused input.
+
+    Step-major, as the forward pass: t runs downwards, and at each t the
+    layers from the top down. Each layer carries its recurrent dh and dc,
+    tanh(c_t) and h_t in (H, n) buffers; as it leaves step t it recomputes
+    tanh(c_{t-1}) and h_{t-1} = o_{t-1} * tanh(c_{t-1}) with the forward
+    pass's calls, so the bits match. The layer above has read h_t by then.
+    Each layer's input gradient at step t is the upstream gradient of the
+    layer below at the same step, passed in one (H, n) buffer."""
+    steps, hid, n = cache.steps, cache.h.shape[0], cache.n_windows
+    top = len(layers) - 1
+    dx = np.empty_like(cache.x)
     dA = np.empty((4 * hid, n))
     dF, dI, dO, dG = dA[:hid], dA[hid : 2 * hid], dA[2 * hid : 3 * hid], dA[3 * hid :]
-    tc = np.empty((hid, n))
-    dh_rec = np.zeros((hid, n))
-    dc_rec = np.zeros((hid, n))
-    F, I, O, G = lc.f, lc.i, lc.o, lc.g
+    zeros, d_up, dh, dc, tmp = (np.zeros((hid, n)) for _ in range(5))
+    tcs = [np.tanh(lc.c[-1]) for lc in cache.layers]
+    hs = [np.multiply(lc.o[-1], tc) for lc, tc in zip(cache.layers, tcs)]
+    dh_recs = [np.zeros((hid, n)) for _ in layers]
+    dc_recs = [np.zeros((hid, n)) for _ in layers]
+    gates = [(lc.f, lc.i, lc.o, lc.g) for lc in cache.layers]
     for t in range(steps - 1, -1, -1):
-        f, i, o, g = F[t], I[t], O[t], G[t]
-        np.tanh(lc.c[t], out=tc)
-        dh = d_h_extra[t] + dh_rec
-        dc = dc_rec + dh * o * (1.0 - tc**2)
-        if t > 0:
-            np.multiply(dc, lc.c[t - 1], out=dF)
-            dF *= f
-            dF *= 1.0 - f
-        else:
-            dF[...] = 0.0
-        np.multiply(dc, g, out=dI)
-        dI *= i
-        dI *= 1.0 - i
-        np.multiply(dh, tc, out=dO)
-        dO *= o
-        dO *= 1.0 - o
-        np.multiply(dc, i, out=dG)
-        dG *= 1.0 - g**2
-        dW += dA @ lc.x[t].T
-        if t > 0:
-            dU += dA @ lc.h[t - 1].T
-        db += dA.sum(axis=1)
-        np.matmul(layer.W.T, dA, out=dx[t])
-        dh_rec = layer.U.T @ dA
-        dc_rec = dc * f
+        for l in range(top, -1, -1):
+            C, (F, I, O, G), layer, grad, tc, h = cache.layers[l].c, gates[l], layers[l], grads[l], tcs[l], hs[l]
+            f, i, o, g = F[t], I[t], O[t], G[t]
+            upstream = d_up if l < top else d_h if t == steps - 1 else zeros
+            np.add(upstream, dh_recs[l], out=dh)
+            # dc = dc_rec + dh * o * (1 - tanh(c)^2)
+            np.square(tc, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            np.multiply(dh, o, out=dc)
+            dc *= tmp
+            dc += dc_recs[l]
+            if t > 0:
+                np.multiply(dc, C[t - 1], out=dF)
+                dF *= f
+                np.subtract(1.0, f, out=tmp)
+                dF *= tmp
+            else:
+                dF[...] = 0.0
+            np.multiply(dc, g, out=dI)
+            dI *= i
+            np.subtract(1.0, i, out=tmp)
+            dI *= tmp
+            np.multiply(dh, tc, out=dO)
+            dO *= o
+            np.subtract(1.0, o, out=tmp)
+            dO *= tmp
+            np.multiply(dc, i, out=dG)
+            np.square(g, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            dG *= tmp
+            grad.W += dA @ (cache.x[t] if l == 0 else hs[l - 1]).T
+            if t > 0:
+                np.tanh(C[t - 1], out=tc)
+                np.multiply(O[t - 1], tc, out=h)
+                grad.U += dA @ h.T
+            grad.b += dA.sum(axis=1)
+            np.matmul(layer.W.T, dA, out=dx[t] if l == 0 else d_up)
+            np.matmul(layer.U.T, dA, out=dh_recs[l])
+            np.multiply(dc, f, out=dc_recs[l])
     return dx
 
 
 def _rnn_backward(
-    lc: _RnnLayerCache, layer: RnnLayerParameters, d_h_extra: np.ndarray, grad: RnnLayerParameters
+    cache: ForwardCache, layers: list[RnnLayerParameters], d_h: np.ndarray, grads: list[RnnLayerParameters]
 ) -> np.ndarray:
-    """Like `_lstm_backward`, for a tanh layer."""
-    steps, hid, n = lc.s.shape
-    dU, dW = grad.U, grad.W
-    dx = _input_gradient(lc.x, d_h_extra)
-    ds_rec = np.zeros((hid, n))
-    for t in range(steps - 1, -1, -1):
-        da = d_h_extra[t] + ds_rec
-        da *= 1.0 - lc.s[t] ** 2
-        dU += da @ lc.x[t].T
-        if t > 0:
-            dW += da @ lc.s[t - 1].T
-        np.matmul(layer.U.T, da, out=dx[t])
-        ds_rec = layer.W.T @ da
-    return dx
+    """Like `_lstm_backward`, for a tanh stack, layer by layer: a tanh
+    layer's states are its output, so they are all held, and each layer's
+    upstream gradient is a (T, H, n) buffer, which its input gradient
+    overwrites once a step has read it when the two have one shape."""
+    d_h_extra = np.zeros((cache.steps,) + d_h.shape)
+    d_h_extra[-1] = d_h
+    for l in range(len(layers) - 1, -1, -1):
+        S, x = cache.layers[l].s, cache.x if l == 0 else cache.layers[l - 1].s
+        layer, dU, dW = layers[l], grads[l].U, grads[l].W
+        dx = d_h_extra if d_h_extra.shape == x.shape else np.empty_like(x)
+        ds_rec = np.zeros(d_h.shape)
+        for t in range(S.shape[0] - 1, -1, -1):
+            da = d_h_extra[t] + ds_rec
+            da *= 1.0 - S[t] ** 2
+            dU += da @ x[t].T
+            if t > 0:
+                dW += da @ S[t - 1].T
+            np.matmul(layer.U.T, da, out=dx[t])
+            ds_rec = layer.W.T @ da
+        d_h_extra = dx
+    return d_h_extra
 
 
 def backward_batch(cache: ForwardCache, d_predictions: np.ndarray) -> NetworkParameters:
@@ -576,38 +594,28 @@ def backward_batch(cache: ForwardCache, d_predictions: np.ndarray) -> NetworkPar
     every parameter, as a model of the same shape: each gradient sits where
     its parameter does.
 
-    The pass recomputes each step's tanh(c_t) from the cached c_t, with the
-    call the forward pass made, so the bits match a stored copy. Each layer
-    writes its input gradient over its own upstream-gradient buffer once a
-    step has read it, whenever their shapes agree (every layer above the
-    first; the first too when hidden == fused_dim). That buffer is the
-    pass's own: the cache, its streams and `d_predictions` are only read.
+    A memory-cell stack runs step-major and recomputes each step's tanh(c)
+    and h from the cached gates and c, with the calls the forward pass
+    made, so the bits match stored copies; its per-layer state is (H, n)
+    buffers, and only the fused input's gradient has a step axis. A tanh
+    stack runs layer by layer. The pass writes only its own arrays: the
+    cache, its streams and `d_predictions` are only read.
     """
     cache._require_every_step("the backward pass")
     params = cache.params
     d_pred = np.asarray(d_predictions, dtype=np.float64)
     if d_pred.shape != cache.predictions.shape:
         raise ValueError(f"upstream gradient shape {d_pred.shape} != predictions {cache.predictions.shape}")
-    steps = cache.steps
-    n = cache.n_windows
     grads = NetworkParameters(params.shape)
 
-    grads.head.w[...] = cache.layers[-1].hidden[-1] @ d_pred
+    grads.head.w[...] = cache.h @ d_pred
     grads.head.b[...] = d_pred.sum()
+    backward = _lstm_backward if params.shape.cell == LSTM else _rnn_backward
+    d_x = backward(cache, params.layers, np.outer(params.head.w, d_pred), grads.layers)
 
-    # d_h_extra[t]: gradient flowing into h_t of the current layer from
-    # outside the recurrence (head at the last step, or the layer above).
-    d_h_extra = np.zeros((steps, params.shape.hidden, n))
-    d_h_extra[-1] = np.outer(params.head.w, d_pred)
-
-    for lc, layer, grad in reversed(list(zip(cache.layers, params.layers, grads.layers))):
-        backward = _lstm_backward if isinstance(layer, LstmLayerParameters) else _rnn_backward
-        d_h_extra = backward(lc, layer, d_h_extra, grad)
-
-    # d_h_extra now holds the gradient wrt the fused input (T, D, n).
     width = params.shape.width
     for j, (stream, (dW, db)) in enumerate(zip(cache.streams, grads.fusion.projections())):
-        d_proj = d_h_extra[:, j * width : (j + 1) * width]
+        d_proj = d_x[:, j * width : (j + 1) * width]
         dW[...] = np.einsum("tin,ntj->ij", d_proj, stream)
         db[...] = d_proj.sum(axis=(0, 2))
     return grads

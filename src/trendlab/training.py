@@ -162,8 +162,9 @@ def train(
     backpropagates the RMSE cost, and takes one Adam step. Deterministic
     per (dataset, config).
 
-    The run holds one set of activation buffers: every step's gates, h and
-    c, but not tanh(c), which the backward pass recomputes. The Adam step
+    The run holds one set of activation buffers: the fused input and every
+    step's gates and c, but neither h nor tanh(c), which the backward pass
+    recomputes (a tanh layer holds its states). The Adam step
     updates the parameter vector in place, so each epoch's forward, and the
     final train-split evaluation, runs into the previous epoch's cache
     (`forward_batch(streams, cache)`): the same calls as with fresh arrays,

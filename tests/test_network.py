@@ -59,6 +59,20 @@ def scalar_net(shape: ModelShape, **values: float) -> NetworkParameters:
     return params
 
 
+def hidden(lc) -> np.ndarray:
+    """A layer's hidden states at the steps its cache holds: a tanh layer's
+    s, or a memory-cell layer's h = o * tanh(c), recomputed step by step
+    with the forward pass's two calls, so the bits are the ones it fed the
+    layer above."""
+    if not hasattr(lc, "gates"):
+        return lc.s
+    h, tc = np.empty_like(lc.c), np.empty_like(lc.c[0])
+    for t in range(lc.depth):
+        np.tanh(lc.c[t], out=tc)
+        np.multiply(lc.o[t], tc, out=h[t])
+    return h
+
+
 def fundamental_only(values) -> tuple:
     steps = len(values)
     return one_window(np.array(values, dtype=np.float64)[:, None], np.zeros((steps, 1)), np.zeros((steps, 1)))
@@ -107,7 +121,7 @@ def test_lstm_step_all_zero():
     params = zeroed(init_parameters(SCALAR_SHAPE, seed=0))
     lc = forward_batch(fundamental_only([0.0]), params).layers[0]
     assert lc.f[0, 0, 0] == 0.5 and lc.i[0, 0, 0] == 0.5 and lc.o[0, 0, 0] == 0.5
-    assert lc.c[0, 0, 0] == 0.0 and lc.h[0, 0, 0] == 0.0
+    assert lc.c[0, 0, 0] == 0.0 and hidden(lc)[0, 0, 0] == 0.0
 
 
 # Step 0 writes the memory (input gate open on the fundamental input 1,
@@ -118,12 +132,14 @@ MEMORY_WRITE = {"layers.0.W_i": 20.0, "layers.0.b_i": -10.0, "layers.0.b_c": 10.
 
 def _two_step_memory(b_f: float):
     params = scalar_net(SCALAR_SHAPE, **MEMORY_WRITE, **{"layers.0.b_f": b_f})
-    lc = forward_batch(fundamental_only([1.0, 0.0]), params).layers[0]
+    cache = forward_batch(fundamental_only([1.0, 0.0]), params)
+    lc = cache.layers[0]
     h, c = 0.0, 0.0
     for x in (1.0, 0.0):
         h, c, gates = scalar_lstm_step(x, h, c, 0, 0, b_f, 20.0, 0, -10.0, 0, 0, 10.0, 0, 0, 10.0)
     assert abs(lc.c[1, 0, 0] - c) < 1e-12
-    assert abs(lc.h[1, 0, 0] - h) < 1e-12
+    assert abs(hidden(lc)[1, 0, 0] - h) < 1e-12
+    assert cache.h[0, 0] == hidden(lc)[1, 0, 0]
     assert abs(lc.f[1, 0, 0] - gates["f"]) < 1e-12
     return lc
 
@@ -132,7 +148,7 @@ def test_lstm_step_memory_retention():
     lc = _two_step_memory(b_f=10.0)
     assert lc.c[0, 0, 0] == pytest.approx(0.99995, abs=5e-5)
     assert lc.c[1, 0, 0] == pytest.approx(0.99995, abs=5e-5)
-    assert lc.h[1, 0, 0] == pytest.approx(0.7615, abs=5e-4)
+    assert hidden(lc)[1, 0, 0] == pytest.approx(0.7615, abs=5e-4)
 
 
 def test_lstm_step_memory_erasure():
@@ -303,7 +319,7 @@ def fused(params: NetworkParameters, a, f, s=None) -> np.ndarray:
     """The fused input vector `forward_batch` feeds the first layer for a
     one-step window with stream vectors a, f and s."""
     streams = tuple(None if v is None else np.asarray(v, dtype=np.float64)[None, None] for v in (a, f, s))
-    return forward_batch(streams, params).layers[0].x[0, :, 0]
+    return forward_batch(streams, params).x[0, :, 0]
 
 
 def test_project_identity():
@@ -500,7 +516,7 @@ def test_gate_bounds_and_memory_decomposition():
     for lc in cache.layers:
         for arr in (lc.f, lc.i, lc.o):
             assert np.all(arr > 0.0) and np.all(arr < 1.0)
-        assert np.all(np.abs(cache.layers[-1].h) < 1.0)
+        assert np.all(np.abs(hidden(lc)) < 1.0)
         # c_t = f_t * c_{t-1} + i_t * candidate, re-checkable exactly
         for t in range(cache.steps):
             c_prev = lc.c[t - 1] if t > 0 else np.zeros_like(lc.c[0])
@@ -597,11 +613,16 @@ def _assert_kernel_matches_reference(params, streams, d_pred) -> None:
 
     cache = forward_batch(streams, params)
     np.testing.assert_allclose(cache.predictions, want_pred, rtol=0, atol=KERNEL_TOLERANCE)
+    x = cache.x
     for lc, want in zip(cache.layers, want_caches):
+        # A memory-cell layer holds gates and c: its input is the fused
+        # input or the layer below's h, and h and tanh(c) are recomputed.
+        held = {"x": x, "h": hidden(lc), "tanh_c": np.tanh(lc.c) if hasattr(lc, "c") else None}
         for key, array in want.items():
-            # The cache holds c, not tanh(c), which the backward pass recomputes.
-            got = np.tanh(lc.c) if key == "tanh_c" else getattr(lc, key)
+            got = held[key] if key in held else getattr(lc, key)
             np.testing.assert_allclose(got.transpose(0, 2, 1), array, rtol=0, atol=KERNEL_TOLERANCE, err_msg=key)
+        x = hidden(lc)
+    np.testing.assert_array_equal(cache.h, x[-1])
     grads = backward_batch(cache, d_pred).param_dict()
     assert list(grads) == [name for name, _ in params.param_items()]
     for name, g in grads.items():
@@ -653,11 +674,13 @@ def test_forward_into_a_last_step_cache_equals_a_full_forward(case):
     for into in (last_step_cache(params, n, steps), stale):
         last = forward_batch(streams, into)
         assert np.array_equal(last.predictions, full.predictions)
+        assert np.array_equal(last.x, full.x) and np.array_equal(last.h, full.h)
         for lc, want in zip(last.layers, full.layers):
             assert type(lc) is type(want)
             for name, got in vars(lc).items():
-                # x and h keep every step; gates and c the last one.
+                # A tanh layer's s keeps every step; gates and c the last one.
                 assert np.array_equal(got, getattr(want, name)[-got.shape[0] :]), name
+            assert np.array_equal(hidden(lc)[-1], hidden(want)[-1])
 
 
 def test_a_last_step_cache_is_under_a_quarter_of_a_full_cache():
@@ -676,18 +699,23 @@ def test_a_last_step_cache_is_under_a_quarter_of_a_full_cache():
     last_bytes = sum(a.nbytes for a in last.buffers())
     assert last_bytes <= 0.25 * full_bytes
     assert peak <= 0.3 * full_bytes
-    # The same limits in bytes, as they read when a full cache held 57,727,008.
-    assert last_bytes <= 14.43e6
-    assert peak <= 17.32e6
+    # In bytes: x + 3 x one step of (gates + c) + the top h = 4,379,680,
+    # and a traced peak of 6,199,144. When every layer held every step's h,
+    # they read 12,291,360 and 13,658,560.
+    assert last_bytes <= 4.5e6
+    assert peak <= 6.5e6
 
 
-def test_a_full_forward_holds_gates_h_and_c_only():
+def test_a_full_forward_holds_gates_and_c_only():
     """The paper's 3 x 32 LSTM over 883 windows of 12 steps: the fused input
-    plus, per layer, every step's gates, h and c, x + 3 x (gates + h + c) =
-    49,589,280 bytes. tanh(c) is recomputed by the backward pass, not held."""
+    plus, per layer, every step's gates and c, x + 3 x (gates + c) =
+    41,451,552 bytes, and the top layer's last h. Neither tanh(c) nor any
+    layer's h is held at every step: the backward pass recomputes them.
+    Holding every step's h as well read 49,589,280 bytes."""
     params = init_parameters(ModelShape(), seed=0)
     cache = forward_batch(_random_streams(0, windows=883, steps=12, sentiment=True), params)
-    assert sum(a.nbytes for a in cache.buffers()) <= 50.0e6
+    top_h = 32 * 883 * 8
+    assert sum(a.nbytes for a in cache.buffers()) == 41_451_552 + top_h
 
 
 def test_saturated_gates_raise_no_overflow_warning():
@@ -817,5 +845,5 @@ def test_all_gate_traces_cover_layers_and_windows():
 def test_rnn_has_no_gate_traces():
     params = init_parameters(ModelShape(cell="rnn", layers=2, hidden=3), seed=0)
     cache = forward_batch(one_window(np.zeros((4, 3)), np.zeros((4, 3)), np.zeros((4, 1))), params)
-    assert [sorted(vars(lc)) for lc in cache.layers] == [["s", "x"], ["s", "x"]]
+    assert [sorted(vars(lc)) for lc in cache.layers] == [["s"], ["s"]]
     assert cache.predictions.shape == (1,)
