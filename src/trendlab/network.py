@@ -66,7 +66,9 @@ stack runs layer by layer in both passes, since its states are both its
 state and its output.
 
 Everything is float64 and deterministic: identical inputs and parameters
-give bit-identical outputs.
+give bit-identical outputs on one machine at one BLAS thread count. OpenBLAS
+splits a GEMM differently on one thread than on two, so the last bits of a
+large batch's results can differ between the two.
 """
 
 from __future__ import annotations
@@ -323,7 +325,7 @@ class ForwardCache:
 
     params: NetworkParameters
     streams: tuple[np.ndarray, np.ndarray, np.ndarray | None]  # (n, T, d) each
-    x: np.ndarray            # (T, D, n) fused input, the first layer's
+    x: np.ndarray            # (T, D, n) fused input, which the first layer reads
     layers: list[_LstmLayerCache | _RnnLayerCache]
     h: np.ndarray            # (H, n) the top layer's last hidden state, which the head reads
     predictions: np.ndarray  # (n,)
