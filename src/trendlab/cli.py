@@ -228,8 +228,8 @@ def cmd_predict(cfg: RunConfig) -> int:
             )
     window = checkpoint.config.window
     streams = inference_windows(frame, window, checkpoint.column_scales, use_sentiment)
-    # Predictions need no backward pass: each memory-cell layer keeps one
-    # step of gates and cell state instead of all of them.
+    # Predictions need no backward pass: each layer keeps one step of its
+    # activations instead of all of them.
     cache = forward_batch(streams, last_step_cache(checkpoint.params, *streams[0].shape[:2]))
     prices = denormalize(cache.predictions, checkpoint.scale)
 

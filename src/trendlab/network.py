@@ -29,41 +29,39 @@ pre-activations are one GEMM (Appleyard, Kocisky & Blunsom 2016,
 arXiv:1604.01946). `NetworkParameters.param_items` names the per-gate row
 blocks `layers.k.W_f`, `layers.k.U_i`, ... and hands them out as views.
 
-A forward pass writes its activations (the fused input, and per layer the
-stacked gate buffer and c, or a tanh layer's states) into arrays it
-allocates, or, given a cache in place of the parameters, into that cache's
-arrays, as Appleyard et al. preallocate theirs. The cache stands for its own
-model, so the only check is that it covers the same window count and step
-count as the streams; any other raises ValueError, with no fallback to fresh
-arrays. The same ufunc and BLAS calls run in the same order, only into other
-destinations, so the results are bit-identical to a fresh forward's, and the
-cache given is stale afterwards. Full-batch training runs each epoch into
+Both stacks run step-major in both passes, the wavefront order of Appleyard
+et al.: each step runs every layer in turn, so the layer above reads a
+layer's output at the step it is made. A forward pass writes the fused
+input, the top layer's last hidden state, which the head reads, and each
+layer's activations (a memory-cell layer's gates and c, a tanh layer's
+states) into a cache, at one of two depths: every step (depth T, what a
+forward allocates and what the backward pass and the forget-gate mean
+read), or the last step only (depth 1, from `last_step_cache`, for
+predictions; those two readers refuse it). Step t sits at row t % depth,
+and is computed there with one GEMM of the step's input and one of the
+recurrent state, whatever the depth, so the predictions are bit-identical
+at either depth. The backward pass runs t downwards and, at each t, the
+layers from the top down. A layer's input gradient at step t is the layer
+below's upstream gradient at the same step, so it passes in one (h, n)
+buffer; only the fused input's gradient has a step axis.
+
+Given a cache in place of the parameters, a forward pass writes into that
+cache's arrays, as Appleyard et al. preallocate theirs, and returns it. The
+cache stands for its own model, so the only check is that it covers the
+same window count and step count as the streams; any other raises
+ValueError, with no fallback to fresh arrays. The same ufunc and BLAS calls
+run in the same order, only into other destinations, so the results are
+bit-identical to a fresh forward's. Full-batch training runs each epoch into
 the last epoch's cache, so a run holds one set of activations, the memory
 that dominates exact BPTT (Chen et al. 2016, arXiv:1604.06174), instead of
 two.
 
-A memory-cell stack runs step-major in both passes, the wavefront order of
-Appleyard et al.: each step runs every layer in turn, so a layer's h is read
-by the layer above at the step it is made, and lives in one (h, n) buffer.
-Its cache holds only gates and c, at one of two depths: every step (depth T,
-what a forward allocates and what the backward pass and the forget-gate mean
-read), or the last step only (depth 1, from `last_step_cache`, for
-predictions; those two readers refuse it). Step t sits at row t % depth,
-and each step's gates are computed in that row: one GEMM of the step's
-input, one of the recurrent h, whatever the depth, so the predictions are
-bit-identical at either depth. The cache also holds the top layer's last h,
-which the head reads.
-
-Neither tanh(c) nor h is held at any step: the backward pass runs t
-downwards and, at each t, the layers from the top down, and recomputes
-tanh(c_{t-1}) and h_{t-1} = o_{t-1} * tanh(c_{t-1}) from the cache with the
-forward pass's two calls, one tanh and one product per layer and step: the
-cheap end of the store-or-recompute trade of memory-efficient BPTT (Gruslys
-et al. 2016, arXiv:1606.03401). A layer's input gradient at step t is the
-layer below's upstream gradient at the same step, so it passes in one
-(h, n) buffer; only the fused input's gradient has a step axis. A tanh
-stack runs layer by layer in both passes, since its states are both its
-state and its output.
+A memory-cell layer's h lives in one (h, n) buffer, and neither tanh(c) nor
+h is held at any step: the backward pass recomputes tanh(c_{t-1}) and
+h_{t-1} = o_{t-1} * tanh(c_{t-1}) from the cache with the forward pass's two
+calls, one tanh and one product per layer and step: the cheap end of the
+store-or-recompute trade of memory-efficient BPTT (Gruslys et al. 2016,
+arXiv:1606.03401).
 
 Everything is float64 and deterministic: identical inputs and parameters
 give bit-identical outputs on one machine at one BLAS thread count. OpenBLAS
@@ -292,16 +290,11 @@ def init_parameters(shape: ModelShape, seed: int, forget_bias: float = 1.0) -> N
 
 @dataclass
 class _LstmLayerCache:
-    """A memory-cell layer's gates and c at `depth` steps. Neither its input
-    nor its h is held: h_t = o_t * tanh(c_t) is recomputed where it is read."""
+    """A memory-cell layer's gates and c. Neither its input nor its h is
+    held: h_t = o_t * tanh(c_t) is recomputed where it is read."""
 
     gates: np.ndarray    # (depth, 4H, n) gate activations, row blocks f, i, o, g
     c: np.ndarray        # (depth, H, n) cell states
-
-    @property
-    def depth(self) -> int:
-        """Steps held: T, or 1 for the last step only."""
-        return self.gates.shape[0]
 
     def _gate(self, j: int) -> np.ndarray:
         hid = self.c.shape[1]
@@ -315,7 +308,9 @@ class _LstmLayerCache:
 
 @dataclass
 class _RnnLayerCache:
-    s: np.ndarray        # (T, H, n) states, also the layer's output
+    """A tanh layer's states, which are also its output."""
+
+    s: np.ndarray        # (depth, H, n) states
 
 
 @dataclass
@@ -338,6 +333,11 @@ class ForwardCache:
     def steps(self) -> int:
         return self.x.shape[0]
 
+    @property
+    def depth(self) -> int:
+        """Steps held, the first axis of every layer's arrays: T, or 1."""
+        return len(self.buffers()[1])
+
     def buffers(self) -> list[np.ndarray]:
         """The activation arrays a forward pass writes: the fused input,
         each layer's, and the top h. Another forward given this cache in
@@ -345,32 +345,30 @@ class ForwardCache:
         return [self.x] + [a for lc in self.layers for a in vars(lc).values()] + [self.h]
 
     def _require_every_step(self, reader: str) -> None:
-        if any(isinstance(lc, _LstmLayerCache) and lc.depth < self.steps for lc in self.layers):
-            raise ValueError(f"{reader} needs every step's gates, and this cache keeps only the last step")
+        if self.depth < self.steps:
+            raise ValueError(f"{reader} needs every step's activations, and this cache keeps only the last step")
 
 
 def _empty_cache(params: NetworkParameters, n: int, steps: int, depth: int) -> ForwardCache:
     """A cache of `params` over new uninitialised arrays for n windows of
-    `steps` steps, each memory-cell layer holding gates and c at `depth`
-    steps (`steps` or 1). Its predictions are NaN until a forward
-    runs into it."""
+    `steps` steps, each layer's at `depth` steps (`steps` or 1). Its
+    predictions are NaN until a forward runs into it."""
     shape = params.shape
     hid = shape.hidden
     if shape.cell == LSTM:
         layers = [_LstmLayerCache(np.empty((depth, 4 * hid, n)), np.empty((depth, hid, n)))
                   for _ in range(shape.layers)]
     else:
-        layers = [_RnnLayerCache(np.empty((steps, hid, n))) for _ in range(shape.layers)]
+        layers = [_RnnLayerCache(np.empty((depth, hid, n))) for _ in range(shape.layers)]
     x = np.empty((steps, shape.fused_dim, n))
     return ForwardCache(params, (), x, layers, np.empty((hid, n)), np.full(n, np.nan))
 
 
 def last_step_cache(params: NetworkParameters, n_windows: int, steps: int) -> ForwardCache:
     """A cache of `params` to forward n_windows windows of `steps` steps
-    into, for predictions only: each memory-cell layer keeps one step of
-    gates and c, so the backward pass and the forget-gate mean refuse the
-    result. Its buffers are the fused input, one step per layer and the
-    top h."""
+    into, for predictions only: each layer keeps one step, so the backward
+    pass and the forget-gate mean refuse the result. Its buffers are the
+    fused input, one step per layer and the top h."""
     return _empty_cache(params, n_windows, steps, depth=1)
 
 
@@ -402,7 +400,7 @@ def _lstm_forward(cache: ForwardCache, layers: list[LstmLayerParameters]) -> Non
     top layer's is the cache's h): the layer above reads it at the same
     step, the layer's own recurrence at the next."""
     hid, n = cache.h.shape
-    depth = cache.layers[0].depth
+    depth = cache.depth
     hs = [np.empty((hid, n)) for _ in layers[:-1]] + [cache.h]
     rec = np.empty((4 * hid, n))
     tc = np.empty((hid, n))
@@ -431,20 +429,24 @@ def _lstm_forward(cache: ForwardCache, layers: list[LstmLayerParameters]) -> Non
 
 
 def _rnn_forward(cache: ForwardCache, layers: list[RnnLayerParameters]) -> None:
-    """Fills each tanh layer's states s from its input, layer by layer, and
-    copies the top layer's last state to the cache's h."""
-    x = cache.x
-    for lc, layer in zip(cache.layers, layers):
-        S = lc.s
-        np.matmul(layer.U, x, out=S)                      # (T, H, n)
-        rec = np.empty(S.shape[1:])
-        for t in range(S.shape[0]):
+    """Fills each tanh layer's states s, step-major as `_lstm_forward`: step
+    t lives at row t % depth, where the layer above reads it at the same
+    step. Copies the top layer's last state to the cache's h."""
+    depth = cache.depth
+    rec = np.empty(cache.h.shape)
+    for t in range(cache.steps):
+        k = t % depth
+        x = cache.x[t]
+        for lc, layer in zip(cache.layers, layers):
+            S = lc.s
+            if t > 0:  # before row k, which is row t - 1 at depth 1, is written
+                np.matmul(layer.W, S[(t - 1) % depth], out=rec)
+            np.matmul(layer.U, x, out=S[k])
             if t > 0:
-                np.matmul(layer.W, S[t - 1], out=rec)
-                S[t] += rec
-            np.tanh(S[t], out=S[t])
-        x = S
-    np.copyto(cache.h, x[-1])
+                S[k] += rec
+            np.tanh(S[k], out=S[k])
+            x = S[k]
+    np.copyto(cache.h, x)
 
 
 def forward_batch(
@@ -456,8 +458,8 @@ def forward_batch(
     layer's last h.
 
     A cache given in place of `params` stands for its own model and
-    buffers: every activation is written into its arrays, and the cache
-    returned is over them. The given cache is stale afterwards, and holds
+    buffers: every activation is written into its arrays, and it is the
+    cache returned, with this call's streams and predictions. It holds
     partial values if the call raises. It must cover as many windows and
     steps as the streams, or ValueError is raised. A loop that updates the
     parameter vector in place can so run each step into the last step's cache.
@@ -470,15 +472,12 @@ def forward_batch(
     shape = params.shape
     a = _as_batch(streams[0], "fundamental", shape.d_a)
     f = _as_batch(streams[1], "technical", shape.d_f)
+    s = None
     if shape.d_s is not None:
         if streams[2] is None:
             raise ValueError("parameters expect a sentiment stream but none was given")
         s = _as_batch(streams[2], "sentiment", shape.d_s)
-        if s.shape[:2] != a.shape[:2]:
-            raise ValueError("stream batch/step shapes differ")
-    else:
-        s = None
-    if f.shape[:2] != a.shape[:2]:
+    if any(stream is not None and stream.shape[:2] != a.shape[:2] for stream in (f, s)):
         raise ValueError("stream batch/step shapes differ")
     if a.shape[1] < 1:
         raise ValueError("window must contain at least one step")
@@ -494,7 +493,8 @@ def forward_batch(
     predictions = params.head.w @ into.h + float(params.head.b)
     if not np.all(np.isfinite(predictions)):
         raise DivergenceError("non-finite prediction in forward pass")
-    return ForwardCache(params, (a, f, s), into.x, list(into.layers), into.h, predictions)
+    into.streams, into.predictions = (a, f, s), predictions
+    return into
 
 
 def _lstm_backward(
@@ -568,27 +568,27 @@ def _lstm_backward(
 def _rnn_backward(
     cache: ForwardCache, layers: list[RnnLayerParameters], d_h: np.ndarray, grads: list[RnnLayerParameters]
 ) -> np.ndarray:
-    """Like `_lstm_backward`, for a tanh stack, layer by layer: a tanh
-    layer's states are its output, so they are all held, and each layer's
-    upstream gradient is a (T, H, n) buffer, which its input gradient
-    overwrites once a step has read it when the two have one shape."""
-    d_h_extra = np.zeros((cache.steps,) + d_h.shape)
-    d_h_extra[-1] = d_h
-    for l in range(len(layers) - 1, -1, -1):
-        S, x = cache.layers[l].s, cache.x if l == 0 else cache.layers[l - 1].s
-        layer, dU, dW = layers[l], grads[l].U, grads[l].W
-        dx = d_h_extra if d_h_extra.shape == x.shape else np.empty_like(x)
-        ds_rec = np.zeros(d_h.shape)
-        for t in range(S.shape[0] - 1, -1, -1):
-            da = d_h_extra[t] + ds_rec
-            da *= 1.0 - S[t] ** 2
-            dU += da @ x[t].T
+    """Like `_lstm_backward`, for a tanh stack, in the same order: each
+    layer carries its recurrent gradient in an (H, n) buffer, and passes
+    its input gradient at step t to the layer below in another."""
+    steps, top = cache.steps, len(layers) - 1
+    dx = np.empty_like(cache.x)
+    zeros, d_up, da, tmp = (np.zeros(d_h.shape) for _ in range(4))
+    ds_recs = [np.zeros(d_h.shape) for _ in layers]
+    for t in range(steps - 1, -1, -1):
+        for l in range(top, -1, -1):
+            S, layer, grad = cache.layers[l].s, layers[l], grads[l]
+            upstream = d_up if l < top else d_h if t == steps - 1 else zeros
+            np.add(upstream, ds_recs[l], out=da)
+            np.square(S[t], out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            da *= tmp
+            grad.U += da @ (cache.x[t] if l == 0 else cache.layers[l - 1].s[t]).T
             if t > 0:
-                dW += da @ S[t - 1].T
-            np.matmul(layer.U.T, da, out=dx[t])
-            ds_rec = layer.W.T @ da
-        d_h_extra = dx
-    return d_h_extra
+                grad.W += da @ S[t - 1].T
+            np.matmul(layer.U.T, da, out=dx[t] if l == 0 else d_up)
+            np.matmul(layer.W.T, da, out=ds_recs[l])
+    return dx
 
 
 def backward_batch(cache: ForwardCache, d_predictions: np.ndarray) -> NetworkParameters:
@@ -596,12 +596,12 @@ def backward_batch(cache: ForwardCache, d_predictions: np.ndarray) -> NetworkPar
     every parameter, as a model of the same shape: each gradient sits where
     its parameter does.
 
-    A memory-cell stack runs step-major and recomputes each step's tanh(c)
-    and h from the cached gates and c, with the calls the forward pass
-    made, so the bits match stored copies; its per-layer state is (H, n)
-    buffers, and only the fused input's gradient has a step axis. A tanh
-    stack runs layer by layer. The pass writes only its own arrays: the
-    cache, its streams and `d_predictions` are only read.
+    Both stacks run step-major, their per-layer state in (H, n) buffers;
+    only the fused input's gradient has a step axis. A memory-cell stack
+    recomputes each step's tanh(c) and h from the cached gates and c, with
+    the calls the forward pass made, so the bits match stored copies. The
+    pass writes only its own arrays: the cache, its streams and
+    `d_predictions` are only read.
     """
     cache._require_every_step("the backward pass")
     params = cache.params

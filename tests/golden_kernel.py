@@ -4,7 +4,7 @@ a short training run ends at.
 
 A case is a cell (lstm, rnn), with or without the sentiment stream, at one
 batch size (windows x steps). Each case forwards streams A into new arrays
-and backpropagates, then forwards streams B into that cache, now stale, and
+and backpropagates, then forwards streams B into that cache and
 backpropagates again, then forwards B into a new last-step cache. The
 predictions and the gradient vector of each pass are hashed; the last-step
 predictions must hash as the reused ones do. The training entry is the

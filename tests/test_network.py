@@ -67,7 +67,7 @@ def hidden(lc) -> np.ndarray:
     if not hasattr(lc, "gates"):
         return lc.s
     h, tc = np.empty_like(lc.c), np.empty_like(lc.c[0])
-    for t in range(lc.depth):
+    for t in range(len(lc.c)):
         np.tanh(lc.c[t], out=tc)
         np.multiply(lc.o[t], tc, out=h[t])
     return h
@@ -453,7 +453,7 @@ def test_forward_into_a_stale_cache_equals_a_fresh_forward(cell, sentiment):
     # The cache stands for its own model: load the parameters into it.
     other.vector[...] = params.vector
     reused = forward_batch(streams, stale)
-    assert reused.params is other
+    assert reused is stale and reused.params is other
     assert all(a is b for a, b in zip(reused.buffers(), stale_buffers))
     assert len(reused.buffers()) == len(fresh.buffers())
     for got, want in zip(reused.buffers(), fresh.buffers()):
@@ -488,20 +488,23 @@ def test_a_cache_of_other_windows_is_rejected(windows, steps):
     "reader", [lambda cache: backward_batch(cache, np.ones(cache.n_windows)), mean_forget_activation],
     ids=["backward", "mean_forget"],
 )
-def test_a_last_step_cache_is_refused_where_every_step_is_read(reader):
-    params = init_parameters(ModelShape(layers=2, hidden=4), seed=0)
+@pytest.mark.parametrize("cell", ["lstm", "rnn"])
+def test_a_last_step_cache_is_refused_where_every_step_is_read(cell, reader):
+    params = init_parameters(ModelShape(cell=cell, layers=2, hidden=4), seed=0)
     cache = forward_batch(_random_streams(1, windows=3, steps=5, sentiment=True), last_step_cache(params, 3, 5))
     with pytest.raises(ValueError, match="keeps only the last step"):
         reader(cache)
 
 
-def test_a_one_step_last_step_cache_holds_every_step():
-    params = init_parameters(ModelShape(layers=2, hidden=4), seed=0)
+@pytest.mark.parametrize("cell", ["lstm", "rnn"])
+def test_a_one_step_last_step_cache_holds_every_step(cell):
+    params = init_parameters(ModelShape(cell=cell, layers=2, hidden=4), seed=0)
     streams = _random_streams(1, windows=3, steps=1, sentiment=True)
     fresh, last = forward_batch(streams, params), forward_batch(streams, last_step_cache(params, 3, 1))
     d_pred = np.arange(3.0)
     assert np.array_equal(backward_batch(last, d_pred).vector, backward_batch(fresh, d_pred).vector)
-    assert mean_forget_activation(last) == mean_forget_activation(fresh)
+    if cell == "lstm":
+        assert mean_forget_activation(last) == mean_forget_activation(fresh)
 
 
 def test_gate_bounds_and_memory_decomposition():
@@ -678,7 +681,7 @@ def test_forward_into_a_last_step_cache_equals_a_full_forward(case):
         for lc, want in zip(last.layers, full.layers):
             assert type(lc) is type(want)
             for name, got in vars(lc).items():
-                # A tanh layer's s keeps every step; gates and c the last one.
+                # Every layer array keeps the last step only.
                 assert np.array_equal(got, getattr(want, name)[-got.shape[0] :]), name
             assert np.array_equal(hidden(lc)[-1], hidden(want)[-1])
 
@@ -704,6 +707,19 @@ def test_a_last_step_cache_is_under_a_quarter_of_a_full_cache():
     # they read 12,291,360 and 13,658,560.
     assert last_bytes <= 4.5e6
     assert peak <= 6.5e6
+
+
+def test_a_tanh_last_step_cache_holds_one_step_per_layer():
+    """The 3 x 32 tanh stack over 883 windows of 12 steps: x + 3 x one step
+    of s + the top h = 1,667,104 bytes, against 9,126,688 for a full
+    forward, which holds every step of s. Before the tanh stack ran
+    step-major, its last-step cache held every step as well."""
+    params = init_parameters(ModelShape(cell="rnn"), seed=0)
+    streams = _random_streams(0, windows=883, steps=12, sentiment=True)
+    full_bytes = sum(a.nbytes for a in forward_batch(streams, params).buffers())
+    last_bytes = sum(a.nbytes for a in forward_batch(streams, last_step_cache(params, 883, 12)).buffers())
+    assert (full_bytes, last_bytes) == (9_126_688, 1_667_104)
+    assert last_bytes <= 0.25 * full_bytes
 
 
 def test_a_full_forward_holds_gates_and_c_only():
