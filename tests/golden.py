@@ -10,11 +10,11 @@ weekly memory-cell and tanh checkpoints; `features`; and `experiment all` at
 model is 2 x 4, small enough that the set runs in about a second; the 3 x 32
 kernel's bits are pinned by `golden_kernel.json`.
 
-Beside each hash the file keeps an 8-hex-digit fingerprint per line, so a
-mismatch names the file and prints its first differing line as it now
-reads, not a bare hash. The hashes depend on the BLAS kernels, so the file
-holds one set per `machine_line()`, as `golden_kernel.json` does. Record or
-refresh this machine's set with
+Beside each file's hash the golden file keeps the first 8 hex digits of
+each line's SHA-256, so a mismatch names the file and prints its first
+differing line as it now reads, not a bare hash. The hashes depend on the
+BLAS kernels, so the file holds one set per `machine_line()`, as
+`golden_kernel.json` does. Record or refresh this machine's set with
 
     python tests/golden.py --write
 
@@ -80,7 +80,8 @@ def commands() -> list[tuple[str, list[str]]]:
     for cell in ("lstm", "rnn"):
         for years in YEARS:
             name = f"predict_{cell}_{years}y"
-            config = _config(name, price_csv=f"daily_{years}y.csv", checkpoint=f"out/train_weekly_{cell}/checkpoint.json")
+            checkpoint = f"out/train_weekly_{cell}/checkpoint.json"
+            config = _config(name, price_csv=f"daily_{years}y.csv", checkpoint=checkpoint)
             runs.append((name, ["predict", "--config", config]))
     runs.append(("features", ["features", "--config", _config("features", price_csv="daily_4y.csv")]))
     segments = [["2030-01-07", "2030-12-30"], ["2031-01-06", "2031-12-29"], ["2032-01-05", "2032-12-27"]]
@@ -90,14 +91,6 @@ def commands() -> list[tuple[str, list[str]]]:
     )
     runs.append(("experiment_all", ["experiment", "all", "--config", experiment]))
     return runs
-
-
-def _entry(data: bytes) -> dict[str, str]:
-    lines = data.splitlines(keepends=True)
-    return {
-        "sha256": hashlib.sha256(data).hexdigest(),
-        "lines": "".join(hashlib.sha256(line).hexdigest()[:8] for line in lines),
-    }
 
 
 @contextlib.contextmanager
@@ -116,10 +109,9 @@ def _fixed_clock_in(work: Path):
             os.environ[CLOCK_ENV] = clock
 
 
-def run(work: Path) -> dict[str, dict]:
-    """Every command's exit code and output entries, keyed by command name,
-    each run in the empty directory `work`. The bytes the entries hash are
-    kept under the key "data" of each, for reporting a mismatch."""
+def run(work: Path) -> dict[str, tuple[int, dict[str, bytes]]]:
+    """Every command's exit code and output bytes (stdout, stderr and each
+    file it wrote), keyed by command name, run in the empty directory `work`."""
     outputs = {}
     with _fixed_clock_in(work):
         _write_inputs()
@@ -129,48 +121,57 @@ def run(work: Path) -> dict[str, dict]:
                 code = main(argv)
             files = {"<stdout>": stdout.getvalue().encode(), "<stderr>": stderr.getvalue().encode()}
             out = Path("out", name)
-            files.update((p.name, p.read_bytes()) for p in sorted(out.iterdir()) if out.is_dir())
-            outputs[name] = {"exit": code, "files": {k: {**_entry(v), "data": v} for k, v in files.items()}}
+            if out.is_dir():
+                files.update((path.name, path.read_bytes()) for path in sorted(out.iterdir()))
+            outputs[name] = code, files
     return outputs
 
 
-def recorded(outputs: dict[str, dict]) -> dict[str, dict]:
-    """`outputs` as the golden file holds them: without the bytes."""
+def _line_prints(data: bytes) -> str:
+    """The first 8 hex digits of each line's SHA-256, concatenated."""
+    return "".join(hashlib.sha256(line).hexdigest()[:8] for line in data.splitlines(keepends=True))
+
+
+def recorded(outputs: dict[str, tuple[int, dict[str, bytes]]]) -> dict[str, dict]:
+    """`outputs` as the golden file holds them: per file its SHA-256 and
+    line prints."""
     return {
-        name: {"exit": out["exit"], "files": {k: {"sha256": e["sha256"], "lines": e["lines"]} for k, e in out["files"].items()}}
-        for name, out in outputs.items()
+        name: {"exit": code, "files": {
+            f: {"sha256": hashlib.sha256(data).hexdigest(), "lines": _line_prints(data)} for f, data in files.items()
+        }}
+        for name, (code, files) in outputs.items()
     }
 
 
-def mismatches(outputs: dict[str, dict], golden: dict[str, dict]) -> list[str]:
+def mismatches(outputs: dict[str, tuple[int, dict[str, bytes]]], golden: dict[str, dict]) -> list[str]:
     """One message per command, exit code or file that differs from
     `golden`; a changed file's message gives its first differing line as
     it now reads."""
     found = [f"{name}: command not run" for name in golden if name not in outputs]
-    for name, out in outputs.items():
+    for name, (code, files) in outputs.items():
         want = golden.get(name)
         if want is None:
             found.append(f"{name}: command not recorded")
             continue
-        if out["exit"] != want["exit"]:
-            found.append(f"{name}: exit code {out['exit']}, recorded {want['exit']}")
-        found += [f"{name}/{f}: not written" for f in sorted(set(want["files"]) - set(out["files"]))]
-        for f, entry in out["files"].items():
+        if code != want["exit"]:
+            found.append(f"{name}: exit code {code}, recorded {want['exit']}")
+        found += [f"{name}/{f}: not written" for f in sorted(set(want["files"]) - set(files))]
+        for f, data in files.items():
             old = want["files"].get(f)
             if old is None:
                 found.append(f"{name}/{f}: not recorded")
-            elif entry["sha256"] != old["sha256"]:
-                found.append(f"{name}/{f}: {_first_difference(entry, old['lines'])}")
+            elif hashlib.sha256(data).hexdigest() != old["sha256"]:
+                found.append(f"{name}/{f}: {_first_difference(data, old['lines'])}")
     return found
 
 
-def _first_difference(entry: dict, recorded_lines: str) -> str:
-    lines = entry["data"].splitlines(keepends=True)
+def _first_difference(data: bytes, recorded_prints: str) -> str:
+    lines, prints = data.splitlines(keepends=True), _line_prints(data)
     for k, line in enumerate(lines):
-        if entry["lines"][8 * k : 8 * k + 8] != recorded_lines[8 * k : 8 * k + 8]:
+        if prints[8 * k : 8 * k + 8] != recorded_prints[8 * k : 8 * k + 8]:
             return f"line {k + 1} differs, now {line.decode(errors='replace')!r}"
-    if 8 * len(lines) < len(recorded_lines):
-        return f"ends after line {len(lines)}, recorded {len(recorded_lines) // 8} lines"
+    if len(prints) < len(recorded_prints):
+        return f"ends after line {len(lines)}, recorded {len(recorded_prints) // 8} lines"
     return "same lines, different bytes"
 
 
