@@ -8,16 +8,19 @@ four build one grid of cells, preparing each data variant (interval,
 segment, feature set, or window size) once and sharing that read-only bundle
 across the variant's (model, seed) cells. One failure policy: a variant that
 cannot be prepared, or a cell that fails or diverges, becomes error rows and
-the other cells still run. The cells run serially: each one issues thousands
-of microsecond-scale numpy calls that drop and retake the GIL, so threads
-would spend their time handing it back and forth and run the grid slower
-than one thread does.
+the other cells still run. The cells run in processes, one per usable CPU:
+the caller's own and forked helpers (see `_run_cells`). Threads would not
+help: each cell issues thousands of microsecond-scale numpy calls that drop
+and retake the GIL, so threads would spend their time handing it back and
+forth. Rows come back in grid order and are bit-equal to a serial run's.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
 import time
 from dataclasses import asdict, dataclass, replace
 from datetime import date
@@ -152,7 +155,134 @@ _Variant = tuple[str, str, str, int, Callable[[], FeatureFrame]]
 
 
 def _run_cells(tasks: Sequence[Callable[[], ReportRow]]) -> list[ReportRow]:
-    return [task() for task in tasks]
+    """Run every task and return the rows in task order.
+
+    The caller's process and `min(usable CPUs, tasks) - 1` helpers each take
+    the next unclaimed task index from one shared counter until none is
+    left. With one usable CPU, one task, or no "fork" start method (or no
+    `os.sched_getaffinity` to count usable CPUs), no helper starts and the
+    caller runs the same loop alone.
+
+    Helpers are forked, not spawned: a request is a few hundred
+    milliseconds, and a spawned worker would spend much of that importing
+    numpy and unpickling each task's prepared bundle. A forked helper
+    inherits the tasks and their shared read-only bundles, and only its
+    `(index, row)` results cross back, over its own pipe. The caller runs
+    cells too, so no CPU idles while it waits, and a wrapper that counts
+    calls in this process still sees the caller's share. Each helper inherits
+    the caller's BLAS thread count, so every cell's bits equal the serial
+    run's.
+
+    A cell that raises anywhere stops the hand-out of further cells; every
+    helper is joined before `_run_cells` raises. A helper's exception
+    reaches the caller with its type and message, its traceback attached as
+    the cause (an exception that does not pickle arrives as a RuntimeError
+    carrying its repr). A helper that exits without reporting raises a
+    RuntimeError.
+    """
+    import multiprocessing  # here, not at the top: train and predict never pay for the import
+
+    forking = "fork" in multiprocessing.get_all_start_methods() and hasattr(os, "sched_getaffinity")
+    ctx = multiprocessing.get_context("fork" if forking else None)
+    helpers = min(len(os.sched_getaffinity(0)), len(tasks)) - 1 if forking else 0
+    cells = _Cells(tasks, ctx.Value("q", 0))
+    started = []
+    try:
+        for _ in range(helpers):
+            receive, send = ctx.Pipe(duplex=False)
+            helper = ctx.Process(target=_helper, args=(cells, send), daemon=True)
+            helper.start()
+            send.close()  # the helper holds the only write end, so its death reads as EOF
+            started.append((helper, receive))
+        done = cells.run()
+    except BaseException:
+        cells.stop()  # `cells.run` stops on its own failure; this covers a helper that failed to start
+        raise
+    finally:
+        reports = [_collect(helper, receive) for helper, receive in started]
+    rows: list[ReportRow | None] = [None] * len(tasks)
+    for report in [done] + reports:
+        if isinstance(report, tuple):
+            error, cause = report
+            raise error from cause
+        for k, row in report:
+            rows[k] = row
+    return rows
+
+
+class _Cells:
+    """Task indices handed out from a counter shared with forked helpers."""
+
+    def __init__(self, tasks: Sequence[Callable[[], ReportRow]], counter):
+        self.tasks = tasks
+        self._next = counter
+
+    def run(self) -> list[tuple[int, ReportRow]]:
+        """Claim and run cells until none is left; a failure stops the hand-out."""
+        done = []
+        try:
+            while (k := self._claim()) < len(self.tasks):
+                done.append((k, self.tasks[k]()))
+        except BaseException:
+            self.stop()
+            raise
+        return done
+
+    def _claim(self) -> int:
+        with self._next.get_lock():
+            k = self._next.value
+            self._next.value = k + 1
+        return k
+
+    def stop(self) -> None:
+        with self._next.get_lock():
+            self._next.value = len(self.tasks)
+
+
+def _helper(cells: _Cells, send) -> None:
+    """A forked helper's whole life: run claimed cells and send their rows,
+    or its failure, to the parent. It ends in `os._exit` and never returns
+    into the parent's stack it was forked from."""
+    code = 1
+    try:
+        try:
+            report = cells.run()
+        except Exception as exc:
+            report = _portable(exc)
+        send.send(report)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _portable(exc: Exception) -> tuple[Exception, RuntimeError]:
+    """A helper's failure as it crosses the pipe: the exception, or a
+    RuntimeError with its repr when it does not survive pickling, and its
+    formatted traceback, which pickling would drop."""
+    import traceback  # here, not at the top: only a failing helper needs it
+
+    where = RuntimeError(f"in experiment helper process {os.getpid()}:\n" + "".join(traceback.format_exception(exc)))
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        exc = RuntimeError(f"{exc!r}, which does not pickle")
+    return exc, where
+
+
+def _collect(helper, receive) -> list[tuple[int, ReportRow]] | tuple[Exception, RuntimeError | None]:
+    """A helper's report, read before the join so that a full pipe cannot
+    block it; a helper that exited without one becomes a RuntimeError."""
+    try:
+        report = receive.recv()
+    except EOFError:
+        report = None
+    finally:
+        receive.close()
+    helper.join()
+    if report is None:
+        exited = f"experiment helper process {helper.pid} exited with code {helper.exitcode}"
+        return RuntimeError(f"{exited} before reporting its cells"), None
+    return report
 
 
 def _error_text(exc: Exception) -> str:

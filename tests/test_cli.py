@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -163,38 +164,6 @@ def test_train_then_predict_reproduces_the_test_rmse(tmp_path, cell):
     test = predictions[dataset.split_index : dataset.n_windows]
     assert len(test) == metrics["n_test_windows"] > 1
     assert rmse(test, dataset.test.labels) == metrics["test_rmse"]
-
-
-def test_regime_reports_are_byte_identical_with_or_without_threads_variable(tmp_path, monkeypatch):
-    """Grid cells run serially and no environment variable selects threads:
-    setting TRENDLAB_THREADS changes no output byte."""
-    series, segments = regime_fixture(bars_per_segment=60)
-    prices = tmp_path / "prices.csv"
-    _write_prices(prices, series.bars)
-    monkeypatch.setenv("TRENDLAB_CLOCK", "fixed")
-    outputs = []
-    for threads in (None, "2"):
-        if threads is None:
-            monkeypatch.delenv("TRENDLAB_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("TRENDLAB_THREADS", threads)
-        out = tmp_path / f"out-{threads}"
-        config = tmp_path / f"run-{threads}.json"
-        config.write_text(json.dumps({
-            "price_csv": str(prices),
-            "price_interval": "weekly",
-            "interval": "weekly",
-            "output_dir": str(out),
-            "train": {"epochs": 2, "layers": 1, "hidden_size": 3, "window": 4},
-            "experiments": {
-                "seeds": [0, 1],
-                "segments": [[start.isoformat(), end.isoformat()] for start, end in segments],
-            },
-        }))
-        assert main(["experiment", "regime", "--config", str(config)]) == 0
-        names = ("regime_report.csv", "regime_report.json", "regime_aggregate.csv")
-        outputs.append({name: (out / name).read_bytes() for name in names})
-    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(
@@ -548,6 +517,26 @@ def test_experiment_all_writes_the_same_bytes_twice_on_the_fixed_clock(tmp_path,
         ["config.json"] + [f"{s}_{kind}" for s in stems for kind in ("report.csv", "report.json", "aggregate.csv")]
     )
     assert outputs[0] == outputs[1]
+
+
+def test_experiment_all_writes_the_same_bytes_on_one_cpu_and_on_three(tmp_path, monkeypatch):
+    """On one usable CPU the grids run serially and fork nothing; on three,
+    each grid forks two helpers. Every output byte is the same."""
+    monkeypatch.setenv(cli.CLOCK_ENV, "fixed")
+    config = _experiment_all_config(tmp_path, [["2015-03-02", "2016-02-29"], ["2016-03-07", "2017-03-06"]])
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
+    files, forked = {}, {}
+    for cpus in (1, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        forks.clear()
+        assert main(["experiment", "all", "--config", str(config)]) == 0
+        files[cpus] = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        forked[cpus] = len(forks)
+        assert multiprocessing.active_children() == []
+    assert forked == {1: 0, 3: 4 * 2}  # four grids, two helpers each
+    assert files[1] == files[3]
 
 
 def test_experiment_all_with_a_segment_outside_the_data_fails_before_training(tmp_path, monkeypatch, capsys):

@@ -1,10 +1,14 @@
 """Tests for the experiment grids: every cell against a direct `train` on a
-bundle prepared independently for it, one preparation per data variant, and
-the error rows that a failing variant or cell leaves behind."""
+bundle prepared independently for it, one preparation per data variant, the
+error rows that a failing variant or cell leaves behind, and the forked
+helpers that run cells beside the caller."""
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import time
 from dataclasses import replace
 
 import pytest
@@ -99,7 +103,16 @@ def test_sentiment_ablation_cells_match_direct_training(regime_data):
     assert [row.features for row in report.rows] == features
 
 
+def _on_cpus(monkeypatch, cpus: int) -> None:
+    """Run grids as if `cpus` CPUs were usable: `cpus - 1` helpers at most."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
 def _count_calls(monkeypatch, name: str) -> list:
+    """The argument tuples of every call the grid makes to its global
+    `name`. A forked helper's calls would not reach the list, so the grid
+    runs on one CPU."""
+    _on_cpus(monkeypatch, 1)
     calls = []
     real = getattr(experiments, name)
 
@@ -178,6 +191,88 @@ def test_other_exceptions_in_a_cell_propagate(monkeypatch, regime_data):
     _train_raising(monkeypatch, TypeError, RNN, 1)
     with pytest.raises(TypeError, match="planted failure"):
         run_regime_experiment(series, _config(segments=segments[1:2]), sentiment)
+
+
+def _train_in_helpers(monkeypatch, log, act=None) -> None:
+    """`experiments.train` logs the pid that runs each cell to `log`. In a
+    forked helper it then calls `act`; in the parent it first pauses, so that
+    a helper is sure to claim cells."""
+    parent, real = os.getpid(), experiments.train
+
+    def logged(dataset, config, **kwargs):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        if os.getpid() == parent:
+            time.sleep(0.05)
+        elif act is not None:
+            act()
+        return real(dataset, config, **kwargs)
+
+    monkeypatch.setattr(experiments, "train", logged)
+
+
+def test_helpers_run_cells_and_the_rows_equal_the_serial_run(monkeypatch, regime_data, tmp_path):
+    series, segments, sentiment = regime_data
+    config = _config(segments=segments)
+    _on_cpus(monkeypatch, 1)
+    serial = run_regime_experiment(series, config, sentiment, timer=lambda: 0.0)
+    _on_cpus(monkeypatch, 3)
+    _train_in_helpers(monkeypatch, tmp_path / "cells")
+    parallel = run_regime_experiment(series, config, sentiment, timer=lambda: 0.0)
+    assert repr(parallel.rows) == repr(serial.rows)  # repr, because NaN != NaN
+    pids = (tmp_path / "cells").read_text().split()
+    assert len(pids) == len(serial.rows) and len(set(pids)) > 1
+    assert multiprocessing.active_children() == []
+
+
+class _Planted(Exception):
+    pass
+
+
+def _unpicklable(message: str) -> Exception:
+    class Local(Exception):  # pickle cannot find a class local to a function
+        pass
+
+    return Local(message)
+
+
+def _raise(exc: Exception):
+    raise exc
+
+
+@pytest.mark.parametrize(
+    "planted, expected, message",
+    [
+        (_Planted("planted failure"), _Planted, "planted failure"),
+        (_unpicklable("planted failure"), RuntimeError, r"Local\('planted failure'\), which does not pickle"),
+    ],
+    ids=["picklable", "unpicklable"],
+)
+def test_an_exception_in_a_helper_reaches_the_caller_and_stops_the_grid(
+    monkeypatch, regime_data, tmp_path, planted, expected, message
+):
+    """The helper's first cell raises. The exception arrives with its type
+    and message (its repr in a RuntimeError when it does not pickle) and the
+    helper's traceback as its cause, no further cell is handed out, and the
+    helper is joined."""
+    series, segments, sentiment = regime_data
+    _on_cpus(monkeypatch, 2)
+    _train_in_helpers(monkeypatch, tmp_path / "cells", lambda: _raise(planted))
+    with pytest.raises(expected, match=message) as raised:
+        run_regime_experiment(series, _config(segments=segments), sentiment)
+    assert "in experiment helper process" in str(raised.value.__cause__)
+    assert "planted failure" in str(raised.value.__cause__)
+    assert len((tmp_path / "cells").read_text().split()) < len(segments) * PER_VARIANT
+    assert multiprocessing.active_children() == []
+
+
+def test_a_helper_that_exits_without_reporting_raises(monkeypatch, regime_data, tmp_path):
+    series, segments, sentiment = regime_data
+    _on_cpus(monkeypatch, 2)
+    _train_in_helpers(monkeypatch, tmp_path / "cells", lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited with code 3 before reporting its cells"):
+        run_regime_experiment(series, _config(segments=segments), sentiment)
+    assert multiprocessing.active_children() == []
 
 
 def test_forget_gate_rows_match_direct_evaluation(regime_data):

@@ -176,3 +176,38 @@ def test_build_feature_frame_rows_match_a_per_bar_recomputation(config, with_sen
         ]
         want = NEUTRAL_SENTIMENT if sentiment is None else sentiment[bars[t].date]
         assert list(frame.sentiment[k]) == [want]
+
+
+def _persistence_and_linear_rmse(series, scores, window: int = 12) -> tuple[float, float]:
+    """Test RMSE of persistence (window k predicts `labels[k-1]`) and of a
+    closed-form least-squares fit, plus a bias, on the flattened training
+    windows of every stream."""
+    dataset = prepare_dataset(build_feature_frame(series, sentiment_by_date=scores), window).dataset
+    n, split = dataset.n_windows, dataset.split_index
+    x = np.concatenate([dataset.fundamental, dataset.technical, dataset.sentiment], axis=2).reshape(n, -1)
+    x = np.column_stack([x, np.ones(n)])
+    coef, *_ = np.linalg.lstsq(x[:split], dataset.labels[:split], rcond=None)
+    test = dataset.labels[split:]
+
+    def rmse(predicted):
+        return float(np.sqrt(np.mean((predicted - test) ** 2)))
+
+    return rmse(dataset.labels[split - 1:-1]), rmse(x[split:] @ coef)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6, 7, 23])
+def test_a_linear_fit_finds_the_planted_sentiment_and_loses_it_one_date_late(seed):
+    """Positive control on the windowing and the date join, with no
+    training: the planted score at date t encodes the move to t+1, so a
+    linear fit on windows that end at t beats persistence by over 2x
+    (2.5x-3.1x on these seeds). Scores shifted one date later only
+    describe the move already seen, and the fit falls behind persistence."""
+    series = random_walk_series(340, seed=seed)
+    scores = planted_sentiment(series, seed=13)
+    dates = series.dates()
+    late = {dates[0]: NEUTRAL_SENTIMENT} | {later: scores[when] for when, later in zip(dates, dates[1:])}
+    persistence, linear = _persistence_and_linear_rmse(series, scores)
+    assert persistence > 2.0 * linear
+    persistence_late, linear_late = _persistence_and_linear_rmse(series, late)
+    assert persistence_late == persistence
+    assert linear_late > persistence
