@@ -9,18 +9,18 @@ segment, feature set, or window size) once and sharing that read-only bundle
 across the variant's (model, seed) cells. One failure policy: a variant that
 cannot be prepared, or a cell that fails or diverges, becomes error rows and
 the other cells still run. The cells run in processes, one per usable CPU:
-the caller's own and forked helpers (see `_run_cells`). Threads would not
-help: each cell issues thousands of microsecond-scale numpy calls that drop
-and retake the GIL, so threads would spend their time handing it back and
-forth. Rows come back in grid order and are bit-equal to a serial run's.
+the caller's own and forked helpers (see `_run_cells`), each of which
+inherits the caller's BLAS thread count, one (see `trendlab.blas`), so the
+processes do not oversubscribe the cores with BLAS threads. Threads would
+not help: each cell issues thousands of microsecond-scale numpy calls that
+drop and retake the GIL, so threads would spend their time handing it back
+and forth. Rows come back in grid order and are bit-equal to a serial run's.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-import pickle
 import time
 from dataclasses import asdict, dataclass, replace
 from datetime import date
@@ -31,6 +31,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import forked
 from .errors import ConfigError, DataError, TrendlabError, enforce_field_types, require_finite
 from .features import DatasetBundle, FeatureFrame, build_feature_frame, prepare_dataset
 from .indicators import IndicatorConfig
@@ -157,56 +158,36 @@ _Variant = tuple[str, str, str, int, Callable[[], FeatureFrame]]
 def _run_cells(tasks: Sequence[Callable[[], ReportRow]]) -> list[ReportRow]:
     """Run every task and return the rows in task order.
 
-    The caller's process and `min(usable CPUs, tasks) - 1` helpers each take
+    The caller's process and `forked.helper_count(tasks)` helpers each take
     the next unclaimed task index from one shared counter until none is
-    left. With one usable CPU, one task, or no "fork" start method (or no
-    `os.sched_getaffinity` to count usable CPUs), no helper starts and the
-    caller runs the same loop alone.
+    left; with one usable CPU or one task no helper starts, and the caller
+    runs the same loop alone. A helper inherits the tasks and their shared
+    read-only bundles through the fork, and only its `(index, row)` results
+    cross back. The caller runs cells too, so no CPU idles while it waits,
+    and a wrapper that counts calls in this process still sees the caller's
+    share. Each helper inherits the caller's BLAS thread count, one (see
+    `trendlab.blas`), so every cell's bits equal the serial run's. A cell
+    trains its shards serially (see `training.train`), so a helper forks
+    nothing further.
 
-    Helpers are forked, not spawned: a request is a few hundred
-    milliseconds, and a spawned worker would spend much of that importing
-    numpy and unpickling each task's prepared bundle. A forked helper
-    inherits the tasks and their shared read-only bundles, and only its
-    `(index, row)` results cross back, over its own pipe. The caller runs
-    cells too, so no CPU idles while it waits, and a wrapper that counts
-    calls in this process still sees the caller's share. Each helper inherits
-    the caller's BLAS thread count, so every cell's bits equal the serial
-    run's.
-
-    A cell that raises anywhere stops the hand-out of further cells; every
-    helper is joined before `_run_cells` raises. A helper's exception
-    reaches the caller with its type and message, its traceback attached as
-    the cause (an exception that does not pickle arrives as a RuntimeError
-    carrying its repr). A helper that exits without reporting raises a
-    RuntimeError.
+    A cell that raises anywhere stops the hand-out of further cells; the
+    failure rules of `trendlab.forked` apply, so every helper is joined
+    before `_run_cells` raises.
     """
-    import multiprocessing  # here, not at the top: train and predict never pay for the import
-
-    forking = "fork" in multiprocessing.get_all_start_methods() and hasattr(os, "sched_getaffinity")
-    ctx = multiprocessing.get_context("fork" if forking else None)
-    helpers = min(len(os.sched_getaffinity(0)), len(tasks)) - 1 if forking else 0
-    cells = _Cells(tasks, ctx.Value("q", 0))
-    started = []
-    try:
-        for _ in range(helpers):
-            receive, send = ctx.Pipe(duplex=False)
-            helper = ctx.Process(target=_helper, args=(cells, send), daemon=True)
-            helper.start()
-            send.close()  # the helper holds the only write end, so its death reads as EOF
-            started.append((helper, receive))
-        done = cells.run()
-    except BaseException:
-        cells.stop()  # `cells.run` stops on its own failure; this covers a helper that failed to start
-        raise
-    finally:
-        reports = [_collect(helper, receive) for helper, receive in started]
+    cells = _Cells(tasks, forked.shared_counter())
+    with forked.Helpers("experiment") as helpers:
+        try:
+            for _ in range(forked.helper_count(len(tasks))):
+                helpers.start(lambda conn: conn.send(cells.run()))
+            done = cells.run()
+        except BaseException:
+            cells.stop()  # `cells.run` stops on its own failure; this covers a helper that failed to start
+            raise
+        for helper in helpers.started:
+            done += helper.recv("its cells")
     rows: list[ReportRow | None] = [None] * len(tasks)
-    for report in [done] + reports:
-        if isinstance(report, tuple):
-            error, cause = report
-            raise error from cause
-        for k, row in report:
-            rows[k] = row
+    for k, row in done:
+        rows[k] = row
     return rows
 
 
@@ -239,52 +220,6 @@ class _Cells:
             self._next.value = len(self.tasks)
 
 
-def _helper(cells: _Cells, send) -> None:
-    """A forked helper's whole life: run claimed cells and send their rows,
-    or its failure, to the parent. It ends in `os._exit` and never returns
-    into the parent's stack it was forked from."""
-    code = 1
-    try:
-        try:
-            report = cells.run()
-        except Exception as exc:
-            report = _portable(exc)
-        send.send(report)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _portable(exc: Exception) -> tuple[Exception, RuntimeError]:
-    """A helper's failure as it crosses the pipe: the exception, or a
-    RuntimeError with its repr when it does not survive pickling, and its
-    formatted traceback, which pickling would drop."""
-    import traceback  # here, not at the top: only a failing helper needs it
-
-    where = RuntimeError(f"in experiment helper process {os.getpid()}:\n" + "".join(traceback.format_exception(exc)))
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:
-        exc = RuntimeError(f"{exc!r}, which does not pickle")
-    return exc, where
-
-
-def _collect(helper, receive) -> list[tuple[int, ReportRow]] | tuple[Exception, RuntimeError | None]:
-    """A helper's report, read before the join so that a full pipe cannot
-    block it; a helper that exited without one becomes a RuntimeError."""
-    try:
-        report = receive.recv()
-    except EOFError:
-        report = None
-    finally:
-        receive.close()
-    helper.join()
-    if report is None:
-        exited = f"experiment helper process {helper.pid} exited with code {helper.exitcode}"
-        return RuntimeError(f"{exited} before reporting its cells"), None
-    return report
-
-
 def _error_text(exc: Exception) -> str:
     """A failed cell's error: a TrendlabError's own message, or the
     exception type and message for a ValueError raised below the package's
@@ -305,7 +240,7 @@ def _cell(
     train_config = replace(config.train, cell=row.model, seed=row.seed, window=row.window)
     started = timer()
     try:
-        run = train(prepared.dataset, train_config, timer=timer)
+        run = train(prepared.dataset, train_config, timer=timer, fork_helpers=False)
     except (TrendlabError, ValueError) as exc:
         return replace(row, error=_error_text(exc))
     wall_ms = (timer() - started) * 1000.0

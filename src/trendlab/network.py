@@ -66,7 +66,10 @@ arXiv:1606.03401).
 Everything is float64 and deterministic: identical inputs and parameters
 give bit-identical outputs on one machine at one BLAS thread count. OpenBLAS
 splits a GEMM differently on one thread than on two, so the last bits of a
-large batch's results can differ between the two.
+large batch's results can differ between the two; importing this module
+therefore pins numpy's bundled OpenBLAS to one thread for the whole process
+(`trendlab.blas`), whatever `OPENBLAS_NUM_THREADS` says. Where numpy links
+another BLAS nothing is pinned, and the bits can depend on its thread count.
 """
 
 from __future__ import annotations
@@ -76,7 +79,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import blas
 from .errors import DivergenceError
+
+blas.pin_one_thread()
 
 LSTM = "lstm"
 RNN = "rnn"

@@ -13,7 +13,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from . import network
+from . import forked, network
 from .errors import CheckpointError, ConfigError, DataError, DivergenceError, enforce_field_types, require_finite
 from .market_data import NormalizationScale, WindowedDataset
 from .network import (
@@ -153,23 +153,155 @@ class TrainingRun:
     parameters: NetworkParameters
 
 
+SHARD_WINDOWS = 512
+
+
+def shard_bounds(n_windows: int) -> list[tuple[int, int]]:
+    """The (start, stop) window ranges of ceil(n / SHARD_WINDOWS) contiguous
+    shards of near-equal size, the longer first: 831 windows are 416 + 415."""
+    count = -(-n_windows // SHARD_WINDOWS)
+    size, longer = divmod(n_windows, count)
+    edges = [j * size + min(j, longer) for j in range(count + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+class _Shards:
+    """The training shards one process owns, by index, each with the forward
+    cache it runs into every epoch, and the parameters they run on: the
+    caller's, or a forked helper's copy, which each request overwrites."""
+
+    def __init__(self, streams: tuple, bounds: list[tuple[int, int]], owned: range, params: NetworkParameters):
+        self.params = params
+        self.streams = {j: tuple(None if s is None else s[slice(*bounds[j])] for s in streams) for j in owned}
+        self.caches: dict[int, ForwardCache | None] = dict.fromkeys(owned)
+
+    def forward(self) -> dict[int, np.ndarray]:
+        for j, streams in self.streams.items():
+            cache = self.caches[j]
+            self.caches[j] = forward_batch(streams, self.params if cache is None else cache)
+        return {j: cache.predictions for j, cache in self.caches.items()}
+
+    def backward(self, d_predictions: Mapping[int, np.ndarray]) -> dict[int, NetworkParameters]:
+        return {j: backward_batch(cache, d_predictions[j]) for j, cache in self.caches.items()}
+
+    def serve(self, conn) -> None:
+        """A forked helper's loop until the caller closes its end: a
+        parameter vector asks for the forward pass, whose predictions go
+        back, and a dict of prediction gradients for the backward pass of
+        the last forward, whose gradient vectors go back."""
+        while True:
+            try:
+                request = conn.recv()
+            except EOFError:
+                return
+            if isinstance(request, np.ndarray):
+                self.params.vector[...] = request
+                conn.send(self.forward())
+            else:
+                conn.send({j: grads.vector for j, grads in self.backward(request).items()})
+
+
+class _ShardedBatch:
+    """The training split as shards, run by the caller and its helpers: the
+    process of rank r (the caller's is 0) owns the shards j with
+    j % processes == r. Predictions join, and gradients sum, in shard order,
+    so the results depend on the shard layout alone."""
+
+    def __init__(self, split: WindowedDataset, params: NetworkParameters, helpers: forked.Helpers | None):
+        self.bounds = shard_bounds(split.n_windows)
+        processes = 1 + (0 if helpers is None else forked.helper_count(len(self.bounds)))
+        self.owned = [range(rank, len(self.bounds), processes) for rank in range(processes)]
+        self.helpers = [
+            helpers.start(_Shards(split.streams, self.bounds, owned, params).serve) for owned in self.owned[1:]
+        ]
+        self.own = _Shards(split.streams, self.bounds, self.owned[0], params)
+
+    def predictions(self) -> np.ndarray:
+        """Every training window's prediction at the current parameters."""
+        for helper in self.helpers:
+            helper.conn.send(self.own.params.vector)
+        by_shard = self.own.forward()
+        for helper in self.helpers:
+            by_shard.update(helper.recv("its shards"))
+        return np.concatenate([by_shard[j] for j in range(len(self.bounds))])
+
+    def gradient(self, d_predictions: np.ndarray) -> NetworkParameters:
+        """The gradient of the last `predictions` pass from each window's
+        prediction gradient: the shards' gradients summed in shard order."""
+        pieces = [d_predictions[start:stop] for start, stop in self.bounds]
+        own_pieces, *helper_pieces = [{j: pieces[j] for j in owned} for owned in self.owned]
+        for helper, request in zip(self.helpers, helper_pieces):
+            helper.conn.send(request)
+        own = self.own.backward(own_pieces)
+        vectors = {j: grads.vector for j, grads in own.items()}
+        for helper in self.helpers:
+            vectors.update(helper.recv("its shards"))
+        total = own[0]
+        for j in range(1, len(self.bounds)):
+            total.vector += vectors[j]
+        return total
+
+
+def _fit(
+    split: WindowedDataset, params: NetworkParameters, config: TrainConfig, fork_helpers: bool
+) -> tuple[list[float], float]:
+    """Every epoch of Adam on the training split, in place on `params`, then
+    the split's RMSE at the trained parameters: the per-epoch costs and the
+    final one. The shard caches are freed when it returns."""
+    m = np.zeros_like(params.vector)
+    v = np.zeros_like(params.vector)
+    epoch_rmse: list[float] = []
+    with forked.Helpers("training") as helpers:
+        batch = _ShardedBatch(split, params, helpers if fork_helpers else None)
+        for epoch in range(config.epochs):
+            try:
+                predictions = batch.predictions()
+                cost = rmse(predictions, split.labels)
+                if not math.isfinite(cost):
+                    raise DivergenceError("non-finite loss")
+                epoch_rmse.append(cost)
+                grads = batch.gradient(rmse_gradient(predictions, split.labels))
+                adam_step(params, grads, m, v, epoch + 1, config)
+            except DivergenceError as exc:
+                raise DivergenceError(f"diverged at epoch {epoch}: {exc}", epoch=epoch) from None
+        return epoch_rmse, rmse(batch.predictions(), split.labels)
+
+
 def train(
     dataset: WindowedDataset,
     config: TrainConfig,
     timer: Callable[[], float] = time.perf_counter,
+    *,
+    fork_helpers: bool = True,
 ) -> TrainingRun:
     """Full-batch training: each epoch forwards every training window,
     backpropagates the RMSE cost, and takes one Adam step. Deterministic
     per (dataset, config).
 
-    The run holds one set of activation buffers: the fused input and every
-    step's gates and c, but neither h nor tanh(c), which the backward pass
-    recomputes (a tanh layer holds its states). The Adam step
-    updates the parameter vector in place, so each epoch's forward, and the
-    final train-split evaluation, runs into the previous epoch's cache
-    (`forward_batch(streams, cache)`): the same calls as with fresh arrays,
-    the same bits, and one cache alive instead of two. The test split has
-    another window count and gets its own arrays.
+    The training windows run as `shard_bounds` shards of at most
+    SHARD_WINDOWS windows each, in the caller and in
+    `forked.helper_count(shards)` forked helpers: synchronous data
+    parallelism (Dean et al. 2012), since the windows are independent
+    columns and the full-batch gradient is the sum of the shards'. Each
+    epoch the caller sends out the parameter vector, joins the shards'
+    predictions in shard order for the RMSE and its gradient, sends each
+    helper its slices of that gradient, and sums the shards' parameter
+    gradients in shard order before the one Adam step. The bits depend on
+    the window count, which fixes the shards, never on the CPU count: with
+    one usable CPU, or with `fork_helpers` false (a grid cell, which runs
+    in a process of its own already), the caller runs every shard itself
+    and gets the same bytes. Up to SHARD_WINDOWS training windows are one
+    shard, the whole batch, as an unsharded run.
+
+    Each process holds one set of activation buffers per shard it owns: the
+    fused input and every step's gates and c, but neither h nor tanh(c),
+    which the backward pass recomputes (a tanh layer holds its states). The
+    Adam step updates the parameter vector in place, so each epoch's
+    forward, and the final train-split evaluation, runs into the previous
+    epoch's cache (`forward_batch(streams, cache)`): the same calls as with
+    fresh arrays, the same bits, and one cache per shard alive instead of
+    two. The test split is evaluated in the caller, into arrays of its own,
+    once the shard caches are freed.
     """
     if config.window != dataset.window:
         raise ConfigError(f"config window {config.window} != dataset window {dataset.window}")
@@ -180,26 +312,7 @@ def train(
     started = timer()
     widths = tuple(None if stream is None else stream.shape[2] for stream in dataset.streams)
     params = init_parameters(model_shape(widths, config), config.seed, config.forget_bias)
-    m = np.zeros_like(params.vector)
-    v = np.zeros_like(params.vector)
-    streams = train_split.streams
-    labels = train_split.labels
-
-    epoch_rmse: list[float] = []
-    cache: ForwardCache | None = None
-    for epoch in range(config.epochs):
-        try:
-            cache = forward_batch(streams, params if cache is None else cache)
-            cost = rmse(cache.predictions, labels)
-            if not math.isfinite(cost):
-                raise DivergenceError("non-finite loss")
-            epoch_rmse.append(cost)
-            grads = backward_batch(cache, rmse_gradient(cache.predictions, labels))
-            adam_step(params, grads, m, v, epoch + 1, config)
-        except DivergenceError as exc:
-            raise DivergenceError(f"diverged at epoch {epoch}: {exc}", epoch=epoch) from None
-
-    _, train_cost = evaluate(train_split, params if cache is None else cache)
+    epoch_rmse, train_cost = _fit(train_split, params, config, fork_helpers)
     test_cache, test_cost = evaluate(dataset.test, params)
     if not all(math.isfinite(c) for c in (train_cost, test_cost) if c is not None):
         raise DivergenceError(f"diverged at epoch {config.epochs}: non-finite final RMSE", epoch=config.epochs)

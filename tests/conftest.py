@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import multiprocessing
 from datetime import date
 
 import pytest
@@ -49,3 +50,11 @@ def series_of(rows, interval: str = WEEKLY, symbol: str = "T") -> PriceSeries:
 @pytest.fixture
 def table_series() -> PriceSeries:
     return series_of(TABLE_ROWS, symbol="NDX")
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fails a test after which a helper process it forked still runs: the
+    program must join every helper before it returns or raises."""
+    yield
+    assert multiprocessing.active_children() == [], "a forked helper process outlived the test"

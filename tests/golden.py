@@ -18,9 +18,8 @@ BLAS kernels, so the file holds one set per `machine_line()`, as
 
     python tests/golden.py --write
 
-under each BLAS thread setting the tests run with. A change that alters
-output bytes on purpose rewrites every set and lists the changed files
-where the change is described.
+A change that alters output bytes on purpose rewrites every set and lists
+the changed files where the change is described.
 """
 
 from __future__ import annotations

@@ -13,22 +13,21 @@ with planted sentiment.
 
 BLAS kernels differ between CPUs, builds and thread counts (OpenBLAS splits
 a GEMM differently on one thread than on two), so the file holds one set of
-hashes per machine line, which `machine_line()` writes. Record or refresh
-this machine's set with
+hashes per machine line, which `machine_line()` writes: it names the core
+kernel OpenBLAS runs and its thread count, which `trendlab.blas` pins to one
+whatever `OPENBLAS_NUM_THREADS` says. Record or refresh this machine's set
+with
 
     python tests/golden_kernel.py --write
 
-once under each BLAS thread setting the tests run with (the default, and
-`OPENBLAS_NUM_THREADS=1` as the bench sets it). After a change that alters
-these bits on purpose, rewrite every set and say so where the change is
-described.
+After a change that alters these bits on purpose, rewrite every set and say
+so where the change is described.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import platform
 import sys
 from pathlib import Path
@@ -38,6 +37,7 @@ import numpy as np
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from trendlab import blas
 from trendlab.features import build_feature_frame, prepare_dataset
 from trendlab.network import ModelShape, backward_batch, forward_batch, init_parameters, last_step_cache
 from trendlab.synthetic import paper_shaped_series, planted_sentiment
@@ -47,30 +47,22 @@ GOLDEN = Path(__file__).with_name("golden_kernel.json")
 SIZES = ((1, 1), (62, 12), (831, 12))
 
 
-def _blas_threads() -> str:
-    """The thread count OpenBLAS starts with: its first variable set, else
-    one per usable CPU."""
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        if os.environ.get(name, "").strip():
-            return os.environ[name].strip()
-    return str(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count())
-
-
 def machine_line() -> str:
-    """numpy, BLAS with its thread count, and CPU model: what the hashes
-    depend on besides the code."""
+    """numpy, BLAS with the core kernel OpenBLAS runs and its thread count
+    ("unpinned" where trendlab could not pin it), and CPU model: what the
+    hashes depend on besides the code."""
     try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas = f"{blas['name']} {blas['version']}"
+        library = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        library = f"{library['name']} {library['version']}"
     except (TypeError, KeyError):
-        blas = "unknown"
+        library = "unknown"
     cpu = platform.processor() or "unknown"
     try:
         with open("/proc/cpuinfo") as info:
             cpu = next(line.split(":", 1)[1].strip() for line in info if line.startswith("model name"))
     except (OSError, StopIteration):
         pass
-    return f"numpy {np.__version__}; blas {blas}, threads {_blas_threads()}; cpu {cpu}"
+    return f"numpy {np.__version__}; blas {library}, {blas.describe()}; cpu {cpu}"
 
 
 def _sha(array: np.ndarray) -> str:

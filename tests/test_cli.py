@@ -17,7 +17,7 @@ from trendlab import cli, experiments
 from trendlab.cli import EXPERIMENT_NAMES, NEUTRAL_FILL_WARNING, _apply_overrides, build_parser, load_run_config, main
 from trendlab.experiments import RunConfig
 from trendlab.features import build_feature_frame, feature_frame_to_csv, prepare_dataset
-from trendlab.synthetic import planted_sentiment, regime_fixture, sine_series, trend_seasonal_daily
+from trendlab.synthetic import paper_shaped_series, planted_sentiment, regime_fixture, sine_series, trend_seasonal_daily
 from trendlab.training import rmse
 
 from conftest import edit_csv_field
@@ -751,6 +751,36 @@ def test_module_entry_point_in_a_fresh_interpreter(tmp_path, args, code, stream,
     assert done.returncode == code, done.stderr
     assert getattr(done, stream).startswith(start)
     assert _files(tmp_path) == []
+
+
+def test_train_writes_the_same_bytes_at_one_and_at_two_blas_threads(tmp_path):
+    """`trendlab train` on the weekly paper-shaped series (831 training
+    windows, 3 x 32) in fresh interpreters started with one and with two
+    OpenBLAS threads: the program pins one, so every byte is the same.
+    Unpinned, a GEMM over 416 or 831 columns splits differently on two
+    threads, and the checkpoint's last bits differ."""
+    series = paper_shaped_series(seed=0)
+    _write_prices(tmp_path / "prices.csv", series.bars)
+    _write_sentiment(tmp_path / "sentiment.csv", planted_sentiment(series))
+    (tmp_path / "run.json").write_text(json.dumps({
+        "price_csv": "../prices.csv", "sentiment_csv": "../sentiment.csv", "price_interval": "weekly",
+        "interval": "weekly", "output_dir": "out", "train": {"epochs": 1},
+    }))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = {}
+    for threads in ("1", "2"):
+        work = tmp_path / f"threads_{threads}"
+        work.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, cli.CLOCK_ENV: "fixed",
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-m", "trendlab.cli", "train", "--config", "../run.json"], cwd=work,
+                              env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs[threads] = done.stdout, {p.name: p.read_bytes() for p in sorted((work / "out").iterdir())}
+    frame = build_feature_frame(series, sentiment_by_date=planted_sentiment(series))
+    assert prepare_dataset(frame, 12).dataset.train.n_windows == 831
+    assert "checkpoint.json" in outputs["1"][1]
+    assert outputs["1"] == outputs["2"]
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,8 @@ from __future__ import annotations
 import base64
 import json
 import math
+import multiprocessing
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -19,6 +21,7 @@ from trendlab import training
 from trendlab.synthetic import paper_shaped_series, planted_sentiment, sine_series
 from trendlab.training import (
     TrainConfig,
+    TrainingRun,
     adam_step,
     evaluate,
     load_checkpoint,
@@ -26,6 +29,7 @@ from trendlab.training import (
     rmse,
     rmse_gradient,
     save_checkpoint,
+    shard_bounds,
     train,
 )
 
@@ -38,6 +42,41 @@ SMALL_SHAPE = ModelShape(cell="lstm", d_a=3, d_f=3, d_s=1, d_i=2, layers=3, hidd
 def sine_bundle():
     frame = build_feature_frame(sine_series())
     return prepare_dataset(frame, window=12)
+
+
+@pytest.fixture(scope="module")
+def paper_dataset():
+    """The weekly paper-shaped series with planted sentiment: 831 training
+    windows of 12 steps, two shards."""
+    series = paper_shaped_series(seed=0)
+    return prepare_dataset(build_feature_frame(series, sentiment_by_date=planted_sentiment(series)), 12).dataset
+
+
+def _on_cpus(monkeypatch, cpus: int) -> None:
+    """Train as if `cpus` CPUs were usable: `cpus - 1` helpers at most."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _count_forks(monkeypatch) -> list:
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
+    return forks
+
+
+def _in_helpers(monkeypatch, name: str, act) -> None:
+    """`training.<name>` calls `act(call number, *args)` first in a forked
+    helper, counting that helper's calls, and goes straight through in the
+    caller."""
+    parent, real, calls = os.getpid(), getattr(training, name), []
+
+    def wrapped(*args):
+        if os.getpid() != parent:
+            calls.append(None)
+            args = act(len(calls), *args)
+        return real(*args)
+
+    monkeypatch.setattr(training, name, wrapped)
 
 
 # --- rmse ---------------------------------------------------------------------
@@ -210,29 +249,45 @@ def test_zero_epoch_run_keeps_initialization(sine_bundle):
     assert run.test_rmse is not None
 
 
-def test_a_training_run_holds_one_forward_cache():
-    """numpy reports its arrays to tracemalloc. On the weekly paper-shaped
-    series (831 training windows of 12 steps, 3 x 32 LSTM) the activation
-    buffers dominate a run's memory, and one set of them serves every epoch:
-    the peak stays below 1.5 caches. Allocating a cache per epoch while the
-    last is alive reads about 2.1. In bytes, the peak stays below 48 MB (it
-    reads 45.97 MB): a cache that also held every layer's h at every step,
-    with a (T, H, n) upstream gradient in the backward pass, read 53.4 MB,
-    and one that held tanh(c) too, with each layer's input gradient
-    allocated beside its upstream one, 62.7 MB."""
-    series = paper_shaped_series(seed=0)
-    dataset = prepare_dataset(build_feature_frame(series, sentiment_by_date=planted_sentiment(series)), 12).dataset
-    config = TrainConfig(epochs=3)
+def _traced_peak(dataset, config) -> tuple[int, TrainingRun]:
     tracemalloc.start()
     try:
         run = train(dataset, config)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1], run
     finally:
         tracemalloc.stop()
-    cache = forward_batch(dataset.train.streams, run.parameters)
+
+
+def test_a_training_run_holds_one_forward_cache(monkeypatch, paper_dataset):
+    """numpy reports its arrays to tracemalloc. On the weekly paper-shaped
+    series (831 training windows of 12 steps, 3 x 32 LSTM) the activation
+    buffers dominate a run's memory, and one set of them per shard serves
+    every epoch. On one CPU the caller runs both shards, and the peak stays
+    below 1.5 full-batch caches. Allocating a cache per epoch while the last
+    is alive reads about 2.1. In bytes, the peak stays below 48 MB (it reads
+    43.5 MB; 45.97 MB unsharded, with the test split evaluated while the
+    training cache was alive): a cache that also held every layer's h at
+    every step, with a (T, H, n) upstream gradient in the backward pass,
+    read 53.4 MB, and one that held tanh(c) too, with each layer's input
+    gradient allocated beside its upstream one, 62.7 MB."""
+    _on_cpus(monkeypatch, 1)
+    peak, run = _traced_peak(paper_dataset, TrainConfig(epochs=3))
+    cache = forward_batch(paper_dataset.train.streams, run.parameters)
     assert cache.n_windows == 831
     assert peak < 1.5 * sum(a.nbytes for a in cache.buffers())
     assert peak < 48.0e6
+
+
+def test_on_two_cpus_the_caller_holds_the_cache_of_its_own_shard_only(monkeypatch, paper_dataset):
+    """With a helper running the second shard, the caller's traced peak
+    stays below 0.6 of one full-batch cache (it reads 0.594: half a cache,
+    and the backward pass's buffers for half the windows). A run before it
+    imports what the first fork imports, which the peak is not about."""
+    _on_cpus(monkeypatch, 2)
+    train(paper_dataset, TrainConfig(epochs=1, layers=1, hidden_size=2))
+    peak, run = _traced_peak(paper_dataset, TrainConfig(epochs=3))
+    cache = forward_batch(paper_dataset.train.streams, run.parameters)
+    assert peak < 0.6 * sum(a.nbytes for a in cache.buffers())
 
 
 def test_training_is_deterministic(sine_bundle):
@@ -302,6 +357,100 @@ def test_divergence_in_optimizer_step_reports_epoch(sine_bundle, monkeypatch):
     with pytest.raises(DivergenceError, match="head.b") as err:
         train(sine_bundle.dataset, TrainConfig(epochs=5, layers=1, hidden_size=2))
     assert err.value.epoch == 2
+
+
+# --- shards across processes --------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 831, 1024, 1025, 5000])
+def test_shards_are_contiguous_near_equal_and_at_most_512_windows(n):
+    bounds = shard_bounds(n)
+    assert len(bounds) == -(-n // 512)
+    assert bounds[0][0] == 0 and bounds[-1][1] == n
+    assert all(stop == start for (_, stop), (start, _) in zip(bounds, bounds[1:]))
+    sizes = [stop - start for start, stop in bounds]
+    assert max(sizes) <= 512 and max(sizes) - min(sizes) <= 1 and sizes == sorted(sizes, reverse=True)
+
+
+def test_the_paper_fixture_trains_the_same_bytes_on_one_cpu_and_on_two(monkeypatch, paper_dataset):
+    """831 windows are two shards, 416 + 415. On one CPU the caller runs
+    both and forks nothing; on two a helper runs the second. Everything the
+    run returns is bit-equal."""
+    assert shard_bounds(paper_dataset.train.n_windows) == [(0, 416), (416, 831)]
+    forks = _count_forks(monkeypatch)
+    runs, forked = {}, {}
+    for cpus in (1, 2):
+        _on_cpus(monkeypatch, cpus)
+        forks.clear()
+        runs[cpus] = train(paper_dataset, TrainConfig(epochs=2))
+        forked[cpus] = len(forks)
+    assert forked == {1: 0, 2: 1}
+    one, two = runs[1], runs[2]
+    assert one.parameters.vector.tobytes() == two.parameters.vector.tobytes()
+    assert (one.epoch_rmse, one.train_rmse, one.test_rmse) == (two.epoch_rmse, two.train_rmse, two.test_rmse)
+
+
+def test_below_512_windows_nothing_forks(monkeypatch, sine_bundle):
+    forks = _count_forks(monkeypatch)
+    _on_cpus(monkeypatch, 2)
+    train(sine_bundle.dataset, TrainConfig(epochs=2, layers=1, hidden_size=2))
+    assert sine_bundle.dataset.train.n_windows < 512 and forks == []
+
+
+def test_a_grid_cell_trains_its_shards_in_the_caller(monkeypatch, paper_dataset):
+    forks = _count_forks(monkeypatch)
+    _on_cpus(monkeypatch, 2)
+    run = train(paper_dataset, TrainConfig(epochs=1, layers=1, hidden_size=2), fork_helpers=False)
+    _on_cpus(monkeypatch, 1)
+    assert forks == []
+    assert run.parameters.vector.tobytes() == train(paper_dataset, run.config).parameters.vector.tobytes()
+
+
+def test_a_non_finite_prediction_in_a_helper_shard_reports_its_epoch(monkeypatch, paper_dataset):
+    def poison(call, streams, params):
+        if call == 2:  # the helper's forward at epoch 1
+            streams = (np.full_like(streams[0], np.nan),) + streams[1:]
+        return streams, params
+
+    _on_cpus(monkeypatch, 2)
+    _in_helpers(monkeypatch, "forward_batch", poison)
+    with pytest.raises(DivergenceError, match="^diverged at epoch 1: non-finite prediction in forward pass$") as err:
+        train(paper_dataset, TrainConfig(epochs=4, layers=1, hidden_size=2))
+    assert err.value.epoch == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_a_helper_that_exits_mid_run_raises_naming_its_pid_and_exit_code(monkeypatch, paper_dataset):
+    _on_cpus(monkeypatch, 2)
+    _in_helpers(monkeypatch, "backward_batch", lambda call, *args: os._exit(3))
+    exited = r"^training helper process \d+ exited with code 3 before reporting its shards$"
+    with pytest.raises(RuntimeError, match=exited) as err:
+        train(paper_dataset, TrainConfig(epochs=2, layers=1, hidden_size=2))
+    assert str(os.getpid()) not in str(err.value)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failure_in_the_caller_mid_epoch_still_joins_the_helper(monkeypatch, paper_dataset):
+    """The caller's Adam step rejects a non-finite gradient at epoch 2 while
+    the helper waits for the next epoch: the error carries the epoch, and the
+    helper is joined before it leaves `train`."""
+    parent, calls = os.getpid(), []
+
+    def poisoned(cache, d_predictions):
+        grads = backward_batch(cache, d_predictions)
+        if os.getpid() == parent:
+            calls.append(None)
+            if len(calls) == 3:
+                grads.head.b[...] = np.nan
+        return grads
+
+    _on_cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(training, "backward_batch", poisoned)
+    with pytest.raises(DivergenceError, match="head.b") as err:
+        train(paper_dataset, TrainConfig(epochs=5, layers=1, hidden_size=2))
+    assert err.value.epoch == 2 and len(forks) == 1
+    assert multiprocessing.active_children() == []
 
 
 # --- gradient check -----------------------------------------------------------
