@@ -156,38 +156,42 @@ class TrainingRun:
 SHARD_WINDOWS = 512
 
 
-def shard_bounds(n_windows: int) -> list[tuple[int, int]]:
-    """The (start, stop) window ranges of ceil(n / SHARD_WINDOWS) contiguous
-    shards of near-equal size, the longer first: 831 windows are 416 + 415."""
-    count = -(-n_windows // SHARD_WINDOWS)
-    size, longer = divmod(n_windows, count)
-    edges = [j * size + min(j, longer) for j in range(count + 1)]
-    return list(zip(edges, edges[1:]))
+def _near_equal(n: int, parts: int) -> list[range]:
+    """0..n-1 as `parts` contiguous ranges of near-equal length, the longer first."""
+    size, longer = divmod(n, parts)
+    edges = [j * size + min(j, longer) for j in range(parts + 1)]
+    return [range(start, stop) for start, stop in zip(edges, edges[1:])]
+
+
+def shard_bounds(n_windows: int) -> list[range]:
+    """The window ranges of ceil(n / SHARD_WINDOWS) contiguous shards of
+    near-equal size, the longer first: 831 windows are 416 + 415."""
+    return _near_equal(n_windows, -(-n_windows // SHARD_WINDOWS))
 
 
 class _Shards:
-    """The training shards one process owns, by index, each with the forward
-    cache it runs into every epoch, and the parameters they run on: the
-    caller's, or a forked helper's copy, which each request overwrites."""
+    """The training shards one process owns, in shard order, each with the
+    forward cache it runs into every epoch, and the parameters they run on:
+    the caller's, or a forked helper's copy, which each request overwrites."""
 
-    def __init__(self, streams: tuple, bounds: list[tuple[int, int]], owned: range, params: NetworkParameters):
+    def __init__(self, streams: tuple, shards: list[range], params: NetworkParameters):
         self.params = params
-        self.streams = {j: tuple(None if s is None else s[slice(*bounds[j])] for s in streams) for j in owned}
-        self.caches: dict[int, ForwardCache | None] = dict.fromkeys(owned)
+        self.streams = [tuple(None if s is None else s[shard.start : shard.stop] for s in streams) for shard in shards]
+        self.caches: list[ForwardCache | None] = [None] * len(shards)
 
-    def forward(self) -> dict[int, np.ndarray]:
-        for j, streams in self.streams.items():
-            cache = self.caches[j]
-            self.caches[j] = forward_batch(streams, self.params if cache is None else cache)
-        return {j: cache.predictions for j, cache in self.caches.items()}
+    def forward(self) -> list[np.ndarray]:
+        for k, streams in enumerate(self.streams):
+            cache = self.caches[k]
+            self.caches[k] = forward_batch(streams, self.params if cache is None else cache)
+        return [cache.predictions for cache in self.caches]
 
-    def backward(self, d_predictions: Mapping[int, np.ndarray]) -> dict[int, NetworkParameters]:
-        return {j: backward_batch(cache, d_predictions[j]) for j, cache in self.caches.items()}
+    def backward(self, d_predictions: list[np.ndarray]) -> list[NetworkParameters]:
+        return [backward_batch(cache, d) for cache, d in zip(self.caches, d_predictions)]
 
     def serve(self, conn) -> None:
         """A forked helper's loop until the caller closes its end: a
         parameter vector asks for the forward pass, whose predictions go
-        back, and a dict of prediction gradients for the backward pass of
+        back, and a list of prediction gradients for the backward pass of
         the last forward, whose gradient vectors go back."""
         while True:
             try:
@@ -198,47 +202,46 @@ class _Shards:
                 self.params.vector[...] = request
                 conn.send(self.forward())
             else:
-                conn.send({j: grads.vector for j, grads in self.backward(request).items()})
+                conn.send([grads.vector for grads in self.backward(request)])
 
 
 class _ShardedBatch:
-    """The training split as shards, run by the caller and its helpers: the
-    process of rank r (the caller's is 0) owns the shards j with
-    j % processes == r. Predictions join, and gradients sum, in shard order,
-    so the results depend on the shard layout alone."""
+    """The training split as shards, run by the caller and its helpers, each
+    process on a contiguous group of shards (the caller's is the first).
+    Predictions join, and gradients sum, in shard order, so the results
+    depend on the shard layout alone."""
 
     def __init__(self, split: WindowedDataset, params: NetworkParameters, helpers: forked.Helpers | None):
-        self.bounds = shard_bounds(split.n_windows)
-        processes = 1 + (0 if helpers is None else forked.helper_count(len(self.bounds)))
-        self.owned = [range(rank, len(self.bounds), processes) for rank in range(processes)]
+        self.shards = shard_bounds(split.n_windows)
+        processes = 1 + (0 if helpers is None else forked.helper_count(len(self.shards)))
+        self.groups = _near_equal(len(self.shards), processes)
         self.helpers = [
-            helpers.start(_Shards(split.streams, self.bounds, owned, params).serve) for owned in self.owned[1:]
+            helpers.start(_Shards(split.streams, self.shards[group.start : group.stop], params).serve)
+            for group in self.groups[1:]
         ]
-        self.own = _Shards(split.streams, self.bounds, self.owned[0], params)
+        self.own = _Shards(split.streams, self.shards[: self.groups[0].stop], params)
 
     def predictions(self) -> np.ndarray:
         """Every training window's prediction at the current parameters."""
         for helper in self.helpers:
             helper.conn.send(self.own.params.vector)
-        by_shard = self.own.forward()
+        parts = self.own.forward()
         for helper in self.helpers:
-            by_shard.update(helper.recv("its shards"))
-        return np.concatenate([by_shard[j] for j in range(len(self.bounds))])
+            parts += helper.recv("its shards")
+        return np.concatenate(parts)
 
     def gradient(self, d_predictions: np.ndarray) -> NetworkParameters:
         """The gradient of the last `predictions` pass from each window's
         prediction gradient: the shards' gradients summed in shard order."""
-        pieces = [d_predictions[start:stop] for start, stop in self.bounds]
-        own_pieces, *helper_pieces = [{j: pieces[j] for j in owned} for owned in self.owned]
-        for helper, request in zip(self.helpers, helper_pieces):
-            helper.conn.send(request)
-        own = self.own.backward(own_pieces)
-        vectors = {j: grads.vector for j, grads in own.items()}
+        pieces = [d_predictions[shard.start : shard.stop] for shard in self.shards]
+        for helper, group in zip(self.helpers, self.groups[1:]):
+            helper.conn.send(pieces[group.start : group.stop])
+        total, *own = self.own.backward(pieces[: self.groups[0].stop])
+        vectors = [grads.vector for grads in own]
         for helper in self.helpers:
-            vectors.update(helper.recv("its shards"))
-        total = own[0]
-        for j in range(1, len(self.bounds)):
-            total.vector += vectors[j]
+            vectors += helper.recv("its shards")
+        for vector in vectors:
+            total.vector += vector
         return total
 
 

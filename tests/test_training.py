@@ -364,11 +364,10 @@ def test_divergence_in_optimizer_step_reports_epoch(sine_bundle, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 831, 1024, 1025, 5000])
 def test_shards_are_contiguous_near_equal_and_at_most_512_windows(n):
-    bounds = shard_bounds(n)
-    assert len(bounds) == -(-n // 512)
-    assert bounds[0][0] == 0 and bounds[-1][1] == n
-    assert all(stop == start for (_, stop), (start, _) in zip(bounds, bounds[1:]))
-    sizes = [stop - start for start, stop in bounds]
+    shards = shard_bounds(n)
+    assert len(shards) == -(-n // 512)
+    assert [k for shard in shards for k in shard] == list(range(n))
+    sizes = [len(shard) for shard in shards]
     assert max(sizes) <= 512 and max(sizes) - min(sizes) <= 1 and sizes == sorted(sizes, reverse=True)
 
 
@@ -376,7 +375,7 @@ def test_the_paper_fixture_trains_the_same_bytes_on_one_cpu_and_on_two(monkeypat
     """831 windows are two shards, 416 + 415. On one CPU the caller runs
     both and forks nothing; on two a helper runs the second. Everything the
     run returns is bit-equal."""
-    assert shard_bounds(paper_dataset.train.n_windows) == [(0, 416), (416, 831)]
+    assert shard_bounds(paper_dataset.train.n_windows) == [range(0, 416), range(416, 831)]
     forks = _count_forks(monkeypatch)
     runs, forked = {}, {}
     for cpus in (1, 2):
