@@ -24,10 +24,12 @@ a checkpoint load) writes the arrays the kernel reads. Gradients come back
 as a model of the same shape: each at its parameter's index.
 
 A memory-cell layer stores its four gates stacked, in f, i, o, c order: one
-W (4h x d), one U (4h x h) and one b (4h), so each step's four gate
-pre-activations are one GEMM (Appleyard, Kocisky & Blunsom 2016,
-arXiv:1604.01946). `NetworkParameters.param_items` names the per-gate row
-blocks `layers.k.W_f`, `layers.k.U_i`, ... and hands them out as views.
+W (4h x d), one U (4h x h) and one b (4h) (Appleyard, Kocisky & Blunsom
+2016, arXiv:1604.01946). `NetworkParameters.param_items` names the per-gate
+row blocks `layers.k.W_f`, `layers.k.U_i`, ... and hands them out as views.
+The forward pass copies each layer's three into one [W | U | b] array and
+multiplies it by [x_t; h_{t-1}; 1], so each step's four gate
+pre-activations, input, recurrent and bias terms together, are one GEMM.
 
 Both stacks run step-major in both passes, the wavefront order of Appleyard
 et al.: each step runs every layer in turn, so the layer above reads a
@@ -38,12 +40,13 @@ states) into a cache, at one of two depths: every step (depth T, what a
 forward allocates and what the backward pass and the forget-gate mean
 read), or the last step only (depth 1, from `last_step_cache`, for
 predictions; those two readers refuse it). Step t sits at row t % depth,
-and is computed there with one GEMM of the step's input and one of the
-recurrent state, whatever the depth, so the predictions are bit-identical
-at either depth. The backward pass runs t downwards and, at each t, the
-layers from the top down. A layer's input gradient at step t is the layer
-below's upstream gradient at the same step, so it passes in one (h, n)
-buffer; only the fused input's gradient has a step axis.
+and is computed there with the same calls whatever the depth (a
+memory-cell layer's one GEMM, a tanh layer's GEMM of the step's input and
+one of the recurrent state), so the predictions are bit-identical at either
+depth. The backward pass runs t downwards and, at each t, the layers from
+the top down. A layer's input gradient at step t is the layer below's
+upstream gradient at the same step, so it passes in one (h, n) buffer; only
+the fused input's gradient has a step axis.
 
 Given a cache in place of the parameters, a forward pass writes into that
 cache's arrays, as Appleyard et al. preallocate theirs, and returns it. The
@@ -56,12 +59,12 @@ the last epoch's cache, so a run holds one set of activations, the memory
 that dominates exact BPTT (Chen et al. 2016, arXiv:1604.06174), instead of
 two.
 
-A memory-cell layer's h lives in one (h, n) buffer, and neither tanh(c) nor
-h is held at any step: the backward pass recomputes tanh(c_{t-1}) and
-h_{t-1} = o_{t-1} * tanh(c_{t-1}) from the cache with the forward pass's two
-calls, one tanh and one product per layer and step: the cheap end of the
-store-or-recompute trade of memory-efficient BPTT (Gruslys et al. 2016,
-arXiv:1606.03401).
+A memory-cell layer's h lives in the h rows of its [x_t; h; 1] buffer, and
+neither tanh(c) nor h is held in the cache at any step: the backward pass
+recomputes tanh(c_{t-1}) and h_{t-1} = o_{t-1} * tanh(c_{t-1}) from the
+cache with the forward pass's two calls, one tanh and one product per layer
+and step: the cheap end of the store-or-recompute trade of memory-efficient
+BPTT (Gruslys et al. 2016, arXiv:1606.03401).
 
 Everything is float64 and deterministic: identical inputs and parameters
 give bit-identical outputs on one machine at one BLAS thread count. OpenBLAS
@@ -284,7 +287,7 @@ def init_parameters(shape: ModelShape, seed: int, forget_bias: float = 1.0) -> N
 # Batched sequence evaluation with cached activations for BPTT.
 # Windows are evaluated together: stream arrays are (batch, steps, dim), and
 # every layer tensor is batch-last, (steps, features, batch). With the batch
-# on the last axis, a gate pre-activation is W x_t + U h_{t-1}, shape
+# on the last axis, a gate pre-activation is W x_t + U h_{t-1} + b, shape
 # (4h, batch), and each gate owns one contiguous block of rows: [0:h] forget,
 # [h:2h] input, [2h:3h] output, [3h:4h] candidate. Elementwise work on a
 # contiguous block is several times faster than on the strided column slices
@@ -402,24 +405,31 @@ def _fuse_batch(
 def _lstm_forward(cache: ForwardCache, layers: list[LstmLayerParameters]) -> None:
     """Fills the memory-cell stack's gates and c, and the top h, from the
     fused input, step-major: at each step, layers 0..L-1 in turn. Step t
-    lives at row t % depth. Each layer keeps its h in one (H, n) buffer (the
-    top layer's is the cache's h): the layer above reads it at the same
-    step, the layer's own recurrence at the next."""
+    lives at row t % depth.
+
+    Each layer's W, U and b are copied into one (4H, in + H + 1) array
+    [W | U | b], and the layer reads one (in + H + 1, n) buffer [x_t; h; 1]:
+    its input rows, its h rows (zero before step 0) and a row of ones. So a
+    step's gate pre-activations are one GEMM, written into the cache row.
+    A layer writes its new h into its own h rows, where its recurrence reads
+    it at the next step, and copies it into the input rows of the layer
+    above, which reads it at the same step; the top layer's last h is copied
+    into the cache's h."""
     hid, n = cache.h.shape
     depth = cache.depth
-    hs = [np.empty((hid, n)) for _ in layers[:-1]] + [cache.h]
-    rec = np.empty((4 * hid, n))
+    stacked = [np.concatenate((layer.W, layer.U, layer.b[:, None]), axis=1) for layer in layers]
+    bufs = [np.zeros((w.shape[1], n)) for w in stacked]
+    for buf in bufs:
+        buf[-1] = 1.0
+    hs = [buf[-1 - hid : -1] for buf in bufs]
+    ins = [buf[: -1 - hid] for buf in bufs]
     tc = np.empty((hid, n))
     for t in range(cache.steps):
         k = t % depth
-        x = cache.x[t]
-        for lc, layer, h in zip(cache.layers, layers, hs):
+        np.copyto(ins[0], cache.x[t])
+        for lc, W, buf, h, above in zip(cache.layers, stacked, bufs, hs, ins[1:] + [None]):
             act, C = lc.gates[k], lc.c
-            np.matmul(layer.W, x, out=act)
-            act += layer.b[:, None]
-            if t > 0:
-                np.matmul(layer.U, h, out=rec)
-                act += rec
+            np.matmul(W, buf, out=act)
             _sigmoid_(act[: 3 * hid])
             np.tanh(act[3 * hid :], out=act[3 * hid :])
             f, i, o, g = act[:hid], act[hid : 2 * hid], act[2 * hid : 3 * hid], act[3 * hid :]
@@ -431,7 +441,9 @@ def _lstm_forward(cache: ForwardCache, layers: list[LstmLayerParameters]) -> Non
                 np.multiply(i, g, out=C[k])
             np.tanh(C[k], out=tc)
             np.multiply(o, tc, out=h)
-            x = h
+            if above is not None:
+                np.copyto(above, h)
+    np.copyto(cache.h, hs[-1])
 
 
 def _rnn_forward(cache: ForwardCache, layers: list[RnnLayerParameters]) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -30,8 +31,18 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 if str(PERFBENCH) not in sys.path:
     sys.path.insert(0, str(PERFBENCH))
 
+import workloads  # noqa: E402
 from layers import BOUNDARIES, GRID, PREDICT, TRAIN  # noqa: E402
-from workloads import DAILY_BARS, VARIANTS, write_config, write_price_csv, write_sentiment_csv  # noqa: E402
+from run import REFERENCE, reference_settings  # noqa: E402
+from workloads import (  # noqa: E402
+    DAILY_BARS,
+    VARIANTS,
+    WORKLOADS,
+    run_request,
+    write_config,
+    write_price_csv,
+    write_sentiment_csv,
+)
 
 TINY = {"epochs": 2, "layers": 1, "hidden_size": 2, "window": 4}
 
@@ -111,6 +122,22 @@ def test_each_workload_command_calls_every_boundary_it_requires(tmp_path, monkey
         monkeypatch.setattr(module, b.attr, _counted(b.key, getattr(module, b.attr), calls, b.work))
     assert cli.main(argv) == 0
     assert [b.key for b in required if calls[b.key] == 0] == []
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_each_workload_passes_the_benchmark_correctness_gate(tmp_path, name):
+    """Variant 0 of each workload, set up as the benchmark sets it up, runs
+    one cycle of its requests, and every operation must agree with
+    `reference.json` as in a timed run: a kernel change that moves the
+    outputs past the gate's tolerance fails here, not only in the
+    benchmark."""
+    reference = json.loads(REFERENCE.read_text())
+    assert reference["settings"] == reference_settings(workloads)
+    workload = WORKLOADS[name](0, reference)
+    workload.setup(tmp_path)
+    for request in workload.deck():
+        code, _ = run_request(request)
+        assert workload.check(request, code) == [True] * workload.operations, request.key
 
 
 # SHA-256 of the price CSV that `workloads.write_price_csv` writes for each

@@ -587,6 +587,7 @@ KERNEL_TOLERANCE = 1e-12
 REFERENCE_CASES = {
     "lstm": (ModelShape(cell="lstm", layers=3, hidden=6), 5, 4),
     "lstm_no_sentiment": (ModelShape(cell="lstm", layers=2, hidden=7, d_s=None), 5, 4),
+    "lstm_one_layer": (ModelShape(cell="lstm", layers=1, hidden=16), 5, 4),
     "rnn": (ModelShape(cell="rnn", layers=3, hidden=6), 5, 4),
     "rnn_no_sentiment": (ModelShape(cell="rnn", layers=2, hidden=7, d_s=None), 5, 4),
     "one_step": (ModelShape(cell="lstm", layers=2, hidden=6), 1, 4),
@@ -659,6 +660,21 @@ def test_backward_leaves_the_cache_and_the_upstream_gradient_unchanged(cell, hid
     first = backward_batch(cache, d_pred)
     assert all(np.array_equal(a, b) for a, b in zip(held, before))
     assert np.array_equal(backward_batch(cache, d_pred).vector, first.vector)
+
+
+@pytest.mark.parametrize("depth", ["every step", "last step"])
+@pytest.mark.parametrize("cell", ["lstm", "rnn"])
+def test_forward_leaves_the_parameters_and_the_streams_unchanged(cell, depth):
+    """A forward only reads the parameter vector and the streams, first into
+    new arrays, then into the cache it returned: the memory-cell stack's
+    stacked [W | U | b] copies and input buffers never alias them."""
+    params, streams, _ = _random_case(ModelShape(cell=cell, layers=3, hidden=5), steps=6, n=4, seed=13)
+    held = [params.vector] + [s for s in streams if s is not None]
+    before = [a.tobytes() for a in held]
+    into = params if depth == "every step" else last_step_cache(params, 4, 6)
+    for _ in range(2):
+        into = forward_batch(streams, into)
+        assert [a.tobytes() for a in held] == before
 
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
