@@ -7,11 +7,14 @@ Helpers are forked, not spawned: a request is a few hundred milliseconds,
 and a spawned helper would spend much of that importing numpy and
 unpickling its inputs. A forked helper inherits everything the caller built
 before the fork (tasks, datasets, parameters, and the one-thread BLAS pin of
-`trendlab.blas`), and only messages cross, over one duplex pipe per helper.
-The caller closing its end is the stop signal: a helper waiting for a
-message reads EOF. Python 3.12 and later warn when a process with several
-threads forks, and numpy's OpenBLAS keeps an idle pool thread after the pin;
-whether the warning fires there has not been checked.
+`trendlab.blas`), and only messages cross, over one duplex pipe per helper:
+a grid helper sends one, the rows of all the cells it ran, and a training
+helper answers each of the caller's messages with one, so an epoch is one
+message each way (the parameter vector out; its shards' predictions and
+unscaled gradients back). The caller closing its end is the stop signal: a
+helper waiting for a message reads EOF. Python 3.12 and later warn when a
+process with several threads forks, and numpy's OpenBLAS keeps an idle pool
+thread after the pin; whether the warning fires there has not been checked.
 
 Failure rules. When a helper's `serve` raises, its exception crosses the
 pipe in place of its next message, and `Helper.recv` raises it in the

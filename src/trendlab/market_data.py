@@ -166,6 +166,8 @@ def write_csv(header: Sequence[str], rows: Iterable[Iterable]) -> str:
 
 
 def _csv_cell(value):
+    if type(value) is float:  # the common cell; an np.float64, a float subclass, goes on
+        return repr(value) if value == value else ""
     if isinstance(value, (float, np.floating)):
         return "" if math.isnan(value) else repr(float(value))
     return value

@@ -57,7 +57,9 @@ run in the same order, only into other destinations, so the results are
 bit-identical to a fresh forward's. Full-batch training runs each epoch into
 the last epoch's cache, so a run holds one set of activations, the memory
 that dominates exact BPTT (Chen et al. 2016, arXiv:1604.06174), instead of
-two.
+two. A cache's buffers are views of one float64 block, and `shared_caches`
+lays several caches over one block, so a process that runs its training
+shards one after another holds one shard's activations.
 
 A memory-cell layer's h lives in the h rows of its [x_t; h; 1] buffer, and
 neither tanh(c) nor h is held in the cache at any step: the backward pass
@@ -358,19 +360,47 @@ class ForwardCache:
             raise ValueError(f"{reader} needs every step's activations, and this cache keeps only the last step")
 
 
-def _empty_cache(params: NetworkParameters, n: int, steps: int, depth: int) -> ForwardCache:
-    """A cache of `params` over new uninitialised arrays for n windows of
-    `steps` steps, each layer's at `depth` steps (`steps` or 1). Its
-    predictions are NaN until a forward runs into it."""
-    shape = params.shape
+def _buffer_dims(shape: ModelShape, n: int, steps: int, depth: int) -> list[tuple[int, ...]]:
+    """The dims of a cache's buffers, in `ForwardCache.buffers` order."""
     hid = shape.hidden
-    if shape.cell == LSTM:
-        layers = [_LstmLayerCache(np.empty((depth, 4 * hid, n)), np.empty((depth, hid, n)))
-                  for _ in range(shape.layers)]
+    layer = [(depth, 4 * hid, n), (depth, hid, n)] if shape.cell == LSTM else [(depth, hid, n)]
+    return [(steps, shape.fused_dim, n)] + layer * shape.layers + [(hid, n)]
+
+
+def _block(shape: ModelShape, n: int, steps: int, depth: int) -> np.ndarray:
+    """Uninitialised float64 memory for the buffers of a cache of n windows."""
+    return np.empty(sum(math.prod(dims) for dims in _buffer_dims(shape, n, steps, depth)))
+
+
+def _empty_cache(
+    params: NetworkParameters, n: int, steps: int, depth: int, block: np.ndarray | None = None
+) -> ForwardCache:
+    """A cache of `params` for n windows of `steps` steps, each layer's
+    arrays at `depth` steps (`steps` or 1), over uninitialised memory: every
+    buffer is a contiguous view of one float64 block, `block` or a new one.
+    Its predictions are NaN until a forward runs into it."""
+    if block is None:
+        block = _block(params.shape, n, steps, depth)
+    buffers, offset = [], 0
+    for dims in _buffer_dims(params.shape, n, steps, depth):
+        size = math.prod(dims)
+        buffers.append(block[offset : offset + size].reshape(dims))
+        offset += size
+    x, *arrays, h = buffers
+    if params.shape.cell == LSTM:
+        layers = [_LstmLayerCache(gates, c) for gates, c in zip(arrays[::2], arrays[1::2])]
     else:
-        layers = [_RnnLayerCache(np.empty((depth, hid, n))) for _ in range(shape.layers)]
-    x = np.empty((steps, shape.fused_dim, n))
-    return ForwardCache(params, (), x, layers, np.empty((hid, n)), np.full(n, np.nan))
+        layers = [_RnnLayerCache(s) for s in arrays]
+    return ForwardCache(params, (), x, layers, h, np.full(n, np.nan))
+
+
+def shared_caches(params: NetworkParameters, windows: list[int], steps: int) -> list[ForwardCache]:
+    """Caches of `params` for forward passes over windows[k] windows of
+    `steps` steps, at every step, all over one block sized for the largest:
+    a forward into one overwrites the others' activations, so only the
+    cache last run into holds its own. Each covers exactly its windows."""
+    block = _block(params.shape, max(windows), steps, steps)
+    return [_empty_cache(params, n, steps, steps, block) for n in windows]
 
 
 def last_step_cache(params: NetworkParameters, n_windows: int, steps: int) -> ForwardCache:

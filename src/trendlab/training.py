@@ -25,6 +25,7 @@ from .network import (
     forward_batch,
     init_parameters,
     mean_forget_activation,
+    shared_caches,
 )
 
 CHECKPOINT_SCHEMA_VERSION = 4
@@ -82,15 +83,18 @@ def rmse(predictions, truths) -> float:
     return float(np.sqrt(np.mean((p - t) ** 2)))
 
 
+def rmse_gradient_scale(cost: float, n: int) -> float:
+    """1 / (n * cost), the factor that takes the residual predictions -
+    truths of n values to d rmse / d predictions; zero at zero loss, where
+    the square root is not differentiable (training has converged)."""
+    return 0.0 if cost == 0.0 else 1.0 / (n * cost)
+
+
 def rmse_gradient(predictions: np.ndarray, truths: np.ndarray) -> np.ndarray:
-    """d rmse / d predictions; defined as zero at zero loss, where the
-    square root is not differentiable (training has converged)."""
+    """d rmse / d predictions: the residual times `rmse_gradient_scale`."""
     p = np.asarray(predictions, dtype=np.float64)
     t = np.asarray(truths, dtype=np.float64)
-    cost = rmse(p, t)
-    if cost == 0.0:
-        return np.zeros_like(p)
-    return (p - t) / (p.size * cost)
+    return (p - t) * rmse_gradient_scale(rmse(p, t), p.size)
 
 
 def adam_step(
@@ -153,7 +157,7 @@ class TrainingRun:
     parameters: NetworkParameters
 
 
-SHARD_WINDOWS = 512
+SHARD_WINDOWS = 256
 
 
 def _near_equal(n: int, parts: int) -> list[range]:
@@ -165,44 +169,52 @@ def _near_equal(n: int, parts: int) -> list[range]:
 
 def shard_bounds(n_windows: int) -> list[range]:
     """The window ranges of ceil(n / SHARD_WINDOWS) contiguous shards of
-    near-equal size, the longer first: 831 windows are 416 + 415."""
-    return _near_equal(n_windows, -(-n_windows // SHARD_WINDOWS))
+    near-equal size, the longer first, the count rounded up to a power of
+    two so that two processes split them evenly: 831 windows are 208, 208,
+    208 and 207, and 600 are four of 150, not three of 200."""
+    return _near_equal(n_windows, 1 << (-(-n_windows // SHARD_WINDOWS) - 1).bit_length())
 
 
 class _Shards:
-    """The training shards one process owns, in shard order, each with the
-    forward cache it runs into every epoch, and the parameters they run on:
-    the caller's, or a forked helper's copy, which each request overwrites."""
+    """The training shards one process owns, in shard order, and the
+    parameters they run on: the caller's, or a forked helper's copy, which
+    each request overwrites. Their forward caches share one block, made at
+    the first run and sized for the longest shard, so the process holds one
+    shard's activations: each shard's backward pass runs right after its
+    forward, before the next shard's forward overwrites them."""
 
-    def __init__(self, streams: tuple, shards: list[range], params: NetworkParameters):
+    def __init__(self, split: WindowedDataset, shards: list[range], params: NetworkParameters):
         self.params = params
-        self.streams = [tuple(None if s is None else s[shard.start : shard.stop] for s in streams) for shard in shards]
-        self.caches: list[ForwardCache | None] = [None] * len(shards)
+        self.streams = [tuple(None if s is None else s[shard.start : shard.stop] for s in split.streams)
+                        for shard in shards]
+        self.labels = [split.labels[shard.start : shard.stop] for shard in shards]
+        self.steps = split.window
+        self.caches: list[ForwardCache] | None = None
 
-    def forward(self) -> list[np.ndarray]:
-        for k, streams in enumerate(self.streams):
-            cache = self.caches[k]
-            self.caches[k] = forward_batch(streams, self.params if cache is None else cache)
-        return [cache.predictions for cache in self.caches]
-
-    def backward(self, d_predictions: list[np.ndarray]) -> list[NetworkParameters]:
-        return [backward_batch(cache, d) for cache, d in zip(self.caches, d_predictions)]
+    def run(self, backward: bool):
+        """Yields each shard's predictions at the current parameters and, if
+        `backward`, the gradient of sum(residual * predictions) with the
+        residual predictions - labels held fixed: the shard's share of the
+        RMSE gradient before its one scale (None otherwise)."""
+        if self.caches is None:
+            self.caches = shared_caches(self.params, [len(labels) for labels in self.labels], self.steps)
+        for streams, labels, cache in zip(self.streams, self.labels, self.caches):
+            cache = forward_batch(streams, cache)
+            yield cache.predictions, backward_batch(cache, cache.predictions - labels) if backward else None
 
     def serve(self, conn) -> None:
-        """A forked helper's loop until the caller closes its end: a
-        parameter vector asks for the forward pass, whose predictions go
-        back, and a list of prediction gradients for the backward pass of
-        the last forward, whose gradient vectors go back."""
+        """A forked helper's loop until the caller closes its end: each
+        request, a parameter vector and whether to run the backward pass,
+        is answered with one message, its shards' predictions and gradient
+        vectors (none without the backward pass), in shard order."""
         while True:
             try:
-                request = conn.recv()
+                vector, backward = conn.recv()
             except EOFError:
                 return
-            if isinstance(request, np.ndarray):
-                self.params.vector[...] = request
-                conn.send(self.forward())
-            else:
-                conn.send([grads.vector for grads in self.backward(request)])
+            self.params.vector[...] = vector
+            results = list(self.run(backward))
+            conn.send(([p for p, _ in results], [grads.vector for _, grads in results if grads is not None]))
 
 
 class _ShardedBatch:
@@ -212,37 +224,33 @@ class _ShardedBatch:
     depend on the shard layout alone."""
 
     def __init__(self, split: WindowedDataset, params: NetworkParameters, helpers: forked.Helpers | None):
-        self.shards = shard_bounds(split.n_windows)
-        processes = 1 + (0 if helpers is None else forked.helper_count(len(self.shards)))
-        self.groups = _near_equal(len(self.shards), processes)
+        shards = shard_bounds(split.n_windows)
+        processes = 1 + (0 if helpers is None else forked.helper_count(len(shards)))
+        groups = _near_equal(len(shards), processes)
         self.helpers = [
-            helpers.start(_Shards(split.streams, self.shards[group.start : group.stop], params).serve)
-            for group in self.groups[1:]
+            helpers.start(_Shards(split, shards[group.start : group.stop], params).serve) for group in groups[1:]
         ]
-        self.own = _Shards(split.streams, self.shards[: self.groups[0].stop], params)
+        self.own = _Shards(split, shards[: groups[0].stop], params)
 
-    def predictions(self) -> np.ndarray:
-        """Every training window's prediction at the current parameters."""
+    def run(self, backward: bool) -> tuple[np.ndarray, NetworkParameters | None]:
+        """Every training window's prediction at the current parameters and,
+        if `backward`, the sum of the shards' unscaled gradients in shard
+        order, in place in the first shard's (None otherwise)."""
         for helper in self.helpers:
-            helper.conn.send(self.own.params.vector)
-        parts = self.own.forward()
+            helper.conn.send((self.own.params.vector, backward))
+        predictions, total = [], None
+        for part, grads in self.own.run(backward):
+            predictions.append(part)
+            if total is None:
+                total = grads
+            else:
+                total.vector += grads.vector
         for helper in self.helpers:
-            parts += helper.recv("its shards")
-        return np.concatenate(parts)
-
-    def gradient(self, d_predictions: np.ndarray) -> NetworkParameters:
-        """The gradient of the last `predictions` pass from each window's
-        prediction gradient: the shards' gradients summed in shard order."""
-        pieces = [d_predictions[shard.start : shard.stop] for shard in self.shards]
-        for helper, group in zip(self.helpers, self.groups[1:]):
-            helper.conn.send(pieces[group.start : group.stop])
-        total, *own = self.own.backward(pieces[: self.groups[0].stop])
-        vectors = [grads.vector for grads in own]
-        for helper in self.helpers:
-            vectors += helper.recv("its shards")
-        for vector in vectors:
-            total.vector += vector
-        return total
+            parts, vectors = helper.recv("its shards")
+            predictions += parts
+            for vector in vectors:
+                total.vector += vector
+        return np.concatenate(predictions), total
 
 
 def _fit(
@@ -250,7 +258,10 @@ def _fit(
 ) -> tuple[list[float], float]:
     """Every epoch of Adam on the training split, in place on `params`, then
     the split's RMSE at the trained parameters: the per-epoch costs and the
-    final one. The shard caches are freed when it returns."""
+    final one. Each epoch is one exchange with each helper: the parameter
+    vector out; the predictions and unscaled gradients back. The summed
+    gradient is scaled once by `rmse_gradient_scale` of the joined
+    predictions' RMSE. The shard caches are freed when it returns."""
     m = np.zeros_like(params.vector)
     v = np.zeros_like(params.vector)
     epoch_rmse: list[float] = []
@@ -258,16 +269,16 @@ def _fit(
         batch = _ShardedBatch(split, params, helpers if fork_helpers else None)
         for epoch in range(config.epochs):
             try:
-                predictions = batch.predictions()
+                predictions, grads = batch.run(backward=True)
                 cost = rmse(predictions, split.labels)
                 if not math.isfinite(cost):
                     raise DivergenceError("non-finite loss")
                 epoch_rmse.append(cost)
-                grads = batch.gradient(rmse_gradient(predictions, split.labels))
+                grads.vector *= rmse_gradient_scale(cost, split.n_windows)
                 adam_step(params, grads, m, v, epoch + 1, config)
             except DivergenceError as exc:
                 raise DivergenceError(f"diverged at epoch {epoch}: {exc}", epoch=epoch) from None
-        return epoch_rmse, rmse(batch.predictions(), split.labels)
+        return epoch_rmse, rmse(batch.run(backward=False)[0], split.labels)
 
 
 def train(
@@ -282,29 +293,33 @@ def train(
     per (dataset, config).
 
     The training windows run as `shard_bounds` shards of at most
-    SHARD_WINDOWS windows each, in the caller and in
-    `forked.helper_count(shards)` forked helpers: synchronous data
+    SHARD_WINDOWS windows each, a power of two of them, in the caller and
+    in `forked.helper_count(shards)` forked helpers: synchronous data
     parallelism (Dean et al. 2012), since the windows are independent
-    columns and the full-batch gradient is the sum of the shards'. Each
-    epoch the caller sends out the parameter vector, joins the shards'
-    predictions in shard order for the RMSE and its gradient, sends each
-    helper its slices of that gradient, and sums the shards' parameter
-    gradients in shard order before the one Adam step. The bits depend on
-    the window count, which fixes the shards, never on the CPU count: with
-    one usable CPU, or with `fork_helpers` false (a grid cell, which runs
-    in a process of its own already), the caller runs every shard itself
-    and gets the same bytes. Up to SHARD_WINDOWS training windows are one
-    shard, the whole batch, as an unsharded run.
+    columns and the full-batch gradient is the sum of the shards'. The
+    backward pass is linear in the prediction gradient, so each shard runs
+    its backward pass right after its forward, on its residual predictions
+    - labels, before the RMSE that scales it is known. Each epoch the caller
+    sends out the parameter vector, and each process runs its shards in
+    order and returns their predictions and unscaled gradients: one message
+    each way per helper. The caller joins the predictions in shard order
+    for the RMSE, sums the gradients in shard order into the first shard's,
+    and scales the sum once by `rmse_gradient_scale` before the one Adam
+    step. The bits depend on the window count, which fixes the shards,
+    never on the CPU count: with one usable CPU, or with `fork_helpers`
+    false (a grid cell, which runs in a process of its own already), the
+    caller runs every shard itself and gets the same bytes. Up to
+    SHARD_WINDOWS training windows are one shard, the whole batch, as an
+    unsharded run.
 
-    Each process holds one set of activation buffers per shard it owns: the
-    fused input and every step's gates and c, but neither h nor tanh(c),
-    which the backward pass recomputes (a tanh layer holds its states). The
-    Adam step updates the parameter vector in place, so each epoch's
-    forward, and the final train-split evaluation, runs into the previous
-    epoch's cache (`forward_batch(streams, cache)`): the same calls as with
-    fresh arrays, the same bits, and one cache per shard alive instead of
-    two. The test split is evaluated in the caller, into arrays of its own,
-    once the shard caches are freed.
+    Each process holds one shard's activation buffers, whatever the window
+    count: the fused input and every step's gates and c, but neither h nor
+    tanh(c), which the backward pass recomputes (a tanh layer holds its
+    states). Its shards' caches are views of one block sized for its
+    longest shard (`network.shared_caches`), which every shard's forward,
+    every epoch and the final train-split evaluation overwrite: the same
+    calls as with fresh arrays, the same bits. The test split is evaluated
+    in the caller, into arrays of its own, once that block is freed.
     """
     if config.window != dataset.window:
         raise ConfigError(f"config window {config.window} != dataset window {dataset.window}")

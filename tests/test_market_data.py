@@ -64,6 +64,11 @@ def test_write_csv_writes_each_cell_kind():
     )
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1728.339966])
+def test_write_csv_writes_a_float_as_its_numpy_twin(value):
+    assert write_csv(("v",), [(value,)]) == write_csv(("v",), [(np.float64(value),)])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(allow_nan=False, allow_infinity=False), st.booleans())
 def test_write_csv_floats_read_back_exactly(value, as_numpy):

@@ -468,8 +468,8 @@ def test_reused_lstm_gates_are_row_blocks_of_one_buffer():
     for lc in cache.layers:
         assert lc.gates.shape == (5, 16, 3)
         for j, gate in enumerate((lc.f, lc.i, lc.o, lc.g)):
-            assert gate.base is lc.gates
-            assert np.array_equal(gate, lc.gates[:, 4 * j : 4 * (j + 1)])
+            rows = lc.gates[:, 4 * j : 4 * (j + 1)]
+            assert gate.__array_interface__ == rows.__array_interface__  # the same memory, strides and shape
 
 
 @pytest.mark.parametrize("windows, steps", [(5, 6), (4, 7)], ids=["windows", "steps"])
@@ -719,8 +719,9 @@ def test_a_last_step_cache_is_under_a_quarter_of_a_full_cache():
     assert last_bytes <= 0.25 * full_bytes
     assert peak <= 0.3 * full_bytes
     # In bytes: x + 3 x one step of (gates + c) + the top h = 4,379,680,
-    # and a traced peak of 6,199,144. When every layer held every step's h,
-    # they read 12,291,360 and 13,658,560.
+    # and a traced peak of 6,009,952 (it moves by a few hundred bytes from
+    # run to run). When every layer held every step's h, they read
+    # 12,291,360 and 13,658,560.
     assert last_bytes <= 4.5e6
     assert peak <= 6.5e6
 

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import tracemalloc
 from dataclasses import replace
+from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from trendlab.errors import CheckpointError, ConfigError, DataError, DivergenceE
 from trendlab.features import build_feature_frame, prepare_dataset
 from trendlab.market_data import NormalizationScale, WindowedDataset, make_windows
 from trendlab.network import ModelShape, NetworkParameters, backward_batch, forward_batch, init_parameters
-from trendlab import training
+from trendlab import forked, training
 from trendlab.synthetic import paper_shaped_series, planted_sentiment, sine_series
 from trendlab.training import (
     TrainConfig,
@@ -191,7 +192,8 @@ def test_adam_validation():
 def test_train_matches_per_block_adam_oracle(sine_bundle, cell):
     """50 epochs of `train` against the library's forward and backward
     passes driving the per-block Adam oracle: bit-identical parameters and
-    epoch losses."""
+    epoch losses. The 20 training windows are one shard, whose gradient is
+    the backward pass of the residual, scaled once by 1 / (n * RMSE)."""
     dataset = sine_bundle.dataset
     config = TrainConfig(epochs=50, cell=cell, layers=2, hidden_size=5, seed=2)
     run = train(dataset, config)
@@ -201,11 +203,14 @@ def test_train_matches_per_block_adam_oracle(sine_bundle, cell):
     m = {name: np.zeros_like(a) for name, a in weights.items()}
     v = {name: np.zeros_like(a) for name, a in weights.items()}
     streams, labels = dataset.train.streams, dataset.train.labels
+    assert shard_bounds(labels.size) == [range(labels.size)]
     epoch_rmse = []
     for t in range(1, config.epochs + 1):
         cache = forward_batch(streams, params)
         epoch_rmse.append(rmse(cache.predictions, labels))
-        grads = backward_batch(cache, rmse_gradient(cache.predictions, labels)).param_dict()
+        grads = backward_batch(cache, cache.predictions - labels)
+        grads.vector *= 1.0 / (labels.size * epoch_rmse[-1])
+        grads = grads.param_dict()
         reference_adam_step(weights, grads, m, v, t, learning_rate=config.learning_rate,
                             beta1=config.beta1, beta2=config.beta2, epsilon=config.epsilon)
     assert run.epoch_rmse == tuple(epoch_rmse)
@@ -261,33 +266,34 @@ def _traced_peak(dataset, config) -> tuple[int, TrainingRun]:
 def test_a_training_run_holds_one_forward_cache(monkeypatch, paper_dataset):
     """numpy reports its arrays to tracemalloc. On the weekly paper-shaped
     series (831 training windows of 12 steps, 3 x 32 LSTM) the activation
-    buffers dominate a run's memory, and one set of them per shard serves
-    every epoch. On one CPU the caller runs both shards, and the peak stays
-    below 1.5 full-batch caches. Allocating a cache per epoch while the last
-    is alive reads about 2.1. In bytes, the peak stays below 48 MB (it reads
-    43.5 MB; 45.97 MB unsharded, with the test split evaluated while the
-    training cache was alive): a cache that also held every layer's h at
-    every step, with a (T, H, n) upstream gradient in the backward pass,
-    read 53.4 MB, and one that held tanh(c) too, with each layer's input
-    gradient allocated beside its upstream one, 62.7 MB."""
+    buffers dominate a run's memory. On one CPU the caller runs all four
+    shards, each backward pass right after its forward, through one block
+    sized for a 208-window shard, so the peak stays below 0.4 of one
+    full-batch cache (it reads 0.318). Two shards of 416 with a cache each,
+    kept from an epoch's forward passes to its backward passes, read 1.11,
+    and a full-batch cache allocated per epoch while the last was alive
+    about 2.1. In bytes, the peak stays below 14 MB (it reads 12.5 MB;
+    43.5 MB with the two caches of 416 windows)."""
     _on_cpus(monkeypatch, 1)
     peak, run = _traced_peak(paper_dataset, TrainConfig(epochs=3))
     cache = forward_batch(paper_dataset.train.streams, run.parameters)
     assert cache.n_windows == 831
-    assert peak < 1.5 * sum(a.nbytes for a in cache.buffers())
-    assert peak < 48.0e6
+    assert peak < 0.4 * sum(a.nbytes for a in cache.buffers())
+    assert peak < 14.0e6
 
 
 def test_on_two_cpus_the_caller_holds_the_cache_of_its_own_shard_only(monkeypatch, paper_dataset):
-    """With a helper running the second shard, the caller's traced peak
-    stays below 0.6 of one full-batch cache (it reads 0.594: half a cache,
-    and the backward pass's buffers for half the windows). A run before it
-    imports what the first fork imports, which the peak is not about."""
+    """With a helper running the last two shards, the caller's traced peak
+    stays below 0.35 of one full-batch cache (it reads 0.314: a quarter of
+    a cache, and the backward pass's buffers for a quarter of the windows;
+    0.594 when the caller held a cache for each of its shards). A run
+    before it imports what the first fork imports, which the peak is not
+    about."""
     _on_cpus(monkeypatch, 2)
     train(paper_dataset, TrainConfig(epochs=1, layers=1, hidden_size=2))
     peak, run = _traced_peak(paper_dataset, TrainConfig(epochs=3))
     cache = forward_batch(paper_dataset.train.streams, run.parameters)
-    assert peak < 0.6 * sum(a.nbytes for a in cache.buffers())
+    assert peak < 0.35 * sum(a.nbytes for a in cache.buffers())
 
 
 def test_training_is_deterministic(sine_bundle):
@@ -362,26 +368,30 @@ def test_divergence_in_optimizer_step_reports_epoch(sine_bundle, monkeypatch):
 # --- shards across processes --------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2, 511, 512, 513, 831, 1024, 1025, 5000])
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 511, 512, 513, 600, 831, 1024, 1025, 4277, 5000])
 def test_shards_are_contiguous_near_equal_and_at_most_512_windows(n):
+    """The shards cover 0..n-1 in order, the longer first, at most
+    SHARD_WINDOWS = 256 windows each (within the 512 of the name, the bound
+    before it), and their count is the least power of two that allows it,
+    so that two processes split them evenly."""
     shards = shard_bounds(n)
-    assert len(shards) == -(-n // 512)
+    count = len(shards)
+    assert count & (count - 1) == 0 and (count == 1 or -(-n // (count // 2)) > 256)
     assert [k for shard in shards for k in shard] == list(range(n))
     sizes = [len(shard) for shard in shards]
-    assert max(sizes) <= 512 and max(sizes) - min(sizes) <= 1 and sizes == sorted(sizes, reverse=True)
+    assert min(sizes) >= 1 and max(sizes) <= 256
+    assert max(sizes) - min(sizes) <= 1 and sizes == sorted(sizes, reverse=True)
 
 
-def test_the_paper_fixture_trains_the_same_bytes_on_one_cpu_and_on_two(monkeypatch, paper_dataset):
-    """831 windows are two shards, 416 + 415. On one CPU the caller runs
-    both and forks nothing; on two a helper runs the second. Everything the
-    run returns is bit-equal."""
-    assert shard_bounds(paper_dataset.train.n_windows) == [range(0, 416), range(416, 831)]
+def _trains_the_same_bytes_on_one_cpu_and_on_two(monkeypatch, dataset) -> None:
+    """On one CPU the caller runs every shard and forks nothing; on two a
+    helper runs the second half. Everything the run returns is bit-equal."""
     forks = _count_forks(monkeypatch)
     runs, forked = {}, {}
     for cpus in (1, 2):
         _on_cpus(monkeypatch, cpus)
         forks.clear()
-        runs[cpus] = train(paper_dataset, TrainConfig(epochs=2))
+        runs[cpus] = train(dataset, TrainConfig(epochs=2))
         forked[cpus] = len(forks)
     assert forked == {1: 0, 2: 1}
     one, two = runs[1], runs[2]
@@ -389,11 +399,92 @@ def test_the_paper_fixture_trains_the_same_bytes_on_one_cpu_and_on_two(monkeypat
     assert (one.epoch_rmse, one.train_rmse, one.test_rmse) == (two.epoch_rmse, two.train_rmse, two.test_rmse)
 
 
-def test_below_512_windows_nothing_forks(monkeypatch, sine_bundle):
+def test_the_paper_fixture_trains_the_same_bytes_on_one_cpu_and_on_two(monkeypatch, paper_dataset):
+    """831 windows are four shards, 208, 208, 208 and 207; a helper runs
+    the last two on two CPUs."""
+    assert [len(shard) for shard in shard_bounds(paper_dataset.train.n_windows)] == [208, 208, 208, 207]
+    _trains_the_same_bytes_on_one_cpu_and_on_two(monkeypatch, paper_dataset)
+
+
+def test_600_windows_train_as_four_shards_with_the_same_bytes_on_one_cpu_and_on_two(monkeypatch, paper_dataset):
+    """600 windows need three shards of at most 256, and train as four of
+    150, so that each of two processes runs two."""
+    dataset = replace(paper_dataset, split_index=600)
+    assert shard_bounds(dataset.train.n_windows) == [range(0, 150), range(150, 300), range(300, 450), range(450, 600)]
+    _trains_the_same_bytes_on_one_cpu_and_on_two(monkeypatch, dataset)
+
+
+def test_up_to_256_windows_nothing_forks(monkeypatch, paper_dataset):
     forks = _count_forks(monkeypatch)
     _on_cpus(monkeypatch, 2)
-    train(sine_bundle.dataset, TrainConfig(epochs=2, layers=1, hidden_size=2))
-    assert sine_bundle.dataset.train.n_windows < 512 and forks == []
+    for n, forked in ((256, 0), (257, 1)):
+        forks.clear()
+        train(replace(paper_dataset, split_index=n), TrainConfig(epochs=2, layers=1, hidden_size=2))
+        assert len(forks) == forked, n
+
+
+def test_each_helper_gets_one_message_and_sends_one_per_epoch(monkeypatch, paper_dataset):
+    """An epoch is one exchange with each helper: the parameter vector out,
+    its shards' predictions and unscaled gradients back. The final
+    train-split RMSE is one more, 3 epochs 4 messages each way."""
+    parent, real_send = os.getpid(), Connection.send
+    sent = {"caller": forked.shared_counter(), "helper": forked.shared_counter()}
+
+    def counted(conn, message):
+        counter = sent["caller" if os.getpid() == parent else "helper"]
+        with counter.get_lock():
+            counter.value += 1
+        real_send(conn, message)
+
+    monkeypatch.setattr(Connection, "send", counted)
+    _on_cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    train(paper_dataset, TrainConfig(epochs=3, layers=1, hidden_size=2))
+    assert len(forks) == 1
+    assert (sent["caller"].value, sent["helper"].value) == (4, 4)
+
+
+def test_a_process_runs_its_shards_through_caches_that_share_one_block(paper_dataset):
+    """Each shard's cache covers exactly its windows, and all of them are
+    views of one block, so each shard's forward overwrites the last one's
+    activations. Every shard still yields the predictions and unscaled
+    gradient of a forward and a backward pass on fresh arrays."""
+    split, params = paper_dataset.train, init_parameters(SMALL_SHAPE, seed=1)
+    shards = shard_bounds(split.n_windows)
+    own = training._Shards(split, shards, params)
+    results = list(own.run(backward=True))
+    assert [cache.n_windows for cache in own.caches] == [len(shard) for shard in shards]
+    for cache in own.caches[1:]:
+        assert all(np.shares_memory(a, b) for a, b in zip(cache.buffers(), own.caches[0].buffers()))
+    for shard, (predictions, grads) in zip(shards, results):
+        fresh = forward_batch(tuple(s[shard.start : shard.stop] for s in split.streams), params)
+        assert np.array_equal(predictions, fresh.predictions)
+        residual = fresh.predictions - split.labels[shard.start : shard.stop]
+        assert np.array_equal(grads.vector, backward_batch(fresh, residual).vector)
+
+
+def _random_dataset(train_windows: int) -> WindowedDataset:
+    """Random streams of 12 steps: `train_windows` training windows and 4 test ones."""
+    rng, n = np.random.default_rng(train_windows), train_windows + 4
+    return WindowedDataset(rng.normal(size=(n, 12, 3)), rng.normal(size=(n, 12, 3)), rng.uniform(size=(n, 12, 1)),
+                           rng.uniform(size=n), np.arange(n), train_windows)
+
+
+def test_a_grid_cell_holds_one_shard_of_activations_whatever_its_window_count():
+    """A 1 x 8 LSTM trained in the caller alone: 4,096 windows are 16
+    shards of 256, against 4 at 1,024, and the traced peak stays the same
+    (1,024: ~1.2 MB; four times the windows in one cache would read ~4x)."""
+    config = TrainConfig(epochs=2, layers=1, hidden_size=8)
+    peaks = {}
+    for n in (1024, 4096):
+        dataset = _random_dataset(n)
+        tracemalloc.start()
+        try:
+            train(dataset, config, fork_helpers=False)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4096] < 1.1 * peaks[1024], peaks
 
 
 def test_a_grid_cell_trains_its_shards_in_the_caller(monkeypatch, paper_dataset):
@@ -407,7 +498,7 @@ def test_a_grid_cell_trains_its_shards_in_the_caller(monkeypatch, paper_dataset)
 
 def test_a_non_finite_prediction_in_a_helper_shard_reports_its_epoch(monkeypatch, paper_dataset):
     def poison(call, streams, params):
-        if call == 2:  # the helper's forward at epoch 1
+        if call == 3:  # the helper's first shard's forward at epoch 1
             streams = (np.full_like(streams[0], np.nan),) + streams[1:]
         return streams, params
 
@@ -439,7 +530,7 @@ def test_a_failure_in_the_caller_mid_epoch_still_joins_the_helper(monkeypatch, p
         grads = backward_batch(cache, d_predictions)
         if os.getpid() == parent:
             calls.append(None)
-            if len(calls) == 3:
+            if len(calls) == 5:  # the caller's first shard at epoch 2
                 grads.head.b[...] = np.nan
         return grads
 
