@@ -99,7 +99,8 @@ class ExperimentsSection:
 @dataclass(frozen=True)
 class RunConfig:
     """A run config file: one field per key, in the order `config.json`
-    echoes them, each with the value a missing key takes."""
+    echoes them, each with the value a missing key takes. `symbol` is only
+    echoed; it stays while the benchmark's configs write it."""
 
     price_csv: Path | None = None
     sentiment_csv: Path | None = None

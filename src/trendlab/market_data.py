@@ -73,12 +73,11 @@ def _check_bars(ordinals: np.ndarray, ohlca: np.ndarray, volume: np.ndarray) -> 
 
 @dataclass(frozen=True, eq=False)
 class PriceSeries:
-    """The bars of one symbol as read-only columns, in strictly ascending
+    """A price series' bars as read-only columns, in strictly ascending
     date order: `ordinals` (int64 `date.toordinal()` values), `ohlca`
     ((n, 5) float64 open, high, low, close, adjusted) and `volume` (int64).
     Every bar invariant is checked once, here, over whole columns."""
 
-    symbol: str
     interval: str
     ordinals: np.ndarray
     ohlca: np.ndarray
@@ -126,7 +125,7 @@ class PriceSeries:
         lo, hi = np.searchsorted(self.ordinals, (start.toordinal(), end.toordinal() + 1))
         if lo >= hi:
             raise DataError(f"no bars between {start} and {end}")
-        return PriceSeries(self.symbol, self.interval, self.ordinals[lo:hi], self.ohlca[lo:hi], self.volume[lo:hi])
+        return PriceSeries(self.interval, self.ordinals[lo:hi], self.ohlca[lo:hi], self.volume[lo:hi])
 
 
 def read_csv(text: str, *headers: tuple[str, ...]) -> tuple[tuple[str, ...], Iterator[tuple[int, list[str]]]]:
@@ -173,7 +172,7 @@ def _csv_cell(value):
     return value
 
 
-def parse_price_csv(text: str, symbol: str = "series", interval: str = DAILY) -> PriceSeries:
+def parse_price_csv(text: str, interval: str = DAILY) -> PriceSeries:
     """Parse a `Date,Open,High,Low,Close,Adj Close,Volume` CSV into a PriceSeries.
 
     Dates must be ISO-8601 and strictly ascending, and volumes must fit in
@@ -206,7 +205,7 @@ def parse_price_csv(text: str, symbol: str = "series", interval: str = DAILY) ->
     ohlca = np.array(columns[1:6], dtype=np.float64).T
     try:
         if malformed is None:
-            return PriceSeries(symbol, interval, ordinals, ohlca, volume)
+            return PriceSeries(interval, ordinals, ohlca, volume)
         _check_bars(ordinals, ohlca, volume)  # an earlier bad bar is named first
     except _BarFault as exc:
         raise DataError(f"line {_line_of(text, exc.index)}: {exc}") from None
@@ -260,7 +259,7 @@ def resample_weekly(series: PriceSeries) -> PriceSeries:
             if total > _INT64_MAX:
                 raise DataError(f"week of {date.fromordinal(monday)}: volume {total} does not fit in int64")
     volume = np.add.reduceat(series.volume, starts)
-    return PriceSeries(series.symbol, WEEKLY, mondays[starts], ohlca, volume)
+    return PriceSeries(WEEKLY, mondays[starts], ohlca, volume)
 
 
 def compute_tdd(series: PriceSeries) -> np.ndarray:

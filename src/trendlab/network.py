@@ -37,9 +37,9 @@ layer's output at the step it is made. A forward pass writes the fused
 input, the top layer's last hidden state, which the head reads, and each
 layer's activations (a memory-cell layer's gates and c, a tanh layer's
 states) into a cache, at one of two depths: every step (depth T, what a
-forward allocates and what the backward pass and the forget-gate mean
+forward allocates and what the backward pass and the forget-gate sum
 read), or the last step only (depth 1, from `last_step_cache`, for
-predictions; those two readers refuse it). Step t sits at row t % depth,
+`predict`; those two readers refuse it). Step t sits at row t % depth,
 and is computed there with the same calls whatever the depth (a
 memory-cell layer's one GEMM, a tanh layer's GEMM of the step's input and
 one of the recurrent state), so the predictions are bit-identical at either
@@ -58,7 +58,7 @@ bit-identical to a fresh forward's. Full-batch training runs each epoch into
 the last epoch's cache, so a run holds one set of activations, the memory
 that dominates exact BPTT (Chen et al. 2016, arXiv:1604.06174), instead of
 two. A cache's buffers are views of one float64 block, and `shared_caches`
-lays several caches over one block, so a process that runs its training
+lays several caches over one block, so a process that runs a split's
 shards one after another holds one shard's activations.
 
 A memory-cell layer's h lives in the h rows of its [x_t; h; 1] buffer, and
@@ -326,8 +326,8 @@ class _RnnLayerCache:
 
 @dataclass
 class ForwardCache:
-    """Everything the backward pass needs, plus the predictions; a cache
-    from `last_step_cache` holds only what the predictions need."""
+    """What the backward pass and `forget_gate_sum` read, and the
+    predictions; a `last_step_cache` holds only what the predictions need."""
 
     params: NetworkParameters
     streams: tuple[np.ndarray, np.ndarray, np.ndarray | None]  # (n, T, d) each
@@ -405,9 +405,9 @@ def shared_caches(params: NetworkParameters, windows: list[int], steps: int) -> 
 
 def last_step_cache(params: NetworkParameters, n_windows: int, steps: int) -> ForwardCache:
     """A cache of `params` to forward n_windows windows of `steps` steps
-    into, for predictions only: each layer keeps one step, so the backward
-    pass and the forget-gate mean refuse the result. Its buffers are the
-    fused input, one step per layer and the top h."""
+    into, for `predict`, where it beat full-depth shards: each layer keeps
+    one step, so the backward pass and `forget_gate_sum` refuse it. Its
+    buffers are the fused input, one step per layer and the top h."""
     return _empty_cache(params, n_windows, steps, depth=1)
 
 
@@ -671,13 +671,13 @@ def backward_batch(cache: ForwardCache, d_predictions: np.ndarray) -> NetworkPar
     return grads
 
 
-def mean_forget_activation(cache: ForwardCache) -> float:
-    """Arithmetic mean of every forget-gate activation in the cache, all
-    windows, layers, steps and units weighted equally. The values are
-    summed in window, layer, step, unit order, which fixes the last bits
-    of the result."""
-    cache._require_every_step("the forget-gate mean")
-    forget = [lc.f for lc in cache.layers if isinstance(lc, _LstmLayerCache)]
-    if not forget:
-        raise ValueError("the cache holds no forget gates")
-    return float(np.stack(forget).transpose(3, 0, 1, 2).ravel().mean())
+def forget_gate_sum(cache: ForwardCache) -> tuple[float, int]:
+    """The sum and count of the cache's forget-gate activations, (0.0, 0)
+    for a tanh stack. The values are summed in window, layer, step, unit
+    order, which fixes the last bits: sum / count is numpy's mean of them,
+    bit for bit. A split's shards add their sums in shard order."""
+    cache._require_every_step("the forget-gate sum")
+    if not isinstance(cache.layers[0], _LstmLayerCache):
+        return 0.0, 0
+    values = np.stack([lc.f.transpose(2, 0, 1) for lc in cache.layers], axis=1).ravel()
+    return float(values.sum()), values.size

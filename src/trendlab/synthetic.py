@@ -51,7 +51,7 @@ def indicator_fixture(bars: int = 60, seed: int = 7) -> PriceSeries:
     steps = rng.normal(0.0, 1.4, size=bars)
     adjusted = 100.0 + np.cumsum(steps)
     adjusted = np.maximum(adjusted, 5.0)
-    return PriceSeries("F1", WEEKLY, *bars_from_adjusted(adjusted, weekly_dates(bars), seed=seed + 1))
+    return PriceSeries(WEEKLY, *bars_from_adjusted(adjusted, weekly_dates(bars), seed=seed + 1))
 
 
 def sine_series(bars: int = 59, period: float = 16.0, base: float = 100.0, amplitude: float = 10.0) -> PriceSeries:
@@ -60,7 +60,7 @@ def sine_series(bars: int = 59, period: float = 16.0, base: float = 100.0, ampli
     """
     t = np.arange(bars, dtype=np.float64)
     adjusted = base + amplitude * np.sin(2.0 * np.pi * t / period)
-    return PriceSeries("SINE", WEEKLY, *bars_from_adjusted(adjusted, weekly_dates(bars), seed=1))
+    return PriceSeries(WEEKLY, *bars_from_adjusted(adjusted, weekly_dates(bars), seed=1))
 
 
 def trend_seasonal_daily(bars: int = 1280, seed: int = 11) -> PriceSeries:
@@ -77,7 +77,7 @@ def trend_seasonal_daily(bars: int = 1280, seed: int = 11) -> PriceSeries:
     noise = rng.normal(0.0, 1.6, size=bars) * weekday_swing
     adjusted = 250.0 + 0.06 * t + 12.0 * np.sin(2.0 * np.pi * t / 40.0) + noise
     adjusted = np.maximum(adjusted, 5.0)
-    return PriceSeries("TRSEAS", DAILY, *bars_from_adjusted(adjusted, business_dates(bars), seed=seed + 1))
+    return PriceSeries(DAILY, *bars_from_adjusted(adjusted, business_dates(bars), seed=seed + 1))
 
 
 def random_walk_series(bars: int = 340, seed: int = 23, step_sigma: float = 0.012) -> PriceSeries:
@@ -87,7 +87,7 @@ def random_walk_series(bars: int = 340, seed: int = 23, step_sigma: float = 0.01
     rng = np.random.default_rng(seed)
     log_path = np.cumsum(rng.normal(0.0, step_sigma, size=bars))
     adjusted = 150.0 * np.exp(log_path)
-    return PriceSeries("WALK", WEEKLY, *bars_from_adjusted(adjusted, weekly_dates(bars), seed=seed + 1))
+    return PriceSeries(WEEKLY, *bars_from_adjusted(adjusted, weekly_dates(bars), seed=seed + 1))
 
 
 def planted_sentiment(series: PriceSeries, seed: int = 13, noise: float = 0.04) -> dict[date, float]:
@@ -121,7 +121,7 @@ def regime_fixture(
     adjusted = np.concatenate([bear, flat, bull]) + noise
     adjusted = np.maximum(adjusted, 5.0)
     dates = weekly_dates(3 * n, start=date(2000, 1, 3))
-    series = PriceSeries("REGIME", WEEKLY, *bars_from_adjusted(adjusted, dates, seed=seed + 1))
+    series = PriceSeries(WEEKLY, *bars_from_adjusted(adjusted, dates, seed=seed + 1))
     segments = [
         (dates[0], dates[n - 1]),
         (dates[n], dates[2 * n - 1]),
@@ -148,4 +148,4 @@ def paper_shaped_series(seed: int = 3) -> PriceSeries:
         drift = next((d for start, end, d in drifts if start <= when <= end), 0.8)
         level = max(level + drift + rng.normal(0.0, 4.0), 50.0)
         adjusted[k] = level
-    return PriceSeries("SHAPED", WEEKLY, *bars_from_adjusted(adjusted, dates, seed=seed + 1))
+    return PriceSeries(WEEKLY, *bars_from_adjusted(adjusted, dates, seed=seed + 1))

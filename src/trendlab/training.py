@@ -22,9 +22,9 @@ from .network import (
     ModelShape,
     NetworkParameters,
     backward_batch,
+    forget_gate_sum,
     forward_batch,
     init_parameters,
-    mean_forget_activation,
     shared_caches,
 )
 
@@ -131,22 +131,11 @@ def model_shape(widths: tuple[int, int, int | None], config: TrainConfig) -> Mod
                       layers=config.layers, hidden=config.hidden_size)
 
 
-def evaluate(
-    dataset: WindowedDataset, params: NetworkParameters | ForwardCache
-) -> tuple[ForwardCache | None, float | None]:
-    """The forward pass over all windows and its RMSE; both None when empty.
-    `params` may be a cache of the model to run into (see `forward_batch`)."""
-    if dataset.n_windows == 0:
-        return None, None
-    cache = forward_batch(dataset.streams, params)
-    return cache, rmse(cache.predictions, dataset.labels)
-
-
 @dataclass(frozen=True)
 class TrainingRun:
     """Per-epoch training cost, final metrics, and the trained parameters.
-    `test_mean_forget` is the mean forget-gate activation of the final test
-    pass: None for a plain recurrent cell or an empty test split."""
+    `test_rmse` and `test_mean_forget` are `evaluate` of the test split:
+    both None when it is empty, the mean None for a plain recurrent cell."""
 
     epoch_rmse: tuple[float, ...]
     train_rmse: float
@@ -176,12 +165,13 @@ def shard_bounds(n_windows: int) -> list[range]:
 
 
 class _Shards:
-    """The training shards one process owns, in shard order, and the
+    """The shards of a split that one process owns, in shard order, and the
     parameters they run on: the caller's, or a forked helper's copy, which
     each request overwrites. Their forward caches share one block, made at
     the first run and sized for the longest shard, so the process holds one
-    shard's activations: each shard's backward pass runs right after its
-    forward, before the next shard's forward overwrites them."""
+    shard's activations: each shard is read right after its forward, before
+    the next shard's overwrites them. Every forward pass of `train` runs
+    here: the training shards, each epoch and once more, and the test split."""
 
     def __init__(self, split: WindowedDataset, shards: list[range], params: NetworkParameters):
         self.params = params
@@ -192,15 +182,15 @@ class _Shards:
         self.caches: list[ForwardCache] | None = None
 
     def run(self, backward: bool):
-        """Yields each shard's predictions at the current parameters and, if
-        `backward`, the gradient of sum(residual * predictions) with the
-        residual predictions - labels held fixed: the shard's share of the
-        RMSE gradient before its one scale (None otherwise)."""
+        """Yields each shard's cache after its forward pass at the current
+        parameters (its activations last until the next shard's) and, if
+        `backward`, the shard's share of the RMSE gradient before its one
+        scale: that of sum(residual * predictions), residual held fixed."""
         if self.caches is None:
             self.caches = shared_caches(self.params, [len(labels) for labels in self.labels], self.steps)
         for streams, labels, cache in zip(self.streams, self.labels, self.caches):
             cache = forward_batch(streams, cache)
-            yield cache.predictions, backward_batch(cache, cache.predictions - labels) if backward else None
+            yield cache, backward_batch(cache, cache.predictions - labels) if backward else None
 
     def serve(self, conn) -> None:
         """A forked helper's loop until the caller closes its end: each
@@ -214,7 +204,7 @@ class _Shards:
                 return
             self.params.vector[...] = vector
             results = list(self.run(backward))
-            conn.send(([p for p, _ in results], [grads.vector for _, grads in results if grads is not None]))
+            conn.send(([c.predictions for c, _ in results], [g.vector for _, g in results if g is not None]))
 
 
 class _ShardedBatch:
@@ -239,8 +229,8 @@ class _ShardedBatch:
         for helper in self.helpers:
             helper.conn.send((self.own.params.vector, backward))
         predictions, total = [], None
-        for part, grads in self.own.run(backward):
-            predictions.append(part)
+        for cache, grads in self.own.run(backward):
+            predictions.append(cache.predictions)
             if total is None:
                 total = grads
             else:
@@ -281,6 +271,21 @@ def _fit(
         return epoch_rmse, rmse(batch.run(backward=False)[0], split.labels)
 
 
+def evaluate(split: WindowedDataset, params: NetworkParameters) -> tuple[float | None, float | None]:
+    """The split's RMSE at `params` and its mean forget-gate activation (None
+    for a tanh stack), both None when it is empty, over its `shard_bounds`
+    shards: their `forget_gate_sum`s add in shard order and divide once."""
+    if split.n_windows == 0:
+        return None, None
+    predictions, forget, count = [], 0.0, 0
+    for cache, _ in _Shards(split, shard_bounds(split.n_windows), params).run(backward=False):
+        predictions.append(cache.predictions)
+        part, n = forget_gate_sum(cache)
+        forget += part
+        count += n
+    return rmse(np.concatenate(predictions), split.labels), forget / count if count else None
+
+
 def train(
     dataset: WindowedDataset,
     config: TrainConfig,
@@ -292,9 +297,8 @@ def train(
     backpropagates the RMSE cost, and takes one Adam step. Deterministic
     per (dataset, config).
 
-    The training windows run as `shard_bounds` shards of at most
-    SHARD_WINDOWS windows each, a power of two of them, in the caller and
-    in `forked.helper_count(shards)` forked helpers: synchronous data
+    The training windows run as `shard_bounds` shards, in the caller and in
+    `forked.helper_count(shards)` forked helpers: synchronous data
     parallelism (Dean et al. 2012), since the windows are independent
     columns and the full-batch gradient is the sum of the shards'. The
     backward pass is linear in the prediction gradient, so each shard runs
@@ -312,14 +316,11 @@ def train(
     SHARD_WINDOWS training windows are one shard, the whole batch, as an
     unsharded run.
 
-    Each process holds one shard's activation buffers, whatever the window
-    count: the fused input and every step's gates and c, but neither h nor
-    tanh(c), which the backward pass recomputes (a tanh layer holds its
-    states). Its shards' caches are views of one block sized for its
-    longest shard (`network.shared_caches`), which every shard's forward,
-    every epoch and the final train-split evaluation overwrite: the same
-    calls as with fresh arrays, the same bits. The test split is evaluated
-    in the caller, into arrays of its own, once that block is freed.
+    Each process holds one shard's activations, whatever the window count
+    (`_Shards`): the fused input and every step's gates and c, but neither
+    h nor tanh(c), which the backward pass recomputes (a tanh layer holds
+    its states). The test split runs the same way in `evaluate`, once the
+    training block is freed. A reused block gives a fresh array's bits.
     """
     if config.window != dataset.window:
         raise ConfigError(f"config window {config.window} != dataset window {dataset.window}")
@@ -331,15 +332,14 @@ def train(
     widths = tuple(None if stream is None else stream.shape[2] for stream in dataset.streams)
     params = init_parameters(model_shape(widths, config), config.seed, config.forget_bias)
     epoch_rmse, train_cost = _fit(train_split, params, config, fork_helpers)
-    test_cache, test_cost = evaluate(dataset.test, params)
+    test_cost, test_mean_forget = evaluate(dataset.test, params)
     if not all(math.isfinite(c) for c in (train_cost, test_cost) if c is not None):
         raise DivergenceError(f"diverged at epoch {config.epochs}: non-finite final RMSE", epoch=config.epochs)
     return TrainingRun(
         epoch_rmse=tuple(epoch_rmse),
         train_rmse=float(train_cost),
-        test_rmse=None if test_cost is None else float(test_cost),
-        test_mean_forget=None if test_cache is None or config.cell != network.LSTM
-        else mean_forget_activation(test_cache),
+        test_rmse=test_cost,
+        test_mean_forget=test_mean_forget,
         wall_seconds=timer() - started,
         config=config,
         parameters=params,

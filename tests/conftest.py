@@ -39,17 +39,17 @@ def edit_csv_field(text: str, line: int, column: str, value: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def series_of(rows, interval: str = WEEKLY, symbol: str = "T") -> PriceSeries:
+def series_of(rows, interval: str = WEEKLY) -> PriceSeries:
     """A PriceSeries of (date, open, high, low, close, adjusted, volume)
     rows; a date may be a `date` or its ISO text."""
     rows = list(rows)
     ordinals = [(d if isinstance(d, date) else date.fromisoformat(d)).toordinal() for d, *_ in rows]
-    return PriceSeries(symbol, interval, ordinals, [row[1:6] for row in rows], [row[6] for row in rows])
+    return PriceSeries(interval, ordinals, [row[1:6] for row in rows], [row[6] for row in rows])
 
 
 @pytest.fixture
 def table_series() -> PriceSeries:
-    return series_of(TABLE_ROWS, symbol="NDX")
+    return series_of(TABLE_ROWS)
 
 
 @pytest.fixture(autouse=True)

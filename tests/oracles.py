@@ -255,10 +255,10 @@ def scalar_lstm_step(
     return h_new, c_new, {"f": f, "i": i, "o": o, "g": g}
 
 
-def pairwise_mean(values: list[float]) -> float:
-    """Arithmetic mean with the sum taken in numpy's pairwise order, so that
-    it equals `np.mean` of the same values in the same order bit for bit:
-    a run of up to 128 values is summed in 8 interleaved accumulators
+def pairwise_sum(values: list[float]) -> float:
+    """The sum of `values` in numpy's pairwise order, so that it equals
+    `np.sum` of the same values in the same order bit for bit: a run of up
+    to 128 values is summed in 8 interleaved accumulators
     combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftovers in
     turn; fewer than 8 values are summed in turn; a longer run is split at
     half its length, rounded down to a multiple of 8.
@@ -285,9 +285,15 @@ def pairwise_mean(values: list[float]) -> float:
         half -= half % 8
         return total(lo, half) + total(lo + half, n - half)
 
+    return total(0, len(values))
+
+
+def pairwise_mean(values: list[float]) -> float:
+    """`pairwise_sum` over the count: `np.mean` of the same values in the
+    same order, bit for bit."""
     if not values:
         raise ValueError("mean of no values")
-    return total(0, len(values)) / len(values)
+    return pairwise_sum(values) / len(values)
 
 
 def python_lstm_forward(window, weights: dict[str, np.ndarray], layers: int) -> float:

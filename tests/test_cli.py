@@ -732,6 +732,14 @@ def test_epoch_loss_rows_read_back_to_the_run_losses(tmp_path, monkeypatch):
     assert tuple(float(row["train_rmse"]) for row in rows) == runs[0].epoch_rmse
 
 
+def _fresh_env(**variables: str) -> dict[str, str]:
+    """This process's environment for a fresh interpreter that imports
+    `trendlab` from this checkout's `src`, plus `variables`."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, **variables,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 @pytest.mark.parametrize(
     "args, code, stream, start",
     [
@@ -744,13 +752,25 @@ def test_epoch_loss_rows_read_back_to_the_run_losses(tmp_path, monkeypatch):
 def test_module_entry_point_in_a_fresh_interpreter(tmp_path, args, code, stream, start):
     """`python -m trendlab.cli` imports the package as a user's shell does,
     and keeps the exit-code contract."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-m", "trendlab.cli", *args], cwd=tmp_path, env=env,
+    done = subprocess.run([sys.executable, "-m", "trendlab.cli", *args], cwd=tmp_path, env=_fresh_env(),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == code, done.stderr
     assert getattr(done, stream).startswith(start)
     assert _files(tmp_path) == []
+
+
+def test_predict_in_a_fresh_interpreter_imports_neither_multiprocessing_nor_scipy(trained, tmp_path):
+    """`predict` forks nothing, so it never pays for importing
+    multiprocessing (`trendlab.forked` imports it where it forks), and the
+    project does not depend on scipy."""
+    config, checkpoint = trained
+    script = ("import sys; from trendlab.cli import main; code = main(sys.argv[1:]); "
+              "print(sorted({'multiprocessing', 'scipy'} & set(sys.modules))); sys.exit(code)")
+    argv = ["predict", "--config", str(config), "--checkpoint", str(checkpoint), "--out", str(tmp_path / "predict")]
+    done = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path, env=_fresh_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_train_writes_the_same_bytes_at_one_and_at_two_blas_threads(tmp_path):
@@ -766,13 +786,11 @@ def test_train_writes_the_same_bytes_at_one_and_at_two_blas_threads(tmp_path):
         "price_csv": "../prices.csv", "sentiment_csv": "../sentiment.csv", "price_interval": "weekly",
         "interval": "weekly", "output_dir": "out", "train": {"epochs": 1},
     }))
-    src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = {}
     for threads in ("1", "2"):
         work = tmp_path / f"threads_{threads}"
         work.mkdir()
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, cli.CLOCK_ENV: "fixed",
-               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        env = _fresh_env(OPENBLAS_NUM_THREADS=threads, **{cli.CLOCK_ENV: "fixed"})
         done = subprocess.run([sys.executable, "-m", "trendlab.cli", "train", "--config", "../run.json"], cwd=work,
                               env=env, capture_output=True, timeout=120)
         assert done.returncode == 0, done.stderr

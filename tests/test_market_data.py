@@ -98,7 +98,7 @@ def test_only_market_data_imports_csv():
 
 
 def test_parse_first_table_row():
-    series = parse_price_csv(table_csv(), symbol="NDX", interval=WEEKLY)
+    series = parse_price_csv(table_csv(), interval=WEEKLY)
     bar = series.bars[0]
     assert bar.date == date(2010, 6, 28)
     assert bar.adjusted == 1728.339966
@@ -208,7 +208,7 @@ def test_series_rejects_dates_out_of_order_after_every_bar_check():
 
 def test_series_columns_are_read_only_copies():
     ohlca = np.full((2, 5), 2.0)
-    series = PriceSeries("T", DAILY, [737795, 737796], ohlca, [1, 2])
+    series = PriceSeries(DAILY, [737795, 737796], ohlca, [1, 2])
     ohlca[0, 0] = 99.0
     assert series.ohlca[0, 0] == 2.0
     for column in (series.ordinals, series.ohlca, series.volume):
@@ -219,9 +219,9 @@ def test_series_columns_are_read_only_copies():
 
 def test_series_rejects_misshapen_columns():
     with pytest.raises(DataError, match="price columns of shapes"):
-        PriceSeries("T", DAILY, [737795, 737796], np.full((2, 4), 2.0), [1, 2])
+        PriceSeries(DAILY, [737795, 737796], np.full((2, 4), 2.0), [1, 2])
     with pytest.raises(DataError, match="price columns of shapes"):
-        PriceSeries("T", DAILY, [737795, 737796], np.full((2, 5), 2.0), [1])
+        PriceSeries(DAILY, [737795, 737796], np.full((2, 5), 2.0), [1])
 
 
 def test_bars_rows_hold_python_values_that_repr_exactly(table_series):
@@ -411,7 +411,7 @@ def test_resample_equals_the_per_bar_grouping_across_years_and_missing_mondays()
     edges = series_of(bars, DAILY)
     for series in (edges, trend_seasonal_daily(bars=1821, seed=2)):
         weekly = resample_weekly(series)
-        assert (weekly.symbol, weekly.interval) == (series.symbol, WEEKLY)
+        assert weekly.interval == WEEKLY
         assert [tuple(bar) for bar in weekly.bars] == loop_resample_weekly(series.bars)
     assert [bar.date for bar in resample_weekly(edges).bars] == [
         date(2019, 12, 23), date(2019, 12, 30), date(2020, 1, 6), date(2020, 1, 13),

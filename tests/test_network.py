@@ -14,15 +14,16 @@ from trendlab.network import (
     ModelShape,
     NetworkParameters,
     backward_batch,
+    forget_gate_sum,
     forward_batch,
     init_parameters,
     last_step_cache,
-    mean_forget_activation,
 )
 
 from oracles import (
     gradient_check,
     pairwise_mean,
+    pairwise_sum,
     python_lstm_forward,
     reference_backward,
     reference_forward,
@@ -485,7 +486,7 @@ def test_a_cache_of_other_windows_is_rejected(windows, steps):
 
 
 @pytest.mark.parametrize(
-    "reader", [lambda cache: backward_batch(cache, np.ones(cache.n_windows)), mean_forget_activation],
+    "reader", [lambda cache: backward_batch(cache, np.ones(cache.n_windows)), forget_gate_sum],
     ids=["backward", "mean_forget"],
 )
 @pytest.mark.parametrize("cell", ["lstm", "rnn"])
@@ -504,7 +505,7 @@ def test_a_one_step_last_step_cache_holds_every_step(cell):
     d_pred = np.arange(3.0)
     assert np.array_equal(backward_batch(last, d_pred).vector, backward_batch(fresh, d_pred).vector)
     if cell == "lstm":
-        assert mean_forget_activation(last) == mean_forget_activation(fresh)
+        assert forget_gate_sum(last) == forget_gate_sum(fresh)
 
 
 def test_gate_bounds_and_memory_decomposition():
@@ -834,7 +835,7 @@ def test_rnn_parameters_have_no_bias():
     assert not any(name.startswith("layers.0.b") for name in names)
 
 
-# --- forget-gate mean -----------------------------------------------------------
+# --- forget-gate sum ------------------------------------------------------------
 
 
 def test_mean_forget_zero_weight_net_with_unit_bias():
@@ -842,7 +843,9 @@ def test_mean_forget_zero_weight_net_with_unit_bias():
     for k in range(2):
         params.param_dict()[f"layers.{k}.b_f"][...] = 1.0
     cache = forward_batch(one_window(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 1))), params)
-    assert mean_forget_activation(cache) == scalar_sigmoid(1.0)
+    total, count = forget_gate_sum(cache)
+    assert count == 2 * 3 * 4  # layers x steps x units of one window
+    assert total / count == scalar_sigmoid(1.0)
 
 
 def test_mean_forget_simple_average():
@@ -851,18 +854,22 @@ def test_mean_forget_simple_average():
     params = zeroed(init_parameters(ModelShape(layers=2, hidden=4), seed=0))
     params.param_dict()["layers.1.b_f"][...] = -1000.0
     cache = forward_batch(one_window(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 1))), params)
-    assert mean_forget_activation(cache) == 0.25
+    total, count = forget_gate_sum(cache)
+    assert (total, count) == (6.0, 24)
+    assert total / count == 0.25
 
 
-def test_mean_forget_empty_is_error():
+def test_mean_forget_of_a_tanh_stack_sums_nothing():
     params = init_parameters(ModelShape(cell="rnn", layers=1, hidden=2), seed=0)
     cache = forward_batch(one_window(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 1))), params)
-    with pytest.raises(ValueError, match="no forget gates"):
-        mean_forget_activation(cache)
+    total, count = forget_gate_sum(cache)
+    assert (total, count) == (0.0, 0)
+    assert (type(total), type(count)) == (float, int)
 
 
 def test_all_gate_traces_cover_layers_and_windows():
-    """The mean runs over every window, layer, step and unit, in that order."""
+    """The sum runs over every window, layer, step and unit, in that order:
+    numpy's pairwise sum of them, and over the count numpy's mean."""
     params = init_parameters(ModelShape(layers=3, hidden=2), seed=0)
     rng = np.random.default_rng(3)
     streams = (rng.normal(size=(4, 5, 3)), rng.normal(size=(4, 5, 3)), rng.uniform(size=(4, 5, 1)))
@@ -872,7 +879,9 @@ def test_all_gate_traces_cover_layers_and_windows():
         for w in range(4) for lc in cache.layers for t in range(5) for u in range(2)
     ]
     assert len(values) == 4 * 3 * 5 * 2
-    assert mean_forget_activation(cache) == pairwise_mean(values)
+    total, count = forget_gate_sum(cache)
+    assert (total, count) == (pairwise_sum(values), len(values))
+    assert total / count == pairwise_mean(values) == np.mean(values)
 
 
 def test_rnn_has_no_gate_traces():

@@ -23,7 +23,7 @@ def _bytes(value) -> bytes:
     """Every float of a fixture at full precision: two fixtures with equal
     bytes hold bit-identical values."""
     if isinstance(value, PriceSeries):
-        value = (value.symbol, value.interval, value.bars)
+        value = (value.interval, value.bars)
     if isinstance(value, dict):
         value = sorted(value.items())
     return repr(value).encode()
@@ -37,7 +37,7 @@ SEEDED = {
     "regime_fixture": lambda seed: regime_fixture(bars_per_segment=20, seed=seed),
     "paper_shaped_series": lambda seed: paper_shaped_series(seed=seed),
     "bars_from_adjusted": lambda seed: PriceSeries(
-        "S", WEEKLY, *bars_from_adjusted(sine_series(bars=30).adjusted(), weekly_dates(30), seed=seed)
+        WEEKLY, *bars_from_adjusted(sine_series(bars=30).adjusted(), weekly_dates(30), seed=seed)
     ),
 }
 

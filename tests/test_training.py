@@ -34,7 +34,7 @@ from trendlab.training import (
     train,
 )
 
-from oracles import gradient_check, reference_adam_step, unrolled_adam
+from oracles import gradient_check, pairwise_sum, reference_adam_step, unrolled_adam
 
 SMALL_SHAPE = ModelShape(cell="lstm", d_a=3, d_f=3, d_s=1, d_i=2, layers=3, hidden=8)
 
@@ -254,10 +254,10 @@ def test_zero_epoch_run_keeps_initialization(sine_bundle):
     assert run.test_rmse is not None
 
 
-def _traced_peak(dataset, config) -> tuple[int, TrainingRun]:
+def _traced_peak(dataset, config, **options) -> tuple[int, TrainingRun]:
     tracemalloc.start()
     try:
-        run = train(dataset, config)
+        run = train(dataset, config, **options)
         return tracemalloc.get_traced_memory()[1], run
     finally:
         tracemalloc.stop()
@@ -453,19 +453,20 @@ def test_a_process_runs_its_shards_through_caches_that_share_one_block(paper_dat
     shards = shard_bounds(split.n_windows)
     own = training._Shards(split, shards, params)
     results = list(own.run(backward=True))
+    assert all(cache is own_cache for (cache, _), own_cache in zip(results, own.caches, strict=True))
     assert [cache.n_windows for cache in own.caches] == [len(shard) for shard in shards]
     for cache in own.caches[1:]:
         assert all(np.shares_memory(a, b) for a, b in zip(cache.buffers(), own.caches[0].buffers()))
-    for shard, (predictions, grads) in zip(shards, results):
+    for shard, (cache, grads) in zip(shards, results):
         fresh = forward_batch(tuple(s[shard.start : shard.stop] for s in split.streams), params)
-        assert np.array_equal(predictions, fresh.predictions)
+        assert np.array_equal(cache.predictions, fresh.predictions)
         residual = fresh.predictions - split.labels[shard.start : shard.stop]
         assert np.array_equal(grads.vector, backward_batch(fresh, residual).vector)
 
 
-def _random_dataset(train_windows: int) -> WindowedDataset:
-    """Random streams of 12 steps: `train_windows` training windows and 4 test ones."""
-    rng, n = np.random.default_rng(train_windows), train_windows + 4
+def _random_dataset(train_windows: int, test_windows: int = 4) -> WindowedDataset:
+    """Random streams of 12 steps: `train_windows` training windows, then `test_windows` test ones."""
+    rng, n = np.random.default_rng(train_windows), train_windows + test_windows
     return WindowedDataset(rng.normal(size=(n, 12, 3)), rng.normal(size=(n, 12, 3)), rng.uniform(size=(n, 12, 1)),
                            rng.uniform(size=n), np.arange(n), train_windows)
 
@@ -475,16 +476,49 @@ def test_a_grid_cell_holds_one_shard_of_activations_whatever_its_window_count():
     shards of 256, against 4 at 1,024, and the traced peak stays the same
     (1,024: ~1.2 MB; four times the windows in one cache would read ~4x)."""
     config = TrainConfig(epochs=2, layers=1, hidden_size=8)
-    peaks = {}
-    for n in (1024, 4096):
-        dataset = _random_dataset(n)
-        tracemalloc.start()
-        try:
-            train(dataset, config, fork_helpers=False)
-            peaks[n] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    peaks = {n: _traced_peak(_random_dataset(n), config, fork_helpers=False)[0] for n in (1024, 4096)}
     assert peaks[4096] < 1.1 * peaks[1024], peaks
+
+
+def test_the_test_split_is_held_one_shard_at_a_time():
+    """The same 1 x 8 LSTM on 256 training windows, one shard: 1,024 test
+    windows run as four shards of 256 through one block, so the traced
+    peak stays that of 64 test windows (both ~1.71 MB). One cache of every
+    test window read ~6.5 MB."""
+    config = TrainConfig(epochs=1, layers=1, hidden_size=8)
+    peaks = {n: _traced_peak(_random_dataset(256, n), config, fork_helpers=False)[0] for n in (64, 1024)}
+    assert peaks[1024] < 1.1 * peaks[64], peaks
+
+
+def test_a_test_split_of_several_shards_matches_one_forward_and_a_per_shard_forget_oracle():
+    """600 test windows are four shards of 150. Their predictions differ
+    from one 600-window forward pass by at most 2.2e-16, as BLAS blocks a
+    GEMM by its width. The forget-gate mean is each shard's pairwise sum,
+    added in shard order, over the count of all."""
+    split, params = _random_dataset(4, 600).test, init_parameters(SMALL_SHAPE, seed=1)
+    shards = shard_bounds(split.n_windows)
+    assert [len(shard) for shard in shards] == [150] * 4
+    run = training._Shards(split, shards, params).run(backward=False)
+    predictions = np.concatenate([cache.predictions for cache, _ in run])
+    assert np.abs(predictions - forward_batch(split.streams, params).predictions).max() <= 2.2e-16
+    total, count = 0.0, 0
+    for shard in shards:
+        cache = forward_batch(tuple(s[shard.start : shard.stop] for s in split.streams), params)
+        values = [float(lc.f[t, u, w]) for w in range(len(shard)) for lc in cache.layers for t in range(12)
+                  for u in range(8)]
+        total += pairwise_sum(values)
+        count += len(values)
+    assert evaluate(split, params) == (rmse(predictions, split.labels), total / count)
+
+
+@pytest.mark.parametrize("cell", ["lstm", "rnn"])
+def test_a_tanh_stack_has_no_forget_gate_mean_and_an_empty_test_split_no_test_metrics(cell):
+    config = TrainConfig(epochs=1, layers=1, hidden_size=2, cell=cell)
+    run = train(_random_dataset(8), config)
+    assert math.isfinite(run.test_rmse)
+    assert (run.test_mean_forget is None) == (cell == "rnn")
+    empty = train(_random_dataset(8, 0), config)
+    assert (empty.test_rmse, empty.test_mean_forget) == (None, None)
 
 
 def test_a_grid_cell_trains_its_shards_in_the_caller(monkeypatch, paper_dataset):
@@ -784,5 +818,4 @@ def test_checkpoint_reproduces_test_rmse(sine_bundle):
     text = save_checkpoint(run.parameters, config, sine_bundle.price_scale,
                            column_scales=sine_bundle.column_scales, columns=sine_bundle.columns)
     loaded = load_checkpoint(text)
-    _, test_rmse = evaluate(sine_bundle.dataset.test, loaded.params)
-    assert test_rmse == run.test_rmse
+    assert evaluate(sine_bundle.dataset.test, loaded.params) == (run.test_rmse, run.test_mean_forget)
