@@ -12,9 +12,12 @@ a grid helper sends one, the rows of all the cells it ran, and a training
 helper answers each of the caller's messages with one, so an epoch is one
 message each way (the parameter vector out; its shards' predictions and
 unscaled gradients back). The caller closing its end is the stop signal: a
-helper waiting for a message reads EOF. Python 3.12 and later warn when a
-process with several threads forks, and numpy's OpenBLAS keeps an idle pool
-thread after the pin; whether the warning fires there has not been checked.
+helper waiting for a message reads EOF. `Helpers.stop` sends it before the
+block ends, so the helpers exit while the caller does work of its own
+(`train` evaluates its test split), and the block's end only joins them.
+Python 3.12 and later warn when a process with several threads forks, and
+numpy's OpenBLAS keeps an idle pool thread after the pin; whether the
+warning fires there has not been checked.
 
 Failure rules. When a helper's `serve` raises, its exception crosses the
 pipe in place of its next message, and `Helper.recv` raises it in the
@@ -118,9 +121,10 @@ class Helper:
 
 
 class Helpers:
-    """A context manager for the helpers that `start` forks. Leaving the
-    block stops them, by closing the caller's pipe ends, and joins every
-    one."""
+    """A context manager for the helpers that `start` forks. `stop` closes
+    the caller's pipe ends, so each helper reads EOF and exits while the
+    caller goes on inside the block; leaving the block stops any still
+    running and joins every one."""
 
     def __init__(self, role: str):
         self.role = role
@@ -135,8 +139,13 @@ class Helpers:
     def __enter__(self) -> Helpers:
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def stop(self) -> None:
+        """Close the caller's end of every helper's pipe: the stop signal.
+        Closing an end twice does nothing."""
         for helper in self.started:
             helper.conn.close()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
         for helper in self.started:
             helper.process.join()

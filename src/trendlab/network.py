@@ -30,6 +30,12 @@ row blocks `layers.k.W_f`, `layers.k.U_i`, ... and hands them out as views.
 The forward pass copies each layer's three into one [W | U | b] array and
 multiplies it by [x_t; h_{t-1}; 1], so each step's four gate
 pre-activations, input, recurrent and bias terms together, are one GEMM.
+The copy's f, i and o rows are negated, so the GEMM yields -z for the
+three sigmoid gates and 1 / (1 + exp(-z)) takes three in-place passes:
+exp, add one, reciprocal. Negation is exact and the GEMM rounds the same
+whatever the signs, so the bits are those of negating z after the GEMM.
+The parameters themselves are never negated: they are views of the vector
+that the Adam step updates.
 
 Both stacks run step-major in both passes, the wavefront order of Appleyard
 et al.: each step runs every layer in turn, so the layer above reads a
@@ -46,7 +52,8 @@ one of the recurrent state), so the predictions are bit-identical at either
 depth. The backward pass runs t downwards and, at each t, the layers from
 the top down. A layer's input gradient at step t is the layer below's
 upstream gradient at the same step, so it passes in one (h, n) buffer; only
-the fused input's gradient has a step axis.
+the fused input's gradient has a step axis. At t = 0 no layer computes its
+recurrent carry, the gradient into step -1, which nothing reads.
 
 Given a cache in place of the parameters, a forward pass writes into that
 cache's arrays, as Appleyard et al. preallocate theirs, and returns it. The
@@ -252,19 +259,6 @@ class NetworkParameters:
         return dict(self.param_items())
 
 
-def _sigmoid_(z: np.ndarray) -> np.ndarray:
-    """Logistic function 1 / (1 + exp(-z)), in place on `z`, which it
-    returns. exp(-z) overflows to inf for z below about -745; the result is
-    then exactly 0, the correct limit, so the overflow is not reported.
-    """
-    with np.errstate(over="ignore"):
-        np.negative(z, out=z)
-        np.exp(z, out=z)
-        z += 1.0
-        np.reciprocal(z, out=z)
-    return z
-
-
 def init_parameters(shape: ModelShape, seed: int, forget_bias: float = 1.0) -> NetworkParameters:
     """Seeded Glorot-uniform weights, zero biases except the forget-gate
     bias, which starts at `forget_bias` so fresh cells retain their memory.
@@ -441,6 +435,11 @@ def _lstm_forward(cache: ForwardCache, layers: list[LstmLayerParameters]) -> Non
     [W | U | b], and the layer reads one (in + H + 1, n) buffer [x_t; h; 1]:
     its input rows, its h rows (zero before step 0) and a row of ones. So a
     step's gate pre-activations are one GEMM, written into the cache row.
+    The copy's f, i and o rows are negated, never the parameters, so the
+    GEMM writes -z there and the sigmoid is exp, += 1 and reciprocal in
+    place. One `np.errstate` for the whole pass lets exp overflow to inf
+    without a warning; the finite-prediction check of `forward_batch`
+    stays the divergence guard.
     A layer writes its new h into its own h rows, where its recurrence reads
     it at the next step, and copies it into the input rows of the layer
     above, which reads it at the same step; the top layer's last h is copied
@@ -448,31 +447,39 @@ def _lstm_forward(cache: ForwardCache, layers: list[LstmLayerParameters]) -> Non
     hid, n = cache.h.shape
     depth = cache.depth
     stacked = [np.concatenate((layer.W, layer.U, layer.b[:, None]), axis=1) for layer in layers]
+    for W in stacked:
+        np.negative(W[: 3 * hid], out=W[: 3 * hid])  # the copy's f, i, o rows; never the parameters
     bufs = [np.zeros((w.shape[1], n)) for w in stacked]
     for buf in bufs:
         buf[-1] = 1.0
     hs = [buf[-1 - hid : -1] for buf in bufs]
     ins = [buf[: -1 - hid] for buf in bufs]
     tc = np.empty((hid, n))
-    for t in range(cache.steps):
-        k = t % depth
-        np.copyto(ins[0], cache.x[t])
-        for lc, W, buf, h, above in zip(cache.layers, stacked, bufs, hs, ins[1:] + [None]):
-            act, C = lc.gates[k], lc.c
-            np.matmul(W, buf, out=act)
-            _sigmoid_(act[: 3 * hid])
-            np.tanh(act[3 * hid :], out=act[3 * hid :])
-            f, i, o, g = act[:hid], act[hid : 2 * hid], act[2 * hid : 3 * hid], act[3 * hid :]
-            if t > 0:
-                np.multiply(f, C[(t - 1) % depth], out=C[k])
-                np.multiply(i, g, out=tc)
-                C[k] += tc
-            else:
-                np.multiply(i, g, out=C[k])
-            np.tanh(C[k], out=tc)
-            np.multiply(o, tc, out=h)
-            if above is not None:
-                np.copyto(above, h)
+    # exp(-z) overflows to inf for z below about -745; the sigmoid is then
+    # exactly 0, the correct limit, so the overflow is not reported.
+    with np.errstate(over="ignore"):
+        for t in range(cache.steps):
+            k = t % depth
+            np.copyto(ins[0], cache.x[t])
+            for lc, W, buf, h, above in zip(cache.layers, stacked, bufs, hs, ins[1:] + [None]):
+                act, C = lc.gates[k], lc.c
+                np.matmul(W, buf, out=act)
+                sig = act[: 3 * hid]  # -z: sigmoid(z) = 1 / (1 + exp(-z))
+                np.exp(sig, out=sig)
+                sig += 1.0
+                np.reciprocal(sig, out=sig)
+                np.tanh(act[3 * hid :], out=act[3 * hid :])
+                f, i, o, g = act[:hid], act[hid : 2 * hid], act[2 * hid : 3 * hid], act[3 * hid :]
+                if t > 0:
+                    np.multiply(f, C[(t - 1) % depth], out=C[k])
+                    np.multiply(i, g, out=tc)
+                    C[k] += tc
+                else:
+                    np.multiply(i, g, out=C[k])
+                np.tanh(C[k], out=tc)
+                np.multiply(o, tc, out=h)
+                if above is not None:
+                    np.copyto(above, h)
     np.copyto(cache.h, hs[-1])
 
 
@@ -558,7 +565,9 @@ def _lstm_backward(
     tanh(c_{t-1}) and h_{t-1} = o_{t-1} * tanh(c_{t-1}) with the forward
     pass's calls, so the bits match. The layer above has read h_t by then.
     Each layer's input gradient at step t is the upstream gradient of the
-    layer below at the same step, passed in one (H, n) buffer."""
+    layer below at the same step, passed in one (H, n) buffer. At t = 0
+    the recurrent carries U^T dA and dc * f are skipped: no step reads
+    them."""
     steps, hid, n = cache.steps, cache.h.shape[0], cache.n_windows
     top = len(layers) - 1
     dx = np.empty_like(cache.x)
@@ -608,8 +617,9 @@ def _lstm_backward(
                 grad.U += dA @ h.T
             grad.b += dA.sum(axis=1)
             np.matmul(layer.W.T, dA, out=dx[t] if l == 0 else d_up)
-            np.matmul(layer.U.T, dA, out=dh_recs[l])
-            np.multiply(dc, f, out=dc_recs[l])
+            if t > 0:  # no step reads the carry out of step 0
+                np.matmul(layer.U.T, dA, out=dh_recs[l])
+                np.multiply(dc, f, out=dc_recs[l])
     return dx
 
 
@@ -618,7 +628,8 @@ def _rnn_backward(
 ) -> np.ndarray:
     """Like `_lstm_backward`, for a tanh stack, in the same order: each
     layer carries its recurrent gradient in an (H, n) buffer, and passes
-    its input gradient at step t to the layer below in another."""
+    its input gradient at step t to the layer below in another. At t = 0
+    the recurrent carry W^T da is skipped: no step reads it."""
     steps, top = cache.steps, len(layers) - 1
     dx = np.empty_like(cache.x)
     zeros, d_up, da, tmp = (np.zeros(d_h.shape) for _ in range(4))
@@ -632,10 +643,10 @@ def _rnn_backward(
             np.subtract(1.0, tmp, out=tmp)
             da *= tmp
             grad.U += da @ (cache.x[t] if l == 0 else cache.layers[l - 1].s[t]).T
+            np.matmul(layer.U.T, da, out=dx[t] if l == 0 else d_up)
             if t > 0:
                 grad.W += da @ S[t - 1].T
-            np.matmul(layer.U.T, da, out=dx[t] if l == 0 else d_up)
-            np.matmul(layer.W.T, da, out=ds_recs[l])
+                np.matmul(layer.W.T, da, out=ds_recs[l])
     return dx
 
 

@@ -101,10 +101,13 @@ def adam_step(
     params: NetworkParameters, grads: NetworkParameters, m: np.ndarray, v: np.ndarray, t: int, config: TrainConfig
 ) -> None:
     """One bias-corrected Adam update of the whole parameter vector, in
-    place on `params.vector`, `m` and `v`:
+    place on `params.vector`, `m` and `v`, through two scratch vectors:
 
-    m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2;
-    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)
+    m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) (g g);
+    theta <- theta - (lr (m / (1-b1^t))) / (sqrt(v / (1-b2^t)) + eps)
+
+    Each element takes these operations in this order, so the bits are
+    those of the expressions as written.
     """
     if t < 1:
         raise ConfigError(f"step index must be >= 1, got {t}")
@@ -115,11 +118,20 @@ def adam_step(
         name = next(name for name, block in grads.param_items() if not np.isfinite(block).all())
         raise DivergenceError(f"non-finite gradient in block {name}")
     beta1, beta2 = config.beta1, config.beta2
+    step, scratch = np.empty_like(g), np.empty_like(g)
     m *= beta1
-    m += (1.0 - beta1) * g
+    np.multiply(g, 1.0 - beta1, out=scratch)
+    m += scratch
     v *= beta2
-    v += (1.0 - beta2) * (g * g)
-    step = config.learning_rate * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + config.epsilon)
+    np.multiply(g, g, out=scratch)
+    scratch *= 1.0 - beta2
+    v += scratch
+    np.divide(m, 1.0 - beta1**t, out=step)
+    step *= config.learning_rate
+    np.divide(v, 1.0 - beta2**t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += config.epsilon
+    step /= scratch
     params.vector -= step
 
 
@@ -244,31 +256,32 @@ class _ShardedBatch:
 
 
 def _fit(
-    split: WindowedDataset, params: NetworkParameters, config: TrainConfig, fork_helpers: bool
+    split: WindowedDataset, params: NetworkParameters, config: TrainConfig, helpers: forked.Helpers | None
 ) -> tuple[list[float], float]:
     """Every epoch of Adam on the training split, in place on `params`, then
     the split's RMSE at the trained parameters: the per-epoch costs and the
-    final one. Each epoch is one exchange with each helper: the parameter
-    vector out; the predictions and unscaled gradients back. The summed
-    gradient is scaled once by `rmse_gradient_scale` of the joined
-    predictions' RMSE. The shard caches are freed when it returns."""
+    final one. The shards run in the caller and in helpers that `helpers`
+    forks (none if it is None). Each epoch is one exchange with each
+    helper: the parameter vector out; the predictions and unscaled
+    gradients back. The summed gradient is scaled once by
+    `rmse_gradient_scale` of the joined predictions' RMSE. The shard caches
+    are freed when it returns."""
     m = np.zeros_like(params.vector)
     v = np.zeros_like(params.vector)
     epoch_rmse: list[float] = []
-    with forked.Helpers("training") as helpers:
-        batch = _ShardedBatch(split, params, helpers if fork_helpers else None)
-        for epoch in range(config.epochs):
-            try:
-                predictions, grads = batch.run(backward=True)
-                cost = rmse(predictions, split.labels)
-                if not math.isfinite(cost):
-                    raise DivergenceError("non-finite loss")
-                epoch_rmse.append(cost)
-                grads.vector *= rmse_gradient_scale(cost, split.n_windows)
-                adam_step(params, grads, m, v, epoch + 1, config)
-            except DivergenceError as exc:
-                raise DivergenceError(f"diverged at epoch {epoch}: {exc}", epoch=epoch) from None
-        return epoch_rmse, rmse(batch.run(backward=False)[0], split.labels)
+    batch = _ShardedBatch(split, params, helpers)
+    for epoch in range(config.epochs):
+        try:
+            predictions, grads = batch.run(backward=True)
+            cost = rmse(predictions, split.labels)
+            if not math.isfinite(cost):
+                raise DivergenceError("non-finite loss")
+            epoch_rmse.append(cost)
+            grads.vector *= rmse_gradient_scale(cost, split.n_windows)
+            adam_step(params, grads, m, v, epoch + 1, config)
+        except DivergenceError as exc:
+            raise DivergenceError(f"diverged at epoch {epoch}: {exc}", epoch=epoch) from None
+    return epoch_rmse, rmse(batch.run(backward=False)[0], split.labels)
 
 
 def evaluate(split: WindowedDataset, params: NetworkParameters) -> tuple[float | None, float | None]:
@@ -321,6 +334,11 @@ def train(
     h nor tanh(c), which the backward pass recomputes (a tanh layer holds
     its states). The test split runs the same way in `evaluate`, once the
     training block is freed. A reused block gives a fresh array's bits.
+
+    After the final train-split pass the caller stops its helpers
+    (`forked.Helpers.stop`) and evaluates the test split while they exit,
+    still inside their block, so joining them costs the request nothing. A
+    raise from that evaluation still joins every helper before it leaves.
     """
     if config.window != dataset.window:
         raise ConfigError(f"config window {config.window} != dataset window {dataset.window}")
@@ -331,8 +349,10 @@ def train(
     started = timer()
     widths = tuple(None if stream is None else stream.shape[2] for stream in dataset.streams)
     params = init_parameters(model_shape(widths, config), config.seed, config.forget_bias)
-    epoch_rmse, train_cost = _fit(train_split, params, config, fork_helpers)
-    test_cost, test_mean_forget = evaluate(dataset.test, params)
+    with forked.Helpers("training") as helpers:
+        epoch_rmse, train_cost = _fit(train_split, params, config, helpers if fork_helpers else None)
+        helpers.stop()
+        test_cost, test_mean_forget = evaluate(dataset.test, params)
     if not all(math.isfinite(c) for c in (train_cost, test_cost) if c is not None):
         raise DivergenceError(f"diverged at epoch {config.epochs}: non-finite final RMSE", epoch=config.epochs)
     return TrainingRun(

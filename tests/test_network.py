@@ -592,6 +592,7 @@ REFERENCE_CASES = {
     "rnn": (ModelShape(cell="rnn", layers=3, hidden=6), 5, 4),
     "rnn_no_sentiment": (ModelShape(cell="rnn", layers=2, hidden=7, d_s=None), 5, 4),
     "one_step": (ModelShape(cell="lstm", layers=2, hidden=6), 1, 4),
+    "rnn_one_step": (ModelShape(cell="rnn", layers=2, hidden=6), 1, 4),
     "one_window": (ModelShape(cell="lstm", layers=2, hidden=6), 5, 1),
     "hidden_below_fused": (ModelShape(cell="lstm", layers=2, hidden=5, d_i=2), 4, 3),
 }
@@ -668,14 +669,19 @@ def test_backward_leaves_the_cache_and_the_upstream_gradient_unchanged(cell, hid
 def test_forward_leaves_the_parameters_and_the_streams_unchanged(cell, depth):
     """A forward only reads the parameter vector and the streams, first into
     new arrays, then into the cache it returned: the memory-cell stack's
-    stacked [W | U | b] copies and input buffers never alias them."""
+    stacked [W | U | b] copies, whose f, i, o rows it negates, and its input
+    buffers never alias them. So the second forward repeats the first's
+    predictions bit for bit."""
     params, streams, _ = _random_case(ModelShape(cell=cell, layers=3, hidden=5), steps=6, n=4, seed=13)
     held = [params.vector] + [s for s in streams if s is not None]
     before = [a.tobytes() for a in held]
     into = params if depth == "every step" else last_step_cache(params, 4, 6)
+    predictions = []
     for _ in range(2):
         into = forward_batch(streams, into)
         assert [a.tobytes() for a in held] == before
+        predictions.append(into.predictions.tobytes())
+    assert predictions[0] == predictions[1]
 
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))

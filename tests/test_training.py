@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
 import math
 import multiprocessing
@@ -574,6 +575,36 @@ def test_a_failure_in_the_caller_mid_epoch_still_joins_the_helper(monkeypatch, p
     with pytest.raises(DivergenceError, match="head.b") as err:
         train(paper_dataset, TrainConfig(epochs=5, layers=1, hidden_size=2))
     assert err.value.epoch == 2 and len(forks) == 1
+    assert multiprocessing.active_children() == []
+
+
+class _Refused(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["evaluates", "raises"])
+def test_train_evaluates_its_test_split_while_its_helper_exits(monkeypatch, paper_dataset, fails):
+    """After the final train-split pass, `train` closes its helper's pipe
+    and evaluates the test split inside the helpers' block, so the helper
+    exits while the caller evaluates, and leaving the block only joins it.
+    A raise from that evaluation keeps its type and still joins the helper."""
+    blocks, events = [], []
+    real_enter, real_exit, real_evaluate = forked.Helpers.__enter__, forked.Helpers.__exit__, training.evaluate
+
+    def evaluate(split, params):
+        events.append(("evaluate", [helper.conn.closed for block in blocks for helper in block.started]))
+        if fails:
+            raise _Refused("the test split")
+        return real_evaluate(split, params)
+
+    monkeypatch.setattr(forked.Helpers, "__enter__", lambda self: blocks.append(self) or real_enter(self))
+    monkeypatch.setattr(forked.Helpers, "__exit__", lambda self, *exc: events.append("exit") or real_exit(self, *exc))
+    monkeypatch.setattr(training, "evaluate", evaluate)
+    _on_cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(_Refused) if fails else contextlib.nullcontext():
+        train(paper_dataset, TrainConfig(epochs=1, layers=1, hidden_size=2))
+    assert len(forks) == 1 and events == [("evaluate", [True]), "exit"]
     assert multiprocessing.active_children() == []
 
 
