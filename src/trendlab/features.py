@@ -23,6 +23,7 @@ from .market_data import (
     make_windows,
     normalize,
     read_csv,
+    read_csv_rows,
     train_window_count,
     write_csv,
 )
@@ -155,22 +156,18 @@ def parse_feature_csv(text: str) -> FeatureFrame:
     """
     index_header = INDEX_FUNDAMENTALS + TECHNICALS + (SENTIMENT_COLUMN, ANSWER_COLUMN)
     company_header = COMPANY_FUNDAMENTALS + TECHNICALS + (SENTIMENT_COLUMN, ANSWER_COLUMN)
-    header, rows = read_csv(text, index_header, company_header)
+    header, blocks = read_csv(text, index_header, company_header)
     fundamental_names = INDEX_FUNDAMENTALS if header == index_header else COMPANY_FUNDAMENTALS
-
-    values: list[list[float]] = []
-    for lineno, row in rows:
-        try:
-            parsed = [float(v) for v in row]
-        except ValueError as exc:
-            raise DataError(f"line {lineno}: malformed row: {exc}") from None
-        bad = next((name for name, v in zip(header, parsed) if not math.isfinite(v)), None)
-        if bad is not None:
-            raise DataError(f"line {lineno}: non-finite value in column {bad!r}")
-        values.append(parsed)
-    if not values:
+    try:
+        parts = [np.column_stack([np.fromiter(map(float, column), np.float64, len(column)) for column in columns])
+                 for columns in blocks]
+    except (ValueError, DataError):
+        raise _feature_fault(text, header) from None
+    if not all(np.isfinite(part).all() for part in parts):
+        raise _feature_fault(text, header)
+    if not parts:
         raise DataError("empty feature frame")
-    mat = np.array(values, dtype=np.float64)
+    mat = np.concatenate(parts)
 
     sentiment = mat[:, 6:7]
     if sentiment.min() < 0.0 or sentiment.max() > 1.0:
@@ -199,6 +196,21 @@ def parse_feature_csv(text: str) -> FeatureFrame:
         answers=answers[keep],
         fundamental_names=fundamental_names,
     )
+
+
+def _feature_fault(text: str, header: tuple[str, ...]) -> DataError:
+    """The error of a feature CSV that `parse_feature_csv` could not read:
+    its rows read again one at a time up to the first malformed row or
+    non-finite value."""
+    for lineno, row in read_csv_rows(text, header)[1]:
+        try:
+            parsed = [float(v) for v in row]
+        except ValueError as exc:
+            return DataError(f"line {lineno}: malformed row: {exc}")
+        bad = next((name for name, v in zip(header, parsed) if not math.isfinite(v)), None)
+        if bad is not None:
+            return DataError(f"line {lineno}: non-finite value in column {bad!r}")
+    raise AssertionError("a feature CSV that parses has no fault")
 
 
 @dataclass(frozen=True)

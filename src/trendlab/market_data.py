@@ -2,6 +2,15 @@
 windowed datasets. `read_csv` holds the header and row-width rule of every
 CSV reader, and `write_csv` the cell rule of every CSV writer.
 
+`read_csv` hands a file's body over in column blocks: text of whole lines,
+at most ~8 KB at a time, split at its newlines and commas in one pass, so
+that every parser converts whole columns of field strings (`map(float, ...)`
+and the like) into arrays, joined across blocks. Text holding a
+`"` or a `\\r` is tokenised by `csv.reader` instead, row by row, so quoting
+and CRLF line ends keep `csv`'s rules; both give the same fields and line
+numbers. Only a file that fails to convert or to check is read again, one
+row at a time through `read_csv_rows`, to name its first fault by line.
+
 A `PriceSeries` is columnar (date ordinals, an (n, 5) price block, volumes)
 and checks every bar invariant at once over whole columns; parsing,
 resampling and slicing build columns directly, with no per-bar objects.
@@ -18,7 +27,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from datetime import date
-from itertools import islice
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -128,20 +137,60 @@ class PriceSeries:
         return PriceSeries(self.interval, self.ordinals[lo:hi], self.ohlca[lo:hi], self.volume[lo:hi])
 
 
-def read_csv(text: str, *headers: tuple[str, ...]) -> tuple[tuple[str, ...], Iterator[tuple[int, list[str]]]]:
+def read_csv(text: str, *headers: tuple[str, ...]) -> tuple[tuple[str, ...], Iterator[list[Sequence[str]]]]:
     """The header of CSV `text`, which must be one of `headers`, and an
-    iterator over its non-blank rows with their line numbers, each checked to
-    hold as many fields as the header. A UTF-8 byte-order mark before the
-    header and blanks around the header names are ignored."""
+    iterator over its body in blocks: each block is a list of columns, one
+    sequence of field strings per header name, holding the same number of
+    rows. Blank and whitespace-only lines are dropped; every other row must
+    hold as many fields as the header, or a DataError names its line (blank
+    lines counted). A UTF-8 byte-order mark before the header and blanks
+    around the header names are ignored.
+
+    Text with no `"` or `\\r` is cut into blocks of whole lines of at most
+    `_BLOCK_CHARS` characters (a longer line is a block of its own), and
+    each block is split at its newlines and commas in one pass, so a
+    parse holds one block's fields at a time. Other text is tokenised by
+    `csv.reader`, as `read_csv_rows` does, in blocks of `_BLOCK_ROWS` rows:
+    quoting and CRLF line ends keep `csv`'s rules. The two give the same
+    fields, rows and line numbers for text both can read. A block holds no
+    line numbers: a caller that finds a bad field names its line by reading
+    the text again with `read_csv_rows`, on that error path only."""
+    text = text.removeprefix("\ufeff")
+    if '"' in text or "\r" in text:
+        header, rows = read_csv_rows(text, *headers)
+        return header, _row_blocks(rows)
+    end = text.find("\n") % (len(text) + 1)  # the header line's end, or the text's
+    header = _checked_header(next(csv.reader((text[:end],))) if text else None, headers)
+    return header, _line_blocks(text, end + 1, len(header))
+
+
+def read_csv_rows(text: str, *headers: tuple[str, ...]) -> tuple[tuple[str, ...], Iterator[tuple[int, list[str]]]]:
+    """`read_csv` one row at a time: the header and an iterator over the
+    non-blank rows, each with its line number, tokenised by `csv.reader`.
+    For naming the first bad row of a file that `read_csv` could not
+    convert, not for the success path."""
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
-    try:
-        header = tuple(h.strip() for h in next(reader))
-    except StopIteration:
-        raise DataError("empty file: missing header") from None
+    header = _checked_header(next(reader, None), headers)
+    return header, _checked_rows(reader, len(header))
+
+
+# A body with no `"` or `\r` is tokenised in blocks of whole lines of at most
+# this many characters (~80 price rows), a body with one in blocks of this
+# many rows. A block's field strings take ~4 times its text, so 8 KB keeps
+# them near 40 KB; 32 KB blocks saved ~0.15 ms per 7-year daily price file
+# but raised the benchmark's `regime_grid` peak RSS by ~0.1 MB more.
+_BLOCK_CHARS = 1 << 13
+_BLOCK_ROWS = 64
+
+
+def _checked_header(row: list[str] | None, headers: tuple[tuple[str, ...], ...]) -> tuple[str, ...]:
+    if row is None:
+        raise DataError("empty file: missing header")
+    header = tuple(h.strip() for h in row)
     if header not in headers:
         expected = " or ".join(repr(",".join(h)) for h in headers)
         raise DataError(f"unexpected header {header!r}; expected {expected}")
-    return header, _checked_rows(reader, len(header))
+    return header
 
 
 def _checked_rows(reader, width: int) -> Iterator[tuple[int, list[str]]]:
@@ -151,6 +200,45 @@ def _checked_rows(reader, width: int) -> Iterator[tuple[int, list[str]]]:
         if len(row) != width:
             raise DataError(f"line {lineno}: expected {width} fields, got {len(row)}")
         yield lineno, row
+
+
+def _row_blocks(rows: Iterator[tuple[int, list[str]]]) -> Iterator[list[Sequence[str]]]:
+    while block := [row for _, row in islice(rows, _BLOCK_ROWS)]:
+        yield list(zip(*block))
+
+
+def _line_blocks(text: str, start: int, width: int) -> Iterator[list[Sequence[str]]]:
+    """The columns of the lines of `text` from index `start` on, line 2, in
+    blocks of whole lines. With no `"` or `\\r` in the text, a line's fields
+    are its comma-separated parts, as `csv.reader` reads them."""
+    lineno, size = 2, len(text)
+    while start < size:
+        end = size if size - start <= _BLOCK_CHARS else text.rfind("\n", start, start + _BLOCK_CHARS + 1)
+        if end < start:  # a line longer than a block is a block of its own
+            end = text.find("\n", start) % (size + 1)
+        lines = text[start:end].split("\n")
+        first, lineno, start = lineno, lineno + len(lines), end + 1
+        if len(lines[0]) > _BLOCK_CHARS:
+            next(csv.reader(lines))  # csv's error for a field beyond its size limit
+        if not lines[-1]:
+            lines.pop()  # a blank line, or the end of the text's last line
+        if width == 1 or set(map(str.count, lines, repeat(","))) != {width - 1}:
+            lines = _kept_lines(lines, first, width)
+        if lines:
+            fields = ",".join(lines).split(",")
+            yield [fields[j::width] for j in range(width)]
+
+
+def _kept_lines(lines: list[str], lineno: int, width: int) -> list[str]:
+    """`lines`, numbered from `lineno`, without the blank ones; a DataError
+    for the first other line that does not hold `width` fields."""
+    kept = []
+    for k, line in enumerate(lines, start=lineno):
+        if line.strip():
+            if line.count(",") != width - 1:
+                raise DataError(f"line {k}: expected {width} fields, got {line.count(',') + 1}")
+            kept.append(line)
+    return kept
 
 
 def write_csv(header: Sequence[str], rows: Iterable[Iterable]) -> str:
@@ -180,61 +268,113 @@ def parse_price_csv(text: str, interval: str = DAILY) -> PriceSeries:
     order, is reported with its line number; a date out of order only after
     every row has passed.
     """
+    blocks = read_csv(text, PRICE_CSV_HEADER)[1]
+    size = text.count("\n") + 1  # no fewer lines than rows
+    ordinals, ohlca, volume = np.empty(size, np.int64), np.empty((len(PRICE_FIELDS), size)), np.empty(size, np.int64)
+    k = 0
+    try:
+        for columns in blocks:
+            n = len(columns[0])
+            dates, *prices, volumes = _price_values(columns)
+            ordinals[k : k + n] = np.fromiter(dates, np.int64, n)
+            ohlca[:, k : k + n] = np.fromiter(chain(*prices), np.float64, len(prices) * n).reshape(-1, n)
+            volume[k : k + n] = np.fromiter(volumes, np.int64, n)
+            k += n
+    except (ValueError, OverflowError, DataError):
+        raise _price_fault(text) from None
+    try:
+        return PriceSeries(interval, ordinals[:k], ohlca[:, :k].T, volume[:k])
+    except _BarFault:
+        raise _price_fault(text) from None
+
+
+def _price_values(columns: Sequence[Sequence[str]]) -> tuple[Iterator, ...]:
+    """Iterators over the values of price CSV columns: date ordinals, the
+    five prices and the volumes, each field converted on its own by
+    `date.fromisoformat` (after `strip`), `float` or `int`."""
+    dates, *prices, volumes = columns
+    ordinals = map(date.toordinal, map(date.fromisoformat, map(str.strip, dates)))
+    return (ordinals, *(map(float, column) for column in prices), map(int, volumes))
+
+
+def _price_fault(text: str) -> DataError:
+    """The error of a price CSV that `parse_price_csv` could not read: its
+    rows read again one at a time up to the first malformed one, which the
+    first volume beyond int64 before it replaces, unless a bar before
+    either breaks a bar invariant."""
     rows, malformed = [], None
     try:
-        for lineno, row in read_csv(text, PRICE_CSV_HEADER)[1]:
+        for lineno, row in read_csv_rows(text, PRICE_CSV_HEADER)[1]:
             try:
-                rows.append((
-                    date.fromisoformat(row[0].strip()).toordinal(),
-                    float(row[1]), float(row[2]), float(row[3]), float(row[4]), float(row[5]),
-                    int(row[6]),
-                ))
+                values = [next(column) for column in _price_values([(field,) for field in row])]
             except ValueError as exc:
                 raise DataError(f"line {lineno}: malformed row: {exc}") from None
-    except DataError as exc:  # raised once the rows before it pass their checks
+            rows.append((lineno, values))
+    except DataError as exc:
         malformed = exc
-    columns = list(zip(*rows)) or [()] * 7
-    try:
-        volume = np.array(columns[6], dtype=np.int64)
-    except OverflowError:
-        k = next(k for k, v in enumerate(columns[6]) if not -_INT64_MAX - 1 <= v <= _INT64_MAX)
-        malformed = DataError(f"line {_line_of(text, k)}: malformed row: volume {columns[6][k]} does not fit in int64")
-        columns = [column[:k] for column in columns]
-        volume = np.array(columns[6], dtype=np.int64)
-    ordinals = np.array(columns[0], dtype=np.int64)
-    ohlca = np.array(columns[1:6], dtype=np.float64).T
-    try:
-        if malformed is None:
-            return PriceSeries(interval, ordinals, ohlca, volume)
-        _check_bars(ordinals, ohlca, volume)  # an earlier bad bar is named first
-    except _BarFault as exc:
-        raise DataError(f"line {_line_of(text, exc.index)}: {exc}") from None
-    raise malformed
-
-
-def _line_of(text: str, index: int) -> int:
-    """The line number of data row `index` of price CSV `text`."""
-    return next(islice(read_csv(text, PRICE_CSV_HEADER)[1], index, None))[0]
+    for k, (lineno, values) in enumerate(rows):
+        if not -_INT64_MAX - 1 <= values[6] <= _INT64_MAX:
+            malformed = DataError(f"line {lineno}: malformed row: volume {values[6]} does not fit in int64")
+            del rows[k:]
+            break
+    if rows:
+        ordinals, *prices, volume = zip(*(values for _, values in rows))
+        try:
+            _check_bars(np.array(ordinals), np.array(prices).T, np.array(volume))
+        except _BarFault as exc:
+            return DataError(f"line {rows[exc.index][0]}: {exc}")
+    if malformed is None:
+        raise AssertionError("a price CSV that parses has no fault")
+    return malformed
 
 
 def parse_sentiment_csv(text: str) -> dict[date, float]:
-    """Parse a `Date,Sentiment` CSV into scores in [0, 1] by date; any
-    malformed row is reported with its line number."""
-    scores: dict[date, float] = {}
-    for lineno, row in read_csv(text, SENTIMENT_CSV_HEADER)[1]:
-        try:
-            when = date.fromisoformat(row[0].strip())
-            value = float(row[1])
-        except ValueError as exc:
-            raise DataError(f"line {lineno}: malformed row: {exc}") from None
-        if not 0.0 <= value <= 1.0:
-            raise DataError(f"line {lineno}: sentiment {value} outside [0, 1]")
-        if when in scores:
-            raise DataError(f"line {lineno}: duplicate date {when}")
-        scores[when] = value
+    """Parse a `Date,Sentiment` CSV into scores in [0, 1] by date; the first
+    malformed row, score outside [0, 1] or repeated date is reported with its
+    line number."""
+    scores = _sentiment_scores(read_csv(text, SENTIMENT_CSV_HEADER)[1])
+    if scores is None:
+        raise _sentiment_fault(text)
     if not scores:
         raise DataError("no sentiment rows")
     return scores
+
+
+def _sentiment_scores(blocks: Iterator[list[Sequence[str]]]) -> dict[date, float] | None:
+    """The scores by date in the column `blocks` of a sentiment CSV, or None
+    if a row is malformed, a score lies outside [0, 1] or a date repeats.
+    The dates are made once every block is read, from its kept date column,
+    so that they are not allocated among the blocks' other field strings."""
+    date_columns, values = [], []
+    try:
+        for dates, scores in blocks:
+            date_columns.append(dates)
+            values.append(np.fromiter(map(float, scores), np.float64, len(scores)))
+        values = np.concatenate(values) if values else np.empty(0)
+        if not ((values >= 0.0) & (values <= 1.0)).all():
+            return None
+        scores = dict(zip(map(date.fromisoformat, map(str.strip, chain.from_iterable(date_columns))), values.tolist()))
+    except (ValueError, DataError):
+        return None
+    return scores if len(scores) == len(values) else None
+
+
+def _sentiment_fault(text: str) -> DataError:
+    """The error of a sentiment CSV that `parse_sentiment_csv` could not
+    read: its rows read again one at a time up to the first malformed row,
+    score outside [0, 1] or repeated date."""
+    seen = set()
+    for lineno, row in read_csv_rows(text, SENTIMENT_CSV_HEADER)[1]:
+        try:
+            when, value = date.fromisoformat(row[0].strip()), float(row[1])
+        except ValueError as exc:
+            return DataError(f"line {lineno}: malformed row: {exc}")
+        if not 0.0 <= value <= 1.0:
+            return DataError(f"line {lineno}: sentiment {value} outside [0, 1]")
+        if when in seen:
+            return DataError(f"line {lineno}: duplicate date {when}")
+        seen.add(when)
+    raise AssertionError("a sentiment CSV that parses has no fault")
 
 
 def resample_weekly(series: PriceSeries) -> PriceSeries:

@@ -6,9 +6,10 @@ implementations they check. The exceptions are numpy: the per-window and
 per-step indicator loops and the per-bar weekly grouping, the per-block
 Adam step, and the reference recurrent kernel at the end, the
 straightforward per-step, time-major formulation that the library's
-batch-last kernel replaced; and the per-row price CSV parser, which reads
-rows through the library's `read_csv`. Each is the form the library used
-before, kept to check the library's form after its arithmetic changed.
+batch-last kernel replaced. Each is the form the library used before, kept
+to check the library's form after its arithmetic changed. The per-row CSV
+parsers tokenise with `csv.reader` themselves, one row at a time, as the
+library did before it read whole column blocks.
 The gradient check at the end shares code with the library by design: it
 differentiates the library's own forward pass numerically, to check the
 library's backward pass against it.
@@ -16,13 +17,14 @@ library's backward pass against it.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from datetime import date, timedelta
 
 import numpy as np
 
 from trendlab.errors import DataError
-from trendlab.market_data import PRICE_CSV_HEADER, read_csv
 from trendlab.network import ModelShape, NetworkParameters, backward_batch, forward_batch, init_parameters
 
 
@@ -151,19 +153,46 @@ def loop_resample_weekly(bars) -> list[tuple]:
     return weekly
 
 
+def csv_rows(text: str, *headers: tuple[str, ...]):
+    """The header of CSV `text`, one of `headers` once a leading byte-order
+    mark and the blanks around each name are dropped, and a generator over
+    the other rows as (line number, fields), tokenised by `csv.reader`:
+    empty and whitespace-only rows are skipped, but counted; a row with a
+    field count other than the header's raises."""
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
+    first = next(reader, None)
+    if first is None:
+        raise DataError("empty file: missing header")
+    header = tuple(name.strip() for name in first)
+    if header not in headers:
+        expected = " or ".join(repr(",".join(h)) for h in headers)
+        raise DataError(f"unexpected header {header!r}; expected {expected}")
+
+    def rows():
+        for lineno, row in enumerate(reader, start=2):
+            if row and not (len(row) == 1 and not row[0].strip()):
+                if len(row) != len(header):
+                    raise DataError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+                yield lineno, row
+
+    return header, rows()
+
+
 def loop_parse_price_csv(text: str) -> list[tuple]:
     """Price CSV rows as (date, open, high, low, close, adjusted, volume)
     tuples, converted and checked one row at a time, then checked for
     ascending dates: the per-row parser the library's columnar one
     replaced, raising the same errors."""
     bars = []
-    for lineno, row in read_csv(text, PRICE_CSV_HEADER)[1]:
+    for lineno, row in csv_rows(text, ("Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"))[1]:
         try:
             when = date.fromisoformat(row[0].strip())
             o, h, l, c, adj = (float(row[k]) for k in range(1, 6))
             vol = int(row[6])
         except ValueError as exc:
             raise DataError(f"line {lineno}: malformed row: {exc}") from None
+        if not -(2**63) <= vol < 2**63:
+            raise DataError(f"line {lineno}: malformed row: volume {vol} does not fit in int64")
         fault = _bar_fault(o, h, l, c, adj, vol)
         if fault is not None:
             raise DataError(f"line {lineno}: {when}: {fault}")
@@ -174,6 +203,47 @@ def loop_parse_price_csv(text: str) -> list[tuple]:
         if cur[0] <= prev[0]:
             raise DataError(f"dates not ascending at {cur[0]} (after {prev[0]})")
     return bars
+
+
+def loop_parse_sentiment_csv(text: str) -> dict[date, float]:
+    """Sentiment CSV scores by date, converted and checked one row at a
+    time: the per-row parser the library's columnar one replaced, raising
+    the same errors."""
+    scores = {}
+    for lineno, row in csv_rows(text, ("Date", "Sentiment"))[1]:
+        try:
+            when = date.fromisoformat(row[0].strip())
+            value = float(row[1])
+        except ValueError as exc:
+            raise DataError(f"line {lineno}: malformed row: {exc}") from None
+        if not 0.0 <= value <= 1.0:
+            raise DataError(f"line {lineno}: sentiment {value} outside [0, 1]")
+        if when in scores:
+            raise DataError(f"line {lineno}: duplicate date {when}")
+        scores[when] = value
+    if not scores:
+        raise DataError("no sentiment rows")
+    return scores
+
+
+def loop_feature_rows(text: str, *headers: tuple[str, ...]) -> list[list[float]]:
+    """The rows of a feature CSV with one of `headers` as floats, converted
+    and checked for finite values one row at a time: the per-row loop the
+    library's columnar one replaced, raising the same errors."""
+    header, rows = csv_rows(text, *headers)
+    values = []
+    for lineno, row in rows:
+        try:
+            parsed = [float(v) for v in row]
+        except ValueError as exc:
+            raise DataError(f"line {lineno}: malformed row: {exc}") from None
+        for name, v in zip(header, parsed):
+            if not math.isfinite(v):
+                raise DataError(f"line {lineno}: non-finite value in column {name!r}")
+        values.append(parsed)
+    if not values:
+        raise DataError("empty feature frame")
+    return values
 
 
 def _bar_fault(o: float, h: float, l: float, c: float, adj: float, vol: int) -> str | None:

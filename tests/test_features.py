@@ -7,7 +7,10 @@ import pytest
 
 from trendlab.errors import DataError
 from trendlab.features import (
+    COMPANY_FUNDAMENTALS,
+    INDEX_FUNDAMENTALS,
     NEUTRAL_SENTIMENT,
+    TECHNICALS,
     FeatureFrame,
     build_feature_frame,
     feature_frame_to_csv,
@@ -20,6 +23,7 @@ from trendlab.market_data import normalize
 from trendlab.synthetic import planted_sentiment, random_walk_series, sine_series
 
 from conftest import edit_csv_field, series_of
+from oracles import loop_feature_rows
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +90,40 @@ def test_company_style_csv_recovers_prices_from_shifted_answers(walk_frame):
         parse_feature_csv(edit_csv_field(text, 2, "Sentiment", "1.5"))
     with pytest.raises(DataError, match="line 2: non-finite value"):
         parse_feature_csv(edit_csv_field(text, 2, "PBR", "nan"))
+
+
+# Feature CSV cells to break, as (line, column, value), in the order the
+# edits are applied; the per-row oracle names the first fault in row order.
+FEATURE_FAULTS = [
+    [(4, "RSI", "oops")],
+    [(4, "Answer", "nan")],
+    [(6, "CCI", "1e400"), (9, "TDD", "")],
+    [(9, "Adj. Price", "x1"), (6, "Sentiment", "-inf")],
+    [(5, "MACD", "inf"), (5, "RSI", "bad")],
+]
+
+
+@pytest.mark.parametrize("faults", [[], *FEATURE_FAULTS])
+@pytest.mark.parametrize("style", ["index", "company, CRLF and blank lines"])
+def test_parse_feature_csv_equals_the_per_row_oracle(walk_frame, faults, style):
+    text = feature_frame_to_csv(walk_frame)
+    for line, column, value in faults:
+        text = edit_csv_field(text, line, column, value)
+    if style != "index":
+        text = text.replace("Adj. Price,Trading Vol.,TDD", "PBR,PER,PSR", 1)
+        text = text.replace("\n", "\r\n").replace("\r\n", "\r\n \r\n", 3)
+    headers = [names + TECHNICALS + ("Sentiment", "Answer") for names in (INDEX_FUNDAMENTALS, COMPANY_FUNDAMENTALS)]
+    try:
+        want = loop_feature_rows(text, *headers)
+    except DataError as exc:
+        with pytest.raises(DataError) as caught:
+            parse_feature_csv(text)
+        assert str(caught.value) == str(exc)
+        return
+    frame = parse_feature_csv(text)
+    keep = slice(0, None) if style == "index" else slice(1, None)
+    got = np.column_stack((frame.fundamental, frame.technical, frame.sentiment, frame.answers))
+    assert got.tobytes() == np.array(want)[keep].tobytes()
 
 
 def _scaled(block: np.ndarray, names, column_scales) -> np.ndarray:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import ast
+import csv
 import math
+import tracemalloc
 from datetime import date, timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from trendlab.synthetic import trend_seasonal_daily
 from trendlab.errors import DataError
 from trendlab.market_data import (
     DAILY,
+    PRICE_CSV_HEADER,
     WEEKLY,
     NormalizationScale,
     PriceSeries,
@@ -24,13 +28,14 @@ from trendlab.market_data import (
     make_windows,
     normalize,
     parse_price_csv,
+    parse_sentiment_csv,
     read_csv,
     resample_weekly,
     write_csv,
 )
 
 from conftest import EXPECTED_TDD, TABLE_ROWS, series_of, table_csv
-from oracles import loop_parse_price_csv, loop_resample_weekly
+from oracles import csv_rows, loop_parse_price_csv, loop_parse_sentiment_csv, loop_resample_weekly
 
 INT64_MAX = 2**63 - 1
 
@@ -73,7 +78,7 @@ def test_write_csv_writes_a_float_as_its_numpy_twin(value):
 @given(st.floats(allow_nan=False, allow_infinity=False), st.booleans())
 def test_write_csv_floats_read_back_exactly(value, as_numpy):
     text = write_csv(("v",), [(np.float64(value) if as_numpy else value,)])
-    [(_, [field])] = list(read_csv(text, ("v",))[1])
+    [[[field]]] = [[list(column) for column in block] for block in read_csv(text, ("v",))[1]]
     assert float(field).hex() == value.hex()
 
 
@@ -243,8 +248,11 @@ def test_between_picks_the_inclusive_date_range(table_series):
 # --- the columnar parse against the per-row oracle ---------------------------
 
 
+PRICE_HEADER = "Date,Open,High,Low,Close,Adj Close,Volume"
+
+
 def _csv(rows) -> str:
-    return "\n".join(["Date,Open,High,Low,Close,Adj Close,Volume", *(",".join(map(str, r)) for r in rows)]) + "\n"
+    return "\n".join([PRICE_HEADER, *(",".join(map(str, r)) for r in rows)]) + "\n"
 
 
 def _valid_rows(rng, n: int) -> list[list[str]]:
@@ -272,6 +280,7 @@ BREAKS = {
     "negative volume": [(6, "-1"), (6, "-123456789")],
     "adjusted": [(5, "0"), (5, "-0.0"), (5, "-3.5")],
     "malformed": [(0, "2020-13-45"), (0, ""), (1, "oops"), (3, "1,5"), (5, ""), (6, "1.5"), (6, "x")],
+    "volume beyond int64": [(6, str(INT64_MAX + 1)), (6, str(-INT64_MAX - 2))],
     "descending": [(0, None)],
 }
 
@@ -283,27 +292,70 @@ def _broken(rows, k: int, column: int, value) -> None:
 def _outcome(parse, text):
     try:
         return parse(text)
-    except DataError as exc:
-        return f"DataError: {exc}"
+    except (DataError, csv.Error) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
-@settings(max_examples=300, deadline=None)
+# How a CSV's rows are laid out as text: line ends, a byte-order mark,
+# quoted fields, blank and whitespace-only lines, the final newline and rows
+# of the wrong width; each position is a fraction of the row count.
+LAYOUTS = st.fixed_dictionaries({
+    "crlf": st.booleans(),
+    "bom": st.booleans(),
+    "quoted": st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 6)), max_size=3),
+    "blanks": st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from(["", " ", "\t", " \t  "])), max_size=3),
+    "final_newline": st.booleans(),
+    "widths": st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([-1, 1])), max_size=1),
+})
+PLAIN = {"crlf": False, "bom": False, "quoted": [], "blanks": [], "final_newline": True, "widths": []}
+
+# Block sizes for the reader: every line a block of its own, a few lines
+# per block, and the library's own.
+BLOCK_SIZES = st.sampled_from([(16, 1), (150, 3), (400, 7), (market_data._BLOCK_CHARS, market_data._BLOCK_ROWS)])
+
+
+def _laid_out(header: str, rows, layout) -> str:
+    rows = [list(row) for row in rows]
+    for position, column in layout["quoted"]:
+        row = rows[int(position * len(rows))] if rows else []
+        if column < len(row):
+            row[column] = f'"{row[column]}"'
+    for position, change in layout["widths"]:
+        if rows:
+            k = int(position * len(rows))
+            rows[k] = rows[k][:-1] if change < 0 else [*rows[k], "1"]
+    lines = [header, *(",".join(row) for row in rows)]
+    for position, blank in layout["blanks"]:
+        lines.insert(1 + int(position * len(rows)), blank)
+    end = "\r\n" if layout["crlf"] else "\n"
+    return ("\ufeff" if layout["bom"] else "") + end.join(lines) + (end if layout["final_newline"] else "")
+
+
+def _with_blocks(block_size, parse, text):
+    chars, rows = block_size
+    with mock.patch.object(market_data, "_BLOCK_CHARS", chars), mock.patch.object(market_data, "_BLOCK_ROWS", rows):
+        return _outcome(parse, text)
+
+
+@settings(max_examples=400, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 30),
     faults=st.lists(st.tuples(st.sampled_from(sorted(BREAKS)), st.integers(0, 10**6)), max_size=2),
     positions=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=2, max_size=2),
+    layout=LAYOUTS,
+    block_size=BLOCK_SIZES,
 )
-def test_columnar_parse_equals_the_per_row_oracle(seed, n, faults, positions):
+def test_columnar_parse_equals_the_per_row_oracle(seed, n, faults, positions, layout, block_size):
     rows = _valid_rows(np.random.default_rng(seed), n)
     for (kind, pick), position in zip(faults, positions):
         k = int(position * n)
         if kind == "descending" and k == 0:
             continue
         _broken(rows, k, *BREAKS[kind][pick % len(BREAKS[kind])])
-    text = _csv(rows)
+    text = _laid_out(PRICE_HEADER, rows, layout)
     want = _outcome(loop_parse_price_csv, text)
-    got = _outcome(parse_price_csv, text)
+    got = _with_blocks(block_size, parse_price_csv, text)
     if isinstance(want, str):
         assert got == want
         return
@@ -311,6 +363,94 @@ def test_columnar_parse_equals_the_per_row_oracle(seed, n, faults, positions):
     np.testing.assert_array_equal(got.ordinals, [bar[0].toordinal() for bar in want])
     assert got.ohlca.tobytes() == np.array([bar[1:6] for bar in want]).tobytes()
     assert got.volume.tolist() == [bar[6] for bar in want]
+
+
+def _block_rows(text: str, *headers: tuple[str, ...]) -> list[tuple[str, ...]]:
+    return [tuple(row) for block in read_csv(text, *headers)[1] for row in zip(*block)]
+
+
+def _csv_reader_rows(text: str, *headers: tuple[str, ...]) -> list[tuple[str, ...]]:
+    return [tuple(row) for _, row in csv_rows(text, *headers)[1]]
+
+
+def test_columnar_parse_equals_the_per_row_oracle_across_library_blocks():
+    """Faults, blank lines, rows of the wrong width and lines longer than a
+    block, at and around the block edges of a 4,600-row file."""
+    rows = _valid_rows(np.random.default_rng(4), 4600)
+    text = _csv(rows)
+    edges = [text.count("\n", 0, k) - 1 for k in range(market_data._BLOCK_CHARS, len(text), market_data._BLOCK_CHARS)]
+    assert len(edges) >= 10
+    blanks = [(edges[1] / len(rows), ""), ((edges[1] + 1) / len(rows), " \t")]
+    cases = [text, text.removesuffix("\n"), _laid_out(PRICE_HEADER, rows, {**PLAIN, "blanks": blanks})]
+    for k, (kind, pick) in zip(edges, [("malformed", 2), ("nan", 0), ("volume beyond int64", 0), ("descending", 0)]):
+        for row in (k - 1, k, k + 1):
+            broken = [list(r) for r in rows]
+            _broken(broken, row, *BREAKS[kind][pick])
+            cases.append(_csv(broken))
+    for row in (edges[2] - 1, edges[2], edges[2] + 1):
+        cases.append(_laid_out(PRICE_HEADER, rows, {**PLAIN, "blanks": blanks, "widths": [(row / len(rows), 1)]}))
+    long_line = [list(r) for r in rows]
+    long_line[edges[0]][1] = " " * market_data._BLOCK_CHARS + long_line[edges[0]][1]
+    cases.append(_csv(long_line))
+    long_line[edges[0] + 3][1] = "oops"
+    cases.append(_csv(long_line))
+    long_line[edges[0] + 3][1] = rows[edges[0] + 3][1]
+    long_line[edges[0]][1] = " " * csv.field_size_limit() + long_line[edges[0]][1]  # csv refuses the field
+    cases.append(_csv(long_line))
+    for text in cases:
+        tokens = _outcome(lambda text: _block_rows(text, PRICE_CSV_HEADER), text)
+        assert tokens == _outcome(lambda text: _csv_reader_rows(text, PRICE_CSV_HEADER), text)
+        want = _outcome(loop_parse_price_csv, text)
+        got = _outcome(parse_price_csv, text)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.ohlca.tobytes() == np.array([bar[1:6] for bar in want]).tobytes()
+            assert got.volume.tolist() == [bar[6] for bar in want]
+
+
+# Lines of a CSV body: a row of the header's width or one field short or
+# over, or a blank line; fields drawn from the characters `csv` treats
+# specially and a few it does not.
+CSV_FIELDS = st.text(st.sampled_from(list('ab. \t\r"\x00\x0b\x85\u2028\u00e9')), max_size=4)
+CSV_LINES = st.lists(
+    st.tuples(st.sampled_from([0] * 6 + [-1, 1, None]), st.lists(CSV_FIELDS, min_size=4, max_size=4)), max_size=40
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=CSV_LINES, plain=st.booleans(), width=st.integers(1, 3), bom=st.booleans(), block_size=BLOCK_SIZES)
+def test_read_csv_blocks_hold_the_rows_csv_reader_reads(lines, plain, width, bom, block_size):
+    header = ("x", "y", "z")[:width]
+    body = "\n".join(" \t"[: len(fields[0]) % 3] if change is None else ",".join(fields[: max(1, width + change)])
+                     for change, fields in lines)
+    if plain:  # text the reader splits itself
+        body = body.replace('"', "").replace("\r", "")
+    text = ("\ufeff" if bom else "") + " , ".join(header) + "\n" + body
+    want = _outcome(lambda text: _csv_reader_rows(text, header), text)
+    assert _with_blocks(block_size, lambda text: _block_rows(text, header), text) == want
+
+
+def test_read_csv_reads_the_header_as_csv_reader_does():
+    for text in ("", "\n", "\ufeff", " \n1,2\n", "x,y", "x ,\ty\n", '"x",y\n', "x,y,\n"):
+        want = _outcome(lambda text: csv_rows(text, ("x", "y"))[0], text)
+        assert _outcome(lambda text: read_csv(text, ("x", "y"))[0], text) == want
+
+
+def test_parse_price_csv_peak_memory_stays_below_the_per_row_oracle():
+    """Blocks bound what a parse holds beyond its input and output: on an
+    18-year daily file it peaks below the row-wise parse of the same text."""
+    text = _csv([[b.date.isoformat(), *map(repr, b[1:6]), str(b.volume)] for b in trend_seasonal_daily(4600).bars])
+
+    def peak(parse) -> int:
+        tracemalloc.start()
+        try:
+            parse(text)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(parse_price_csv) <= peak(loop_parse_price_csv)
 
 
 def test_parse_names_an_earlier_bad_bar_before_a_later_malformed_row():
@@ -356,6 +496,65 @@ def test_parse_keeps_the_extreme_int64_volume_exactly():
     rows = _valid_rows(np.random.default_rng(3), 2)
     _broken(rows, 1, 6, str(INT64_MAX))
     assert parse_price_csv(_csv(rows)).bars[1].volume == INT64_MAX
+
+
+# --- sentiment parsing -------------------------------------------------------
+
+
+# Edits that break one sentiment row: (column, value); a value of None
+# copies an earlier row's date.
+SENTIMENT_BREAKS = {
+    "malformed date": [(0, "2020-02-30"), (0, "x"), (0, "")],
+    "malformed score": [(1, "high"), (1, ""), (1, "0.5.1")],
+    "nan": [(1, "nan"), (1, "NaN")],
+    "outside": [(1, "1.5"), (1, "-0.1"), (1, "inf"), (1, "-inf"), (1, "1.0000000000000002")],
+    "duplicate": [(0, None)],
+}
+
+
+def _sentiment_rows(rng, n: int) -> list[list[str]]:
+    ordinals = date(2010, 1, 4).toordinal() + np.cumsum(rng.integers(1, 9, n))
+    rng.shuffle(ordinals)  # scores by date need no order
+    scores = rng.uniform(0.0, 1.0, n)
+    scores[rng.uniform(size=n) < 0.1] = 0.0
+    scores[rng.uniform(size=n) < 0.1] = 1.0
+    texts = [repr(v) if k % 3 else f" {v!r} " for k, v in enumerate(scores.tolist())]
+    return [[date.fromordinal(d).isoformat(), v] for d, v in zip(ordinals.tolist(), texts)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 30),
+    faults=st.lists(st.tuples(st.sampled_from(sorted(SENTIMENT_BREAKS)), st.integers(0, 10**6)), max_size=2),
+    positions=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=2, max_size=2),
+    layout=LAYOUTS,
+    block_size=BLOCK_SIZES,
+)
+def test_sentiment_parse_equals_the_per_row_oracle(seed, n, faults, positions, layout, block_size):
+    rng = np.random.default_rng(seed)
+    rows = _sentiment_rows(rng, n)
+    for (kind, pick), position in zip(faults, positions):
+        k = int(position * n)
+        if n == 0 or (kind == "duplicate" and k == 0):
+            continue
+        column, value = SENTIMENT_BREAKS[kind][pick % len(SENTIMENT_BREAKS[kind])]
+        rows[k][column] = rows[int(rng.integers(0, k))][0] if value is None else value
+    text = _laid_out("Date,Sentiment", rows, layout)
+    want = _outcome(loop_parse_sentiment_csv, text)
+    got = _with_blocks(block_size, parse_sentiment_csv, text)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert [(d, v.hex()) for d, v in got.items()] == [(d, v.hex()) for d, v in want.items()]
+
+
+def test_sentiment_parse_names_each_fault_by_its_line():
+    text = "Date,Sentiment\n2020-01-06,0.5\n\n2020-01-13,1.5\n2020-01-06,0.2\n"
+    assert _outcome(parse_sentiment_csv, text) == "DataError: line 4: sentiment 1.5 outside [0, 1]"
+    text = text.replace("1.5", "1")
+    assert _outcome(parse_sentiment_csv, text) == "DataError: line 5: duplicate date 2020-01-06"
+    assert _outcome(parse_sentiment_csv, "Date,Sentiment\n \n") == "DataError: no sentiment rows"
 
 
 # --- weekly resampling -------------------------------------------------------
