@@ -20,10 +20,10 @@ from .market_data import (
     WindowedDataset,
     _sliding_windows,
     compute_tdd,
+    first_row_fault,
     make_windows,
     normalize,
     read_csv,
-    read_csv_rows,
     train_window_count,
     write_csv,
 )
@@ -152,7 +152,10 @@ def parse_feature_csv(text: str) -> FeatureFrame:
     """Parse an index-style or company-style feature CSV.
 
     Company-style frames carry no per-row price column, so the first row is
-    dropped and prices are recovered from the shifted Answer column.
+    dropped and prices are recovered from the shifted Answer column. A file
+    that fails is read again by `first_row_fault`, which names its first
+    row with a malformed cell or, once every cell of the row converts, a
+    non-finite one.
     """
     index_header = INDEX_FUNDAMENTALS + TECHNICALS + (SENTIMENT_COLUMN, ANSWER_COLUMN)
     company_header = COMPANY_FUNDAMENTALS + TECHNICALS + (SENTIMENT_COLUMN, ANSWER_COLUMN)
@@ -162,9 +165,15 @@ def parse_feature_csv(text: str) -> FeatureFrame:
         parts = [np.column_stack([np.fromiter(map(float, column), np.float64, len(column)) for column in columns])
                  for columns in blocks]
     except (ValueError, DataError):
-        raise _feature_fault(text, header) from None
-    if not all(np.isfinite(part).all() for part in parts):
-        raise _feature_fault(text, header)
+        parts = None
+    if parts is None or not all(np.isfinite(part).all() for part in parts):
+
+        def check(row: list[str]) -> None:
+            finite = list(map(math.isfinite, map(float, row)))
+            if not all(finite):
+                raise DataError(f"non-finite value in column {header[finite.index(False)]!r}")
+
+        raise first_row_fault(text, header, check)
     if not parts:
         raise DataError("empty feature frame")
     mat = np.concatenate(parts)
@@ -196,21 +205,6 @@ def parse_feature_csv(text: str) -> FeatureFrame:
         answers=answers[keep],
         fundamental_names=fundamental_names,
     )
-
-
-def _feature_fault(text: str, header: tuple[str, ...]) -> DataError:
-    """The error of a feature CSV that `parse_feature_csv` could not read:
-    its rows read again one at a time up to the first malformed row or
-    non-finite value."""
-    for lineno, row in read_csv_rows(text, header)[1]:
-        try:
-            parsed = [float(v) for v in row]
-        except ValueError as exc:
-            return DataError(f"line {lineno}: malformed row: {exc}")
-        bad = next((name for name, v in zip(header, parsed) if not math.isfinite(v)), None)
-        if bad is not None:
-            return DataError(f"line {lineno}: non-finite value in column {bad!r}")
-    raise AssertionError("a feature CSV that parses has no fault")
 
 
 @dataclass(frozen=True)

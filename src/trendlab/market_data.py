@@ -1,6 +1,7 @@
 """Price and sentiment CSV ingestion, weekly resampling, normalization, and
 windowed datasets. `read_csv` holds the header and row-width rule of every
-CSV reader, and `write_csv` the cell rule of every CSV writer.
+CSV reader, `first_row_fault` the fault path of every CSV parser, and
+`write_csv` the cell rule of every CSV writer.
 
 `read_csv` hands a file's body over in column blocks: text of whole lines,
 at most ~8 KB at a time, split at its newlines and commas in one pass, so
@@ -9,7 +10,8 @@ and the like) into arrays, joined across blocks. Text holding a
 `"` or a `\\r` is tokenised by `csv.reader` instead, row by row, so quoting
 and CRLF line ends keep `csv`'s rules; both give the same fields and line
 numbers. Only a file that fails to convert or to check is read again, one
-row at a time through `read_csv_rows`, to name its first fault by line.
+row at a time, by `first_row_fault`: each parser hands it only its check of
+one row, and it names the first row refused, by the row's first line.
 
 A `PriceSeries` is columnar (date ordinals, an (n, 5) price block, volumes)
 and checks every bar invariant at once over whole columns; parsing,
@@ -28,7 +30,7 @@ from collections import namedtuple
 from dataclasses import dataclass, replace
 from datetime import date
 from itertools import chain, islice, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,11 +59,7 @@ PriceRow = namedtuple("PriceRow", ("date", *PRICE_FIELDS, "volume"))
 
 
 class _BarFault(DataError):
-    """A bar that breaks a bar invariant; `index` is its row in the series."""
-
-    def __init__(self, index: int, message: str):
-        super().__init__(message)
-        self.index = index
+    """A bar that breaks a bar invariant."""
 
 
 def _check_bars(ordinals: np.ndarray, ohlca: np.ndarray, volume: np.ndarray) -> None:
@@ -77,7 +75,7 @@ def _check_bars(ordinals: np.ndarray, ohlca: np.ndarray, volume: np.ndarray) -> 
         messages = (f"open {bar[OPEN]} outside [low, high]", f"close {bar[CLOSE]} outside [low, high]",
                     f"negative volume {volume[k]}", f"adjusted price must be positive, got {bar[ADJUSTED]}",
                     *(f"non-finite {name}" for name in PRICE_FIELDS))
-        raise _BarFault(k, f"{date.fromordinal(int(ordinals[k]))}: {messages[int(np.argmax(faults[:, k]))]}")
+        raise _BarFault(f"{date.fromordinal(int(ordinals[k]))}: {messages[int(np.argmax(faults[:, k]))]}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,9 +150,11 @@ def read_csv(text: str, *headers: tuple[str, ...]) -> tuple[tuple[str, ...], Ite
     parse holds one block's fields at a time. Other text is tokenised by
     `csv.reader`, as `read_csv_rows` does, in blocks of `_BLOCK_ROWS` rows:
     quoting and CRLF line ends keep `csv`'s rules. The two give the same
-    fields, rows and line numbers for text both can read. A block holds no
-    line numbers: a caller that finds a bad field names its line by reading
-    the text again with `read_csv_rows`, on that error path only."""
+    fields, rows and line numbers for text both can read, and both name a
+    row that `csv` refuses (a field beyond `csv.field_size_limit()`) by its
+    line in a DataError. A block holds no line numbers: a caller that finds
+    a bad field names its line with `first_row_fault`, on that error path
+    only."""
     text = text.removeprefix("\ufeff")
     if '"' in text or "\r" in text:
         header, rows = read_csv_rows(text, *headers)
@@ -166,12 +166,29 @@ def read_csv(text: str, *headers: tuple[str, ...]) -> tuple[tuple[str, ...], Ite
 
 def read_csv_rows(text: str, *headers: tuple[str, ...]) -> tuple[tuple[str, ...], Iterator[tuple[int, list[str]]]]:
     """`read_csv` one row at a time: the header and an iterator over the
-    non-blank rows, each with its line number, tokenised by `csv.reader`.
-    For naming the first bad row of a file that `read_csv` could not
-    convert, not for the success path."""
+    non-blank rows, tokenised by `csv.reader`, each with the number of its
+    first line (a quoted field may hold a newline). `read_csv` reads text
+    it cannot split itself through it, and `first_row_fault` a refused
+    file; no parser calls it directly."""
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     header = _checked_header(next(reader, None), headers)
     return header, _checked_rows(reader, len(header))
+
+
+def first_row_fault(text: str, header: tuple[str, ...], check: Callable[[list[str]], None]) -> DataError:
+    """The error of CSV `text` with `header` that a parser could not read:
+    its rows read again one at a time, in order, until `check` refuses one.
+    A ValueError of `check` names the row's line as a malformed row, and a
+    DataError names the line before its own message. A row that
+    `read_csv_rows` refuses raises its DataError."""
+    for lineno, row in read_csv_rows(text, header)[1]:
+        try:
+            check(row)
+        except ValueError as exc:
+            return DataError(f"line {lineno}: malformed row: {exc}")
+        except DataError as exc:
+            return DataError(f"line {lineno}: {exc}")
+    raise AssertionError("a CSV that parses has no fault")
 
 
 # A body with no `"` or `\r` is tokenised in blocks of whole lines of at most
@@ -193,8 +210,19 @@ def _checked_header(row: list[str] | None, headers: tuple[tuple[str, ...], ...])
     return header
 
 
-def _checked_rows(reader, width: int) -> Iterator[tuple[int, list[str]]]:
-    for lineno, row in enumerate(reader, start=2):
+def _checked_rows(reader, width: int, offset: int = 0) -> Iterator[tuple[int, list[str]]]:
+    """The non-blank rows of `reader`, each numbered by its first line:
+    `offset` plus the lines `reader` read before it, plus one. A DataError
+    names the line of a row that `csv` refuses or that does not hold
+    `width` fields."""
+    while True:
+        lineno = offset + reader.line_num + 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise DataError(f"line {lineno}: {exc}") from None
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != width:
@@ -218,8 +246,8 @@ def _line_blocks(text: str, start: int, width: int) -> Iterator[list[Sequence[st
             end = text.find("\n", start) % (size + 1)
         lines = text[start:end].split("\n")
         first, lineno, start = lineno, lineno + len(lines), end + 1
-        if len(lines[0]) > _BLOCK_CHARS:
-            next(csv.reader(lines))  # csv's error for a field beyond its size limit
+        if len(lines[0]) > _BLOCK_CHARS:  # csv refuses a field beyond its size limit
+            next(_checked_rows(csv.reader(lines[:1]), width, first - 1), None)
         if not lines[-1]:
             lines.pop()  # a blank line, or the end of the text's last line
         if width == 1 or set(map(str.count, lines, repeat(","))) != {width - 1}:
@@ -264,9 +292,10 @@ def parse_price_csv(text: str, interval: str = DAILY) -> PriceSeries:
     """Parse a `Date,Open,High,Low,Close,Adj Close,Volume` CSV into a PriceSeries.
 
     Dates must be ISO-8601 and strictly ascending, and volumes must fit in
-    int64. The first malformed row or bar breaking a bar invariant, in row
-    order, is reported with its line number; a date out of order only after
-    every row has passed.
+    int64. A file that fails is read again by `first_row_fault`, which
+    names the first row, in row order, that is malformed, holds a volume
+    beyond int64 or breaks a bar invariant (checked in that order per row);
+    a date out of order is reported only after every row has passed.
     """
     blocks = read_csv(text, PRICE_CSV_HEADER)[1]
     size = text.count("\n") + 1  # no fewer lines than rows
@@ -281,11 +310,11 @@ def parse_price_csv(text: str, interval: str = DAILY) -> PriceSeries:
             volume[k : k + n] = np.fromiter(volumes, np.int64, n)
             k += n
     except (ValueError, OverflowError, DataError):
-        raise _price_fault(text) from None
+        raise first_row_fault(text, PRICE_CSV_HEADER, _check_price_row) from None
     try:
         return PriceSeries(interval, ordinals[:k], ohlca[:, :k].T, volume[:k])
     except _BarFault:
-        raise _price_fault(text) from None
+        raise first_row_fault(text, PRICE_CSV_HEADER, _check_price_row) from None
 
 
 def _price_values(columns: Sequence[Sequence[str]]) -> tuple[Iterator, ...]:
@@ -297,84 +326,47 @@ def _price_values(columns: Sequence[Sequence[str]]) -> tuple[Iterator, ...]:
     return (ordinals, *(map(float, column) for column in prices), map(int, volumes))
 
 
-def _price_fault(text: str) -> DataError:
-    """The error of a price CSV that `parse_price_csv` could not read: its
-    rows read again one at a time up to the first malformed one, which the
-    first volume beyond int64 before it replaces, unless a bar before
-    either breaks a bar invariant."""
-    rows, malformed = [], None
-    try:
-        for lineno, row in read_csv_rows(text, PRICE_CSV_HEADER)[1]:
-            try:
-                values = [next(column) for column in _price_values([(field,) for field in row])]
-            except ValueError as exc:
-                raise DataError(f"line {lineno}: malformed row: {exc}") from None
-            rows.append((lineno, values))
-    except DataError as exc:
-        malformed = exc
-    for k, (lineno, values) in enumerate(rows):
-        if not -_INT64_MAX - 1 <= values[6] <= _INT64_MAX:
-            malformed = DataError(f"line {lineno}: malformed row: volume {values[6]} does not fit in int64")
-            del rows[k:]
-            break
-    if rows:
-        ordinals, *prices, volume = zip(*(values for _, values in rows))
-        try:
-            _check_bars(np.array(ordinals), np.array(prices).T, np.array(volume))
-        except _BarFault as exc:
-            return DataError(f"line {rows[exc.index][0]}: {exc}")
-    if malformed is None:
-        raise AssertionError("a price CSV that parses has no fault")
-    return malformed
+def _check_price_row(row: list[str]) -> None:
+    """Convert one price CSV row as `parse_price_csv` does, then check that
+    its volume fits in int64 and its bar keeps every bar invariant."""
+    ordinal, *prices, volume = (next(column) for column in _price_values([(field,) for field in row]))
+    if not -_INT64_MAX - 1 <= volume <= _INT64_MAX:
+        raise ValueError(f"volume {volume} does not fit in int64")
+    _check_bars(np.array([ordinal]), np.array([prices]), np.array([volume]))
 
 
 def parse_sentiment_csv(text: str) -> dict[date, float]:
-    """Parse a `Date,Sentiment` CSV into scores in [0, 1] by date; the first
-    malformed row, score outside [0, 1] or repeated date is reported with its
-    line number."""
-    scores = _sentiment_scores(read_csv(text, SENTIMENT_CSV_HEADER)[1])
-    if scores is None:
-        raise _sentiment_fault(text)
-    if not scores:
-        raise DataError("no sentiment rows")
-    return scores
-
-
-def _sentiment_scores(blocks: Iterator[list[Sequence[str]]]) -> dict[date, float] | None:
-    """The scores by date in the column `blocks` of a sentiment CSV, or None
-    if a row is malformed, a score lies outside [0, 1] or a date repeats.
-    The dates are made once every block is read, from its kept date column,
-    so that they are not allocated among the blocks' other field strings."""
+    """Parse a `Date,Sentiment` CSV into scores in [0, 1] by date. The dates
+    are made once every block is read, from its kept date column, so that
+    they are not allocated among the blocks' other field strings. A file
+    that fails is read again by `first_row_fault`, which names its first
+    malformed row, score outside [0, 1] or repeated date."""
+    blocks = read_csv(text, SENTIMENT_CSV_HEADER)[1]
     date_columns, values = [], []
     try:
         for dates, scores in blocks:
             date_columns.append(dates)
             values.append(np.fromiter(map(float, scores), np.float64, len(scores)))
         values = np.concatenate(values) if values else np.empty(0)
-        if not ((values >= 0.0) & (values <= 1.0)).all():
-            return None
-        scores = dict(zip(map(date.fromisoformat, map(str.strip, chain.from_iterable(date_columns))), values.tolist()))
+        days = map(date.fromisoformat, map(str.strip, chain.from_iterable(date_columns)))
+        scores = dict(zip(days, values.tolist())) if ((values >= 0.0) & (values <= 1.0)).all() else None
     except (ValueError, DataError):
-        return None
-    return scores if len(scores) == len(values) else None
+        scores = None
+    if scores is None or len(scores) != len(values):
+        seen = set()
 
-
-def _sentiment_fault(text: str) -> DataError:
-    """The error of a sentiment CSV that `parse_sentiment_csv` could not
-    read: its rows read again one at a time up to the first malformed row,
-    score outside [0, 1] or repeated date."""
-    seen = set()
-    for lineno, row in read_csv_rows(text, SENTIMENT_CSV_HEADER)[1]:
-        try:
+        def check(row: list[str]) -> None:
             when, value = date.fromisoformat(row[0].strip()), float(row[1])
-        except ValueError as exc:
-            return DataError(f"line {lineno}: malformed row: {exc}")
-        if not 0.0 <= value <= 1.0:
-            return DataError(f"line {lineno}: sentiment {value} outside [0, 1]")
-        if when in seen:
-            return DataError(f"line {lineno}: duplicate date {when}")
-        seen.add(when)
-    raise AssertionError("a sentiment CSV that parses has no fault")
+            if not 0.0 <= value <= 1.0:
+                raise DataError(f"sentiment {value} outside [0, 1]")
+            if when in seen:
+                raise DataError(f"duplicate date {when}")
+            seen.add(when)
+
+        raise first_row_fault(text, SENTIMENT_CSV_HEADER, check)
+    if not scores:
+        raise DataError("no sentiment rows")
+    return scores
 
 
 def resample_weekly(series: PriceSeries) -> PriceSeries:

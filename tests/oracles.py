@@ -157,8 +157,10 @@ def csv_rows(text: str, *headers: tuple[str, ...]):
     """The header of CSV `text`, one of `headers` once a leading byte-order
     mark and the blanks around each name are dropped, and a generator over
     the other rows as (line number, fields), tokenised by `csv.reader`:
-    empty and whitespace-only rows are skipped, but counted; a row with a
-    field count other than the header's raises."""
+    empty and whitespace-only rows are skipped, but counted; a row is
+    numbered by its first line, which a quoted newline sets apart from its
+    row count; a row with a field count other than the header's, or one
+    `csv.reader` refuses, raises a DataError naming its line."""
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     first = next(reader, None)
     if first is None:
@@ -169,7 +171,14 @@ def csv_rows(text: str, *headers: tuple[str, ...]):
         raise DataError(f"unexpected header {header!r}; expected {expected}")
 
     def rows():
-        for lineno, row in enumerate(reader, start=2):
+        while True:
+            lineno = reader.line_num + 1
+            try:
+                row = next(reader)
+            except StopIteration:
+                return
+            except csv.Error as exc:
+                raise DataError(f"line {lineno}: {exc}") from None
             if row and not (len(row) == 1 and not row[0].strip()):
                 if len(row) != len(header):
                     raise DataError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")

@@ -648,6 +648,18 @@ def test_a_sentiment_row_with_the_wrong_field_count_is_a_data_error_naming_its_l
     assert not (tmp_path / "out").exists()
 
 
+def test_a_price_field_beyond_the_csv_size_limit_is_a_data_error_naming_its_line(tmp_path, capsys):
+    config = _run_config(tmp_path)
+    prices = tmp_path / "prices.csv"
+    lines = prices.read_text().splitlines()
+    when, price = lines[1].split(",", 1)
+    lines[1] = f"{when},{' ' * 140_000}{price}"
+    prices.write_text("\n".join(lines) + "\n")
+    assert main(["train", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "data error: line 2: field larger than field limit (131072)\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_no_sentiment_reads_no_sentiment_file(tmp_path, monkeypatch, capsys):
     """A sentiment file missing a joined date fails no run that drops the
     stream: its outputs match a run with no sentiment_csv at all."""

@@ -100,6 +100,7 @@ FEATURE_FAULTS = [
     [(6, "CCI", "1e400"), (9, "TDD", "")],
     [(9, "Adj. Price", "x1"), (6, "Sentiment", "-inf")],
     [(5, "MACD", "inf"), (5, "RSI", "bad")],
+    [(5, "RSI", "inf"), (5, "MACD", "bad")],
 ]
 
 

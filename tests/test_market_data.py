@@ -139,6 +139,11 @@ def test_parse_reports_line_numbers():
     )
     with pytest.raises(DataError, match="line 3"):
         parse_price_csv(text)
+    # A row is named by its first line, also after a quoted newline.
+    text = text.replace("2010-06-28", '"2010-06-28\n"')
+    assert _outcome(parse_price_csv, text) == "DataError: line 4: malformed row: could not convert string to float: 'oops'"
+    text = text.replace(",1,1,1,oops,1,100", ",1")
+    assert _outcome(parse_price_csv, text) == "DataError: line 4: expected 7 fields, got 2"
 
 
 def test_parse_rejects_bar_invariant_violations():
@@ -471,6 +476,19 @@ def test_parse_names_a_bad_bar_after_blank_lines_by_its_own_line():
         parse_price_csv(text)
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["split by the reader", "tokenised by csv"])
+def test_parse_names_a_field_beyond_the_csv_size_limit_by_its_line(end):
+    long_row = "2020-01-06," + " " * 140_000 + "1,1,1,1,1,100"
+    lines = ["Date,Open,High,Low,Close,Adj Close,Volume", long_row, "2020-01-07,1,1,1,1,1,100"]
+    text = end.join(lines) + end
+    assert _outcome(parse_price_csv, text) == "DataError: line 2: field larger than field limit (131072)"
+    lines.insert(1, "2020-01-03,5,1,1,1,1,100")  # an earlier bad bar keeps precedence
+    text = end.join(lines) + end
+    assert _outcome(parse_price_csv, text) == "DataError: line 2: 2020-01-03: open 5.0 outside [low, high]"
+    text = "Date,Open,High,Low,Close,Adj Close,Volume\n2020-01-06,1\r2,1,1,1,1,100\n"  # csv's other refusal
+    assert _outcome(parse_price_csv, text).startswith("DataError: line 2: new-line character seen in unquoted field")
+
+
 # --- volumes beyond int64 ----------------------------------------------------
 
 
@@ -555,6 +573,10 @@ def test_sentiment_parse_names_each_fault_by_its_line():
     text = text.replace("1.5", "1")
     assert _outcome(parse_sentiment_csv, text) == "DataError: line 5: duplicate date 2020-01-06"
     assert _outcome(parse_sentiment_csv, "Date,Sentiment\n \n") == "DataError: no sentiment rows"
+    text = 'Date,Sentiment\n"2020-01-06\n",0.5\n2020-01-07,x\n'  # a row is named by its first line
+    assert _outcome(parse_sentiment_csv, text) == "DataError: line 4: malformed row: could not convert string to float: 'x'"
+    text = 'Date,Sentiment\n"2020-01-06\n",x\n'
+    assert _outcome(parse_sentiment_csv, text) == "DataError: line 2: malformed row: could not convert string to float: 'x'"
 
 
 # --- weekly resampling -------------------------------------------------------
