@@ -1,28 +1,27 @@
 """Command-line entry point: feature building, training, prediction, and
 the experiment suite, driven by a JSON run config (`experiments.RunConfig`).
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
+Exit codes: 0 success, 1 usage/config error (an unreadable file included),
+2 data error (an input file that is not UTF-8 text included), 3 numerical
 divergence in `train` or `predict`; an experiment records a diverged cell
 as an error row and exits 2 if it failed in every cell. Every command
 validates its full configuration and inputs before writing anything, and
 rejects contradictory config values before reading any file; all outputs
 land under the configured output directory.
 A command reads each input file once, and a command that built a frame on
-the neutral sentiment fill says so after writing its outputs.
+the neutral sentiment fill says so after writing its outputs. Under
+`TRENDLAB_CLOCK=fixed` every wall time written is 0.0 (`training.clock`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import time
 from dataclasses import is_dataclass, replace
 from datetime import date
 from functools import cache
 from pathlib import Path
-from typing import Callable
 
 from .errors import ConfigError, DataError, DivergenceError, TrendlabError, field_types
 from .experiments import (
@@ -64,8 +63,6 @@ from .reports import (
 )
 from .training import load_checkpoint, save_checkpoint, train
 
-CLOCK_ENV = "TRENDLAB_CLOCK"
-
 EXPERIMENT_NAMES = ("interval", "regime", "sentiment", "forget-gate", "all")
 
 NEUTRAL_FILL_WARNING = "warning: no sentiment_csv configured; the sentiment stream is the neutral fill 0.5"
@@ -88,45 +85,50 @@ def _section(cls, raw, name: str):
 
 def load_run_config(path: Path) -> RunConfig:
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text("utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"config file cannot be read: {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8 text: {path}: {exc.reason} at byte {exc.start}") from None
     return _section(RunConfig, raw, "config")
 
 
-def _require_file(path: Path | None, what: str) -> Path:
+def _read_input(path: Path | None, what: str) -> str:
+    """The text of the input file that config key `what` names: a
+    ConfigError when the key is not set or the file is missing, no regular
+    file or unreadable, a DataError naming the file when it is not UTF-8."""
     if path is None:
         raise ConfigError(f"config does not set {what}")
     if not path.is_file():
         raise ConfigError(f"{what} {'is not a file' if path.exists() else 'does not exist'}: {path}")
-    return path
-
-
-def _timer() -> Callable[[], float]:
-    if os.environ.get(CLOCK_ENV, "").lower() == "fixed":
-        return lambda: 0.0
-    return time.perf_counter
+    try:
+        return path.read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except OSError as exc:
+        raise ConfigError(f"{what} cannot be read: {path}: {exc.strerror}") from None
 
 
 def _load_inputs(cfg: RunConfig) -> tuple[PriceSeries, dict[date, float] | None]:
     """The price series from `price_csv` and the sentiment scores by date
-    from `sentiment_csv`, each file checked to exist before either is read.
-    The scores are None when `sentiment_csv` is not set, which gives frames
-    the neutral fill, and when `use_sentiment` drops the stream, so an
-    unused file is neither read nor joined."""
-    price_path = _require_file(cfg.price_csv, "price_csv")
-    sentiment_path = None
-    if cfg.sentiment_csv is not None and cfg.use_sentiment:
-        sentiment_path = _require_file(cfg.sentiment_csv, "sentiment_csv")
-    prices = parse_price_csv(price_path.read_text(), interval=cfg.price_interval)
-    if sentiment_path is None:
+    from `sentiment_csv`, both files read before either is parsed. The
+    scores are None when `sentiment_csv` is not set, which gives frames the
+    neutral fill, and when `use_sentiment` drops the stream, so an unused
+    file is neither read nor joined."""
+    price_text = _read_input(cfg.price_csv, "price_csv")
+    use_sentiment = cfg.sentiment_csv is not None and cfg.use_sentiment
+    sentiment_text = _read_input(cfg.sentiment_csv, "sentiment_csv") if use_sentiment else None
+    prices = parse_price_csv(price_text, interval=cfg.price_interval)
+    if sentiment_text is None:
         return prices, None
     try:
-        return prices, parse_sentiment_csv(sentiment_path.read_text())
+        return prices, parse_sentiment_csv(sentiment_text)
     except DataError as exc:
-        raise DataError(f"{sentiment_path}: {exc}") from None
+        raise DataError(f"{cfg.sentiment_csv}: {exc}") from None
 
 
 def _require_derivable(cfg: RunConfig, interval: str) -> None:
@@ -146,7 +148,7 @@ def _resolve_frame(cfg: RunConfig, inputs: tuple[PriceSeries, dict | None] | Non
     scores, either `inputs` or read here. Drops the sentiment stream when
     `use_sentiment` is false."""
     if cfg.feature_csv is not None:
-        frame = parse_feature_csv(_require_file(cfg.feature_csv, "feature_csv").read_text())
+        frame = parse_feature_csv(_read_input(cfg.feature_csv, "feature_csv"))
     else:
         if inputs is None:
             _require_derivable(cfg, cfg.interval)
@@ -184,8 +186,7 @@ def cmd_features(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     frame = _resolve_frame(cfg)
     bundle = prepare_dataset(frame, cfg.train.window, scale_fit=cfg.scale_fit)
-    timer = _timer()
-    run = train(bundle.dataset, cfg.train, timer=timer)
+    run = train(bundle.dataset, cfg.train)
 
     out = _prepare_out(cfg)
     checkpoint = save_checkpoint(
@@ -215,9 +216,9 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_predict(cfg: RunConfig) -> int:
-    path = _require_file(cfg.checkpoint, "checkpoint")
+    text = _read_input(cfg.checkpoint, "checkpoint")
     frame = _resolve_frame(cfg)
-    checkpoint = load_checkpoint(path.read_text())
+    checkpoint = load_checkpoint(text)
 
     use_sentiment = checkpoint.params.shape.d_s is not None
     actual = frame_columns(frame if use_sentiment else frame.without_sentiment())
@@ -253,7 +254,6 @@ def cmd_experiment(cfg: RunConfig, which: str) -> int:
     wanted = EXPERIMENT_NAMES[:-1] if which == "all" else (which,)
     if "sentiment" in wanted:
         require_sentiment_stream(cfg)
-    timer = _timer()
 
     # Every experiment but a sentiment ablation on a feature CSV builds its
     # frames from the price series; the interval experiment resamples it itself.
@@ -270,13 +270,13 @@ def cmd_experiment(cfg: RunConfig, which: str) -> int:
 
     reports: dict[str, ExperimentReport] = {}
     if "interval" in wanted:
-        reports["interval"] = run_interval_experiment(prices, cfg, sentiment, timer=timer)
+        reports["interval"] = run_interval_experiment(prices, cfg, sentiment)
     if "regime" in wanted:
-        reports["regime"] = run_regime_experiment(series, cfg, sentiment, timer=timer)
+        reports["regime"] = run_regime_experiment(series, cfg, sentiment)
     if frame is not None:
-        reports["sentiment"] = run_sentiment_ablation(frame, cfg, timer=timer)
+        reports["sentiment"] = run_sentiment_ablation(frame, cfg)
     if "forget-gate" in wanted:
-        reports["forget-gate"] = run_forget_gate_experiment(series, cfg, sentiment, timer=timer)
+        reports["forget-gate"] = run_forget_gate_experiment(series, cfg, sentiment)
 
     out = _prepare_out(cfg)
     failed = False
@@ -370,6 +370,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = _apply_overrides(load_run_config(Path(args.config)), args)
+        # mkdir would refuse the output directory only after training
+        existing = next(p for p in (cfg.output_dir, *cfg.output_dir.parents) if p.is_symlink() or p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"output_dir {cfg.output_dir} cannot be made: {existing} is not a directory")
         if args.command == "features":
             return cmd_features(cfg)
         if args.command == "train":

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import asdict, dataclass, replace
 from datetime import date
 from enum import Enum
@@ -228,33 +227,23 @@ def _error_text(exc: Exception) -> str:
     return str(exc) if isinstance(exc, TrendlabError) else f"{type(exc).__name__}: {exc}"
 
 
-def _cell(
-    prepared: DatasetBundle | str,
-    row: ReportRow,
-    config: RunConfig,
-    timer: Callable[[], float],
-) -> ReportRow:
-    """Train one (model, seed) cell on its variant's shared bundle.
-    `prepared` is the error text when the variant could not be prepared."""
+def _cell(prepared: DatasetBundle | str, row: ReportRow, config: RunConfig) -> ReportRow:
+    """Train one (model, seed) cell on its variant's shared bundle; its
+    `wall_ms` is the run's `wall_seconds`. `prepared` is the error text
+    when the variant could not be prepared."""
     if isinstance(prepared, str):
         return replace(row, error=prepared)
     train_config = replace(config.train, cell=row.model, seed=row.seed, window=row.window)
-    started = timer()
     try:
-        run = train(prepared.dataset, train_config, timer=timer, fork_helpers=False)
+        run = train(prepared.dataset, train_config, fork_helpers=False)
     except (TrendlabError, ValueError) as exc:
         return replace(row, error=_error_text(exc))
-    wall_ms = (timer() - started) * 1000.0
     mean_forget = math.nan if run.test_mean_forget is None else run.test_mean_forget
-    return replace(row, train_rmse=run.train_rmse, test_rmse=run.test_rmse, mean_forget=mean_forget, wall_ms=wall_ms)
+    return replace(row, train_rmse=run.train_rmse, test_rmse=run.test_rmse, mean_forget=mean_forget,
+                   wall_ms=run.wall_seconds * 1000.0)
 
 
-def _run_grid(
-    variants: Sequence[_Variant],
-    config: RunConfig,
-    timer: Callable[[], float],
-    models: Sequence[str] = MODELS,
-) -> ExperimentReport:
+def _run_grid(variants: Sequence[_Variant], config: RunConfig, models: Sequence[str] = MODELS) -> ExperimentReport:
     """One row per (variant, model, seed), in that order. Each variant is
     prepared once, before the cells; `train` only reads the bundle, so its
     cells share it. A variant without test windows trains no cell."""
@@ -272,7 +261,7 @@ def _run_grid(
                     model=model, interval=interval, regime=regime, features=features, window=window,
                     seed=seed, train_rmse=math.nan, test_rmse=math.nan, mean_forget=math.nan, wall_ms=math.nan,
                 )
-                tasks.append(partial(_cell, prepared, row, config, timer))
+                tasks.append(partial(_cell, prepared, row, config))
     return ExperimentReport(rows=tuple(_run_cells(tasks)))
 
 
@@ -294,7 +283,6 @@ def run_interval_experiment(
     daily: PriceSeries,
     config: RunConfig,
     sentiment: Mapping[date, float] | None = None,
-    timer: Callable[[], float] = time.perf_counter,
 ) -> ExperimentReport:
     """Train both models on the daily series and on its weekly resample,
     identical pipeline otherwise; one row per (model, interval, seed).
@@ -302,20 +290,19 @@ def run_interval_experiment(
     if daily.interval != DAILY:
         raise DataError("interval experiment needs a daily input series")
     variants = [_series_variant(series, ALL_REGIMES, config, sentiment) for series in (daily, resample_weekly(daily))]
-    return _run_grid(variants, config, timer)
+    return _run_grid(variants, config)
 
 
 def run_regime_experiment(
     series: PriceSeries,
     config: RunConfig,
     sentiment: Mapping[date, float] | None = None,
-    timer: Callable[[], float] = time.perf_counter,
 ) -> ExperimentReport:
     """Classify each configured segment and train/evaluate both models on
     it; one row per (segment, model, seed).
     """
     variants = [_series_variant(s, label.value, config, sentiment) for s, label in regime_segments(series, config)]
-    return _run_grid(variants, config, timer)
+    return _run_grid(variants, config)
 
 
 def regime_segments(series: PriceSeries, config: RunConfig) -> list[tuple[PriceSeries, RegimeLabel]]:
@@ -330,11 +317,7 @@ def require_sentiment_stream(config: RunConfig) -> None:
         raise ConfigError("the sentiment experiment needs use_sentiment true")
 
 
-def run_sentiment_ablation(
-    frame: FeatureFrame,
-    config: RunConfig,
-    timer: Callable[[], float] = time.perf_counter,
-) -> ExperimentReport:
+def run_sentiment_ablation(frame: FeatureFrame, config: RunConfig) -> ExperimentReport:
     """Train both models with and without the sentiment stream; the ablated
     variant simply omits the stream (input width 2*d_I instead of 3*d_I).
     Rows carry the config's interval.
@@ -347,14 +330,13 @@ def run_sentiment_ablation(
         (config.interval, ALL_REGIMES, FULL_FEATURES, config.train.window, lambda: frame),
         (config.interval, ALL_REGIMES, NO_SENTIMENT, config.train.window, lambda: ablated),
     ]
-    return _run_grid(variants, config, timer)
+    return _run_grid(variants, config)
 
 
 def run_forget_gate_experiment(
     series: PriceSeries,
     config: RunConfig,
     sentiment: Mapping[date, float] | None = None,
-    timer: Callable[[], float] = time.perf_counter,
 ) -> ExperimentReport:
     """Train the memory-cell model at each configured window size, all on
     one feature frame; one row per (window, seed), whose `mean_forget` is
@@ -363,4 +345,4 @@ def run_forget_gate_experiment(
     interval, regime, features, _, make_frame = _series_variant(series, ALL_REGIMES, config, sentiment)
     make_frame = cache(make_frame)
     variants = [(interval, regime, features, window, make_frame) for window in config.experiments.window_sizes]
-    return _run_grid(variants, config, timer, models=(LSTM,))
+    return _run_grid(variants, config, models=(LSTM,))

@@ -160,7 +160,7 @@ def read_csv(text: str, *headers: tuple[str, ...]) -> tuple[tuple[str, ...], Ite
         header, rows = read_csv_rows(text, *headers)
         return header, _row_blocks(rows)
     end = text.find("\n") % (len(text) + 1)  # the header line's end, or the text's
-    header = _checked_header(next(csv.reader((text[:end],))) if text else None, headers)
+    header = _checked_header(csv.reader((text[:end],) if text else ()), headers)
     return header, _line_blocks(text, end + 1, len(header))
 
 
@@ -171,7 +171,7 @@ def read_csv_rows(text: str, *headers: tuple[str, ...]) -> tuple[tuple[str, ...]
     it cannot split itself through it, and `first_row_fault` a refused
     file; no parser calls it directly."""
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
-    header = _checked_header(next(reader, None), headers)
+    header = _checked_header(reader, headers)
     return header, _checked_rows(reader, len(header))
 
 
@@ -200,7 +200,12 @@ _BLOCK_CHARS = 1 << 13
 _BLOCK_ROWS = 64
 
 
-def _checked_header(row: list[str] | None, headers: tuple[tuple[str, ...], ...]) -> tuple[str, ...]:
+def _checked_header(reader, headers: tuple[tuple[str, ...], ...]) -> tuple[str, ...]:
+    """The first row of `reader`, stripped, which must be one of `headers`."""
+    try:
+        row = next(reader, None)
+    except csv.Error as exc:
+        raise DataError(f"line 1: {exc}") from None
     if row is None:
         raise DataError("empty file: missing header")
     header = tuple(h.strip() for h in row)
@@ -238,7 +243,9 @@ def _row_blocks(rows: Iterator[tuple[int, list[str]]]) -> Iterator[list[Sequence
 def _line_blocks(text: str, start: int, width: int) -> Iterator[list[Sequence[str]]]:
     """The columns of the lines of `text` from index `start` on, line 2, in
     blocks of whole lines. With no `"` or `\\r` in the text, a line's fields
-    are its comma-separated parts, as `csv.reader` reads them."""
+    are its comma-separated parts, as `csv.reader` reads them. A block with
+    a blank line, a line of another width or an over-long line is read again
+    by `_checked_rows`, which drops blank lines and names other faults."""
     lineno, size = 2, len(text)
     while start < size:
         end = size if size - start <= _BLOCK_CHARS else text.rfind("\n", start, start + _BLOCK_CHARS + 1)
@@ -246,27 +253,14 @@ def _line_blocks(text: str, start: int, width: int) -> Iterator[list[Sequence[st
             end = text.find("\n", start) % (size + 1)
         lines = text[start:end].split("\n")
         first, lineno, start = lineno, lineno + len(lines), end + 1
-        if len(lines[0]) > _BLOCK_CHARS:  # csv refuses a field beyond its size limit
-            next(_checked_rows(csv.reader(lines[:1]), width, first - 1), None)
+        long = len(lines[0]) > _BLOCK_CHARS  # csv may refuse a field beyond its size limit
         if not lines[-1]:
             lines.pop()  # a blank line, or the end of the text's last line
-        if width == 1 or set(map(str.count, lines, repeat(","))) != {width - 1}:
-            lines = _kept_lines(lines, first, width)
+        if long or width == 1 or set(map(str.count, lines, repeat(","))) != {width - 1}:
+            lines = [",".join(row) for _, row in _checked_rows(csv.reader(lines), width, first - 1)]
         if lines:
             fields = ",".join(lines).split(",")
             yield [fields[j::width] for j in range(width)]
-
-
-def _kept_lines(lines: list[str], lineno: int, width: int) -> list[str]:
-    """`lines`, numbered from `lineno`, without the blank ones; a DataError
-    for the first other line that does not hold `width` fields."""
-    kept = []
-    for k, line in enumerate(lines, start=lineno):
-        if line.strip():
-            if line.count(",") != width - 1:
-                raise DataError(f"line {k}: expected {width} fields, got {line.count(',') + 1}")
-            kept.append(line)
-    return kept
 
 
 def write_csv(header: Sequence[str], rows: Iterable[Iterable]) -> str:

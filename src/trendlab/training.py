@@ -7,9 +7,10 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -30,6 +31,13 @@ from .network import (
 
 CHECKPOINT_SCHEMA_VERSION = 4
 STREAMS = ("fundamental", "technical", "sentiment")
+CLOCK_ENV = "TRENDLAB_CLOCK"
+
+
+def clock() -> float:
+    """`time.perf_counter()`, or 0.0 when the environment sets
+    `TRENDLAB_CLOCK=fixed` (any case), so that every wall time is 0.0."""
+    return 0.0 if os.environ.get(CLOCK_ENV, "").lower() == "fixed" else time.perf_counter()
 
 
 @dataclass(frozen=True)
@@ -299,13 +307,7 @@ def evaluate(split: WindowedDataset, params: NetworkParameters) -> tuple[float |
     return rmse(np.concatenate(predictions), split.labels), forget / count if count else None
 
 
-def train(
-    dataset: WindowedDataset,
-    config: TrainConfig,
-    timer: Callable[[], float] = time.perf_counter,
-    *,
-    fork_helpers: bool = True,
-) -> TrainingRun:
+def train(dataset: WindowedDataset, config: TrainConfig, *, fork_helpers: bool = True) -> TrainingRun:
     """Full-batch training: each epoch forwards every training window,
     backpropagates the RMSE cost, and takes one Adam step. Deterministic
     per (dataset, config).
@@ -346,7 +348,7 @@ def train(
     if train_split.n_windows == 0:
         raise DataError("empty training split")
 
-    started = timer()
+    started = clock()
     widths = tuple(None if stream is None else stream.shape[2] for stream in dataset.streams)
     params = init_parameters(model_shape(widths, config), config.seed, config.forget_bias)
     with forked.Helpers("training") as helpers:
@@ -360,7 +362,7 @@ def train(
         train_rmse=float(train_cost),
         test_rmse=test_cost,
         test_mean_forget=test_mean_forget,
-        wall_seconds=timer() - started,
+        wall_seconds=clock() - started,
         config=config,
         parameters=params,
     )

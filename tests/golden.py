@@ -36,9 +36,10 @@ if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from golden_kernel import machine_line
-from trendlab.cli import CLOCK_ENV, main
+from trendlab.cli import main
 from trendlab.market_data import write_csv
 from trendlab.synthetic import planted_sentiment, trend_seasonal_daily
+from trendlab.training import CLOCK_ENV
 
 GOLDEN = Path(__file__).with_name("golden.json")
 BARS_PER_YEAR = 260

@@ -18,7 +18,7 @@ from trendlab.cli import EXPERIMENT_NAMES, NEUTRAL_FILL_WARNING, _apply_override
 from trendlab.experiments import RunConfig
 from trendlab.features import build_feature_frame, feature_frame_to_csv, prepare_dataset
 from trendlab.synthetic import paper_shaped_series, planted_sentiment, regime_fixture, sine_series, trend_seasonal_daily
-from trendlab.training import rmse
+from trendlab.training import CLOCK_ENV, rmse
 
 from conftest import edit_csv_field
 
@@ -506,7 +506,7 @@ def _experiment_all_config(tmp_path: Path, segments) -> Path:
 
 
 def test_experiment_all_writes_the_same_bytes_twice_on_the_fixed_clock(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.CLOCK_ENV, "fixed")
+    monkeypatch.setenv(CLOCK_ENV, "fixed")
     config = _experiment_all_config(tmp_path, [["2015-03-02", "2016-02-29"], ["2016-03-07", "2017-03-06"]])
     outputs = []
     for _ in range(2):
@@ -522,7 +522,7 @@ def test_experiment_all_writes_the_same_bytes_twice_on_the_fixed_clock(tmp_path,
 def test_experiment_all_writes_the_same_bytes_on_one_cpu_and_on_three(tmp_path, monkeypatch):
     """On one usable CPU the grids run serially and fork nothing; on three,
     each grid forks two helpers. Every output byte is the same."""
-    monkeypatch.setenv(cli.CLOCK_ENV, "fixed")
+    monkeypatch.setenv(CLOCK_ENV, "fixed")
     config = _experiment_all_config(tmp_path, [["2015-03-02", "2016-02-29"], ["2016-03-07", "2017-03-06"]])
     forks = []
     real_fork = os.fork
@@ -651,19 +651,21 @@ def test_a_sentiment_row_with_the_wrong_field_count_is_a_data_error_naming_its_l
 def test_a_price_field_beyond_the_csv_size_limit_is_a_data_error_naming_its_line(tmp_path, capsys):
     config = _run_config(tmp_path)
     prices = tmp_path / "prices.csv"
-    lines = prices.read_text().splitlines()
-    when, price = lines[1].split(",", 1)
-    lines[1] = f"{when},{' ' * 140_000}{price}"
-    prices.write_text("\n".join(lines) + "\n")
-    assert main(["train", "--config", str(config)]) == 2
-    assert capsys.readouterr().err == "data error: line 2: field larger than field limit (131072)\n"
-    assert not (tmp_path / "out").exists()
+    text = prices.read_text()
+    for line in (1, 2):  # the header, then a body row
+        lines = text.splitlines()
+        first, rest = lines[line - 1].split(",", 1)
+        lines[line - 1] = f"{first},{' ' * 140_000}{rest}"
+        prices.write_text("\n".join(lines) + "\n")
+        assert main(["train", "--config", str(config)]) == 2
+        assert capsys.readouterr() == ("", f"data error: line {line}: field larger than field limit (131072)\n")
+        assert not (tmp_path / "out").exists()
 
 
 def test_no_sentiment_reads_no_sentiment_file(tmp_path, monkeypatch, capsys):
     """A sentiment file missing a joined date fails no run that drops the
     stream: its outputs match a run with no sentiment_csv at all."""
-    monkeypatch.setenv("TRENDLAB_CLOCK", "fixed")
+    monkeypatch.setenv(CLOCK_ENV, "fixed")
     paths = _train_inputs(tmp_path)
     lines = paths["sentiment_csv"].read_text().splitlines()
     del lines[40]  # a row inside the frame, after the indicator warm-up
@@ -802,7 +804,7 @@ def test_train_writes_the_same_bytes_at_one_and_at_two_blas_threads(tmp_path):
     for threads in ("1", "2"):
         work = tmp_path / f"threads_{threads}"
         work.mkdir()
-        env = _fresh_env(OPENBLAS_NUM_THREADS=threads, **{cli.CLOCK_ENV: "fixed"})
+        env = _fresh_env(OPENBLAS_NUM_THREADS=threads, **{CLOCK_ENV: "fixed"})
         done = subprocess.run([sys.executable, "-m", "trendlab.cli", "train", "--config", "../run.json"], cwd=work,
                               env=env, capture_output=True, timeout=120)
         assert done.returncode == 0, done.stderr
@@ -827,3 +829,71 @@ def test_a_directory_in_place_of_an_input_file_is_not_a_file(tmp_path, monkeypat
     assert main([command, "--config", str(config)]) == 1
     assert capsys.readouterr().err == f"config error: {key} is not a file: folder\n"
     assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "key, command",
+    [("price_csv", "train"), ("sentiment_csv", "train"), ("feature_csv", "train"), ("checkpoint", "predict")],
+)
+def test_an_input_file_that_is_not_utf8_is_a_data_error_naming_it(tmp_path, monkeypatch, key, command, capsys):
+    monkeypatch.chdir(tmp_path)
+    config = _run_config(tmp_path, **{key: "bad.csv"})
+    (tmp_path / "bad.csv").write_bytes(b"\xffDate,Open\n")
+    before = _files(tmp_path)
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr() == ("", "data error: bad.csv: not UTF-8 text: invalid start byte at byte 0\n")
+    assert _files(tmp_path) == before
+
+
+def test_an_input_file_that_cannot_be_read_is_a_config_error(tmp_path, monkeypatch, capsys):
+    config = _run_config(tmp_path)
+    real_read = Path.read_text
+
+    def read(path, *args):
+        if path.name == "prices.csv":
+            raise PermissionError(13, "Permission denied", str(path))
+        return real_read(path, *args)
+
+    monkeypatch.setattr(Path, "read_text", read)
+    before = _files(tmp_path)
+    assert main(["train", "--config", str(config)]) == 1
+    assert capsys.readouterr() == (
+        "", f"config error: price_csv cannot be read: {tmp_path / 'prices.csv'}: Permission denied\n"
+    )
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [(lambda path: path.mkdir(), "config file cannot be read: run.json: Is a directory"),
+     (lambda path: path.write_bytes(b'{"seed": "\xe9"}'),
+      "config file is not UTF-8 text: run.json: invalid continuation byte at byte 10")],
+    ids=["directory", "not UTF-8"],
+)
+def test_a_config_that_cannot_be_read_is_a_config_error(tmp_path, monkeypatch, make, message, capsys):
+    monkeypatch.chdir(tmp_path)
+    make(tmp_path / "run.json")
+    assert main(["train", "--config", "run.json"]) == 1
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub", "dangling"])
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_an_output_dir_on_a_file_is_refused_before_any_input_is_read(
+    tmp_path, checkpoint_file, monkeypatch, command, out, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    keys = {"price_interval": "daily"} if command[1:] in (("interval",), ("all",)) else {}
+    config = _run_config(tmp_path, checkpoint=str(checkpoint_file), output_dir=out, **keys)
+    (tmp_path / "taken").write_text("a file\n")
+    (tmp_path / "dangling").symlink_to("nowhere")  # mkdir refuses a symlink to nothing too
+    read = []
+    real_read = Path.read_text
+    monkeypatch.setattr(Path, "read_text", lambda path, *args: read.append(path) or real_read(path, *args))
+    before = _files(tmp_path)
+    assert main([command[0], "--config", str(config), *command[1:]]) == 1
+    message = f"output_dir {out} cannot be made: {out.split('/')[0]} is not a directory"
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert read == [config]
+    assert _files(tmp_path) == before
+    assert (tmp_path / "taken").read_text() == "a file\n"

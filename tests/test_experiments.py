@@ -31,7 +31,7 @@ from trendlab.features import build_feature_frame, prepare_dataset
 from trendlab.market_data import DAILY, WEEKLY, resample_weekly
 from trendlab.network import LSTM, RNN, forward_batch
 from trendlab.synthetic import planted_sentiment, regime_fixture, trend_seasonal_daily
-from trendlab.training import TrainConfig, train
+from trendlab.training import CLOCK_ENV, TrainConfig, clock, train
 
 from oracles import pairwise_mean
 
@@ -214,15 +214,52 @@ def _train_in_helpers(monkeypatch, log, act=None) -> None:
 def test_helpers_run_cells_and_the_rows_equal_the_serial_run(monkeypatch, regime_data, tmp_path):
     series, segments, sentiment = regime_data
     config = _config(segments=segments)
+    monkeypatch.setenv(CLOCK_ENV, "fixed")
     _on_cpus(monkeypatch, 1)
-    serial = run_regime_experiment(series, config, sentiment, timer=lambda: 0.0)
+    serial = run_regime_experiment(series, config, sentiment)
     _on_cpus(monkeypatch, 3)
     _train_in_helpers(monkeypatch, tmp_path / "cells")
-    parallel = run_regime_experiment(series, config, sentiment, timer=lambda: 0.0)
+    parallel = run_regime_experiment(series, config, sentiment)
     assert repr(parallel.rows) == repr(serial.rows)  # repr, because NaN != NaN
     pids = (tmp_path / "cells").read_text().split()
     assert len(pids) == len(serial.rows) and len(set(pids)) > 1
     assert multiprocessing.active_children() == []
+
+
+def test_the_fixed_clock_reads_zero_and_any_other_setting_the_time(monkeypatch):
+    for value in ("fixed", "FIXED"):
+        monkeypatch.setenv(CLOCK_ENV, value)
+        assert clock() == 0.0
+    for value in ("", "real"):
+        monkeypatch.setenv(CLOCK_ENV, value)
+        first = clock()
+        time.sleep(0.01)
+        assert clock() - first >= 0.01
+    monkeypatch.delenv(CLOCK_ENV)
+    assert clock() > 0.0
+
+
+def test_under_the_fixed_clock_a_run_and_every_cell_take_no_time(monkeypatch, regime_data):
+    series, segments, sentiment = regime_data
+    monkeypatch.setenv(CLOCK_ENV, "fixed")
+    bundle = prepare_dataset(build_feature_frame(series, CONFIG.indicators, sentiment), CONFIG.train.window)
+    assert train(bundle.dataset, CONFIG.train).wall_seconds == 0.0
+    report = run_regime_experiment(series, _config(segments=segments), sentiment)
+    assert [row.error for row in report.rows] == [""] * len(report.rows)
+    assert [row.wall_ms for row in report.rows] == [0.0] * len(report.rows)
+
+
+def test_a_cell_reports_the_wall_time_of_its_run(monkeypatch, regime_data):
+    """A cell times nothing itself: its `wall_ms` is its run's `wall_seconds`."""
+    series, segments, sentiment = regime_data
+    monkeypatch.delenv(CLOCK_ENV, raising=False)
+    _on_cpus(monkeypatch, 1)  # every cell runs here, in grid order
+    runs, real = [], experiments.train
+    monkeypatch.setattr(experiments, "train", lambda *args, **kwargs: runs.append(real(*args, **kwargs)) or runs[-1])
+    report = run_regime_experiment(series, _config(segments=segments[:1]), sentiment)
+    assert len(runs) == len(report.rows) == PER_VARIANT
+    assert all(run.wall_seconds > 0.0 for run in runs)
+    assert [row.wall_ms for row in report.rows] == [run.wall_seconds * 1000.0 for run in runs]
 
 
 class _Planted(Exception):

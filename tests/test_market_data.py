@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 from trendlab import market_data
 from trendlab.synthetic import trend_seasonal_daily
 from trendlab.errors import DataError
+from trendlab.features import ANSWER_COLUMN, INDEX_FUNDAMENTALS, SENTIMENT_COLUMN, TECHNICALS, parse_feature_csv
 from trendlab.market_data import (
     DAILY,
     PRICE_CSV_HEADER,
+    SENTIMENT_CSV_HEADER,
     WEEKLY,
     NormalizationScale,
     PriceSeries,
@@ -487,6 +489,11 @@ def test_parse_names_a_field_beyond_the_csv_size_limit_by_its_line(end):
     assert _outcome(parse_price_csv, text) == "DataError: line 2: 2020-01-03: open 5.0 outside [low, high]"
     text = "Date,Open,High,Low,Close,Adj Close,Volume\n2020-01-06,1\r2,1,1,1,1,100\n"  # csv's other refusal
     assert _outcome(parse_price_csv, text).startswith("DataError: line 2: new-line character seen in unquoted field")
+    index_header = INDEX_FUNDAMENTALS + TECHNICALS + (SENTIMENT_COLUMN, ANSWER_COLUMN)
+    for parse, header in ((parse_price_csv, PRICE_CSV_HEADER), (parse_sentiment_csv, SENTIMENT_CSV_HEADER),
+                          (parse_feature_csv, index_header)):
+        text = " " * 140_000 + ",".join(header) + end  # stripped, a header the parser accepts
+        assert _outcome(parse, text) == "DataError: line 1: field larger than field limit (131072)"
 
 
 # --- volumes beyond int64 ----------------------------------------------------
