@@ -84,8 +84,11 @@ def _section(cls, raw, name: str):
 
 
 def load_run_config(path: Path) -> RunConfig:
+    """The run config in JSON file `path`. A UTF-8 byte-order mark before
+    it is ignored, as the CSV readers ignore one; it is dropped after a
+    plain UTF-8 decode, so a bad byte is named by its offset in the file."""
     try:
-        raw = json.loads(path.read_text("utf-8"))
+        raw = json.loads(path.read_text("utf-8").removeprefix("\ufeff"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
@@ -195,7 +198,8 @@ def cmd_train(cfg: RunConfig) -> int:
     )
     (out / "checkpoint.json").write_text(checkpoint)
 
-    (out / "epoch_loss.csv").write_text(write_csv(("epoch", "train_rmse"), enumerate(run.epoch_rmse)))
+    epochs = range(len(run.epoch_rmse))
+    (out / "epoch_loss.csv").write_text(write_csv(("epoch", "train_rmse"), (epochs, run.epoch_rmse)))
 
     metrics = {
         "train_rmse": run.train_rmse,
@@ -234,13 +238,13 @@ def cmd_predict(cfg: RunConfig) -> int:
     cache = forward_batch(streams, last_step_cache(checkpoint.params, *streams[0].shape[:2]))
     prices = denormalize(cache.predictions, checkpoint.scale)
 
-    # One row per window, at its last row; `csv` writes a date in its ISO
-    # form and None (a feature CSV has no dates) as an empty field.
+    # One row per window, at its last row; a date is written in its ISO form
+    # and None (a feature CSV has no dates) as an empty field.
     dates = frame.dates or (None,) * frame.n
-    rows = zip(range(window - 1, frame.n), dates[window - 1 :], cache.predictions.tolist(), prices.tolist())
+    columns = (range(window - 1, frame.n), dates[window - 1 :], cache.predictions, prices)
     header = ("window_end_row", "date", "prediction_normalized", "prediction_price")
     out = _prepare_out(cfg)
-    (out / "predictions.csv").write_text(write_csv(header, rows))
+    (out / "predictions.csv").write_text(write_csv(header, columns))
     _warn_if_neutral_fill(cfg, cfg.feature_csv is None and use_sentiment)
     print(f"wrote {out / 'predictions.csv'}: {cache.predictions.shape[0]} predictions")
     return 0

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from datetime import date
 from enum import Enum
 from functools import cache, partial
@@ -125,7 +125,17 @@ class RunConfig:
             raise ConfigError(f"scale_fit must be 'train' or 'full', got {self.scale_fit!r}")
 
     def echo(self) -> str:
-        return json.dumps(asdict(self), indent=1, default=str) + "\n"
+        """The config as `config.json` holds it: `dataclasses.asdict`'s JSON,
+        indented by one, built from the fields without copying them. A
+        section is an object of its fields, a tuple a list, and a Path or a
+        date its `str`."""
+        return json.dumps(self, indent=1, default=_fields_or_str) + "\n"
+
+
+def _fields_or_str(value) -> dict | str:
+    if is_dataclass(value):
+        return {field.name: getattr(value, field.name) for field in fields(value)}
+    return str(value)
 
 
 def classify_regime(segment: PriceSeries, threshold: float = 0.15) -> RegimeLabel:

@@ -91,7 +91,10 @@ def build_feature_frame(
 
     Rows start at the first bar where TDD and every indicator are defined
     and stop one bar before the series end so the Answer column stays
-    defined. With no sentiment source every row gets the neutral 0.5.
+    defined. With no sentiment source every row gets the neutral 0.5;
+    otherwise each row's score is looked up by its date in one pass, and
+    only a frame with a date the scores lack is scanned again, to count
+    those dates for the DataError.
     """
     n = len(series)
     start = max(1, config.warmup)
@@ -121,10 +124,14 @@ def build_feature_frame(
     if sentiment_by_date is None:
         sentiment = np.full((len(dates), 1), NEUTRAL_SENTIMENT)
     else:
-        missing = [d for d in dates if d not in sentiment_by_date]
-        if missing:
-            raise DataError(f"unjoinable sentiment dates: {len(missing)} rows lack sentiment, first {missing[0]}")
-        sentiment = np.array([[float(sentiment_by_date[d])] for d in dates])
+        try:
+            scores = np.fromiter(map(sentiment_by_date.__getitem__, dates), np.float64, len(dates))
+        except KeyError:
+            missing = [d for d in dates if d not in sentiment_by_date]
+            raise DataError(
+                f"unjoinable sentiment dates: {len(missing)} rows lack sentiment, first {missing[0]}"
+            ) from None
+        sentiment = scores[:, None]
 
     return FeatureFrame(
         fundamental=fundamental,
@@ -144,8 +151,7 @@ def feature_frame_to_csv(frame: FeatureFrame) -> str:
     if frame.sentiment.shape[1] != 1:
         raise DataError("feature CSV expects a single sentiment column")
     header = frame.fundamental_names + frame.technical_names + (SENTIMENT_COLUMN, ANSWER_COLUMN)
-    rows = np.column_stack((frame.fundamental, frame.technical, frame.sentiment, frame.answers))
-    return write_csv(header, rows.tolist())
+    return write_csv(header, (*frame.fundamental.T, *frame.technical.T, *frame.sentiment.T, frame.answers))
 
 
 def parse_feature_csv(text: str) -> FeatureFrame:

@@ -1,7 +1,7 @@
 """Price and sentiment CSV ingestion, weekly resampling, normalization, and
 windowed datasets. `read_csv` holds the header and row-width rule of every
 CSV reader, `first_row_fault` the fault path of every CSV parser, and
-`write_csv` the cell rule of every CSV writer.
+`write_csv` the cell rule of every CSV writer, applied a column at a time.
 
 `read_csv` hands a file's body over in column blocks: text of whole lines,
 at most ~8 KB at a time, split at its newlines and commas in one pass, so
@@ -30,7 +30,7 @@ from collections import namedtuple
 from dataclasses import dataclass, replace
 from datetime import date
 from itertools import chain, islice, repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -263,23 +263,55 @@ def _line_blocks(text: str, start: int, width: int) -> Iterator[list[Sequence[st
             yield [fields[j::width] for j in range(width)]
 
 
-def write_csv(header: Sequence[str], rows: Iterable[Iterable]) -> str:
-    """CSV text of `header` and `rows`, each line ending in "\n". A float
+def write_csv(header: Sequence[str], columns: Sequence[Sequence]) -> str:
+    """CSV text of `header` and its `columns` (one sequence of cells per
+    header name, all of one length), each line ending in "\n". A float
     cell (Python or numpy) is written as `repr(float(v))`, which reads back
-    exactly, and NaN as an empty field; any other cell as `csv` writes it."""
+    exactly, and NaN and None as an empty field; any other cell as `csv`
+    writes it: `str(v)`, quoted under QUOTE_MINIMAL.
+
+    Each column is converted in one pass by `_column_text`, and the lines
+    are joined from the converted columns."""
+    fields = [[_cell_text(name), *_column_text(column)] for name, column in zip(header, columns, strict=True)]
+    if len(fields) == 1:  # `csv` quotes a row's only field when it is empty
+        fields = [[text or '""' for text in fields[0]]]
+    return "\n".join(map(",".join, zip(*fields, strict=True))) + "\n"
+
+
+def _csv_quotes(char: str) -> bool:
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_csv_cell(v) for v in row] for row in rows)
-    return out.getvalue()
+    csv.writer(out, lineterminator="\n").writerow((char,))
+    return out.getvalue() != char + "\n"
 
 
-def _csv_cell(value):
-    if type(value) is float:  # the common cell; an np.float64, a float subclass, goes on
-        return repr(value) if value == value else ""
+# The characters for which `csv.writer(lineterminator="\n")` quotes a field,
+# found by asking `csv` once, so that the rule is this Python's own.
+_QUOTE_CHARS = tuple(c for c in ',"\r\n' if _csv_quotes(c))
+
+
+def _column_text(column: Sequence) -> Sequence[str]:
+    """The fields of one column: a column of Python floats, or of ints and
+    dates, or of strs that need no quotes, in one pass with no per-cell
+    branch (an array's cells are its `tolist()`); any other column cell by
+    cell through `_cell_text`."""
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        texts = list(map(float.__repr__, column))
+        return [text if text != "nan" else "" for text in texts] if "nan" in texts else texts
+    if kinds <= {int, date}:
+        return list(map(str, column))
+    if kinds == {str} and not any(c in "".join(column) for c in _QUOTE_CHARS):
+        return column
+    return list(map(_cell_text, column))
+
+
+def _cell_text(value) -> str:
     if isinstance(value, (float, np.floating)):
         return "" if math.isnan(value) else repr(float(value))
-    return value
+    text = "" if value is None else str(value)
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in _QUOTE_CHARS) else text
 
 
 def parse_price_csv(text: str, interval: str = DAILY) -> PriceSeries:

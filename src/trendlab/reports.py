@@ -62,7 +62,7 @@ class ExperimentReport:
 def _to_csv(cls, rows) -> str:
     """`rows` of dataclass `cls`, one column per field."""
     names = tuple(field_types(cls))
-    return write_csv(names, ([getattr(r, n) for n in names] for r in rows))
+    return write_csv(names, [[getattr(r, n) for r in rows] for n in names])
 
 
 def report_to_csv(report: ExperimentReport) -> str:

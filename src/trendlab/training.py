@@ -98,13 +98,6 @@ def rmse_gradient_scale(cost: float, n: int) -> float:
     return 0.0 if cost == 0.0 else 1.0 / (n * cost)
 
 
-def rmse_gradient(predictions: np.ndarray, truths: np.ndarray) -> np.ndarray:
-    """d rmse / d predictions: the residual times `rmse_gradient_scale`."""
-    p = np.asarray(predictions, dtype=np.float64)
-    t = np.asarray(truths, dtype=np.float64)
-    return (p - t) * rmse_gradient_scale(rmse(p, t), p.size)
-
-
 def adam_step(
     params: NetworkParameters, grads: NetworkParameters, m: np.ndarray, v: np.ndarray, t: int, config: TrainConfig
 ) -> None:

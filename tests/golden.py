@@ -52,11 +52,13 @@ def _write_inputs() -> None:
     """A daily price CSV per history length in YEARS, each the last years of
     one path, and the path's planted sentiment, in the working directory."""
     series = trend_seasonal_daily(bars=max(YEARS) * BARS_PER_YEAR)
-    rows = [(d, *prices, v) for d, prices, v in zip(series.dates(), series.ohlca.tolist(), series.volume.tolist())]
+    columns = (series.dates(), *series.ohlca.T, series.volume)
     for years in YEARS:
-        Path(f"daily_{years}y.csv").write_text(write_csv(PRICE_HEADER, rows[-years * BARS_PER_YEAR :]))
-    scores = sorted(planted_sentiment(series).items())
-    Path("sentiment.csv").write_text(write_csv(("Date", "Sentiment"), scores))
+        recent = [column[-years * BARS_PER_YEAR :] for column in columns]
+        Path(f"daily_{years}y.csv").write_text(write_csv(PRICE_HEADER, recent))
+    scores = planted_sentiment(series)
+    dates = sorted(scores)
+    Path("sentiment.csv").write_text(write_csv(("Date", "Sentiment"), (dates, [scores[d] for d in dates])))
 
 
 def _config(name: str, **doc) -> str:

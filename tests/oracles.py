@@ -10,9 +10,12 @@ batch-last kernel replaced. Each is the form the library used before, kept
 to check the library's form after its arithmetic changed. The per-row CSV
 parsers tokenise with `csv.reader` themselves, one row at a time, as the
 library did before it read whole column blocks.
+The row-wise CSV writer is `csv.writer` itself, fed one row at a time, as
+the library wrote before it converted whole columns.
 The gradient check at the end shares code with the library by design: it
 differentiates the library's own forward pass numerically, to check the
-library's backward pass against it.
+library's backward pass against it, and its loss gradient is the library's
+`rmse` residual scaled by the library's `rmse_gradient_scale`.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 
 from trendlab.errors import DataError
 from trendlab.network import ModelShape, NetworkParameters, backward_batch, forward_batch, init_parameters
+from trendlab.training import rmse, rmse_gradient_scale
 
 
 def wilder_rsi(prices: list[float], period: int) -> list[float]:
@@ -233,6 +237,24 @@ def loop_parse_sentiment_csv(text: str) -> dict[date, float]:
     if not scores:
         raise DataError("no sentiment rows")
     return scores
+
+
+def row_write_csv(header, rows) -> str:
+    """CSV text of `header` and `rows` as `csv.writer(lineterminator="\n")`
+    writes them, each float cell (Python or numpy) first turned into
+    `repr(float(v))` and NaN into an empty field: the row-wise writer the
+    library's column-wise one replaced."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_csv_cell(v) for v in row] for row in rows)
+    return out.getvalue()
+
+
+def _csv_cell(value):
+    if isinstance(value, (float, np.floating)):
+        return "" if math.isnan(value) else repr(float(value))
+    return value
 
 
 def loop_feature_rows(text: str, *headers: tuple[str, ...]) -> list[list[float]]:
@@ -565,6 +587,13 @@ def reference_backward(streams, params, caches, d_pred: np.ndarray) -> dict[str,
 
 
 # --- gradient check ----------------------------------------------------------
+
+
+def rmse_gradient(predictions: np.ndarray, truths: np.ndarray) -> np.ndarray:
+    """d rmse / d predictions: the residual times `rmse_gradient_scale`."""
+    p = np.asarray(predictions, dtype=np.float64)
+    t = np.asarray(truths, dtype=np.float64)
+    return (p - t) * rmse_gradient_scale(rmse(p, t), p.size)
 
 
 def gradient_check(shape: ModelShape, seed: int, loss, d_loss) -> dict[str, float]:

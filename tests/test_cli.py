@@ -6,19 +6,23 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
+from datetime import date, timedelta
 from pathlib import Path
 
 import csv
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trendlab import cli, experiments
 from trendlab.cli import EXPERIMENT_NAMES, NEUTRAL_FILL_WARNING, _apply_overrides, build_parser, load_run_config, main
-from trendlab.experiments import RunConfig
+from trendlab.experiments import ExperimentsSection, RunConfig
+from trendlab.indicators import IndicatorConfig
 from trendlab.features import build_feature_frame, feature_frame_to_csv, prepare_dataset
 from trendlab.synthetic import paper_shaped_series, planted_sentiment, regime_fixture, sine_series, trend_seasonal_daily
-from trendlab.training import CLOCK_ENV, rmse
+from trendlab.training import CLOCK_ENV, TrainConfig, rmse
 
 from conftest import edit_csv_field
 
@@ -452,6 +456,41 @@ def test_config_echo_holds_every_key_and_loads_back_equal(tmp_path):
     assert load_run_config(config) == cfg
 
 
+_PATHS = st.one_of(st.none(), st.text(st.sampled_from("ab/. é"), min_size=1, max_size=6).map(Path))
+_UNIQUE = dict(min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def segments(draw) -> list[tuple[date, date]]:
+    """Distinct date segments whose spans differ by at most 7 days."""
+    starts = draw(st.lists(st.dates(date(1990, 1, 1), date(2030, 1, 1)), **_UNIQUE))
+    span = draw(st.integers(8, 400))
+    return [(start, start + timedelta(days=span - draw(st.integers(0, 7)))) for start in starts]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.builds(
+        RunConfig,
+        price_csv=_PATHS, sentiment_csv=_PATHS, feature_csv=_PATHS, checkpoint=_PATHS,
+        symbol=st.text(max_size=5), interval=st.sampled_from(["daily", "weekly"]), use_sentiment=st.booleans(),
+        output_dir=_PATHS.filter(bool),
+        indicators=st.builds(IndicatorConfig, rsi_period=st.integers(2, 30)),
+        train=st.builds(
+            TrainConfig, learning_rate=st.floats(1e-6, 1.0), d_i=st.none() | st.integers(1, 8),
+            window=st.integers(1, 40), seed=st.integers(0, 2**40),
+        ),
+        experiments=st.builds(
+            ExperimentsSection, seeds=st.lists(st.integers(0, 99), **_UNIQUE).map(tuple),
+            window_sizes=st.lists(st.integers(1, 64), **_UNIQUE).map(tuple), segments=segments().map(tuple),
+            regime_threshold=st.floats(0.0, 1.0),
+        ),
+    )
+)
+def test_config_echo_is_the_json_of_the_config_as_a_dict(cfg):
+    assert cfg.echo() == json.dumps(asdict(cfg), indent=1, default=str) + "\n"
+
+
 @pytest.mark.parametrize("which", ["sentiment", "all"])
 def test_sentiment_experiment_without_the_stream_exits_1_before_reading(tmp_path, monkeypatch, which, capsys):
     monkeypatch.chdir(tmp_path)
@@ -618,7 +657,7 @@ def _train_inputs(tmp_path: Path) -> dict[str, Path]:
     return paths
 
 
-@pytest.mark.parametrize("reader", ["price_csv", "sentiment_csv", "feature_csv"])
+@pytest.mark.parametrize("reader", ["price_csv", "sentiment_csv", "feature_csv", "config"])
 def test_a_byte_order_mark_before_the_header_changes_no_output(tmp_path, reader):
     paths = _train_inputs(tmp_path)
     keys = {"feature_csv": paths["feature_csv"]} if reader == "feature_csv" else {
@@ -626,9 +665,11 @@ def test_a_byte_order_mark_before_the_header_changes_no_output(tmp_path, reader)
     }
     checkpoints = []
     for run in ("plain", "bom"):
+        config = paths["config"] = _run_config(
+            tmp_path, **{k: str(v) for k, v in keys.items()}, output_dir=str(tmp_path / run)
+        )
         if run == "bom":
             paths[reader].write_text("\ufeff" + paths[reader].read_text())
-        config = _run_config(tmp_path, **{k: str(v) for k, v in keys.items()}, output_dir=str(tmp_path / run))
         assert main(["train", "--config", str(config)]) == 0
         checkpoints.append((tmp_path / run / "checkpoint.json").read_bytes())
     assert checkpoints[0] == checkpoints[1]
@@ -867,8 +908,10 @@ def test_an_input_file_that_cannot_be_read_is_a_config_error(tmp_path, monkeypat
     "make, message",
     [(lambda path: path.mkdir(), "config file cannot be read: run.json: Is a directory"),
      (lambda path: path.write_bytes(b'{"seed": "\xe9"}'),
-      "config file is not UTF-8 text: run.json: invalid continuation byte at byte 10")],
-    ids=["directory", "not UTF-8"],
+      "config file is not UTF-8 text: run.json: invalid continuation byte at byte 10"),
+     (lambda path: path.write_bytes(b'\xef\xbb\xbf{"seed": "\xe9"}'),
+      "config file is not UTF-8 text: run.json: invalid continuation byte at byte 13")],
+    ids=["directory", "not UTF-8", "not UTF-8 after a byte-order mark"],
 )
 def test_a_config_that_cannot_be_read_is_a_config_error(tmp_path, monkeypatch, make, message, capsys):
     monkeypatch.chdir(tmp_path)

@@ -41,6 +41,16 @@ def test_build_feature_frame_rejects_sentiment_above_one():
         build_feature_frame(series, sentiment_by_date=sentiment)
 
 
+def test_build_feature_frame_counts_and_names_the_dates_that_lack_sentiment():
+    series = sine_series(bars=80)
+    sentiment = planted_sentiment(series)
+    dates = build_feature_frame(series, sentiment_by_date=sentiment).dates
+    del sentiment[dates[9]], sentiment[dates[4]]
+    with pytest.raises(DataError) as caught:
+        build_feature_frame(series, sentiment_by_date=sentiment)
+    assert str(caught.value) == "unjoinable sentiment dates: 2 rows lack sentiment, first 2015-07-27"
+
+
 def test_parse_feature_csv_rejects_sentiment_above_one():
     text = feature_frame_to_csv(build_feature_frame(sine_series(bars=80)))
     parse_feature_csv(text)

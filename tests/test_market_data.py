@@ -37,7 +37,7 @@ from trendlab.market_data import (
 )
 
 from conftest import EXPECTED_TDD, TABLE_ROWS, series_of, table_csv
-from oracles import csv_rows, loop_parse_price_csv, loop_parse_sentiment_csv, loop_resample_weekly
+from oracles import csv_rows, loop_parse_price_csv, loop_parse_sentiment_csv, loop_resample_weekly, row_write_csv
 
 INT64_MAX = 2**63 - 1
 
@@ -62,26 +62,68 @@ def daily_series(values, volumes=None, start=date(2020, 1, 6)) -> PriceSeries:
 
 
 def test_write_csv_writes_each_cell_kind():
-    rows = [
-        (1, "lstm", "", math.nan, "DataError: short, 3 bars"),
-        (np.int64(2), "rnn", date(2015, 1, 5), np.float64(0.1), -0.0),
-    ]
-    assert write_csv(("n", "model", "date", "rmse", "error"), rows) == (
+    columns = (
+        [1, np.int64(2)], ["lstm", "rnn"], ["", date(2015, 1, 5)],
+        [math.nan, np.float64(0.1)], ["DataError: short, 3 bars", -0.0],
+    )
+    assert write_csv(("n", "model", "date", "rmse", "error"), columns) == (
         'n,model,date,rmse,error\n1,lstm,,,"DataError: short, 3 bars"\n2,rnn,2015-01-05,0.1,-0.0\n'
     )
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1728.339966])
 def test_write_csv_writes_a_float_as_its_numpy_twin(value):
-    assert write_csv(("v",), [(value,)]) == write_csv(("v",), [(np.float64(value),)])
+    assert write_csv(("v",), [[value]]) == write_csv(("v",), [[np.float64(value)]])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.floats(allow_nan=False, allow_infinity=False), st.booleans())
 def test_write_csv_floats_read_back_exactly(value, as_numpy):
-    text = write_csv(("v",), [(np.float64(value) if as_numpy else value,)])
+    text = write_csv(("v",), [[np.float64(value) if as_numpy else value]])
     [[[field]]] = [[list(column) for column in block] for block in read_csv(text, ("v",))[1]]
     assert float(field).hex() == value.hex()
+
+
+_CSV_TEXT = st.one_of(st.text(st.sampled_from(',"\n\r a'), max_size=4), st.text(max_size=4))
+_CSV_CELLS = (
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]).map(np.float64),
+    st.dates(),
+    st.none(),
+    _CSV_TEXT,
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """A header and its columns: each column of one cell kind, of mixed
+    kinds, or a float64 array."""
+    rows = draw(st.integers(0, 5))
+    header = draw(st.lists(_CSV_TEXT, min_size=1, max_size=4))
+    columns = []
+    for _ in header:
+        cell = draw(st.sampled_from((*_CSV_CELLS, st.one_of(*_CSV_CELLS))))
+        column = draw(st.lists(cell, min_size=rows, max_size=rows))
+        if draw(st.booleans()) and all(isinstance(v, float) for v in column):
+            column = np.array(column)
+        columns.append(column)
+    return header, columns
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_tables())
+def test_write_csv_writes_what_the_row_wise_csv_writer_writes(table):
+    header, columns = table
+    assert write_csv(header, columns) == row_write_csv(header, zip(*columns))
+
+
+def test_write_csv_refuses_columns_of_unequal_length():
+    with pytest.raises(ValueError):
+        write_csv(("a", "b"), ([1, 2], [3]))
 
 
 def test_only_market_data_imports_csv():

@@ -29,13 +29,12 @@ from trendlab.training import (
     load_checkpoint,
     model_shape,
     rmse,
-    rmse_gradient,
     save_checkpoint,
     shard_bounds,
     train,
 )
 
-from oracles import gradient_check, pairwise_sum, reference_adam_step, unrolled_adam
+from oracles import gradient_check, pairwise_sum, reference_adam_step, rmse_gradient, unrolled_adam
 
 SMALL_SHAPE = ModelShape(cell="lstm", d_a=3, d_f=3, d_s=1, d_i=2, layers=3, hidden=8)
 
