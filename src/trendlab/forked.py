@@ -17,7 +17,10 @@ block ends, so the helpers exit while the caller does work of its own
 (`train` evaluates its test split), and the block's end only joins them.
 Python 3.12 and later warn when a process with several threads forks, and
 numpy's OpenBLAS keeps an idle pool thread after the pin; whether the
-warning fires there has not been checked.
+warning fires there has not been checked. The one Python thread the
+program starts, `predict`'s second half (`cli._predict_windows`), is joined
+before `cli.cmd_predict` returns or raises, so a later fork in the same
+process never runs while it is alive.
 
 Failure rules. When a helper's `serve` raises, its exception crosses the
 pipe in place of its next message, and `Helper.recv` raises it in the

@@ -65,20 +65,27 @@ def rsi(series: PriceSeries, period: int = 14) -> np.ndarray:
     # as numpy scalars, at a fraction of the cost per step.
     avg_gain = float(gains[:period].mean())
     avg_loss = float(losses[:period].mean())
-    out = [_rsi_value(avg_gain, avg_loss)]
+    avg_gains, avg_losses = [avg_gain], [avg_loss]
     for gain, loss in zip(gains[period:].tolist(), losses[period:].tolist()):
         avg_gain = (avg_gain * (period - 1) + gain) / period
         avg_loss = (avg_loss * (period - 1) + loss) / period
-        out.append(_rsi_value(avg_gain, avg_loss))
-    return np.array(out, dtype=np.float64)
+        avg_gains.append(avg_gain)
+        avg_losses.append(avg_loss)
+    return _rsi_values(np.array(avg_gains), np.array(avg_losses))
 
 
-def _rsi_value(avg_gain: float, avg_loss: float) -> float:
-    if avg_loss == 0.0 and avg_gain == 0.0:
-        return 50.0
-    if avg_loss == 0.0:
-        return 100.0
-    return 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
+def _rsi_values(avg_gain: np.ndarray, avg_loss: np.ndarray) -> np.ndarray:
+    """100 - 100 / (1 + avg_gain / avg_loss) per element: 100 where the
+    loss average is 0, and 50 where both are. Each element gets the IEEE
+    operations of the scalar formula, so the bits are the scalar's; a
+    ratio that overflows is inf and reads 100, as a Python float's does,
+    without a warning."""
+    out = np.full(avg_gain.shape, 100.0)
+    lossy = avg_loss != 0.0
+    with np.errstate(over="ignore"):
+        out[lossy] = 100.0 - 100.0 / (1.0 + avg_gain[lossy] / avg_loss[lossy])
+    out[(avg_gain == 0.0) & ~lossy] = 50.0
+    return out
 
 
 def cci(series: PriceSeries, period: int = 20, constant: float = 0.015) -> np.ndarray:

@@ -39,20 +39,22 @@ def wilder_rsi(prices: list[float], period: int) -> list[float]:
     out = []
     avg_gain = sum(gains[:period]) / period
     avg_loss = sum(losses[:period]) / period
-
-    def to_rsi(g: float, l: float) -> float:
-        if l == 0.0 and g == 0.0:
-            return 50.0
-        if l == 0.0:
-            return 100.0
-        return 100.0 - 100.0 / (1.0 + g / l)
-
-    out.append(to_rsi(avg_gain, avg_loss))
+    out.append(rsi_value(avg_gain, avg_loss))
     for k in range(period, len(deltas)):
         avg_gain = (avg_gain * (period - 1) + gains[k]) / period
         avg_loss = (avg_loss * (period - 1) + losses[k]) / period
-        out.append(to_rsi(avg_gain, avg_loss))
+        out.append(rsi_value(avg_gain, avg_loss))
     return out
+
+
+def rsi_value(avg_gain: float, avg_loss: float) -> float:
+    """One RSI value from its two Wilder averages, scalar: the formula the
+    library applies to whole average arrays at once."""
+    if avg_loss == 0.0 and avg_gain == 0.0:
+        return 50.0
+    if avg_loss == 0.0:
+        return 100.0
+    return 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
 
 
 def windowed_cci(
@@ -89,22 +91,14 @@ def loop_rsi(prices: np.ndarray, period: int) -> np.ndarray:
     deltas = np.diff(prices)
     gains = np.maximum(deltas, 0.0)
     losses = np.maximum(-deltas, 0.0)
-
-    def to_rsi(g, l):
-        if l == 0.0 and g == 0.0:
-            return 50.0
-        if l == 0.0:
-            return 100.0
-        return 100.0 - 100.0 / (1.0 + g / l)
-
     out = np.empty(prices.size - period, dtype=np.float64)
     avg_gain = gains[:period].mean()
     avg_loss = losses[:period].mean()
-    out[0] = to_rsi(avg_gain, avg_loss)
+    out[0] = rsi_value(avg_gain, avg_loss)
     for k in range(period, deltas.size):
         avg_gain = (avg_gain * (period - 1) + gains[k]) / period
         avg_loss = (avg_loss * (period - 1) + losses[k]) / period
-        out[k - period + 1] = to_rsi(avg_gain, avg_loss)
+        out[k - period + 1] = rsi_value(avg_gain, avg_loss)
     return out
 
 

@@ -6,12 +6,15 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import asdict, replace
 from datetime import date, timedelta
 from pathlib import Path
 
 import csv
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -168,6 +171,121 @@ def test_train_then_predict_reproduces_the_test_rmse(tmp_path, cell):
     test = predictions[dataset.split_index : dataset.n_windows]
     assert len(test) == metrics["n_test_windows"] > 1
     assert rmse(test, dataset.test.labels) == metrics["test_rmse"]
+
+
+# --- predict's two halves above SHARD_WINDOWS windows ------------------------
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoints(tmp_path_factory) -> dict[str, Path]:
+    """The checkpoint of a tiny model of each cell, trained on an 80-bar
+    weekly sine, by cell."""
+    paths = {}
+    for cell in ("lstm", "rnn"):
+        root = tmp_path_factory.mktemp(cell)
+        assert main(["train", "--config", str(_run_config(root, train={**TINY, "cell": cell}))]) == 0
+        paths[cell] = root / "out" / "checkpoint.json"
+    return paths
+
+
+def _windows_config(tmp_path: Path, windows: int) -> Path:
+    """A run config whose price CSV, a weekly sine, gives a TINY model
+    `windows` windows: 26 warm-up rows are trimmed, and a window is 4 rows."""
+    prices = tmp_path / f"prices_{windows}.csv"
+    _write_prices(prices, sine_series(bars=windows + 29).bars)
+    return _run_config(tmp_path, price_csv=str(prices))
+
+
+def _normalized(out: Path) -> list[float]:
+    with open(out / "predictions.csv", newline="") as handle:
+        return [float(row["prediction_normalized"]) for row in csv.DictReader(handle)]
+
+
+@pytest.mark.parametrize(
+    "cell, windows, calls",
+    [("lstm", 256, [256]), ("lstm", 257, [129, 128]), ("lstm", 300, [150, 150]), ("rnn", 300, [300])],
+    ids=["memory cell at SHARD_WINDOWS", "memory cell above", "even", "tanh stack above"],
+)
+def test_predict_forwards_a_memory_cell_above_shard_windows_as_two_halves(
+    tiny_checkpoints, tmp_path, monkeypatch, cell, windows, calls
+):
+    made = _count_calls(monkeypatch, "forward_batch")
+    assert _predict(_windows_config(tmp_path, windows), tiny_checkpoints[cell], tmp_path / "predict") == 0
+    assert sorted((len(streams[0]) for streams, _ in made), reverse=True) == calls
+    assert len(_normalized(tmp_path / "predict")) == windows
+
+
+def test_the_halves_write_the_same_bytes_on_one_and_on_two_cpus(tiny_checkpoints, tmp_path, monkeypatch):
+    """301 windows, halves of 151 and 150: with one usable CPU the caller
+    forwards both, with two a thread forwards the second. Twenty runs of
+    each write the same bytes, within 1e-12 of one call over every window."""
+    config, checkpoint = _windows_config(tmp_path, 301), tiny_checkpoints["lstm"]
+    real, callers = cli.forward_batch, []
+
+    def recorded(streams, cache):
+        callers.append(threading.current_thread() is threading.main_thread())
+        return real(streams, cache)
+
+    monkeypatch.setattr(cli, "forward_batch", recorded)
+    written = set()
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        for run in range(20):
+            callers.clear()
+            out = tmp_path / f"cpus_{len(cpus)}_run_{run}"
+            assert _predict(config, checkpoint, out) == 0
+            assert sorted(callers) == [len(cpus) == 1, True]
+            written.add((out / "predictions.csv").read_bytes())
+    assert len(written) == 1
+
+    monkeypatch.setattr(cli, "SHARD_WINDOWS", 301)
+    assert _predict(config, checkpoint, tmp_path / "one_call") == 0
+    assert np.max(np.abs(np.subtract(_normalized(out), _normalized(tmp_path / "one_call")))) <= 1e-12
+
+
+@pytest.mark.parametrize("diverging", [0, 1], ids=["the caller's half", "the thread's half"])
+def test_a_diverging_half_exits_3_with_no_thread_left_running(
+    tiny_checkpoints, tmp_path, monkeypatch, diverging, capsys
+):
+    """One half of 301 windows (151 in the caller, 150 in the thread) reads
+    NaN inputs while the other, slowed, is still running: the run exits 3
+    with the message of one call over every window, writes nothing, and
+    the slow half has finished before `main` returns."""
+    real, finished = cli.forward_batch, []
+
+    def one_half_diverges(streams, cache):
+        if len(streams[0]) == (151, 150)[diverging]:
+            return real(tuple(None if s is None else np.full_like(s, np.nan) for s in streams), cache)
+        time.sleep(0.2)
+        finished.append(real(streams, cache))
+        return finished[-1]
+
+    monkeypatch.setattr(cli, "forward_batch", one_half_diverges)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    running = threading.enumerate()
+    out = tmp_path / "predict"
+    assert _predict(_windows_config(tmp_path, 301), tiny_checkpoints["lstm"], out) == 3
+    assert threading.enumerate() == running and len(finished) == 1
+    assert capsys.readouterr().err == "divergence: non-finite prediction in forward pass\n"
+    assert not out.exists()
+
+
+def test_predict_in_a_fresh_interpreter_imports_no_multiprocessing_concurrent_futures_or_scipy(
+    tiny_checkpoints, tmp_path
+):
+    """A memory-cell `predict` above SHARD_WINDOWS windows, its halves on a
+    thread of its own, imports neither multiprocessing (`trendlab.forked`
+    imports it only where it forks) nor concurrent.futures (~6 ms to
+    import, with `logging`: a one-shot predict would lose its gain to it),
+    and the project does not depend on scipy."""
+    script = ("import sys; from trendlab.cli import main; code = main(sys.argv[1:]); "
+              "print(sorted({'multiprocessing', 'concurrent.futures', 'scipy'} & set(sys.modules))); sys.exit(code)")
+    argv = ["predict", "--config", str(_windows_config(tmp_path, 300)), "--checkpoint", str(tiny_checkpoints["lstm"]),
+            "--out", str(tmp_path / "predict")]
+    done = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path, env=_fresh_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == [f"wrote {tmp_path / 'predict' / 'predictions.csv'}: 300 predictions", "[]"]
 
 
 @pytest.mark.parametrize(
@@ -812,20 +930,6 @@ def test_module_entry_point_in_a_fresh_interpreter(tmp_path, args, code, stream,
     assert done.returncode == code, done.stderr
     assert getattr(done, stream).startswith(start)
     assert _files(tmp_path) == []
-
-
-def test_predict_in_a_fresh_interpreter_imports_neither_multiprocessing_nor_scipy(trained, tmp_path):
-    """`predict` forks nothing, so it never pays for importing
-    multiprocessing (`trendlab.forked` imports it where it forks), and the
-    project does not depend on scipy."""
-    config, checkpoint = trained
-    script = ("import sys; from trendlab.cli import main; code = main(sys.argv[1:]); "
-              "print(sorted({'multiprocessing', 'scipy'} & set(sys.modules))); sys.exit(code)")
-    argv = ["predict", "--config", str(config), "--checkpoint", str(checkpoint), "--out", str(tmp_path / "predict")]
-    done = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path, env=_fresh_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_train_writes_the_same_bytes_at_one_and_at_two_blas_threads(tmp_path):

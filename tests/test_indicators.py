@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trendlab.errors import ConfigError, DataError
-from trendlab.indicators import IndicatorConfig, cci, ema, macd, rsi
+from trendlab.indicators import IndicatorConfig, _rsi_values, cci, ema, macd, rsi
 from trendlab.market_data import PriceSeries, resample_weekly
 from trendlab.synthetic import indicator_fixture, paper_shaped_series, random_walk_series, trend_seasonal_daily
 
 from conftest import series_of
-from oracles import ema_macd, loop_cci, loop_ema, loop_rsi, wilder_rsi, windowed_cci
+from oracles import ema_macd, loop_cci, loop_ema, loop_rsi, rsi_value, wilder_rsi, windowed_cci
 
 # Spot values computed once with the brute-force oracles on the 60-bar
 # fixture, frozen to guard against both implementations drifting together.
@@ -92,6 +92,42 @@ def test_rsi_bounds_and_shift_invariance(seed, shift):
     base = rsi(series, 14)
     assert np.all(base >= 0.0) and np.all(base <= 100.0)
     np.testing.assert_allclose(rsi(shifted, 14), base, atol=1e-7)
+
+
+
+_AVERAGE = st.one_of(st.just(0.0), st.floats(1e-300, 1e300), st.floats(0.0, 10.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_AVERAGE, _AVERAGE), min_size=1, max_size=40))
+def test_rsi_values_equal_the_scalar_formula_bit_for_bit(averages):
+    gains, losses = (np.array(column) for column in zip(*averages))
+    want = np.array([rsi_value(g, l) for g, l in averages])
+    assert _rsi_values(gains, losses).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+# Each stretch: (kind, bars, log-step size), where a walk draws its steps.
+_STRETCH = st.tuples(st.sampled_from(["walk", "flat", "up", "down"]), st.integers(1, 40), st.floats(1e-4, 0.05))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31), stretches=st.lists(_STRETCH, min_size=1, max_size=8), period=st.integers(2, 20))
+def test_rsi_equals_the_scalar_formula_on_walks_and_flat_rising_and_falling_stretches(seed, stretches, period):
+    """`rsi` against the Wilder recursion on numpy scalars that applies the
+    scalar formula per value (`oracles.loop_rsi`): the same bits, on walks
+    broken by stretches with no move, no loss or no gain."""
+    rng = np.random.default_rng(seed)
+    steps = [0.0]
+    for kind, bars, size in stretches:
+        draw = {"walk": rng.normal(0.0, size, bars), "flat": np.zeros(bars),
+                "up": np.full(bars, size), "down": np.full(bars, -size)}[kind]
+        steps.extend(draw.tolist())
+    values = (100.0 * np.exp(np.cumsum(steps))).tolist()
+    if len(values) < period + 1:
+        values += [values[-1]] * (period + 1 - len(values))
+    series = flat_series(values)
+    got, want = rsi(series, period), loop_rsi(series.adjusted(), period)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 # --- CCI ---------------------------------------------------------------------

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trendlab.errors import DivergenceError
@@ -707,6 +707,30 @@ def test_forward_into_a_last_step_cache_equals_a_full_forward(case):
                 # Every layer array keeps the last step only.
                 assert np.array_equal(got, getattr(want, name)[-got.shape[0] :]), name
             assert np.array_equal(hidden(lc)[-1], hidden(want)[-1])
+
+
+@settings(max_examples=15, deadline=None)
+@given(cell=st.sampled_from(["lstm", "rnn"]), windows=st.integers(2, 900), seed=st.integers(0, 2**16))
+@example(cell="lstm", windows=257, seed=0)
+@example(cell="lstm", windows=327, seed=0)
+@example(cell="lstm", windows=883, seed=0)
+@example(cell="rnn", windows=883, seed=0)
+def test_a_batch_and_its_two_halves_agree_within_1e_12(cell, windows, seed):
+    """`cli.cmd_predict` forwards a memory cell's windows above
+    SHARD_WINDOWS as two halves, each into a last-step cache of its own.
+    OpenBLAS picks its edge kernels by column count, so the halves need not
+    give one call's bits (differences of ~1e-16 were seen at 257-883
+    windows); they must agree within 1e-12, on the paper's 3 x 32 stack of
+    either cell."""
+    params = init_parameters(ModelShape(cell=cell), seed=seed)
+    streams = _random_streams(seed, windows=windows, steps=12, sentiment=True)
+    whole = forward_batch(streams, last_step_cache(params, windows, 12)).predictions
+    middle = -(-windows // 2)
+    parts = []
+    for half in (range(middle), range(middle, windows)):
+        streams_half = tuple(s[half.start : half.stop] for s in streams)
+        parts.append(forward_batch(streams_half, last_step_cache(params, len(half), 12)).predictions)
+    assert np.max(np.abs(np.concatenate(parts) - whole)) <= 1e-12
 
 
 def test_a_last_step_cache_is_under_a_quarter_of_a_full_cache():
