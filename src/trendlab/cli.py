@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import threading
 from dataclasses import is_dataclass, replace
@@ -32,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import forked
 from .errors import ConfigError, DataError, DivergenceError, TrendlabError, field_types
 from .experiments import (
     RunConfig,
@@ -280,7 +280,7 @@ def _predict_windows(params: NetworkParameters, streams: tuple) -> np.ndarray:
         return forward_batch(streams, last_step_cache(params, n, steps)).predictions
     halves = [(tuple(None if s is None else s[half.start : half.stop] for s in streams),
                last_step_cache(params, len(half), steps)) for half in _near_equal(n, 2)]
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+    if forked.usable_cpus() < 2:
         return np.concatenate([forward_batch(*half).predictions for half in halves])
     second = {}
 

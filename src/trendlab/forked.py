@@ -45,13 +45,18 @@ def _context():
     return multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on; 1 without `os.sched_getaffinity`
+    to count them."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def helper_count(jobs: int) -> int:
     """How many helpers to fork for `jobs` shares of work, the caller taking
-    one: min(usable CPUs, jobs) - 1, and 0 without a "fork" start method or
-    `os.sched_getaffinity` to count usable CPUs."""
-    if _context() is None or not hasattr(os, "sched_getaffinity"):
+    one: min(usable CPUs, jobs) - 1, and 0 without a "fork" start method."""
+    if _context() is None:
         return 0
-    return max(min(len(os.sched_getaffinity(0)), jobs) - 1, 0)
+    return max(min(usable_cpus(), jobs) - 1, 0)
 
 
 def shared_counter():
