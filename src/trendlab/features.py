@@ -215,16 +215,13 @@ def parse_feature_csv(text: str) -> FeatureFrame:
 
 @dataclass(frozen=True)
 class DatasetBundle:
-    """A windowed dataset together with the scales that normalized it."""
+    """A windowed dataset together with the scales that normalized it and
+    its column names per stream, as `frame_columns` gives them."""
 
     dataset: WindowedDataset
     price_scale: NormalizationScale
     column_scales: dict[str, NormalizationScale | None]
-    frame: FeatureFrame
-
-    @property
-    def columns(self) -> dict:
-        return frame_columns(self.frame)
+    columns: dict
 
 
 def frame_columns(frame: FeatureFrame) -> dict:
@@ -281,7 +278,8 @@ def prepare_dataset(
     dataset = make_windows(fundamental, technical, frame.sentiment, labels, window)
 
     column_scales = dict(zip(frame.fundamental_names + frame.technical_names, fund_scales + tech_scales))
-    return DatasetBundle(dataset=dataset, price_scale=price_scale, column_scales=column_scales, frame=frame)
+    return DatasetBundle(dataset=dataset, price_scale=price_scale, column_scales=column_scales,
+                         columns=frame_columns(frame))
 
 
 def inference_windows(

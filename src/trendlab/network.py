@@ -7,7 +7,7 @@ Two cell types share the sequence-evaluation contract: the gated memory cell
     c_t = f_t * c_{t-1} + i_t * tanh(W_c x_t + U_c h_{t-1} + b_c)
     h_t = o_t * tanh(c_t)
 
-and the plain tanh recurrence s_t = tanh(U x_t + W s_{t-1}). Per-stream
+and the plain tanh recurrence s_t = tanh(W x_t + U s_{t-1}). Per-stream
 affine projections map the fundamental, technical and sentiment streams to
 one shared width and are concatenated into the first layer's input; a stack
 of layers reads it, and an affine head maps the top layer's final hidden
@@ -87,7 +87,7 @@ another BLAS nothing is pinned, and the bits can depend on its thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -182,12 +182,12 @@ class LstmLayerParameters:
 
 @dataclass
 class RnnLayerParameters:
-    """Input weights U (hidden x input) and recurrent weights W (hidden x
-    hidden) of the bias-free tanh recurrence.
+    """Input weights W (hidden x input) and recurrent weights U (hidden x
+    hidden) of the bias-free tanh recurrence s_t = tanh(W x_t + U s_{t-1}).
     """
 
-    U: np.ndarray
     W: np.ndarray
+    U: np.ndarray
 
 
 @dataclass
@@ -202,7 +202,7 @@ def storage_order(shape: ModelShape) -> list[tuple[type, list[tuple[int, ...]]]]
     """The parts of a model of `shape` in storage order, each as its class
     and the dims of its arrays in field order: the stream projections
     (W_A, b_A, W_F, b_F, then W_S, b_S with sentiment), each layer (a
-    memory-cell layer's stacked W, U, b; a tanh layer's U, W), then the
+    memory-cell layer's stacked W, U, b; a tanh layer's W, U), then the
     head's w and b. A checkpoint stores the vector in this order, so a
     change to it needs a new checkpoint schema."""
     width, hid = shape.width, shape.hidden
@@ -242,28 +242,26 @@ class NetworkParameters:
         self.head: HeadParameters = built[-1]
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
-        """Canonical (name, array) pairs. The arrays are views of `vector`,
-        and together they cover it once."""
-        fusion = self.fusion
-        items = [(f"fusion.{f.name}", getattr(fusion, f.name)) for f in fields(fusion)
-                 if getattr(fusion, f.name) is not None]
-        for k, layer in enumerate(self.layers):
-            if isinstance(layer, LstmLayerParameters):
-                items += layer.gate_blocks(f"layers.{k}.")
+        """Canonical (name, array) pairs in storage order, each named by its
+        part and field (`fusion.W_A`, `layers.k.W`, `head.b`), except that a
+        memory-cell layer's stacked arrays split into gate blocks. The
+        arrays are views of `vector`, and together they cover it once."""
+        parts = [("fusion.", self.fusion), *((f"layers.{k}.", layer) for k, layer in enumerate(self.layers)),
+                 ("head.", self.head)]
+        items = []
+        for prefix, part in parts:
+            if isinstance(part, LstmLayerParameters):
+                items += part.gate_blocks(prefix)
             else:
-                items += [(f"layers.{k}.U", layer.U), (f"layers.{k}.W", layer.W)]
-        items += [("head.w", self.head.w), ("head.b", self.head.b)]
+                items += [(prefix + name, array) for name, array in vars(part).items() if array is not None]
         return items
-
-    def param_dict(self) -> dict[str, np.ndarray]:
-        return dict(self.param_items())
 
 
 def init_parameters(shape: ModelShape, seed: int, forget_bias: float = 1.0) -> NetworkParameters:
     """Seeded Glorot-uniform weights, zero biases except the forget-gate
     bias, which starts at `forget_bias` so fresh cells retain their memory.
     The weights are drawn in `param_items` order, W_A, W_F, W_S, then per
-    layer W_f, U_f, W_i, ..., U_c (or U, W), then the head's w; a seed's
+    layer W_f, U_f, W_i, ..., U_c (or W, U), then the head's w; a seed's
     values depend on that order.
     """
     rng = np.random.default_rng(seed)
@@ -495,8 +493,8 @@ def _rnn_forward(cache: ForwardCache, layers: list[RnnLayerParameters]) -> None:
         for lc, layer in zip(cache.layers, layers):
             S = lc.s
             if t > 0:  # before row k, which is row t - 1 at depth 1, is written
-                np.matmul(layer.W, S[(t - 1) % depth], out=rec)
-            np.matmul(layer.U, x, out=S[k])
+                np.matmul(layer.U, S[(t - 1) % depth], out=rec)
+            np.matmul(layer.W, x, out=S[k])
             if t > 0:
                 S[k] += rec
             np.tanh(S[k], out=S[k])
@@ -629,7 +627,7 @@ def _rnn_backward(
     """Like `_lstm_backward`, for a tanh stack, in the same order: each
     layer carries its recurrent gradient in an (H, n) buffer, and passes
     its input gradient at step t to the layer below in another. At t = 0
-    the recurrent carry W^T da is skipped: no step reads it."""
+    the recurrent carry U^T da is skipped: no step reads it."""
     steps, top = cache.steps, len(layers) - 1
     dx = np.empty_like(cache.x)
     zeros, d_up, da, tmp = (np.zeros(d_h.shape) for _ in range(4))
@@ -642,11 +640,11 @@ def _rnn_backward(
             np.square(S[t], out=tmp)
             np.subtract(1.0, tmp, out=tmp)
             da *= tmp
-            grad.U += da @ (cache.x[t] if l == 0 else cache.layers[l - 1].s[t]).T
-            np.matmul(layer.U.T, da, out=dx[t] if l == 0 else d_up)
+            grad.W += da @ (cache.x[t] if l == 0 else cache.layers[l - 1].s[t]).T
+            np.matmul(layer.W.T, da, out=dx[t] if l == 0 else d_up)
             if t > 0:
-                grad.W += da @ S[t - 1].T
-                np.matmul(layer.W.T, da, out=ds_recs[l])
+                grad.U += da @ S[t - 1].T
+                np.matmul(layer.U.T, da, out=ds_recs[l])
     return dx
 
 

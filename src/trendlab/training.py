@@ -102,7 +102,7 @@ def adam_step(
     params: NetworkParameters, grads: NetworkParameters, m: np.ndarray, v: np.ndarray, t: int, config: TrainConfig
 ) -> None:
     """One bias-corrected Adam update of the whole parameter vector, in
-    place on `params.vector`, `m` and `v`, through two scratch vectors:
+    place on `params.vector`, `m` and `v`:
 
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) (g g);
     theta <- theta - (lr (m / (1-b1^t))) / (sqrt(v / (1-b2^t)) + eps)
@@ -119,21 +119,11 @@ def adam_step(
         name = next(name for name, block in grads.param_items() if not np.isfinite(block).all())
         raise DivergenceError(f"non-finite gradient in block {name}")
     beta1, beta2 = config.beta1, config.beta2
-    step, scratch = np.empty_like(g), np.empty_like(g)
     m *= beta1
-    np.multiply(g, 1.0 - beta1, out=scratch)
-    m += scratch
+    m += (1.0 - beta1) * g
     v *= beta2
-    np.multiply(g, g, out=scratch)
-    scratch *= 1.0 - beta2
-    v += scratch
-    np.divide(m, 1.0 - beta1**t, out=step)
-    step *= config.learning_rate
-    np.divide(v, 1.0 - beta2**t, out=scratch)
-    np.sqrt(scratch, out=scratch)
-    scratch += config.epsilon
-    step /= scratch
-    params.vector -= step
+    v += (1.0 - beta2) * (g * g)
+    params.vector -= config.learning_rate * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + config.epsilon)
 
 
 def model_shape(widths: tuple[int, int, int | None], config: TrainConfig) -> ModelShape:

@@ -430,7 +430,7 @@ def python_lstm_forward(window, weights: dict[str, np.ndarray], layers: int) -> 
 #
 # Time-major, batch-first buffers (steps, windows, features); one GEMM pair
 # per step; gates sliced as columns of a (windows, 4 * hidden) block in
-# f, i, o, c order. Reads parameters by their `param_dict()` names, stacks
+# f, i, o, c order. Reads parameters by their `param_items()` names, stacks
 # the gate blocks itself, and shares no code with trendlab.network.
 
 
@@ -452,7 +452,7 @@ def reference_forward(streams, params) -> tuple[np.ndarray, list[dict[str, np.nd
     """Predictions (n,) and, per layer, the cached (T, n, .) arrays: x, h,
     c, f, i, o, g, tanh_c for a memory-cell layer; x, s for a tanh layer.
     """
-    weights = params.param_dict()
+    weights = dict(params.param_items())
     a, f, s = streams
     parts = [a @ weights["fusion.W_A"].T + weights["fusion.b_A"],
              f @ weights["fusion.W_F"].T + weights["fusion.b_F"]]
@@ -484,12 +484,12 @@ def reference_forward(streams, params) -> tuple[np.ndarray, list[dict[str, np.nd
             cache["x"] = x
             x = cache["h"]
         else:
-            U, W = weights[f"layers.{k}.U"], weights[f"layers.{k}.W"]
-            hid = U.shape[0]
+            W, U = weights[f"layers.{k}.W"], weights[f"layers.{k}.U"]
+            hid = W.shape[0]
             S = np.empty((steps, n, hid))
             s_prev = np.zeros((n, hid))
             for t in range(steps):
-                S[t] = np.tanh(x[t] @ U.T + s_prev @ W.T)
+                S[t] = np.tanh(x[t] @ W.T + s_prev @ U.T)
                 s_prev = S[t]
             cache = {"x": x, "s": S}
             x = S
@@ -503,7 +503,7 @@ def reference_backward(streams, params, caches, d_pred: np.ndarray) -> dict[str,
     """Exact BPTT gradients of sum(d_pred * predictions), keyed like
     `param_items()`, from the caches of `reference_forward`.
     """
-    weights = params.param_dict()
+    weights = dict(params.param_items())
     steps, n = caches[0]["x"].shape[:2]
     grads: dict[str, np.ndarray] = {}
     top = caches[-1]
@@ -553,20 +553,20 @@ def reference_backward(streams, params, caches, d_pred: np.ndarray) -> dict[str,
                 grads[f"layers.{k}.U_{gate}"] = dUall[j * hid : (j + 1) * hid]
                 grads[f"layers.{k}.b_{gate}"] = dball[j * hid : (j + 1) * hid]
         else:
-            U, W = weights[f"layers.{k}.U"], weights[f"layers.{k}.W"]
-            hid = U.shape[0]
-            dU = np.zeros_like(U)
+            W, U = weights[f"layers.{k}.W"], weights[f"layers.{k}.U"]
+            hid = W.shape[0]
             dW = np.zeros_like(W)
+            dU = np.zeros_like(U)
             ds_rec = np.zeros((n, hid))
             for t in range(steps - 1, -1, -1):
                 da = (d_h_extra[t] + ds_rec) * (1.0 - lc["s"][t] ** 2)
                 s_prev = lc["s"][t - 1] if t > 0 else np.zeros((n, hid))
-                dU += da.T @ lc["x"][t]
-                dW += da.T @ s_prev
-                dx[t] = da @ U
-                ds_rec = da @ W
-            grads[f"layers.{k}.U"] = dU
+                dW += da.T @ lc["x"][t]
+                dU += da.T @ s_prev
+                dx[t] = da @ W
+                ds_rec = da @ U
             grads[f"layers.{k}.W"] = dW
+            grads[f"layers.{k}.U"] = dU
         d_h_extra = dx
 
     width = weights["fusion.W_A"].shape[0]

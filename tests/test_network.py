@@ -52,7 +52,7 @@ def scalar_net(shape: ModelShape, **values: float) -> NetworkParameters:
     named scalars are set from `values` (`layers.0.W_i` is the weight on
     the fundamental input)."""
     params = zeroed(init_parameters(shape, seed=0))
-    weights = params.param_dict()
+    weights = dict(params.param_items())
     weights["fusion.W_A"][...] = 1.0
     weights["head.w"][...] = 1.0
     for name, value in values.items():
@@ -92,27 +92,27 @@ def test_rnn_step_zero_maps_to_zero():
 
 
 def test_rnn_step_saturates():
-    params = scalar_net(SCALAR_RNN_SHAPE, **{"layers.0.U": 1.0})
+    params = scalar_net(SCALAR_RNN_SHAPE, **{"layers.0.W": 1.0})
     cache = forward_batch(one_window([[50.0]], [[0.0]], None), params)
     assert cache.predictions[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rnn_step_scalar_oracle():
-    x0, x1, u, w = -0.52, 0.37, 1.3, -0.6
-    params = scalar_net(SCALAR_RNN_SHAPE, **{"layers.0.U": u, "layers.0.W": w})
+    x0, x1, w, u = -0.52, 0.37, 1.3, -0.6
+    params = scalar_net(SCALAR_RNN_SHAPE, **{"layers.0.W": w, "layers.0.U": u})
     cache = forward_batch(one_window([[x0], [x1]], [[0.0], [0.0]], None), params)
-    s0 = math.tanh(u * x0)
+    s0 = math.tanh(w * x0)
     assert abs(cache.layers[0].s[0, 0, 0] - s0) < 1e-12
-    assert abs(cache.predictions[0] - math.tanh(u * x1 + w * s0)) < 1e-12
+    assert abs(cache.predictions[0] - math.tanh(w * x1 + u * s0)) < 1e-12
 
 
 def test_rnn_step_shape_errors():
     """Only a valid shape builds a model, and a tanh layer's arrays follow
-    it: U (hidden x input), W (hidden x hidden)."""
+    it: W (hidden x input), U (hidden x hidden)."""
     with pytest.raises(ValueError, match="positive"):
         ModelShape(cell="rnn", hidden=0)
     params = NetworkParameters(ModelShape(cell="rnn", d_s=None, d_i=2, layers=2, hidden=3))
-    assert [(layer.U.shape, layer.W.shape) for layer in params.layers] == [((3, 4), (3, 3)), ((3, 3), (3, 3))]
+    assert [(layer.W.shape, layer.U.shape) for layer in params.layers] == [((3, 4), (3, 3)), ((3, 3), (3, 3))]
 
 
 # --- one memory-cell step ------------------------------------------------------
@@ -173,7 +173,7 @@ def test_lstm_step_shape_errors():
 
 def test_lstm_step_flags_divergence():
     params = init_parameters(SCALAR_SHAPE, seed=0)
-    params.param_dict()["layers.0.W_c"][...] = np.nan
+    dict(params.param_items())["layers.0.W_c"][...] = np.nan
     with pytest.raises(DivergenceError):
         forward_batch(fundamental_only([1.0]), params)
 
@@ -187,10 +187,10 @@ def test_param_items_are_views_of_the_stacked_layers():
     for j, g in enumerate("fioc"):
         rows = slice(3 * j, 3 * (j + 1))
         for kind, stacked in (("W", layer.W), ("U", layer.U), ("b", layer.b)):
-            block = params.param_dict()[f"layers.0.{kind}_{g}"]
+            block = dict(params.param_items())[f"layers.0.{kind}_{g}"]
             assert np.shares_memory(block, stacked)
             np.testing.assert_array_equal(block, stacked[rows])
-    params.param_dict()["layers.0.U_o"][1, 2] = 7.5
+    dict(params.param_items())["layers.0.U_o"][1, 2] = 7.5
     assert layer.U[7, 2] == 7.5
 
 
@@ -212,6 +212,33 @@ def test_every_parameter_array_is_a_view_of_the_vector(shape):
     assert all(np.shares_memory(array, zeros.vector) for _, array in zeros.param_items())
     assert not np.shares_memory(zeros.vector, params.vector)
     assert not np.any(zeros.vector)
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("cell", ["lstm", "rnn"])
+def test_both_cells_name_the_input_weight_w_and_the_recurrent_weight_u(cell, layers):
+    """One vocabulary for both cells: each layer's items name its input
+    weight W (hidden x input) and its recurrent weight U (hidden x hidden),
+    as the memory cell's gate blocks W_f ... W_c and U_f ... U_c, views of
+    the layer's fields of the same names. All items tile `vector` once."""
+    shape = ModelShape(cell=cell, d_i=2, layers=layers, hidden=3)
+    params = NetworkParameters(shape)
+    items = params.param_items()
+    kinds = [f"{kind}_{g}" for g in "fioc" for kind in "WUb"] if cell == "lstm" else ["W", "U"]
+    for k, layer in enumerate(params.layers):
+        prefix = f"layers.{k}."
+        named = {name[len(prefix):]: array for name, array in items if name.startswith(prefix)}
+        assert list(named) == kinds
+        inputs = shape.fused_dim if k == 0 else shape.hidden
+        for kind in ("W", "U"):
+            blocks = [named[f"{kind}_{g}"] for g in "fioc"] if cell == "lstm" else [named[kind]]
+            for block in blocks:
+                assert block.shape == (3, inputs if kind == "W" else 3)
+                assert np.shares_memory(block, getattr(layer, kind))
+
+    params.vector[...] = np.arange(params.vector.size)
+    covered = np.sort(np.concatenate([array.ravel() for _, array in items]))
+    np.testing.assert_array_equal(covered, np.arange(params.vector.size))
 
 
 def test_backward_returns_gradients_in_the_parameter_layout():
@@ -242,7 +269,7 @@ def test_forward_single_step_equals_step_stack():
     streams = tuple(np.array([w[j] for w in windows]) for j in range(3))
     predictions = forward_batch(streams, params).predictions
     for prediction, window in zip(predictions, windows):
-        assert abs(prediction - python_lstm_forward(window, params.param_dict(), layers=2)) < 1e-12
+        assert abs(prediction - python_lstm_forward(window, dict(params.param_items()), layers=2)) < 1e-12
 
 
 def test_forward_two_step_scalar_manual_unroll():
@@ -252,7 +279,7 @@ def test_forward_two_step_scalar_manual_unroll():
     s = np.array([[0.9], [0.1]])
     cache = forward_batch(one_window(a, f, s), params)
 
-    weights = params.param_dict()
+    weights = dict(params.param_items())
     sig = lambda v: 1.0 / (1.0 + math.exp(-v))
     h = c = 0.0
     for t in range(2):
@@ -533,7 +560,7 @@ def test_gate_bounds_and_memory_decomposition():
 def test_backward_zero_upstream_gives_zero_gradients():
     params = init_parameters(ModelShape(layers=2, hidden=4), seed=1)
     cache = forward_batch(one_window(np.ones((3, 3)) * 0.2, np.ones((3, 3)) * 0.1, np.ones((3, 1)) * 0.6), params)
-    grads = backward_batch(cache, np.zeros(1)).param_dict()
+    grads = dict(backward_batch(cache, np.zeros(1)).param_items())
     for name, g in grads.items():
         assert not np.any(g), name
 
@@ -541,7 +568,7 @@ def test_backward_zero_upstream_gives_zero_gradients():
 def test_backward_head_bias_gradient_is_upstream():
     params = init_parameters(ModelShape(layers=2, hidden=4), seed=2)
     cache = forward_batch(one_window(np.ones((3, 3)) * 0.2, np.ones((3, 3)) * 0.1, np.ones((3, 1)) * 0.6), params)
-    grads = backward_batch(cache, np.array([-2.5])).param_dict()
+    grads = dict(backward_batch(cache, np.array([-2.5])).param_items())
     assert float(grads["head.b"]) == -2.5
 
 
@@ -629,7 +656,7 @@ def _assert_kernel_matches_reference(params, streams, d_pred) -> None:
             np.testing.assert_allclose(got.transpose(0, 2, 1), array, rtol=0, atol=KERNEL_TOLERANCE, err_msg=key)
         x = hidden(lc)
     np.testing.assert_array_equal(cache.h, x[-1])
-    grads = backward_batch(cache, d_pred).param_dict()
+    grads = dict(backward_batch(cache, d_pred).param_items())
     assert list(grads) == [name for name, _ in params.param_items()]
     for name, g in grads.items():
         np.testing.assert_allclose(g, want_grads[name], rtol=0, atol=KERNEL_TOLERANCE, err_msg=name)
@@ -786,7 +813,7 @@ def test_saturated_gates_raise_no_overflow_warning():
     # Gate pre-activations near -1000 overflow exp(-z) in 1 / (1 + exp(-z));
     # the limits 0 and 1 are exact and no warning may surface.
     params = init_parameters(ModelShape(layers=2, hidden=4), seed=6)
-    weights = params.param_dict()
+    weights = dict(params.param_items())
     for k in range(2):
         weights[f"layers.{k}.b_f"][...] = -1000.0
         weights[f"layers.{k}.b_i"][...] = 1000.0
@@ -827,13 +854,13 @@ def test_init_draws_gate_by_gate():
             expected[f"layers.{k}.W_{g}"] = draw(3, size)
             expected[f"layers.{k}.U_{g}"] = draw(3, 3)
     expected["head.w"] = draw(1, 3)[0]
-    weights = init_parameters(ModelShape(layers=2, hidden=3, d_a=2, d_f=3, d_s=1, d_i=2), seed=7).param_dict()
+    weights = dict(init_parameters(ModelShape(layers=2, hidden=3, d_a=2, d_f=3, d_s=1, d_i=2), seed=7).param_items())
     for name, want in expected.items():
         np.testing.assert_array_equal(weights[name], want, err_msg=name)
 
 
 def test_init_forget_bias_is_one():
-    weights = init_parameters(ModelShape(layers=3, hidden=8), seed=0).param_dict()
+    weights = dict(init_parameters(ModelShape(layers=3, hidden=8), seed=0).param_items())
     for k in range(3):
         assert np.all(weights[f"layers.{k}.b_f"] == 1.0)
         assert not any(np.any(weights[f"layers.{k}.b_{g}"]) for g in "ioc")
@@ -861,7 +888,7 @@ def test_init_respects_glorot_bound():
 def test_rnn_parameters_have_no_bias():
     params = init_parameters(ModelShape(cell="rnn", layers=2, hidden=4), seed=0)
     names = [name for name, _ in params.param_items()]
-    assert "layers.0.U" in names and "layers.0.W" in names
+    assert "layers.0.W" in names and "layers.0.U" in names
     assert not any(name.startswith("layers.0.b") for name in names)
 
 
@@ -871,7 +898,7 @@ def test_rnn_parameters_have_no_bias():
 def test_mean_forget_zero_weight_net_with_unit_bias():
     params = zeroed(init_parameters(ModelShape(layers=2, hidden=4), seed=0))
     for k in range(2):
-        params.param_dict()[f"layers.{k}.b_f"][...] = 1.0
+        dict(params.param_items())[f"layers.{k}.b_f"][...] = 1.0
     cache = forward_batch(one_window(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 1))), params)
     total, count = forget_gate_sum(cache)
     assert count == 2 * 3 * 4  # layers x steps x units of one window
@@ -882,7 +909,7 @@ def test_mean_forget_simple_average():
     # Zero weights: layer 0's forget gates are sigmoid(0) = 0.5 exactly,
     # layer 1's sigmoid(-1000) = 0 exactly, in equal numbers.
     params = zeroed(init_parameters(ModelShape(layers=2, hidden=4), seed=0))
-    params.param_dict()["layers.1.b_f"][...] = -1000.0
+    dict(params.param_items())["layers.1.b_f"][...] = -1000.0
     cache = forward_batch(one_window(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 1))), params)
     total, count = forget_gate_sum(cache)
     assert (total, count) == (6.0, 24)

@@ -183,7 +183,7 @@ def test_adam_validation():
         adam_step(params, wider, *_adam_state(params), 1, ADAM)
     for block in ("layers.0.U_o", "head.b"):
         grads = NetworkParameters(ADAM_SHAPE)
-        grads.param_dict()[block].flat[0] = np.nan
+        dict(grads.param_items())[block].flat[0] = np.nan
         with pytest.raises(DivergenceError, match=f"non-finite gradient in block {block}$"):
             adam_step(params, grads, *_adam_state(params), 1, ADAM)
 
@@ -199,7 +199,7 @@ def test_train_matches_per_block_adam_oracle(sine_bundle, cell):
     run = train(dataset, config)
 
     params = init_parameters(model_shape((3, 3, 1), config), config.seed, config.forget_bias)
-    weights = params.param_dict()
+    weights = dict(params.param_items())
     m = {name: np.zeros_like(a) for name, a in weights.items()}
     v = {name: np.zeros_like(a) for name, a in weights.items()}
     streams, labels = dataset.train.streams, dataset.train.labels
@@ -210,7 +210,7 @@ def test_train_matches_per_block_adam_oracle(sine_bundle, cell):
         epoch_rmse.append(rmse(cache.predictions, labels))
         grads = backward_batch(cache, cache.predictions - labels)
         grads.vector *= 1.0 / (labels.size * epoch_rmse[-1])
-        grads = grads.param_dict()
+        grads = dict(grads.param_items())
         reference_adam_step(weights, grads, m, v, t, learning_rate=config.learning_rate,
                             beta1=config.beta1, beta2=config.beta2, epsilon=config.epsilon)
     assert run.epoch_rmse == tuple(epoch_rmse)
@@ -314,7 +314,7 @@ def test_full_batch_gradient_is_order_invariant(sine_bundle):
     )
     labels = dataset.labels
     cache = forward_batch(dataset.streams, params)
-    grads = backward_batch(cache, rmse_gradient(cache.predictions, labels)).param_dict()
+    grads = dict(backward_batch(cache, rmse_gradient(cache.predictions, labels)).param_items())
 
     order = np.random.default_rng(1).permutation(dataset.n_windows)
     shuffled = (
@@ -323,7 +323,7 @@ def test_full_batch_gradient_is_order_invariant(sine_bundle):
         dataset.sentiment[order],
     )
     cache_p = forward_batch(shuffled, params)
-    grads_p = backward_batch(cache_p, rmse_gradient(cache_p.predictions, labels[order])).param_dict()
+    grads_p = dict(backward_batch(cache_p, rmse_gradient(cache_p.predictions, labels[order])).param_items())
     for name, g in grads.items():
         np.testing.assert_allclose(grads_p[name], g, rtol=1e-9, atol=1e-12, err_msg=name)
 
@@ -625,7 +625,7 @@ def test_gradient_check_passes_rnn():
 def test_gradient_check_localizes_corruption(monkeypatch):
     def corrupted(cache, d_predictions):
         grads = backward_batch(cache, d_predictions)
-        grads.param_dict()["layers.0.W_f"][...] += 1.0
+        dict(grads.param_items())["layers.0.W_f"][...] += 1.0
         return grads
 
     monkeypatch.setattr("oracles.backward_batch", corrupted)
