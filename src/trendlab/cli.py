@@ -70,7 +70,7 @@ from .reports import (
     report_to_json,
     summary_table,
 )
-from .training import SHARD_WINDOWS, _near_equal, load_checkpoint, save_checkpoint, train
+from .training import SHARD_WINDOWS, load_checkpoint, near_equal, save_checkpoint, train
 
 EXPERIMENT_NAMES = ("interval", "regime", "sentiment", "forget-gate", "all")
 
@@ -265,7 +265,7 @@ def _predict_windows(params: NetworkParameters, streams: tuple) -> np.ndarray:
     as `train` runs, were 4% slower, +9% RSS.
 
     A memory cell over more than SHARD_WINDOWS windows runs as the two
-    halves of `_near_equal(n, 2)`: the caller forwards the first while one
+    halves of `near_equal(n, 2)`: the caller forwards the first while one
     thread forwards the second, and the predictions join in window order.
     numpy drops the GIL in each GEMM and ufunc, so on a 2-core x86-64 VM
     the 3 x 32 halves beat one call by 25-44% at 327-883 windows; below
@@ -279,7 +279,7 @@ def _predict_windows(params: NetworkParameters, streams: tuple) -> np.ndarray:
     if params.shape.cell != LSTM or n <= SHARD_WINDOWS:
         return forward_batch(streams, last_step_cache(params, n, steps)).predictions
     halves = [(tuple(None if s is None else s[half.start : half.stop] for s in streams),
-               last_step_cache(params, len(half), steps)) for half in _near_equal(n, 2)]
+               last_step_cache(params, len(half), steps)) for half in near_equal(n, 2)]
     if forked.usable_cpus() < 2:
         return np.concatenate([forward_batch(*half).predictions for half in halves])
     second = {}

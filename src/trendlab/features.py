@@ -1,6 +1,10 @@
 """Feature frame assembly: joins price, indicator, and sentiment columns,
 handles the feature CSV interchange format, and prepares normalized
-windowed datasets.
+windowed datasets. This module owns the windows, their labels and the
+train/test split rule: `make_windows` slides every training window and
+`inference_windows` every prediction window, both by `_sliding_windows`,
+and `train_window_count` fixes the split that `prepare_dataset` also fits
+its scales by.
 """
 
 from __future__ import annotations
@@ -14,19 +18,7 @@ import numpy as np
 
 from .errors import DataError
 from .indicators import IndicatorConfig, cci, macd, rsi
-from .market_data import (
-    NormalizationScale,
-    PriceSeries,
-    WindowedDataset,
-    _sliding_windows,
-    compute_tdd,
-    first_row_fault,
-    make_windows,
-    normalize,
-    read_csv,
-    train_window_count,
-    write_csv,
-)
+from .market_data import NormalizationScale, PriceSeries, compute_tdd, first_row_fault, normalize, read_csv, write_csv
 
 INDEX_FUNDAMENTALS = ("Adj. Price", "Trading Vol.", "TDD")
 COMPANY_FUNDAMENTALS = ("PBR", "PER", "PSR")
@@ -35,6 +27,9 @@ SENTIMENT_COLUMN = "Sentiment"
 ANSWER_COLUMN = "Answer"
 
 NEUTRAL_SENTIMENT = 0.5
+
+# Windows are split a:b between training and test, in time order.
+TRAIN_TEST_RATIO = (15, 1)
 
 
 @dataclass(frozen=True)
@@ -214,6 +209,97 @@ def parse_feature_csv(text: str) -> FeatureFrame:
 
 
 @dataclass(frozen=True)
+class WindowedDataset:
+    """Sliding windows of feature rows with next-step labels, split train/test.
+
+    `streams` is the (fundamental, technical, sentiment-or-None) triple of
+    (n_windows, window, dim) arrays that `forward_batch` reads; `labels[k]`
+    is the normalized adjusted price at the step immediately after window
+    k's last row, and `label_indices[k]` is that step's row index in the
+    source frame. The first `split_index` windows are training; the rest
+    are test. A split is a view: it slices every array and copies none.
+    """
+
+    streams: tuple[np.ndarray, np.ndarray, np.ndarray | None]
+    labels: np.ndarray
+    label_indices: np.ndarray
+    split_index: int
+
+    def __post_init__(self):
+        n = self.n_windows
+        rest = (*self.streams[1:], self.labels, self.label_indices)
+        for name, arr in zip(("technical", "sentiment", "labels", "label_indices"), rest):
+            if arr is not None and arr.shape[0] != n:
+                raise DataError(f"{name} misaligned with fundamental windows")
+        if not 0 <= self.split_index <= n:
+            raise DataError(f"split_index {self.split_index} out of range for {n} windows")
+        if n > 1 and not np.all(np.diff(self.label_indices) > 0):
+            raise DataError("windows not ordered by time")
+
+    @property
+    def n_windows(self) -> int:
+        return self.streams[0].shape[0]
+
+    @property
+    def window(self) -> int:
+        return self.streams[0].shape[1]
+
+    def _sliced(self, lo: int, hi: int, split: int) -> "WindowedDataset":
+        streams = tuple(None if s is None else s[lo:hi] for s in self.streams)
+        return WindowedDataset(streams, self.labels[lo:hi], self.label_indices[lo:hi], split)
+
+    @property
+    def train(self) -> "WindowedDataset":
+        return self._sliced(0, self.split_index, self.split_index)
+
+    @property
+    def test(self) -> "WindowedDataset":
+        return self._sliced(self.split_index, self.n_windows, 0)
+
+
+def train_window_count(count: int) -> int:
+    """How many of `count` windows form the training split:
+    ceil(count * a / (a+b)) for TRAIN_TEST_RATIO a:b."""
+    a, b = TRAIN_TEST_RATIO
+    return (count * a + (a + b) - 1) // (a + b)
+
+
+def _sliding_windows(blocks: tuple, window: int) -> tuple:
+    """Every length-`window` step-1 window of the rows of each (n, dim)
+    block of a stream triple, as a C-contiguous float64
+    (n - window + 1, window, dim) array; a None block stays None."""
+    def windows(block: np.ndarray) -> np.ndarray:
+        view = np.lib.stride_tricks.sliding_window_view(block, window, axis=0)
+        return np.ascontiguousarray(view.transpose(0, 2, 1), dtype=np.float64)
+
+    return tuple(None if block is None else windows(block) for block in blocks)
+
+
+def make_windows(blocks: tuple, labels: np.ndarray, window: int) -> WindowedDataset:
+    """Slide a length-`window` step-1 window over the rows of the normalized
+    (fundamental, technical, sentiment-or-None) triple of (n, dim) blocks.
+
+    `labels[t]` must be the normalized adjusted price at row t; window k
+    covers rows [k, k+window) and takes labels[k+window]. The first
+    `train_window_count(count)` windows form the training split, so every
+    test label falls strictly after every training label.
+    """
+    labels = np.asarray(labels, dtype=np.float64)
+    n = blocks[0].shape[0]
+    if labels.shape != (n,):
+        raise DataError(f"labels length {labels.shape[0]} != rows length {n}")
+    if window < 1:
+        raise DataError(f"window must be >= 1, got {window}")
+    count = n - window
+    if count < 1:
+        raise DataError(f"insufficient rows: {n} rows cannot form a window of {window} plus a label")
+
+    # The last row only ever serves as a label.
+    streams = _sliding_windows(tuple(None if block is None else block[:-1] for block in blocks), window)
+    return WindowedDataset(streams, labels[window:], np.arange(window, n), train_window_count(count))
+
+
+@dataclass(frozen=True)
 class DatasetBundle:
     """A windowed dataset together with the scales that normalized it and
     its column names per stream, as `frame_columns` gives them."""
@@ -240,11 +326,22 @@ def _column_scale(values: np.ndarray) -> NormalizationScale | None:
     return NormalizationScale(lo, hi)
 
 
-def _apply_scales(block: np.ndarray, scales: list[NormalizationScale | None]) -> np.ndarray:
-    out = np.empty_like(block)
-    for j, scale in enumerate(scales):
-        out[:, j] = 0.0 if scale is None else normalize(block[:, j], scale)
-    return out
+def _scaled_blocks(
+    frame: FeatureFrame,
+    fund_scales: list[NormalizationScale | None],
+    tech_scales: list[NormalizationScale | None],
+    with_sentiment: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The frame's stream triple of (n, dim) blocks: each fundamental and
+    technical column mapped by its scale (a None scale, a constant column,
+    maps to zero), and the sentiment block as it is, or None without it."""
+    blocks = []
+    for block, scales in ((frame.fundamental, fund_scales), (frame.technical, tech_scales)):
+        out = np.empty_like(block)
+        for j, scale in enumerate(scales):
+            out[:, j] = 0.0 if scale is None else normalize(block[:, j], scale)
+        blocks.append(out)
+    return (*blocks, frame.sentiment if with_sentiment else None)
 
 
 def prepare_dataset(
@@ -271,11 +368,8 @@ def prepare_dataset(
     fund_scales = [_column_scale(frame.fundamental[fit, j]) for j in range(frame.fundamental.shape[1])]
     tech_scales = [_column_scale(frame.technical[fit, j]) for j in range(frame.technical.shape[1])]
 
-    fundamental = _apply_scales(frame.fundamental, fund_scales)
-    technical = _apply_scales(frame.technical, tech_scales)
-    labels = normalize(frame.prices, price_scale)
-
-    dataset = make_windows(fundamental, technical, frame.sentiment, labels, window)
+    blocks = _scaled_blocks(frame, fund_scales, tech_scales, frame.sentiment is not None)
+    dataset = make_windows(blocks, normalize(frame.prices, price_scale), window)
 
     column_scales = dict(zip(frame.fundamental_names + frame.technical_names, fund_scales + tech_scales))
     return DatasetBundle(dataset=dataset, price_scale=price_scale, column_scales=column_scales,
@@ -300,12 +394,6 @@ def inference_windows(
         tech_scales = [column_scales[name] for name in frame.technical_names]
     except KeyError as exc:
         raise DataError(f"checkpoint lacks a scale for column {exc}") from None
-    fundamental = _apply_scales(frame.fundamental, fund_scales)
-    technical = _apply_scales(frame.technical, tech_scales)
     if use_sentiment and frame.sentiment is None:
         raise DataError("checkpoint expects a sentiment stream but the frame has none")
-    return (
-        _sliding_windows(fundamental, window),
-        _sliding_windows(technical, window),
-        _sliding_windows(frame.sentiment, window) if use_sentiment else None,
-    )
+    return _sliding_windows(_scaled_blocks(frame, fund_scales, tech_scales, use_sentiment), window)

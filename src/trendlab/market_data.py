@@ -1,7 +1,7 @@
-"""Price and sentiment CSV ingestion, weekly resampling, normalization, and
-windowed datasets. `read_csv` holds the header and row-width rule of every
-CSV reader, `first_row_fault` the fault path of every CSV parser, and
-`write_csv` the cell rule of every CSV writer, applied a column at a time.
+"""Price and sentiment CSV ingestion, weekly resampling and normalization.
+`read_csv` holds the header and row-width rule of every CSV reader,
+`first_row_fault` the fault path of every CSV parser, and `write_csv` the
+cell rule of every CSV writer, applied a column at a time.
 
 `read_csv` hands a file's body over in column blocks: text of whole lines,
 at most ~8 KB at a time, split at its newlines and commas in one pass, so
@@ -27,7 +27,7 @@ import csv
 import io
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date
 from itertools import chain, islice, repeat
 from typing import Callable, Iterator, Sequence
@@ -43,10 +43,6 @@ INTERVALS = (DAILY, WEEKLY)
 # Yahoo Finance export schema; the only accepted price CSV header.
 PRICE_CSV_HEADER = ("Date", "Open", "High", "Low", "Close", "Adj Close", "Volume")
 SENTIMENT_CSV_HEADER = ("Date", "Sentiment")
-
-# Windows are split a:b between training and test, in time order.
-TRAIN_TEST_RATIO = (15, 1)
-
 
 # Columns of `PriceSeries.ohlca`, in price CSV order.
 PRICE_FIELDS = ("open", "high", "low", "close", "adjusted")
@@ -476,114 +472,3 @@ def denormalize(value, scale: NormalizationScale):
     """Inverse of `normalize`."""
     value = np.asarray(value, dtype=np.float64)
     return scale.min + (value + 1.0) * (scale.max - scale.min) / 2.0
-
-
-@dataclass(frozen=True)
-class WindowedDataset:
-    """Sliding windows of feature rows with next-step labels, split train/test.
-
-    Stream arrays have shape (n_windows, window, dim); `labels[k]` is the
-    normalized adjusted price at the step immediately after window k's last
-    row, and `label_indices[k]` is that step's row index in the source frame.
-    The first `split_index` windows are training; the rest are test.
-    """
-
-    fundamental: np.ndarray
-    technical: np.ndarray
-    sentiment: np.ndarray | None
-    labels: np.ndarray
-    label_indices: np.ndarray
-    split_index: int
-
-    def __post_init__(self):
-        n = self.fundamental.shape[0]
-        for arr, name in ((self.technical, "technical"), (self.labels, "labels"), (self.label_indices, "label_indices")):
-            if arr.shape[0] != n:
-                raise DataError(f"{name} misaligned with fundamental windows")
-        if self.sentiment is not None and self.sentiment.shape[0] != n:
-            raise DataError("sentiment misaligned with fundamental windows")
-        if not 0 <= self.split_index <= n:
-            raise DataError(f"split_index {self.split_index} out of range for {n} windows")
-        if n > 1 and not np.all(np.diff(self.label_indices) > 0):
-            raise DataError("windows not ordered by time")
-
-    @property
-    def n_windows(self) -> int:
-        return self.fundamental.shape[0]
-
-    @property
-    def window(self) -> int:
-        return self.fundamental.shape[1]
-
-    @property
-    def streams(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        return self.fundamental, self.technical, self.sentiment
-
-    def _sliced(self, lo: int, hi: int, split: int) -> "WindowedDataset":
-        return replace(
-            self,
-            fundamental=self.fundamental[lo:hi],
-            technical=self.technical[lo:hi],
-            sentiment=None if self.sentiment is None else self.sentiment[lo:hi],
-            labels=self.labels[lo:hi],
-            label_indices=self.label_indices[lo:hi],
-            split_index=split,
-        )
-
-    @property
-    def train(self) -> "WindowedDataset":
-        return self._sliced(0, self.split_index, self.split_index)
-
-    @property
-    def test(self) -> "WindowedDataset":
-        return self._sliced(self.split_index, self.n_windows, 0)
-
-
-def train_window_count(count: int) -> int:
-    """How many of `count` windows form the training split:
-    ceil(count * a / (a+b)) for TRAIN_TEST_RATIO a:b."""
-    a, b = TRAIN_TEST_RATIO
-    return (count * a + (a + b) - 1) // (a + b)
-
-
-def _sliding_windows(block: np.ndarray, window: int) -> np.ndarray:
-    """Every length-`window` step-1 window of the rows of an (n, dim) block,
-    as a C-contiguous float64 (n - window + 1, window, dim) array."""
-    view = np.lib.stride_tricks.sliding_window_view(block, window, axis=0)
-    return np.ascontiguousarray(view.transpose(0, 2, 1), dtype=np.float64)
-
-
-def make_windows(
-    fundamental: np.ndarray,
-    technical: np.ndarray,
-    sentiment: np.ndarray | None,
-    labels: np.ndarray,
-    window: int,
-) -> WindowedDataset:
-    """Slide a length-`window` step-1 window over the rows of the normalized
-    (n, dim) stream blocks.
-
-    `labels[t]` must be the normalized adjusted price at row t; window k
-    covers rows [k, k+window) and takes labels[k+window]. The first
-    `train_window_count(count)` windows form the training split, so every
-    test label falls strictly after every training label.
-    """
-    labels = np.asarray(labels, dtype=np.float64)
-    n = fundamental.shape[0]
-    if labels.shape != (n,):
-        raise DataError(f"labels length {labels.shape[0]} != rows length {n}")
-    if window < 1:
-        raise DataError(f"window must be >= 1, got {window}")
-    count = n - window
-    if count < 1:
-        raise DataError(f"insufficient rows: {n} rows cannot form a window of {window} plus a label")
-
-    # The last row only ever serves as a label.
-    return WindowedDataset(
-        fundamental=_sliding_windows(fundamental[:-1], window),
-        technical=_sliding_windows(technical[:-1], window),
-        sentiment=None if sentiment is None else _sliding_windows(sentiment[:-1], window),
-        labels=labels[window:],
-        label_indices=np.arange(window, n),
-        split_index=train_window_count(count),
-    )

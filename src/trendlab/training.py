@@ -16,7 +16,8 @@ import numpy as np
 
 from . import forked, network
 from .errors import CheckpointError, ConfigError, DataError, DivergenceError, enforce_field_types, require_finite
-from .market_data import NormalizationScale, WindowedDataset
+from .features import WindowedDataset
+from .market_data import NormalizationScale
 from .network import (
     CELLS,
     ForwardCache,
@@ -152,7 +153,7 @@ class TrainingRun:
 SHARD_WINDOWS = 256
 
 
-def _near_equal(n: int, parts: int) -> list[range]:
+def near_equal(n: int, parts: int) -> list[range]:
     """0..n-1 as `parts` contiguous ranges of near-equal length, the longer first."""
     size, longer = divmod(n, parts)
     edges = [j * size + min(j, longer) for j in range(parts + 1)]
@@ -164,7 +165,7 @@ def shard_bounds(n_windows: int) -> list[range]:
     near-equal size, the longer first, the count rounded up to a power of
     two so that two processes split them evenly: 831 windows are 208, 208,
     208 and 207, and 600 are four of 150, not three of 200."""
-    return _near_equal(n_windows, 1 << (-(-n_windows // SHARD_WINDOWS) - 1).bit_length())
+    return near_equal(n_windows, 1 << (-(-n_windows // SHARD_WINDOWS) - 1).bit_length())
 
 
 class _Shards:
@@ -219,7 +220,7 @@ class _ShardedBatch:
     def __init__(self, split: WindowedDataset, params: NetworkParameters, helpers: forked.Helpers | None):
         shards = shard_bounds(split.n_windows)
         processes = 1 + (0 if helpers is None else forked.helper_count(len(shards)))
-        groups = _near_equal(len(shards), processes)
+        groups = near_equal(len(shards), processes)
         self.helpers = [
             helpers.start(_Shards(split, shards[group.start : group.stop], params).serve) for group in groups[1:]
         ]

@@ -24,7 +24,14 @@ from trendlab.cli import EXPERIMENT_NAMES, NEUTRAL_FILL_WARNING, _apply_override
 from trendlab.experiments import ExperimentsSection, RunConfig
 from trendlab.indicators import IndicatorConfig
 from trendlab.features import build_feature_frame, feature_frame_to_csv, prepare_dataset
-from trendlab.synthetic import paper_shaped_series, planted_sentiment, regime_fixture, sine_series, trend_seasonal_daily
+from trendlab.synthetic import (
+    paper_shaped_series,
+    planted_sentiment,
+    random_walk_series,
+    regime_fixture,
+    sine_series,
+    trend_seasonal_daily,
+)
 from trendlab.training import CLOCK_ENV, TrainConfig, rmse
 
 from conftest import edit_csv_field
@@ -619,6 +626,43 @@ def test_sentiment_experiment_without_the_stream_exits_1_before_reading(tmp_path
     assert capsys.readouterr().err == "config error: the sentiment experiment needs use_sentiment true\n"
     assert parsed == []
     assert _files(tmp_path) == before
+
+
+# Persistence's test RMSE over the with-stream LSTM's, on `random_walk_series(340)`
+# with the planted sentiment, over 27 runs (walks 1-12, 23 and 5 at training
+# seed 0, and training seeds 1-7 on walks 23 and 5): 0.43 to 2.79, median 1.60,
+# lower quartile 1.26. The margin is that quartile, rounded down; 20 of the 27
+# runs clear it. The ablated rows read 0.14-0.76 (LSTM) and 0.31-1.22 (RNN).
+PLANTED_MARGIN = 1.25
+
+
+@pytest.mark.parametrize("walk", [23, 5])
+def test_experiment_sentiment_finds_the_planted_signal_and_loses_it_ablated(tmp_path, walk):
+    """Positive control through training: the planted score at date t
+    encodes the move to t+1, so a 1 x 16 LSTM given the stream beats
+    persistence (test window k predicts `labels[k-1]`) by PLANTED_MARGIN.
+    Without the stream no model beats persistence by the margin, and the
+    LSTM loses to it outright."""
+    series = random_walk_series(340, seed=walk)
+    scores = planted_sentiment(series)
+    prices, sentiment = tmp_path / "prices.csv", tmp_path / "sentiment.csv"
+    _write_prices(prices, series.bars)
+    _write_sentiment(sentiment, scores)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "price_csv": str(prices), "sentiment_csv": str(sentiment), "price_interval": "weekly",
+        "output_dir": str(tmp_path / "out"), "train": {"epochs": 300, "layers": 1, "hidden_size": 16, "window": 12},
+        "experiments": {"seeds": [0]},
+    }))
+    assert main(["experiment", "sentiment", "--config", str(config)]) == 0
+    with open(tmp_path / "out" / "sentiment_report.csv", newline="") as handle:
+        rows = {(row["model"], row["features"]): float(row["test_rmse"]) for row in csv.DictReader(handle)}
+    dataset = prepare_dataset(build_feature_frame(series, sentiment_by_date=scores), 12).dataset
+    split = dataset.split_index
+    persistence = rmse(dataset.labels[split - 1 : -1], dataset.labels[split:])
+    assert rows[("lstm", "full")] * PLANTED_MARGIN < persistence, rows
+    assert min(rows[(model, "no-sentiment")] for model in ("lstm", "rnn")) * PLANTED_MARGIN > persistence, rows
+    assert rows[("lstm", "no-sentiment")] > persistence, rows
 
 
 def test_experiment_all_reads_each_input_file_once(tmp_path, monkeypatch):

@@ -382,6 +382,6 @@ def test_use_sentiment_false_drops_the_stream_from_every_cell(monkeypatch, regim
         report = run_regime_experiment(series, config, sentiment)
     else:
         report = run_forget_gate_experiment(series, config, sentiment)
-    assert trained and all(dataset.sentiment is None for dataset, *_ in trained)
+    assert trained and all(dataset.streams[2] is None for dataset, *_ in trained)
     assert {row.features for row in report.rows} == {NO_SENTIMENT}
     assert all(row.error == "" for row in report.rows)

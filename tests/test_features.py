@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from trendlab import training
 from trendlab.errors import DataError
 from trendlab.features import (
     COMPANY_FUNDAMENTALS,
@@ -15,6 +16,7 @@ from trendlab.features import (
     build_feature_frame,
     feature_frame_to_csv,
     inference_windows,
+    make_windows,
     parse_feature_csv,
     prepare_dataset,
 )
@@ -137,6 +139,82 @@ def test_parse_feature_csv_equals_the_per_row_oracle(walk_frame, faults, style):
     assert got.tobytes() == np.array(want)[keep].tobytes()
 
 
+# --- windowing ---------------------------------------------------------------
+
+
+def rows_of(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(fundamental, technical, sentiment) blocks of n rows; fundamental
+    column 0 marks the row index."""
+    fundamental = np.column_stack([np.arange(n, dtype=np.float64), np.zeros(n)])
+    return fundamental, np.ones((n, 1)), np.full((n, 1), 0.5)
+
+
+def test_make_windows_exact_ratio():
+    windows = make_windows(rows_of(18), np.zeros(18), window=2)  # 16 windows
+    assert windows.n_windows == 16
+    assert windows.split_index == 15
+
+
+def test_make_windows_150_10():
+    windows = make_windows(rows_of(162), np.zeros(162), window=2)  # 160 windows
+    assert windows.n_windows == 160
+    assert windows.split_index == 150
+
+
+def test_make_windows_enumeration():
+    labels = np.arange(10, dtype=np.float64) / 10.0
+    ds = make_windows(rows_of(10), labels, window=3)
+    assert ds.n_windows == 7
+    assert ds.label_indices.tolist() == [3, 4, 5, 6, 7, 8, 9]
+    assert ds.labels.tolist() == [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+    # window k holds rows k..k+2 (enumeration oracle on the marker column)
+    for k in range(7):
+        assert ds.streams[0][k, :, 0].tolist() == [float(k), float(k + 1), float(k + 2)]
+
+
+def test_make_windows_insufficient_rows():
+    with pytest.raises(DataError, match="insufficient rows"):
+        make_windows(rows_of(3), np.zeros(3), window=3)
+
+
+def test_make_windows_label_alignment_error():
+    with pytest.raises(DataError, match="labels length"):
+        make_windows(rows_of(5), np.zeros(4), window=2)
+
+
+def test_train_test_never_overlap_random():
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        n = int(rng.integers(5, 120))
+        window = int(rng.integers(1, min(n - 1, 14)))
+        ds = make_windows(rows_of(n), np.zeros(n), window=window)
+        train, test = ds.train, ds.test
+        if test.n_windows:
+            assert train.label_indices.max() < test.label_indices.min()
+
+
+@pytest.mark.parametrize("with_sentiment", [True, False])
+def test_a_split_holds_no_copy_and_reaches_forward_batch_as_it_is(walk_frame, monkeypatch, with_sentiment):
+    """Grid cells share one bundle per variant: `train` and `test` slice
+    every array of the dataset and copy none, and `train` hands each
+    split's streams to `forward_batch` as they are (one shard each here)."""
+    frame = walk_frame if with_sentiment else walk_frame.without_sentiment()
+    dataset = prepare_dataset(frame, 12).dataset
+    for split in (dataset.train, dataset.test):
+        assert (split.streams[2] is None) is (not with_sentiment)
+        parts = zip((*split.streams, split.labels, split.label_indices),
+                    (*dataset.streams, dataset.labels, dataset.label_indices))
+        for part, whole in parts:
+            assert part is None or np.shares_memory(part, whole)
+    seen, forward = [], training.forward_batch
+    monkeypatch.setattr(training, "forward_batch", lambda streams, *a: seen.append(streams) or forward(streams, *a))
+    training.train(dataset, training.TrainConfig(epochs=1, layers=1, hidden_size=2, window=12), fork_helpers=False)
+    assert len(seen) == 3  # one epoch, the final training pass, the test split
+    for streams, split in zip(seen, (dataset.train, dataset.train, dataset.test)):
+        for got, want in zip(streams, split.streams):
+            assert got is want is None or got.__array_interface__ == want.__array_interface__
+
+
 def _scaled(block: np.ndarray, names, column_scales) -> np.ndarray:
     """Column-by-column oracle for the normalization prepare_dataset applies."""
     columns = [
@@ -233,7 +311,7 @@ def _persistence_and_linear_rmse(series, scores, window: int = 12) -> tuple[floa
     windows of every stream."""
     dataset = prepare_dataset(build_feature_frame(series, sentiment_by_date=scores), window).dataset
     n, split = dataset.n_windows, dataset.split_index
-    x = np.concatenate([dataset.fundamental, dataset.technical, dataset.sentiment], axis=2).reshape(n, -1)
+    x = np.concatenate(dataset.streams, axis=2).reshape(n, -1)
     x = np.column_stack([x, np.ones(n)])
     coef, *_ = np.linalg.lstsq(x[:split], dataset.labels[:split], rcond=None)
     test = dataset.labels[split:]

@@ -27,7 +27,6 @@ from trendlab.market_data import (
     compute_tdd,
     denormalize,
     fit_scale,
-    make_windows,
     normalize,
     parse_price_csv,
     parse_sentiment_csv,
@@ -141,6 +140,21 @@ def test_only_market_data_imports_csv():
             if any(m.split(".")[0] == "csv" for m in modules):
                 importers.append(path.name)
     assert importers == ["market_data.py"]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A `_`-prefixed name stays in its module: no relative import in the
+    package names one."""
+    package = Path(market_data.__file__).parent
+    crossings = [
+        f"{path.name} <- {node.module}.{alias.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert crossings == []
 
 
 # --- parsing -----------------------------------------------------------------
@@ -811,57 +825,3 @@ def test_normalize_order_preserving(p1, gap_factor, lo, width):
     p2 = p1 + gap_factor * width
     scale = NormalizationScale(lo, lo + width)
     assert normalize(p1, scale) < normalize(p2, scale)
-
-
-# --- windowing ---------------------------------------------------------------
-
-
-def rows_of(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(fundamental, technical, sentiment) blocks of n rows; fundamental
-    column 0 marks the row index."""
-    fundamental = np.column_stack([np.arange(n, dtype=np.float64), np.zeros(n)])
-    return fundamental, np.ones((n, 1)), np.full((n, 1), 0.5)
-
-
-def test_make_windows_exact_ratio():
-    windows = make_windows(*rows_of(18), np.zeros(18), window=2)  # 16 windows
-    assert windows.n_windows == 16
-    assert windows.split_index == 15
-
-
-def test_make_windows_150_10():
-    windows = make_windows(*rows_of(162), np.zeros(162), window=2)  # 160 windows
-    assert windows.n_windows == 160
-    assert windows.split_index == 150
-
-
-def test_make_windows_enumeration():
-    labels = np.arange(10, dtype=np.float64) / 10.0
-    ds = make_windows(*rows_of(10), labels, window=3)
-    assert ds.n_windows == 7
-    assert ds.label_indices.tolist() == [3, 4, 5, 6, 7, 8, 9]
-    assert ds.labels.tolist() == [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
-    # window k holds rows k..k+2 (enumeration oracle on the marker column)
-    for k in range(7):
-        assert ds.fundamental[k, :, 0].tolist() == [float(k), float(k + 1), float(k + 2)]
-
-
-def test_make_windows_insufficient_rows():
-    with pytest.raises(DataError, match="insufficient rows"):
-        make_windows(*rows_of(3), np.zeros(3), window=3)
-
-
-def test_make_windows_label_alignment_error():
-    with pytest.raises(DataError, match="labels length"):
-        make_windows(*rows_of(5), np.zeros(4), window=2)
-
-
-def test_train_test_never_overlap_random():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        n = int(rng.integers(5, 120))
-        window = int(rng.integers(1, min(n - 1, 14)))
-        ds = make_windows(*rows_of(n), np.zeros(n), window=window)
-        train, test = ds.train, ds.test
-        if test.n_windows:
-            assert train.label_indices.max() < test.label_indices.min()

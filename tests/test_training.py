@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trendlab.errors import CheckpointError, ConfigError, DataError, DivergenceError
-from trendlab.features import build_feature_frame, prepare_dataset
-from trendlab.market_data import NormalizationScale, WindowedDataset, make_windows
+from trendlab.features import WindowedDataset, build_feature_frame, make_windows, prepare_dataset
+from trendlab.market_data import NormalizationScale
 from trendlab.network import ModelShape, NetworkParameters, backward_batch, forward_batch, init_parameters
 from trendlab import forked, training
 from trendlab.synthetic import paper_shaped_series, planted_sentiment, sine_series
@@ -317,11 +317,7 @@ def test_full_batch_gradient_is_order_invariant(sine_bundle):
     grads = dict(backward_batch(cache, rmse_gradient(cache.predictions, labels)).param_items())
 
     order = np.random.default_rng(1).permutation(dataset.n_windows)
-    shuffled = (
-        dataset.fundamental[order],
-        dataset.technical[order],
-        dataset.sentiment[order],
-    )
+    shuffled = tuple(stream[order] for stream in dataset.streams)
     cache_p = forward_batch(shuffled, params)
     grads_p = dict(backward_batch(cache_p, rmse_gradient(cache_p.predictions, labels[order])).param_items())
     for name, g in grads.items():
@@ -341,7 +337,7 @@ def test_window_mismatch_rejected(sine_bundle):
 
 def test_divergence_reports_epoch():
     fundamental = np.column_stack([np.full(6, np.nan), np.zeros(6)])
-    ds = make_windows(fundamental, np.zeros((6, 1)), np.full((6, 1), 0.5), np.zeros(6), window=2)
+    ds = make_windows((fundamental, np.zeros((6, 1)), np.full((6, 1), 0.5)), np.zeros(6), window=2)
     with pytest.raises(DivergenceError) as err:
         train(ds, TrainConfig(epochs=3, window=2, layers=1, hidden_size=2))
     assert err.value.epoch == 0
@@ -467,8 +463,8 @@ def test_a_process_runs_its_shards_through_caches_that_share_one_block(paper_dat
 def _random_dataset(train_windows: int, test_windows: int = 4) -> WindowedDataset:
     """Random streams of 12 steps: `train_windows` training windows, then `test_windows` test ones."""
     rng, n = np.random.default_rng(train_windows), train_windows + test_windows
-    return WindowedDataset(rng.normal(size=(n, 12, 3)), rng.normal(size=(n, 12, 3)), rng.uniform(size=(n, 12, 1)),
-                           rng.uniform(size=n), np.arange(n), train_windows)
+    streams = (rng.normal(size=(n, 12, 3)), rng.normal(size=(n, 12, 3)), rng.uniform(size=(n, 12, 1)))
+    return WindowedDataset(streams, rng.uniform(size=n), np.arange(n), train_windows)
 
 
 def test_a_grid_cell_holds_one_shard_of_activations_whatever_its_window_count():
