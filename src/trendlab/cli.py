@@ -11,7 +11,7 @@ land under the configured output directory.
 A command reads each input file once, and a command that built a frame on
 the neutral sentiment fill says so after writing its outputs. Under
 `TRENDLAB_CLOCK=fixed` every wall time written is 0.0 (`training.clock`).
-`predict` forwards a memory cell's windows above `training.SHARD_WINDOWS`
+`predict` forwards a memory cell's windows above `HALVES_ABOVE` (256)
 as two contiguous halves, the second on one thread that is joined before
 the command returns or raises. The halves depend on the window count alone,
 so one usable CPU writes the same bytes as two, within 1e-12 of one call
@@ -70,11 +70,16 @@ from .reports import (
     report_to_json,
     summary_table,
 )
-from .training import SHARD_WINDOWS, load_checkpoint, near_equal, save_checkpoint, train
+from .training import load_checkpoint, near_equal, save_checkpoint, train
 
 EXPERIMENT_NAMES = ("interval", "regime", "sentiment", "forget-gate", "all")
 
 NEUTRAL_FILL_WARNING = "warning: no sentiment_csv configured; the sentiment stream is the neutral fill 0.5"
+
+# `predict` forwards a memory cell's windows above this count as two halves
+# on two threads: the measured break-even of the threaded halves, not a
+# memory bound (training's shards are `training.SHARD_WINDOWS`).
+HALVES_ABOVE = 256
 
 
 def _section(cls, raw, name: str):
@@ -242,7 +247,7 @@ def cmd_predict(cfg: RunConfig) -> int:
             )
     window = checkpoint.config.window
     streams = inference_windows(frame, window, checkpoint.column_scales, use_sentiment)
-    # One call, or above SHARD_WINDOWS on a memory cell two halves, the second
+    # One call, or above HALVES_ABOVE on a memory cell two halves, the second
     # on a thread: the same bytes on one CPU or two, within 1e-12 of one call.
     predictions = _predict_windows(checkpoint.params, streams)
     prices = denormalize(predictions, checkpoint.scale)
@@ -262,9 +267,9 @@ def cmd_predict(cfg: RunConfig) -> int:
 def _predict_windows(params: NetworkParameters, streams: tuple) -> np.ndarray:
     """Every window's prediction, each layer keeping one step (no backward
     pass): on 1-18 years of daily bars, full-depth shards of <= 256 windows,
-    as `train` runs, were 4% slower, +9% RSS.
+    as `train` then ran them, were 4% slower, +9% RSS.
 
-    A memory cell over more than SHARD_WINDOWS windows runs as the two
+    A memory cell over more than HALVES_ABOVE windows runs as the two
     halves of `near_equal(n, 2)`: the caller forwards the first while one
     thread forwards the second, and the predictions join in window order.
     numpy drops the GIL in each GEMM and ufunc, so on a 2-core x86-64 VM
@@ -276,7 +281,7 @@ def _predict_windows(params: NetworkParameters, streams: tuple) -> np.ndarray:
     in turn, with the same bytes. The halves need not give one call's bits
     (OpenBLAS picks its edge kernels by column count), only within 1e-12."""
     n, steps = streams[0].shape[:2]
-    if params.shape.cell != LSTM or n <= SHARD_WINDOWS:
+    if params.shape.cell != LSTM or n <= HALVES_ABOVE:
         return forward_batch(streams, last_step_cache(params, n, steps)).predictions
     halves = [(tuple(None if s is None else s[half.start : half.stop] for s in streams),
                last_step_cache(params, len(half), steps)) for half in near_equal(n, 2)]

@@ -11,7 +11,8 @@ before the fork (tasks, datasets, parameters, and the one-thread BLAS pin of
 a grid helper sends one, the rows of all the cells it ran, and a training
 helper answers each of the caller's messages with one, so an epoch is one
 message each way (the parameter vector out; its shards' predictions and
-unscaled gradients back). The caller closing its end is the stop signal: a
+one partial sum of their unscaled gradients back, whatever its shard
+count). The caller closing its end is the stop signal: a
 helper waiting for a message reads EOF. `Helpers.stop` sends it before the
 block ends, so the helpers exit while the caller does work of its own
 (`train` evaluates its test split), and the block's end only joins them.

@@ -10,7 +10,7 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -150,7 +150,12 @@ class TrainingRun:
     parameters: NetworkParameters
 
 
-SHARD_WINDOWS = 256
+# The most windows in a training shard, whose activations are all that a
+# process holds. Forward plus backward cost per window is flat from ~96
+# windows a shard up (3 x 32, 12 steps, on a 2-core x86-64 VM: 58-63 us at
+# 96-256, 73 us at 67), so every shard of a multi-shard split, 96-192
+# windows, runs at full speed on half the activations of 256-window shards.
+SHARD_WINDOWS = 192
 
 
 def near_equal(n: int, parts: int) -> list[range]:
@@ -163,9 +168,34 @@ def near_equal(n: int, parts: int) -> list[range]:
 def shard_bounds(n_windows: int) -> list[range]:
     """The window ranges of ceil(n / SHARD_WINDOWS) contiguous shards of
     near-equal size, the longer first, the count rounded up to a power of
-    two so that two processes split them evenly: 831 windows are 208, 208,
-    208 and 207, and 600 are four of 150, not three of 200."""
+    two so that a power-of-two number of processes split them into
+    subtrees of `tree_sum`: 831 windows are seven shards of 104 and one of
+    103, and 500 are four of 125, not three of 167. Every shard of a split
+    into several holds 96-192 windows."""
     return near_equal(n_windows, 1 << (-(-n_windows // SHARD_WINDOWS) - 1).bit_length())
+
+
+def tree_sum(vectors: Iterable[np.ndarray]) -> np.ndarray | None:
+    """The sum of `vectors` over a fixed balanced binary tree (pairwise
+    summation, whose rounding error grows as log n, not n: Higham 1993),
+    None if there are none. It streams: each pair adds as `left += right`
+    as soon as both exist, so it holds at most log2(n) + 1 partial sums,
+    and the sum lands in the first vector. For a power-of-two n the tree
+    is recursive halving, so the sums of its aligned subtrees, added by
+    `tree_sum` in order, give the same bits."""
+    partials: list[tuple[int, np.ndarray]] = []  # (leaves, sum), leaf counts falling
+    for vector in vectors:
+        leaves = 1
+        while partials and partials[-1][0] == leaves:
+            left = partials.pop()[1]
+            left += vector
+            vector, leaves = left, 2 * leaves
+        partials.append((leaves, vector))
+    while len(partials) > 1:
+        right = partials.pop()[1]
+        left = partials[-1][1]
+        left += right
+    return partials[0][1] if partials else None
 
 
 class _Shards:
@@ -196,31 +226,55 @@ class _Shards:
             cache = forward_batch(streams, cache)
             yield cache, backward_batch(cache, cache.predictions - labels) if backward else None
 
+    def summed(self, backward: bool) -> tuple[list[np.ndarray], NetworkParameters | None]:
+        """Each shard's predictions at the current parameters, in shard
+        order, and, if `backward`, the `tree_sum` of the shards' unscaled
+        gradients, in place in the first shard's (None otherwise): the sum
+        of this process's subtree."""
+        predictions, total = [], None
+
+        def gradients():
+            nonlocal total
+            for cache, grads in self.run(backward):
+                predictions.append(cache.predictions)
+                if grads is not None:
+                    if total is None:
+                        total = grads
+                    yield grads.vector
+
+        tree_sum(gradients())
+        return predictions, total
+
     def serve(self, conn) -> None:
         """A forked helper's loop until the caller closes its end: each
         request, a parameter vector and whether to run the backward pass,
-        is answered with one message, its shards' predictions and gradient
-        vectors (none without the backward pass), in shard order."""
+        is answered with one message, its shards' predictions in shard
+        order and one vector, their gradients' `tree_sum` (None without
+        the backward pass), whatever its shard count."""
         while True:
             try:
                 vector, backward = conn.recv()
             except EOFError:
                 return
             self.params.vector[...] = vector
-            results = list(self.run(backward))
-            conn.send(([c.predictions for c, _ in results], [g.vector for _, g in results if g is not None]))
+            predictions, total = self.summed(backward)
+            conn.send((predictions, None if total is None else total.vector))
 
 
 class _ShardedBatch:
-    """The training split as shards, run by the caller and its helpers, each
-    process on a contiguous group of shards (the caller's is the first).
-    Predictions join, and gradients sum, in shard order, so the results
-    depend on the shard layout alone."""
+    """The training split as shards, run by a power-of-two number of
+    processes, the caller and its helpers: the largest power of two up to
+    1 + `forked.helper_count(shards)`. Each process runs a contiguous group
+    of shards (the caller's is the first), which, as the shard count is a
+    power of two too, is one subtree of the balanced tree over the shards.
+    Predictions join in shard order, and the caller `tree_sum`s the
+    processes' subtree sums in process order, which completes the one
+    tree: the results depend on the shard layout alone."""
 
     def __init__(self, split: WindowedDataset, params: NetworkParameters, helpers: forked.Helpers | None):
         shards = shard_bounds(split.n_windows)
-        processes = 1 + (0 if helpers is None else forked.helper_count(len(shards)))
-        groups = near_equal(len(shards), processes)
+        usable = 1 if helpers is None else 1 + forked.helper_count(len(shards))
+        groups = near_equal(len(shards), 1 << (usable.bit_length() - 1))
         self.helpers = [
             helpers.start(_Shards(split, shards[group.start : group.stop], params).serve) for group in groups[1:]
         ]
@@ -228,22 +282,22 @@ class _ShardedBatch:
 
     def run(self, backward: bool) -> tuple[np.ndarray, NetworkParameters | None]:
         """Every training window's prediction at the current parameters and,
-        if `backward`, the sum of the shards' unscaled gradients in shard
-        order, in place in the first shard's (None otherwise)."""
+        if `backward`, the `tree_sum` of the shards' unscaled gradients, in
+        place in the first shard's (None otherwise)."""
         for helper in self.helpers:
             helper.conn.send((self.own.params.vector, backward))
-        predictions, total = [], None
-        for cache, grads in self.own.run(backward):
-            predictions.append(cache.predictions)
-            if total is None:
-                total = grads
-            else:
-                total.vector += grads.vector
-        for helper in self.helpers:
-            parts, vectors = helper.recv("its shards")
-            predictions += parts
-            for vector in vectors:
-                total.vector += vector
+        predictions, total = self.own.summed(backward)
+
+        def subtree_sums():
+            if total is not None:
+                yield total.vector
+            for helper in self.helpers:
+                parts, vector = helper.recv("its shards")
+                predictions.extend(parts)
+                if vector is not None:
+                    yield vector
+
+        tree_sum(subtree_sums())
         return np.concatenate(predictions), total
 
 
@@ -254,8 +308,8 @@ def _fit(
     the split's RMSE at the trained parameters: the per-epoch costs and the
     final one. The shards run in the caller and in helpers that `helpers`
     forks (none if it is None). Each epoch is one exchange with each
-    helper: the parameter vector out; the predictions and unscaled
-    gradients back. The summed gradient is scaled once by
+    helper: the parameter vector out; its shards' predictions and their
+    unscaled gradients' sum back. The summed gradient is scaled once by
     `rmse_gradient_scale` of the joined predictions' RMSE. The shard caches
     are freed when it returns."""
     m = np.zeros_like(params.vector)
@@ -271,6 +325,7 @@ def _fit(
             epoch_rmse.append(cost)
             grads.vector *= rmse_gradient_scale(cost, split.n_windows)
             adam_step(params, grads, m, v, epoch + 1, config)
+            del predictions, grads  # not held through the next epoch's shards
         except DivergenceError as exc:
             raise DivergenceError(f"diverged at epoch {epoch}: {exc}", epoch=epoch) from None
     return epoch_rmse, rmse(batch.run(backward=False)[0], split.labels)
@@ -296,24 +351,31 @@ def train(dataset: WindowedDataset, config: TrainConfig, *, fork_helpers: bool =
     backpropagates the RMSE cost, and takes one Adam step. Deterministic
     per (dataset, config).
 
-    The training windows run as `shard_bounds` shards, in the caller and in
-    `forked.helper_count(shards)` forked helpers: synchronous data
+    The training windows run as `shard_bounds` shards, a power-of-two
+    count, in the caller and its forked helpers: synchronous data
     parallelism (Dean et al. 2012), since the windows are independent
     columns and the full-batch gradient is the sum of the shards'. The
     backward pass is linear in the prediction gradient, so each shard runs
     its backward pass right after its forward, on its residual predictions
-    - labels, before the RMSE that scales it is known. Each epoch the caller
-    sends out the parameter vector, and each process runs its shards in
-    order and returns their predictions and unscaled gradients: one message
-    each way per helper. The caller joins the predictions in shard order
-    for the RMSE, sums the gradients in shard order into the first shard's,
+    - labels, before the RMSE that scales it is known. The shards'
+    gradients sum over one fixed balanced binary tree (`tree_sum`), which
+    streams, so a process holds at most log2(shards) + 1 partial sums, not
+    one per shard. Training runs on a power-of-two number of processes,
+    the largest up to 1 + `forked.helper_count(shards)`, so that each
+    process's contiguous group of shards is one subtree: on three usable
+    CPUs it runs two processes, not three. Each epoch the caller sends out
+    the parameter vector, and each helper runs its shards in order and
+    returns their predictions and one vector, its subtree's sum: one
+    message each way per helper, whatever its shard count. The caller joins
+    the predictions in shard order for the RMSE, completes the tree from
+    its own subtree's sum and the helpers', in the first shard's gradient,
     and scales the sum once by `rmse_gradient_scale` before the one Adam
-    step. The bits depend on the window count, which fixes the shards,
-    never on the CPU count: with one usable CPU, or with `fork_helpers`
-    false (a grid cell, which runs in a process of its own already), the
-    caller runs every shard itself and gets the same bytes. Up to
-    SHARD_WINDOWS training windows are one shard, the whole batch, as an
-    unsharded run.
+    step. The bits depend on the window count, which fixes the shards and
+    so the tree, never on the CPU count: with one usable CPU, or with
+    `fork_helpers` false (a grid cell, which runs in a process of its own
+    already), the caller runs every shard itself and gets the same bytes.
+    Up to SHARD_WINDOWS training windows are one shard, the whole batch, as
+    an unsharded run.
 
     Each process holds one shard's activations, whatever the window count
     (`_Shards`): the fused input and every step's gates and c, but neither

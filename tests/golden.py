@@ -18,6 +18,8 @@ BLAS kernels, so the file holds one set per `machine_line()`, as
 
     python tests/golden.py --write
 
+which prints each recorded file or exit code that changed before it
+overwrites them.
 A change that alters output bytes on purpose rewrites every set and lists
 the changed files where the change is described.
 """
@@ -184,6 +186,9 @@ if __name__ == "__main__":
         sys.exit("usage: python tests/golden.py --write")
     machines = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as work:
-        machines[machine_line()] = recorded(run(Path(work)))
+        outputs = run(Path(work))
+    changed = mismatches(outputs, machines.get(machine_line(), {}))
+    print("\n".join(f"changed: {entry}" for entry in changed) or "no recorded entry changed")
+    machines[machine_line()] = recorded(outputs)
     GOLDEN.write_text(json.dumps(machines, indent=1, sort_keys=True) + "\n")
     print(f"wrote {machine_line()!r} to {GOLDEN}")

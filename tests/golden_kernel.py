@@ -20,6 +20,7 @@ with
 
     python tests/golden_kernel.py --write
 
+which prints each recorded entry that changed before it overwrites them.
 After a change that alters these bits on purpose, rewrite every set and say
 so where the change is described.
 """
@@ -115,10 +116,28 @@ def compute() -> dict:
     return {"cases": cases, "train_4_epochs.vector": trained_vector()}
 
 
+def _flat(entries: dict, prefix: str = "") -> dict[str, str]:
+    """The golden file's nested entries as {"cases.<case>.<key>": sha, ...}."""
+    flat = {}
+    for key, value in entries.items():
+        flat.update(_flat(value, f"{prefix}{key}.") if isinstance(value, dict) else {prefix + key: value})
+    return flat
+
+
+def changed_entries(old: dict, new: dict) -> list[str]:
+    """The entries of `new` whose hash differs from `old`'s, or that `old`
+    lacks or only `old` has, by dotted name."""
+    old, new = _flat(old), _flat(new)
+    return sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/golden_kernel.py --write")
     machines = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    machines[machine_line()] = compute()
+    computed = compute()
+    changed = changed_entries(machines.get(machine_line(), {}), computed)
+    print("\n".join(f"changed: {name}" for name in changed) or "no recorded entry changed")
+    machines[machine_line()] = computed
     GOLDEN.write_text(json.dumps(machines, indent=1, sort_keys=True) + "\n")
     print(f"wrote {machine_line()!r} to {GOLDEN}")

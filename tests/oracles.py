@@ -383,6 +383,15 @@ def pairwise_sum(values: list[float]) -> float:
     return total(0, len(values))
 
 
+def halving_sum(vectors: list[np.ndarray]) -> np.ndarray:
+    """The sum of a power-of-two number of vectors by recursive halving,
+    into new arrays: the first half's sum plus the second half's."""
+    if len(vectors) == 1:
+        return vectors[0].copy()
+    half = len(vectors) // 2
+    return halving_sum(vectors[:half]) + halving_sum(vectors[half:])
+
+
 def pairwise_mean(values: list[float]) -> float:
     """`pairwise_sum` over the count: `np.mean` of the same values in the
     same order, bit for bit."""

@@ -180,7 +180,7 @@ def test_train_then_predict_reproduces_the_test_rmse(tmp_path, cell):
     assert rmse(test, dataset.test.labels) == metrics["test_rmse"]
 
 
-# --- predict's two halves above SHARD_WINDOWS windows ------------------------
+# --- predict's two halves above HALVES_ABOVE windows -------------------------
 
 
 @pytest.fixture(scope="module")
@@ -211,9 +211,9 @@ def _normalized(out: Path) -> list[float]:
 @pytest.mark.parametrize(
     "cell, windows, calls",
     [("lstm", 256, [256]), ("lstm", 257, [129, 128]), ("lstm", 300, [150, 150]), ("rnn", 300, [300])],
-    ids=["memory cell at SHARD_WINDOWS", "memory cell above", "even", "tanh stack above"],
+    ids=["memory cell at HALVES_ABOVE", "memory cell above", "even", "tanh stack above"],
 )
-def test_predict_forwards_a_memory_cell_above_shard_windows_as_two_halves(
+def test_predict_forwards_a_memory_cell_above_256_windows_as_two_halves(
     tiny_checkpoints, tmp_path, monkeypatch, cell, windows, calls
 ):
     made = _count_calls(monkeypatch, "forward_batch")
@@ -245,7 +245,7 @@ def test_the_halves_write_the_same_bytes_on_one_and_on_two_cpus(tiny_checkpoints
             written.add((out / "predictions.csv").read_bytes())
     assert len(written) == 1
 
-    monkeypatch.setattr(cli, "SHARD_WINDOWS", 301)
+    monkeypatch.setattr(cli, "HALVES_ABOVE", 301)
     assert _predict(config, checkpoint, tmp_path / "one_call") == 0
     assert np.max(np.abs(np.subtract(_normalized(out), _normalized(tmp_path / "one_call")))) <= 1e-12
 
@@ -280,7 +280,7 @@ def test_a_diverging_half_exits_3_with_no_thread_left_running(
 def test_predict_in_a_fresh_interpreter_imports_no_multiprocessing_concurrent_futures_or_scipy(
     tiny_checkpoints, tmp_path
 ):
-    """A memory-cell `predict` above SHARD_WINDOWS windows, its halves on a
+    """A memory-cell `predict` above HALVES_ABOVE windows, its halves on a
     thread of its own, imports neither multiprocessing (`trendlab.forked`
     imports it only where it forks) nor concurrent.futures (~6 ms to
     import, with `logging`: a one-shot predict would lose its gain to it),

@@ -744,11 +744,11 @@ def test_forward_into_a_last_step_cache_equals_a_full_forward(case):
 @example(cell="rnn", windows=883, seed=0)
 def test_a_batch_and_its_two_halves_agree_within_1e_12(cell, windows, seed):
     """`cli.cmd_predict` forwards a memory cell's windows above
-    SHARD_WINDOWS as two halves, each into a last-step cache of its own.
-    OpenBLAS picks its edge kernels by column count, so the halves need not
-    give one call's bits (differences of ~1e-16 were seen at 257-883
-    windows); they must agree within 1e-12, on the paper's 3 x 32 stack of
-    either cell."""
+    `cli.HALVES_ABOVE` as two halves, each into a last-step cache of its
+    own. OpenBLAS picks its edge kernels by column count, so the halves
+    need not give one call's bits (differences of ~1e-16 were seen at
+    257-883 windows); they must agree within 1e-12, on the paper's 3 x 32
+    stack of either cell."""
     params = init_parameters(ModelShape(cell=cell), seed=seed)
     streams = _random_streams(seed, windows=windows, steps=12, sentiment=True)
     whole = forward_batch(streams, last_step_cache(params, windows, 12)).predictions

@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import tracemalloc
+import weakref
 from dataclasses import replace
 from multiprocessing.connection import Connection
 
@@ -32,9 +33,10 @@ from trendlab.training import (
     save_checkpoint,
     shard_bounds,
     train,
+    tree_sum,
 )
 
-from oracles import gradient_check, pairwise_sum, reference_adam_step, rmse_gradient, unrolled_adam
+from oracles import gradient_check, halving_sum, pairwise_sum, reference_adam_step, rmse_gradient, unrolled_adam
 
 SMALL_SHAPE = ModelShape(cell="lstm", d_a=3, d_f=3, d_s=1, d_i=2, layers=3, hidden=8)
 
@@ -48,7 +50,7 @@ def sine_bundle():
 @pytest.fixture(scope="module")
 def paper_dataset():
     """The weekly paper-shaped series with planted sentiment: 831 training
-    windows of 12 steps, two shards."""
+    windows of 12 steps, eight shards of 104 and 103."""
     series = paper_shaped_series(seed=0)
     return prepare_dataset(build_feature_frame(series, sentiment_by_date=planted_sentiment(series)), 12).dataset
 
@@ -266,34 +268,37 @@ def _traced_peak(dataset, config, **options) -> tuple[int, TrainingRun]:
 def test_a_training_run_holds_one_forward_cache(monkeypatch, paper_dataset):
     """numpy reports its arrays to tracemalloc. On the weekly paper-shaped
     series (831 training windows of 12 steps, 3 x 32 LSTM) the activation
-    buffers dominate a run's memory. On one CPU the caller runs all four
+    buffers dominate a run's memory. On one CPU the caller runs all eight
     shards, each backward pass right after its forward, through one block
-    sized for a 208-window shard, so the peak stays below 0.4 of one
-    full-batch cache (it reads 0.318). Two shards of 416 with a cache each,
-    kept from an epoch's forward passes to its backward passes, read 1.11,
-    and a full-batch cache allocated per epoch while the last was alive
-    about 2.1. In bytes, the peak stays below 14 MB (it reads 12.5 MB;
-    43.5 MB with the two caches of 416 windows)."""
+    sized for a 104-window shard, and tree-sums their gradients, so the
+    peak stays below 0.21 of one full-batch cache. Over fixture seeds 0-7
+    it read 0.181, and 0.193 for a first run in a fresh process; 0.318
+    with four shards of 208. Two shards of 416 with a cache each, kept from
+    an epoch's forward passes to its backward passes, read 1.11, and a
+    full-batch cache allocated per epoch while the last was alive about
+    2.1. In bytes, the peak stays below 8 MB (7.09 MB over seeds 0-7, 7.56
+    MB for a first run; 12.5 MB with shards of 208, 43.5 MB with the two
+    caches of 416 windows)."""
     _on_cpus(monkeypatch, 1)
     peak, run = _traced_peak(paper_dataset, TrainConfig(epochs=3))
     cache = forward_batch(paper_dataset.train.streams, run.parameters)
     assert cache.n_windows == 831
-    assert peak < 0.4 * sum(a.nbytes for a in cache.buffers())
-    assert peak < 14.0e6
+    assert peak < 0.21 * sum(a.nbytes for a in cache.buffers())
+    assert peak < 8.0e6
 
 
 def test_on_two_cpus_the_caller_holds_the_cache_of_its_own_shard_only(monkeypatch, paper_dataset):
-    """With a helper running the last two shards, the caller's traced peak
-    stays below 0.35 of one full-batch cache (it reads 0.314: a quarter of
-    a cache, and the backward pass's buffers for a quarter of the windows;
-    0.594 when the caller held a cache for each of its shards). A run
-    before it imports what the first fork imports, which the peak is not
-    about."""
+    """With a helper running the last four shards, the caller's traced peak
+    stays below 0.19 of one full-batch cache (0.176 over fixture seeds 0-7:
+    an eighth of a cache, and the backward pass's buffers for an eighth of
+    the windows; 0.314 with shards of 208, and 0.594 when the caller held a
+    cache for each of its shards). A run before it imports what the first
+    fork imports, which the peak is not about."""
     _on_cpus(monkeypatch, 2)
     train(paper_dataset, TrainConfig(epochs=1, layers=1, hidden_size=2))
     peak, run = _traced_peak(paper_dataset, TrainConfig(epochs=3))
     cache = forward_batch(paper_dataset.train.streams, run.parameters)
-    assert peak < 0.35 * sum(a.nbytes for a in cache.buffers())
+    assert peak < 0.19 * sum(a.nbytes for a in cache.buffers())
 
 
 def test_training_is_deterministic(sine_bundle):
@@ -364,19 +369,53 @@ def test_divergence_in_optimizer_step_reports_epoch(sine_bundle, monkeypatch):
 # --- shards across processes --------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 511, 512, 513, 600, 831, 1024, 1025, 4277, 5000])
-def test_shards_are_contiguous_near_equal_and_at_most_512_windows(n):
+@pytest.mark.parametrize("n", [1, 2, 191, 192, 193, 384, 385, 500, 768, 769, 831, 1024, 1025, 4277, 5000])
+def test_shards_are_a_power_of_two_contiguous_near_equal_and_of_96_to_192_windows(n):
     """The shards cover 0..n-1 in order, the longer first, at most
-    SHARD_WINDOWS = 256 windows each (within the 512 of the name, the bound
-    before it), and their count is the least power of two that allows it,
-    so that two processes split them evenly."""
+    SHARD_WINDOWS = 192 windows each, and their count is the least power of
+    two that allows it, so that any power-of-two number of processes up to
+    it splits them into subtrees. Hence every shard of a split into
+    several holds at least half of 192: 193 windows are 97 and 96."""
     shards = shard_bounds(n)
     count = len(shards)
-    assert count & (count - 1) == 0 and (count == 1 or -(-n // (count // 2)) > 256)
+    assert count & (count - 1) == 0 and (count == 1 or -(-n // (count // 2)) > 192)
     assert [k for shard in shards for k in shard] == list(range(n))
     sizes = [len(shard) for shard in shards]
-    assert min(sizes) >= 1 and max(sizes) <= 256
+    assert min(sizes) >= (1 if count == 1 else 96) and max(sizes) <= 192
     assert max(sizes) - min(sizes) <= 1 and sizes == sorted(sizes, reverse=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 64])
+def test_tree_sum_streams_a_recursive_halving_and_holds_at_most_log2_n_plus_one_sums(n):
+    """`tree_sum` of n vectors is bit-equal to recursive halving, lands in
+    the first vector, and while it runs at most log2(n) + 1 of the vectors
+    it was given are alive: the partial sums it holds, and the one just
+    drawn. A list of the vectors, summed after, would hold n."""
+    rng = np.random.default_rng(n)
+    values = [rng.normal(size=5) * 10.0 ** rng.integers(-8, 8, size=5) for _ in range(n)]
+    drawn_refs, most, first = [], [], []
+
+    def drawn():
+        for value in values:
+            vector = value.copy()
+            drawn_refs.append(weakref.ref(vector))
+            most.append(sum(ref() is not None for ref in drawn_refs))
+            first[:] = first or [vector]
+            yield vector
+            del vector
+
+    total = tree_sum(drawn())
+    assert total.tobytes() == halving_sum(values).tobytes() and total is first[0]
+    assert max(most) <= n.bit_length()
+    assert tree_sum(iter(())) is None
+
+
+def test_tree_sum_of_any_count_adds_the_remaining_subtrees_right_to_left():
+    """Counts that are not a power of two, which training does not make,
+    leave subtrees of falling size that add from the right."""
+    a, b, c = (np.array([x]) for x in (1e16, 1.0, 1.0))
+    assert tree_sum([a.copy(), b.copy(), c.copy()])[0] == (1e16 + 1.0) + 1.0
+    assert tree_sum([c.copy(), b.copy(), a.copy()])[0] == (1.0 + 1.0) + 1e16
 
 
 def _trains_the_same_bytes_on_one_cpu_and_on_two(monkeypatch, dataset) -> None:
@@ -396,24 +435,45 @@ def _trains_the_same_bytes_on_one_cpu_and_on_two(monkeypatch, dataset) -> None:
 
 
 def test_the_paper_fixture_trains_the_same_bytes_on_one_cpu_and_on_two(monkeypatch, paper_dataset):
-    """831 windows are four shards, 208, 208, 208 and 207; a helper runs
-    the last two on two CPUs."""
-    assert [len(shard) for shard in shard_bounds(paper_dataset.train.n_windows)] == [208, 208, 208, 207]
+    """831 windows are eight shards, seven of 104 and one of 103; a helper
+    runs the last four on two CPUs."""
+    assert [len(shard) for shard in shard_bounds(paper_dataset.train.n_windows)] == [104] * 7 + [103]
     _trains_the_same_bytes_on_one_cpu_and_on_two(monkeypatch, paper_dataset)
 
 
-def test_600_windows_train_as_four_shards_with_the_same_bytes_on_one_cpu_and_on_two(monkeypatch, paper_dataset):
-    """600 windows need three shards of at most 256, and train as four of
-    150, so that each of two processes runs two."""
-    dataset = replace(paper_dataset, split_index=600)
-    assert shard_bounds(dataset.train.n_windows) == [range(0, 150), range(150, 300), range(300, 450), range(450, 600)]
+def test_500_windows_train_as_four_shards_with_the_same_bytes_on_one_cpu_and_on_two(monkeypatch, paper_dataset):
+    """500 windows need three shards of at most 192, and train as four of
+    125, so that each of two processes runs two."""
+    dataset = replace(paper_dataset, split_index=500)
+    assert shard_bounds(dataset.train.n_windows) == [range(0, 125), range(125, 250), range(250, 375), range(375, 500)]
     _trains_the_same_bytes_on_one_cpu_and_on_two(monkeypatch, dataset)
 
 
-def test_up_to_256_windows_nothing_forks(monkeypatch, paper_dataset):
+def test_16_shards_train_the_same_bytes_on_one_to_four_cpus_with_a_power_of_two_of_processes(monkeypatch):
+    """2,000 windows are 16 shards of 125. On 1, 2, 3 and 4 CPUs training
+    runs on 1, 2, 2 and 4 processes, each a subtree of the shards' tree,
+    and every run returns the same bytes: three CPUs give one helper, not
+    two, as three processes could not split 16 shards into subtrees."""
+    dataset = _random_dataset(2000)
+    assert [len(shard) for shard in shard_bounds(dataset.train.n_windows)] == [125] * 16
+    forks = _count_forks(monkeypatch)
+    runs, forked = {}, {}
+    for cpus in (1, 2, 3, 4):
+        _on_cpus(monkeypatch, cpus)
+        forks.clear()
+        runs[cpus] = train(dataset, TrainConfig(epochs=2, layers=1, hidden_size=4))
+        forked[cpus] = len(forks)
+    assert forked == {1: 0, 2: 1, 3: 1, 4: 3}
+    for run in runs.values():
+        assert run.parameters.vector.tobytes() == runs[1].parameters.vector.tobytes()
+        assert (run.epoch_rmse, run.train_rmse, run.test_rmse) == (runs[1].epoch_rmse, runs[1].train_rmse,
+                                                                     runs[1].test_rmse)
+
+
+def test_up_to_192_windows_nothing_forks(monkeypatch, paper_dataset):
     forks = _count_forks(monkeypatch)
     _on_cpus(monkeypatch, 2)
-    for n, forked in ((256, 0), (257, 1)):
+    for n, forked in ((192, 0), (193, 1)):
         forks.clear()
         train(replace(paper_dataset, split_index=n), TrainConfig(epochs=2, layers=1, hidden_size=2))
         assert len(forks) == forked, n
@@ -440,6 +500,37 @@ def test_each_helper_gets_one_message_and_sends_one_per_epoch(monkeypatch, paper
     assert (sent["caller"].value, sent["helper"].value) == (4, 4)
 
 
+@pytest.mark.parametrize("cpus, shards", [(2, 4), (4, 2)])
+def test_a_helper_answers_each_epoch_with_one_gradient_vector_whatever_its_shard_count(
+    monkeypatch, paper_dataset, cpus, shards
+):
+    """The paper fixture's eight shards on two CPUs (a helper runs four)
+    and on four (each of three helpers runs two): each epoch's answer is
+    its shards' predictions and one vector, their gradients' sum, and the
+    final train-split pass's carries no vector. 3 epochs, 3 vectors each."""
+    config, parent, real_send = TrainConfig(epochs=3, layers=1, hidden_size=2), os.getpid(), Connection.send
+    widths = tuple(None if s is None else s.shape[2] for s in paper_dataset.streams)
+    size = NetworkParameters(model_shape(widths, config)).vector.shape
+    seen = {kind: forked.shared_counter() for kind in ("one vector", "no vector", "other")}
+
+    def counted(conn, message):
+        if os.getpid() != parent:
+            parts, vector = message
+            kind = "other" if len(parts) != shards else "no vector" if vector is None else (
+                "one vector" if isinstance(vector, np.ndarray) and vector.shape == size else "other")
+            with seen[kind].get_lock():
+                seen[kind].value += 1
+        real_send(conn, message)
+
+    monkeypatch.setattr(Connection, "send", counted)
+    _on_cpus(monkeypatch, cpus)
+    train(paper_dataset, config)
+    helpers = cpus - 1
+    assert {kind: counter.value for kind, counter in seen.items()} == {
+        "one vector": 3 * helpers, "no vector": helpers, "other": 0
+    }
+
+
 def test_a_process_runs_its_shards_through_caches_that_share_one_block(paper_dataset):
     """Each shard's cache covers exactly its windows, and all of them are
     views of one block, so each shard's forward overwrites the last one's
@@ -451,8 +542,10 @@ def test_a_process_runs_its_shards_through_caches_that_share_one_block(paper_dat
     results = list(own.run(backward=True))
     assert all(cache is own_cache for (cache, _), own_cache in zip(results, own.caches, strict=True))
     assert [cache.n_windows for cache in own.caches] == [len(shard) for shard in shards]
-    for cache in own.caches[1:]:
-        assert all(np.shares_memory(a, b) for a, b in zip(cache.buffers(), own.caches[0].buffers()))
+    block = own.caches[0].x.base
+    assert block.nbytes == sum(a.nbytes for a in own.caches[0].buffers())
+    for cache in own.caches:
+        assert all(a.base is block for a in cache.buffers())
     for shard, (cache, grads) in zip(shards, results):
         fresh = forward_batch(tuple(s[shard.start : shard.stop] for s in split.streams), params)
         assert np.array_equal(cache.predictions, fresh.predictions)
@@ -468,19 +561,25 @@ def _random_dataset(train_windows: int, test_windows: int = 4) -> WindowedDatase
 
 
 def test_a_grid_cell_holds_one_shard_of_activations_whatever_its_window_count():
-    """A 1 x 8 LSTM trained in the caller alone: 4,096 windows are 16
-    shards of 256, against 4 at 1,024, and the traced peak stays the same
-    (1,024: ~1.2 MB; four times the windows in one cache would read ~4x)."""
+    """A 1 x 8 LSTM trained in the caller alone: 4,096 windows are 32
+    shards of 128, against 8 at 1,024, through one block of 128 windows'
+    activations (~4.8 KB a window). What grows with the window count is
+    bounded by 40 bytes per added window: each cache's predictions and the
+    last epoch's joined ones, 16 bytes, and each shard's views and cache
+    objects, ~2 KB a shard (it reads 30-32 bytes from 1,024 windows to
+    4,096 at peaks of ~0.93 MB; one cache of every window would add
+    ~4.8 KB a window)."""
     config = TrainConfig(epochs=2, layers=1, hidden_size=8)
     peaks = {n: _traced_peak(_random_dataset(n), config, fork_helpers=False)[0] for n in (1024, 4096)}
-    assert peaks[4096] < 1.1 * peaks[1024], peaks
+    assert peaks[4096] - peaks[1024] < 40 * (4096 - 1024), peaks
 
 
 def test_the_test_split_is_held_one_shard_at_a_time():
-    """The same 1 x 8 LSTM on 256 training windows, one shard: 1,024 test
-    windows run as four shards of 256 through one block, so the traced
-    peak stays that of 64 test windows (both ~1.71 MB). One cache of every
-    test window read ~6.5 MB."""
+    """The same 1 x 8 LSTM on 256 training windows, two shards of 128:
+    1,024 test windows run as eight shards of 128 through one block, so
+    the traced peak stays that of 64 test windows (both ~0.89 MB; ~1.71 MB
+    with shards of 256). One cache of every test window holds 4.9 MB of
+    buffers alone."""
     config = TrainConfig(epochs=1, layers=1, hidden_size=8)
     peaks = {n: _traced_peak(_random_dataset(256, n), config, fork_helpers=False)[0] for n in (64, 1024)}
     assert peaks[1024] < 1.1 * peaks[64], peaks
@@ -528,7 +627,7 @@ def test_a_grid_cell_trains_its_shards_in_the_caller(monkeypatch, paper_dataset)
 
 def test_a_non_finite_prediction_in_a_helper_shard_reports_its_epoch(monkeypatch, paper_dataset):
     def poison(call, streams, params):
-        if call == 3:  # the helper's first shard's forward at epoch 1
+        if call == 5:  # the helper's first shard's forward at epoch 1, after its four at epoch 0
             streams = (np.full_like(streams[0], np.nan),) + streams[1:]
         return streams, params
 
@@ -560,7 +659,7 @@ def test_a_failure_in_the_caller_mid_epoch_still_joins_the_helper(monkeypatch, p
         grads = backward_batch(cache, d_predictions)
         if os.getpid() == parent:
             calls.append(None)
-            if len(calls) == 5:  # the caller's first shard at epoch 2
+            if len(calls) == 9:  # the caller's first shard at epoch 2, after four at each of epochs 0 and 1
                 grads.head.b[...] = np.nan
         return grads
 
