@@ -275,9 +275,11 @@ def _predict_windows(params: NetworkParameters, streams: tuple) -> np.ndarray:
     numpy drops the GIL in each GEMM and ufunc, so on a 2-core x86-64 VM
     the 3 x 32 halves beat one call by 25-44% at 327-883 windows; below
     ~170 windows, and on the tanh stack below ~700, they lose. The caller
-    allocates both caches, which keeps them out of the thread's malloc
-    arena, and joins the thread before it returns or raises; the thread's
-    raise is raised here. With one usable CPU the caller runs both halves
+    allocates both last-step caches, each with the scratch its forward
+    writes, so the thread allocates nothing activation-sized (only numpy's
+    fixed ufunc buffers) and its malloc arena stays small. The caller
+    joins the thread before it returns or raises; the thread's raise is
+    raised here. With one usable CPU the caller runs both halves
     in turn, with the same bytes. The halves need not give one call's bits
     (OpenBLAS picks its edge kernels by column count), only within 1e-12."""
     n, steps = streams[0].shape[:2]

@@ -4,7 +4,10 @@ windowed datasets. This module owns the windows, their labels and the
 train/test split rule: `make_windows` slides every training window and
 `inference_windows` every prediction window, both by `_sliding_windows`,
 and `train_window_count` fixes the split that `prepare_dataset` also fits
-its scales by.
+its scales by. Windows are read-only views of the normalized (n, dim) row
+blocks, and the sentiment windows of the frame's own sentiment column, so
+each row is held once, however many windows cover it. Nothing writes a
+stream or a frame once it is built.
 """
 
 from __future__ import annotations
@@ -217,7 +220,9 @@ class WindowedDataset:
     is the normalized adjusted price at the step immediately after window
     k's last row, and `label_indices[k]` is that step's row index in the
     source frame. The first `split_index` windows are training; the rest
-    are test. A split is a view: it slices every array and copies none.
+    are test. Each stream is a read-only view of its rows, as
+    `make_windows` slides them, and a split is a view too: it slices every
+    array and copies none.
     """
 
     streams: tuple[np.ndarray, np.ndarray, np.ndarray | None]
@@ -266,11 +271,12 @@ def train_window_count(count: int) -> int:
 
 def _sliding_windows(blocks: tuple, window: int) -> tuple:
     """Every length-`window` step-1 window of the rows of each (n, dim)
-    block of a stream triple, as a C-contiguous float64
-    (n - window + 1, window, dim) array; a None block stays None."""
+    float64 block of a stream triple, as a read-only (n - window + 1,
+    window, dim) view of the block: each row is held once, not once per
+    window that covers it. A None block stays None."""
     def windows(block: np.ndarray) -> np.ndarray:
-        view = np.lib.stride_tricks.sliding_window_view(block, window, axis=0)
-        return np.ascontiguousarray(view.transpose(0, 2, 1), dtype=np.float64)
+        view = np.lib.stride_tricks.sliding_window_view(np.asarray(block, dtype=np.float64), window, axis=0)
+        return view.transpose(0, 2, 1)
 
     return tuple(None if block is None else windows(block) for block in blocks)
 

@@ -66,7 +66,14 @@ the last epoch's cache, so a run holds one set of activations, the memory
 that dominates exact BPTT (Chen et al. 2016, arXiv:1604.06174), instead of
 two. A cache's buffers are views of one float64 block, and `shared_caches`
 lays several caches over one block, so a process that runs a split's
-shards one after another holds one shard's activations.
+shards one after another holds one shard's activations. A memory-cell
+`last_step_cache` also owns the scratch its forward writes: each layer's
+[W | U | b] copy and [x_t; h; 1] buffer, and the tanh(c) row, allocated
+with the cache, so a thread that forwards into it allocates nothing that
+grows with the windows. A full-depth cache owns none: its forward
+allocates that scratch per call, and frees it before the backward pass.
+The streams are only read, and may be strided views, as `features`
+slides them.
 
 A memory-cell layer's h lives in the h rows of its [x_t; h; 1] buffer, and
 neither tanh(c) nor h is held in the cache at any step: the backward pass
@@ -317,9 +324,22 @@ class _RnnLayerCache:
 
 
 @dataclass
+class _LstmScratch:
+    """What a memory-cell forward writes besides its cache's buffers: per
+    layer the [W | U | b] copy (4H, in + H + 1) and the [x_t; h; 1] buffer
+    (in + H + 1, n), and one tanh(c) row (H, n). A forward fills each
+    before it reads it."""
+
+    stacked: list[np.ndarray]
+    inputs: list[np.ndarray]
+    tc: np.ndarray
+
+
+@dataclass
 class ForwardCache:
     """What the backward pass and `forget_gate_sum` read, and the
-    predictions; a `last_step_cache` holds only what the predictions need."""
+    predictions; a `last_step_cache` holds only what the predictions need,
+    and, for a memory cell, the scratch its forward writes."""
 
     params: NetworkParameters
     streams: tuple[np.ndarray, np.ndarray, np.ndarray | None]  # (n, T, d) each
@@ -327,6 +347,7 @@ class ForwardCache:
     layers: list[_LstmLayerCache | _RnnLayerCache]
     h: np.ndarray            # (H, n) the top layer's last hidden state, which the head reads
     predictions: np.ndarray  # (n,)
+    scratch: _LstmScratch | None = None  # None: each forward allocates its own
 
     @property
     def n_windows(self) -> int:
@@ -344,7 +365,7 @@ class ForwardCache:
     def buffers(self) -> list[np.ndarray]:
         """The activation arrays a forward pass writes: the fused input,
         each layer's, and the top h. Another forward given this cache in
-        place of the parameters overwrites exactly these."""
+        place of the parameters overwrites exactly these, and its scratch."""
         return [self.x] + [a for lc in self.layers for a in vars(lc).values()] + [self.h]
 
     def _require_every_step(self, reader: str) -> None:
@@ -395,12 +416,28 @@ def shared_caches(params: NetworkParameters, windows: list[int], steps: int) -> 
     return [_empty_cache(params, n, steps, steps, block) for n in windows]
 
 
+def _lstm_scratch(shape: ModelShape, n: int) -> _LstmScratch:
+    """Uninitialised scratch for a memory-cell forward over n windows."""
+    hid = shape.hidden
+    rows = [size + hid + 1 for size in [shape.fused_dim] + [hid] * (shape.layers - 1)]
+    return _LstmScratch([np.empty((4 * hid, r)) for r in rows], [np.empty((r, n)) for r in rows], np.empty((hid, n)))
+
+
 def last_step_cache(params: NetworkParameters, n_windows: int, steps: int) -> ForwardCache:
     """A cache of `params` to forward n_windows windows of `steps` steps
     into, for `predict`, where it beat full-depth shards: each layer keeps
     one step, so the backward pass and `forget_gate_sum` refuse it. Its
-    buffers are the fused input, one step per layer and the top h."""
-    return _empty_cache(params, n_windows, steps, depth=1)
+    buffers are the fused input, one step per layer and the top h. A
+    memory cell's cache also owns the scratch its forward writes, the
+    per-layer [W | U | b] copies and [x_t; h; 1] buffers and the tanh(c)
+    row, allocated here, so a forward into it allocates nothing
+    activation-sized: a thread that runs it needs none of its own. A
+    full-depth cache owns none, since a backward pass follows it and its
+    scratch would only add to that pass's live set."""
+    cache = _empty_cache(params, n_windows, steps, depth=1)
+    if params.shape.cell == LSTM:
+        cache.scratch = _lstm_scratch(params.shape, n_windows)
+    return cache
 
 
 def _as_batch(stream: np.ndarray, name: str, expected_dim: int) -> np.ndarray:
@@ -433,6 +470,8 @@ def _lstm_forward(cache: ForwardCache, layers: list[LstmLayerParameters]) -> Non
     [W | U | b], and the layer reads one (in + H + 1, n) buffer [x_t; h; 1]:
     its input rows, its h rows (zero before step 0) and a row of ones. So a
     step's gate pre-activations are one GEMM, written into the cache row.
+    Those arrays and the tanh(c) row are the cache's scratch if it owns
+    one, else this call's.
     The copy's f, i and o rows are negated, never the parameters, so the
     GEMM writes -z there and the sigmoid is exp, += 1 and reciprocal in
     place. One `np.errstate` for the whole pass lets exp overflow to inf
@@ -444,15 +483,16 @@ def _lstm_forward(cache: ForwardCache, layers: list[LstmLayerParameters]) -> Non
     into the cache's h."""
     hid, n = cache.h.shape
     depth = cache.depth
-    stacked = [np.concatenate((layer.W, layer.U, layer.b[:, None]), axis=1) for layer in layers]
-    for W in stacked:
+    scratch = cache.scratch if cache.scratch is not None else _lstm_scratch(cache.params.shape, n)
+    stacked, bufs, tc = scratch.stacked, scratch.inputs, scratch.tc
+    for layer, W in zip(layers, stacked):
+        np.concatenate((layer.W, layer.U, layer.b[:, None]), axis=1, out=W)
         np.negative(W[: 3 * hid], out=W[: 3 * hid])  # the copy's f, i, o rows; never the parameters
-    bufs = [np.zeros((w.shape[1], n)) for w in stacked]
-    for buf in bufs:
-        buf[-1] = 1.0
     hs = [buf[-1 - hid : -1] for buf in bufs]
-    ins = [buf[: -1 - hid] for buf in bufs]
-    tc = np.empty((hid, n))
+    ins = [buf[: -1 - hid] for buf in bufs]  # written at each step before they are read
+    for buf, h in zip(bufs, hs):
+        h[...] = 0.0
+        buf[-1] = 1.0
     # exp(-z) overflows to inf for z below about -745; the sigmoid is then
     # exactly 0, the correct limit, so the overflow is not reported.
     with np.errstate(over="ignore"):

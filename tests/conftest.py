@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import multiprocessing
+import threading
 from datetime import date
 
 import pytest
@@ -53,8 +54,12 @@ def table_series() -> PriceSeries:
 
 
 @pytest.fixture(autouse=True)
-def no_process_left_running():
-    """Fails a test after which a helper process it forked still runs: the
-    program must join every helper before it returns or raises."""
+def no_process_or_thread_left_running():
+    """Fails a test after which a helper process it forked, or a thread it
+    started, still runs: the program must join every helper and thread
+    before it returns or raises."""
+    running = set(threading.enumerate())
     yield
     assert multiprocessing.active_children() == [], "a forked helper process outlived the test"
+    left = sorted(thread.name for thread in threading.enumerate() if thread not in running)
+    assert left == [], f"threads outlived the test: {left}"

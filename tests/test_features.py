@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from trendlab import training
+from trendlab import features, training
 from trendlab.errors import DataError
 from trendlab.features import (
     COMPANY_FUNDAMENTALS,
@@ -193,13 +193,37 @@ def test_train_test_never_overlap_random():
             assert train.label_indices.max() < test.label_indices.min()
 
 
+def _record_row_blocks(monkeypatch) -> list:
+    """Every stream triple of normalized (n, dim) row blocks that
+    `features` windows from here on, in call order."""
+    made, scaled = [], features._scaled_blocks
+    monkeypatch.setattr(features, "_scaled_blocks", lambda *args: made.append(scaled(*args)) or made[-1])
+    return made
+
+
+def _assert_read_only_views(windows: tuple, rows: tuple) -> None:
+    """Each stream's windows are a view of its row block, which nothing
+    can write through them: each row is held once, not once per window."""
+    for got, block in zip(windows, rows, strict=True):
+        assert (got is None) is (block is None)
+        if got is not None:
+            assert np.shares_memory(got, block) and not got.flags.writeable
+
+
 @pytest.mark.parametrize("with_sentiment", [True, False])
 def test_a_split_holds_no_copy_and_reaches_forward_batch_as_it_is(walk_frame, monkeypatch, with_sentiment):
-    """Grid cells share one bundle per variant: `train` and `test` slice
-    every array of the dataset and copy none, and `train` hands each
-    split's streams to `forward_batch` as they are (one shard each here)."""
+    """Grid cells share one bundle per variant: the windows of
+    `make_windows` and of `inference_windows` are read-only views of their
+    normalized row blocks, `train` and `test` slice every array of the
+    dataset and copy none, and `train` hands each split's streams to
+    `forward_batch` as they are (one shard each here)."""
     frame = walk_frame if with_sentiment else walk_frame.without_sentiment()
-    dataset = prepare_dataset(frame, 12).dataset
+    blocks = _record_row_blocks(monkeypatch)
+    bundle = prepare_dataset(frame, 12)
+    dataset = bundle.dataset
+    predicted = inference_windows(frame, 12, bundle.column_scales, use_sentiment=with_sentiment)
+    for windows, made in zip((dataset.streams, predicted), blocks, strict=True):
+        _assert_read_only_views(windows, made)
     for split in (dataset.train, dataset.test):
         assert (split.streams[2] is None) is (not with_sentiment)
         parts = zip((*split.streams, split.labels, split.label_indices),
@@ -226,10 +250,13 @@ def _scaled(block: np.ndarray, names, column_scales) -> np.ndarray:
 
 @pytest.mark.parametrize("with_sentiment", [True, False])
 @pytest.mark.parametrize("window", [1, 5, 12])
-def test_inference_windows_match_training_windows(walk_frame, with_sentiment, window):
+def test_inference_windows_match_training_windows(walk_frame, monkeypatch, with_sentiment, window):
     frame = walk_frame if with_sentiment else walk_frame.without_sentiment()
+    blocks = _record_row_blocks(monkeypatch)
     bundle = prepare_dataset(frame, window)
     streams = inference_windows(frame, window, bundle.column_scales, use_sentiment=with_sentiment)
+    for windows, made in zip((bundle.dataset.streams, streams), blocks, strict=True):
+        _assert_read_only_views(windows, made)
     rows = (
         _scaled(frame.fundamental, frame.fundamental_names, bundle.column_scales),
         _scaled(frame.technical, frame.technical_names, bundle.column_scales),
@@ -242,7 +269,6 @@ def test_inference_windows_match_training_windows(walk_frame, with_sentiment, wi
             continue
         assert got.shape == (shared + 1, window, scaled.shape[1])
         assert got.dtype == trained.dtype == np.float64
-        assert got.flags.c_contiguous and trained.flags.c_contiguous
         assert got[:shared].tobytes() == trained.tobytes()
         # The extra window ends on the last row, whose next step is unknown.
         np.testing.assert_array_equal(got[-1], scaled[-window:])

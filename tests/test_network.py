@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -777,11 +778,44 @@ def test_a_last_step_cache_is_under_a_quarter_of_a_full_cache():
     assert last_bytes <= 0.25 * full_bytes
     assert peak <= 0.3 * full_bytes
     # In bytes: x + 3 x one step of (gates + c) + the top h = 4,379,680,
-    # and a traced peak of 6,009,952 (it moves by a few hundred bytes from
-    # run to run). When every layer held every step's h, they read
+    # and a traced peak of 6,199,448 (it moves by a few hundred bytes from
+    # run to run): the buffers, the 1,617,184 bytes of scratch the cache
+    # owns, and numpy's 192,008 bytes of ufunc buffers for the fused
+    # input's bias add. Before the cache owned its scratch, the forward
+    # allocated it after those ufunc buffers were freed, and the peak read
+    # 6,009,952. When every layer held every step's h, they read
     # 12,291,360 and 13,658,560.
     assert last_bytes <= 4.5e6
     assert peak <= 6.5e6
+
+
+def test_a_forward_into_a_prepared_last_step_cache_on_a_thread_allocates_no_activations():
+    """`cli._predict_windows` builds both halves' last-step caches in the
+    caller and forwards the second half on a thread. The paper's 3 x 32
+    LSTM over 883 windows of 12 steps (an 18-year daily history), each a
+    view of rows held once as `features` slides them, run as that thread
+    runs it: the traced peak read 193,148-193,436 bytes, numpy's 192,008
+    bytes of ufunc buffers for the fused input's bias add, which do not
+    grow with the windows, and the predictions. Before the cache owned
+    the scratch its forward writes ([W | U | b] copies, [x_t; h; 1]
+    buffers and the tanh(c) row), it read 1,621,788-1,622,460. The bound
+    is the measured peak, rounded up to 0.25 MB."""
+    params = init_parameters(ModelShape(), seed=0)
+    rng = np.random.default_rng(0)
+    rows = (rng.normal(size=(894, 3)), rng.normal(size=(894, 3)), rng.uniform(size=(894, 1)))
+    streams = tuple(np.lib.stride_tricks.sliding_window_view(r, 12, axis=0).transpose(0, 2, 1) for r in rows)
+    cache = last_step_cache(params, 883, 12)
+    done = []
+    worker = threading.Thread(target=lambda: done.append(forward_batch(streams, cache)), name="trendlab-predict-half")
+    tracemalloc.start()
+    try:
+        worker.start()
+        worker.join()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(done) == 1 and done[0] is cache
+    assert peak <= 2.5e5
 
 
 def test_a_tanh_last_step_cache_holds_one_step_per_layer():
