@@ -1,11 +1,11 @@
 """Exception types shared across the package, the one field-type rule that
-the config dataclasses enforce when they are built, and the rule that their
-numbers are finite."""
+the config dataclasses enforce when they are built, the rule that their
+numbers are finite, and the one rule that writes them as JSON."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from datetime import date
 from functools import cache
 from pathlib import Path
@@ -119,6 +119,14 @@ def enforce_field_types(obj) -> None:
         except _Mismatch:
             raise ConfigError(f"{name} must be {_describe(hint)}, got {value!r}") from None
         object.__setattr__(obj, name, converted)
+
+
+def fields_or_str(value) -> dict | str:
+    """`json.dumps`'s `default` that writes config dataclasses as `asdict`
+    would, uncopied: a dataclass as its fields, a Path or a date its str."""
+    if is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    return str(value)
 
 
 def require_finite(obj) -> None:

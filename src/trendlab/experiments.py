@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, replace
 from datetime import date
 from enum import Enum
 from functools import cache, partial
@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import forked
-from .errors import ConfigError, DataError, TrendlabError, enforce_field_types, require_finite
+from .errors import ConfigError, DataError, TrendlabError, enforce_field_types, fields_or_str, require_finite
 from .features import DatasetBundle, FeatureFrame, build_feature_frame, prepare_dataset
 from .indicators import IndicatorConfig
 from .market_data import DAILY, WEEKLY, PriceSeries, fit_scale, normalize, resample_weekly
@@ -126,16 +126,9 @@ class RunConfig:
 
     def echo(self) -> str:
         """The config as `config.json` holds it: `dataclasses.asdict`'s JSON,
-        indented by one, built from the fields without copying them. A
-        section is an object of its fields, a tuple a list, and a Path or a
-        date its `str`."""
-        return json.dumps(self, indent=1, default=_fields_or_str) + "\n"
-
-
-def _fields_or_str(value) -> dict | str:
-    if is_dataclass(value):
-        return {field.name: getattr(value, field.name) for field in fields(value)}
-    return str(value)
+        indented by one, written by `fields_or_str`, as a checkpoint's
+        config is."""
+        return json.dumps(self, indent=1, default=fields_or_str) + "\n"
 
 
 def classify_regime(segment: PriceSeries, threshold: float = 0.15) -> RegimeLabel:

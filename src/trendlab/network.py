@@ -35,7 +35,8 @@ three sigmoid gates and 1 / (1 + exp(-z)) takes three in-place passes:
 exp, add one, reciprocal. Negation is exact and the GEMM rounds the same
 whatever the signs, so the bits are those of negating z after the GEMM.
 The parameters themselves are never negated: they are views of the vector
-that the Adam step updates.
+that the Adam step updates. The backward pass applies the three sigmoids'
+shared derivative s (1 - s) to that same (3h x n) block of f, i, o rows.
 
 Both stacks run step-major in both passes, the wavefront order of Appleyard
 et al.: each step runs every layer in turn, so the layer above reads a
@@ -425,15 +426,13 @@ def _lstm_scratch(shape: ModelShape, n: int) -> _LstmScratch:
 
 def last_step_cache(params: NetworkParameters, n_windows: int, steps: int) -> ForwardCache:
     """A cache of `params` to forward n_windows windows of `steps` steps
-    into, for `predict`, where it beat full-depth shards: each layer keeps
-    one step, so the backward pass and `forget_gate_sum` refuse it. Its
-    buffers are the fused input, one step per layer and the top h. A
-    memory cell's cache also owns the scratch its forward writes, the
-    per-layer [W | U | b] copies and [x_t; h; 1] buffers and the tanh(c)
-    row, allocated here, so a forward into it allocates nothing
-    activation-sized: a thread that runs it needs none of its own. A
-    full-depth cache owns none, since a backward pass follows it and its
-    scratch would only add to that pass's live set."""
+    into, for `predict`, where it beat full-depth shards: its buffers are
+    the fused input, one step per layer and the top h, so the backward
+    pass and `forget_gate_sum` refuse it. A memory cell's cache also owns
+    its forward's `_LstmScratch`, so a thread that forwards into it
+    allocates nothing activation-sized. A full-depth cache owns none: a
+    backward pass follows it, and the scratch would only add to its live
+    set."""
     cache = _empty_cache(params, n_windows, steps, depth=1)
     if params.shape.cell == LSTM:
         cache.scratch = _lstm_scratch(params.shape, n_windows)
@@ -453,12 +452,13 @@ def _fuse_batch(
     streams: tuple[np.ndarray, np.ndarray, np.ndarray | None], params: NetworkParameters, out: np.ndarray
 ) -> None:
     """Writes the fused layer input, batch-last (T, D, n), into `out`: each
-    stream's projection fills its block of D."""
+    stream's projection W x fills its block of D, then one add puts every
+    stream's bias on the contiguous whole: numpy's iterator takes one
+    buffer of at most 64 KiB for it, where each strided block took three."""
     width = params.shape.width
-    for j, (stream, (W, b)) in enumerate(zip(streams, params.fusion.projections())):
-        block = out[:, j * width : (j + 1) * width]
-        np.matmul(W, stream.transpose(1, 2, 0), out=block)
-        block += b[:, None]
+    for j, (stream, (W, _)) in enumerate(zip(streams, params.fusion.projections())):
+        np.matmul(W, stream.transpose(1, 2, 0), out=out[:, j * width : (j + 1) * width])
+    out += np.concatenate([b for _, b in params.fusion.projections()])[:, None]
 
 
 def _lstm_forward(cache: ForwardCache, layers: list[LstmLayerParameters]) -> None:
@@ -605,22 +605,27 @@ def _lstm_backward(
     Each layer's input gradient at step t is the upstream gradient of the
     layer below at the same step, passed in one (H, n) buffer. At t = 0
     the recurrent carries U^T dA and dc * f are skipped: no step reads
-    them."""
+    them. The f, i and o rows of dA take dc * c_{t-1}, dc * g and
+    dh * tanh(c_t), then the sigmoids' shared s (1 - s) as one (3H, n)
+    block: times s, then times 1 - s, as gate by gate, so the bits match.
+    1 - s goes into the d_up, tmp and dh rows, one (3H, n) array, which
+    the step has read by then."""
     steps, hid, n = cache.steps, cache.h.shape[0], cache.n_windows
     top = len(layers) - 1
     dx = np.empty_like(cache.x)
     dA = np.empty((4 * hid, n))
-    dF, dI, dO, dG = dA[:hid], dA[hid : 2 * hid], dA[2 * hid : 3 * hid], dA[3 * hid :]
-    zeros, d_up, dh, dc, tmp = (np.zeros((hid, n)) for _ in range(5))
+    dS, (dF, dI, dO, dG) = dA[: 3 * hid], dA.reshape(4, hid, n)
+    one_minus_s = np.zeros((3 * hid, n))
+    d_up, tmp, dh = one_minus_s.reshape(3, hid, n)
+    zeros, dc = np.zeros((hid, n)), np.zeros((hid, n))
     tcs = [np.tanh(lc.c[-1]) for lc in cache.layers]
     hs = [np.multiply(lc.o[-1], tc) for lc, tc in zip(cache.layers, tcs)]
     dh_recs = [np.zeros((hid, n)) for _ in layers]
     dc_recs = [np.zeros((hid, n)) for _ in layers]
-    gates = [(lc.f, lc.i, lc.o, lc.g) for lc in cache.layers]
     for t in range(steps - 1, -1, -1):
         for l in range(top, -1, -1):
-            C, (F, I, O, G), layer, grad, tc, h = cache.layers[l].c, gates[l], layers[l], grads[l], tcs[l], hs[l]
-            f, i, o, g = F[t], I[t], O[t], G[t]
+            lc, layer, grad, tc, h = cache.layers[l], layers[l], grads[l], tcs[l], hs[l]
+            s, (f, i, o, g) = lc.gates[t, : 3 * hid], lc.gates[t].reshape(4, hid, n)
             upstream = d_up if l < top else d_h if t == steps - 1 else zeros
             np.add(upstream, dh_recs[l], out=dh)
             # dc = dc_rec + dh * o * (1 - tanh(c)^2)
@@ -630,28 +635,22 @@ def _lstm_backward(
             dc *= tmp
             dc += dc_recs[l]
             if t > 0:
-                np.multiply(dc, C[t - 1], out=dF)
-                dF *= f
-                np.subtract(1.0, f, out=tmp)
-                dF *= tmp
+                np.multiply(dc, lc.c[t - 1], out=dF)
             else:
                 dF[...] = 0.0
             np.multiply(dc, g, out=dI)
-            dI *= i
-            np.subtract(1.0, i, out=tmp)
-            dI *= tmp
             np.multiply(dh, tc, out=dO)
-            dO *= o
-            np.subtract(1.0, o, out=tmp)
-            dO *= tmp
+            dS *= s
+            np.subtract(1.0, s, out=one_minus_s)  # over d_up, tmp and dh, all read
+            dS *= one_minus_s
             np.multiply(dc, i, out=dG)
             np.square(g, out=tmp)
             np.subtract(1.0, tmp, out=tmp)
             dG *= tmp
             grad.W += dA @ (cache.x[t] if l == 0 else hs[l - 1]).T
             if t > 0:
-                np.tanh(C[t - 1], out=tc)
-                np.multiply(O[t - 1], tc, out=h)
+                np.tanh(lc.c[t - 1], out=tc)
+                np.multiply(lc.gates[t - 1, 2 * hid : 3 * hid], tc, out=h)
                 grad.U += dA @ h.T
             grad.b += dA.sum(axis=1)
             np.matmul(layer.W.T, dA, out=dx[t] if l == 0 else d_up)

@@ -9,12 +9,12 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from . import forked, network
+from . import errors, forked, network
 from .errors import CheckpointError, ConfigError, DataError, DivergenceError, enforce_field_types, require_finite
 from .features import WindowedDataset
 from .market_data import NormalizationScale
@@ -437,10 +437,6 @@ class Checkpoint:
     columns: dict[str, list[str] | None]
 
 
-def _scale_doc(scale: NormalizationScale | None):
-    return None if scale is None else {"min": scale.min, "max": scale.max}
-
-
 def _widths(columns: Mapping[str, list[str] | None]) -> tuple[int, int, int | None]:
     return tuple(None if columns[stream] is None else len(columns[stream]) for stream in STREAMS)
 
@@ -458,13 +454,13 @@ def save_checkpoint(
         raise ValueError(f"config and columns describe another model than {params.shape}")
     doc = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
-        "config": asdict(config),
-        "scale": _scale_doc(scale),
-        "column_scales": {name: _scale_doc(s) for name, s in column_scales.items()},
+        "config": config,
+        "scale": scale,
+        "column_scales": dict(column_scales),
         "columns": dict(columns),
         "vector": base64.b64encode(params.vector.astype("<f8").tobytes()).decode("ascii"),
     }
-    return json.dumps(doc, indent=1) + "\n"
+    return json.dumps(doc, indent=1, default=errors.fields_or_str) + "\n"
 
 
 def _stream_columns(raw) -> dict[str, list[str] | None]:

@@ -778,10 +778,12 @@ def test_a_last_step_cache_is_under_a_quarter_of_a_full_cache():
     assert last_bytes <= 0.25 * full_bytes
     assert peak <= 0.3 * full_bytes
     # In bytes: x + 3 x one step of (gates + c) + the top h = 4,379,680,
-    # and a traced peak of 6,199,448 (it moves by a few hundred bytes from
-    # run to run): the buffers, the 1,617,184 bytes of scratch the cache
-    # owns, and numpy's 192,008 bytes of ufunc buffers for the fused
-    # input's bias add. Before the cache owned its scratch, the forward
+    # and a traced peak of 6,072,192-6,072,816 (it moves by a few hundred
+    # bytes from run to run): the buffers, the 1,617,184 bytes of scratch
+    # the cache owns, and about 75 KB of numpy temporaries. While each
+    # stream's bias was added to its strided block of the fused input,
+    # numpy's 192,008 bytes of ufunc buffers for that add lifted the peak
+    # to 6,199,448. Before the cache owned its scratch, the forward
     # allocated it after those ufunc buffers were freed, and the peak read
     # 6,009,952. When every layer held every step's h, they read
     # 12,291,360 and 13,658,560.
@@ -794,12 +796,15 @@ def test_a_forward_into_a_prepared_last_step_cache_on_a_thread_allocates_no_acti
     caller and forwards the second half on a thread. The paper's 3 x 32
     LSTM over 883 windows of 12 steps (an 18-year daily history), each a
     view of rows held once as `features` slides them, run as that thread
-    runs it: the traced peak read 193,148-193,436 bytes, numpy's 192,008
-    bytes of ufunc buffers for the fused input's bias add, which do not
-    grow with the windows, and the predictions. Before the cache owned
-    the scratch its forward writes ([W | U | b] copies, [x_t; h; 1]
-    buffers and the tanh(c) row), it read 1,621,788-1,622,460. The bound
-    is the measured peak, rounded up to 0.25 MB."""
+    runs it: the traced peak read 65,836-66,276 bytes, most of it numpy's
+    iterator buffer for the fused input's bias add, at most 64 KiB
+    whatever the windows. Before the cache owned the scratch its forward
+    writes ([W | U | b] copies, [x_t; h; 1] buffers and the tanh(c) row),
+    it read 1,621,788-1,622,460. Before `_fuse_batch` added the fused
+    bias once over the contiguous input, each stream's bias add on its
+    strided block took numpy's iterator 192,008 bytes of buffers, and it
+    read 193,148-193,436. The bound is the measured peak, rounded up to
+    0.1 MB."""
     params = init_parameters(ModelShape(), seed=0)
     rng = np.random.default_rng(0)
     rows = (rng.normal(size=(894, 3)), rng.normal(size=(894, 3)), rng.uniform(size=(894, 1)))
@@ -815,7 +820,7 @@ def test_a_forward_into_a_prepared_last_step_cache_on_a_thread_allocates_no_acti
     finally:
         tracemalloc.stop()
     assert len(done) == 1 and done[0] is cache
-    assert peak <= 2.5e5
+    assert peak <= 1e5
 
 
 def test_a_tanh_last_step_cache_holds_one_step_per_layer():
@@ -860,6 +865,31 @@ def test_saturated_gates_raise_no_overflow_warning():
     for lc in cache.layers:
         assert np.all(lc.f == 0.0) and np.all(lc.i == 1.0) and np.all(lc.o == 0.0)
     assert np.all(np.isfinite(cache.predictions))
+
+
+def test_gates_saturated_open_pass_no_gradient_into_their_weights():
+    # With b_f, b_i and b_o at +1000, f = i = o = 1.0 exactly, so the
+    # sigmoid derivative s (1 - s) is exactly 0, and so is every gradient
+    # into those gates' weights and biases; the candidate's still flows.
+    params = init_parameters(ModelShape(layers=2, hidden=4), seed=6)
+    weights = dict(params.param_items())
+    for k in range(2):
+        for gate in "fio":
+            weights[f"layers.{k}.b_{gate}"][...] = 1000.0
+    rng = np.random.default_rng(6)
+    streams = (rng.normal(size=(3, 5, 3)), rng.normal(size=(3, 5, 3)), rng.uniform(size=(3, 5, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cache = forward_batch(streams, params)
+        grads = dict(backward_batch(cache, rng.normal(size=3)).param_items())
+    for lc in cache.layers:
+        assert np.all(lc.f == 1.0) and np.all(lc.i == 1.0) and np.all(lc.o == 1.0)
+    assert all(np.all(np.isfinite(g)) for g in grads.values())
+    for k in range(2):
+        for kind in "WUb":
+            for gate in "fio":
+                assert np.all(grads[f"layers.{k}.{kind}_{gate}"] == 0.0)
+            assert np.any(grads[f"layers.{k}.{kind}_c"] != 0.0)
 
 
 # --- initialization ----------------------------------------------------------
