@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import forked
-from .errors import ConfigError, DataError, DivergenceError, TrendlabError, field_types
+from .errors import ConfigError, DataError, DivergenceError, field_types
 from .experiments import (
     RunConfig,
     regime_segments,
@@ -207,7 +207,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
     out = _prepare_out(cfg)
     checkpoint = save_checkpoint(
-        run.parameters, run.config, bundle.price_scale,
+        run.parameters, cfg.train, bundle.price_scale,
         column_scales=bundle.column_scales, columns=bundle.columns,
     )
     (out / "checkpoint.json").write_text(checkpoint)
@@ -346,7 +346,7 @@ def cmd_experiment(cfg: RunConfig, which: str) -> int:
         stem = name.replace("-", "_")
         (out / f"{stem}_report.csv").write_text(report_to_csv(report))
         (out / f"{stem}_report.json").write_text(report_to_json(report))
-        (out / f"{stem}_aggregate.csv").write_text(aggregate_to_csv(aggregate_report([report])))
+        (out / f"{stem}_aggregate.csv").write_text(aggregate_to_csv(aggregate_report(report)))
         print(f"== {name} experiment")
         print(summary_table(report))
         failed = failed or report.all_failed
@@ -451,9 +451,6 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except TrendlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -131,7 +131,7 @@ class RunConfig:
         return json.dumps(self, indent=1, default=fields_or_str) + "\n"
 
 
-def classify_regime(segment: PriceSeries, threshold: float = 0.15) -> RegimeLabel:
+def classify_regime(segment: PriceSeries, threshold: float) -> RegimeLabel:
     """Label a segment bull, bear, or flat by the least-squares slope of its
     normalized adjusted price, measured in normalized units over the whole
     segment span.

@@ -103,9 +103,11 @@ def build_feature_frame(
     adjusted = series.adjusted()
     volume = series.volume.astype(np.float64)
     tdd = compute_tdd(series)  # tdd[k] belongs to bar k+1
-    rsi_vals = rsi(series, config.rsi_period)          # defined from rsi_period
-    cci_vals = cci(series, config.cci_period, config.cci_constant)  # from cci_period-1
-    macd_vals = macd(series, config.macd_fast, config.macd_slow)    # from macd_slow-1
+    # Each indicator's first value sits at bar rsi_period, cci_period - 1
+    # and macd_slow - 1; the slices below shift each to bar `start`.
+    rsi_vals = rsi(series, config)
+    cci_vals = cci(series, config)
+    macd_vals = macd(series, config)
 
     fundamental = np.column_stack([
         adjusted[start : n - 1],

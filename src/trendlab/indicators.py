@@ -1,8 +1,10 @@
 """Technical-analysis features: RSI, CCI, and MACD.
 
-Each function returns only the defined values; warm-up indices are omitted.
-The first defined value of `rsi(series, p)` sits at bar index p, of
-`cci(series, p)` at p-1, and of `macd(series, fast, slow)` at slow-1.
+Each function reads its periods and constant from an `IndicatorConfig`,
+which validates them when it is built, and returns only the defined values;
+warm-up indices are omitted. The first defined value of `rsi` sits at bar
+index `rsi_period`, of `cci` at `cci_period - 1`, and of `macd` at
+`macd_slow - 1`.
 """
 
 from __future__ import annotations
@@ -43,17 +45,16 @@ class IndicatorConfig:
         return max(self.rsi_period, self.cci_period - 1, self.macd_slow - 1)
 
 
-def rsi(series: PriceSeries, period: int = 14) -> np.ndarray:
+def rsi(series: PriceSeries, config: IndicatorConfig) -> np.ndarray:
     """Relative Strength Index with Wilder smoothing, in [0, 100].
 
     RSI_t = 100 - 100 / (1 + avgGain_t / avgLoss_t) over adjusted-price
     deltas; the seed averages are plain means of the first `period` deltas,
-    then avg_t = (avg_{t-1} * (period-1) + x_t) / period. A window with zero
-    losses reads 100, zero gains reads 0, and a perfectly flat window reads
-    the neutral 50.
+    then avg_t = (avg_{t-1} * (period-1) + x_t) / period, with period
+    `config.rsi_period`. A window with zero losses reads 100, zero gains
+    reads 0, and a perfectly flat window reads the neutral 50.
     """
-    if period < 2:
-        raise ConfigError(f"rsi period must be >= 2, got {period}")
+    period = config.rsi_period
     prices = series.adjusted()
     if prices.size < period + 1:
         raise DataError(f"series too short for RSI-{period}: {prices.size} bars")
@@ -88,17 +89,15 @@ def _rsi_values(avg_gain: np.ndarray, avg_loss: np.ndarray) -> np.ndarray:
     return out
 
 
-def cci(series: PriceSeries, period: int = 20, constant: float = 0.015) -> np.ndarray:
+def cci(series: PriceSeries, config: IndicatorConfig) -> np.ndarray:
     """Commodity Channel Index over the typical price (high+low+close)/3.
 
     CCI_t = (TP_t - SMA(TP, period)_t) / (constant * MAD_t) where MAD is the
     mean absolute deviation of the window's typical prices about the window
-    SMA. A window with zero deviation (flat market) reads 0.
+    SMA, with period `config.cci_period` and constant `config.cci_constant`.
+    A window with zero deviation (flat market) reads 0.
     """
-    if period < 2:
-        raise ConfigError(f"cci period must be >= 2, got {period}")
-    if constant <= 0:
-        raise ConfigError(f"cci constant must be positive, got {constant}")
+    period, constant = config.cci_period, config.cci_constant
     if len(series) < period:
         raise DataError(f"series too short for CCI-{period}: {len(series)} bars")
     prices = series.ohlca
@@ -126,13 +125,12 @@ def ema(values: np.ndarray, period: int) -> np.ndarray:
     return np.array(out, dtype=np.float64)
 
 
-def macd(series: PriceSeries, fast: int = 12, slow: int = 26) -> np.ndarray:
-    """MACD line: EMA(adjusted, fast) - EMA(adjusted, slow).
+def macd(series: PriceSeries, config: IndicatorConfig) -> np.ndarray:
+    """MACD line: EMA(adjusted, macd_fast) - EMA(adjusted, macd_slow).
 
-    First defined value at bar index slow-1.
+    First defined value at bar index macd_slow-1.
     """
-    if not fast < slow:
-        raise ConfigError(f"macd fast ({fast}) must be smaller than slow ({slow})")
+    fast, slow = config.macd_fast, config.macd_slow
     prices = series.adjusted()
     if prices.size < slow:
         raise DataError(f"series too short for MACD-{fast}/{slow}: {prices.size} bars")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -120,15 +119,14 @@ class AggregateRow:
     mean_forget_mean: float
 
 
-def aggregate_report(reports: Iterable[ExperimentReport]) -> tuple[AggregateRow, ...]:
+def aggregate_report(report: ExperimentReport) -> tuple[AggregateRow, ...]:
     """Group successful rows by (model, interval, regime, features, window)
     and report mean and population standard deviation over seed
     replicates. Rows are ordered by group key.
     """
     groups: dict[tuple[str, str, str, str, int], list[ReportRow]] = {}
-    for report in reports:
-        for r in report.ok_rows:
-            groups.setdefault((r.model, r.interval, r.regime, r.features, r.window), []).append(r)
+    for r in report.ok_rows:
+        groups.setdefault((r.model, r.interval, r.regime, r.features, r.window), []).append(r)
     out = []
     for key in sorted(groups):
         rows = groups[key]

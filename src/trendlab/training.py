@@ -146,7 +146,6 @@ class TrainingRun:
     test_rmse: float | None
     test_mean_forget: float | None
     wall_seconds: float
-    config: TrainConfig
     parameters: NetworkParameters
 
 
@@ -409,7 +408,6 @@ def train(dataset: WindowedDataset, config: TrainConfig, *, fork_helpers: bool =
         test_rmse=test_cost,
         test_mean_forget=test_mean_forget,
         wall_seconds=clock() - started,
-        config=config,
         parameters=params,
     )
 

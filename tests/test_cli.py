@@ -13,13 +13,17 @@ from datetime import date, timedelta
 from pathlib import Path
 
 import csv
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trendlab
 from trendlab import cli, experiments
+from trendlab.errors import ConfigError, DataError, DivergenceError, TrendlabError
 from trendlab.cli import EXPERIMENT_NAMES, NEUTRAL_FILL_WARNING, _apply_overrides, build_parser, load_run_config, main
 from trendlab.experiments import ExperimentsSection, RunConfig
 from trendlab.indicators import IndicatorConfig
@@ -459,6 +463,70 @@ def test_config_and_data_errors_exit_before_writing(
         prices.write_text(edit_csv_field(prices.read_text(), 5, "Close", "abc"))
     before = _files(tmp_path)
     assert main([command[0], "--config", str(config), *command[1:]]) == code
+    assert _files(tmp_path) == before
+
+
+def test_every_trendlab_error_is_one_that_main_maps_to_an_exit_code():
+    """`main` catches ConfigError (exit 1), DataError (2) and
+    DivergenceError (3), and nothing wider: every subclass of TrendlabError
+    in every module must be one of the three."""
+    for info in pkgutil.iter_modules(trendlab.__path__):
+        importlib.import_module(f"trendlab.{info.name}")
+    pending, seen = [TrendlabError], []
+    while pending:
+        subclasses = pending.pop().__subclasses__()
+        seen += subclasses
+        pending += subclasses
+    assert {ConfigError, DataError, DivergenceError} <= set(seen)
+    stray = [c.__qualname__ for c in seen if not issubclass(c, (ConfigError, DataError, DivergenceError))]
+    assert stray == []
+
+
+def test_a_config_that_is_not_json_exits_1_before_writing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    config = _run_config(tmp_path)
+    config.write_text("{\"price_csv\": ")
+    before = _files(tmp_path)
+    assert main(["train", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.startswith("config error: config is not valid JSON:")
+    assert _files(tmp_path) == before
+
+
+def test_train_without_a_price_csv_exits_1_before_writing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    config = _run_config(tmp_path, price_csv=None)
+    before = _files(tmp_path)
+    assert main(["train", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "config error: config does not set price_csv\n"
+    assert _files(tmp_path) == before
+
+
+def test_train_whose_split_leaves_no_test_window_reports_no_test_rmse(tmp_path, capsys):
+    """45 weekly bars: 19 frame rows after the 25-bar warm-up and the
+    label row, so 15 windows of 4, and 15 of 15 windows go to training."""
+    config = _run_config(tmp_path)
+    _write_prices(tmp_path / "prices.csv", sine_series(bars=45).bars)
+    assert main(["train", "--config", str(config)]) == 0
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    assert (metrics["n_train_windows"], metrics["n_test_windows"]) == (15, 0)
+    assert metrics["test_rmse"] is None and metrics["test_rmse_price_units"] is None
+    assert "test RMSE n/a" in capsys.readouterr().out
+
+
+def test_predict_with_a_checkpoint_that_lacks_a_column_scale_exits_2_before_writing(
+    tmp_path, checkpoint_file, monkeypatch, capsys
+):
+    """The checkpoint is input from outside the program: one edited by hand
+    may lack the scale of a column its frame has."""
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads(checkpoint_file.read_text())
+    del doc["column_scales"]["RSI"]
+    edited = tmp_path / "checkpoint.json"
+    edited.write_text(json.dumps(doc))
+    config = _run_config(tmp_path, checkpoint=str(edited))
+    before = _files(tmp_path)
+    assert main(["predict", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "data error: checkpoint lacks a scale for column 'RSI'\n"
     assert _files(tmp_path) == before
 
 

@@ -323,9 +323,9 @@ def test_build_feature_frame_rows_match_a_per_bar_recomputation(config, with_sen
             bars[t].adjusted, bars[t].volume, bars[t].adjusted - bars[t - 1].adjusted,
         ]
         assert list(frame.technical[k]) == [
-            rsi(prefix, config.rsi_period)[-1],
-            cci(prefix, config.cci_period, config.cci_constant)[-1],
-            macd(prefix, config.macd_fast, config.macd_slow)[-1],
+            rsi(prefix, config)[-1],
+            cci(prefix, config)[-1],
+            macd(prefix, config)[-1],
         ]
         want = NEUTRAL_SENTIMENT if sentiment is None else sentiment[bars[t].date]
         assert list(frame.sentiment[k]) == [want]

@@ -21,6 +21,9 @@ FROZEN_RSI = {0: 36.146660861807, 20: 19.365466225364017, 45: 56.05831072464255}
 FROZEN_CCI = {0: -280.57353353027366, 20: -81.74452191053851, 40: 166.3069738713286}
 FROZEN_MACD = {0: -4.699912819390676, 20: -3.715221952043862, 34: -0.2678461762048272}
 
+# RSI-14, CCI-20 with constant 0.015, and MACD 12/26.
+DEFAULTS = IndicatorConfig()
+
 
 def flat_series(values, highs=None, lows=None) -> PriceSeries:
     start = date(2020, 1, 6)
@@ -52,21 +55,21 @@ def test_config_validation():
 
 def test_rsi_all_gains_is_100():
     series = flat_series([float(v) for v in range(1, 25)])
-    assert np.all(rsi(series, 14) == 100.0)
+    assert np.all(rsi(series, DEFAULTS) == 100.0)
 
 
 def test_rsi_all_losses_is_0():
     series = flat_series([float(v) for v in range(50, 20, -1)])
-    assert np.all(rsi(series, 14) == 0.0)
+    assert np.all(rsi(series, DEFAULTS) == 0.0)
 
 
 def test_rsi_flat_is_neutral():
     series = flat_series([10.0] * 20)
-    assert np.all(rsi(series, 14) == 50.0)
+    assert np.all(rsi(series, DEFAULTS) == 50.0)
 
 
 def test_rsi_matches_oracle(fixture_series):
-    got = rsi(fixture_series, 14)
+    got = rsi(fixture_series, DEFAULTS)
     expected = wilder_rsi([b.adjusted for b in fixture_series.bars], 14)
     assert got.shape == (len(expected),)
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-9)
@@ -76,7 +79,7 @@ def test_rsi_matches_oracle(fixture_series):
 
 def test_rsi_too_short():
     with pytest.raises(DataError, match="too short"):
-        rsi(flat_series([1.0] * 14), 14)
+        rsi(flat_series([1.0] * 14), DEFAULTS)
 
 
 @settings(max_examples=60, deadline=None)
@@ -89,9 +92,9 @@ def test_rsi_bounds_and_shift_invariance(seed, shift):
     values = 1000.0 + np.cumsum(rng.normal(0.0, 2.0, size=40))
     series = flat_series(values.tolist())
     shifted = flat_series((values + shift).tolist())
-    base = rsi(series, 14)
+    base = rsi(series, DEFAULTS)
     assert np.all(base >= 0.0) and np.all(base <= 100.0)
-    np.testing.assert_allclose(rsi(shifted, 14), base, atol=1e-7)
+    np.testing.assert_allclose(rsi(shifted, DEFAULTS), base, atol=1e-7)
 
 
 
@@ -126,7 +129,7 @@ def test_rsi_equals_the_scalar_formula_on_walks_and_flat_rising_and_falling_stre
     if len(values) < period + 1:
         values += [values[-1]] * (period + 1 - len(values))
     series = flat_series(values)
-    got, want = rsi(series, period), loop_rsi(series.adjusted(), period)
+    got, want = rsi(series, IndicatorConfig(rsi_period=period)), loop_rsi(series.adjusted(), period)
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
@@ -135,19 +138,19 @@ def test_rsi_equals_the_scalar_formula_on_walks_and_flat_rising_and_falling_stre
 
 def test_cci_constant_series_is_zero():
     series = flat_series([10.0] * 30)
-    assert np.all(cci(series, 20, 0.015) == 0.0)
+    assert np.all(cci(series, DEFAULTS) == 0.0)
 
 
 def test_cci_unit_deviation():
     # period 2: deviation of the last typical price always equals the MAD,
     # so any strictly increasing pair reads exactly 1/constant.
     series = flat_series([10.0, 20.0, 30.0])
-    got = cci(series, 2, 0.015)
+    got = cci(series, IndicatorConfig(cci_period=2))
     np.testing.assert_allclose(got, 1.0 / 0.015)
 
 
 def test_cci_matches_oracle(fixture_series):
-    got = cci(fixture_series, 20, 0.015)
+    got = cci(fixture_series, DEFAULTS)
     expected = windowed_cci(
         [b.high for b in fixture_series.bars],
         [b.low for b in fixture_series.bars],
@@ -163,7 +166,7 @@ def test_cci_matches_oracle(fixture_series):
 
 def test_cci_too_short():
     with pytest.raises(DataError, match="too short"):
-        cci(flat_series([1.0] * 19), 20, 0.015)
+        cci(flat_series([1.0] * 19), DEFAULTS)
 
 
 @settings(max_examples=60, deadline=None)
@@ -176,7 +179,7 @@ def test_cci_scale_invariance(seed, k):
     lows = closes - rng.uniform(0.1, 1.0, size=30)
     series = flat_series(closes.tolist(), highs.tolist(), lows.tolist())
     scaled = flat_series((k * closes).tolist(), (k * highs).tolist(), (k * lows).tolist())
-    np.testing.assert_allclose(cci(scaled, 20, 0.015), cci(series, 20, 0.015), rtol=1e-7, atol=1e-7)
+    np.testing.assert_allclose(cci(scaled, DEFAULTS), cci(series, DEFAULTS), rtol=1e-7, atol=1e-7)
 
 
 # --- MACD --------------------------------------------------------------------
@@ -184,11 +187,11 @@ def test_cci_scale_invariance(seed, k):
 
 def test_macd_constant_series_is_zero():
     series = flat_series([10.0] * 40)
-    assert np.all(macd(series, 12, 26) == 0.0)
+    assert np.all(macd(series, DEFAULTS) == 0.0)
 
 
 def test_macd_matches_oracle(fixture_series):
-    got = macd(fixture_series, 12, 26)
+    got = macd(fixture_series, DEFAULTS)
     expected = ema_macd([b.adjusted for b in fixture_series.bars], 12, 26)
     assert got.shape == (len(expected),)
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-9)
@@ -196,21 +199,15 @@ def test_macd_matches_oracle(fixture_series):
         assert abs(got[idx] - value) < 1e-9
 
 
-def test_macd_rejects_fast_not_below_slow():
-    series = flat_series([10.0] * 40)
-    with pytest.raises(ConfigError, match="fast"):
-        macd(series, 26, 26)
-
-
 def test_macd_too_short():
     with pytest.raises(DataError, match="too short"):
-        macd(flat_series([1.0] * 25), 12, 26)
+        macd(flat_series([1.0] * 25), DEFAULTS)
 
 
 def test_macd_scale_equivariance(fixture_series):
-    base = macd(fixture_series, 12, 26)
+    base = macd(fixture_series, DEFAULTS)
     scaled_series = flat_series([3.0 * b.adjusted for b in fixture_series.bars])
-    np.testing.assert_allclose(macd(scaled_series, 12, 26), 3.0 * base, rtol=1e-9)
+    np.testing.assert_allclose(macd(scaled_series, DEFAULTS), 3.0 * base, rtol=1e-9)
 
 
 def test_ema_matches_oracle(fixture_series):
@@ -253,16 +250,16 @@ def test_indicators_equal_the_loop_forms_bit_for_bit(name):
     series = _BIT_SERIES[name]()
     prices = series.adjusted()
     tp = np.array([(b.high + b.low + b.close) / 3.0 for b in series.bars])
-    assert _same_bits(rsi(series, 14), loop_rsi(prices, 14))
-    assert _same_bits(cci(series, 20, 0.015), loop_cci(tp, 20, 0.015))
+    assert _same_bits(rsi(series, DEFAULTS), loop_rsi(prices, 14))
+    assert _same_bits(cci(series, DEFAULTS), loop_cci(tp, 20, 0.015))
     assert _same_bits(ema(prices, 12), loop_ema(prices, 12))
-    assert _same_bits(macd(series, 12, 26), loop_ema(prices, 12)[14:] - loop_ema(prices, 26))
+    assert _same_bits(macd(series, DEFAULTS), loop_ema(prices, 12)[14:] - loop_ema(prices, 26))
 
 
 def test_flat_stretches_reach_every_special_case():
     series = _with_flat_stretches()
-    assert (cci(series, 20, 0.015) == 0.0).sum() > 10
-    assert {50.0, 100.0} <= set(rsi(series, 14).tolist())
+    assert (cci(series, DEFAULTS) == 0.0).sum() > 10
+    assert {50.0, 100.0} <= set(rsi(series, DEFAULTS).tolist())
 
 
 # --- causality ---------------------------------------------------------------
@@ -270,7 +267,7 @@ def test_flat_stretches_reach_every_special_case():
 
 def test_indicators_are_causal(fixture_series):
     prefix = series_of(fixture_series.bars[:45])
-    for fn, args in ((rsi, (14,)), (cci, (20, 0.015)), (macd, (12, 26))):
-        full = fn(fixture_series, *args)
-        truncated = fn(prefix, *args)
+    for fn in (rsi, cci, macd):
+        full = fn(fixture_series, DEFAULTS)
+        truncated = fn(prefix, DEFAULTS)
         np.testing.assert_array_equal(truncated, full[: truncated.size])

@@ -4,6 +4,7 @@ import ast
 import csv
 import math
 import tracemalloc
+from collections import Counter
 from datetime import date, timedelta
 from pathlib import Path
 from unittest import mock
@@ -155,6 +156,54 @@ def test_no_module_imports_a_private_name_of_another():
         if alias.name.startswith("_")
     ]
     assert crossings == []
+
+
+# Kept without a caller in the package: every `synthetic` function is a
+# fixture of the tests and the bench; `report_from_json` waits for the
+# per-cell report rows that ROADMAP item 15 plans; `blas.describe` names
+# the BLAS kernel in `tests/golden_kernel.json`.
+UNCALLED_ON_PURPOSE = {"reports.report_from_json", "blas.describe"}
+
+
+def _referenced_names(nodes, strings=False) -> Counter:
+    """How often each name, attribute and imported name occurs in the trees
+    `nodes`, and with `strings` each string constant."""
+    names = Counter()
+    for node in (n for top in nodes for n in ast.walk(top)):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name] += 1
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names[node.value] += 1
+    return names
+
+
+def test_every_public_function_and_method_has_a_caller():
+    """Each public module-level function and public method of the package
+    is named in the package outside its own body, or in `perfbench/`,
+    which patches some by their name as a string."""
+    package = Path(market_data.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    everywhere = _referenced_names(trees.values())
+    bench = _referenced_names(
+        [ast.parse(path.read_text()) for path in sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))],
+        strings=True,
+    )
+    uncalled = []
+    for module, tree in trees.items():
+        if module == "synthetic":
+            continue
+        scopes = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+        for node in (node for body in scopes for node in body):
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            outside = everywhere[node.name] - _referenced_names([node])[node.name]
+            if not outside and node.name not in bench and f"{module}.{node.name}" not in UNCALLED_ON_PURPOSE:
+                uncalled.append(f"{module}.{node.name}")
+    assert uncalled == []
 
 
 # --- parsing -----------------------------------------------------------------

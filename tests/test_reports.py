@@ -96,7 +96,7 @@ def test_aggregate_csv_columns_follow_field_order():
         ReportRow("lstm", "weekly", "all", "full", 12, 0, 0.25, 0.5, 0.5, 1.0),
         ReportRow("lstm", "weekly", "all", "full", 12, 1, 0.75, 1.5, 0.75, 1.0),
     ))
-    assert aggregate_to_csv(aggregate_report([report])).splitlines() == [
+    assert aggregate_to_csv(aggregate_report(report)).splitlines() == [
         ",".join(f.name for f in fields(AggregateRow)),
         "lstm,weekly,all,full,12,2,0.5,0.25,1.0,0.5,0.625",
     ]
@@ -111,7 +111,7 @@ def test_aggregate_groups_by_window_and_leaves_out_failed_rows():
         ReportRow("lstm", "weekly", "all", "full", 4, 1, math.nan, math.nan, math.nan, 1.0, error="boom"),
         ReportRow("rnn", "weekly", "all", "full", 4, 0, 0.5, 1.0, math.nan, 1.0),
     ))
-    rows = aggregate_report([report])
+    rows = aggregate_report(report)
     assert [(r.model, r.window, r.count) for r in rows] == [("lstm", 4, 1), ("lstm", 8, 1), ("rnn", 4, 1)]
     assert [r.mean_forget_mean for r in rows[:2]] == [0.25, 0.5]
     assert math.isnan(rows[2].mean_forget_mean)

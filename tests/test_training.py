@@ -619,10 +619,11 @@ def test_a_tanh_stack_has_no_forget_gate_mean_and_an_empty_test_split_no_test_me
 def test_a_grid_cell_trains_its_shards_in_the_caller(monkeypatch, paper_dataset):
     forks = _count_forks(monkeypatch)
     _on_cpus(monkeypatch, 2)
-    run = train(paper_dataset, TrainConfig(epochs=1, layers=1, hidden_size=2), fork_helpers=False)
+    config = TrainConfig(epochs=1, layers=1, hidden_size=2)
+    run = train(paper_dataset, config, fork_helpers=False)
     _on_cpus(monkeypatch, 1)
     assert forks == []
-    assert run.parameters.vector.tobytes() == train(paper_dataset, run.config).parameters.vector.tobytes()
+    assert run.parameters.vector.tobytes() == train(paper_dataset, config).parameters.vector.tobytes()
 
 
 def test_a_non_finite_prediction_in_a_helper_shard_reports_its_epoch(monkeypatch, paper_dataset):
